@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from _bench_json import record_bench, time_ms, time_ms_paired
+from _bench_json import record_bench, time_ms
 
 from repro.baselines.flooding import make_flood_new_factory
 from repro.core.algorithm1 import make_algorithm1_factory
@@ -87,13 +87,11 @@ def test_engine_fast_vs_reference(benchmark):
 
 
 def test_engine_columnar_vs_fast(benchmark):
-    """Columnar vs fast on an Algorithm-1 sweep at n=10⁴: identical, faster.
+    """An Algorithm-1 sweep at n=10⁴ under both vectorised engine names.
 
-    The clustered-star topology is the columnar tier's home turf — a
-    static (∞, L)-hierarchy big enough (n ≥ 10⁴, the issue's gate floor)
-    that masked-column receive beats the fast path's per-delivery
-    scatter.  Samples are interleaved (``time_ms_paired``) so the ratio
-    measures the kernels rather than allocator drift.
+    ``"columnar"`` and ``"fast"`` run the same round loop, so the results
+    must be identical; the recorded counters are the exact baselines the
+    ``columnar_vs_fast_alg1_n10000`` gate checks.
     """
     n, theta, k = 10_000, 300, 16
     net = CSRNetwork(clustered_star_arrays(n, theta))
@@ -108,28 +106,22 @@ def test_engine_columnar_vs_fast(benchmark):
     assert col_result.outputs == fast_result.outputs
     assert col_result.metrics == fast_result.metrics
 
-    fast_stats, col_stats = time_ms_paired(
-        lambda: go("fast"), lambda: go("columnar"), repeats=5
-    )
-    speedup = fast_stats["median_ms"] / col_stats["median_ms"]
+    col_stats = time_ms(lambda: go("columnar"), repeats=5)
     record_bench("columnar_vs_fast_alg1_n10000", {
         "scenario": f"clustered_star_arrays(n={n}, theta={theta}), algorithm1(T=12, M=6), k={k}",
         "rounds": col_result.metrics.rounds,
         "tokens_sent": col_result.metrics.tokens_sent,
-        "fast_median_ms": fast_stats["median_ms"],
         "columnar_median_ms": col_stats["median_ms"],
-        "speedup": round(speedup, 2),
         "results_identical": True,
     })
-    assert speedup >= 0.9, f"columnar only {speedup:.2f}x vs fast at n=1e4"
 
     benchmark(lambda: go("columnar"))
 
 
 def test_columnar_flood_round_scale(benchmark):
-    """One flooding round at n=10⁵ and n=10⁶ on the columnar tier.
+    """One flooding round at n=10⁵ and n=10⁶ on the vectorised tier.
 
-    The tentpole acceptance number: a single packed spmm-delivery round
+    A single packed segment-OR delivery round
     over a degree-8 ring lattice with k=64 tokens, no per-node Python.
     ``materialize_outputs=False`` keeps the measurement on the round
     kernel (materialising 10⁶ frozensets would dominate and no scale
@@ -170,7 +162,7 @@ def test_columnar_flood_round_scale(benchmark):
 
 
 def test_columnar_alg1_sweep_n10000(benchmark):
-    """Full Algorithm-1 columnar sweep at n=10⁴ (the issue's sweep target)."""
+    """Full Algorithm-1 packed-state sweep at n=10⁴."""
     n, theta, k = 10_000, 300, 16
     net = CSRNetwork(clustered_star_arrays(n, theta))
     TA0 = columnar.pack_single_tokens(np.arange(n) % k, k)

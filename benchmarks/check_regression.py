@@ -12,11 +12,11 @@ baseline:
 * the fast/reference **speedup ratio** — measured fresh, both engines on
   the same machine in the same process — must stay within ``--threshold``
   (default 25%) of the baseline's recorded ratio;
-* the **columnar speedup gate** (``columnar_vs_fast_alg1_n10000``): the
-  columnar tier must stay bit-identical to the fast path and its
-  columnar/fast ratio — measured with interleaved samples — must clear
-  both the baseline ratio and fast-path parity, modulo ``--threshold``
-  (the issue-level invariant: columnar ≥ fastpath at n ≥ 10⁴);
+* the **n = 10⁴ gate** (``columnar_vs_fast_alg1_n10000``): the
+  Algorithm-1 run at n = 10⁴ must reproduce the baseline's counters
+  exactly, and ``engine="columnar"`` must stay bit-identical to
+  ``engine="fast"`` (two names for the one vectorised round loop, so no
+  speed ratio between them is gated);
 * the **telemetry overhead budget** (``obs_overhead_trace_vs_off``, a
   synthetic case needing no baseline entry): an ``obs="trace"`` run must
   cost at most ``--obs-budget`` times the ``obs="off"`` run and must not
@@ -71,7 +71,7 @@ try:
 except ImportError:  # uninstalled checkout: fall back to the src layout
     sys.path.insert(0, str(_HERE.parent / "src"))
 
-from _bench_json import BENCH_JSON  # noqa: E402  (also wires up sys.path)
+from _bench_json import BENCH_JSON, time_ms  # noqa: E402  (also wires up sys.path)
 
 from repro.bench.runner import equivalent, measure_ratio  # noqa: E402
 
@@ -161,21 +161,17 @@ def check_algorithm1_full_run(baseline: Dict[str, object], args) -> CheckResult:
 
 
 def check_columnar_vs_fast(baseline: Dict[str, object], args) -> CheckResult:
-    """Columnar speedup gate: columnar must not fall behind the fast path.
+    """The n = 10⁴ gate: exact counters and alias bit-identity.
 
-    Re-runs the recorded Algorithm-1 sweep (clustered star, n=10⁴ — the
-    issue's gate floor for the columnar tier) on both vectorised engines.
-    Deterministic counters must match the baseline exactly, the engines
-    must agree bit-for-bit, and the columnar/fast speedup — measured with
-    *interleaved* samples so allocator drift cancels — must clear both
-    the baseline's recorded ratio and parity with the fast path, each
-    modulo ``--threshold``.  The parity floor is what keeps "columnar ≥
-    fastpath at n ≥ 10⁴" gated even if a slow baseline is ever committed.
+    Re-runs the recorded Algorithm-1 sweep (clustered star, n=10⁴) under
+    both engine names.  Deterministic counters must match the baseline
+    exactly and the two names must agree bit-for-bit.  Both names run
+    the same round loop, so their speed ratio is 1.0 by construction and
+    is not gated; ``columnar_median_ms`` is reported for context.
     """
     from repro.bench.matrix import columnar_gate_instance
     from repro.sim.engine import SynchronousEngine
 
-    threshold = args.threshold
     net, factory, k, initial, rounds = columnar_gate_instance()
 
     def go(engine: str):
@@ -203,26 +199,12 @@ def check_columnar_vs_fast(baseline: Dict[str, object], args) -> CheckResult:
     rows.append(_row("columnar == fast (outputs+metrics+timeline)",
                      True, identical, identical))
     if not identical:
-        failures.append("columnar tier diverged from the fast path")
+        failures.append("engine='columnar' diverged from engine='fast'")
 
-    fast_stats, col_stats, speedup = measure_ratio(
-        lambda: go("fast"), lambda: go("columnar"),
-        repeats=args.repeats, inject_ms=args.inject_columnar_slowdown_ms,
-    )
-    base_speedup = float(baseline.get("speedup", 0.0))
-    floor = max(base_speedup, 1.0) * (1.0 - threshold)
-    ok = speedup >= floor
-    rows.append(_row(f"columnar speedup (floor {floor:.2f}x)",
-                     f"{base_speedup:.2f}x", f"{speedup:.2f}x", ok))
+    col_stats = time_ms(lambda: go("columnar"), repeats=args.repeats)
     rows.append(_row("columnar_median_ms (not gated)",
                      baseline.get("columnar_median_ms"),
                      col_stats["median_ms"], True))
-    if not ok:
-        failures.append(
-            f"columnar speedup regressed: {speedup:.2f}x < {floor:.2f}x "
-            f"(baseline {base_speedup:.2f}x, parity floor 1.00x, "
-            f"threshold {threshold:.0%})"
-        )
     return failures, rows
 
 
@@ -472,10 +454,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--inject-slowdown-ms", type=float, default=0.0,
                         help="testing hook: sleep this long inside the timed "
                         "fast-path callable")
-    parser.add_argument("--inject-columnar-slowdown-ms", type=float,
-                        default=0.0,
-                        help="testing hook: sleep this long inside the timed "
-                        "columnar callable")
     parser.add_argument("--obs-budget", type=float, default=3.0,
                         help="max allowed obs='trace' / obs='off' wall-clock "
                         "ratio (default: 3.0)")

@@ -51,7 +51,6 @@ KLO_INTERVAL = register(
         required_params=("T", "alpha", "L"),
         plan=_plan_klo_interval,
         fastpath=True,
-        columnar=True,
         families=("benign", "lossy", "churn", "adversarial"),
         description="KLO under T-interval connectivity: ceil(n0/(alpha*L)) "
         "phases of T rounds.",
@@ -79,7 +78,6 @@ KLO_ONE = register(
         plan=_plan_klo_one,
         overrides=("rounds",),
         fastpath=True,
-        columnar=True,
         families=("benign", "lossy", "churn", "adversarial"),
         description="KLO 1-interval full broadcast for n-1 rounds.",
     )
@@ -107,7 +105,6 @@ FLOOD_ALL = register(
         plan=_plan_flood_all,
         overrides=("rounds",),
         fastpath=True,
-        columnar=True,
         families=("benign", "lossy", "churn", "adversarial"),
         description="Unconditional flooding, stopped at completion "
         "(measurement baseline).",
@@ -135,7 +132,6 @@ FLOOD_NEW = register(
         plan=_plan_flood_new,
         overrides=("rounds",),
         fastpath=True,
-        columnar=True,
         families=("benign", "lossy", "churn", "adversarial"),
         description="Epidemic flooding (no delivery guarantee on dynamic "
         "graphs).",

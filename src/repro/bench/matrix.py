@@ -6,12 +6,11 @@ A :class:`BenchCase` is one cell of the fleet's matrix over
 
 — all plain scalars, so cases pickle into process-pool workers and print
 as one row each (``repro bench --list``).  :func:`default_matrix` expands
-the axes into every *valid* combination (family supported by the spec,
-engine supported by the spec's kernel tags) and assigns each case to
-named tiers:
+the axes into every *valid* combination (family supported by the spec)
+and assigns each case to named tiers:
 
 * ``"quick"`` — the per-PR CI tier: small n, ``timeline`` telemetry,
-  both vectorised engines paired against the reference engine;
+  the vectorised engine paired against the reference engine;
 * ``"full"`` — the nightly tier: everything in quick, plus larger n,
   reference-engine absolute-time cases, and raised obs levels
   (``trace``/``record``) whose overhead trajectory is worth tracking.
@@ -52,7 +51,7 @@ TIERS = ("quick", "full")
 
 #: Fleet axes (what the default matrix expands).
 FAMILIES = ("benign", "adversarial", "lossy", "churn")
-ENGINES = ("reference", "fast", "columnar")
+ENGINES = ("reference", "fast")
 OBS_LEVELS = ("timeline", "trace", "record")
 
 #: Matrix knobs: the specs worth tracking continuously (one per
@@ -164,18 +163,11 @@ def _case(
     )
 
 
-def _supports_engine(spec: AlgorithmSpec, engine: str) -> bool:
-    # the fast engine falls back bit-identically for non-fastpath specs,
-    # but the columnar tier is only meaningful where the spec opted in
-    return engine != "columnar" or spec.columnar
-
-
 def default_matrix() -> List[BenchCase]:
     """Expand the fleet's axes into every valid case, tiers assigned.
 
     Validity is registry-driven: a (spec, family) pair is skipped unless
-    the spec declares the family (``AlgorithmSpec.families``), and the
-    columnar engine only appears for specs with columnar kernels.
+    the spec declares the family (``AlgorithmSpec.families``).
     """
     cases: List[BenchCase] = []
     for name in _ALGORITHMS:
@@ -185,8 +177,6 @@ def default_matrix() -> List[BenchCase]:
                 continue
             for n in _FULL_NS:
                 for engine in ENGINES:
-                    if not _supports_engine(spec, engine):
-                        continue
                     if engine == "reference":
                         # absolute wall-clock context, nightly only
                         cases.append(_case(spec, family, n, engine,

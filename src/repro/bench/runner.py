@@ -293,7 +293,9 @@ def run_fleet(
     still running past ``stall_after_ms`` (default: a generous multiple
     of the case's ``budget_ms`` via :func:`_stall_limit_ms`) with a
     ``"stall"`` event *while it runs* — the case is not killed, just
-    surfaced.
+    surfaced.  The limit is also checked when a case finishes, so a
+    case faster than one watchdog poll is flagged too; either way a case
+    is flagged at most once.
     """
     from ..experiments.parallel import parallel_map
 
@@ -315,6 +317,26 @@ def run_fleet(
     running: Dict[int, float] = {}
     flagged: set = set()
 
+    def overdue(idx: int, elapsed_ms: float) -> Optional[Dict[str, object]]:
+        """The ``stall`` event for a case past its limit, once per case
+        (caller holds ``lock``)."""
+        limit = (
+            stall_after_ms
+            if stall_after_ms is not None
+            else _stall_limit_ms(cases[idx], repeats, memory)
+        )
+        if idx in flagged or elapsed_ms <= limit:
+            return None
+        flagged.add(idx)
+        return {
+            "type": "case",
+            "case": cases[idx].name,
+            "status": "stall",
+            "elapsed_ms": round(elapsed_ms, 1),
+            "stall_after_ms": round(limit, 1),
+            "budget_ms": cases[idx].budget_ms,
+        }
+
     def case_event(event: Dict[str, object]) -> None:
         if event.get("type") != "task":
             heartbeat(event)
@@ -329,11 +351,19 @@ def run_fleet(
         for key in ("pid", "ms", "elapsed_s"):
             if key in event:
                 out[key] = event[key]
+        stall = None
         with lock:
             if out["status"] == "start":
                 running[idx] = time.monotonic()
             elif out["status"] == "done":
-                running.pop(idx, None)
+                t0 = running.pop(idx, None)
+                elapsed_ms = float(event.get("ms", 0.0))
+                if t0 is not None:
+                    elapsed_ms = max(elapsed_ms,
+                                     (time.monotonic() - t0) * 1000.0)
+                stall = overdue(idx, elapsed_ms)
+        if stall is not None:
+            heartbeat(stall)
         heartbeat(out)
 
     stop = threading.Event()
@@ -341,29 +371,14 @@ def run_fleet(
     def watchdog() -> None:
         while not stop.wait(0.05):
             now = time.monotonic()
-            stalls = []
             with lock:
-                for idx, t0 in running.items():
-                    if idx in flagged:
-                        continue
-                    limit = (
-                        stall_after_ms
-                        if stall_after_ms is not None
-                        else _stall_limit_ms(cases[idx], repeats, memory)
-                    )
-                    elapsed_ms = (now - t0) * 1000.0
-                    if elapsed_ms > limit:
-                        flagged.add(idx)
-                        stalls.append((idx, elapsed_ms, limit))
-            for idx, elapsed_ms, limit in stalls:
-                heartbeat({
-                    "type": "case",
-                    "case": cases[idx].name,
-                    "status": "stall",
-                    "elapsed_ms": round(elapsed_ms, 1),
-                    "stall_after_ms": round(limit, 1),
-                    "budget_ms": cases[idx].budget_ms,
-                })
+                stalls = [
+                    overdue(idx, (now - t0) * 1000.0)
+                    for idx, t0 in running.items()
+                ]
+            for stall in stalls:
+                if stall is not None:
+                    heartbeat(stall)
 
     watcher = threading.Thread(target=watchdog, daemon=True)
     watcher.start()

@@ -45,7 +45,6 @@ ALGORITHM1 = register(
         plan=_plan_algorithm1,
         overrides=("strict",),
         fastpath=True,
-        columnar=True,
         description="Theorem 1: M = ceil(theta/alpha)+1 phases of T rounds.",
     )
 )
@@ -75,7 +74,6 @@ ALGORITHM1_STABLE = register(
         required_params=("T", "alpha", "num_heads"),
         plan=_plan_algorithm1_stable,
         fastpath=True,
-        columnar=True,
         description="Remark 1: M = ceil(|V_h|/alpha)+1 phases of T rounds.",
     )
 )
@@ -101,7 +99,6 @@ ALGORITHM2 = register(
         plan=_plan_algorithm2,
         overrides=("rounds",),
         fastpath=True,
-        columnar=True,
         description="Theorem 2: n-1 rounds under 1-interval connectivity.",
     )
 )

@@ -43,6 +43,8 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
+    Tuple,
     TypeVar,
 )
 
@@ -98,18 +100,18 @@ def emit_worker_event(event: Dict[str, Any]) -> None:
         _WORKER_DROPS += 1
 
 
-def _traced_call(fn: Callable[[T], R], index: int, item: T) -> R:
-    """Run one item inside a worker, bracketed by ``task`` heartbeats."""
+def _traced_call(
+    fn: Callable[[T], R], index: int, item: T
+) -> Tuple[R, float, int]:
+    """Run one item inside a worker: announce its ``start`` over the
+    telemetry queue, and return the result with its elapsed ms and the
+    worker pid, from which the parent emits ``done`` when it collects
+    the future (a ``done`` sent over the queue could still sit in the
+    feeder thread when the future resolves)."""
     emit_worker_event({"type": "task", "item": index, "status": "start"})
     t0 = time.perf_counter()
     out = fn(item)
-    emit_worker_event({
-        "type": "task",
-        "item": index,
-        "status": "done",
-        "ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    })
-    return out
+    return out, round((time.perf_counter() - t0) * 1000.0, 3), os.getpid()
 
 
 def _env_timeout() -> Optional[float]:
@@ -125,21 +127,42 @@ def _env_timeout() -> Optional[float]:
     return value if value > 0 else None
 
 
-def _drain_into(telemetry, heartbeat, starts: Dict[int, float]) -> None:
-    """Forward queued worker events to the heartbeat, tracking live items."""
+#: How long the parent waits for a finished item's ``start`` event to
+#: come through the telemetry queue before emitting its ``done`` anyway.
+_START_WAIT_S = 5.0
+
+
+def _drain_into(
+    telemetry,
+    heartbeat,
+    starts: Dict[int, float],
+    started: Set[int],
+    wait_for: Optional[int] = None,
+) -> None:
+    """Forward queued worker events to the heartbeat, tracking live items.
+
+    Non-blocking, except that with ``wait_for`` it first blocks (up to
+    :data:`_START_WAIT_S`) until that item's ``start`` has arrived: the
+    worker queued it before computing the result, so it is in flight.
+    """
+    deadline = time.monotonic() + _START_WAIT_S
     while True:
         try:
-            event = telemetry.get_nowait()
+            if wait_for is not None and wait_for not in started:
+                event = telemetry.get(
+                    timeout=max(0.0, deadline - time.monotonic())
+                )
+            else:
+                event = telemetry.get_nowait()
         except queue_mod.Empty:
             return
         except Exception:
             return
-        if event.get("type") == "task":
+        if event.get("type") == "task" and event.get("status") == "start":
             idx = event.get("item")
-            if event.get("status") == "start":
+            if idx not in started:  # a late start of a finished item is not live
+                started.add(idx)
                 starts[idx] = time.monotonic()
-            elif event.get("status") == "done":
-                starts.pop(idx, None)
         if heartbeat is not None:
             heartbeat(event)
 
@@ -211,13 +234,16 @@ def _instrumented_map(
     """The heartbeat/watchdog execution path of :func:`parallel_map`.
 
     Submits every item wrapped in :func:`_traced_call`, then polls:
-    drain worker events → forward to the heartbeat → check each *live*
+    drain worker events → forward to the heartbeat → emit ``done`` for
+    each collected future (after its ``start``) → check each *live*
     item's elapsed wall-clock against ``timeout_s``.  Item start times
     come from the workers' own ``start`` events, so queue wait does not
     count against the budget.
     """
     telemetry = mp.Queue()
     starts: Dict[int, float] = {}
+    started: Set[int] = set()
+    results: List[Any] = [None] * len(items)
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_worker_init,
@@ -234,8 +260,18 @@ def _instrumented_map(
                 pending, timeout=0.05, return_when=FIRST_COMPLETED
             )
             for future in done:
-                future.result()  # surface worker exceptions eagerly
-            _drain_into(telemetry, heartbeat, starts)
+                idx = futures[future]
+                # surfaces worker exceptions eagerly
+                results[idx], ms, pid = future.result()
+                _drain_into(telemetry, heartbeat, starts, started, wait_for=idx)
+                started.add(idx)
+                starts.pop(idx, None)
+                if heartbeat is not None:
+                    heartbeat({
+                        "type": "task", "item": idx, "status": "done",
+                        "pid": pid, "ms": ms,
+                    })
+            _drain_into(telemetry, heartbeat, starts, started)
             if timeout_s is None or not starts:
                 continue
             now = time.monotonic()
@@ -262,10 +298,6 @@ def _instrumented_map(
                     f"{TIMEOUT_ENV_VAR} environment variable, or 0 to "
                     f"disable."
                 )
-        results = [None] * len(items)
-        for future, i in futures.items():
-            results[i] = future.result()
-        _drain_into(telemetry, heartbeat, starts)
         return results
     finally:
         pool.shutdown(wait=False)
@@ -276,7 +308,7 @@ class ShardPool:
 
     :func:`parallel_map` spins a fresh :class:`ProcessPoolExecutor` per
     call — fine for sweeps (one call, hundreds of cells), fatal for the
-    columnar engine's sharded delivery, which maps a handful of shard
+    vectorised engine's sharded delivery, which maps a handful of shard
     tasks *every round*.  This wrapper keeps the executor (and its warm
     worker imports) alive across rounds; results come back in input
     order, so sharded runs stay deterministic.
@@ -287,7 +319,7 @@ class ShardPool:
     ``telemetry`` (optional) is a ``multiprocessing.Queue`` installed in
     every worker, where mapped functions may publish events through
     :func:`emit_worker_event`; the parent collects them with
-    :meth:`drain` between rounds.  The columnar tier uses this for its
+    :meth:`drain` between rounds.  The vectorised tier uses this for its
     per-worker profile sections and live per-shard kernel timings.
     """
 

@@ -102,11 +102,10 @@ def execute(
         The verified scenario; its ``params`` must carry every key the
         spec's ``required_params`` names.
     engine:
-        ``"fast"`` (default; vectorised kernels where the factory
-        advertises them, bit-identical fallback otherwise),
-        ``"columnar"`` (packed bit-matrix kernels on top of the fast
-        path — same fallback chain, same results, built for n ≥ 10⁴),
-        or ``"reference"``.
+        ``"fast"`` (default; the vectorised round loop where the factory
+        advertises a kernel, bit-identical reference fallback
+        otherwise), ``"columnar"`` (an alias of ``"fast"``: the same
+        loop, the same results), or ``"reference"``.
     cache:
         ``None`` (consult the ``REPRO_RESULT_CACHE`` environment
         variable), a directory path, or a

@@ -101,12 +101,12 @@ def static_trace(graph: nx.Graph, rounds: int = 1, extend: str = "hold") -> Grap
 
 
 # ---------------------------------------------------------------------------
-# array-native builders (columnar-engine scale)
+# array-native builders (million-node scale)
 # ---------------------------------------------------------------------------
 #
 # These construct SnapshotArrays directly with vectorised numpy — no
 # networkx Graph, no per-node frozensets — so million-node topologies for
-# ``engine="columnar"`` (via sim.topology.CSRNetwork) build in milliseconds.
+# the vectorised engine (via sim.topology.CSRNetwork) build in milliseconds.
 
 def ring_lattice_arrays(n: int, degree: int) -> SnapshotArrays:
     """A flat ring lattice as CSR arrays: each node links to the ``degree/2``
@@ -136,7 +136,7 @@ def clustered_star_arrays(n: int, theta: int) -> SnapshotArrays:
     """A clustered topology as CSR arrays: ``theta`` heads in a ring, every
     other node a member of head ``v % theta`` adjacent only to its head.
 
-    The array-native counterpart of the HiNet generators for columnar
+    The array-native counterpart of the HiNet generators for large
     Algorithm-1/2 sweeps: a valid static (∞, L)-hierarchy (heads adjacent
     head-to-head, members star-attached) with every member's upload
     deliverable (``head_adjacent`` all true).

@@ -373,7 +373,7 @@ class RunRecorder:
 
     The engine calls :meth:`begin_round` with the round's snapshot (or
     :meth:`begin_round_packed` with pre-packed hierarchy arrays — the
-    columnar engine's entry), :meth:`record_send` for every non-empty
+    vectorised engine's entry), :meth:`record_send` for every non-empty
     transmission, and :meth:`end_round` with the round's knowledge deltas;
     :meth:`finish` packages the :class:`RunRecording`.  All
     canonicalisation (sorting, tuple packing) happens here so the engines
@@ -452,7 +452,7 @@ class RunRecorder:
 
         ``roles`` is the ``h``/``g``/``m`` letter string (``None`` flat)
         and ``head_of`` the per-node head-id tuple with ``-1`` for
-        unaffiliated — the array-native entry the columnar engine uses so
+        unaffiliated — the array-native entry the vectorised engine uses so
         no :class:`~repro.sim.topology.Snapshot` is ever materialised.
         """
         self._messages = []

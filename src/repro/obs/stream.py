@@ -1,10 +1,10 @@
 """Streaming telemetry bus: live, incremental run observability.
 
 Every other surface in :mod:`repro.obs` is *post-hoc* — nothing is
-visible until the engine returns, which at columnar scale (or across a
-66-case bench-fleet run) means minutes of silence.  This module is the
-live layer: a :class:`TelemetryBus` that all three engine tiers
-(:mod:`repro.sim.engine`, :mod:`repro.sim.fastpath`,
+visible until the engine returns, which at million-node scale (or across
+a whole bench-fleet run) means minutes of silence.  This module is the
+live layer: a :class:`TelemetryBus` that both engine tiers
+(:mod:`repro.sim.engine` and the vectorised loop of
 :mod:`repro.sim.columnar`) feed incrementally at round granularity, and
 a small family of :class:`TelemetrySink`\\ s that consume the stream as
 it happens:

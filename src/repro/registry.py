@@ -115,11 +115,8 @@ class AlgorithmSpec:
         part of every cache key, so stale results can never be replayed.
     fastpath:
         Whether the factory advertises a vectorised kernel
-        (:mod:`repro.sim.fastpath`) via its ``fastpath`` tag.
-    columnar:
-        Whether that kernel also runs on the columnar tier
-        (:mod:`repro.sim.columnar`) — packed bit-matrix state, sharded
-        delivery, ``engine="columnar"``.  Implies ``fastpath``.
+        (:mod:`repro.sim.fastpath`) via its ``fastpath`` tag, which the
+        vectorised tier (``engine="fast"`` / ``"columnar"``) runs.
     seeded:
         Whether the algorithm itself consumes randomness (gossip, RLNC);
         such specs accept a ``seed`` override that joins the cache key.
@@ -145,7 +142,6 @@ class AlgorithmSpec:
     overrides: Tuple[str, ...] = ()
     version: int = 1
     fastpath: bool = False
-    columnar: bool = False
     seeded: bool = False
     families: Tuple[str, ...] = ("benign", "lossy", "churn")
     description: str = ""
@@ -155,11 +151,6 @@ class AlgorithmSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.guarantee not in ("guaranteed", "best-effort"):
             raise ValueError(f"unknown guarantee {self.guarantee!r}")
-        if self.columnar and not self.fastpath:
-            raise ValueError(
-                f"{self.name!r}: columnar=True requires fastpath=True "
-                "(the columnar tier reuses the fastpath kernel tags)"
-            )
         if "benign" not in self.families:
             raise ValueError(
                 f"{self.name!r}: families must include 'benign', "
@@ -223,7 +214,6 @@ class AlgorithmSpec:
             "requires": ",".join(self.required_params) or "-",
             "overrides": ",".join(self.overrides) or "-",
             "fastpath": self.fastpath,
-            "columnar": self.columnar,
             "families": ",".join(self.families),
             "phase_length": phase_length,
             "alpha": alpha,

@@ -1,89 +1,76 @@
-"""Columnar round kernels: whole-network rounds as a handful of array ops.
+"""The vectorised round loop: whole-network rounds as a handful of array ops.
 
-The fast path (:mod:`repro.sim.fastpath`) already keeps every node's token
-set as a row of a packed ``(n, W)`` ``uint64`` bit-matrix, but its delivery
-step *expands* each broadcast into one payload row per edge
-(``np.repeat(payload, degrees)`` followed by an ``np.bitwise_or.at``
-scatter) — O(E·W) temporary memory and an unbuffered ufunc inner loop per
-round.  That is what caps sweeps at a few hundred nodes.
+Every node's token set is a row of a packed ``(n, W)`` ``uint64``
+bit-matrix; the per-kind send and receive rules live in the kernels of
+:mod:`repro.sim.fastpath`.  :func:`run_columnar` is the one round loop
+both ``engine="fast"`` and ``engine="columnar"`` execute: topology →
+crash stage → send → link transform → deliver → absorb → bookkeeping,
+with the same accounting, recording, timeline, monitor and stop rules
+as the reference engine.
 
-This module is the third engine tier, ``engine="columnar"``.  Delivery
-becomes a boolean sparse-matrix product over the cached CSR topology
-(:class:`~repro.sim.topology.SnapshotArrays`): scatter the round's
-broadcast payloads into a dense ``(n, W)`` matrix, gather it through the
-CSR ``indices`` and OR-reduce each adjacency segment with one
-``np.bitwise_or.reduceat`` — the boolean spmm ``A · P`` where ``A`` is the
-adjacency matrix and the OR is the boolean semiring's addition.  Role,
-phase and head/gateway/member logic are masked column operations (the send
-kernels of the fast path are reused verbatim — they were already
-columnar); receive-side rules become boolean masks over whole columns.
-No per-node Python runs inside the round loop, so a flooding round at
-n = 10⁶ is a few hundred milliseconds and an Algorithm-1 sweep at n = 10⁴
-is routine.
+**Delivery.**  How a round's broadcasts reach their neighbours is picked
+by :func:`select_delivery` from the run's inputs alone:
 
-**Bit-identity.**  OR-accumulation is order-independent, so for supported
-runs the columnar tier produces the same :class:`RunResult` as the fast
-path and the reference engine: outputs, metrics, timelines and
-``obs="record"`` recordings (asserted registry-wide in
-``tests/test_columnar.py``; nightly CI widens the sweep via
-``REPRO_EQUIV_ENGINES``).
+* **CSR segment-OR** (the default, at every n): scatter the round's
+  broadcast payloads into a dense ``(n, W)`` matrix, gather it through
+  the CSR ``indices`` and OR-reduce each adjacency segment with one
+  ``np.bitwise_or.reduceat`` — the boolean spmm ``A · P``.  Link models
+  become a boolean mask over the CSR edge array (suppressed gathered
+  rows are zeroed, and zero rows are OR-neutral); crash-stop churn is
+  row wipes plus a post-absorb re-zero of dead rows.
+* **Flat scatter**: expand each broadcast into one (receiver, sender,
+  payload) triple per edge.  It is the only correct path where the
+  audience is fixed at transmit time but the message lands rounds later
+  (``latency > 1``), and where causal attribution needs each delivery's
+  sender (``obs="trace"``).
 
-**Sharding.**  For n ≥ 10⁵ the bit-matrix can be sharded into contiguous
-row blocks: each shard receives only the payload rows its adjacency
-segment references (the boundary exchange — ``unique(indices[block])``
-rows, remapped into a compact sub-matrix), reduces its block
-independently, and the per-round merge is a plain row concatenation.
-Shards run serially in-process by default (deterministic, zero setup
-cost) or across the persistent process pool of
+**Bit-identity.**  OR-accumulation is order-independent, so both
+deliveries produce the same :class:`RunResult` as the reference engine:
+outputs, metrics, timelines, recordings, causal traces and monitor
+violations (asserted registry-wide in ``tests/test_columnar.py``).
+
+**Sharding.**  For n ≥ 10⁵ the CSR delivery can be sharded into
+contiguous row blocks: each shard receives only the payload rows its
+adjacency segment references (the boundary exchange —
+``unique(indices[block])`` rows, remapped into a compact sub-matrix),
+reduces its block independently, and the per-round merge is a plain row
+concatenation.  Shards run serially in-process by default (deterministic,
+zero setup cost) or across the persistent process pool of
 :class:`repro.experiments.parallel.ShardPool`.  Configure via
 ``run_columnar(shards=…, shard_processes=…)`` or the environment
 (:data:`SHARDS_ENV_VAR`, :data:`SHARD_PROCESSES_ENV_VAR`).  Sharded and
-unsharded runs are bit-identical (OR is associative); the tests assert it
-at a fixed shard count.
-
-**Dispatch.**  :func:`try_run` mirrors the fast path's contract: factories
-tagged ``factory.fastpath = (kind, params)`` with a supported kind run
-columnar; anything else — untagged factories, adaptive networks,
-``SimTrace`` recording, ``latency > 1``, ``obs="trace"`` causal tracing,
-or attached monitors — returns ``None`` and the engine falls back
-(columnar → fastpath → reference), so every configuration still executes,
-just on the widest tier that supports it.  Link models (loss, churn,
-pinpoint faults) run natively: the per-round link transform is a boolean
-mask over the CSR edge array, applied by zeroing suppressed gathered rows
-before the OR-reduce (zero rows are OR-neutral), with crash-stop churn as
-row wipes plus a post-absorb re-zero of dead rows.
+unsharded runs are bit-identical (OR is associative).
 
 Networks may be array-native: when the network object exposes
 ``snapshot_arrays(r)`` (see :class:`~repro.sim.topology.CSRNetwork`), the
-columnar tier never materialises per-node frozensets at all — the memory
-envelope per round is the bit-matrix (``n·W·8`` bytes) plus the CSR
-arrays plus one gathered ``(E, W)`` matrix (or its per-shard slices).
+loop never materialises per-node frozensets — unless runtime monitors are
+attached, whose :class:`~repro.obs.RoundView` carries a
+:class:`~repro.sim.topology.Snapshot`.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
-from ..obs import Profiler, RunRecorder, RunTimeline
-from .engine import RunResult, SynchronousEngine, validate_run_args
+from ..obs import CausalTrace, Profiler, RoundView, RunRecorder, RunTimeline
+from .engine import RunResult, SynchronousEngine
 from .fastpath import (
     _KERNELS,
+    _ROLE_MEMBER,
     _ROLE_NAMES,
     _U1,
     _account,
-    _Algorithm1Kernel,
-    _Algorithm2Kernel,
     _filter_batch_alive,
-    _FloodNewKernel,
-    _FullSetBroadcastKernel,
-    _KLOIntervalKernel,
+    _record_batch,
+    _record_causal_round,
     _rows_to_frozensets,
     _rows_tokens,
-    _row_tokens,
     _SendBatch,
 )
 from .linkmodel import LinkModel
@@ -96,8 +83,7 @@ __all__ = [
     "pack_rows",
     "pack_single_tokens",
     "run_columnar",
-    "supported_kinds",
-    "try_run",
+    "select_delivery",
     "unpack_rows",
 ]
 
@@ -112,6 +98,8 @@ SHARD_PROCESSES_ENV_VAR = "REPRO_COLUMNAR_SHARD_PROCESSES"
 
 #: Role code → the packed-recording role letter (codes index ``"hgm"``).
 _ROLE_CHAR_LUT = np.frombuffer(b"hgm", dtype=np.uint8)
+
+Flat = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +117,9 @@ def pack_rows(token_rows: Sequence[Iterable[int]], k: int) -> np.ndarray:
     Row ``v`` has bit ``t`` set iff token ``t`` appears in
     ``token_rows[v]``.  Inverse of :func:`unpack_rows`.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    W = words_for(k)
-    out = np.zeros((len(token_rows), W), dtype=np.uint64)
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    out = np.zeros((len(token_rows), words_for(k)), dtype=np.uint64)
     for v, toks in enumerate(token_rows):
         for t in toks:
             if not 0 <= t < k:
@@ -167,7 +154,22 @@ def pack_single_tokens(tokens: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the spmm delivery kernel
+# delivery selection
+# ---------------------------------------------------------------------------
+
+def select_delivery(latency: int, obs: str) -> str:
+    """The delivery a run uses: ``"scatter"`` or ``"csr"``.
+
+    Flat scatter is the sole correct path when a frame lands rounds after
+    its audience was fixed (``latency > 1``) and when causal attribution
+    needs every delivery's sender (``obs="trace"``); CSR segment-OR
+    delivery covers everything else, link models and monitors included.
+    """
+    return "scatter" if latency > 1 or obs == "trace" else "csr"
+
+
+# ---------------------------------------------------------------------------
+# CSR segment-OR delivery
 # ---------------------------------------------------------------------------
 
 def _segment_or(
@@ -203,37 +205,21 @@ def _segment_or(
     return out
 
 
-def _shard_deliver(
-    item: Tuple[
-        np.ndarray, np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]
-    ],
-) -> np.ndarray:
+def _shard_deliver(item: Tuple[int, int, Tuple]) -> np.ndarray:
     """One shard's delivery: reduce a row block against its sub-payload.
 
     Module-level (picklable) so :class:`ShardPool` workers can run it; the
     sub-payload already contains only the boundary-exchanged rows this
-    block's adjacency references.
-    """
-    local_starts, seg_indices, degrees, payload_sub, edge_keep = item
-    return _segment_or(local_starts, seg_indices, degrees, payload_sub, edge_keep)
-
-
-def _shard_deliver_traced(
-    item: Tuple[int, int, Tuple],
-) -> np.ndarray:
-    """Instrumented :func:`_shard_deliver` for telemetry-wired pools.
-
-    Times the reduce and emits one ``shard`` event (round, shard index,
-    kernel milliseconds) over the worker's telemetry queue — the source
-    of the parent's per-worker profile sections and the ``repro watch``
-    per-shard lag view.  The returned array is identical to the untimed
-    variant; only used when the pool carries a telemetry queue.
+    block's adjacency references.  In a telemetry-wired pool it also
+    emits one ``shard`` event (round, shard index, kernel milliseconds) —
+    the source of the parent's per-worker profile sections and the
+    ``repro watch`` per-shard lag view.
     """
     from ..experiments.parallel import emit_worker_event  # avoids a cycle
 
-    r, shard_idx, base = item
+    r, shard_idx, (local_starts, seg_indices, degrees, payload_sub, edge_keep) = item
     t0 = time.perf_counter()
-    out = _shard_deliver(base)
+    out = _segment_or(local_starts, seg_indices, degrees, payload_sub, edge_keep)
     emit_worker_event({
         "type": "shard",
         "round": r,
@@ -246,15 +232,16 @@ def _shard_deliver_traced(
 
 def _shard_plan(
     arrs: SnapshotArrays, shards: int
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]]:
     """Static per-topology shard layout: contiguous row blocks plus the
     boundary-exchange index sets.
 
     For each block ``[lo, hi)``: the block-local CSR starts, the segment
     indices remapped into the compact ``needed`` row set (the only payload
-    rows the block must receive), the block degrees, and ``needed`` itself.
-    Memoized per arrays object by the caller — the layout depends only on
-    topology, not on the round's payloads.
+    rows the block must receive), the block degrees, ``needed`` itself,
+    and the block's CSR edge range.  Memoized per arrays object by the
+    caller — the layout depends only on topology, not on the round's
+    payloads.
     """
     n = arrs.degrees.shape[0]
     indptr = arrs.indptr
@@ -271,142 +258,259 @@ def _shard_plan(
     return plan
 
 
-# ---------------------------------------------------------------------------
-# columnar kernels: fastpath send logic + masked-column receive
-# ---------------------------------------------------------------------------
+class _ShardedReduce:
+    """Sharded CSR segment-OR, serial or on a persistent :class:`ShardPool`.
 
-def _or_delivered_unicasts(target: np.ndarray, batch: _SendBatch) -> None:
-    """OR every *delivered* unicast payload into its destination row."""
-    if batch.uc_senders.size:
-        ok = batch.uc_ok
-        if ok.any():
-            np.bitwise_or.at(target, batch.uc_dests[ok], batch.uc_payload[ok])
-
-
-class _AbsorbAll:
-    """Default columnar receive: OR every delivered payload into ``TA``.
-
-    ``recv`` is the neighbour-OR of all broadcast payloads (zero rows for
-    nodes nobody broadcast to — OR-neutral), so the unconditional OR
-    matches the reference rule "absorb everything you hear".
+    With a profiler or a telemetry bus attached to a pooled run, workers
+    report per-shard kernel times, folded into ``worker<i>_deliver``
+    profile sections and published as ``shard`` events.
     """
 
-    def absorb(
+    def __init__(
+        self,
+        shards: int,
+        processes: Optional[int],
+        prof: Optional[Profiler],
+        stream,
+    ) -> None:
+        self.shards = shards
+        self.prof = prof
+        self.stream = stream
+        self.pool = None
+        self.telemetry = None
+        self.worker_ids: Dict[int, int] = {}
+        self.plans: Dict[int, Tuple[SnapshotArrays, list]] = {}
+        if processes is not None and processes > 1:
+            from ..experiments.parallel import ShardPool  # lazy: avoids a cycle
+
+            if prof is not None or stream is not None:
+                import multiprocessing as mp
+
+                self.telemetry = mp.Queue()
+            self.pool = ShardPool(
+                processes=min(processes, shards), telemetry=self.telemetry
+            )
+
+    def __call__(
         self,
         r: int,
         arrs: SnapshotArrays,
-        recv: np.ndarray,
         bc_full: np.ndarray,
-        batch: _SendBatch,
-    ) -> None:
-        self.TA |= recv
-        _or_delivered_unicasts(self.TA, batch)
-
-
-class _ColumnarAlgorithm1(_AbsorbAll, _Algorithm1Kernel):
-    """Algorithm 1's receive rule as column masks.
-
-    The reference rule, per member: tokens broadcast by *your own head*
-    land in ``TA`` and ``TR``; overheard traffic lands in ``TA`` unless
-    ``strict``.  Non-members absorb everything.  The head contribution is
-    a single gather ``bc_full[head_of]`` masked by ``head_adjacent`` —
-    heads that stayed silent contribute an all-zero row, which ORs to a
-    no-op, exactly like no delivery.
-
-    Under a link model the head→member delivery re-evaluates the same
-    counter-based ``deliver_mask`` decision the CSR edge mask drew for
-    that (round, edge) — identical by construction, so the gather is
-    suppressed consistently and the loss is *not* billed twice (the edge
-    mask already counted it).
-    """
-
-    link: Optional[LinkModel] = None  # injected by run_columnar
-
-    def absorb(self, r, arrs, recv, bc_full, batch):
-        member = self._member_mask(arrs)
-        if member is None:
-            self.TA |= recv
-            _or_delivered_unicasts(self.TA, batch)
-            return
-        if self.strict:
-            # masked in-place OR (ufunc ``where=``) — no gather/scatter copies
-            np.bitwise_or(self.TA, recv, out=self.TA, where=~member[:, None])
+        edge_keep: Optional[np.ndarray],
+    ) -> np.ndarray:
+        hit = self.plans.get(id(arrs))
+        if hit is None or hit[0] is not arrs:
+            hit = (arrs, _shard_plan(arrs, self.shards))
+            self.plans[id(arrs)] = hit
+        # boundary exchange: slice each shard's needed rows
+        items = [
+            (r, i, (
+                ls, seg, deg, bc_full[needed],
+                None if edge_keep is None else edge_keep[elo:ehi],
+            ))
+            for i, (ls, seg, deg, needed, elo, ehi) in enumerate(hit[1])
+        ]
+        if self.pool is None:
+            outs = [_segment_or(*shard) for _, _, shard in items]
         else:
-            self.TA |= recv
-        head_arr = self._head_arr(arrs)
-        if arrs.head_adjacent is not None:
-            listening = member & arrs.head_adjacent
-            if listening.any() and self.link is not None:
-                ids = np.nonzero(listening)[0]
-                m = self.link.deliver_mask(r, head_arr[ids], ids)
-                if m is not None and not m.all():
-                    listening[ids[~m]] = False
-            if listening.any():
-                keep = listening[:, None]
-                from_head = bc_full[head_arr]
-                np.bitwise_or(self.TA, from_head, out=self.TA, where=keep)
-                np.bitwise_or(self.TR, from_head, out=self.TR, where=keep)
-        if batch.uc_senders.size and batch.uc_ok.any():
-            ok = batch.uc_ok
-            dests = batch.uc_dests[ok]
-            snds = batch.uc_senders[ok]
-            pay = batch.uc_payload[ok]
-            memb_d = member[dests]
-            if (~memb_d).any():
-                np.bitwise_or.at(self.TA, dests[~memb_d], pay[~memb_d])
-            uc_from_head = memb_d & (head_arr[dests] == snds)
-            if uc_from_head.any():
-                np.bitwise_or.at(self.TA, dests[uc_from_head], pay[uc_from_head])
-                np.bitwise_or.at(self.TR, dests[uc_from_head], pay[uc_from_head])
-            if not self.strict:
-                overheard = memb_d & ~uc_from_head
-                if overheard.any():
-                    np.bitwise_or.at(self.TA, dests[overheard], pay[overheard])
+            outs = self.pool.map(_shard_deliver, items)
+            if self.telemetry is not None:
+                self._absorb_events()
+        return np.concatenate(outs, axis=0)
+
+    def _absorb_events(self) -> None:
+        """Fold drained worker ``shard`` events into the profiler and bus.
+
+        Worker pids are mapped to stable small indices in arrival order,
+        so a profiled sharded run grows ``worker0_deliver``,
+        ``worker1_deliver``, … sections holding each process's cumulative
+        kernel wall-clock.
+        """
+        for event in self.pool.drain():
+            pid = event.get("pid")
+            if pid is not None and pid not in self.worker_ids:
+                self.worker_ids[pid] = len(self.worker_ids)
+            ms = event.get("ms")
+            if self.prof is not None and isinstance(ms, (int, float)):
+                self.prof.add(
+                    f"worker{self.worker_ids.get(pid, 0)}_deliver", ms / 1000.0
+                )
+            if self.stream is not None:
+                self.stream.publish(event)
+
+    def close(self) -> None:
+        if self.pool is not None:
+            if self.telemetry is not None:
+                # catch straggler events still in the queue's feeder pipe
+                self._absorb_events()
+            self.pool.close()
 
 
-class _ColumnarAlgorithm2(_AbsorbAll, _Algorithm2Kernel):
-    pass
+def _link_transform(
+    r: int,
+    n: int,
+    batch: _SendBatch,
+    arrs: SnapshotArrays,
+    link: LinkModel,
+    alive: np.ndarray,
+    metrics: Metrics,
+) -> Tuple[Optional[np.ndarray], _SendBatch]:
+    """Per-edge link masks over the CSR columns, losses billed.
+
+    Shared by both deliveries.  Returns the broadcast ``edge_keep`` mask
+    (``None`` when every edge delivers) and the batch with lost or
+    dead-receiver unicasts masked out of ``uc_ok``.  Candidates are
+    broadcast edges with a live receiver: the reference bills losses
+    only on those, and dead receivers are silent (dropped at landing, or
+    re-zeroed after the absorb).  The counter-based link RNG keys every
+    decision by (round, edge), so masking the vectorised candidate set is
+    bit-identical to the reference engine's per-edge ``delivers`` calls.
+    """
+    edge_keep: Optional[np.ndarray] = None
+    is_bc = np.zeros(n, dtype=bool)
+    is_bc[batch.bc_senders] = True
+    snd_e = arrs.indices
+    recv_e = np.repeat(np.arange(n, dtype=np.int64), arrs.degrees)
+    cidx = np.flatnonzero(is_bc[snd_e] & alive[recv_e])
+    if cidx.size:
+        m = link.deliver_mask(r, snd_e[cidx], recv_e[cidx])
+        if m is not None and not m.all():
+            metrics.record_loss(int(m.size - int(m.sum())))
+            edge_keep = np.ones(snd_e.shape[0], dtype=bool)
+            edge_keep[cidx[~m]] = False
+    if batch.uc_senders.size:
+        ok = batch.uc_ok
+        delivered = ok & alive[batch.uc_dests]
+        uidx = np.flatnonzero(delivered)
+        if uidx.size:
+            mu = link.deliver_mask(r, batch.uc_senders[uidx], batch.uc_dests[uidx])
+            if mu is not None and not mu.all():
+                metrics.record_loss(int(mu.size - int(mu.sum())))
+                delivered[uidx[~mu]] = False
+        batch = batch._replace(uc_ok=delivered)
+    return edge_keep, batch
 
 
-class _ColumnarKLOInterval(_AbsorbAll, _KLOIntervalKernel):
-    pass
+def _csr_from_head(
+    r: int, arrs: SnapshotArrays, bc_full: np.ndarray, link: Optional[LinkModel]
+) -> np.ndarray:
+    """Each member's own-head broadcast, as a gather ``bc_full[head_of]``.
+
+    Only members adjacent to their head listen; under a link model the
+    head→member frame re-evaluates the same counter-based decision the
+    CSR edge mask drew for that (round, edge), so a lost frame is
+    suppressed consistently and not billed twice.  Heads that stayed
+    silent contribute all-zero rows — OR-neutral, like no delivery.
+    """
+    out = np.zeros_like(bc_full)
+    if arrs.head_adjacent is None:
+        return out
+    ids = np.flatnonzero((arrs.roles == _ROLE_MEMBER) & arrs.head_adjacent)
+    heads = arrs.head_of[ids]
+    if link is not None and ids.size:
+        m = link.deliver_mask(r, heads, ids)
+        if m is not None:
+            ids, heads = ids[m], heads[m]
+    out[ids] = bc_full[heads]
+    return out
 
 
-class _ColumnarFullSet(_AbsorbAll, _FullSetBroadcastKernel):
-    pass
-
-
-class _ColumnarFloodNew(_FloodNewKernel):
-    """Epidemic flooding: only never-seen tokens re-arm the fresh set."""
-
-    def absorb(self, r, arrs, recv, bc_full, batch):
-        novel = recv & ~self.TA
-        self.TA |= novel
-        self.fresh |= novel
-
-
-_COLUMNAR_KERNELS = {
-    "algorithm1": lambda n, k, W, TA, **p: _ColumnarAlgorithm1(n, k, W, TA, **p),
-    "algorithm1_stable": lambda n, k, W, TA, **p: _ColumnarAlgorithm1(
-        n, k, W, TA, stable=True, **p
-    ),
-    "algorithm2": lambda n, k, W, TA, **p: _ColumnarAlgorithm2(n, k, W, TA, **p),
-    "klo_interval": lambda n, k, W, TA, **p: _ColumnarKLOInterval(n, k, W, TA, **p),
-    "klo_one": lambda n, k, W, TA, M: _ColumnarFullSet(n, k, W, TA, M=M),
-    "flood_all": lambda n, k, W, TA: _ColumnarFullSet(n, k, W, TA, M=None),
-    "flood_new": lambda n, k, W, TA: _ColumnarFloodNew(n, k, W, TA),
-}
-assert set(_COLUMNAR_KERNELS) == set(_KERNELS)
-
-
-def supported_kinds() -> Tuple[str, ...]:
-    """The ``factory.fastpath`` kinds the columnar tier can execute."""
-    return tuple(sorted(_COLUMNAR_KERNELS))
+def _or_from_head(
+    arrs: SnapshotArrays,
+    rec: np.ndarray,
+    snd: np.ndarray,
+    payload: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """OR into ``out`` the flat deliveries members got from their own head."""
+    if arrs.head_of is None:
+        return
+    sel = (arrs.roles[rec] == _ROLE_MEMBER) & (arrs.head_of[rec] == snd)
+    if sel.any():
+        np.bitwise_or.at(out, rec[sel], payload[sel])
 
 
 # ---------------------------------------------------------------------------
-# recording from arrays (no Snapshot required)
+# flat scatter delivery
 # ---------------------------------------------------------------------------
+
+def _deliveries(
+    r: int, batch: _SendBatch, arrs: SnapshotArrays, link: Optional[LinkModel]
+) -> Optional[Flat]:
+    """Expand a send batch into flat (receiver, sender, payload) arrays:
+    one per delivered broadcast edge plus one per delivered unicast.
+
+    Link decisions are a pure hash of (round, edge), so re-drawing them
+    here, in sender-major edge order, yields the same fates
+    :func:`_link_transform` billed.
+    """
+    senders = batch.bc_senders
+    lens = arrs.degrees[senders]
+    row = np.repeat(np.arange(senders.size), lens)
+    pos = np.arange(row.size, dtype=np.int64) + np.repeat(
+        arrs.indptr[senders] - (np.cumsum(lens) - lens), lens
+    )
+    if link is not None and pos.size:
+        kept = link.deliver_mask(r, senders[row], arrs.indices[pos])
+        if kept is not None:
+            pos, row = pos[kept], row[kept]
+    ok = batch.uc_ok
+    rec = np.concatenate((arrs.indices[pos], batch.uc_dests[ok]))
+    if not rec.size:
+        return None
+    return (
+        rec,
+        np.concatenate((senders[row], batch.uc_senders[ok])),
+        np.concatenate((batch.bc_payload[row], batch.uc_payload[ok])),
+    )
+
+
+def _landing(
+    pending: Optional[List[Flat]], alive: Optional[np.ndarray]
+) -> Optional[Flat]:
+    """Merge the deliveries due this round, dropping crashed receivers."""
+    if not pending:
+        return None
+    rec, snd, payload = (np.concatenate(part) for part in zip(*pending))
+    if alive is not None:
+        # receivers may have crashed between transmission and landing
+        live = alive[rec]
+        if not live.all():
+            rec, snd, payload = rec[live], snd[live], payload[live]
+    return (rec, snd, payload) if rec.size else None
+
+
+# ---------------------------------------------------------------------------
+# the round loop
+# ---------------------------------------------------------------------------
+
+def _env_int(var: str) -> Optional[int]:
+    raw = os.environ.get(var, "").strip()
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{var} must be an integer, got {raw!r}") from exc
+    return value if value > 0 else None
+
+
+def _topology(network, r: int, n: int, need_snapshot: bool):
+    """The round's CSR arrays, preferring array-native networks, plus a
+    materialised :class:`Snapshot` only when ``need_snapshot``."""
+    snap = network.snapshot(r) if need_snapshot else None
+    getter = getattr(network, "snapshot_arrays", None)
+    if getter is not None:
+        arrs = getter(r)
+    else:
+        arrs = (snap if snap is not None else network.snapshot(r)).arrays()
+    if arrs.degrees.shape[0] != n:
+        raise ValueError(
+            f"snapshot for round {r} has {arrs.degrees.shape[0]} nodes, "
+            f"expected {n}"
+        )
+    return arrs, snap
+
 
 def _packed_hierarchy(
     arrs: SnapshotArrays, memo: Dict[int, Tuple[object, tuple]]
@@ -430,77 +534,19 @@ def _packed_hierarchy(
     return roles, head_of
 
 
-def _record_batch(recorder: RunRecorder, batch: _SendBatch) -> None:
-    """Feed one round's send batch to the recorder (fastpath's encoding)."""
-    bc_tokens = _rows_tokens(batch.bc_payload)
-    for i in range(len(batch.bc_senders)):
-        cost = int(batch.bc_costs[i])
-        if cost:
-            recorder.record_send(
-                int(batch.bc_senders[i]), "b", None, bc_tokens[i], cost
-            )
-    uc_tokens = _rows_tokens(batch.uc_payload)
-    for i in range(len(batch.uc_senders)):
-        cost = int(batch.uc_costs[i])
-        if cost:
-            recorder.record_send(
-                int(batch.uc_senders[i]), "u", int(batch.uc_dests[i]),
-                uc_tokens[i], cost,
-            )
+def _lap_timer(prof: Optional[Profiler]) -> Callable[[str], None]:
+    """``lap(section)`` books the time since the previous lap to
+    ``section``; a no-op without a profiler."""
+    if prof is None:
+        return lambda section: None
+    last = [time.perf_counter()]
 
+    def lap(section: str) -> None:
+        now = time.perf_counter()
+        prof.add(section, now - last[0])
+        last[0] = now
 
-# ---------------------------------------------------------------------------
-# the columnar engine loop
-# ---------------------------------------------------------------------------
-
-def _env_int(var: str) -> Optional[int]:
-    raw = os.environ.get(var, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{var} must be an integer, got {raw!r}") from exc
-    return value if value > 0 else None
-
-
-def _arrays_for_round(network, r: int, n: int) -> SnapshotArrays:
-    """The round's CSR topology, preferring array-native networks."""
-    getter = getattr(network, "snapshot_arrays", None)
-    if getter is not None:
-        arrs = getter(r)
-    else:
-        arrs = network.snapshot(r).arrays()
-    if arrs.degrees.shape[0] != n:
-        raise ValueError(
-            f"snapshot for round {r} has {arrs.degrees.shape[0]} nodes, "
-            f"expected {n}"
-        )
-    return arrs
-
-
-def _absorb_shard_events(
-    events: Iterable[Dict[str, object]],
-    prof: Optional[Profiler],
-    stream,
-    worker_ids: Dict[int, int],
-) -> None:
-    """Fold drained worker ``shard`` events into the profiler and bus.
-
-    Worker pids are mapped to stable small indices in arrival order, so a
-    profiled sharded run grows ``worker0_deliver``, ``worker1_deliver``, …
-    sections holding each process's cumulative kernel wall-clock — the
-    breakdown of what used to be opaque inside ``shard_merge``.
-    """
-    for event in events:
-        pid = event.get("pid")
-        if pid is not None and pid not in worker_ids:
-            worker_ids[pid] = len(worker_ids)
-        ms = event.get("ms")
-        if prof is not None and isinstance(ms, (int, float)):
-            prof.add(f"worker{worker_ids.get(pid, 0)}_deliver", ms / 1000.0)
-        if stream is not None:
-            stream.publish(event)
+    return lap
 
 
 def run_columnar(
@@ -517,74 +563,71 @@ def run_columnar(
     shards: Optional[int] = None,
     shard_processes: Optional[int] = None,
     materialize_outputs: bool = True,
+    monitors=None,
 ) -> RunResult:
-    """Execute a packed-state run on the columnar tier.
+    """Execute a packed-state run on the vectorised tier.
 
-    The low-level entry point: ``TA`` is the ``(n, W)`` initial bit-matrix
-    (see :func:`pack_rows` / :func:`pack_single_tokens`) and ``kind`` /
-    ``params`` name a supported kernel.  :func:`try_run` wraps this with
-    the engine's ``initial`` mapping contract; benchmarks call it directly
-    with ``materialize_outputs=False`` so a million-node run never builds
-    ``n`` frozensets (``RunResult.outputs`` is then empty and
-    ``complete`` comes from the coverage counter).
+    ``TA`` is the ``(n, W)`` initial bit-matrix (see :func:`pack_rows` /
+    :func:`pack_single_tokens`) and ``kind`` / ``params`` name a kernel
+    (a ``factory.fastpath`` tag).  :func:`repro.sim.fastpath.try_run`
+    calls this with the engine's ``initial`` mapping packed; array-native
+    callers call it directly with ``materialize_outputs=False`` so a
+    million-node run never builds ``n`` frozensets (``RunResult.outputs``
+    is then empty and ``complete`` comes from the coverage counter).
 
-    ``shards`` > 1 splits delivery into contiguous row blocks;
+    The delivery follows :func:`select_delivery`.  Under CSR delivery,
+    ``shards`` > 1 splits it into contiguous row blocks and
     ``shard_processes`` > 1 reduces them on a persistent
-    :class:`~repro.experiments.parallel.ShardPool`.  Both default to the
+    :class:`~repro.experiments.parallel.ShardPool`; both default to the
     :data:`SHARDS_ENV_VAR` / :data:`SHARD_PROCESSES_ENV_VAR` environment.
+    ``monitors`` receive one :class:`~repro.obs.RoundView` per round.
     """
     n, W = TA.shape
-    if kind not in _COLUMNAR_KERNELS:
-        raise ValueError(f"unsupported columnar kernel kind {kind!r}")
-    kernel = _COLUMNAR_KERNELS[kind](n, k, W, TA, **params)
+    if kind not in _KERNELS:
+        raise ValueError(f"unsupported kernel kind {kind!r}")
+    kernel = _KERNELS[kind](n, k, W, TA, **params)
+    scatter = select_delivery(engine.latency, engine.obs) == "scatter"
     if shards is None:
         shards = _env_int(SHARDS_ENV_VAR)
     if shard_processes is None:
         shard_processes = _env_int(SHARD_PROCESSES_ENV_VAR)
-    sharded = shards is not None and shards > 1
-    stream = getattr(engine, "stream", None)
-    pool = None
-    telemetry_q = None
-    worker_ids: Dict[int, int] = {}
-    if sharded and shard_processes is not None and shard_processes > 1:
-        from ..experiments.parallel import ShardPool  # lazy: avoids a cycle
-
-        if engine.obs == "profile" or stream is not None:
-            import multiprocessing as mp
-
-            telemetry_q = mp.Queue()
-        pool = ShardPool(
-            processes=min(shard_processes, shards), telemetry=telemetry_q
-        )
 
     metrics = Metrics()
     timeline = RunTimeline() if engine.obs != "off" else None
     prof = Profiler() if engine.obs == "profile" else None
+    stream = engine.stream
+    causal: Optional[CausalTrace] = None
     recorder: Optional[RunRecorder] = None
-    rec_known: Optional[np.ndarray] = None
-    if engine.obs == "record":
-        recorder = RunRecorder(
-            n, k, {v: frozenset(_row_tokens(TA[v])) for v in range(n)}
-        )
-        rec_known = TA.copy()
+    known: Optional[np.ndarray] = None  # last round's state, for the diffs
+    if engine.obs in ("trace", "record"):
+        known = TA.copy()
+        start = _rows_tokens(TA)
+        if engine.obs == "trace":
+            causal = CausalTrace(n=n, k=k)
+            for node, toks in enumerate(start):
+                for t in toks:
+                    causal.record_origin(node, t)
+        else:
+            recorder = RunRecorder(
+                n, k, {v: frozenset(t) for v, t in enumerate(start)}
+            )
     pack_memo: Dict[int, Tuple[object, tuple]] = {}
-    plan_memo: Dict[int, Tuple[object, list]] = {}
-    link = engine.link_for("columnar")
+    monitors = list(monitors) if monitors else []
+    link = engine.link_for(engine.engine_mode)
     alive: Optional[np.ndarray] = None
     if link is not None:
         alive = np.ones(n, dtype=bool)
-        kernel.link = link  # head-listening gathers re-draw edge decisions
-    coverage = 0
-    executed = 0
+    latency = engine.latency
+    in_flight: Dict[int, List[Flat]] = {}
+    sharded = None
+    if not scatter and shards is not None and shards > 1:
+        sharded = _ShardedReduce(shards, shard_processes, prof, stream)
+    lap = _lap_timer(prof)
 
     try:
         for r in range(max_rounds):
-            t0 = time.perf_counter() if prof is not None else 0.0
-            arrs = _arrays_for_round(network, r, n)
-            if prof is not None:
-                now = time.perf_counter()
-                prof.add("topology", now - t0)
-                t0 = now
+            arrs, snap = _topology(network, r, n, bool(monitors))
+            lap("topology")
             metrics.begin_round()
             if timeline is not None:
                 timeline.begin_round()
@@ -597,138 +640,95 @@ def run_columnar(
                 recorder.begin_round_packed(*_packed_hierarchy(arrs, pack_memo))
 
             # --- crash stage (before sends: crashed nodes never act) -----
+            newly_crashed: Tuple[int, ...] = ()
+            crash_tokens = 0
+            lost_before = metrics.lost_deliveries
             if link is not None:
                 crashed = link.crashes(r, alive)
                 if len(crashed):
+                    newly_crashed = tuple(int(x) for x in crashed)
                     alive[crashed] = False
+                    crash_tokens = int(np.bitwise_count(kernel.TA[crashed]).sum())
                     kernel.TA[crashed] = 0
-                    metrics.record_crashes(len(crashed))
+                    metrics.record_crashes(len(newly_crashed))
 
+            # --- send + link transform -----------------------------------
             batch = kernel.send(r, arrs)
             if batch is not None and alive is not None:
                 batch = _filter_batch_alive(batch, alive)
-            if prof is not None:
-                now = time.perf_counter()
-                prof.add("role_mask", now - t0)
-                t0 = now
-            if batch is not None and batch.messages:
+            if batch is not None and not batch.messages:
+                batch = None
+            if batch is not None:
                 _account(metrics, batch, arrs, timeline)
                 if recorder is not None:
                     _record_batch(recorder, batch)
-                # --- link transform: per-edge masks over the CSR columns -
-                edge_keep: Optional[np.ndarray] = None
-                absorb_batch = batch
-                if link is not None:
-                    is_bc = np.zeros(n, dtype=bool)
-                    is_bc[batch.bc_senders] = True
-                    snd_e = arrs.indices
-                    recv_e = np.repeat(
-                        np.arange(n, dtype=np.int64), arrs.degrees
-                    )
-                    # candidates: broadcast edges with a live receiver (the
-                    # reference bills losses only on those; dead receivers
-                    # are silent and the post-absorb re-zero handles them)
-                    cand = is_bc[snd_e] & alive[recv_e]
-                    cidx = np.flatnonzero(cand)
-                    if cidx.size:
-                        m = link.deliver_mask(r, snd_e[cidx], recv_e[cidx])
-                        if m is not None and not m.all():
-                            metrics.record_loss(int(m.size - int(m.sum())))
-                            edge_keep = np.ones(snd_e.shape[0], dtype=bool)
-                            edge_keep[cidx[~m]] = False
-                    if batch.uc_senders.size:
-                        ok = batch.uc_ok
-                        delivered = ok & alive[batch.uc_dests]
-                        uidx = np.flatnonzero(delivered)
-                        if uidx.size:
-                            mu = link.deliver_mask(
-                                r, batch.uc_senders[uidx], batch.uc_dests[uidx]
-                            )
-                            if mu is not None and not mu.all():
-                                metrics.record_loss(
-                                    int(mu.size - int(mu.sum()))
-                                )
-                                delivered[uidx[~mu]] = False
-                        if not np.array_equal(delivered, ok):
-                            absorb_batch = _SendBatch(
-                                batch.bc_senders, batch.bc_payload,
-                                batch.bc_costs, batch.uc_senders,
-                                batch.uc_dests, delivered,
-                                batch.uc_payload, batch.uc_costs,
-                            )
-                # pack: scatter broadcast payloads to a dense (n, W) matrix
-                bc_full = np.zeros((n, W), dtype=np.uint64)
-                if batch.bc_senders.size:
-                    bc_full[batch.bc_senders] = batch.bc_payload
-                if prof is not None:
-                    now = time.perf_counter()
-                    prof.add("pack", now - t0)
-                    t0 = now
-                if sharded:
-                    hit = plan_memo.get(id(arrs))
-                    if hit is None or hit[0] is not arrs:
-                        hit = (arrs, _shard_plan(arrs, shards))
-                        plan_memo[id(arrs)] = hit
-                    # boundary exchange: slice each shard's needed rows
-                    items = [
-                        (
-                            ls, seg, deg, bc_full[needed],
-                            None if edge_keep is None else edge_keep[elo:ehi],
-                        )
-                        for ls, seg, deg, needed, elo, ehi in hit[1]
-                    ]
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("shard_merge", now - t0)
-                        t0 = now
-                    if pool is not None:
-                        if telemetry_q is not None:
-                            outs = pool.map(
-                                _shard_deliver_traced,
-                                [(r, i, it) for i, it in enumerate(items)],
-                            )
-                            _absorb_shard_events(
-                                pool.drain(), prof, stream, worker_ids
-                            )
-                        else:
-                            outs = pool.map(_shard_deliver, items)
-                    else:
-                        outs = [_shard_deliver(item) for item in items]
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("spmm_delivery", now - t0)
-                        t0 = now
-                    recv = np.concatenate(outs, axis=0)
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("shard_merge", now - t0)
-                        t0 = now
+            edge_keep: Optional[np.ndarray] = None
+            if batch is not None and link is not None:
+                edge_keep, batch = _link_transform(
+                    r, n, batch, arrs, link, alive, metrics
+                )
+            if scatter and batch is not None:
+                flat = _deliveries(r, batch, arrs, link)
+                if flat is not None:
+                    in_flight.setdefault(r + latency - 1, []).append(flat)
+            lap("send")
+
+            # --- deliver: what each node heard, per the delivery ----------
+            heard = from_head = None
+            hears_heads = kernel.hears_heads and arrs.roles is not None
+            if scatter:
+                flat = _landing(in_flight.pop(r, None), alive)
+                if flat is not None:
+                    heard = np.zeros_like(kernel.TA)
+                    np.bitwise_or.at(heard, flat[0], flat[2])
+                    if hears_heads:
+                        from_head = np.zeros_like(heard)
+                        _or_from_head(arrs, *flat, from_head)
+            elif batch is not None:
+                bc_full = np.zeros_like(kernel.TA)
+                bc_full[batch.bc_senders] = batch.bc_payload
+                if sharded is not None:
+                    heard = sharded(r, arrs, bc_full, edge_keep)
                 else:
-                    recv = _segment_or(
+                    heard = _segment_or(
                         arrs.indptr[:-1], arrs.indices, arrs.degrees, bc_full,
                         edge_keep,
                     )
-                    if prof is not None:
-                        now = time.perf_counter()
-                        prof.add("spmm_delivery", now - t0)
-                        t0 = now
-                kernel.absorb(r, arrs, recv, bc_full, absorb_batch)
-                if prof is not None:
-                    now = time.perf_counter()
-                    prof.add("role_mask", now - t0)
-                    t0 = now
-            if alive is not None and not alive.all():
-                # dead receivers may have absorbed via the multi-input
-                # gathers; OR-neutral re-zero restores crash-stop semantics
-                kernel.TA[~alive] = 0
+                ok = np.flatnonzero(batch.uc_ok)
+                unicasts = (
+                    batch.uc_dests[ok], batch.uc_senders[ok], batch.uc_payload[ok]
+                )
+                np.bitwise_or.at(heard, unicasts[0], unicasts[2])
+                if hears_heads:
+                    from_head = _csr_from_head(r, arrs, bc_full, link)
+                    _or_from_head(arrs, *unicasts, from_head)
+            lap("deliver")
+
+            # --- receive -------------------------------------------------
+            if heard is not None:
+                kernel.absorb(arrs, heard, from_head)
+                if alive is not None and not alive.all():
+                    # dead receivers may have absorbed via the multi-input
+                    # gathers; OR-neutral re-zero restores crash-stop
+                    kernel.TA[~alive] = 0
+            lap("receive")
+
+            # --- bookkeeping -----------------------------------------------
             if link is not None:
-                # pinpoint perturbations — same hook as the other tiers
+                # pinpoint perturbations (PinpointFault / FAULT_ENV_VAR):
+                # XOR always changes state, so divergence at exactly this
+                # round/node
                 for fv, ft in link.faults(r):
                     if alive is None or alive[fv]:
                         kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
+            if causal is not None:
+                _record_causal_round(
+                    causal, r, arrs.roles, known, kernel.TA,
+                    *(flat if flat is not None else (None, None, None)),
+                )
             if recorder is not None:
-                new = kernel.TA & ~rec_known
-                dropped = rec_known & ~kernel.TA
+                new = kernel.TA & ~known
+                dropped = known & ~kernel.TA
                 new_idx = np.nonzero(new.any(axis=1))[0]
                 gained = list(zip(new_idx.tolist(), _rows_tokens(new[new_idx])))
                 lost_idx = np.nonzero(dropped.any(axis=1))[0]
@@ -736,7 +736,7 @@ def run_columnar(
                     zip(lost_idx.tolist(), _rows_tokens(dropped[lost_idx]))
                 )
                 recorder.end_round(gained, lost)
-                rec_known[:] = kernel.TA
+                known[:] = kernel.TA
             per_node = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
             coverage = int(per_node.sum())
             nodes_complete = int((per_node == k).sum())
@@ -745,39 +745,60 @@ def run_columnar(
                 timeline.end_round(coverage, nodes_complete)
                 if stream is not None:
                     stream.on_round(timeline)
-            executed = r + 1
-            if prof is not None:
-                prof.add("bookkeeping", time.perf_counter() - t0)
+            if monitors:
+                faults_info = None
+                if link is not None:
+                    faults_info = {
+                        "crashed": newly_crashed,
+                        "crash_tokens": crash_tokens,
+                        "lost": metrics.lost_deliveries - lost_before,
+                    }
+                view = RoundView(
+                    round_index=r,
+                    snap=snap,
+                    coverage=coverage,
+                    nodes_complete=nodes_complete,
+                    per_node=per_node.tolist(),
+                    n=n,
+                    k=k,
+                    faults=faults_info,
+                    tokens_sent=metrics.tokens_sent,
+                    messages_sent=metrics.messages_sent,
+                )
+                for monitor in monitors:
+                    before = len(monitor.violations) if stream is not None else 0
+                    monitor.observe(view)
+                    if stream is not None:
+                        for violation in monitor.violations[before:]:
+                            stream.alert(violation)
+            lap("bookkeeping")
             alive_n = n if alive is None else int(alive.sum())
             if coverage == alive_n * k and (alive is None or alive_n > 0):
                 metrics.mark_complete()
                 if stop_when_complete:
                     break
-            if stop_when_finished and kernel.finished(r):
+            if stop_when_finished and not in_flight and kernel.finished(r):
                 break
     finally:
-        if pool is not None:
-            if telemetry_q is not None:
-                # catch straggler events still in the queue's feeder pipe
-                _absorb_shard_events(pool.drain(), prof, stream, worker_ids)
-            pool.close()
+        if sharded is not None:
+            sharded.close()
 
     if timeline is not None and prof is not None:
         timeline.profile.update(prof.seconds)
-    alive_n = n if alive is None else int(alive.sum())
+    held = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
+    survivors = held if alive is None else held[alive]
+    # completion counts survivors only, and needs at least one of them
+    complete = bool((survivors == k).all()) and (
+        alive is None or survivors.size > 0
+    )
+    outputs: Dict[int, FrozenSet[int]] = {}
     if materialize_outputs:
-        token_sets = _rows_to_frozensets(kernel.TA)
-        outputs = {v: token_sets[v] for v in range(n)}
-        if alive is None:
-            complete = all(len(t) == k for t in outputs.values())
-        else:
-            survivors = np.nonzero(alive)[0]
-            complete = bool(survivors.size) and all(
-                len(outputs[int(v)]) == k for v in survivors
-            )
-    else:
-        outputs = {}
-        complete = alive_n > 0 and coverage == alive_n * k
+        outputs = dict(enumerate(_rows_to_frozensets(kernel.TA)))
+    violations = None
+    if monitors:
+        for monitor in monitors:
+            monitor.finish(metrics.rounds, complete)
+        violations = [v for m in monitors for v in m.violations]
     return RunResult(
         n=n,
         k=k,
@@ -786,60 +807,8 @@ def run_columnar(
         complete=complete,
         trace=None,
         timeline=timeline,
-        causal_trace=None,
+        causal_trace=causal,
         recording=recorder.finish() if recorder is not None else None,
-        violations=None,
+        violations=violations,
         algorithms=None,
-    )
-
-
-def try_run(
-    engine: SynchronousEngine,
-    network,
-    factory,
-    k: int,
-    initial: Mapping[int, FrozenSet[int]],
-    max_rounds: int,
-    stop_when_complete: bool = False,
-    stop_when_finished: bool = True,
-    monitors=None,
-) -> Optional[RunResult]:
-    """Execute a run on the columnar tier, or return ``None`` if unsupported.
-
-    Supported: factories tagged with a known ``factory.fastpath`` kind on
-    non-adaptive networks, unit-latency channels, and ``obs`` in
-    {``off``, ``timeline``, ``record``, ``profile``}.  Link models (loss,
-    churn, pinpoint faults) run natively as per-edge mask arrays over the
-    CSR columns; ``obs="trace"``, ``latency > 1``, runtime monitors and
-    ``SimTrace`` recording fall back (the fast path supports them all and
-    stays bit-identical).  ``None`` is only returned before the first
-    round.
-    """
-    spec = getattr(factory, "fastpath", None)
-    if spec is None:
-        return None
-    kind, params = spec
-    if kind not in _COLUMNAR_KERNELS:
-        return None
-    if engine.record_trace or engine.record_knowledge:
-        return None
-    if getattr(network, "adaptive_snapshot", None) is not None:
-        return None
-    if engine.latency != 1:
-        return None
-    if engine.obs == "trace":
-        return None
-    if monitors:
-        return None
-
-    n = network.n
-    validate_run_args(n, k, initial, max_rounds)
-    TA = np.zeros((n, words_for(k)), dtype=np.uint64)
-    for node, toks in initial.items():
-        for t in toks:
-            TA[node, t >> 6] |= _U1 << np.uint64(t & 63)
-    return run_columnar(
-        engine, network, kind, params, k, TA, max_rounds,
-        stop_when_complete=stop_when_complete,
-        stop_when_finished=stop_when_finished,
     )

@@ -30,7 +30,7 @@ Delivery semantics
   :class:`~repro.sim.linkmodel.IidLoss` model (the send is still
   billed for suppressed deliveries).  Every round decomposes as
   topology-view → send-intents → link transform → absorb → role-update,
-  identically on all three engine tiers.
+  identically on both engine tiers.
 
 Execution comes in two forms: :meth:`SynchronousEngine.run` executes a
 whole budget, and :meth:`SynchronousEngine.start` returns an
@@ -570,7 +570,7 @@ class SynchronousEngine:
     link:
         A :class:`~repro.sim.linkmodel.LinkModel` applied to every round's
         candidate deliveries (loss), node population (crash-stop churn)
-        and post-absorb state (pinpoint faults).  All three engine tiers
+        and post-absorb state (pinpoint faults).  Both engine tiers
         apply the same counter-based decisions, so faulty runs keep the
         registry-wide bit-identity guarantee.  ``None`` (default) is the
         identity channel.
@@ -593,17 +593,17 @@ class SynchronousEngine:
         synchronous model used by the paper's analysis.
     engine:
         ``"reference"`` (default) executes per-node algorithm objects as
-        documented above.  ``"fast"`` routes :meth:`run` through the
-        vectorised bitset kernels of :mod:`repro.sim.fastpath` when the
-        algorithm family supports them (results are bit-identical; see
-        docs/performance.md), silently falling back to the reference path
-        otherwise.  ``"columnar"`` additionally routes supported runs
-        through the packed bit-matrix / CSR-spmm kernels of
-        :mod:`repro.sim.columnar` (million-node scale, optionally
-        sharded; also bit-identical), falling back columnar → fast →
-        reference for anything a tier does not support.  :meth:`start`
-        always steps the reference engine — the vectorised paths have no
-        per-round inspection surface.
+        documented above.  ``"fast"`` and ``"columnar"`` (two names for
+        the same tier) route :meth:`run` through the one vectorised round
+        loop, :func:`repro.sim.columnar.run_columnar`, when the factory
+        carries a kernel tag (:mod:`repro.sim.fastpath`); results are
+        bit-identical (see docs/performance.md).  The loop picks its
+        delivery from the run's inputs: CSR segment-OR by default
+        (optionally sharded), flat scatter under ``latency > 1`` or
+        ``obs="trace"``.  Untagged factories, adaptive networks and
+        ``record_trace`` runs fall back to the reference path.
+        :meth:`start` always steps the reference engine — the vectorised
+        tier has no per-round inspection surface.
     obs:
         Telemetry level (see :mod:`repro.obs`): ``"timeline"`` (default)
         records cheap per-round progress counters into
@@ -618,8 +618,8 @@ class SynchronousEngine:
         recordings join the fast-path equivalence guarantee.
     stream:
         A :class:`~repro.obs.stream.TelemetryBus` fed live while the run
-        executes: one ``round`` event after every executed round (all
-        three tiers publish the same
+        executes: one ``round`` event after every executed round (both
+        tiers publish the same
         :meth:`~repro.obs.RunTimeline.round_event` dicts), an ``alert``
         per fresh monitor violation, and the closing ``summary`` when
         :meth:`run` returns.  Requires ``obs != "off"`` (round events
@@ -745,36 +745,20 @@ class SynchronousEngine:
             violations land in :attr:`RunResult.violations`.  Both
             execution paths build identical views.
         """
-        if self.engine_mode in ("fast", "columnar"):
-            result = None
-            if self.engine_mode == "columnar":
-                from . import columnar
+        if self.engine_mode != "reference":
+            from . import fastpath
 
-                result = columnar.try_run(
-                    self,
-                    network,
-                    factory,
-                    k,
-                    initial,
-                    max_rounds,
-                    stop_when_complete=stop_when_complete,
-                    stop_when_finished=stop_when_finished,
-                    monitors=monitors,
-                )
-            if result is None:
-                from . import fastpath
-
-                result = fastpath.try_run(
-                    self,
-                    network,
-                    factory,
-                    k,
-                    initial,
-                    max_rounds,
-                    stop_when_complete=stop_when_complete,
-                    stop_when_finished=stop_when_finished,
-                    monitors=monitors,
-                )
+            result = fastpath.try_run(
+                self,
+                network,
+                factory,
+                k,
+                initial,
+                max_rounds,
+                stop_when_complete=stop_when_complete,
+                stop_when_finished=stop_when_finished,
+                monitors=monitors,
+            )
             if result is not None:
                 if self.stream is not None:
                     self.stream.end_run(result)

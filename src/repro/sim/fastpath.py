@@ -1,4 +1,4 @@
-"""Vectorised bitset execution for the token-dissemination algorithm family.
+"""Vectorised bitset kernels for the token-dissemination algorithm family.
 
 The reference engine (:mod:`repro.sim.engine`) dispatches per-node Python
 objects exchanging ``frozenset`` token sets — ideal for clarity and for
@@ -9,57 +9,50 @@ baselines, and the two flooding baselines) as vectorised kernels:
 
 * a node's token set is a row of ``uint64`` words (one bit per token), so
   set union is ``|``, difference is ``& ~``, and cardinality is a popcount;
-* per-round topology comes from the memoized CSR arrays of
-  :meth:`repro.sim.topology.Snapshot.arrays`;
+* per-round topology comes from CSR arrays
+  (:class:`~repro.sim.topology.SnapshotArrays`);
 * send/receive for all ``n`` nodes are a handful of numpy array operations
   instead of ``2n`` Python method calls.
 
-**Bit-identical results.**  For supported algorithms the fast path
-reproduces the reference engine exactly: the same :class:`RunResult`
-outputs, the same :class:`~repro.sim.metrics.Metrics` (token/message
-counts, per-role breakdown, per-round series, completion round), the same
-:class:`~repro.obs.RunTimeline` telemetry (coverage timeline, per-role
-per-round counters, hierarchy populations), the same
-:class:`~repro.obs.CausalTrace` first-learn events at ``obs="trace"``
-(recorded natively from the bitset diff ``TA & ~known`` with the same
-min-sender attribution rule — the fast path does *not* fall back for
-causal tracing), the same :class:`~repro.obs.RunRecording` at
-``obs="record"`` (per-round knowledge deltas from the bitset diff, roles,
-and canonically ordered messages decoded from the send batches — asserted
-bit-identical registry-wide in ``tests/test_recorder.py``), the same
-monitor :class:`~repro.obs.Violation` streams,
-the same drop/loss accounting, and — because every
-:class:`~repro.sim.linkmodel.LinkModel` decision is a pure counter-based
-hash of ``(seed, round, edge)`` rather than a sequential RNG stream — the
-same behaviour under loss, churn, pinpoint faults and ``latency > 1``.
-The equivalence suites in ``tests/test_fastpath.py``, ``tests/test_obs.py``,
-``tests/test_causal_trace.py`` and ``tests/test_linkmodel.py`` assert this
-across algorithms, generators, seeds and scenario families.
+Each kernel has one ``send`` and one receive rule, :meth:`_Kernel.absorb`,
+which sees a round's deliveries as dense ``(n, W)`` rows however the round
+loop in :mod:`repro.sim.columnar` delivered them.  This module also holds
+the helpers both of that loop's deliveries share: send accounting, link
+masking of flat deliveries, and causal first-learn attribution.
+
+**Bit-identical results.**  For supported algorithms the vectorised tier
+reproduces the reference engine exactly: outputs, metrics, timelines,
+causal traces, recordings, monitor violations and drop/loss accounting —
+because every :class:`~repro.sim.linkmodel.LinkModel` decision is a pure
+counter-based hash of ``(seed, round, edge)``, also under loss, churn,
+pinpoint faults and ``latency > 1``.  The equivalence suites in
+``tests/test_fastpath.py``, ``tests/test_columnar.py``,
+``tests/test_obs.py``, ``tests/test_causal_trace.py`` and
+``tests/test_linkmodel.py`` assert this.
 
 **Dispatch.**  Factories built by the ``make_*_factory`` helpers carry a
-``factory.fastpath = (kind, params)`` tag.  :func:`try_run` executes the
+``factory.fastpath = (kind, params)`` tag.  :func:`try_run` runs the
 matching kernel, or returns ``None`` — letting the engine fall back to the
 reference path — when the factory is untagged (custom algorithms), when a
 :class:`~repro.sim.trace.SimTrace` recording was requested
 (``record_trace`` / ``record_knowledge``), or when the network is adaptive
 (the adversary hook needs per-node Python state).
-``RunResult.algorithms`` is ``None`` on the fast path: there are no
+``RunResult.algorithms`` is ``None`` on the vectorised tier: there are no
 per-node objects to hand back.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..obs import CausalTrace, Profiler, RoundView, RunRecorder, RunTimeline
+from ..obs import CausalTrace, RunRecorder, RunTimeline
 from .engine import RunResult, SynchronousEngine, validate_run_args
 
 # FAULT_ENV_VAR is re-exported for backward compatibility: the hook is now
 # the PinpointFault link model (see repro.sim.linkmodel.env_fault).
-from .linkmodel import FAULT_ENV_VAR, LinkModel
+from .linkmodel import FAULT_ENV_VAR
 from .metrics import Metrics, RoleCost
 from .topology import SnapshotArrays
 
@@ -119,7 +112,7 @@ def _rows_to_frozensets(bits: np.ndarray) -> List[FrozenSet[int]]:
 # per-round send batches
 # ---------------------------------------------------------------------------
 
-class _SendBatch:
+class _SendBatch(NamedTuple):
     """All transmissions of one round, as arrays.
 
     Senders appear at most once per side (every supported algorithm sends
@@ -127,30 +120,14 @@ class _SendBatch:
     the reference engine's iteration order.
     """
 
-    __slots__ = (
-        "bc_senders", "bc_payload", "bc_costs",
-        "uc_senders", "uc_dests", "uc_ok", "uc_payload", "uc_costs",
-    )
-
-    def __init__(
-        self,
-        bc_senders: np.ndarray,
-        bc_payload: np.ndarray,
-        bc_costs: np.ndarray,
-        uc_senders: np.ndarray,
-        uc_dests: np.ndarray,
-        uc_ok: np.ndarray,
-        uc_payload: np.ndarray,
-        uc_costs: np.ndarray,
-    ) -> None:
-        self.bc_senders = bc_senders
-        self.bc_payload = bc_payload
-        self.bc_costs = bc_costs
-        self.uc_senders = uc_senders
-        self.uc_dests = uc_dests
-        self.uc_ok = uc_ok
-        self.uc_payload = uc_payload
-        self.uc_costs = uc_costs
+    bc_senders: np.ndarray
+    bc_payload: np.ndarray
+    bc_costs: np.ndarray
+    uc_senders: np.ndarray
+    uc_dests: np.ndarray
+    uc_ok: np.ndarray
+    uc_payload: np.ndarray
+    uc_costs: np.ndarray
 
     @property
     def messages(self) -> int:
@@ -179,8 +156,12 @@ class _Kernel:
 
     Subclasses implement :meth:`send` (returning a :class:`_SendBatch` or
     ``None`` for a silent round) and :meth:`finished`; the default
-    :meth:`receive` ORs every delivered payload row into ``TA``.
+    :meth:`absorb` ORs everything a node heard into ``TA`` — the
+    reference rule "absorb everything you hear".
     """
+
+    #: Whether :meth:`absorb` needs ``from_head`` (see there).
+    hears_heads = False
 
     def __init__(self, n: int, k: int, W: int, TA: np.ndarray) -> None:
         self.n = n
@@ -193,11 +174,21 @@ class _Kernel:
     def send(self, r: int, arrs: SnapshotArrays) -> Optional[_SendBatch]:
         raise NotImplementedError
 
-    def receive(
-        self, r: int, arrs: SnapshotArrays,
-        rec: np.ndarray, snd: np.ndarray, payload: np.ndarray,
+    def absorb(
+        self,
+        arrs: SnapshotArrays,
+        heard: np.ndarray,
+        from_head: Optional[np.ndarray],
     ) -> None:
-        np.bitwise_or.at(self.TA, rec, payload)
+        """Absorb one round's deliveries, whichever delivery made them.
+
+        ``heard`` is the ``(n, W)`` OR of every payload delivered to each
+        node this round (all-zero rows for nodes that heard nothing —
+        OR-neutral).  For kernels with :attr:`hears_heads` on clustered
+        rounds, ``from_head`` is the OR of the payloads each *member*
+        received from its own head (zero rows elsewhere); else ``None``.
+        """
+        self.TA |= heard
 
     def finished(self, r: int) -> bool:
         """Whether every node has locally terminated after round ``r``."""
@@ -220,6 +211,8 @@ class _Kernel:
 
 class _Algorithm1Kernel(_Kernel):
     """Algorithm 1 (Fig. 4) and its Remark-1 stable-heads variant."""
+
+    hears_heads = True
 
     def __init__(self, n, k, W, TA, T: int, M: int, strict: bool, stable: bool = False):
         super().__init__(n, k, W, TA)
@@ -286,24 +279,21 @@ class _Algorithm1Kernel(_Kernel):
             np.ones(uc_senders.size, dtype=np.int64),
         )
 
-    def receive(self, r, arrs, rec, snd, payload):
+    def absorb(self, arrs, heard, from_head):
+        """The reference rule, per member: tokens from *your own head*
+        land in ``TA`` and ``TR``; overheard traffic lands in ``TA``
+        unless ``strict``.  Non-members absorb everything."""
         member = self._member_mask(arrs)
         if member is None:
-            np.bitwise_or.at(self.TA, rec, payload)
+            self.TA |= heard
             return
-        head_arr = self._head_arr(arrs)
-        memb = member[rec]
-        nonmemb = ~memb
-        if nonmemb.any():
-            np.bitwise_or.at(self.TA, rec[nonmemb], payload[nonmemb])
-        from_head = memb & (head_arr[rec] == snd)
-        if from_head.any():
-            np.bitwise_or.at(self.TA, rec[from_head], payload[from_head])
-            np.bitwise_or.at(self.TR, rec[from_head], payload[from_head])
-        if not self.strict:
-            overheard = memb & ~from_head
-            if overheard.any():
-                np.bitwise_or.at(self.TA, rec[overheard], payload[overheard])
+        if self.strict:
+            # masked in-place OR (ufunc ``where=``) — no gather/scatter copies
+            np.bitwise_or(self.TA, heard, out=self.TA, where=~member[:, None])
+        else:
+            self.TA |= heard
+        self.TA |= from_head
+        self.TR |= from_head
 
     def finished(self, r: int) -> bool:
         return r + 1 >= self.M * self.T
@@ -424,10 +414,9 @@ class _FloodNewKernel(_Kernel):
         self.fresh[senders] = 0
         return _broadcast_batch(senders, payload, _popcounts(payload))
 
-    def receive(self, r, arrs, rec, snd, payload):
-        received = np.zeros_like(self.TA)
-        np.bitwise_or.at(received, rec, payload)
-        novel = received & ~self.TA
+    def absorb(self, arrs, heard, from_head):
+        # only never-seen tokens re-arm the fresh set
+        novel = heard & ~self.TA
         self.TA |= novel
         self.fresh |= novel
 
@@ -497,41 +486,23 @@ def _account(
                 )
 
 
-def _deliveries(
-    batch: _SendBatch, arrs: SnapshotArrays
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Expand a send batch into flat (receiver, sender, payload-row) arrays."""
-    parts = []
-    senders = batch.bc_senders
-    if senders.size:
-        lens = arrs.degrees[senders]
-        total = int(lens.sum())
-        if total:
-            starts = arrs.indptr[senders]
-            cum = np.cumsum(lens)
-            pos = np.arange(total, dtype=np.int64) + np.repeat(starts - (cum - lens), lens)
-            parts.append((
-                arrs.indices[pos],
-                np.repeat(senders, lens),
-                np.repeat(batch.bc_payload, lens, axis=0),
-            ))
-    if batch.uc_senders.size:
-        ok = batch.uc_ok
-        if ok.any():
-            parts.append((
-                batch.uc_dests[ok],
-                batch.uc_senders[ok],
-                batch.uc_payload[ok],
-            ))
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return (
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-    )
+def _record_batch(recorder: RunRecorder, batch: _SendBatch) -> None:
+    """Feed one round's non-empty sends to the recorder, broadcasts first."""
+    bc_tokens = _rows_tokens(batch.bc_payload)
+    for i in range(len(batch.bc_senders)):
+        cost = int(batch.bc_costs[i])
+        if cost:
+            recorder.record_send(
+                int(batch.bc_senders[i]), "b", None, bc_tokens[i], cost
+            )
+    uc_tokens = _rows_tokens(batch.uc_payload)
+    for i in range(len(batch.uc_senders)):
+        cost = int(batch.uc_costs[i])
+        if cost:
+            recorder.record_send(
+                int(batch.uc_senders[i]), "u", int(batch.uc_dests[i]),
+                uc_tokens[i], cost,
+            )
 
 
 def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:
@@ -540,62 +511,12 @@ def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:
     uk = alive[batch.uc_senders]
     if bk.all() and uk.all():
         return batch
-    return _SendBatch(
-        batch.bc_senders[bk], batch.bc_payload[bk], batch.bc_costs[bk],
-        batch.uc_senders[uk], batch.uc_dests[uk], batch.uc_ok[uk],
-        batch.uc_payload[uk], batch.uc_costs[uk],
-    )
-
-
-def _apply_link_flat(
-    flat: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    r: int,
-    link: LinkModel,
-    alive: np.ndarray,
-    metrics: Metrics,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Link transform over flat (receiver, sender, payload) deliveries.
-
-    Deliveries to crashed receivers are discarded silently (the reference
-    engine never offers a crashed node as a candidate); the link's deliver
-    mask then suppresses some of the survivors, each billed as a loss.
-    The counter-based link RNG keys every decision by (round, edge), so
-    masking the vectorised candidate set here is bit-identical to the
-    reference engine's per-edge ``delivers`` calls.
-    """
-    rec, snd, payload = flat
-    live = alive[rec]
-    if not live.all():
-        if not live.any():
-            return None
-        rec, snd, payload = rec[live], snd[live], payload[live]
-    mask = link.deliver_mask(r, snd, rec)
-    if mask is not None:
-        lost = int(mask.size - int(mask.sum()))
-        if lost:
-            metrics.record_loss(lost)
-            if lost == mask.size:
-                return None
-            rec, snd, payload = rec[mask], snd[mask], payload[mask]
-    return rec, snd, payload
+    return _SendBatch(*(f[bk] for f in batch[:3]), *(f[uk] for f in batch[3:]))
 
 
 # ---------------------------------------------------------------------------
 # causal tracing
 # ---------------------------------------------------------------------------
-
-def _row_tokens(row: np.ndarray) -> List[int]:
-    """Decode one uint64 bitset row to its sorted token ids."""
-    out: List[int] = []
-    for w in range(row.shape[0]):
-        word = int(row[w])
-        base = w << 6
-        while word:
-            low = word & -word
-            out.append(base + low.bit_length() - 1)
-            word ^= low
-    return out
-
 
 def _rows_tokens(rows: np.ndarray) -> List[List[int]]:
     """Decode an (m, words) uint64 bitset matrix to per-row sorted token
@@ -637,8 +558,7 @@ def _record_causal_round(
     """
     new = TA & ~known
     changed = np.nonzero(new.any(axis=1))[0]
-    for v in changed:
-        v = int(v)
+    for v, fresh in zip(changed.tolist(), _rows_tokens(new[changed])):
         if rec is not None:
             idx = np.nonzero(rec == v)[0]
         else:
@@ -649,7 +569,7 @@ def _record_causal_round(
         else:
             senders_v = _EMPTY_IDS
             fallback = -1
-        for t in _row_tokens(new[v]):
+        for t in fresh:
             if idx.size:
                 bit = _U1 << np.uint64(t & 63)
                 carrying = senders_v[(payload[idx, t >> 6] & bit) != 0]
@@ -665,7 +585,7 @@ def _record_causal_round(
 
 
 # ---------------------------------------------------------------------------
-# the fast engine loop
+# engine entry
 # ---------------------------------------------------------------------------
 
 def try_run(
@@ -679,250 +599,34 @@ def try_run(
     stop_when_finished: bool = True,
     monitors=None,
 ) -> Optional[RunResult]:
-    """Execute a run on the fast path, or return ``None`` if unsupported.
+    """Execute a run on the vectorised tier, or return ``None`` if unsupported.
 
     Supported: factories tagged with a known ``factory.fastpath`` kind, on
-    non-adaptive networks, without ``SimTrace`` recording.  Link models
-    (loss/churn/pinpoint faults), latency, ``obs="trace"`` causal tracing,
-    and runtime monitors are fully supported (see module docstring).
-    ``None`` is only ever returned *before* the first round executes, so
-    monitor state is untouched when the engine falls back to the reference
-    path.
+    non-adaptive networks, without ``SimTrace`` recording.  Everything
+    else about the run — link models, latency, every ``obs`` level,
+    runtime monitors — is handled by the one round loop,
+    :func:`repro.sim.columnar.run_columnar`, which picks its delivery from
+    the run's inputs.  ``None`` is only ever returned *before* the first
+    round executes, so monitor state is untouched when the engine falls
+    back to the reference path.
     """
     spec = getattr(factory, "fastpath", None)
-    if spec is None:
-        return None
-    kind, params = spec
-    make_kernel = _KERNELS.get(kind)
-    if make_kernel is None:
+    if spec is None or spec[0] not in _KERNELS:
         return None
     if engine.record_trace or engine.record_knowledge:
         return None
     if getattr(network, "adaptive_snapshot", None) is not None:
         return None
 
+    from .columnar import pack_rows, run_columnar  # columnar imports this module
+
     n = network.n
     validate_run_args(n, k, initial, max_rounds)
-    W = max(1, (k + 63) // 64)
-    TA = np.zeros((n, W), dtype=np.uint64)
-    for node, toks in initial.items():
-        for t in toks:
-            TA[node, t >> 6] |= _U1 << np.uint64(t & 63)
-    kernel = make_kernel(n, k, W, TA, **params)
-
-    metrics = Metrics()
-    timeline = RunTimeline() if engine.obs != "off" else None
-    prof = Profiler() if engine.obs == "profile" else None
-    causal: Optional[CausalTrace] = None
-    known: Optional[np.ndarray] = None
-    if engine.obs == "trace":
-        causal = CausalTrace(n=n, k=k)
-        for node in range(n):
-            for t in _row_tokens(TA[node]):
-                causal.record_origin(node, t)
-        known = TA.copy()
-    recorder: Optional[RunRecorder] = None
-    rec_known: Optional[np.ndarray] = None
-    if engine.obs == "record":
-        recorder = RunRecorder(
-            n, k, {v: frozenset(_row_tokens(TA[v])) for v in range(n)}
-        )
-        rec_known = TA.copy()
-    monitors = list(monitors) if monitors else []
-    stream = getattr(engine, "stream", None)
-    link = engine.link_for("fast")
-    alive: Optional[np.ndarray] = None
-    if link is not None:
-        alive = np.ones(n, dtype=bool)
-    latency = engine.latency
-    in_flight: Dict[int, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
-    executed = 0
-
-    for r in range(max_rounds):
-        t0 = time.perf_counter() if prof is not None else 0.0
-        snap = network.snapshot(r)
-        if snap.n != n:
-            raise ValueError(
-                f"snapshot for round {r} has {snap.n} nodes, expected {n}"
-            )
-        arrs = snap.arrays()
-        if prof is not None:
-            prof.add("topology", time.perf_counter() - t0)
-        metrics.begin_round()
-        if timeline is not None:
-            timeline.begin_round()
-            if arrs.roles is not None:
-                pops = np.bincount(arrs.roles, minlength=3)
-                timeline.record_populations({
-                    name: int(pops[code]) for code, name in _ROLE_NAMES
-                })
-
-        if recorder is not None:
-            recorder.begin_round(snap)
-
-        # --- crash stage (before sends: crashed nodes never act in r) ----
-        newly_crashed: Tuple[int, ...] = ()
-        crash_tokens = 0
-        lost_before = metrics.lost_deliveries
-        if link is not None:
-            crashed = link.crashes(r, alive)
-            if len(crashed):
-                newly_crashed = tuple(int(x) for x in crashed)
-                alive[crashed] = False
-                crash_tokens = int(np.bitwise_count(kernel.TA[crashed]).sum())
-                kernel.TA[crashed] = 0
-                metrics.record_crashes(len(newly_crashed))
-
-        if prof is not None:
-            t0 = time.perf_counter()
-        batch = kernel.send(r, arrs)
-        if batch is not None and alive is not None:
-            batch = _filter_batch_alive(batch, alive)
-        if batch is not None and batch.messages:
-            _account(metrics, batch, arrs, timeline)
-            if recorder is not None:
-                bc_tokens = _rows_tokens(batch.bc_payload)
-                for i in range(len(batch.bc_senders)):
-                    cost = int(batch.bc_costs[i])
-                    if cost:
-                        recorder.record_send(
-                            int(batch.bc_senders[i]), "b", None,
-                            bc_tokens[i], cost,
-                        )
-                uc_tokens = _rows_tokens(batch.uc_payload)
-                for i in range(len(batch.uc_senders)):
-                    cost = int(batch.uc_costs[i])
-                    if cost:
-                        recorder.record_send(
-                            int(batch.uc_senders[i]), "u",
-                            int(batch.uc_dests[i]),
-                            uc_tokens[i], cost,
-                        )
-            flat = _deliveries(batch, arrs)
-            if flat is not None and link is not None:
-                flat = _apply_link_flat(flat, r, link, alive, metrics)
-            if flat is not None:
-                in_flight.setdefault(r + latency - 1, []).append(flat)
-
-        if prof is not None:
-            now = time.perf_counter()
-            prof.add("send", now - t0)
-            t0 = now
-        pending = in_flight.pop(r, None)
-        rec = snd = payload = None
-        if pending:
-            if len(pending) == 1:
-                rec, snd, payload = pending[0]
-            else:
-                rec = np.concatenate([p[0] for p in pending])
-                snd = np.concatenate([p[1] for p in pending])
-                payload = np.concatenate([p[2] for p in pending])
-            if alive is not None and latency > 1:
-                # receivers may have crashed between transmission and landing
-                live = alive[rec]
-                if not live.all():
-                    rec, snd, payload = rec[live], snd[live], payload[live]
-            if rec.size:
-                kernel.receive(r, arrs, rec, snd, payload)
-            else:
-                rec = snd = payload = None
-
-        if prof is not None:
-            now = time.perf_counter()
-            prof.add("receive", now - t0)
-            t0 = now
-        if link is not None:
-            # pinpoint perturbations (PinpointFault / FAULT_ENV_VAR): XOR
-            # always changes state, so divergence at exactly this round/node
-            for fv, ft in link.faults(r):
-                if alive is None or alive[fv]:
-                    kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
-        if causal is not None:
-            _record_causal_round(
-                causal, r, arrs.roles, known, kernel.TA, rec, snd, payload
-            )
-        if recorder is not None:
-            new = kernel.TA & ~rec_known
-            dropped = rec_known & ~kernel.TA
-            new_idx = np.nonzero(new.any(axis=1))[0]
-            gained = list(zip(new_idx.tolist(), _rows_tokens(new[new_idx])))
-            lost_idx = np.nonzero(dropped.any(axis=1))[0]
-            lost = list(
-                zip(lost_idx.tolist(), _rows_tokens(dropped[lost_idx]))
-            )
-            recorder.end_round(gained, lost)
-            rec_known[:] = kernel.TA
-        per_node = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
-        coverage = int(per_node.sum())
-        nodes_complete = int((per_node == k).sum())
-        metrics.end_round(coverage)
-        if timeline is not None:
-            timeline.end_round(coverage, nodes_complete)
-            if stream is not None:
-                stream.on_round(timeline)
-        if monitors:
-            faults_info = None
-            if link is not None:
-                faults_info = {
-                    "crashed": newly_crashed,
-                    "crash_tokens": crash_tokens,
-                    "lost": metrics.lost_deliveries - lost_before,
-                }
-            view = RoundView(
-                round_index=r,
-                snap=snap,
-                coverage=coverage,
-                nodes_complete=nodes_complete,
-                per_node=per_node.tolist(),
-                n=n,
-                k=k,
-                faults=faults_info,
-                tokens_sent=metrics.tokens_sent,
-                messages_sent=metrics.messages_sent,
-            )
-            for monitor in monitors:
-                before = len(monitor.violations) if stream is not None else 0
-                monitor.observe(view)
-                if stream is not None:
-                    for violation in monitor.violations[before:]:
-                        stream.alert(violation)
-        executed = r + 1
-        if prof is not None:
-            prof.add("bookkeeping", time.perf_counter() - t0)
-        alive_n = n if alive is None else int(alive.sum())
-        if coverage == alive_n * k and (alive is None or alive_n > 0):
-            metrics.mark_complete()
-            if stop_when_complete:
-                break
-        if stop_when_finished and not in_flight and kernel.finished(r):
-            break
-
-    if timeline is not None and prof is not None:
-        timeline.profile.update(prof.seconds)
-    token_sets = _rows_to_frozensets(kernel.TA)
-    outputs = {v: token_sets[v] for v in range(n)}
-    if alive is None:
-        complete = all(len(t) == k for t in outputs.values())
-    else:
-        survivors = np.nonzero(alive)[0]
-        complete = bool(survivors.size) and all(
-            len(outputs[int(v)]) == k for v in survivors
-        )
-    violations = None
-    if monitors:
-        for monitor in monitors:
-            monitor.finish(executed, complete)
-        violations = [v for m in monitors for v in m.violations]
-    return RunResult(
-        n=n,
-        k=k,
-        metrics=metrics,
-        outputs=outputs,
-        complete=complete,
-        trace=None,
-        timeline=timeline,
-        causal_trace=causal,
-        recording=recorder.finish() if recorder is not None else None,
-        violations=violations,
-        algorithms=None,
+    TA = pack_rows([initial.get(v, ()) for v in range(n)], k)
+    kind, params = spec
+    return run_columnar(
+        engine, network, kind, params, k, TA, max_rounds,
+        stop_when_complete=stop_when_complete,
+        stop_when_finished=stop_when_finished,
+        monitors=monitors,
     )

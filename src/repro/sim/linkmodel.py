@@ -1,6 +1,6 @@
 """Pluggable per-round link models: loss, churn, and fault injection.
 
-Every engine tier decomposes a round into the same five stages —
+Both engine tiers decompose a round into the same five stages —
 topology-view → send-intents → **link transform** → absorb →
 role-update — and this module owns the third stage.  A
 :class:`LinkModel` decides, for round ``r``:
@@ -21,14 +21,14 @@ RNG stream discipline
 Link decisions are *counter-based*: each one is a pure hash of
 ``(derived seed, round, sender, receiver)`` through a splitmix64-style
 finalizer, never a draw from a sequential stream.  That single property
-is what makes the seam implementable three times without three sources
-of truth:
+is what makes the seam implementable several times without several
+sources of truth:
 
 * the reference engine evaluates one edge at a time (Python ints),
-* the fastpath masks flat CSR delivery arrays (uint64 vectors),
-* the columnar tier masks bit-matrix gather rows (uint64 vectors),
+* the vectorised loop masks CSR edge arrays, or flat delivery arrays
+  under scatter delivery (uint64 vectors),
 
-and all three see bit-identical decisions because the hash does not
+and all of them see bit-identical decisions because the hash does not
 depend on evaluation order, batching, or how many other draws happened
 first.  A delivery decision is keyed by the *directed edge and round*,
 so two messages crossing the same edge in the same round share one

@@ -90,7 +90,7 @@ def adjacency_from_edges(
 class CSRNetwork:
     """An array-native dynamic network: CSR topology, no frozensets.
 
-    The columnar engine (:mod:`repro.sim.columnar`) asks networks for
+    The vectorised round loop (:mod:`repro.sim.columnar`) asks networks for
     ``snapshot_arrays(r)`` and consumes :class:`SnapshotArrays` directly —
     at n = 10⁶, materialising ``n`` adjacency frozensets per round would
     dwarf the simulation itself.  This wrapper turns one
@@ -102,9 +102,9 @@ class CSRNetwork:
     invariants :meth:`Snapshot.arrays` produces.
 
     :meth:`snapshot` lazily materialises a full :class:`Snapshot`
-    (memoized per distinct arrays object), so the reference and fastpath
-    engines still run on the same network — the small-n equivalence
-    bridge the columnar tests drive.
+    (memoized per distinct arrays object), so the reference engine (and
+    runtime monitors) still run on the same network — the small-n
+    equivalence bridge the vectorised tests drive.
     """
 
     def __init__(self, arrays) -> None:

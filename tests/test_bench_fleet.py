@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from repro.cli import main
 from repro.registry import get_spec
 
 FAST_CASE = "algorithm1_benign_n48_fast_timeline"
-COL_CASE = "algorithm1_benign_n48_columnar_timeline"
+SIBLING_CASE = "algorithm2_benign_n48_fast_timeline"
 
 
 def _load_bench_json_shim():
@@ -46,8 +47,7 @@ class TestMatrix:
         for case in matrix:
             spec = get_spec(case.algorithm)
             assert case.family in spec.families
-            if case.engine == "columnar":
-                assert spec.columnar
+            assert case.engine in ("reference", "fast")
             assert ":" not in case.name  # the --inject-slowdown separator
             assert case.budget_ms > 0 and case.memory_budget_mb > 0
             assert set(case.tiers) <= set(TIERS)
@@ -66,7 +66,7 @@ class TestMatrix:
 
     def test_scenarios_match_case_axes(self):
         for name in (FAST_CASE, "flood-all_adversarial_n48_fast_timeline",
-                     "algorithm2_lossy_n48_columnar_timeline"):
+                     "algorithm2_lossy_n48_fast_timeline"):
             case = select([name])[0]
             scenario = build_scenario(case)
             assert scenario.n == case.n
@@ -181,13 +181,13 @@ class TestTrend:
 class TestFleetEndToEnd:
     def test_quick_run_appends_commit_keyed_bucket(self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"
-        rc = main(["bench", "--cases", FAST_CASE, COL_CASE,
+        rc = main(["bench", "--cases", FAST_CASE, SIBLING_CASE,
                    "--repeats", "1", "--no-memory",
                    "--commit", "c1", "--json", str(path)])
         assert rc == 0
         data = load_bench(path)
         bucket = data["history"]["c1"]
-        assert set(bucket) == {"_meta", FAST_CASE, COL_CASE}
+        assert set(bucket) == {"_meta", FAST_CASE, SIBLING_CASE}
         stats = bucket[FAST_CASE]
         assert stats["identical"] is True
         assert stats["rounds"] > 0 and stats["speedup"] > 0
@@ -198,12 +198,12 @@ class TestFleetEndToEnd:
     def test_injected_slowdown_fails_gate_and_bisect_names_pair(
             self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"
-        assert main(["bench", "--cases", FAST_CASE, COL_CASE,
+        assert main(["bench", "--cases", FAST_CASE, SIBLING_CASE,
                      "--repeats", "1", "--no-memory",
                      "--commit", "c1", "--json", str(path)]) == 0
         capsys.readouterr()
         report = tmp_path / "bisect.txt"
-        rc = main(["bench", "--cases", FAST_CASE, COL_CASE,
+        rc = main(["bench", "--cases", FAST_CASE, SIBLING_CASE,
                    "--repeats", "1", "--no-memory",
                    "--commit", "c2", "--json", str(path),
                    "--inject-slowdown", f"{FAST_CASE}:200",
@@ -214,8 +214,8 @@ class TestFleetEndToEnd:
         assert f"offender: case={FAST_CASE} engine=fast" in out
         text = report.read_text()
         assert f"case={FAST_CASE} engine=fast" in text
-        # the clean sibling is exonerated in the evidence table
-        assert COL_CASE in text
+        # the clean engine sibling is exonerated in the evidence table
+        assert "algorithm1_benign_n48_reference_timeline" in text
         # both runs landed as separate buckets
         assert set(load_bench(path)["history"]) == {"c1", "c2"}
 
@@ -232,17 +232,33 @@ class TestFleetHeartbeat:
         assert events[-1]["ms"] > 0
 
     def test_watchdog_flags_slow_case_without_killing_it(self):
-        # a 1 ms stall limit trips immediately; the case still finishes
+        # a zero stall limit trips on every case; the case still finishes
         events = []
         results = run_fleet(select([FAST_CASE]), repeats=1, memory=False,
-                            heartbeat=events.append, stall_after_ms=1.0)
+                            heartbeat=events.append, stall_after_ms=0.0)
         assert len(results) == 1 and results[0].stats["rounds"] > 0
         stalls = [e for e in events if e["status"] == "stall"]
         assert len(stalls) == 1  # flagged once, not once per poll
         assert stalls[0]["case"] == FAST_CASE
-        assert stalls[0]["elapsed_ms"] > 1.0
-        assert stalls[0]["stall_after_ms"] == 1.0
+        assert stalls[0]["elapsed_ms"] >= 0.0
+        assert stalls[0]["stall_after_ms"] == 0.0
         assert [e["status"] for e in events][-1] == "done"
+
+    def test_watchdog_flags_case_faster_than_one_poll(self, monkeypatch):
+        # a case finishing well inside the 50 ms poll is still flagged,
+        # exactly once, when its done event arrives
+        import repro.bench.runner as runner
+
+        monkeypatch.setattr(runner, "_fleet_task",
+                            lambda item: time.sleep(0.002) or item[0].name)
+        cases = select([FAST_CASE, SIBLING_CASE])
+        for _ in range(5):
+            events = []
+            results = run_fleet(cases, repeats=1, memory=False,
+                                heartbeat=events.append, stall_after_ms=0.0)
+            assert results == [FAST_CASE, SIBLING_CASE]
+            stalls = [e["case"] for e in events if e["status"] == "stall"]
+            assert stalls == [FAST_CASE, SIBLING_CASE]
 
     def test_cli_heartbeat_prints_case_lines(self, tmp_path, capsys):
         rc = main(["bench", "--cases", FAST_CASE, "--repeats", "1",

@@ -1,8 +1,9 @@
-"""Columnar-tier equivalence: ``engine="columnar"`` must be bit-identical
-to the fast path (and hence the reference engine) for every supported
-algorithm and scenario family, sharded or not, and must fall back
-silently everywhere else.  Also covers the packed-bitset codecs, the
-array-native :class:`~repro.sim.topology.CSRNetwork`, and the
+"""The vectorised round loop: ``engine="columnar"`` (an alias of
+``engine="fast"``) must be bit-identical to the reference engine for
+every registered algorithm under each delivery the loop selects — CSR
+segment-OR by default, with monitors and sharded; flat scatter under
+``latency > 1`` and ``obs="trace"``.  Also covers the packed-bitset
+codecs, the array-native :class:`~repro.sim.topology.CSRNetwork`, and the
 array-native topology builders."""
 
 import argparse
@@ -31,6 +32,7 @@ from repro.obs.monitors import default_monitors
 from repro.registry import all_specs
 from repro.sim import columnar
 from repro.sim.engine import SynchronousEngine
+from repro.sim.linkmodel import CrashChurn, IidLoss, LinkChain
 from repro.sim.topology import CSRNetwork, Snapshot
 
 
@@ -55,18 +57,8 @@ def _case_id(case):
 #: Nightly CI widens the seed sweep (REPRO_EQUIV_SEEDS=6); default 2.
 SEEDS = list(range(1, 1 + int(os.environ.get("REPRO_EQUIV_SEEDS", "2"))))
 
-#: Engines the columnar tier is cross-checked against.  Nightly CI sets
-#: REPRO_EQUIV_ENGINES="fast,reference" to triangulate all three tiers;
-#: the default compares against the fast path only (which tests/
-#: test_fastpath.py already pins to the reference engine).
-BASELINE_ENGINES = [
-    e.strip()
-    for e in os.environ.get("REPRO_EQUIV_ENGINES", "fast").split(",")
-    if e.strip()
-]
-
 # (name, scenario builder, factory builder, max_rounds) — mirrors
-# tests/test_fastpath.py so the three tiers are pinned on the same grid.
+# tests/test_fastpath.py so both engine names are pinned on the same grid.
 CASES = [
     ("alg1", _hinet, lambda s: make_algorithm1_factory(T=12, M=5), 60),
     ("alg1-strict", _hinet, lambda s: make_algorithm1_factory(T=12, M=5, strict=True), 60),
@@ -81,32 +73,19 @@ CASES = [
 ]
 
 
-def _columnar_ran(result) -> bool:
-    """Whether the columnar tier (not a fallback) executed the run.
-
-    The columnar loop stamps its kernel sections into the profile, so a
-    profile with ``spmm_delivery`` can only come from the columnar tier.
-    """
-    return "spmm_delivery" in result.timeline.profile
-
-
 def assert_columnar_equivalent(scenario, factory, max_rounds, **engine_kwargs):
-    """Run columnar + baseline engines and compare every observable."""
+    """Run the columnar and reference engines; compare every observable."""
     col = SynchronousEngine(engine="columnar", **engine_kwargs).run(
         scenario.trace, factory, scenario.k, scenario.initial, max_rounds
     )
-    for engine in BASELINE_ENGINES:
-        kwargs = dict(engine_kwargs)
-        if engine != "reference":
-            kwargs["engine"] = engine
-        base = SynchronousEngine(**kwargs).run(
-            scenario.trace, factory, scenario.k, scenario.initial, max_rounds
-        )
-        assert col.n == base.n and col.k == base.k
-        assert col.outputs == base.outputs
-        assert col.complete == base.complete
-        assert col.metrics == base.metrics
-        assert col.timeline == base.timeline
+    ref = SynchronousEngine(**engine_kwargs).run(
+        scenario.trace, factory, scenario.k, scenario.initial, max_rounds
+    )
+    assert col.n == ref.n and col.k == ref.k
+    assert col.outputs == ref.outputs
+    assert col.complete == ref.complete
+    assert col.metrics == ref.metrics
+    assert col.timeline == ref.timeline
     assert col.trace is None and col.algorithms is None
     return col
 
@@ -149,15 +128,74 @@ class TestEquivalence:
         assert col.metrics == fast.metrics
 
 
+def _auto_scenario(spec):
+    args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3,
+                              alpha=3, L=2, seed=5)
+    return cli._build_scenario(args, spec)
+
+
+#: Loss plus crash-stop churn: link decisions are pure hashes, so one
+#: model instance serves every run.
+_FAULTS = LinkChain([IidLoss(0.2, seed=3), CrashChurn(0.02, seed=5)])
+
+#: One engine configuration per delivery the loop selects: (id, engine
+#: kwargs, attach monitors).  CSR runs record a RunRecording; scatter is
+#: forced by latency > 1 or by causal tracing.
+DELIVERIES = [
+    ("csr", {"obs": "record"}, False),
+    ("csr-monitors", {"obs": "record"}, True),
+    ("csr-faults", {"obs": "record", "link": _FAULTS}, False),
+    ("scatter-latency2", {"obs": "record", "latency": 2}, False),
+    ("scatter-latency2-faults",
+     {"obs": "record", "latency": 2, "link": _FAULTS}, False),
+    ("scatter-trace", {"obs": "trace"}, False),
+]
+
+
 class TestRegistryWideIdentity:
+    @pytest.mark.parametrize("delivery", DELIVERIES, ids=lambda d: d[0])
+    @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
+    def test_vectorised_matches_reference_per_spec(self, spec, delivery):
+        """Every registered algorithm under every delivery: outputs,
+        metrics, timeline, recording, causal trace and monitor violations
+        agree vectorised⇄reference (specs without a kernel fall back to
+        the reference path and trivially agree)."""
+        _, engine_kwargs, monitored = delivery
+        scenario = _auto_scenario(spec)
+        overrides = {"seed": 9} if spec.seeded else {}
+        plan = spec.plan(scenario, **overrides)
+        results = {}
+        for engine in ("reference", "fast"):
+            monitors = (
+                default_monitors(spec=spec, plan=plan, scenario=scenario)
+                if monitored else None
+            )
+            results[engine] = SynchronousEngine(
+                engine=engine, **engine_kwargs
+            ).run(
+                scenario.trace, plan.factory, scenario.k, scenario.initial,
+                plan.max_rounds, stop_when_complete=plan.stop_when_complete,
+                monitors=monitors,
+            )
+        ref, vec = results["reference"], results["fast"]
+        if spec.fastpath:
+            assert vec.algorithms is None  # the vectorised loop ran
+        assert vec.outputs == ref.outputs
+        assert vec.complete == ref.complete
+        assert vec.metrics == ref.metrics
+        assert vec.timeline == ref.timeline
+        assert vec.recording == ref.recording
+        assert vec.causal_trace == ref.causal_trace
+        assert vec.violations == ref.violations
+        if monitored:
+            assert vec.violations is not None
+
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
     def test_columnar_matches_fast_per_spec(self, spec):
-        """Every registered algorithm: metrics, timeline, and (at
-        obs="record") the full RunRecording agree columnar⇄fast — or the
-        columnar tier falls back and trivially agrees."""
-        args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3,
-                                  alpha=3, L=2, seed=5)
-        scenario = cli._build_scenario(args, spec)
+        """The alias contract: ``engine="columnar"`` and ``"fast"`` run
+        the same loop, so every registered algorithm's metrics and full
+        RunRecording agree between the two names."""
+        scenario = _auto_scenario(spec)
         overrides = {"seed": 9} if spec.seeded else {}
         fast = execute(spec, scenario, engine="fast", obs="record",
                        **overrides)
@@ -209,10 +247,13 @@ class TestSharded:
 
 
 class TestDispatch:
-    def test_supported_kinds_match_fastpath(self):
-        from repro.sim import fastpath
-
-        assert columnar.supported_kinds() == fastpath.supported_kinds()
+    def test_select_delivery(self):
+        assert columnar.select_delivery(1, "timeline") == "csr"
+        for obs in ("off", "record", "profile"):
+            assert columnar.select_delivery(1, obs) == "csr"
+        assert columnar.select_delivery(2, "timeline") == "scatter"
+        assert columnar.select_delivery(5, "record") == "scatter"
+        assert columnar.select_delivery(1, "trace") == "scatter"
 
     def test_columnar_tier_actually_runs(self):
         scenario = _flat(3)
@@ -220,8 +261,9 @@ class TestDispatch:
             scenario.trace, make_flood_all_factory(), scenario.k,
             scenario.initial, 10
         )
-        assert _columnar_ran(result)
         assert result.algorithms is None
+        assert set(result.timeline.profile) == {
+            "topology", "send", "deliver", "receive", "bookkeeping"}
 
     def test_untagged_factory_falls_back(self):
         scenario = _flat(3)
@@ -234,46 +276,42 @@ class TestDispatch:
         assert result.algorithms is not None
 
     def test_loss_runs_natively_and_matches_reference(self):
-        # the LinkModel seam runs lossy channels on the columnar tier
-        # itself (no fastpath fallback), bit-identical to the reference
-        scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="profile",
-                                   loss_p=0.25, loss_seed=11).run(
-            scenario.trace, make_flood_all_factory(), scenario.k,
-            scenario.initial, 10
-        )
-        assert _columnar_ran(result)
-        ref = SynchronousEngine(loss_p=0.25, loss_seed=11).run(
-            scenario.trace, make_flood_all_factory(), scenario.k,
-            scenario.initial, 10
-        )
-        assert result.outputs == ref.outputs
-        assert result.metrics == ref.metrics
+        # the LinkModel seam masks CSR edges inside the vectorised loop,
+        # bit-identical to the reference
+        assert_columnar_equivalent(_flat(3), make_flood_all_factory(), 10,
+                                   loss_p=0.25, loss_seed=11)
 
-    def test_latency_falls_back(self):
+    def test_latency_runs_scatter_delivery(self):
+        col = assert_columnar_equivalent(
+            _hinet(3), make_algorithm1_factory(T=12, M=5), 60,
+            latency=2, loss_p=0.2, loss_seed=4,
+        )
+        assert col.metrics.lost_deliveries > 0
+
+    def test_obs_trace_runs_scatter_delivery(self):
         scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="profile",
-                                   latency=2).run(
+        col = assert_columnar_equivalent(
+            scenario, make_flood_all_factory(), 10, obs="trace"
+        )
+        ref = SynchronousEngine(obs="trace").run(
             scenario.trace, make_flood_all_factory(), scenario.k,
             scenario.initial, 10
         )
-        assert not _columnar_ran(result)
+        assert col.causal_trace is not None
+        assert col.causal_trace == ref.causal_trace
 
-    def test_obs_trace_falls_back(self):
+    def test_monitors_run_csr_delivery(self):
         scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="trace").run(
-            scenario.trace, make_flood_all_factory(), scenario.k,
-            scenario.initial, 10
-        )
-        assert result.causal_trace is not None
-
-    def test_monitors_fall_back(self):
-        scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="profile").run(
-            scenario.trace, make_flood_all_factory(), scenario.k,
-            scenario.initial, 10, monitors=default_monitors(),
-        )
-        assert not _columnar_ran(result)
+        results = {}
+        for engine in ("reference", "columnar"):
+            results[engine] = SynchronousEngine(engine=engine).run(
+                scenario.trace, make_flood_all_factory(), scenario.k,
+                scenario.initial, 10, monitors=default_monitors(),
+            )
+        assert results["columnar"].algorithms is None
+        assert results["columnar"].violations is not None
+        assert results["columnar"].violations == results["reference"].violations
+        assert results["columnar"].metrics == results["reference"].metrics
 
     def test_invalid_engine_mode_rejected(self):
         with pytest.raises(ValueError, match="engine"):
