@@ -155,8 +155,10 @@ class ResultCache:
     def get(self, key: str):
         """The cached :class:`RunRecord` for ``key``, or ``None`` on a miss.
 
-        Unreadable entries (e.g. a file truncated by a crashed writer
-        that predates the atomic-write path) count as misses.
+        A corrupt entry is a miss, which the caller's recompute then
+        overwrites: text that is not JSON (e.g. a file truncated by a
+        crashed writer that predates the atomic-write path), JSON of the
+        wrong shape, or an entry without a decodable ``record``.
         """
         path = self._path(key)
         try:
@@ -165,7 +167,7 @@ class ResultCache:
             return None
         try:
             return run_record_from_dict(data["record"])
-        except (KeyError, TypeError, ValueError):
+        except (AttributeError, KeyError, TypeError, ValueError):
             return None
 
     def put(self, key: str, record) -> Path:

@@ -19,14 +19,27 @@ interpretations are supported:
   used in KLO's original T-interval connectivity definition.
 
 Sliding implies blocks for the same ``T``; the property tests assert this.
+
+The window kernel
+-----------------
+Definitions 5–7 and blocks T-interval connectivity are checked for every
+window of a trace at once (:class:`_WindowGraphs`): the windows'
+intersection graphs become one block-diagonal CSR, and reachability
+grows one hop per step on the engine's own segment-OR
+(:func:`repro.sim.columnar.segment_or`).  By the bottleneck-spanning-tree
+property, a head set's Definition 6 bound is at most ``ℓ`` exactly when
+its ℓ-threshold head graph (heads joined when within ``ℓ`` hops) is
+connected, so ``ℓ`` steps decide Definition 7 with hop bound ``ℓ``.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
+import numpy as np
 
 from ..sim.topology import Snapshot
 from .trace import GraphTrace
@@ -88,22 +101,6 @@ def _hierarchy_key(snap: Snapshot) -> Tuple:
 #: running window).  The tests use it to assert that the sliding checkers
 #: do O(horizon) round operations instead of the naive O(horizon · T).
 _intersection_round_ops = 0
-
-
-def _intersection_graph(trace: GraphTrace, start: int, stop: int) -> nx.Graph:
-    """Edges present in every round of ``[start, stop)`` (the Υ universe)."""
-    global _intersection_round_ops
-    common: Optional[FrozenSet[Tuple[int, int]]] = None
-    for r in range(start, stop):
-        _intersection_round_ops += 1
-        edges = trace.snapshot(r).edge_set()
-        common = edges if common is None else common & edges
-        if not common:
-            break
-    g = nx.Graph()
-    g.add_nodes_from(range(trace.n))
-    g.add_edges_from(common or ())
-    return g
 
 
 class _SlidingIntersection:
@@ -181,6 +178,192 @@ def _sliding_all_connected(trace: GraphTrace, T: int) -> bool:
         if not window.spans_connected():
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the window kernel: every window of a trace in one batch
+# ---------------------------------------------------------------------------
+
+#: Elements one kernel batch may hold: windows are taken in consecutive
+#: runs whose (window, edge) keys and node rows stay under it, and head
+#: graphs are closed in slices of at most this many head pairs, so long
+#: sliding traces are certified in bounded memory.
+_BATCH_BUDGET = 1 << 22
+
+
+def _edge_keys(snap: Snapshot) -> np.ndarray:
+    """``u * n + v`` for every edge ``u < v`` of ``snap``, ascending."""
+    arrs = snap.arrays()
+    rows = np.repeat(np.arange(snap.n, dtype=np.int64), arrs.degrees)
+    upper = rows < arrs.indices
+    return rows[upper] * snap.n + arrs.indices[upper]
+
+
+class _WindowGraphs:
+    """Graphs of a run of windows as one block-diagonal CSR over ``W * n`` rows.
+
+    ``keys`` holds ``w * n² + u * n + v`` for each edge ``u < v`` of
+    window ``w``'s graph; window ``w``'s node ``v`` is row ``w * n + v``.
+    :meth:`step` grows packed per-row reach sets by one hop in every
+    window at once.
+    """
+
+    def __init__(self, n: int, windows: int, keys: np.ndarray) -> None:
+        self.n = n
+        self.windows = windows
+        self.keys = keys
+        w, rest = np.divmod(keys, n * n)
+        u, v = np.divmod(rest, n)
+        src = np.concatenate([w * n + u, w * n + v])
+        dst = np.concatenate([w * n + v, w * n + u])
+        self.indices = dst[np.argsort(src, kind="stable")]
+        self.degrees = np.bincount(src, minlength=windows * n)
+        self.starts = np.cumsum(self.degrees) - self.degrees
+
+    @classmethod
+    def intersect(
+        cls, n: int, spans: Sequence[Tuple[int, int]], round_keys: Dict[int, np.ndarray]
+    ) -> "_WindowGraphs":
+        """The Υ universes of ``spans``: an edge of window ``w`` is kept
+        where its key occurs once per round of the window."""
+        nn = n * n
+        parts = [
+            round_keys[r] + w * nn
+            for w, (start, stop) in enumerate(spans)
+            for r in range(start, stop)
+        ]
+        keys, counts = np.unique(
+            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64),
+            return_counts=True,
+        )
+        width = np.array([stop - start for start, stop in spans], dtype=np.int64)
+        return cls(n, len(spans), keys[counts == width[keys // nn]])
+
+    def step(self, state: np.ndarray) -> np.ndarray:
+        """``state`` with every row's reach extended by one hop."""
+        from ..sim.columnar import segment_or
+
+        return state | segment_or(self.starts, self.indices, self.degrees, state)
+
+    def spanning(self) -> np.ndarray:
+        """Per window: whether its graph connects all ``n`` nodes (a flood
+        from node 0 reaches every row)."""
+        n = self.n
+        state = np.zeros((self.windows * n, 1), dtype=np.uint64)
+        state[::n] = 1
+        while not state.all():
+            grown = self.step(state)
+            if np.array_equal(grown, state):
+                break
+            state = grown
+        return state.reshape(self.windows, n).all(axis=1)
+
+    def hop_bounds(
+        self, heads: Sequence[Iterable[int]], limit: Optional[int] = None
+    ) -> np.ndarray:
+        """Per window: the Definition 6 bound of ``heads[w]`` in its graph.
+
+        Step ``ℓ`` leaves each head's row holding the heads within ``ℓ``
+        hops; a window's bound is the first ``ℓ`` at which that
+        ℓ-threshold head graph is connected.  Entries are the bound;
+        ``-1`` where the heads lie in different components (reach stopped
+        growing first); ``limit + 1`` where ``limit`` steps settled
+        neither.  Zero or one head is bound 0.
+        """
+        from ..sim.columnar import words_for
+
+        n, windows = self.n, self.windows
+        ranked = [sorted(h) for h in heads]
+        sizes = np.array([len(h) for h in ranked], dtype=np.int64)
+        bounds = np.zeros(windows, dtype=np.int64)
+        pending = np.flatnonzero(sizes > 1)
+        if pending.size == 0:
+            return bounds
+        # head of rank i in window w is seeded as bit i of row w * n + head
+        width = int(sizes.max())
+        win = np.repeat(np.arange(windows), sizes)
+        rank = np.arange(win.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        rows = win * n + np.fromiter(chain.from_iterable(ranked), np.int64, win.size)
+        state = np.zeros((windows * n, words_for(width)), dtype=np.uint64)
+        state[rows, rank >> 6] = np.left_shift(np.uint64(1), (rank & 63).astype(np.uint64))
+        head_rows = np.zeros((windows, width), dtype=np.int64)
+        head_rows[win, rank] = rows
+        valid = np.arange(width) < sizes[:, None]
+        step = 0
+        while pending.size and (limit is None or step < limit):
+            grown = self.step(state)
+            if np.array_equal(grown, state):
+                bounds[pending] = -1
+                return bounds
+            state, step = grown, step + 1
+            done = _heads_linked(state, head_rows[pending], valid[pending])
+            bounds[pending[done]] = step
+            pending = pending[~done]
+        bounds[pending] = -1 if limit is None else limit + 1
+        return bounds
+
+
+def _heads_linked(
+    state: np.ndarray, head_rows: np.ndarray, valid: np.ndarray
+) -> np.ndarray:
+    """Per window: whether its head graph is connected, head ``i`` joined to
+    head ``j`` when bit ``j`` is set in ``state[head_rows[w, i]]``.
+
+    A batched closure from head 0 over ``(windows, h, h)`` adjacency,
+    taken in slices of at most :data:`_BATCH_BUDGET` head pairs.
+    """
+    windows, width = head_rows.shape
+    out = np.empty(windows, dtype=bool)
+    chunk = max(1, _BATCH_BUDGET // (width * width))
+    for lo in range(0, windows, chunk):
+        rows, ok = head_rows[lo:lo + chunk], valid[lo:lo + chunk]
+        packed = np.ascontiguousarray(state[rows], dtype="<u8").view(np.uint8)
+        bits = np.unpackbits(packed, axis=-1, bitorder="little")[..., :width]
+        adj = (bits.astype(bool) & ok[:, :, None]).astype(np.float32)
+        reach = adj[:, 0, :] > 0
+        while True:
+            grown = reach | (np.matmul(reach[:, None, :], adj)[:, 0, :] > 0)
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        out[lo:lo + chunk] = (reach | ~ok).all(axis=1)
+    return out
+
+
+def _window_graphs(
+    trace: GraphTrace, spans: Sequence[Tuple[int, int]]
+) -> Iterator[Tuple[Sequence[Tuple[int, int]], _WindowGraphs]]:
+    """Intersection graphs of ``spans`` in consecutive batches under
+    :data:`_BATCH_BUDGET`, yielded with the spans each batch covers."""
+    n = trace.n
+    round_keys: Dict[int, np.ndarray] = {}
+    batch: List[Tuple[int, int]] = []
+    cost = 0
+    for start, stop in spans:
+        size = n
+        for r in range(start, stop):
+            keys = round_keys.get(r)
+            if keys is None:
+                keys = round_keys[r] = _edge_keys(trace.snapshot(r))
+            size += keys.size
+        if batch and cost + size > _BATCH_BUDGET:
+            yield batch, _WindowGraphs.intersect(n, batch, round_keys)
+            batch, cost = [], 0
+        batch.append((start, stop))
+        cost += size
+    if batch:
+        yield batch, _WindowGraphs.intersect(n, batch, round_keys)
+
+
+def _hop_bounds(
+    trace: GraphTrace, T: int, windows: str, limit: Optional[int] = None
+) -> Iterator[np.ndarray]:
+    """:meth:`_WindowGraphs.hop_bounds` of every T-interval, batch by batch,
+    for the heads of each window's first round."""
+    spans = list(windows_of(trace.horizon, T, windows))
+    for batch, graphs in _window_graphs(trace, spans):
+        heads = [trace.snapshot(start).heads() for start, _ in batch]
+        yield graphs.hop_bounds(heads, limit)
 
 
 def _change_prefix(trace: GraphTrace, key) -> List[int]:
@@ -281,7 +464,11 @@ def head_connectivity_witness(
     exists.  An empty or singleton head set is trivially connected.
     """
     heads = trace.snapshot(start).heads()
-    inter = _intersection_graph(trace, start, stop)
+    _, graphs = next(_window_graphs(trace, [(start, stop)]))
+    u, v = np.divmod(graphs.keys, trace.n)
+    inter = nx.Graph()
+    inter.add_nodes_from(range(trace.n))
+    inter.add_edges_from(zip(u.tolist(), v.tolist()))
     if len(heads) <= 1:
         return inter.subgraph(heads).copy()
     it = iter(heads)
@@ -294,10 +481,7 @@ def head_connectivity_witness(
 def head_connected(trace: GraphTrace, T: int, windows: str = "blocks") -> bool:
     """Definition 5 (:math:`T_d`): every T-interval admits a stable connected
     subgraph spanning that interval's head set."""
-    for start, stop in windows_of(trace.horizon, T, windows):
-        if head_connectivity_witness(trace, start, stop) is None:
-            return False
-    return True
+    return realized_hop_bound(trace, T, windows) is not None
 
 
 def head_hop_distance(graph: nx.Graph, heads: FrozenSet[int]) -> Optional[int]:
@@ -306,56 +490,58 @@ def head_hop_distance(graph: nx.Graph, heads: FrozenSet[int]) -> Optional[int]:
     The smallest ``L`` such that, for every bipartition of the head set,
     some cross pair is within distance ``L`` — equivalently, the largest
     edge weight on a minimum spanning tree of the head-to-head shortest-path
-    metric (a bottleneck value).  Returns ``None`` if some pair of heads is
+    metric (a bottleneck value), and the smallest ``L`` whose ``L``-threshold
+    head graph is connected (the window kernel's rule, run on ``graph`` as
+    a single window).  Returns ``None`` if some pair of heads is
     disconnected in ``graph``; ``0`` for zero or one head.
     """
     heads = frozenset(heads)
     if len(heads) <= 1:
         return 0
-    # BFS from each head over `graph`; collect pairwise distances.
-    dist: Dict[int, Dict[int, int]] = {}
-    for h in heads:
-        if h not in graph:
-            return None
-        lengths = nx.single_source_shortest_path_length(graph, h)
-        dist[h] = {g: d for g, d in lengths.items() if g in heads}
-    aux = nx.Graph()
-    aux.add_nodes_from(heads)
-    for h in heads:
-        for g, d in dist[h].items():
-            if g != h:
-                aux.add_edge(h, g, weight=d)
-    if not nx.is_connected(aux):
+    if not all(h in graph for h in heads):
         return None
-    mst = nx.minimum_spanning_tree(aux, weight="weight")
-    return max(d for _, _, d in mst.edges(data="weight"))
+    index = {v: i for i, v in enumerate(graph)}
+    n = len(index)
+    pairs = np.array(
+        [(index[a], index[b]) for a, b in graph.edges() if a != b], dtype=np.int64
+    ).reshape(-1, 2)
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    bound = int(_WindowGraphs(n, 1, keys).hop_bounds([[index[h] for h in heads]])[0])
+    return None if bound < 0 else bound
 
 
 def realized_hop_bound(trace: GraphTrace, T: int, windows: str = "blocks") -> Optional[int]:
-    """The smallest ``L`` such that the trace has T-interval *L-hop* head
-    connectivity (Definition 7), measured inside each window's witness Υ.
+    """Least hop bound ``L`` of Definition 7 over every T-interval, or ``None`` without a witness.
 
-    ``None`` if some window has no witness at all (Definition 5 fails).
+    The smallest ``L`` such that the trace has T-interval *L-hop* head
+    connectivity, measured inside each window's witness Υ; ``None`` if
+    some window has no witness at all (Definition 5 fails).  The window
+    kernel steps every window at once until its ℓ-threshold head graph
+    connects — the step count ``ℓ`` is that window's bound — or until
+    reach stops growing with its heads still split (no witness).
     """
     worst = 0
-    for start, stop in windows_of(trace.horizon, T, windows):
-        witness = head_connectivity_witness(trace, start, stop)
-        if witness is None:
+    for bounds in _hop_bounds(trace, T, windows):
+        if (bounds < 0).any():
             return None
-        heads = trace.snapshot(start).heads()
-        hop = head_hop_distance(witness, heads)
-        if hop is None:  # cannot happen if witness spans heads, kept defensive
-            return None
-        worst = max(worst, hop)
+        worst = max(worst, int(bounds.max()))
     return worst
 
 
 def is_T_L_head_connected(
     trace: GraphTrace, T: int, L: int, windows: str = "blocks"
 ) -> bool:
-    """Definition 7: T-interval head connectivity with hop bound ``L`` in Υ."""
-    bound = realized_hop_bound(trace, T, windows)
-    return bound is not None and bound <= L
+    """Definition 7: T-interval head connectivity with hop bound ``L`` in Υ, in at most ``L`` kernel steps.
+
+    Equivalent to ``realized_hop_bound(trace, T, windows) <= L``, but the
+    window kernel stops after ``L`` steps: a window whose ℓ-threshold head
+    graph is still split at ``ℓ = L`` fails, whether its bound exceeds
+    ``L`` or it has no witness.
+    """
+    return all(
+        ((bounds >= 0) & (bounds <= L)).all()
+        for bounds in _hop_bounds(trace, T, windows, limit=L)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,20 +562,19 @@ def is_T_interval_connected(trace: GraphTrace, T: int, windows: str = "sliding")
     connected spanning subgraph (the intersection graph spans all nodes).
 
     Defaults to sliding windows, KLO's original quantification.  Sliding
-    windows overlap in all but one round, so they are checked with a
-    running intersection updated by one round per step (O(horizon) round
-    operations); aligned blocks are disjoint and checked directly.
+    windows of two or more rounds overlap in all but one round, so they are
+    checked with a running intersection updated by one round per step
+    (O(horizon) round operations).  Aligned blocks — and sliding windows
+    that are the same windows, one round wide or one window long — are
+    checked all at once by the window kernel, as one flood per window.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if windows == "sliding":
+    if windows == "sliding" and 1 < T < trace.horizon:
         return _sliding_all_connected(trace, T)
-    n = trace.n
-    for start, stop in windows_of(trace.horizon, T, windows):
-        inter = _intersection_graph(trace, start, stop)
-        if n > 1 and not nx.is_connected(inter):
-            return False
-    return True
+    # one-round windows, or a single window: sliding and blocks coincide
+    spans = list(windows_of(trace.horizon, T, windows))
+    return all(graphs.spanning().all() for _, graphs in _window_graphs(trace, spans))
 
 
 def max_interval_connectivity(trace: GraphTrace, windows: str = "sliding") -> int:
@@ -448,8 +633,8 @@ def definition_report(
     ts = head_set_stable(trace, T, windows)
     tc = all(cluster_stable(trace, c, T, windows) for c in clusters_ever)
     th = hierarchy_stable(trace, T, windows)
-    td = head_connected(trace, T, windows)
     bound = realized_hop_bound(trace, T, windows)
+    td = bound is not None
     lhop = bound is not None and bound <= L
     tdl = td and lhop
     return {

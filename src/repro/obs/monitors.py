@@ -388,16 +388,13 @@ class StabilityMonitor(Monitor):
         first = self._window[0]
         if not first.clustered:
             return
-        from ..graphs.properties import (
-            head_connectivity_witness,
-            head_hop_distance,
-        )
+        from ..graphs.properties import realized_hop_bound
         from ..graphs.trace import GraphTrace
 
         phase = end_round // self.T
         window = GraphTrace(snapshots=list(self._window))
-        witness = head_connectivity_witness(window, 0, len(self._window))
-        if witness is None:
+        hop = realized_hop_bound(window, len(self._window))
+        if hop is None:
             self.emit(
                 end_round,
                 f"no stable connected head backbone in phase {phase} "
@@ -405,8 +402,7 @@ class StabilityMonitor(Monitor):
                 phase=phase, T=self.T,
             )
             return
-        hop = head_hop_distance(witness, first.heads())
-        if hop is None or hop > self.L:
+        if hop > self.L:
             self.emit(
                 end_round,
                 f"head backbone hop bound {hop} exceeds L={self.L} "

@@ -348,13 +348,29 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     understands.  Files written before versioning carry no
     ``schema_version`` and are read as version 1 (the layout is
     unchanged); an unknown version raises a clear :class:`ValueError`
-    instead of silently misparsing.
+    instead of silently misparsing.  A line that is not JSON — a file cut
+    mid-line by an interrupted writer — raises a :class:`ValueError`
+    naming the file and the line.
     """
     text = Path(path).read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [
+        (number, line)
+        for number, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
     if not lines:
         raise ValueError(f"events file {path} is empty")
-    header = json.loads(lines[0])
+
+    def parse(number: int, line: str) -> Any:
+        try:
+            return json.loads(line)
+        except ValueError as exc:
+            raise ValueError(
+                f"events file {path}, line {number}: not a JSON event "
+                f"({exc}); was the file cut mid-line?"
+            ) from None
+
+    header = parse(*lines[0])
     if not isinstance(header, dict) or header.get("type") != "run":
         raise ValueError(
             f"events file {path} does not start with a 'run' header line"
@@ -366,4 +382,4 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
             f"reader understands version {EVENTS_SCHEMA_VERSION} — "
             "re-export the run or upgrade repro"
         )
-    return [json.loads(line) for line in lines]
+    return [header] + [parse(*entry) for entry in lines[1:]]

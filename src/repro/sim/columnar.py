@@ -83,6 +83,7 @@ __all__ = [
     "pack_rows",
     "pack_single_tokens",
     "run_columnar",
+    "segment_or",
     "select_delivery",
     "unpack_rows",
 ]
@@ -172,7 +173,7 @@ def select_delivery(latency: int, obs: str) -> str:
 # CSR segment-OR delivery
 # ---------------------------------------------------------------------------
 
-def _segment_or(
+def segment_or(
     starts: np.ndarray,
     indices: np.ndarray,
     degrees: np.ndarray,
@@ -219,7 +220,7 @@ def _shard_deliver(item: Tuple[int, int, Tuple]) -> np.ndarray:
 
     r, shard_idx, (local_starts, seg_indices, degrees, payload_sub, edge_keep) = item
     t0 = time.perf_counter()
-    out = _segment_or(local_starts, seg_indices, degrees, payload_sub, edge_keep)
+    out = segment_or(local_starts, seg_indices, degrees, payload_sub, edge_keep)
     emit_worker_event({
         "type": "shard",
         "round": r,
@@ -311,7 +312,7 @@ class _ShardedReduce:
             for i, (ls, seg, deg, needed, elo, ehi) in enumerate(hit[1])
         ]
         if self.pool is None:
-            outs = [_segment_or(*shard) for _, _, shard in items]
+            outs = [segment_or(*shard) for _, _, shard in items]
         else:
             outs = self.pool.map(_shard_deliver, items)
             if self.telemetry is not None:
@@ -690,7 +691,7 @@ def run_columnar(
                 if sharded is not None:
                     heard = sharded(r, arrs, bc_full, edge_keep)
                 else:
-                    heard = _segment_or(
+                    heard = segment_or(
                         arrs.indptr[:-1], arrs.indices, arrs.degrees, bc_full,
                         edge_keep,
                     )

@@ -533,6 +533,18 @@ class TestEventsSchemaVersion:
         with pytest.raises(ValueError, match="schema_version 99"):
             read_events(path)
 
+    def test_read_events_names_file_and_line_of_a_torn_event(self, tmp_path):
+        path = self._events_path(tmp_path)
+        text = path.read_text()
+        lines = text.splitlines()
+        # cut inside the last event, as an interrupted writer leaves it
+        path.write_text(text[: len(text) - len(lines[-1]) // 2 - 1])
+        with pytest.raises(ValueError) as err:
+            read_events(path)
+        assert str(path) in str(err.value)
+        assert f"line {len(lines)}" in str(err.value)
+        assert not isinstance(err.value, json.JSONDecodeError)
+
     def test_read_events_accepts_versionless_header(self, tmp_path):
         path = self._events_path(tmp_path)
         lines = path.read_text().splitlines()

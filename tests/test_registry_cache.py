@@ -32,6 +32,22 @@ SINGLE_HOP = [
 MULTIHOP = ["dhop-dissemination", "dhop-algorithm1"]
 
 
+class _CountingCache(ResultCache):
+    """Counts :meth:`get` hits and misses, as the benchmark's tracer does."""
+
+    def __init__(self, root) -> None:
+        super().__init__(root)
+        self.hits = self.misses = 0
+
+    def get(self, key):
+        record = super().get(key)
+        if record is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return record
+
+
 @pytest.fixture(scope="module")
 def interval_scenario():
     return hinet_interval_scenario(n0=24, theta=7, k=3, alpha=3, L=2, seed=5)
@@ -206,14 +222,24 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, interval_scenario):
-        cache = ResultCache(tmp_path)
+        """Truncated text, valid JSON of the wrong shape and an entry with
+        no record each count as one miss; the recompute rewrites the entry,
+        which parses again, and the next call is a hit."""
+        cache = _CountingCache(tmp_path)
         execute("algorithm1", interval_scenario, cache=cache)
-        for path in cache.root.glob("*/*.json"):
-            path.write_text("{ truncated")
-        record = execute("algorithm1", interval_scenario, cache=cache)
-        assert record.complete  # recomputed and re-stored
-        replay = execute("algorithm1", interval_scenario, cache=cache)
-        assert _canonical(replay) == _canonical(record)
+        (path,) = cache.root.glob("*/*.json")
+        stored = json.loads(path.read_text())
+        no_record = json.dumps({k: v for k, v in stored.items() if k != "record"})
+        for corrupt in ("{ truncated", '{"record": 3}', no_record):
+            path.write_text(corrupt)
+            hits, misses = cache.hits, cache.misses
+            record = execute("algorithm1", interval_scenario, cache=cache)
+            assert (cache.hits, cache.misses) == (hits, misses + 1)
+            assert record.complete  # recomputed and re-stored
+            assert json.loads(path.read_text()) == stored
+            replay = execute("algorithm1", interval_scenario, cache=cache)
+            assert (cache.hits, cache.misses) == (hits + 1, misses + 1)
+            assert _canonical(replay) == _canonical(record)
 
     def test_resolve_cache_env_var(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
