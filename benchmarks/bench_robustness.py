@@ -15,6 +15,7 @@ from repro.core.algorithm2 import make_algorithm2_factory
 from repro.experiments.report import format_records
 from repro.experiments.scenarios import hinet_one_scenario
 from repro.sim.engine import SynchronousEngine
+from repro.sim.linkmodel import IidLoss
 
 
 def _robustness(loss_levels=(0.0, 0.1, 0.3), n0=40, k=4, seed=61):
@@ -30,7 +31,9 @@ def _robustness(loss_levels=(0.0, 0.1, 0.3), n0=40, k=4, seed=61):
     rows = []
     for loss in loss_levels:
         for name, factory in algos.items():
-            engine = SynchronousEngine(loss_p=loss, loss_seed=seed)
+            engine = SynchronousEngine(
+                link=IidLoss(loss, seed=seed) if loss else None
+            )
             res = engine.run(
                 scenario.trace, factory, k=k, initial=scenario.initial,
                 max_rounds=M, stop_when_complete=True,

@@ -102,14 +102,16 @@ def _bench_instance():
 def check_algorithm1_full_run(baseline: Dict[str, object], args) -> CheckResult:
     """Re-run the full-run engine case behind ``BENCH_engine.json``."""
     from repro.sim.engine import run
+    from repro.sim.linkmodel import link_from_spec
 
     threshold = args.threshold
     scenario, factory, max_rounds = _bench_instance()
+    link = None if scenario.link is None else link_from_spec(scenario.link)
 
     def go(engine: str):
         return run(
             scenario.trace, factory, k=scenario.k, initial=scenario.initial,
-            max_rounds=max_rounds, engine=engine,
+            max_rounds=max_rounds, engine=engine, link=link,
         )
 
     failures: List[str] = []

@@ -68,7 +68,7 @@ def run_with_budget(
 ) -> LifetimeReport:
     """Execute a budgeted run and compute the lifetime report.
 
-    Extra keyword arguments (``stop_when_complete``, ``loss_p``, …) are
+    Extra keyword arguments (``stop_when_complete``, ``link``, …) are
     forwarded to :func:`repro.sim.engine.run`.
     """
     factory = make_energy_factory(base_factory, budget=budget, budgets=budgets)

@@ -45,10 +45,9 @@ obs level      cacheable  rationale
 =============  =========  ====================================================
 
 Orthogonally, :func:`repro.experiments.runner.execute` bypasses the cache
-for ``record_trace`` / ``record_knowledge`` runs (``SimTrace`` holds
-arbitrary Python state and is not serialized), for ``monitor=True`` runs
-(violations are live diagnostics, not archived artifacts), and for
-unseeded runs of seeded algorithms (not reproducible).
+for ``monitor=True`` runs (violations are live diagnostics, not archived
+artifacts) and for unseeded runs of seeded algorithms (not
+reproducible).
 """
 
 from __future__ import annotations

@@ -126,8 +126,7 @@ def fig3_walkthrough(seed: int = 3) -> str:
     member = min(
         v for v in range(snap0.n) if snap0.role(v) is Role.MEMBER
     )
-    engine = SynchronousEngine(record_trace=True, record_knowledge=True)
-    result = engine.run(
+    result = SynchronousEngine(obs="record").run(
         scen.trace,
         make_algorithm1_factory(T=T, M=4),
         k=k,
@@ -135,7 +134,7 @@ def fig3_walkthrough(seed: int = 3) -> str:
         max_rounds=4 * T,
         stop_when_complete=True,
     )
-    assert result.trace is not None
+    assert result.recording is not None
 
     lines = [
         "Figure 3 — Algorithm 1 walkthrough (k=1 token, 3 clusters, "
@@ -143,16 +142,28 @@ def fig3_walkthrough(seed: int = 3) -> str:
         f"  token 0 starts at member node {member}",
         "",
     ]
+    # the token's first hop to each node, rebuilt from the message log:
+    # exact here because the run is loss-free with latency 1, so a
+    # broadcast reaches every neighbour and a unicast its adjacent dest
     seen = set()
-    for r, sender, receiver in result.trace.token_path(0):
-        if receiver in seen:
-            continue
-        seen.add(receiver)
-        srole = scen.trace.snapshot(r).role(sender)
-        rrole = scen.trace.snapshot(r).role(receiver)
-        lines.append(
-            f"  round {r:2d}: node {sender} ({srole}) -> node {receiver} ({rrole})"
-        )
+    for r, delta in enumerate(result.recording.rounds):
+        snap = scen.trace.snapshot(r)
+        for msg in delta.messages:
+            if 0 not in msg.tokens:
+                continue
+            nbrs = snap.adj[msg.sender]
+            if msg.kind == "b":
+                audience = nbrs
+            else:
+                audience = (msg.dest,) if msg.dest in nbrs else ()
+            for receiver in audience:
+                if receiver in seen:
+                    continue
+                seen.add(receiver)
+                lines.append(
+                    f"  round {r:2d}: node {msg.sender} ({snap.role(msg.sender)})"
+                    f" -> node {receiver} ({snap.role(receiver)})"
+                )
     status = "complete" if result.complete else "INCOMPLETE"
     lines.append("")
     lines.append(

@@ -84,8 +84,6 @@ def execute(
     engine: str = "fast",
     cache: CacheLike = None,
     stop_when_complete: Optional[bool] = None,
-    record_trace: bool = False,
-    record_knowledge: bool = False,
     obs: str = "timeline",
     monitor: bool = False,
     stream=None,
@@ -111,13 +109,10 @@ def execute(
         variable), a directory path, or a
         :class:`~repro.experiments.cache.ResultCache`.  On a hit the
         cached record is returned without executing; on a miss the fresh
-        record is stored.  ``SimTrace``-recording and monitored runs
-        bypass the cache (see the per-obs-level policy table in
-        :mod:`repro.experiments.cache`).
+        record is stored.  Monitored runs bypass the cache (see the
+        per-obs-level policy table in :mod:`repro.experiments.cache`).
     stop_when_complete:
         Override the spec's default omniscient-stop behaviour.
-    record_trace / record_knowledge:
-        Forwarded to the engine (forces the reference path).
     obs:
         Telemetry level (:mod:`repro.obs`): ``"timeline"`` (default)
         attaches a :class:`~repro.obs.RunTimeline` to the result and it
@@ -166,7 +161,6 @@ def execute(
     reproducible = not (spec.seeded and plan.key_params.get("seed") is None)
     cacheable = (
         reproducible
-        and not (record_trace or record_knowledge)
         and obs != "profile"  # wall-clock sections are never deterministic
         and not monitor  # violations are live diagnostics, never archived
     )
@@ -200,8 +194,6 @@ def execute(
         plan.factory,
         plan.max_rounds,
         stop_when_complete=stop,
-        record_trace=record_trace,
-        record_knowledge=record_knowledge,
         engine=engine,
         obs=obs,
         monitors=monitors,
@@ -236,8 +228,6 @@ def _execute(
     factory,
     max_rounds: int,
     stop_when_complete: bool = False,
-    record_trace: bool = False,
-    record_knowledge: bool = False,
     engine: str = "fast",
     obs: str = "timeline",
     monitors=None,
@@ -250,8 +240,6 @@ def _execute(
 
         link = link_from_spec(link_spec)
     sync = SynchronousEngine(
-        record_trace=record_trace,
-        record_knowledge=record_knowledge,
         engine=engine,
         obs=obs,
         link=link,

@@ -17,7 +17,7 @@ proofs are informal in places, the implementation against the theory):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import List
 
 from ..core.algorithm1 import make_algorithm1_factory
 from ..core.bounds import algorithm1_phases, algorithm2_rounds_1interval
@@ -63,34 +63,31 @@ def check_lemma2(scenario: Scenario, strict: bool = False) -> List[Lemma2Record]
     k = scenario.k
     M = algorithm1_phases(theta, alpha)
 
-    engine = SynchronousEngine(record_knowledge=True)
-    result = engine.run(
+    result = SynchronousEngine(obs="record").run(
         scenario.trace,
         make_algorithm1_factory(T=T, M=M, strict=strict),
         k=k,
         initial=scenario.initial,
         max_rounds=M * T,
     )
-    trace = result.trace
-    assert trace is not None
+    recording = result.recording
+    assert recording is not None
 
     guaranteed = max((T - k) // L, 0)
-
-    def knowledge_at(round_end: int) -> Dict[int, FrozenSet[int]]:
-        if round_end < 0:
-            return {v: frozenset(scenario.initial.get(v, frozenset()))
-                    for v in range(scenario.n)}
-        return trace.rounds[round_end].knowledge
+    total_rounds = recording.rounds_recorded
+    phases = [
+        (phase, phase * T, min((phase + 1) * T - 1, total_rounds - 1))
+        for phase in range(M)
+        if phase * T < total_rounds
+    ]
+    # end-of-round knowledge at every phase boundary, in one replay pass
+    wanted = {r for _, start, end in phases for r in (start - 1, end)}
+    knowledge = {r: state for r, state in recording.states() if r in wanted}
 
     records: List[Lemma2Record] = []
-    total_rounds = len(trace.rounds)
-    for phase in range(M):
-        start_round = phase * T
-        end_round = min((phase + 1) * T - 1, total_rounds - 1)
-        if start_round >= total_rounds:
-            break
-        before = knowledge_at(start_round - 1)
-        after = knowledge_at(end_round)
+    for phase, start_round, end_round in phases:
+        before = knowledge[start_round - 1]
+        after = knowledge[end_round]
         heads = scenario.trace.snapshot(start_round).heads()
         for t in range(k):
             known_by_someone = any(t in toks for toks in before.values())

@@ -8,9 +8,12 @@ Layered by cost, selected with the engines' ``obs`` parameter
   (:class:`RunTimeline`), wall-clock section profiling
   (:class:`Profiler`), and the JSONL structured-event export
   (:func:`write_events`);
+* :mod:`repro.obs.observer` — the one per-round feed both engines call
+  (:class:`RunObserver`), which derives every consumer below from three
+  calls per round;
 * :mod:`repro.obs.trace` — causal provenance at ``obs="trace"``: one
   first-learn event per (node, token) (:class:`CausalTrace`), recorded
-  natively and bit-identically by both engines;
+  bit-identically by both engines;
 * :mod:`repro.obs.recorder` — deterministic record/replay at
   ``obs="record"``: per-round knowledge deltas + roles + messages
   (:class:`RunRecording`), time-travel state reconstruction, and Chrome
@@ -24,7 +27,7 @@ Layered by cost, selected with the engines' ``obs`` parameter
 * :mod:`repro.obs.aggregate` — cross-run percentile progress bands
   (:func:`merge_timelines`) behind the ``repro report`` dashboard;
 * :mod:`repro.obs.stream` — live streaming: an in-process pub/sub
-  :class:`TelemetryBus` fed per round by all three engine tiers, with
+  :class:`TelemetryBus` fed per round by both engine tiers, with
   drop-counting backpressure sinks (:class:`BufferSink`,
   :class:`QueueSink`), incremental JSONL (:class:`JsonlStreamSink`),
   the ``repro watch`` terminal view (:class:`LiveDashboard`), and a
@@ -44,6 +47,7 @@ from .monitors import (
     Violation,
     default_monitors,
 )
+from .observer import RunObserver
 from .recorder import (
     SPILL_ENV_VAR,
     MessageRecord,
@@ -97,6 +101,7 @@ __all__ = [
     "QueueSink",
     "RoundDelta",
     "RoundView",
+    "RunObserver",
     "RunRecorder",
     "RunRecording",
     "RunTimeline",

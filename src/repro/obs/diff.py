@@ -241,7 +241,9 @@ def diff_engines(spec, scenario, **overrides) -> DivergenceReport:
 
     Returns the fast-vs-reference :class:`DivergenceReport` — identical
     when the bit-identity guarantee holds, a pinpointed divergence when
-    it does not (e.g. under the ``REPRO_FASTPATH_FAULT`` test hook).
+    it does not (e.g. a scenario whose link spec carries a
+    :class:`~repro.sim.linkmodel.PinpointFault` restricted to the
+    vectorised tiers).
     Runs bypass the result cache: a stale cache entry would mask a live
     divergence.
     """

@@ -13,9 +13,10 @@ time).
 
 Engine-identical by construction
 --------------------------------
-Both engines (:mod:`repro.sim.engine` and :mod:`repro.sim.fastpath`)
-record natively through the same :class:`RunRecorder`, and everything
-order-dependent is canonicalised:
+Both engines (:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`)
+record through the same :class:`RunRecorder`, fed by one
+:class:`~repro.obs.observer.RunObserver`, and everything order-dependent
+is canonicalised:
 
 * token sets are stored as **sorted** tuples;
 * per-round messages are sorted by ``(sender, kind, dest, tokens,
@@ -371,13 +372,12 @@ class RunRecording:
 class RunRecorder:
     """Incremental builder both engines feed at ``obs="record"``.
 
-    The engine calls :meth:`begin_round` with the round's snapshot (or
-    :meth:`begin_round_packed` with pre-packed hierarchy arrays — the
-    vectorised engine's entry), :meth:`record_send` for every non-empty
-    transmission, and :meth:`end_round` with the round's knowledge deltas;
-    :meth:`finish` packages the :class:`RunRecording`.  All
-    canonicalisation (sorting, tuple packing) happens here so the engines
-    stay order-free.
+    :class:`~repro.obs.observer.RunObserver` calls
+    :meth:`begin_round_packed` with the round's packed hierarchy,
+    :meth:`record_send` for every non-empty transmission, and
+    :meth:`end_round` with the round's knowledge deltas; :meth:`finish`
+    packages the :class:`RunRecording`.  All canonicalisation (sorting,
+    tuple packing) happens here so the engines stay order-free.
 
     ``spill_dir`` (or the :data:`SPILL_ENV_VAR` environment variable)
     streams round deltas to a JSONL file in that directory instead of
@@ -413,47 +413,17 @@ class RunRecorder:
         self._messages: List[MessageRecord] = []
         self._roles: Optional[str] = None
         self._head_of: Optional[Tuple[int, ...]] = None
-        # packed-form memo: hierarchies hold still for whole T-blocks, so
-        # most rounds reuse the previous round's packed roles/head_of
-        # (enum members are singletons — the tuple compare is identity-fast)
-        self._roles_memo: Optional[Tuple[Any, str]] = None
-        self._head_of_memo: Optional[Tuple[Any, Tuple[int, ...]]] = None
-
-    def begin_round(self, snap) -> None:
-        """Open a round, capturing the snapshot's hierarchy assignment."""
-        self._messages = []
-        roles = snap.roles
-        if roles is None:
-            self._roles = None
-        else:
-            memo = self._roles_memo
-            if memo is None or memo[0] != roles:
-                memo = (tuple(roles),
-                        "".join(role.value for role in roles))
-                self._roles_memo = memo
-            self._roles = memo[1]
-        head_of = snap.head_of
-        if head_of is None:
-            self._head_of = None
-        else:
-            memo = self._head_of_memo
-            if memo is None or memo[0] != head_of:
-                memo = (tuple(head_of),
-                        tuple(-1 if h is None else int(h) for h in head_of))
-                self._head_of_memo = memo
-            self._head_of = memo[1]
 
     def begin_round_packed(
         self,
         roles: Optional[str],
         head_of: Optional[Tuple[int, ...]],
     ) -> None:
-        """Open a round with hierarchy already in the recording encoding.
+        """Open a round with its hierarchy in the recording encoding.
 
         ``roles`` is the ``h``/``g``/``m`` letter string (``None`` flat)
         and ``head_of`` the per-node head-id tuple with ``-1`` for
-        unaffiliated — the array-native entry the vectorised engine uses so
-        no :class:`~repro.sim.topology.Snapshot` is ever materialised.
+        unaffiliated (``None`` flat).
         """
         self._messages = []
         self._roles = roles

@@ -3,11 +3,10 @@
 The paper's headline claims are *trajectories* — Algorithm 1 completes in
 ``⌈θ/α⌉ + 1`` phases of ``T = k + α·L`` rounds while KLO needs ``O(n·k)``
 rounds — but :class:`~repro.sim.metrics.Metrics` mostly records end-of-run
-totals, and the only per-round view used to be the O(n·k)
-:class:`~repro.sim.trace.SimTrace`.  This module is the always-on middle
-layer: a :class:`RunTimeline` of O(1)-per-round counters that both engines
-(:mod:`repro.sim.engine` and :mod:`repro.sim.fastpath`) feed identically,
-so dissemination-progress curves, per-role message breakdowns per phase,
+totals.  This module is the always-on middle layer: a
+:class:`RunTimeline` of O(1)-per-round counters that both engines
+(:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`) feed identically
+through one :class:`~repro.obs.observer.RunObserver`, so dissemination-progress curves, per-role message breakdowns per phase,
 and hierarchy population dynamics are available on every run without
 re-execution.
 
@@ -21,10 +20,9 @@ Observability levels (the engines' ``obs`` parameter):
     round — invisible next to the round loop itself.
 ``"trace"``
     Timeline plus a :class:`~repro.obs.trace.CausalTrace`: one compact
-    first-learn event per (node, token) pair, recorded natively by *both*
-    engines (the fast path does not fall back), so provenance chains and
-    hop histograms cost O(n·k) total instead of O(n·k) *per round* like
-    the legacy ``SimTrace`` knowledge snapshots.
+    first-learn event per (node, token) pair, recorded by *both* engines
+    (the fast path does not fall back), so provenance chains and hop
+    histograms cost O(n·k) total.
 ``"record"``
     Timeline plus a :class:`~repro.obs.recorder.RunRecording`: per-round
     knowledge-set deltas, role/cluster assignments and canonically
@@ -185,8 +183,7 @@ class RunTimeline:
 
     def record_sends(self, role: str, messages: int, tokens: int) -> None:
         """Account ``messages`` transmissions totalling ``tokens`` sent by
-        ``role`` this round (the reference engine calls this per message,
-        the fast path once per role per round)."""
+        ``role`` this round (once per sending role per round)."""
         if messages == 0:
             return
         self.messages[-1] += messages

@@ -1,19 +1,18 @@
 """Causal provenance tracing: one first-learn event per (node, token).
 
-Recorded at ``obs="trace"``.  Where the legacy
-:class:`~repro.sim.trace.SimTrace` snapshots *every* node's token set
-*every* round (O(n·k) per round) and forces the reference engine, a
-:class:`CausalTrace` stores exactly one compact event per (node, token)
-pair — the round a node first learned a token, from whom, and the
-sender's role — for O(n·k) total across the whole run, recorded natively
-by **both** engines.
+Recorded at ``obs="trace"``.  A :class:`CausalTrace` stores exactly one
+compact event per (node, token) pair — the round a node first learned a
+token, from whom, and the sender's role — for O(n·k) total across the
+whole run, recorded natively by **both** engines.
 
 Engine-identical by construction
 --------------------------------
 The two engines deliver the same messages in different internal orders
-(the reference engine fills per-node inboxes, the fast path concatenates
-flat delivery arrays), so the recorded sender must not depend on
-iteration order.  The canonical rule both engines apply:
+(the reference engine fills per-node inboxes, the vectorised loop
+concatenates flat delivery arrays), so the recorded sender must not
+depend on iteration order.  The canonical rule, applied by
+:func:`first_learns` to both engines' flat deliveries (through
+:class:`~repro.obs.observer.RunObserver`):
 
 * a token held before round 0 is an **origin**: round −1, sender −1,
   role ``"origin"``;
@@ -43,12 +42,45 @@ archives and the on-disk result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["CausalTrace", "LearnEvent", "ORIGIN_ROLE"]
+import numpy as np
+
+__all__ = ["CausalTrace", "LearnEvent", "ORIGIN_ROLE", "first_learns"]
 
 #: Role string attributed to origin events (token held before round 0).
 ORIGIN_ROLE = "origin"
+
+
+def first_learns(
+    gained: Iterable[Tuple[int, Iterable[int]]],
+    deliveries: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> Iterator[Tuple[int, int, int]]:
+    """Attribute every token gained this round to its sender.
+
+    ``gained`` holds ``(node, sorted new tokens)`` pairs; ``deliveries``
+    is the round's flat ``(receiver, sender, payload)`` arrays, payload
+    as packed ``uint64`` token rows (``None`` when nothing landed).
+    Yields ``(node, token, sender)`` under the canonical rule of the
+    module docstring: the minimum sender whose delivered payload carried
+    the token, else the node's minimum deliverer, else −1.
+    """
+    if deliveries is None:
+        for node, toks in gained:
+            for t in toks:
+                yield node, t, -1
+        return
+    rec, snd, payload = deliveries
+    order = np.argsort(rec, kind="stable")
+    rec_sorted = rec[order]
+    for node, toks in gained:
+        lo, hi = np.searchsorted(rec_sorted, (node, node + 1))
+        senders, rows = snd[order[lo:hi]], payload[order[lo:hi]]
+        fallback = int(senders.min()) if senders.size else -1
+        for t in toks:
+            bit = np.uint64(1) << np.uint64(t & 63)
+            carrying = senders[(rows[:, t >> 6] & bit) != 0]
+            yield node, t, int(carrying.min()) if carrying.size else fallback
 
 
 @dataclass(frozen=True)
@@ -79,8 +111,7 @@ class CausalTrace:
     Attributes
     ----------
     n, k:
-        Instance dimensions (``None`` when built from a bare
-        :class:`~repro.sim.trace.SimTrace` that does not know them).
+        Instance dimensions (``None`` when unknown).
     events:
         ``(node, token) → (round, sender, sender_role)``; at most ``n·k``
         entries.  Append-only during a run: the first record wins, which

@@ -20,7 +20,6 @@ from .metrics import Metrics, RoleCost
 from .node import AlgorithmFactory, NodeAlgorithm, RoundContext
 from .rng import SeedLike, derive_seed, make_rng, spawn
 from .topology import Snapshot, adjacency_from_edges
-from .trace import DeliveryEvent, RoundTrace, SimTrace
 
 __all__ = [
     "ActiveRun",
@@ -28,7 +27,6 @@ __all__ = [
     "BurstyLoss",
     "CrashChurn",
     "Delivery",
-    "DeliveryEvent",
     "DynamicNetwork",
     "IidLoss",
     "LinkChain",
@@ -39,10 +37,8 @@ __all__ = [
     "PinpointFault",
     "RoleCost",
     "RoundContext",
-    "RoundTrace",
     "RunResult",
     "SeedLike",
-    "SimTrace",
     "Snapshot",
     "SynchronousEngine",
     "TokenDomain",

@@ -5,8 +5,8 @@ bit-matrix; the per-kind send and receive rules live in the kernels of
 :mod:`repro.sim.fastpath`.  :func:`run_columnar` is the one round loop
 both ``engine="fast"`` and ``engine="columnar"`` execute: topology →
 crash stage → send → link transform → deliver → absorb → bookkeeping,
-with the same accounting, recording, timeline, monitor and stop rules
-as the reference engine.
+with the same accounting and stop rules as the reference engine, and
+the same :class:`~repro.obs.RunObserver` feed into every obs consumer.
 
 **Delivery.**  How a round's broadcasts reach their neighbours is picked
 by :func:`select_delivery` from the run's inputs alone:
@@ -44,7 +44,7 @@ unsharded runs are bit-identical (OR is associative).
 Networks may be array-native: when the network object exposes
 ``snapshot_arrays(r)`` (see :class:`~repro.sim.topology.CSRNetwork`), the
 loop never materialises per-node frozensets — unless runtime monitors are
-attached, whose :class:`~repro.obs.RoundView` carries a
+attached, whose round views carry a
 :class:`~repro.sim.topology.Snapshot`.
 """
 
@@ -52,25 +52,21 @@ from __future__ import annotations
 
 import os
 import time
-from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple,
-)
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..obs import CausalTrace, Profiler, RoundView, RunRecorder, RunTimeline
+from ..obs import Profiler
+from ..obs.observer import RunObserver, pack_rows, rows_tokens, words_for
 from .engine import RunResult, SynchronousEngine
 from .fastpath import (
     _KERNELS,
     _ROLE_MEMBER,
-    _ROLE_NAMES,
     _U1,
     _account,
     _filter_batch_alive,
-    _record_batch,
-    _record_causal_round,
     _rows_to_frozensets,
-    _rows_tokens,
     _SendBatch,
 )
 from .linkmodel import LinkModel
@@ -97,9 +93,6 @@ SHARDS_ENV_VAR = "REPRO_COLUMNAR_SHARDS"
 #: results either way).
 SHARD_PROCESSES_ENV_VAR = "REPRO_COLUMNAR_SHARD_PROCESSES"
 
-#: Role code → the packed-recording role letter (codes index ``"hgm"``).
-_ROLE_CHAR_LUT = np.frombuffer(b"hgm", dtype=np.uint8)
-
 Flat = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -107,32 +100,16 @@ Flat = Tuple[np.ndarray, np.ndarray, np.ndarray]
 # packed bit-matrix helpers
 # ---------------------------------------------------------------------------
 
-def words_for(k: int) -> int:
-    """Number of uint64 words per row for a k-token instance."""
-    return max(1, (k + 63) // 64)
-
-
-def pack_rows(token_rows: Sequence[Iterable[int]], k: int) -> np.ndarray:
-    """Pack per-node token collections into an ``(n, W)`` uint64 bit-matrix.
-
-    Row ``v`` has bit ``t`` set iff token ``t`` appears in
-    ``token_rows[v]``.  Inverse of :func:`unpack_rows`.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    out = np.zeros((len(token_rows), words_for(k)), dtype=np.uint64)
-    for v, toks in enumerate(token_rows):
-        for t in toks:
-            if not 0 <= t < k:
-                raise ValueError(f"token {t} outside 0..{k - 1}")
-            out[v, t >> 6] |= _U1 << np.uint64(t & 63)
-    return out
-
+# pack_rows and words_for live with the obs feed that consumes the packed
+# state (repro.obs.observer); they stay importable from here.
 
 def unpack_rows(bits: np.ndarray) -> List[Tuple[int, ...]]:
-    """Decode an ``(n, W)`` uint64 bit-matrix to per-row sorted token tuples."""
+    """Decode an ``(n, W)`` uint64 bit-matrix to per-row sorted token tuples.
+
+    Inverse of :func:`pack_rows`.
+    """
     rows = np.ascontiguousarray(np.asarray(bits, dtype=np.uint64))
-    return [tuple(toks) for toks in _rows_tokens(rows)]
+    return [tuple(toks) for toks in rows_tokens(rows)]
 
 
 def pack_single_tokens(tokens: np.ndarray, k: int) -> np.ndarray:
@@ -314,7 +291,16 @@ class _ShardedReduce:
         if self.pool is None:
             outs = [segment_or(*shard) for _, _, shard in items]
         else:
-            outs = self.pool.map(_shard_deliver, items)
+            try:
+                outs = self.pool.map(_shard_deliver, items)
+            except BrokenProcessPool as exc:
+                raise RuntimeError(
+                    f"sharded delivery failed in round {r}: a worker of the "
+                    f"{self.pool.processes}-process shard pool died while "
+                    f"reducing {self.shards} shards (killed, or out of "
+                    "memory?); rerun with fewer shard processes or "
+                    "shard_processes=1 to reduce in-process"
+                ) from exc
             if self.telemetry is not None:
                 self._absorb_events()
         return np.concatenate(outs, axis=0)
@@ -513,28 +499,6 @@ def _topology(network, r: int, n: int, need_snapshot: bool):
     return arrs, snap
 
 
-def _packed_hierarchy(
-    arrs: SnapshotArrays, memo: Dict[int, Tuple[object, tuple]]
-) -> Tuple[Optional[str], Optional[Tuple[int, ...]]]:
-    """Pack an arrays' roles/head_of into the recording encoding.
-
-    Memoized by arrays identity (a strong reference is kept so ``id``
-    cannot be recycled) — static networks pay the O(n) packing once.
-    """
-    key = id(arrs)
-    hit = memo.get(key)
-    if hit is not None and hit[0] is arrs:
-        return hit[1]
-    roles = None
-    if arrs.roles is not None:
-        roles = _ROLE_CHAR_LUT[arrs.roles.astype(np.int64)].tobytes().decode("ascii")
-    head_of = None
-    if arrs.head_of is not None:
-        head_of = tuple(int(h) for h in arrs.head_of.tolist())
-    memo[key] = (arrs, (roles, head_of))
-    return roles, head_of
-
-
 def _lap_timer(prof: Optional[Profiler]) -> Callable[[str], None]:
     """``lap(section)`` books the time since the previous lap to
     ``section``; a no-op without a profiler."""
@@ -594,26 +558,10 @@ def run_columnar(
         shard_processes = _env_int(SHARD_PROCESSES_ENV_VAR)
 
     metrics = Metrics()
-    timeline = RunTimeline() if engine.obs != "off" else None
-    prof = Profiler() if engine.obs == "profile" else None
-    stream = engine.stream
-    causal: Optional[CausalTrace] = None
-    recorder: Optional[RunRecorder] = None
-    known: Optional[np.ndarray] = None  # last round's state, for the diffs
-    if engine.obs in ("trace", "record"):
-        known = TA.copy()
-        start = _rows_tokens(TA)
-        if engine.obs == "trace":
-            causal = CausalTrace(n=n, k=k)
-            for node, toks in enumerate(start):
-                for t in toks:
-                    causal.record_origin(node, t)
-        else:
-            recorder = RunRecorder(
-                n, k, {v: frozenset(t) for v, t in enumerate(start)}
-            )
-    pack_memo: Dict[int, Tuple[object, tuple]] = {}
-    monitors = list(monitors) if monitors else []
+    observer = RunObserver(
+        engine.obs, n, k, TA, monitors=monitors, stream=engine.stream
+    )
+    prof = observer.profiler
     link = engine.link_for(engine.engine_mode)
     alive: Optional[np.ndarray] = None
     if link is not None:
@@ -622,28 +570,19 @@ def run_columnar(
     in_flight: Dict[int, List[Flat]] = {}
     sharded = None
     if not scatter and shards is not None and shards > 1:
-        sharded = _ShardedReduce(shards, shard_processes, prof, stream)
+        sharded = _ShardedReduce(shards, shard_processes, prof, engine.stream)
     lap = _lap_timer(prof)
 
     try:
         for r in range(max_rounds):
-            arrs, snap = _topology(network, r, n, bool(monitors))
+            arrs, snap = _topology(network, r, n, observer.wants_views)
             lap("topology")
             metrics.begin_round()
-            if timeline is not None:
-                timeline.begin_round()
-                if arrs.roles is not None:
-                    pops = np.bincount(arrs.roles, minlength=3)
-                    timeline.record_populations({
-                        name: int(pops[code]) for code, name in _ROLE_NAMES
-                    })
-            if recorder is not None:
-                recorder.begin_round_packed(*_packed_hierarchy(arrs, pack_memo))
+            observer.open_round(arrs)
 
             # --- crash stage (before sends: crashed nodes never act) -----
             newly_crashed: Tuple[int, ...] = ()
             crash_tokens = 0
-            lost_before = metrics.lost_deliveries
             if link is not None:
                 crashed = link.crashes(r, alive)
                 if len(crashed):
@@ -660,9 +599,10 @@ def run_columnar(
             if batch is not None and not batch.messages:
                 batch = None
             if batch is not None:
-                _account(metrics, batch, arrs, timeline)
-                if recorder is not None:
-                    _record_batch(recorder, batch)
+                observer.sends(
+                    _account(metrics, batch, arrs),
+                    batch.log() if observer.wants_log else None,
+                )
             edge_keep: Optional[np.ndarray] = None
             if batch is not None and link is not None:
                 edge_keep, batch = _link_transform(
@@ -675,7 +615,7 @@ def run_columnar(
             lap("send")
 
             # --- deliver: what each node heard, per the delivery ----------
-            heard = from_head = None
+            heard = from_head = flat = None
             hears_heads = kernel.hears_heads and arrs.roles is not None
             if scatter:
                 flat = _landing(in_flight.pop(r, None), alive)
@@ -716,62 +656,23 @@ def run_columnar(
 
             # --- bookkeeping -----------------------------------------------
             if link is not None:
-                # pinpoint perturbations (PinpointFault / FAULT_ENV_VAR):
-                # XOR always changes state, so divergence at exactly this
-                # round/node
+                # pinpoint perturbations (PinpointFault): XOR always
+                # changes state, so divergence at exactly this round/node
                 for fv, ft in link.faults(r):
                     if alive is None or alive[fv]:
                         kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
-            if causal is not None:
-                _record_causal_round(
-                    causal, r, arrs.roles, known, kernel.TA,
-                    *(flat if flat is not None else (None, None, None)),
-                )
-            if recorder is not None:
-                new = kernel.TA & ~known
-                dropped = known & ~kernel.TA
-                new_idx = np.nonzero(new.any(axis=1))[0]
-                gained = list(zip(new_idx.tolist(), _rows_tokens(new[new_idx])))
-                lost_idx = np.nonzero(dropped.any(axis=1))[0]
-                lost = list(
-                    zip(lost_idx.tolist(), _rows_tokens(dropped[lost_idx]))
-                )
-                recorder.end_round(gained, lost)
-                known[:] = kernel.TA
             per_node = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
             coverage = int(per_node.sum())
             nodes_complete = int((per_node == k).sum())
             metrics.end_round(coverage)
-            if timeline is not None:
-                timeline.end_round(coverage, nodes_complete)
-                if stream is not None:
-                    stream.on_round(timeline)
-            if monitors:
-                faults_info = None
-                if link is not None:
-                    faults_info = {
-                        "crashed": newly_crashed,
-                        "crash_tokens": crash_tokens,
-                        "lost": metrics.lost_deliveries - lost_before,
-                    }
-                view = RoundView(
-                    round_index=r,
-                    snap=snap,
-                    coverage=coverage,
-                    nodes_complete=nodes_complete,
-                    per_node=per_node.tolist(),
-                    n=n,
-                    k=k,
-                    faults=faults_info,
-                    tokens_sent=metrics.tokens_sent,
-                    messages_sent=metrics.messages_sent,
-                )
-                for monitor in monitors:
-                    before = len(monitor.violations) if stream is not None else 0
-                    monitor.observe(view)
-                    if stream is not None:
-                        for violation in monitor.violations[before:]:
-                            stream.alert(violation)
+            observer.close_round(
+                r, coverage, nodes_complete, metrics,
+                state=kernel.TA,
+                deliveries=flat,
+                per_node=per_node.tolist() if observer.wants_views else None,
+                faults=None if link is None else (newly_crashed, crash_tokens),
+                snap=snap,
+            )
             lap("bookkeeping")
             alive_n = n if alive is None else int(alive.sum())
             if coverage == alive_n * k and (alive is None or alive_n > 0):
@@ -784,8 +685,6 @@ def run_columnar(
         if sharded is not None:
             sharded.close()
 
-    if timeline is not None and prof is not None:
-        timeline.profile.update(prof.seconds)
     held = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
     survivors = held if alive is None else held[alive]
     # completion counts survivors only, and needs at least one of them
@@ -795,21 +694,18 @@ def run_columnar(
     outputs: Dict[int, FrozenSet[int]] = {}
     if materialize_outputs:
         outputs = dict(enumerate(_rows_to_frozensets(kernel.TA)))
-    violations = None
-    if monitors:
-        for monitor in monitors:
-            monitor.finish(metrics.rounds, complete)
-        violations = [v for m in monitors for v in m.violations]
+    timeline, causal, recording, violations = observer.finish(
+        metrics.rounds, complete
+    )
     return RunResult(
         n=n,
         k=k,
         metrics=metrics,
         outputs=outputs,
         complete=complete,
-        trace=None,
         timeline=timeline,
         causal_trace=causal,
-        recording=recorder.finish() if recorder is not None else None,
+        recording=recording,
         violations=violations,
         algorithms=None,
     )

@@ -25,10 +25,8 @@ Delivery semantics
   pinpoint state faults — lives behind the pluggable
   :class:`~repro.sim.linkmodel.LinkModel` seam (``link=``): candidate
   deliveries are formed from the snapshot, the link model masks them,
-  and the absorb stage only sees survivors.  ``loss_p`` > 0 is kept as a
-  shorthand that constructs an
-  :class:`~repro.sim.linkmodel.IidLoss` model (the send is still
-  billed for suppressed deliveries).  Every round decomposes as
+  and the absorb stage only sees survivors (the send is still billed
+  for suppressed deliveries).  Every round decomposes as
   topology-view → send-intents → link transform → absorb → role-update,
   identically on both engine tiers.
 
@@ -48,26 +46,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Protocol, Tuple
-
-from ..obs import (
-    CausalTrace,
-    Profiler,
-    RoundView,
-    RunRecorder,
-    RunRecording,
-    RunTimeline,
-    TelemetryBus,
-    validate_obs,
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Protocol, Tuple,
 )
+
+import numpy as np
+
+from ..obs import validate_obs
 from ..obs.monitors import Monitor, Violation
-from ..roles import Role
-from .linkmodel import IidLoss, LinkModel, effective_link
+from ..obs.observer import RunObserver, pack_rows
+from .linkmodel import LinkModel, effective_link
 from .messages import Delivery, Message
 from .metrics import Metrics
 from .node import AlgorithmFactory, NodeAlgorithm, RoundContext
 from .topology import Snapshot
-from .trace import DeliveryEvent, SimTrace
+
+if TYPE_CHECKING:  # annotations only
+    from ..obs import CausalTrace, RunRecording, RunTimeline, TelemetryBus
 
 __all__ = ["ActiveRun", "DynamicNetwork", "RunResult", "SynchronousEngine", "run"]
 
@@ -116,8 +111,6 @@ class RunResult:
         Final token set of every node.
     complete:
         Whether every node ended holding all ``k`` tokens.
-    trace:
-        The execution trace, if recording was requested.
     timeline:
         Cheap per-round progress counters (:class:`~repro.obs.RunTimeline`),
         recorded by default; ``None`` when the engine ran with
@@ -145,7 +138,6 @@ class RunResult:
     metrics: Metrics
     outputs: Dict[int, FrozenSet[int]]
     complete: bool
-    trace: Optional[SimTrace] = None
     timeline: Optional[RunTimeline] = None
     causal_trace: Optional[CausalTrace] = None
     recording: Optional[RunRecording] = None
@@ -168,8 +160,8 @@ class ActiveRun:
 
     Obtained from :meth:`SynchronousEngine.start`.  Between steps, the
     per-node algorithm objects (:attr:`algorithms`), accumulated
-    :attr:`metrics`, and recorded :attr:`trace` are all inspectable —
-    useful in notebooks and for custom stopping conditions:
+    :attr:`metrics`, and the obs consumers of :attr:`observer` are all
+    inspectable — useful in notebooks and for custom stopping conditions:
 
     >>> active = SynchronousEngine().start(net, factory, k, initial, 100)
     >>> while active.step():
@@ -206,33 +198,10 @@ class ActiveRun:
             for v in range(n)
         }
         self.metrics = Metrics()
-        self.trace: Optional[SimTrace] = (
-            SimTrace(record_knowledge=engine.record_knowledge)
-            if engine.record_trace
-            else None
+        self.observer = RunObserver(
+            engine.obs, n, k, [self.algorithms[v].TA for v in range(n)],
+            monitors=monitors, stream=engine.stream,
         )
-        self.timeline: Optional[RunTimeline] = (
-            RunTimeline() if engine.obs != "off" else None
-        )
-        self.profiler: Optional[Profiler] = (
-            Profiler() if engine.obs == "profile" else None
-        )
-        self.monitors: List[Monitor] = list(monitors) if monitors else []
-        self.causal: Optional[CausalTrace] = (
-            CausalTrace(n=n, k=k) if engine.obs == "trace" else None
-        )
-        self._known: Optional[List[set]] = None
-        if self.causal is not None:
-            for v in range(n):
-                for t in sorted(self.algorithms[v].TA):
-                    self.causal.record_origin(v, t)
-            self._known = [set(self.algorithms[v].TA) for v in range(n)]
-        self.recorder: Optional[RunRecorder] = None
-        self._rec_prev: Optional[List[FrozenSet[int]]] = None
-        if engine.obs == "record":
-            start = {v: frozenset(self.algorithms[v].TA) for v in range(n)}
-            self.recorder = RunRecorder(n, k, start)
-            self._rec_prev = [start[v] for v in range(n)]
         self.round = 0
         self.stopped = False
         self._adaptive = getattr(network, "adaptive_snapshot", None)
@@ -241,8 +210,6 @@ class ActiveRun:
         self._link = engine.link_for("reference")
         self._alive = None
         if self._link is not None:
-            import numpy as np
-
             self._alive = np.ones(n, dtype=bool)
 
     # -- internals ---------------------------------------------------------
@@ -254,37 +221,16 @@ class ActiveRun:
         self.metrics.record_loss()
         return False
 
-    def _record_causal(
-        self, r: int, snap: Snapshot, inboxes: List[List[Message]]
-    ) -> None:
-        """Record first-learn events for tokens gained this round.
-
-        Applies the canonical attribution rule (:mod:`repro.obs.trace`):
-        the minimum sender id among this round's deliverers carrying the
-        token, falling back to the minimum deliverer (then −1), with the
-        sender's role read from this round's snapshot.  Min-based, so the
-        result is independent of inbox iteration order — the fast path
-        computes the same events from its flat delivery arrays.
-        """
-        causal = self.causal
-        known = self._known
-        roles = snap.roles
-        for v in range(self.n):
-            fresh = [t for t in self.algorithms[v].TA if t not in known[v]]
-            if not fresh:
-                continue
-            inbox = inboxes[v]
-            fallback = min((m.sender for m in inbox), default=-1)
-            for t in sorted(fresh):
-                sender = min(
-                    (m.sender for m in inbox if t in m.tokens), default=fallback
-                )
-                if sender >= 0 and roles is not None:
-                    role = roles[sender].name.lower()
-                else:
-                    role = "flat"
-                causal.record_learn(v, t, r, sender, role)
-            known[v].update(fresh)
+    def _flat(self, messages: List[Tuple[int, Message]]):
+        """``(node, sender, packed tokens, cost)`` arrays of ``(node,
+        message)`` pairs — a receiver (or a unicast's ``dest``, ``-1`` for
+        a broadcast) in the observer's flat encoding."""
+        return (
+            np.array([v for v, _ in messages], dtype=np.int64),
+            np.array([m.sender for _, m in messages], dtype=np.int64),
+            pack_rows([m.tokens for _, m in messages], self.k),
+            np.array([m.cost for _, m in messages], dtype=np.int64),
+        )
 
     # -- stepping ------------------------------------------------------------
 
@@ -296,7 +242,8 @@ class ActiveRun:
 
         r = self.round
         n = self.n
-        prof = self.profiler
+        observer = self.observer
+        prof = observer.profiler
         t0 = time.perf_counter() if prof is not None else 0.0
         if self._adaptive is not None:
             # adaptive adversary: commits to G_r after inspecting state
@@ -312,26 +259,13 @@ class ActiveRun:
         if prof is not None:
             prof.add("topology", time.perf_counter() - t0)
         self.metrics.begin_round()
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.begin_round()
-            if snap.roles is not None:
-                timeline.record_populations({
-                    "head": snap.roles.count(Role.HEAD),
-                    "gateway": snap.roles.count(Role.GATEWAY),
-                    "member": snap.roles.count(Role.MEMBER),
-                })
-        round_trace = self.trace.begin_round(r) if self.trace is not None else None
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.begin_round(snap)
+        observer.open_round(snap.arrays())
 
         # --- link transform, stage 1: crash-stop churn ---------------------
         link = self._link
         alive = self._alive
         newly_crashed: Tuple[int, ...] = ()
         crash_tokens = 0
-        lost_before = self.metrics.lost_deliveries
         if link is not None:
             crashed = link.crashes(r, alive)
             if len(crashed):
@@ -358,6 +292,10 @@ class ActiveRun:
         if prof is not None:
             t0 = time.perf_counter()
         due = r + self.engine.latency - 1
+        by_role: Dict[str, List[int]] = {}
+        sent: Optional[List[Tuple[int, Message]]] = (
+            [] if observer.wants_log else None
+        )
         for v in range(n):
             if alive is not None and not alive[v]:
                 continue
@@ -371,19 +309,12 @@ class ActiveRun:
                 if msg.cost == 0:
                     continue  # empty transmissions are skipped and free
                 self.metrics.record_send(msg, role=role_name)
-                if timeline is not None:
-                    timeline.record_sends(role_name, 1, msg.cost)
-                if round_trace is not None:
-                    round_trace.sends.append((msg, role_name))
-                if recorder is not None:
-                    recorder.record_send(
-                        v,
-                        "b" if msg.delivery is Delivery.BROADCAST else "u",
-                        None if msg.delivery is Delivery.BROADCAST else msg.dest,
-                        msg.tokens,
-                        msg.cost,
-                    )
+                counts = by_role.setdefault(role_name, [0, 0])
+                counts[0] += 1
+                counts[1] += msg.cost
                 if msg.delivery is Delivery.BROADCAST:
+                    if sent is not None:
+                        sent.append((-1, msg))
                     if link is None:
                         for u in snap.adj[v]:
                             self._in_flight.setdefault(due, []).append((u, msg))
@@ -393,12 +324,19 @@ class ActiveRun:
                             if alive[u] and self._link_delivers(r, v, u):
                                 self._in_flight.setdefault(due, []).append((u, msg))
                 else:
+                    if sent is not None:
+                        sent.append((msg.dest, msg))
                     if msg.dest not in snap.adj[v]:
                         self.metrics.record_drop()
                     elif link is None:
                         self._in_flight.setdefault(due, []).append((msg.dest, msg))
                     elif alive[msg.dest] and self._link_delivers(r, v, msg.dest):
                         self._in_flight.setdefault(due, []).append((msg.dest, msg))
+        log = None
+        if sent is not None:
+            dests, senders, payload, costs = self._flat(sent)
+            log = (senders, dests, payload, costs)
+        observer.sends([(role, m, t) for role, (m, t) in by_role.items()], log)
 
         # --- delivery of everything due this round --------------------------
         if prof is not None:
@@ -410,8 +348,6 @@ class ActiveRun:
             if alive is not None and not alive[receiver]:
                 continue  # crashed between transmission and landing
             inboxes[receiver].append(msg)
-            if round_trace is not None:
-                round_trace.deliveries.append(DeliveryEvent(receiver, msg))
 
         # --- receive phase ----------------------------------------------------
         if prof is not None:
@@ -431,67 +367,25 @@ class ActiveRun:
             for fv, ft in link.faults(r):
                 if alive is None or alive[fv]:
                     self.algorithms[fv].TA.symmetric_difference_update((ft,))
-        if self.causal is not None:
-            self._record_causal(r, snap, inboxes)
-        if recorder is not None:
-            prev = self._rec_prev
-            gained = []
-            lost = []
-            for v in range(n):
-                cur = frozenset(self.algorithms[v].TA)
-                if cur != prev[v]:
-                    up = cur - prev[v]
-                    if up:
-                        gained.append((v, up))
-                    down = prev[v] - cur
-                    if down:
-                        lost.append((v, down))
-                    prev[v] = cur
-            recorder.end_round(gained, lost)
-        coverage = 0
-        nodes_complete = 0
-        k = self.k
-        for a in self.algorithms.values():
-            held = len(a.TA)
-            coverage += held
-            if held == k:
-                nodes_complete += 1
+        per_node = [len(self.algorithms[v].TA) for v in range(n)]
+        coverage = sum(per_node)
+        nodes_complete = per_node.count(self.k)
         self.metrics.end_round(coverage)
-        stream = self.engine.stream
-        if timeline is not None:
-            timeline.end_round(coverage, nodes_complete)
-            if stream is not None:
-                stream.on_round(timeline)
-        if self.monitors:
-            faults_info = None
-            if link is not None:
-                faults_info = {
-                    "crashed": newly_crashed,
-                    "crash_tokens": crash_tokens,
-                    "lost": self.metrics.lost_deliveries - lost_before,
-                }
-            view = RoundView(
-                round_index=r,
-                snap=snap,
-                coverage=coverage,
-                nodes_complete=nodes_complete,
-                per_node=[len(self.algorithms[v].TA) for v in range(n)],
-                n=n,
-                k=k,
-                faults=faults_info,
-                tokens_sent=self.metrics.tokens_sent,
-                messages_sent=self.metrics.messages_sent,
-            )
-            for monitor in self.monitors:
-                before = len(monitor.violations) if stream is not None else 0
-                monitor.observe(view)
-                if stream is not None:
-                    for violation in monitor.violations[before:]:
-                        stream.alert(violation)
-        if round_trace is not None and self.engine.record_knowledge:
-            round_trace.knowledge = {
-                v: frozenset(self.algorithms[v].TA) for v in range(n)
-            }
+        state = deliveries = None
+        if observer.wants_state:
+            state = [self.algorithms[v].TA for v in range(n)]
+        if observer.wants_deliveries:
+            landed = [(v, msg) for v in range(n) for msg in inboxes[v]]
+            if landed:
+                deliveries = self._flat(landed)[:3]
+        observer.close_round(
+            r, coverage, nodes_complete, self.metrics,
+            state=state,
+            deliveries=deliveries,
+            per_node=per_node,
+            faults=None if link is None else (newly_crashed, crash_tokens),
+            snap=snap,
+        )
         self.round += 1
 
         # completion is measured over the surviving population: a crashed
@@ -528,8 +422,6 @@ class ActiveRun:
         outputs = {
             v: frozenset(self.algorithms[v].TA) for v in range(self.n)
         }
-        if self.timeline is not None and self.profiler is not None:
-            self.timeline.profile.update(self.profiler.seconds)
         if self._alive is None:
             complete = all(len(t) == self.k for t in outputs.values())
         else:
@@ -537,21 +429,18 @@ class ActiveRun:
             complete = bool(survivors) and all(
                 len(outputs[v]) == self.k for v in survivors
             )
-        violations: Optional[List[Violation]] = None
-        if self.monitors:
-            for monitor in self.monitors:
-                monitor.finish(self.round, complete)
-            violations = [v for m in self.monitors for v in m.violations]
+        timeline, causal, recording, violations = self.observer.finish(
+            self.round, complete
+        )
         return RunResult(
             n=self.n,
             k=self.k,
             metrics=self.metrics,
             outputs=outputs,
             complete=complete,
-            trace=self.trace,
-            timeline=self.timeline,
-            causal_trace=self.causal,
-            recording=self.recorder.finish() if self.recorder is not None else None,
+            timeline=timeline,
+            causal_trace=causal,
+            recording=recording,
             violations=violations,
             algorithms=self.algorithms,
         )
@@ -562,29 +451,6 @@ class SynchronousEngine:
 
     Parameters
     ----------
-    record_trace:
-        Record per-round transmissions and deliveries.
-    record_knowledge:
-        Additionally snapshot every node's token set each round (implies
-        ``record_trace``); O(n·k) per round, for walkthroughs only.
-    link:
-        A :class:`~repro.sim.linkmodel.LinkModel` applied to every round's
-        candidate deliveries (loss), node population (crash-stop churn)
-        and post-absorb state (pinpoint faults).  Both engine tiers
-        apply the same counter-based decisions, so faulty runs keep the
-        registry-wide bit-identity guarantee.  ``None`` (default) is the
-        identity channel.
-    loss_p:
-        Shorthand for ``link=IidLoss(loss_p, seed=loss_seed)``: each
-        individual delivery (per broadcast receiver, per unicast) is
-        independently suppressed with this probability — radio fading on
-        top of the adversarial topology.  The *send* is still paid for.
-        Algorithms proven for reliable links lose their guarantees here;
-        the robustness benchmarks measure by how much.  Mutually
-        exclusive with ``link=``.
-    loss_seed:
-        Seed for the loss process (required reproducibility when
-        ``loss_p > 0``).
     latency:
         The TVG latency ζ in rounds (Definition 1): a message transmitted
         in round r is received at the end of round ``r + latency − 1``.
@@ -600,8 +466,8 @@ class SynchronousEngine:
         bit-identical (see docs/performance.md).  The loop picks its
         delivery from the run's inputs: CSR segment-OR by default
         (optionally sharded), flat scatter under ``latency > 1`` or
-        ``obs="trace"``.  Untagged factories, adaptive networks and
-        ``record_trace`` runs fall back to the reference path.
+        ``obs="trace"``.  Untagged factories and adaptive networks fall
+        back to the reference path.
         :meth:`start` always steps the reference engine — the vectorised
         tier has no per-round inspection surface.
     obs:
@@ -614,8 +480,18 @@ class SynchronousEngine:
         deltas + roles + messages) into ``RunResult.recording``,
         ``"profile"`` times the round loop's sections, ``"off"`` records
         nothing.  Both execution paths feed the same counters, trace
-        events and recordings, so timelines, causal traces *and*
-        recordings join the fast-path equivalence guarantee.
+        events and recordings — both feed one
+        :class:`~repro.obs.RunObserver` — so timelines, causal traces
+        *and* recordings join the fast-path equivalence guarantee.
+    link:
+        A :class:`~repro.sim.linkmodel.LinkModel` applied to every round's
+        candidate deliveries (loss), node population (crash-stop churn)
+        and post-absorb state (pinpoint faults).  Both engine tiers
+        apply the same counter-based decisions, so faulty runs keep the
+        registry-wide bit-identity guarantee.  ``None`` (default) is the
+        identity channel; ``link=IidLoss(p, seed=s)`` suppresses each
+        delivery independently with probability ``p`` (the send is still
+        paid for).
     stream:
         A :class:`~repro.obs.stream.TelemetryBus` fed live while the run
         executes: one ``round`` event after every executed round (both
@@ -629,39 +505,21 @@ class SynchronousEngine:
 
     def __init__(
         self,
-        record_trace: bool = False,
-        record_knowledge: bool = False,
-        loss_p: float = 0.0,
-        loss_seed=None,
         latency: int = 1,
         engine: str = "reference",
         obs: str = "timeline",
         link: Optional[LinkModel] = None,
         stream: Optional["TelemetryBus"] = None,
     ) -> None:
-        self.record_trace = record_trace or record_knowledge
-        self.record_knowledge = record_knowledge
-        if not (0.0 <= loss_p < 1.0):
-            raise ValueError(f"loss_p must be in [0, 1), got {loss_p}")
         if latency < 1:
             raise ValueError(f"latency must be >= 1 round, got {latency}")
         if engine not in ("reference", "fast", "columnar"):
             raise ValueError(
                 f"engine must be 'reference', 'fast' or 'columnar', got {engine!r}"
             )
-        if link is not None:
-            if not isinstance(link, LinkModel):
-                raise TypeError(
-                    f"link must be a LinkModel, got {type(link).__name__}"
-                )
-            if loss_p > 0:
-                raise ValueError("pass either link= or loss_p=, not both")
-        elif loss_p > 0:
-            # deprecated shorthand: loss_p constructs the i.i.d. model
-            link = IidLoss(loss_p, seed=loss_seed)
+        if link is not None and not isinstance(link, LinkModel):
+            raise TypeError(f"link must be a LinkModel, got {type(link).__name__}")
         self.link = link
-        self.loss_p = loss_p
-        self.loss_seed = loss_seed
         self.latency = latency
         self.engine_mode = engine
         self.obs = validate_obs(obs)
@@ -673,12 +531,8 @@ class SynchronousEngine:
         self.stream = stream
 
     def link_for(self, tier: str) -> Optional[LinkModel]:
-        """The link model ``tier`` should apply (None on the benign path).
-
-        Folds in the deprecated ``REPRO_FASTPATH_FAULT`` env alias, which
-        targets only the vectorised tiers (see
-        :func:`repro.sim.linkmodel.env_fault`).
-        """
+        """The link model ``tier`` should apply: :attr:`link` if it
+        targets that tier, else ``None`` (the benign path)."""
         return effective_link(self.link, tier)
 
     def start(
@@ -786,16 +640,11 @@ def run(
 ) -> RunResult:
     """One-shot convenience wrapper around :class:`SynchronousEngine`.
 
-    Keyword arguments ``record_trace`` / ``record_knowledge`` /
-    ``loss_p`` / ``loss_seed`` / ``latency`` / ``engine`` / ``obs`` /
-    ``link`` / ``stream`` configure the engine; everything else is
-    forwarded to :meth:`SynchronousEngine.run`.
+    Keyword arguments ``latency`` / ``engine`` / ``obs`` / ``link`` /
+    ``stream`` configure the engine; everything else is forwarded to
+    :meth:`SynchronousEngine.run`.
     """
     engine = SynchronousEngine(
-        record_trace=kwargs.pop("record_trace", False),
-        record_knowledge=kwargs.pop("record_knowledge", False),
-        loss_p=kwargs.pop("loss_p", 0.0),
-        loss_seed=kwargs.pop("loss_seed", None),
         latency=kwargs.pop("latency", 1),
         engine=kwargs.pop("engine", "reference"),
         obs=kwargs.pop("obs", "timeline"),

@@ -17,8 +17,8 @@ baselines, and the two flooding baselines) as vectorised kernels:
 Each kernel has one ``send`` and one receive rule, :meth:`_Kernel.absorb`,
 which sees a round's deliveries as dense ``(n, W)`` rows however the round
 loop in :mod:`repro.sim.columnar` delivered them.  This module also holds
-the helpers both of that loop's deliveries share: send accounting, link
-masking of flat deliveries, and causal first-learn attribution.
+the send accounting and sender filtering both of that loop's deliveries
+share.
 
 **Bit-identical results.**  For supported algorithms the vectorised tier
 reproduces the reference engine exactly: outputs, metrics, timelines,
@@ -31,12 +31,11 @@ pinpoint faults and ``latency > 1``.  The equivalence suites in
 ``tests/test_linkmodel.py`` assert this.
 
 **Dispatch.**  Factories built by the ``make_*_factory`` helpers carry a
-``factory.fastpath = (kind, params)`` tag.  :func:`try_run` runs the
-matching kernel, or returns ``None`` — letting the engine fall back to the
-reference path — when the factory is untagged (custom algorithms), when a
-:class:`~repro.sim.trace.SimTrace` recording was requested
-(``record_trace`` / ``record_knowledge``), or when the network is adaptive
-(the adversary hook needs per-node Python state).
+``factory.fastpath = (kind, params)`` tag; ``_KERNELS`` lists the kinds.
+:func:`try_run` runs the matching kernel, or returns ``None`` — letting
+the engine fall back to the reference path — when the factory is
+untagged (custom algorithms) or the network is adaptive (the adversary
+hook needs per-node Python state).
 ``RunResult.algorithms`` is ``None`` on the vectorised tier: there are no
 per-node objects to hand back.
 """
@@ -47,22 +46,16 @@ from typing import FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..obs import CausalTrace, RunRecorder, RunTimeline
+from ..obs.observer import ROLE_NAMES
 from .engine import RunResult, SynchronousEngine, validate_run_args
-
-# FAULT_ENV_VAR is re-exported for backward compatibility: the hook is now
-# the PinpointFault link model (see repro.sim.linkmodel.env_fault).
-from .linkmodel import FAULT_ENV_VAR
 from .metrics import Metrics, RoleCost
 from .topology import SnapshotArrays
 
-__all__ = ["FAULT_ENV_VAR", "supported_kinds", "try_run"]
+__all__ = ["try_run"]
 
 _U1 = np.uint64(1)
 
 _ROLE_HEAD, _ROLE_GATEWAY, _ROLE_MEMBER = 0, 1, 2
-_ROLE_NAMES = ((0, "head"), (1, "gateway"), (2, "member"))
-_ROLE_NAME_BY_CODE = {code: name for code, name in _ROLE_NAMES}
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +125,16 @@ class _SendBatch(NamedTuple):
     @property
     def messages(self) -> int:
         return len(self.bc_senders) + len(self.uc_senders)
+
+    def log(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The batch as the observer's message log: ``(senders, dests,
+        payload, costs)``, broadcasts first with ``dest == -1``."""
+        return (
+            np.concatenate((self.bc_senders, self.uc_senders)),
+            np.concatenate((np.full(len(self.bc_senders), -1), self.uc_dests)),
+            np.concatenate((self.bc_payload, self.uc_payload)),
+            np.concatenate((self.bc_costs, self.uc_costs)),
+        )
 
 
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
@@ -434,26 +437,19 @@ _KERNELS = {
 }
 
 
-def supported_kinds() -> Tuple[str, ...]:
-    """The ``factory.fastpath`` kinds this module can execute."""
-    return tuple(sorted(_KERNELS))
-
-
 # ---------------------------------------------------------------------------
 # accounting and delivery
 # ---------------------------------------------------------------------------
 
 def _account(
-    metrics: Metrics,
-    batch: _SendBatch,
-    arrs: SnapshotArrays,
-    timeline: Optional[RunTimeline] = None,
-) -> None:
-    """Record one round's transmissions exactly as the reference engine does."""
+    metrics: Metrics, batch: _SendBatch, arrs: SnapshotArrays
+) -> List[Tuple[str, int, int]]:
+    """Record one round's transmissions exactly as the reference engine
+    does; returns the ``(role, messages, tokens)`` rows of senders."""
     b = len(batch.bc_senders)
     u = len(batch.uc_senders)
     if b + u == 0:
-        return
+        return []
     tokens = int(batch.bc_costs.sum()) + int(batch.uc_costs.sum())
     metrics.tokens_sent += tokens
     metrics.messages_sent += b + u
@@ -464,45 +460,23 @@ def _account(
     if u:
         metrics.dropped_unicasts += int((~batch.uc_ok).sum())
     if arrs.roles is None:
-        cost = metrics.by_role.setdefault("flat", RoleCost())
-        cost.tokens += tokens
-        cost.messages += b + u
-        if timeline is not None:
-            timeline.record_sends("flat", b + u, tokens)
-        return
-    senders = np.concatenate((batch.bc_senders, batch.uc_senders))
-    costs = np.concatenate((batch.bc_costs, batch.uc_costs))
-    codes = arrs.roles[senders]
-    msg_counts = np.bincount(codes, minlength=3)
-    tok_counts = np.bincount(codes, weights=costs, minlength=3)
-    for code, name in _ROLE_NAMES:
-        if msg_counts[code]:
-            cost = metrics.by_role.setdefault(name, RoleCost())
-            cost.tokens += int(tok_counts[code])
-            cost.messages += int(msg_counts[code])
-            if timeline is not None:
-                timeline.record_sends(
-                    name, int(msg_counts[code]), int(tok_counts[code])
-                )
-
-
-def _record_batch(recorder: RunRecorder, batch: _SendBatch) -> None:
-    """Feed one round's non-empty sends to the recorder, broadcasts first."""
-    bc_tokens = _rows_tokens(batch.bc_payload)
-    for i in range(len(batch.bc_senders)):
-        cost = int(batch.bc_costs[i])
-        if cost:
-            recorder.record_send(
-                int(batch.bc_senders[i]), "b", None, bc_tokens[i], cost
-            )
-    uc_tokens = _rows_tokens(batch.uc_payload)
-    for i in range(len(batch.uc_senders)):
-        cost = int(batch.uc_costs[i])
-        if cost:
-            recorder.record_send(
-                int(batch.uc_senders[i]), "u", int(batch.uc_dests[i]),
-                uc_tokens[i], cost,
-            )
+        rows = [("flat", b + u, tokens)]
+    else:
+        senders = np.concatenate((batch.bc_senders, batch.uc_senders))
+        costs = np.concatenate((batch.bc_costs, batch.uc_costs))
+        codes = arrs.roles[senders]
+        msg_counts = np.bincount(codes, minlength=3)
+        tok_counts = np.bincount(codes, weights=costs, minlength=3)
+        rows = [
+            (name, int(msg_counts[code]), int(tok_counts[code]))
+            for code, name in enumerate(ROLE_NAMES)
+            if msg_counts[code]
+        ]
+    for name, messages, role_tokens in rows:
+        cost = metrics.by_role.setdefault(name, RoleCost())
+        cost.tokens += role_tokens
+        cost.messages += messages
+    return rows
 
 
 def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:
@@ -512,76 +486,6 @@ def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:
     if bk.all() and uk.all():
         return batch
     return _SendBatch(*(f[bk] for f in batch[:3]), *(f[uk] for f in batch[3:]))
-
-
-# ---------------------------------------------------------------------------
-# causal tracing
-# ---------------------------------------------------------------------------
-
-def _rows_tokens(rows: np.ndarray) -> List[List[int]]:
-    """Decode an (m, words) uint64 bitset matrix to per-row sorted token
-    lists in one vectorised pass (one ``unpackbits`` + one ``nonzero``
-    instead of m Python word walks — the recording hot path decodes
-    every message payload of every round)."""
-    m = rows.shape[0]
-    out: List[List[int]] = [[] for _ in range(m)]
-    if m == 0:
-        return out
-    bits = np.unpackbits(
-        np.ascontiguousarray(rows, dtype="<u8").view(np.uint8),
-        axis=1, bitorder="little",
-    )
-    for i, t in zip(*(ix.tolist() for ix in np.nonzero(bits))):
-        out[i].append(t)
-    return out
-
-
-def _record_causal_round(
-    causal: CausalTrace,
-    r: int,
-    roles: Optional[np.ndarray],
-    known: np.ndarray,
-    TA: np.ndarray,
-    rec: Optional[np.ndarray],
-    snd: Optional[np.ndarray],
-    payload: Optional[np.ndarray],
-) -> None:
-    """Record this round's first-learn events from the bitset diff.
-
-    Mirrors the reference engine's canonical attribution rule
-    (:meth:`repro.sim.engine.ActiveRun._record_causal`): for each token a
-    node gained this round, the sender is the minimum sender id among the
-    round's deliveries to that node whose payload carried the token,
-    falling back to the minimum deliverer (then −1); the sender's role is
-    read from this round's role codes.  Min-based on both paths, so the
-    event maps are bit-identical.
-    """
-    new = TA & ~known
-    changed = np.nonzero(new.any(axis=1))[0]
-    for v, fresh in zip(changed.tolist(), _rows_tokens(new[changed])):
-        if rec is not None:
-            idx = np.nonzero(rec == v)[0]
-        else:
-            idx = _EMPTY_IDS
-        if idx.size:
-            senders_v = snd[idx]
-            fallback = int(senders_v.min())
-        else:
-            senders_v = _EMPTY_IDS
-            fallback = -1
-        for t in fresh:
-            if idx.size:
-                bit = _U1 << np.uint64(t & 63)
-                carrying = senders_v[(payload[idx, t >> 6] & bit) != 0]
-                sender = int(carrying.min()) if carrying.size else fallback
-            else:
-                sender = fallback
-            if sender >= 0 and roles is not None:
-                role = _ROLE_NAME_BY_CODE[int(roles[sender])]
-            else:
-                role = "flat"
-            causal.record_learn(v, t, r, sender, role)
-    known |= new
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +506,7 @@ def try_run(
     """Execute a run on the vectorised tier, or return ``None`` if unsupported.
 
     Supported: factories tagged with a known ``factory.fastpath`` kind, on
-    non-adaptive networks, without ``SimTrace`` recording.  Everything
+    non-adaptive networks.  Everything
     else about the run — link models, latency, every ``obs`` level,
     runtime monitors — is handled by the one round loop,
     :func:`repro.sim.columnar.run_columnar`, which picks its delivery from
@@ -612,8 +516,6 @@ def try_run(
     """
     spec = getattr(factory, "fastpath", None)
     if spec is None or spec[0] not in _KERNELS:
-        return None
-    if engine.record_trace or engine.record_knowledge:
         return None
     if getattr(network, "adaptive_snapshot", None) is not None:
         return None

@@ -40,8 +40,6 @@ see :class:`BurstyLoss`) — the engines never change.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +47,6 @@ import numpy as np
 from .rng import derive_seed
 
 __all__ = [
-    "FAULT_ENV_VAR",
     "BurstyLoss",
     "CrashChurn",
     "IidLoss",
@@ -57,16 +54,10 @@ __all__ = [
     "LinkModel",
     "PinpointFault",
     "effective_link",
-    "env_fault",
     "link_from_spec",
     "uniform_one",
     "uniforms",
 ]
-
-#: Deprecated alias for :class:`PinpointFault`: ``ROUND:NODE:TOKEN`` flips
-#: one token bit on the fast/columnar tiers only, so engine diffing has a
-#: deterministic divergence to pinpoint.
-FAULT_ENV_VAR = "REPRO_FASTPATH_FAULT"
 
 ALL_TIERS = ("reference", "fast", "columnar")
 
@@ -129,8 +120,8 @@ class LinkModel:
     override must be a pure function of ``(seed, round, ids)`` so the
     three engine tiers agree bit-for-bit (see the module docstring for
     the counter-based discipline).  ``tiers`` names the engine tiers the
-    model applies to — the default is all three; :func:`env_fault`
-    restricts itself to the vectorised tiers so ``diff --engines`` has a
+    model applies to — the default is all three; a :class:`PinpointFault`
+    restricted to ``("fast", "columnar")`` gives ``diff --engines`` a
     clean reference to diverge from.
     """
 
@@ -289,10 +280,9 @@ class CrashChurn(LinkModel):
 class PinpointFault(LinkModel):
     """Deterministically flip one (node, token) bit after round ``round``.
 
-    The first-class replacement for the ``REPRO_FASTPATH_FAULT`` env
-    hook: the divergence-bisection tests construct it directly, and the
-    env var survives as a deprecated alias (:func:`env_fault`) that
-    builds one restricted to the vectorised tiers.
+    The divergence-bisection tests construct it directly; with
+    ``tiers=("fast", "columnar")`` the vectorised run diverges from the
+    reference at exactly this round and node.
     """
 
     kind = "pinpoint-fault"
@@ -403,56 +393,7 @@ def link_from_spec(spec: Dict[str, object]) -> LinkModel:
     return build(spec)
 
 
-# One warning per process: the env hook fires on every effective_link()
-# call, which happens per delivery batch inside the round loop.
-_FAULT_WARNED = False
-
-
-def env_fault() -> Optional[PinpointFault]:
-    """Deprecated ``REPRO_FASTPATH_FAULT=ROUND:NODE:TOKEN`` alias.
-
-    Constructs a :class:`PinpointFault` restricted to the fast/columnar
-    tiers, so a faulted run diverges from the reference engine exactly
-    as the env hook always promised.  Prefer passing
-    ``link=PinpointFault(...)`` explicitly.
-    """
-    raw = os.environ.get(FAULT_ENV_VAR)
-    if not raw:
-        return None
-    global _FAULT_WARNED
-    if not _FAULT_WARNED:
-        _FAULT_WARNED = True
-        warnings.warn(
-            f"{FAULT_ENV_VAR} is a deprecated alias; pass "
-            "link=PinpointFault(round, node, token, "
-            "tiers=('fast', 'columnar')) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    try:
-        r, v, t = (int(part) for part in raw.split(":"))
-    except ValueError:
-        raise ValueError(
-            f"{FAULT_ENV_VAR} must be 'ROUND:NODE:TOKEN', got {raw!r}"
-        ) from None
-    return PinpointFault(r, v, t, tiers=("fast", "columnar"))
-
-
 def effective_link(link: Optional[LinkModel], tier: str) -> Optional[LinkModel]:
-    """The link model a given engine tier should actually apply.
-
-    Combines the configured model (if it targets this tier) with the
-    deprecated env-var fault hook; returns None when nothing applies, so
-    the benign path stays exactly the pre-seam code path.
-    """
-    parts: List[LinkModel] = []
-    if link is not None and tier in link.tiers:
-        parts.append(link)
-    fault = env_fault()
-    if fault is not None and tier in fault.tiers:
-        parts.append(fault)
-    if not parts:
-        return None
-    if len(parts) == 1:
-        return parts[0]
-    return LinkChain(parts)
+    """``link`` if it targets engine ``tier``, else ``None`` — so the
+    benign path stays exactly the pre-seam code path."""
+    return link if link is not None and tier in link.tiers else None

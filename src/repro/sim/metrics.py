@@ -60,7 +60,7 @@ class Metrics:
         destination never receives them, but the send is still paid for —
         the radio transmitted).
     lost_deliveries:
-        Deliveries suppressed by the link model (``loss_p`` / ``link=``);
+        Deliveries suppressed by the link model (``link=``);
         each broadcast audience member lost counts once.
     crashed_nodes:
         Nodes removed by crash-stop churn over the whole run (each crash

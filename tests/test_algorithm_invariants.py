@@ -2,7 +2,9 @@
 
 The unit tests pin individual rules; these run whole executions through
 the stepping API and assert structural invariants at *every* round —
-the closest a test can get to the pseudo-code's loop invariants.
+the closest a test can get to the pseudo-code's loop invariants.  Send
+invariants read the run's recorded message log and per-round roles
+(``obs="record"``).
 """
 
 import pytest
@@ -15,11 +17,10 @@ from repro.core.bounds import algorithm1_phases, required_T
 from repro.experiments.scenarios import hinet_interval_scenario, hinet_one_scenario
 from repro.roles import Role
 from repro.sim.engine import SynchronousEngine
-from repro.sim.messages import Delivery
 
 
 def _stepped(scenario, factory, max_rounds):
-    engine = SynchronousEngine(record_trace=True)
+    engine = SynchronousEngine(obs="record")
     active = engine.start(
         scenario.trace, factory, k=scenario.k, initial=scenario.initial,
         max_rounds=max_rounds,
@@ -50,30 +51,28 @@ class TestAlgorithm1Invariants:
         """Members only unicast (to their head); heads/gateways only
         broadcast; every transmission carries exactly one token."""
         scenario, active, T = self._active(seed=2)
-        while active.step():
-            pass
-        for rt in active.trace.rounds:
-            snap = scenario.trace.snapshot(rt.round_index)
-            for msg, role in rt.sends:
+        active.run_to_completion()
+        for r, delta in enumerate(active.finish().recording.rounds):
+            snap = scenario.trace.snapshot(r)
+            for msg in delta.messages:
                 assert len(msg.tokens) == 1
-                if role == "member":
-                    assert msg.delivery is Delivery.UNICAST
+                if delta.roles[msg.sender] == Role.MEMBER.value:
+                    assert msg.kind == "u"
                     assert msg.dest == snap.head(msg.sender)
                 else:
-                    assert msg.delivery is Delivery.BROADCAST
+                    assert msg.kind == "b"
 
     def test_no_duplicate_broadcast_within_phase(self):
         """A head/gateway never broadcasts the same token twice in one
         phase (TS dedup), though it may re-broadcast across phases."""
         scenario, active, T = self._active(seed=3)
-        while active.step():
-            pass
+        active.run_to_completion()
         sent: dict = {}
-        for rt in active.trace.rounds:
-            phase = rt.round_index // T
-            for msg, role in rt.sends:
-                if msg.delivery is Delivery.BROADCAST:
-                    key = (phase, msg.sender, next(iter(msg.tokens)))
+        for r, delta in enumerate(active.finish().recording.rounds):
+            phase = r // T
+            for msg in delta.messages:
+                if msg.kind == "b":
+                    key = (phase, msg.sender, msg.tokens[0])
                     assert key not in sent, key
                     sent[key] = True
 
@@ -95,13 +94,12 @@ class TestAlgorithm2Invariants:
         )
         M = 19
         active = _stepped(scenario, make_algorithm2_factory(M=M), M)
-        while active.step():
-            pass
+        active.run_to_completion()
         # count per-member uploads and per-member observed head changes
         uploads: dict = {}
-        for rt in active.trace.rounds:
-            for msg, role in rt.sends:
-                if role == "member" and msg.delivery is Delivery.UNICAST:
+        for delta in active.finish().recording.rounds:
+            for msg in delta.messages:
+                if delta.roles[msg.sender] == Role.MEMBER.value and msg.kind == "u":
                     uploads[msg.sender] = uploads.get(msg.sender, 0) + 1
         for v, count in uploads.items():
             changes = 0
@@ -119,11 +117,10 @@ class TestAlgorithm2Invariants:
         scenario = hinet_one_scenario(n0=16, theta=4, k=2, L=2, seed=5)
         M = 15
         active = _stepped(scenario, make_algorithm2_factory(M=M), M)
-        while active.step():
-            pass
-        for rt in active.trace.rounds:
-            for msg, role in rt.sends:
-                if role in ("head", "gateway"):
+        active.run_to_completion()
+        for delta in active.finish().recording.rounds:
+            for msg in delta.messages:
+                if delta.roles[msg.sender] != Role.MEMBER.value:
                     sender_alg = active.algorithms[msg.sender]
                     # the broadcast is never larger than current knowledge
-                    assert msg.tokens <= frozenset(sender_alg.TA)
+                    assert frozenset(msg.tokens) <= frozenset(sender_alg.TA)

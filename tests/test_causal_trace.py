@@ -1,7 +1,7 @@
 """Causal provenance tracing (repro.obs.trace): recording semantics,
 provenance chains and hop accounting, registry-wide fastpath⇄reference
-bit-identity of the recorded traces, serialization, the SimTrace
-conversion, and the `repro explain` CLI surface."""
+bit-identity of the recorded traces, serialization, and the
+`repro explain` CLI surface."""
 
 import argparse
 import json
@@ -18,7 +18,6 @@ from repro.io import (
 )
 from repro.obs import ORIGIN_ROLE, CausalTrace
 from repro.registry import all_specs
-from repro.sim.engine import SynchronousEngine
 
 
 def _sample_trace():
@@ -202,46 +201,6 @@ class TestSerialization:
         result = execute(spec, scenario, obs="trace").result
         back = run_result_from_dict(run_result_to_dict(result))
         assert back.causal_trace == result.causal_trace
-
-
-class TestSimTraceConversion:
-    """Satellite: SimTrace's provenance queries delegate to CausalTrace
-    and agree with the engine-native recording."""
-
-    def _run(self, spec_name="algorithm1"):
-        spec = next(s for s in all_specs() if s.name == spec_name)
-        scenario = _auto_scenario(spec)
-        plan = spec.plan(scenario)
-        engine = SynchronousEngine(record_trace=True, record_knowledge=True,
-                                  obs="trace", engine="reference")
-        result = engine.run(scenario.trace, plan.factory, scenario.k,
-                            scenario.initial, plan.max_rounds,
-                            stop_when_complete=plan.stop_when_complete)
-        return scenario, result
-
-    def test_conversion_matches_native_trace(self):
-        scenario, result = self._run()
-        converted = result.trace.causal(n=scenario.n, k=scenario.k)
-        assert converted.events == result.causal_trace.events
-
-    def test_requires_knowledge_recording(self):
-        from repro.sim.trace import SimTrace
-
-        with pytest.raises(ValueError, match="knowledge"):
-            SimTrace().causal()
-        with pytest.raises(ValueError, match="knowledge"):
-            SimTrace().first_heard(0, 0)
-
-    def test_first_heard_delegates(self):
-        scenario, result = self._run()
-        causal = result.causal_trace
-        for (v, t), (r, _s, _role) in list(causal.events.items())[:20]:
-            expected = 0 if r < 0 else r  # origins report the first round
-            assert result.trace.first_heard(v, t) == expected
-
-    def test_conversion_memoized(self):
-        _scenario, result = self._run()
-        assert result.trace.causal() is result.trace.causal()
 
 
 class TestExplainCli:

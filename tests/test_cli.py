@@ -360,14 +360,27 @@ class TestRecordReplayDiff:
         assert "recordings identical" in out and "fast" in out
 
     def test_diff_divergent_exits_one_and_writes_report(self, capsys,
-                                                        tmp_path,
-                                                        monkeypatch):
-        from repro.sim.fastpath import FAULT_ENV_VAR
+                                                        tmp_path):
+        from dataclasses import replace
+
+        from repro import cli
+        from repro.experiments.runner import execute
+        from repro.io import save_recording
+        from repro.sim.linkmodel import PinpointFault
 
         a = self._record(tmp_path, "good.json")
-        monkeypatch.setenv(FAULT_ENV_VAR, "2:1:0")
-        b = self._record(tmp_path, "faulty.json")
-        monkeypatch.delenv(FAULT_ENV_VAR)
+        # the same run with a single-bit fault injected on the fast tier
+        args = build_parser().parse_args(
+            ["record", "algorithm1", "--n0", "24", "--theta", "7", "--k", "3",
+             "--out", str(a)]
+        )
+        spec = cli._resolve_spec(args.algorithm)
+        fault = PinpointFault(2, 1, 0, tiers=("fast", "columnar"))
+        scenario = replace(cli._build_scenario(args, spec), link=fault.spec())
+        b = tmp_path / "faulty.json"
+        save_recording(
+            execute(spec, scenario, obs="record", cache=False).result.recording, b
+        )
         capsys.readouterr()
         report = tmp_path / "report.txt"
         assert main(["diff", str(a), str(b), "--report", str(report)]) == 1

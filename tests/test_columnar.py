@@ -8,6 +8,11 @@ array-native topology builders."""
 
 import argparse
 import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,7 +91,7 @@ def assert_columnar_equivalent(scenario, factory, max_rounds, **engine_kwargs):
     assert col.complete == ref.complete
     assert col.metrics == ref.metrics
     assert col.timeline == ref.timeline
-    assert col.trace is None and col.algorithms is None
+    assert col.algorithms is None
     return col
 
 
@@ -245,6 +250,56 @@ class TestSharded:
         scenario = _flat(3)
         assert_columnar_equivalent(scenario, make_flood_new_factory(), 30)
 
+    def test_killed_shard_worker_fails_with_diagnosis(self):
+        """SIGKILL one shard-pool worker mid-run: the run must raise a
+        diagnosed error naming the round and shard count, promptly (run in
+        a fresh interpreter, so a hang fails on the timeout)."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILL_WORKER_SCRIPT], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert time.monotonic() - start < 60
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "2 shards" in proc.stdout
+        # the pool notices the death asynchronously: round 2 or a later one
+        died = re.search(r"failed in round (\d+)", proc.stdout)
+        assert died and int(died.group(1)) >= 2, proc.stdout
+
+
+#: Runs a 2-shard, 2-process flood whose topology SIGKILLs one pool
+#: worker at round 2; exits 3 after printing the diagnosed error.
+_KILL_WORKER_SCRIPT = """
+import multiprocessing, os, signal, sys, time
+import numpy as np
+from repro.graphs.generators.static import ring_lattice_arrays
+from repro.sim import columnar
+from repro.sim.engine import SynchronousEngine
+
+ARRAYS = ring_lattice_arrays(64, 4)
+
+class KillingNetwork:
+    n = 64
+
+    def snapshot_arrays(self, r):
+        if r == 2:
+            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+            time.sleep(0.5)  # let the pool see the death before round 2's map
+        return ARRAYS
+
+TA = columnar.pack_single_tokens(np.arange(64) % 4, 4)
+try:
+    columnar.run_columnar(
+        SynchronousEngine(engine="columnar"), KillingNetwork(), "flood_all",
+        {}, 4, TA, 200, shards=2, shard_processes=2,
+    )
+except RuntimeError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
 
 class TestDispatch:
     def test_select_delivery(self):
@@ -279,12 +334,12 @@ class TestDispatch:
         # the LinkModel seam masks CSR edges inside the vectorised loop,
         # bit-identical to the reference
         assert_columnar_equivalent(_flat(3), make_flood_all_factory(), 10,
-                                   loss_p=0.25, loss_seed=11)
+                                   link=IidLoss(0.25, seed=11))
 
     def test_latency_runs_scatter_delivery(self):
         col = assert_columnar_equivalent(
             _hinet(3), make_algorithm1_factory(T=12, M=5), 60,
-            latency=2, loss_p=0.2, loss_seed=4,
+            latency=2, link=IidLoss(0.2, seed=4),
         )
         assert col.metrics.lost_deliveries > 0
 

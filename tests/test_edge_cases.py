@@ -15,6 +15,7 @@ from repro.graphs.properties import is_hinet
 from repro.graphs.trace import GraphTrace
 from repro.roles import Role
 from repro.sim.engine import SynchronousEngine, run
+from repro.sim.linkmodel import IidLoss
 from repro.sim.messages import Message, initial_assignment
 from repro.sim.topology import Snapshot
 
@@ -102,7 +103,7 @@ class TestCombinedEngineFeatures:
         res = run(trace, make_flood_all_factory(), k=1,
                   initial={0: frozenset({0})}, max_rounds=60,
                   stop_when_complete=True,
-                  loss_p=0.2, loss_seed=3, latency=2)
+                  link=IidLoss(0.2, seed=3), latency=2)
         assert res.complete
         assert res.metrics.lost_deliveries > 0
 
@@ -110,16 +111,17 @@ class TestCombinedEngineFeatures:
         from repro.graphs.adversary import QuarantineAdversary
 
         adv = QuarantineAdversary(5, seed=1)
-        engine = SynchronousEngine(record_knowledge=True)
+        engine = SynchronousEngine(obs="trace")
         res = engine.run(adv, make_flood_all_factory(), k=1,
                          initial={2: frozenset({0})}, max_rounds=10,
                          stop_when_complete=True)
         assert res.complete
-        assert res.trace is not None
-        assert res.trace.first_heard(2, 0) == 0  # source knows from start?
-        # source held it from the beginning: first snapshot already has it
-        hops = res.trace.token_path(0)
-        assert hops  # the token moved
+        assert res.causal_trace is not None
+        # the source held the token from the beginning
+        assert res.causal_trace.first_learned(2, 0).is_origin
+        # the token moved: every other node learned it from a sender
+        hops = [res.causal_trace.first_learned(v, 0) for v in range(5) if v != 2]
+        assert all(e.round >= 0 and e.sender >= 0 for e in hops)
 
     def test_latency_with_stepping(self):
         trace = static_trace(path_graph(3), rounds=10)
@@ -140,7 +142,7 @@ class TestCombinedEngineFeatures:
         )
         res = run(scenario.trace, make_algorithm2_factory(M=40), k=2,
                   initial=scenario.initial, max_rounds=40,
-                  stop_when_complete=True, loss_p=0.15, loss_seed=9)
+                  stop_when_complete=True, link=IidLoss(0.15, seed=9))
         assert res.complete
 
 

@@ -155,21 +155,23 @@ class TestValidation:
 class TestTraceRecording:
     def test_trace_records_sends_and_deliveries(self):
         net = _line(3)
-        engine = SynchronousEngine(record_trace=True)
+        engine = SynchronousEngine(obs="record")
         res = engine.run(net, lambda v, k, init: Echo(v, k, init), k=1,
                          initial={0: frozenset({0})}, max_rounds=2,
                          stop_when_complete=True)
-        assert res.trace is not None
-        first = res.trace.rounds[0]
-        assert len(first.sends) == 1
-        assert first.tokens_sent() == 1
+        assert res.recording is not None
+        first = res.recording.rounds[0]
+        assert len(first.messages) == 1
+        assert sum(m.cost for m in first.messages) == 1
+        assert first.gained == ((1, (0,)),)  # delivered to node 0's neighbour
 
     def test_knowledge_snapshots(self):
         net = _line(3)
-        engine = SynchronousEngine(record_knowledge=True)
+        engine = SynchronousEngine(obs="trace")
         res = engine.run(net, lambda v, k, init: Echo(v, k, init), k=1,
                          initial={0: frozenset({0})}, max_rounds=3,
                          stop_when_complete=True)
-        assert res.trace.first_heard(2, 0) == 1
-        hops = res.trace.token_path(0)
-        assert (0, 0, 1) in hops  # round 0: node 0 -> node 1
+        assert res.causal_trace.first_learned(2, 0).round == 1
+        hops = [(e.round, e.sender, e.node)
+                for e in res.causal_trace.provenance(2, 0)]
+        assert hops == [(-1, -1, 0), (0, 0, 1), (1, 1, 2)]

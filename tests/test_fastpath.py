@@ -18,8 +18,8 @@ from repro.experiments.scenarios import (
     hinet_one_scenario,
     one_interval_scenario,
 )
-from repro.sim import fastpath
 from repro.sim.engine import SynchronousEngine, run
+from repro.sim.linkmodel import IidLoss
 from repro.sim.topology import Snapshot
 
 
@@ -73,7 +73,7 @@ def assert_equivalent(scenario, factory, max_rounds, **engine_kwargs):
     assert fast.complete == ref.complete
     assert fast.metrics == ref.metrics  # every counter, series and role bucket
     assert fast.timeline == ref.timeline  # per-round telemetry, role-by-role
-    assert fast.trace is None and fast.algorithms is None
+    assert fast.algorithms is None
     return ref, fast
 
 
@@ -90,7 +90,7 @@ class TestEquivalence:
         name, scen_fn, fac_fn, max_rounds = case
         scenario = scen_fn(7)
         assert_equivalent(
-            scenario, fac_fn(scenario), max_rounds, loss_p=0.25, loss_seed=11
+            scenario, fac_fn(scenario), max_rounds, link=IidLoss(0.25, seed=11)
         )
 
     @pytest.mark.parametrize("case", CASES, ids=_case_id)
@@ -106,8 +106,7 @@ class TestEquivalence:
             make_algorithm1_factory(T=12, M=5),
             60,
             latency=3,
-            loss_p=0.15,
-            loss_seed=3,
+            link=IidLoss(0.15, seed=3),
         )
 
     def test_stop_when_complete(self):
@@ -158,17 +157,6 @@ class TestEquivalence:
 
 
 class TestDispatch:
-    def test_supported_kinds(self):
-        assert fastpath.supported_kinds() == (
-            "algorithm1",
-            "algorithm1_stable",
-            "algorithm2",
-            "flood_all",
-            "flood_new",
-            "klo_interval",
-            "klo_one",
-        )
-
     def test_factories_carry_fastpath_tags(self):
         assert make_algorithm1_factory(T=3, M=2).fastpath == (
             "algorithm1", {"T": 3, "M": 2, "strict": False},
@@ -184,15 +172,6 @@ class TestDispatch:
             scenario.trace, factory, scenario.k, scenario.initial, 10
         )
         # reference path ran: per-node objects are present
-        assert result.algorithms is not None
-
-    def test_trace_recording_falls_back(self):
-        scenario = _flat(3)
-        factory = make_flood_all_factory()
-        result = SynchronousEngine(engine="fast", record_trace=True).run(
-            scenario.trace, factory, scenario.k, scenario.initial, 10
-        )
-        assert result.trace is not None
         assert result.algorithms is not None
 
     def test_adaptive_network_falls_back(self):

@@ -4,16 +4,17 @@ import pytest
 
 from repro.baselines.flooding import make_flood_all_factory
 from repro.graphs.generators.static import complete_graph, path_graph, static_trace
-from repro.sim.engine import SynchronousEngine, run
+from repro.sim.engine import run
+from repro.sim.linkmodel import IidLoss
 from repro.sim.messages import initial_assignment
 
 
 class TestLossConfiguration:
     def test_loss_p_validated(self):
         with pytest.raises(ValueError):
-            SynchronousEngine(loss_p=1.0)
+            IidLoss(1.0)
         with pytest.raises(ValueError):
-            SynchronousEngine(loss_p=-0.1)
+            IidLoss(-0.1)
 
     def test_zero_loss_is_default_path(self):
         trace = static_trace(path_graph(4), rounds=5)
@@ -31,7 +32,7 @@ class TestLossBehaviour:
         def go():
             return run(trace, make_flood_all_factory(), k=3, initial=init,
                        max_rounds=20, stop_when_complete=True,
-                       loss_p=0.3, loss_seed=7)
+                       link=IidLoss(0.3, seed=7))
 
         a, b = go(), go()
         assert a.metrics.lost_deliveries > 0
@@ -43,7 +44,7 @@ class TestLossBehaviour:
         trace = static_trace(path_graph(3), rounds=4)
         res = run(trace, make_flood_all_factory(), k=1,
                   initial={0: frozenset({0})}, max_rounds=4,
-                  loss_p=0.9, loss_seed=1)
+                  link=IidLoss(0.9, seed=1))
         assert res.metrics.tokens_sent > 0
 
     def test_repetition_overcomes_moderate_loss(self):
@@ -53,7 +54,7 @@ class TestLossBehaviour:
         res = run(trace, make_flood_all_factory(), k=2,
                   initial=initial_assignment(2, 8, mode="spread"),
                   max_rounds=60, stop_when_complete=True,
-                  loss_p=0.3, loss_seed=3)
+                  link=IidLoss(0.3, seed=3))
         assert res.complete
         # ...but slower than the loss-free run
         clean = run(trace, make_flood_all_factory(), k=2,
@@ -66,10 +67,10 @@ class TestLossBehaviour:
         init = initial_assignment(2, 10, mode="spread")
         light = run(trace, make_flood_all_factory(), k=2, initial=init,
                     max_rounds=200, stop_when_complete=True,
-                    loss_p=0.1, loss_seed=11)
+                    link=IidLoss(0.1, seed=11))
         heavy = run(trace, make_flood_all_factory(), k=2, initial=init,
                     max_rounds=200, stop_when_complete=True,
-                    loss_p=0.7, loss_seed=11)
+                    link=IidLoss(0.7, seed=11))
         assert light.complete
         if heavy.complete:
             assert heavy.metrics.completion_round >= light.metrics.completion_round

@@ -58,11 +58,12 @@ class TestLatencyBehaviour:
 
     def test_no_delivery_before_due_round(self):
         trace = static_trace(path_graph(2), rounds=5)
-        engine = SynchronousEngine(latency=3, record_knowledge=True)
+        engine = SynchronousEngine(latency=3, obs="trace")
         res = engine.run(trace, make_flood_all_factory(), k=1,
                          initial={0: frozenset({0})}, max_rounds=5,
                          stop_when_complete=True)
-        assert res.trace.first_heard(1, 0) == 2  # rounds 0,1 in flight
+        # rounds 0,1 in flight
+        assert res.causal_trace.first_learned(1, 0).round == 2
 
     def test_in_flight_messages_hold_off_finish(self):
         """stop_when_finished must wait for frames still in the air."""

@@ -30,7 +30,6 @@ from repro.io import scenario_from_dict, scenario_to_dict
 from repro.registry import AlgorithmSpec, all_specs, get_spec
 from repro.sim.engine import SynchronousEngine
 from repro.sim.linkmodel import (
-    FAULT_ENV_VAR,
     BurstyLoss,
     CrashChurn,
     IidLoss,
@@ -38,7 +37,6 @@ from repro.sim.linkmodel import (
     LinkModel,
     PinpointFault,
     effective_link,
-    env_fault,
     link_from_spec,
     uniform_one,
     uniforms,
@@ -337,64 +335,9 @@ class TestPinpointFault:
                               tiers=("fast", "columnar"))
         assert effective_link(fault, "reference") is None
         assert effective_link(fault, "fast") is fault
-
-    def test_env_alias_targets_fast_tiers_only(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "2:1:0")
-        fault = env_fault()
-        assert isinstance(fault, PinpointFault)
-        assert fault.tiers == ("fast", "columnar")
-        eng = SynchronousEngine(engine="fast")
+        eng = SynchronousEngine(engine="fast", link=fault)
         assert eng.link_for("reference") is None
-        assert isinstance(eng.link_for("fast"), PinpointFault)
-        assert isinstance(eng.link_for("columnar"), PinpointFault)
-
-    def test_env_alias_chains_with_explicit_link(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "1:0:1")
-        eng = SynchronousEngine(engine="fast", link=IidLoss(0.1, seed=1))
-        fast_link = eng.link_for("fast")
-        kinds = [m.kind for m in fast_link.models] \
-            if isinstance(fast_link, LinkChain) else [fast_link.kind]
-        assert "pinpoint-fault" in kinds and "iid-loss" in kinds
-        ref_link = eng.link_for("reference")
-        assert isinstance(ref_link, IidLoss)
-
-    def test_malformed_env_spec_raises(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "nonsense")
-        with pytest.raises(ValueError, match=FAULT_ENV_VAR):
-            env_fault()
-
-    def test_env_alias_warns_deprecation_once(self, monkeypatch):
-        """Satellite: the legacy env hook emits one DeprecationWarning
-        per process and keeps returning the exact same fault."""
-        import warnings
-
-        from repro.sim import linkmodel
-
-        monkeypatch.setenv(FAULT_ENV_VAR, "2:1:0")
-        monkeypatch.setattr(linkmodel, "_FAULT_WARNED", False)
-        with pytest.warns(DeprecationWarning, match="deprecated alias"):
-            first = env_fault()
-        assert isinstance(first, PinpointFault)
-        assert (first.round, first.node, first.token) == (2, 1, 0)
-        assert first.tiers == ("fast", "columnar")
-        # second call: warning suppressed, behaviour unchanged
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            again = env_fault()
-        assert (again.round, again.node, again.token, again.tiers) == \
-            (first.round, first.node, first.token, first.tiers)
-
-    def test_unset_env_never_warns(self, monkeypatch):
-        import warnings
-
-        from repro.sim import linkmodel
-
-        monkeypatch.delenv(FAULT_ENV_VAR, raising=False)
-        monkeypatch.setattr(linkmodel, "_FAULT_WARNED", False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert env_fault() is None
-        assert linkmodel._FAULT_WARNED is False
+        assert eng.link_for("columnar") is fault
 
     def test_identity_base_class_is_inert(self):
         m = LinkModel()

@@ -346,10 +346,16 @@ class TestRegressionGate:
                                                          monkeypatch):
         """Under an injected fastpath fault the full-run equivalence case
         fails AND pinpoints the exact round/node in a written report."""
-        from repro.sim.fastpath import FAULT_ENV_VAR
+        from dataclasses import replace
+
+        from repro.bench import matrix
+        from repro.sim.linkmodel import PinpointFault
 
         gate = _load_check_regression()
-        monkeypatch.setenv(FAULT_ENV_VAR, "3:5:0")
+        fault = PinpointFault(3, 5, 0, tiers=("fast", "columnar"))
+        healthy = matrix.regression_gate_scenario
+        monkeypatch.setattr(matrix, "regression_gate_scenario",
+                            lambda: replace(healthy(), link=fault.spec()))
         report = tmp_path / "divergence.txt"
         assert gate.main(["--threshold", "0.9", "--repeats", "1",
                           "--cases", self.CASE,

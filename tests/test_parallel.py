@@ -1,6 +1,10 @@
 """Tests for process-parallel experiment execution."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +41,30 @@ def _tiny_experiment(seed):
     return {"ratio": theirs.tokens_sent / max(ours.tokens_sent, 1)}
 
 
+def _seeded_cell(seed):
+    """A seeded run whose row, outputs and metrics must be reproducible."""
+    from repro.experiments.runner import execute
+    from repro.experiments.scenarios import one_interval_scenario
+
+    scenario = one_interval_scenario(n0=12, k=3, seed=seed, verify=False)
+    record = execute("gossip", scenario, seed=seed, cache=False)
+    return {
+        "row": record.row(),
+        "outputs": {str(v): sorted(t) for v, t in record.result.outputs.items()},
+        "metrics": record.result.metrics.summary(),
+    }
+
+
+_DETERMINISM_SCRIPT = """
+import json
+from repro.experiments.parallel import parallel_map
+from tests.test_parallel import _seeded_cell
+
+print(json.dumps({p: parallel_map(_seeded_cell, list(range(4)), processes=p)
+                  for p in (1, 2, 3)}, sort_keys=True))
+"""
+
+
 class TestParallelMap:
     def test_preserves_order(self):
         out = parallel_map(_square, list(range(10)), processes=2)
@@ -57,6 +85,24 @@ class TestParallelMap:
         serial = parallel_map(_square, list(range(8)), processes=1)
         parallel = parallel_map(_square, list(range(8)), processes=2)
         assert serial == parallel
+
+    def test_identical_across_process_counts_and_hash_seeds(self):
+        """Same seeds, same bytes: for 1, 2 and 3 worker processes and
+        under two ``PYTHONHASHSEED`` values, each in a fresh interpreter."""
+        root = Path(__file__).resolve().parent.parent
+        outputs = []
+        for hashseed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _DETERMINISM_SCRIPT], cwd=root, env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            by_processes = json.loads(proc.stdout)
+            assert by_processes["1"] == by_processes["2"] == by_processes["3"]
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestHeartbeatAndStall:

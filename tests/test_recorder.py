@@ -1,11 +1,12 @@
 """Deterministic record/replay (repro.obs.recorder) and run differencing
 (repro.obs.diff): time-travel reconstruction, registry-wide fastpath⇄
-reference recording bit-identity, divergence bisection (incl. the
-``REPRO_FASTPATH_FAULT`` hook), Chrome trace export, serialization with
+reference recording bit-identity, divergence bisection (incl. an
+injected ``PinpointFault``), Chrome trace export, serialization with
 schema versioning, and the result-cache ride."""
 
 import argparse
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +46,7 @@ from repro.obs import (
 from repro.obs.timeline import RunTimeline
 from repro.registry import all_specs, get_spec
 from repro.sim.engine import SynchronousEngine
-from repro.sim.fastpath import FAULT_ENV_VAR
+from repro.sim.linkmodel import PinpointFault, link_from_spec
 
 
 def _delta(gained=(), lost=(), messages=(), roles=None, head_of=None):
@@ -182,11 +183,12 @@ class TestReconstructionMatchesLiveState:
         )
         while True:
             more = active.step()
-            rounds = active.recorder.recording.rounds_recorded
+            recording = active.observer.recorder.recording
+            rounds = recording.rounds_recorded
             if rounds:
                 live = {v: frozenset(active.algorithms[v].TA)
                         for v in range(scenario.n)}
-                assert active.recorder.recording.state_at(rounds - 1) == live
+                assert recording.state_at(rounds - 1) == live
             if not more:
                 break
         res = active.finish()
@@ -201,16 +203,22 @@ class TestHypothesisRoundTrip:
            seed=st.integers(min_value=0, max_value=1000))
     def test_reconstruction_equals_knowledge_snapshots(self, n0, k, seed):
         """For arbitrary scenario parameters: the recording's state_at(r)
-        equals the SimTrace per-round knowledge snapshot for every r."""
+        equals the live per-round knowledge snapshot for every r."""
         scenario = one_interval_scenario(n0=n0, k=k, seed=seed, verify=False)
-        res = SynchronousEngine(obs="record", record_knowledge=True).run(
+        active = SynchronousEngine(obs="record").start(
             scenario.trace, make_flood_all_factory(), scenario.k,
             scenario.initial, scenario.n - 1,
         )
-        rec = res.recording
-        assert rec.rounds_recorded == len(res.trace.rounds)
-        for r, rt in enumerate(res.trace.rounds):
-            assert rec.state_at(r) == rt.knowledge, f"round {r}"
+        knowledge = []
+        more = True
+        while more:
+            more = active.step()
+            knowledge.append({v: frozenset(a.TA)
+                              for v, a in active.algorithms.items()})
+        rec = active.finish().recording
+        assert rec.rounds_recorded == len(knowledge)
+        for r, state in enumerate(knowledge):
+            assert rec.state_at(r) == state, f"round {r}"
 
 
 class TestSpilledRecording:
@@ -350,18 +358,18 @@ class TestDiffRecordings:
 class TestFastpathFaultHook:
     SCENARIO = dict(n0=20, theta=6, k=3, seed=3, verify=False)
 
-    def test_fault_pinpointed_by_diff(self, monkeypatch):
+    def test_fault_pinpointed_by_diff(self):
         """An injected single-bit fault in the fast path at round 2, node
         1 is pinpointed to exactly that round and node."""
-        monkeypatch.setenv(FAULT_ENV_VAR, "2:1:0")
         scenario = hinet_one_scenario(**self.SCENARIO)
         factory = make_algorithm2_factory(M=scenario.n - 1)
-        fast = SynchronousEngine(engine="fast", obs="record").run(
+        fault = PinpointFault(2, 1, 0, tiers=("fast", "columnar"))
+        fast = SynchronousEngine(engine="fast", obs="record", link=fault).run(
             scenario.trace, factory, scenario.k, scenario.initial,
             scenario.n - 1,
         )
-        monkeypatch.delenv(FAULT_ENV_VAR)
-        ref = SynchronousEngine(obs="record").run(
+        # the fault targets the vectorised tiers only
+        ref = SynchronousEngine(obs="record", link=fault).run(
             scenario.trace, factory, scenario.k, scenario.initial,
             scenario.n - 1,
         )
@@ -372,10 +380,11 @@ class TestFastpathFaultHook:
         assert 1 in {d.node for d in report.nodes}
         assert "state" in report.reason
 
-    def test_diff_engines_catches_fault(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "1:0:1")
+    def test_diff_engines_catches_fault(self):
         spec = get_spec("algorithm2")
-        report = diff_engines(spec, _auto_scenario(spec))
+        fault = PinpointFault(1, 0, 1, tiers=("fast", "columnar"))
+        scenario = replace(_auto_scenario(spec), link=fault.spec())
+        report = diff_engines(spec, scenario)
         assert not report.identical and report.first_round == 1
         assert report.label_a == "fast" and report.label_b == "reference"
 
@@ -384,14 +393,15 @@ class TestFastpathFaultHook:
         report = diff_engines(spec, _auto_scenario(spec))
         assert report.identical
 
-    def test_malformed_fault_spec_raises(self, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "nonsense")
-        scenario = hinet_one_scenario(**self.SCENARIO)
-        with pytest.raises(ValueError, match="ROUND:NODE:TOKEN"):
-            SynchronousEngine(engine="fast", obs="record").run(
-                scenario.trace, make_algorithm2_factory(M=scenario.n - 1),
-                scenario.k, scenario.initial, scenario.n - 1,
-            )
+    def test_malformed_fault_spec_raises(self):
+        """A fault naming an unknown tier is rejected up front, whether
+        built directly or decoded from a scenario's link spec."""
+        with pytest.raises(ValueError, match="unknown engine tier"):
+            PinpointFault(2, 1, 0, tiers=("fast", "gpu"))
+        spec = {"kind": "pinpoint-fault", "round": 2, "node": 1, "token": 0,
+                "tiers": ["gpu"]}
+        with pytest.raises(ValueError, match="unknown engine tier"):
+            link_from_spec(spec)
 
 
 def _run_args(scenario):

@@ -108,3 +108,30 @@ class TestFigures:
         assert "token 0 starts at member" in text
         assert "complete" in text
         assert "(h)" in text and "(g)" in text  # head and gateway hops shown
+
+    def test_fig3_walkthrough_golden(self):
+        """The default-seed walkthrough, pinned byte for byte: the hop list
+        is rebuilt from the recording's message log."""
+        assert fig3_walkthrough() == FIG3_GOLDEN
+
+
+#: ``fig3_walkthrough()`` at its default seed.
+FIG3_GOLDEN = (
+    "Figure 3 — Algorithm 1 walkthrough (k=1 token, 3 clusters, T=3, L=2)\n"
+    "  token 0 starts at member node 4\n"
+    "\n"
+    "  round  0: node 4 (m) -> node 0 (h)\n"
+    "  round  1: node 0 (h) -> node 1 (g)\n"
+    "  round  1: node 0 (h) -> node 4 (m)\n"
+    "  round  1: node 0 (h) -> node 5 (m)\n"
+    "  round  1: node 0 (h) -> node 10 (m)\n"
+    "  round  1: node 0 (h) -> node 11 (m)\n"
+    "  round  2: node 1 (g) -> node 2 (h)\n"
+    "  round  3: node 2 (h) -> node 3 (g)\n"
+    "  round  3: node 2 (h) -> node 6 (m)\n"
+    "  round  3: node 2 (h) -> node 7 (m)\n"
+    "  round  3: node 2 (h) -> node 9 (m)\n"
+    "  round  4: node 3 (g) -> node 8 (h)\n"
+    "\n"
+    "  dissemination complete at round 5, 7 tokens sent"
+)

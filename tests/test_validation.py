@@ -50,6 +50,16 @@ class TestLemma2:
             counts = [r.heads_before for r in recs]
             assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("seed, strict", [(1, False), (2, True),
+                                              (3, False), (4, False)])
+    def test_lemma2_records_golden(self, seed, strict):
+        """The measured records for the seeds above, pinned exactly:
+        (phase, token, heads_before, heads_after, required, satisfied)."""
+        records = check_lemma2(_scenario(seed=seed), strict=strict)
+        got = [(r.phase, r.token, r.heads_before, r.heads_after, r.required,
+                r.satisfied) for r in records]
+        assert got == (LEMMA2_SEED1 if seed == 1 else LEMMA2_SEEDS_2_TO_4)
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 3000))
     def test_lemma2_randomised(self, seed):
@@ -108,3 +118,42 @@ class TestTheorems:
     def test_comm_budget_strict_mode(self):
         out = check_comm_budget(_scenario(seed=9), strict=True)
         assert out["holds"], out
+
+
+#: ``check_lemma2`` records of ``_scenario(seed=1)``.
+LEMMA2_SEED1 = [
+    (0, 0, 1, 4, 2, True),
+    (0, 1, 0, 5, 2, True),
+    (0, 2, 0, 6, 2, True),
+    (1, 0, 4, 8, 2, True),
+    (1, 1, 5, 8, 2, True),
+    (1, 2, 6, 8, 2, True),
+    (2, 0, 8, 8, 0, True),
+    (2, 1, 8, 8, 0, True),
+    (2, 2, 8, 8, 0, True),
+    (3, 0, 8, 8, 0, True),
+    (3, 1, 8, 8, 0, True),
+    (3, 2, 8, 8, 0, True),
+    (4, 0, 8, 8, 0, True),
+    (4, 1, 8, 8, 0, True),
+    (4, 2, 8, 8, 0, True),
+]
+
+#: ... of seeds 2 (strict), 3 and 4, which measure identically.
+LEMMA2_SEEDS_2_TO_4 = [
+    (0, 0, 0, 5, 2, True),
+    (0, 1, 0, 6, 2, True),
+    (0, 2, 1, 4, 2, True),
+    (1, 0, 5, 8, 2, True),
+    (1, 1, 6, 8, 2, True),
+    (1, 2, 4, 6, 2, True),
+    (2, 0, 8, 8, 0, True),
+    (2, 1, 8, 8, 0, True),
+    (2, 2, 6, 8, 2, True),
+    (3, 0, 8, 8, 0, True),
+    (3, 1, 8, 8, 0, True),
+    (3, 2, 8, 8, 0, True),
+    (4, 0, 8, 8, 0, True),
+    (4, 1, 8, 8, 0, True),
+    (4, 2, 8, 8, 0, True),
+]
