@@ -1,20 +1,21 @@
 """Engine micro-benchmarks.
 
 Not a paper artifact — keeps the simulator's performance visible so the
-sweep benchmarks stay laptop-scale (per the HPC guides: measure before
-optimising; these numbers are the baseline any engine change is judged
-against).  The reference-vs-fast comparison also persists machine-readable
-numbers to ``BENCH_engine.json`` (see ``_bench_json.py``) so future PRs
-have a throughput trajectory to diff against.
+sweep benchmarks stay laptop-scale (measure before optimising; these
+numbers are the baseline any engine change is judged against).  The
+timed cases also persist machine-readable numbers into the current
+commit's history bucket of the repo's ``BENCH_engine.json``, so every
+commit has a throughput trajectory point to diff against.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from _bench_json import record_bench, time_ms
-
 from repro.baselines.flooding import make_flood_new_factory
+from repro.bench.history import default_bench_path, record_bucket, time_ms
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.experiments.scenarios import hinet_interval_scenario
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
@@ -23,6 +24,8 @@ from repro.sim import columnar
 from repro.sim.engine import SynchronousEngine, run
 from repro.sim.messages import initial_assignment
 from repro.sim.topology import CSRNetwork
+
+BENCH_DIR = Path(__file__).resolve().parent
 
 
 def test_engine_round_throughput(benchmark):
@@ -72,7 +75,7 @@ def test_engine_fast_vs_reference(benchmark):
     ref_stats = time_ms(lambda: go("reference"), repeats=5)
     fast_stats = time_ms(lambda: go("fast"), repeats=5)
     speedup = ref_stats["median_ms"] / fast_stats["median_ms"]
-    record_bench("algorithm1_full_run_n100_r126", {
+    record_bucket(default_bench_path(BENCH_DIR), {"algorithm1_full_run_n100_r126": {
         "scenario": "hinet_interval(n0=100, theta=30, k=8, alpha=5, L=2, seed=47)",
         "rounds": ref_result.metrics.rounds,
         "tokens_sent": ref_result.metrics.tokens_sent,
@@ -80,42 +83,10 @@ def test_engine_fast_vs_reference(benchmark):
         "fast_median_ms": fast_stats["median_ms"],
         "speedup": round(speedup, 2),
         "results_identical": True,
-    })
+    }})
     assert speedup >= 3.0, f"fast path only {speedup:.1f}x faster"
 
     benchmark(lambda: go("fast"))
-
-
-def test_engine_columnar_vs_fast(benchmark):
-    """An Algorithm-1 sweep at n=10⁴ under both vectorised engine names.
-
-    ``"columnar"`` and ``"fast"`` run the same round loop, so the results
-    must be identical; the recorded counters are the exact baselines the
-    ``columnar_vs_fast_alg1_n10000`` gate checks.
-    """
-    n, theta, k = 10_000, 300, 16
-    net = CSRNetwork(clustered_star_arrays(n, theta))
-    initial = {v: frozenset({v % k}) for v in range(n)}
-    factory = make_algorithm1_factory(T=12, M=6)
-
-    def go(engine):
-        return SynchronousEngine(engine=engine).run(net, factory, k, initial, 72)
-
-    fast_result = go("fast")
-    col_result = go("columnar")
-    assert col_result.outputs == fast_result.outputs
-    assert col_result.metrics == fast_result.metrics
-
-    col_stats = time_ms(lambda: go("columnar"), repeats=5)
-    record_bench("columnar_vs_fast_alg1_n10000", {
-        "scenario": f"clustered_star_arrays(n={n}, theta={theta}), algorithm1(T=12, M=6), k={k}",
-        "rounds": col_result.metrics.rounds,
-        "tokens_sent": col_result.metrics.tokens_sent,
-        "columnar_median_ms": col_stats["median_ms"],
-        "results_identical": True,
-    })
-
-    benchmark(lambda: go("columnar"))
 
 
 def test_columnar_flood_round_scale(benchmark):
@@ -144,13 +115,15 @@ def test_columnar_flood_round_scale(benchmark):
         repeats = 5 if n <= 100_000 else 3
         cases[n] = time_ms(one_round, repeats=repeats)
 
-    record_bench("columnar_flood_round_n100000", {
-        "scenario": "ring_lattice_arrays(n=100000, degree=8), flood_new, k=64, 1 round",
-        **cases[100_000],
-    })
-    record_bench("columnar_flood_round_n1000000", {
-        "scenario": "ring_lattice_arrays(n=1000000, degree=8), flood_new, k=64, 1 round",
-        **cases[1_000_000],
+    record_bucket(default_bench_path(BENCH_DIR), {
+        "columnar_flood_round_n100000": {
+            "scenario": "ring_lattice_arrays(n=100000, degree=8), flood_new, k=64, 1 round",
+            **cases[100_000],
+        },
+        "columnar_flood_round_n1000000": {
+            "scenario": "ring_lattice_arrays(n=1000000, degree=8), flood_new, k=64, 1 round",
+            **cases[1_000_000],
+        },
     })
 
     small = CSRNetwork(ring_lattice_arrays(100_000, 8))
@@ -177,12 +150,12 @@ def test_columnar_alg1_sweep_n10000(benchmark):
     res = go()
     assert res.metrics.rounds == 72
     stats = time_ms(go, repeats=5)
-    record_bench("columnar_alg1_run_n10000", {
+    record_bucket(default_bench_path(BENCH_DIR), {"columnar_alg1_run_n10000": {
         "scenario": f"clustered_star_arrays(n={n}, theta={theta}), algorithm1(T=12, M=6), k={k}, 72 rounds",
         "rounds": res.metrics.rounds,
         "tokens_sent": res.metrics.tokens_sent,
         **stats,
-    })
+    }})
 
     benchmark(go)
 

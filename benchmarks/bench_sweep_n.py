@@ -10,8 +10,9 @@ term suppressed).
 
 from __future__ import annotations
 
-from _bench_json import record_bench
+from pathlib import Path
 
+from repro.bench.history import default_bench_path, record_bucket
 from repro.experiments.report import format_records
 from repro.experiments.sweeps import sweep_n
 
@@ -25,12 +26,14 @@ def test_sweep_n(benchmark, save_result, result_cache):
     save_result("sweep_n", text)
     print("\n" + text)
 
-    record_bench("sweep_n_x1", {
-        "cells": len(rows),
-        "ns": "40,80,120,160",
-        "median_ms": round(benchmark.stats.stats.median * 1000.0, 3),
-        "engine": "fast (runner default)",
-        "cache_entries": len(result_cache),
+    record_bucket(default_bench_path(Path(__file__).resolve().parent), {
+        "sweep_n_x1": {
+            "cells": len(rows),
+            "ns": "40,80,120,160",
+            "median_ms": round(benchmark.stats.stats.median * 1000.0, 3),
+            "engine": "fast (runner default)",
+            "cache_entries": len(result_cache),
+        },
     })
 
     # resumability: a warm re-run replays every cell from disk,

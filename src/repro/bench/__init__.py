@@ -1,9 +1,9 @@
 """Continuous benchmark fleet: matrixed measurement, history, trends, bisection.
 
-``repro.bench`` grows the single-snapshot ``benchmarks/check_regression.py``
-gate into a fleet: a declarative benchmark matrix over {algorithm spec ×
-scenario family × n × engine tier × obs level} (:mod:`~repro.bench.matrix`),
-executed through the one :func:`repro.experiments.runner.execute` pipeline
+``repro.bench`` is the repo's one benchmark gate: a declarative
+benchmark matrix over {algorithm spec × scenario family × n × engine
+tier × obs level} (:mod:`~repro.bench.matrix`), executed through the one
+:func:`repro.experiments.runner.execute` pipeline
 (:mod:`~repro.bench.runner`), persisted as an append-only commit-keyed
 time series in ``BENCH_engine.json`` (:mod:`~repro.bench.history`),
 rendered as cross-commit trend dashboards (:mod:`~repro.bench.trend`) and
@@ -12,9 +12,10 @@ an attached engine-divergence report (:mod:`~repro.bench.bisect`).
 
 The CLI front end is ``repro bench`` (``--quick`` per-PR tier, ``--full``
 nightly tier, ``--list`` to scope the matrix without running, ``--report``
-for the trend dashboard); CI runs it as the ``bench-fleet`` job.  The
-classic per-PR gate (``benchmarks/check_regression.py``) consumes the same
-measurement helpers, so the gate and the fleet can never drift apart.
+for the trend dashboard); CI runs it as the ``bench-fleet`` job.  Both
+tiers include the pinned cases on the committed-baseline Algorithm-1
+instance: its fast⇄reference speedup floor and the ``trace``/``record``/
+``stream`` overhead budgets.
 """
 
 from .bisect import BisectReport, bisect_regression
@@ -24,7 +25,6 @@ from .history import (
     load_bench,
     ordered_history,
     previous_bucket,
-    record_bench,
     record_bucket,
     time_ms,
     time_ms_paired,
@@ -36,7 +36,6 @@ from .runner import (
     equivalent,
     gate_fleet,
     measure_case,
-    measure_ratio,
     run_fleet,
 )
 from .trend import render_trend, trend_series
@@ -56,10 +55,8 @@ __all__ = [
     "gate_fleet",
     "load_bench",
     "measure_case",
-    "measure_ratio",
     "ordered_history",
     "previous_bucket",
-    "record_bench",
     "record_bucket",
     "render_trend",
     "run_fleet",

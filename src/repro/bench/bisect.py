@@ -67,15 +67,17 @@ class BisectReport:
 def _sibling_rows(
     results: Sequence[CaseResult],
     previous_cases: Dict[str, Dict[str, object]],
-    threshold: float,
+    threshold: Optional[float],
 ) -> List[Dict[str, object]]:
     rows = []
     for result in results:
         stats = result.stats
         previous = previous_cases.get(result.name) or {}
         prev_speedup = previous.get("speedup")
+        allowed = (result.case.speedup_threshold if threshold is None
+                   else threshold)
         floor = (
-            float(prev_speedup) * (1.0 - threshold)
+            float(prev_speedup) * (1.0 - allowed)
             if isinstance(prev_speedup, (int, float)) else None
         )
         speedup = stats.get("speedup")
@@ -105,14 +107,15 @@ def bisect_regression(
     previous_cases: Optional[Dict[str, Dict[str, object]]] = None,
     repeats: int = 5,
     inject: Optional[Dict[str, float]] = None,
-    threshold: float = 0.5,
+    threshold: Optional[float] = None,
 ) -> List[BisectReport]:
     """Narrow each flagged case to its offending (case, engine) pair.
 
     ``matrix`` is the full case list the siblings are resolved from;
     ``inject`` is forwarded so self-tests reproduce the same injected
-    slowdown during re-measurement.  One report per distinct flagged
-    case, in violation order.
+    slowdown during re-measurement; ``threshold=None`` uses each
+    sibling's own ``speedup_threshold``.  One report per distinct
+    flagged case, in violation order.
     """
     previous_cases = previous_cases or {}
     inject = inject or {}

@@ -5,14 +5,13 @@ This module owns the two things every benchmark producer shares:
 * **wall-clock measurement** — :func:`time_ms` (single callable) and
   :func:`time_ms_paired` (two callables with interleaved A B A B samples,
   so engine-vs-engine ratios measure kernels rather than allocator
-  drift).  Moved here from ``benchmarks/_bench_json.py``, which now
-  re-exports them — the ``bench_*.py`` scripts, the regression gate and
-  the fleet all time through one implementation;
+  drift).  The ``bench_*.py`` scripts and the fleet all time through
+  this one implementation;
 
-* **persistence** — ``BENCH_engine.json`` holds ``{"meta": …, "cases":
-  {case: stats}, "history": {commit: bucket}}``.  ``cases`` is the latest
-  snapshot (what the classic regression gate and REPORT.md consume);
-  ``history`` is an append-only time series with one *bucket* per commit.
+* **persistence** — ``BENCH_engine.json`` holds ``{"meta": …,
+  "history": {commit: bucket}}``: an append-only time series with one
+  *bucket* per commit, which the fleet gates against and REPORT.md
+  renders.
 
 Bucket semantics (and the bugs they fix):
 
@@ -48,7 +47,6 @@ __all__ = [
     "load_bench",
     "ordered_history",
     "previous_bucket",
-    "record_bench",
     "record_bucket",
     "time_ms",
     "time_ms_paired",
@@ -170,7 +168,7 @@ def load_bench(path: PathLike) -> Dict[str, object]:
     """The parsed bench file, or an empty skeleton when it doesn't exist."""
     path = Path(path)
     if not path.exists():
-        return {"meta": {}, "cases": {}, "history": {}}
+        return {"meta": {}, "history": {}}
     return json.loads(path.read_text())
 
 
@@ -188,7 +186,6 @@ def record_bucket(
     case_stats: Dict[str, Dict[str, object]],
     *,
     commit: Optional[str] = None,
-    snapshot: bool = False,
     bucket_meta: Optional[Dict[str, object]] = None,
 ) -> Path:
     """Merge case stats into the commit's history bucket (creating the file).
@@ -197,9 +194,7 @@ def record_bucket(
     file's directory.  An existing bucket is *extended*: new cases are
     added, and a case recorded twice has its stat keys merged (so a
     re-run refreshes numbers without dropping keys the new run didn't
-    produce).  ``snapshot=True`` additionally overwrites each case in the
-    latest-snapshot ``cases`` section (what the classic gate reads).
-    ``bucket_meta`` keys land in the bucket's ``"_meta"`` entry alongside
+    produce).  ``bucket_meta`` keys land in the bucket's ``"_meta"`` entry alongside
     the auto-assigned ``seq``/``recorded_at``.
     """
     path = Path(path)
@@ -209,10 +204,6 @@ def record_bucket(
         "machine": platform.machine(),
         "generated_by": "repro.bench.history",
     }
-    if snapshot:
-        cases = data.setdefault("cases", {})
-        for case, stats in case_stats.items():
-            cases[case] = stats
     history = data.setdefault("history", {})
     label = commit if commit else current_commit(path.parent)
     bucket = history.get(label)
@@ -232,18 +223,6 @@ def record_bucket(
             bucket[case] = dict(stats)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def record_bench(
-    path: PathLike, case: str, stats: Dict[str, object]
-) -> Path:
-    """One-case producer used by the ``benchmarks/bench_*.py`` scripts.
-
-    Lands the stats twice: in the ``cases`` snapshot (overwritten — it is
-    *the* latest value) and merged into the current commit's history
-    bucket via :func:`record_bucket`.
-    """
-    return record_bucket(path, {case: stats}, snapshot=True)
 
 
 # -- reading the series -------------------------------------------------------

@@ -18,17 +18,19 @@ and assigns each case to named tiers:
 Every case carries generous **time and memory budgets** (roughly 10×
 the expected cost on a laptop) — they exist to catch pathological
 blowups on any machine, while the machine-*portable* regression signal
-is the paired speedup ratio gated against the previous history bucket.
+is the paired speedup ratio gated against the previous history bucket,
+within the case's own ``speedup_threshold``.
 
-The module also hosts the two classic gate instances
-(:func:`regression_gate_scenario`, :func:`columnar_gate_instance`) so
-``benchmarks/check_regression.py`` and the fleet measure the exact same
-workloads through the same helpers.
+Both tiers also carry the **pinned cases** on the committed-baseline
+Algorithm-1 instance (:func:`regression_gate_scenario`): the fast tier
+paired against the reference engine with a tight 25% speedup floor, and
+one case per instrumented obs level paired against the same engine
+without that instrumentation, held to :data:`OVERHEAD_BUDGETS`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,10 +38,10 @@ from ..registry import AlgorithmSpec, get_spec
 
 __all__ = [
     "BenchCase",
+    "OVERHEAD_BUDGETS",
     "TIERS",
     "build_scenario",
     "case_rows",
-    "columnar_gate_instance",
     "default_matrix",
     "expand",
     "regression_gate_scenario",
@@ -52,7 +54,16 @@ TIERS = ("quick", "full")
 #: Fleet axes (what the default matrix expands).
 FAMILIES = ("benign", "adversarial", "lossy", "churn")
 ENGINES = ("reference", "fast")
-OBS_LEVELS = ("timeline", "trace", "record")
+OBS_LEVELS = ("timeline", "trace", "record", "stream")
+
+#: Wall-clock ceiling of an instrumented run over the same engine's run
+#: without the instrumentation (the ``overhead`` gate), by obs level.
+#: ``"stream"`` is fleet-local: ``obs="timeline"`` plus an in-process
+#: :class:`~repro.obs.TelemetryBus`, paired against the bus-free run.
+OVERHEAD_BUDGETS = {"trace": 3.0, "record": 3.0, "stream": 1.15}
+
+#: The tag marking the cases on :func:`regression_gate_scenario`.
+PINNED = "pinned"
 
 #: Matrix knobs: the specs worth tracking continuously (one per
 #: implementation layer + the flooding baseline that runs on every
@@ -71,11 +82,15 @@ _FAULT_SEED = 11
 class BenchCase:
     """One benchmark-matrix cell — everything needed to reproduce it.
 
-    ``baseline_engine`` names the engine the case is *paired* against
-    with interleaved samples: the recorded ``speedup`` (baseline median /
-    case median) is a same-machine ratio and therefore the
-    machine-portable metric the gate tracks.  ``None`` records absolute
-    wall-clock only (never gated across machines).
+    ``baseline`` names the ``(engine, obs)`` run the case is *paired*
+    against with interleaved samples; ``None`` records absolute
+    wall-clock only (never gated across machines).  A baseline on
+    another engine records ``speedup`` (baseline median / case median),
+    a same-machine ratio and therefore the machine-portable metric the
+    gate tracks, within ``speedup_threshold`` of the previous bucket.  A
+    baseline on the *same* engine is an overhead pair: it records
+    ``overhead`` (case median / baseline median), gated against
+    :data:`OVERHEAD_BUDGETS` for the case's obs level.
     """
 
     algorithm: str
@@ -85,22 +100,29 @@ class BenchCase:
     obs: str = "timeline"
     k: int = _K
     seed: int = _SEED
-    baseline_engine: Optional[str] = "reference"
+    baseline: Optional[Tuple[str, str]] = ("reference", "timeline")
     tiers: Tuple[str, ...] = ("full",)
     budget_ms: float = 5_000.0
     memory_budget_mb: float = 256.0
-    #: extras for special cases (e.g. the columnar n=10⁴ gate); must stay
+    speedup_threshold: float = 0.5
+    #: extras for special cases (e.g. :data:`PINNED`); must stay
     #: hashable/picklable.
     tags: Tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def name(self) -> str:
         """Unique, colon-free id (colon is the ``--inject-slowdown``
-        separator): ``algorithm_family_nN_engine_obs``."""
+        separator): ``algorithm_family_nN_engine_obs[_tag…]``."""
         return (
             f"{self.algorithm}_{self.family}_n{self.n}"
             f"_{self.engine}_{self.obs}"
+            + "".join(f"_{tag}" for tag in self.tags)
         )
+
+    @property
+    def overhead_pair(self) -> bool:
+        """Paired against the same engine with less instrumentation."""
+        return self.baseline is not None and self.baseline[0] == self.engine
 
     def row(self) -> Dict[str, object]:
         """Flat dict for ``repro bench --list`` tables."""
@@ -111,7 +133,7 @@ class BenchCase:
             "n": self.n,
             "engine": self.engine,
             "obs": self.obs,
-            "vs": self.baseline_engine or "-",
+            "vs": "/".join(self.baseline) if self.baseline else "-",
             "tiers": ",".join(self.tiers),
             "budget_ms": self.budget_ms,
             "mem_mb": self.memory_budget_mb,
@@ -133,6 +155,17 @@ def _budget_ms(n: int, engine: str, obs: str) -> float:
     return round(base, 1)
 
 
+def _speedup_threshold(tags: Tuple[str, ...]) -> float:
+    """Allowed fractional speedup drop vs the previous bucket.
+
+    50% on the small matrix cells, whose runs take a few ms and are
+    noisy on shared CI runners, so the gate catches cliffs, not noise;
+    25% on the pinned n=100 instance, whose reference run is long enough
+    to hold a tight floor.
+    """
+    return 0.25 if PINNED in tags else 0.5
+
+
 def _memory_budget_mb(n: int, obs: str) -> float:
     """Generous traced-allocation budget (Python-heap peak, tracemalloc)."""
     base = 96.0 + 0.05 * n
@@ -148,7 +181,10 @@ def _case(
     engine: str,
     obs: str,
     tiers: Tuple[str, ...],
-    baseline: Optional[str],
+    baseline: Optional[Tuple[str, str]],
+    k: int = _K,
+    seed: int = _SEED,
+    tags: Tuple[str, ...] = (),
 ) -> BenchCase:
     return BenchCase(
         algorithm=spec.name,
@@ -156,11 +192,31 @@ def _case(
         n=n,
         engine=engine,
         obs=obs,
-        baseline_engine=baseline,
+        k=k,
+        seed=seed,
+        baseline=baseline,
         tiers=tiers,
         budget_ms=_budget_ms(n, engine, obs),
         memory_budget_mb=_memory_budget_mb(n, obs),
+        speedup_threshold=_speedup_threshold(tags),
+        tags=tags,
     )
+
+
+def _pinned_cases() -> List[BenchCase]:
+    """The per-PR cases on :func:`regression_gate_scenario`: the fast
+    tier against the reference engine, then each :data:`OVERHEAD_BUDGETS`
+    level against the same engine without its instrumentation."""
+    spec = get_spec("algorithm1")
+    pairs = [("timeline", ("reference", "timeline"))] + [
+        (obs, ("fast", "timeline" if obs == "stream" else "off"))
+        for obs in OVERHEAD_BUDGETS
+    ]
+    return [
+        _case(spec, "benign", 100, "fast", obs, ("quick", "full"), baseline,
+              k=8, seed=47, tags=(PINNED,))
+        for obs, baseline in pairs
+    ]
 
 
 def default_matrix() -> List[BenchCase]:
@@ -188,14 +244,15 @@ def default_matrix() -> List[BenchCase]:
                         else ("full",)
                     )
                     cases.append(_case(spec, family, n, engine,
-                                       "timeline", tiers, "reference"))
+                                       "timeline", tiers,
+                                       ("reference", "timeline")))
             # raised obs levels: track telemetry overhead trajectories on
             # the benign fast path (one engine is enough for a ratio)
             for obs in ("trace", "record"):
                 if family == "benign":
                     cases.append(_case(spec, family, _QUICK_N, "fast", obs,
-                                       ("full",), "reference"))
-    return cases
+                                       ("full",), ("reference", obs)))
+    return cases + _pinned_cases()
 
 
 def expand(tier: Optional[str] = None,
@@ -281,6 +338,8 @@ def _adversarial_scenario(n: int, k: int, seed: int):
 
 def build_scenario(case: BenchCase):
     """The scenario one case runs on — deterministic in the case alone."""
+    if PINNED in case.tags:
+        return regression_gate_scenario()
     spec = get_spec(case.algorithm)
     if case.family == "adversarial":
         return _adversarial_scenario(case.n, case.k, case.seed)
@@ -296,42 +355,16 @@ def build_scenario(case: BenchCase):
     return base
 
 
-# -- the classic gate instances ----------------------------------------------
+# -- the pinned instance ------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def regression_gate_scenario():
-    """The committed-baseline Algorithm-1 instance behind
-    ``algorithm1_full_run_n100_r126`` (scenario of ``BENCH_engine.json``'s
-    oldest tracked case) — shared by ``check_regression.py`` and the
-    bench scripts so gate and producer can never drift."""
+    """The committed-baseline Algorithm-1 instance of the pinned cases:
+    ``hinet_interval(n0=100, θ=30, k=8, α=5, L=2, seed=47)``, 126 rounds
+    and 3498 tokens on every tier (pinned in
+    ``tests/test_regression_pins.py``)."""
     from ..experiments.scenarios import hinet_interval_scenario
 
     return hinet_interval_scenario(
         n0=100, theta=30, k=8, alpha=5, L=2, seed=47, verify=False
-    )
-
-
-def columnar_gate_instance():
-    """The ``columnar_vs_fast_alg1_n10000`` gate workload.
-
-    Returns ``(net, factory, k, initial, rounds)`` — a clustered-star
-    CSR topology at the columnar tier's n ≥ 10⁴ gate floor, run through
-    :class:`~repro.sim.engine.SynchronousEngine` directly (the instance
-    predates the Scenario wrapper and its counters are committed
-    baselines, so its construction is frozen here).
-    """
-    from ..core.algorithm1 import make_algorithm1_factory
-    from ..graphs.generators.static import clustered_star_arrays
-    from ..sim.topology import CSRNetwork
-
-    n, theta, k = 10_000, 300, 16
-    net = CSRNetwork(clustered_star_arrays(n, theta))
-    initial = {v: frozenset({v % k}) for v in range(n)}
-    factory = make_algorithm1_factory(T=12, M=6)
-    return net, factory, k, initial, 72
-
-
-def quick_gate_case() -> BenchCase:
-    """The per-PR fleet case mirroring the classic full-run gate."""
-    return replace(
-        select(["algorithm1_benign_n48_fast_timeline"])[0],
     )

@@ -8,12 +8,14 @@ through the one true pipeline — :func:`repro.experiments.runner.execute`
   single canonical run (optionally through a
   :class:`~repro.experiments.cache.ResultCache`, so a warm CI cache
   skips recomputation; timing never touches the cache);
-* **equivalence** against the case's ``baseline_engine`` — outputs,
+* **equivalence** against the case's ``baseline`` run — outputs,
   metrics and timeline must be bit-identical, the registry-wide
-  engine-tier contract;
+  engine-tier contract (outputs and metrics only for an overhead pair,
+  whose ``obs="off"`` side has no timeline);
 * **paired timing** via :func:`~repro.bench.history.time_ms_paired`
-  (interleaved samples) yielding the machine-portable ``speedup`` ratio;
-  reference-only cases record absolute wall-clock instead;
+  (interleaved samples) yielding the machine-portable ``speedup`` ratio,
+  or ``overhead`` for a pair on one engine; unpaired cases record
+  absolute wall-clock instead;
 * **peak traced memory** (tracemalloc) from a separate *untimed* run, so
   instrumentation never distorts the timing samples.
 
@@ -21,17 +23,13 @@ through the one true pipeline — :func:`repro.experiments.runner.execute`
 :func:`repro.experiments.parallel.parallel_map` (cases are plain frozen
 dataclasses, so they pickle into worker processes), and
 :func:`gate_fleet` turns the results + the previous history bucket into
-:class:`GateViolation`\\ s — the six gate kinds are ``equivalence``,
+:class:`GateViolation`\\ s — the seven gate kinds are ``equivalence``,
 ``counter`` (exact match vs history), ``speedup`` (ratio floor vs
-history), ``budget`` and ``memory`` (absolute per-case ceilings), and
-``envelope`` (benign-family counters must stay inside the analytical
-bounds :func:`repro.analysis.predict` evaluates for the case, and the
+history), ``overhead`` (instrumented/plain ratio ceiling), ``budget``
+and ``memory`` (absolute per-case ceilings), and ``envelope``
+(benign-family counters must stay inside the analytical bounds
+:func:`repro.analysis.predict` evaluates for the case, and the
 measured/predicted ratio must not drift vs the previous bucket).
-
-The module also exports the two primitives the classic per-PR gate
-(``benchmarks/check_regression.py``) is built from — :func:`equivalent`
-and :func:`measure_ratio` — so the gate and the fleet share one
-measurement path.
 """
 
 from __future__ import annotations
@@ -39,10 +37,10 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .history import time_ms, time_ms_paired
-from .matrix import BenchCase, build_scenario
+from .matrix import OVERHEAD_BUDGETS, BenchCase, build_scenario
 
 __all__ = [
     "CaseResult",
@@ -51,7 +49,6 @@ __all__ = [
     "fleet_rows",
     "gate_fleet",
     "measure_case",
-    "measure_ratio",
     "run_fleet",
 ]
 
@@ -76,31 +73,6 @@ def equivalent(a, b) -> bool:
     )
 
 
-def measure_ratio(
-    fn_base: Callable[[], object],
-    fn_case: Callable[[], object],
-    repeats: int = 5,
-    inject_ms: float = 0.0,
-) -> Tuple[Dict[str, float], Dict[str, float], float]:
-    """Paired timing of case-vs-baseline: ``(base_stats, case_stats, speedup)``.
-
-    Samples interleave (:func:`time_ms_paired`) so allocator drift lands
-    on both sides; ``speedup`` is baseline median / case median.
-    ``inject_ms`` sleeps inside the *case* callable only — the testing
-    hook behind ``--inject-slowdown`` and the gate's self-tests.
-    """
-    sleep_s = inject_ms / 1000.0
-
-    def timed_case():
-        if sleep_s:
-            time.sleep(sleep_s)
-        return fn_case()
-
-    base_stats, case_stats = time_ms_paired(fn_base, timed_case,
-                                            repeats=repeats)
-    return base_stats, case_stats, base_stats["median_ms"] / case_stats["median_ms"]
-
-
 @dataclass
 class CaseResult:
     """One measured matrix case: the case plus its flat stats dict
@@ -116,13 +88,14 @@ class CaseResult:
     def row(self) -> Dict[str, object]:
         """Fixed-width table row for the CLI run summary."""
         stats = self.stats
-        speedup = stats.get("speedup")
+        speedup, overhead = stats.get("speedup"), stats.get("overhead")
         return {
             "case": self.name,
             "rounds": stats.get("rounds"),
             "tokens": stats.get("tokens_sent"),
             "median_ms": stats.get("median_ms"),
             "speedup": f"{speedup:.2f}x" if speedup is not None else "-",
+            "overhead": f"{overhead:.2f}x" if overhead is not None else "-",
             "peak_mb": stats.get("peak_mb"),
             "identical": stats.get("identical", "-"),
         }
@@ -177,21 +150,33 @@ def measure_case(
     ``cache`` (directory or :class:`ResultCache`) backs the *counter*
     run only; the timing/memory runs always execute fresh
     (``cache=False``) — a cached replay has no kernel cost to measure.
+    ``inject_ms`` sleeps inside the case's timed callable only — the
+    testing hook behind ``--inject-slowdown``.
     """
     from ..experiments.runner import execute
 
     scenario = build_scenario(case)
 
-    def run(engine: str, use_cache=False):
-        return execute(
-            case.algorithm,
-            scenario,
-            engine=engine,
-            obs=case.obs,
-            cache=cache if (use_cache and cache is not None) else False,
-        )
+    def run(engine: str, obs: str, use_cache=False):
+        stream = None
+        if obs == "stream":
+            from ..obs import BufferSink, TelemetryBus
 
-    record = run(case.engine, use_cache=True)
+            obs, stream = "timeline", TelemetryBus([BufferSink()])
+        try:
+            return execute(
+                case.algorithm,
+                scenario,
+                engine=engine,
+                obs=obs,
+                stream=stream,
+                cache=cache if (use_cache and cache is not None) else False,
+            )
+        finally:
+            if stream is not None:
+                stream.close()
+
+    record = run(case.engine, case.obs, use_cache=True)
     stats: Dict[str, object] = {
         "engine": case.engine,
         "obs": case.obs,
@@ -203,29 +188,34 @@ def measure_case(
     }
     _envelope_stats(case, scenario, stats, inject_envelope)
 
-    baseline = case.baseline_engine
-    if baseline is not None:
-        base_record = run(baseline, use_cache=True)
-        stats["identical"] = equivalent(record.result, base_record.result)
-        base_stats, case_stats, speedup = measure_ratio(
-            lambda: run(baseline),
-            lambda: run(case.engine),
-            repeats=repeats,
-            inject_ms=inject_ms,
-        )
-        stats["baseline_engine"] = baseline
-        stats["baseline_median_ms"] = base_stats["median_ms"]
-        stats["speedup"] = round(speedup, 4)
-        timing = case_stats
+    sleep_s = inject_ms / 1000.0
+
+    def timed_case():
+        if sleep_s:
+            time.sleep(sleep_s)
+        return run(case.engine, case.obs)
+
+    if case.baseline is None:
+        timing = time_ms(timed_case, repeats=repeats)
     else:
-        sleep_s = inject_ms / 1000.0
-
-        def timed():
-            if sleep_s:
-                time.sleep(sleep_s)
-            return run(case.engine)
-
-        timing = time_ms(timed, repeats=repeats)
+        base_engine, base_obs = case.baseline
+        base = run(base_engine, base_obs, use_cache=True).result
+        base_stats, timing = time_ms_paired(
+            lambda: run(base_engine, base_obs), timed_case, repeats=repeats
+        )
+        stats["baseline_engine"] = base_engine
+        stats["baseline_obs"] = base_obs
+        stats["baseline_median_ms"] = base_stats["median_ms"]
+        if case.overhead_pair:
+            # an obs="off" side carries no timeline to compare
+            stats["identical"] = (record.result.outputs == base.outputs
+                                  and record.result.metrics == base.metrics)
+            stats["overhead"] = round(
+                timing["median_ms"] / base_stats["median_ms"], 4)
+        else:
+            stats["identical"] = equivalent(record.result, base)
+            stats["speedup"] = round(
+                base_stats["median_ms"] / timing["median_ms"], 4)
     stats["best_ms"] = timing["best_ms"]
     stats["median_ms"] = timing["median_ms"]
     stats["mean_ms"] = timing["mean_ms"]
@@ -236,7 +226,7 @@ def measure_case(
         # must never share a run with the timing samples
         tracemalloc.start()
         try:
-            run(case.engine)
+            run(case.engine, case.obs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -246,9 +236,9 @@ def measure_case(
 
 def _fleet_task(item) -> CaseResult:
     """Module-level worker (``parallel_map``'s pickling contract)."""
-    case, repeats, inject_ms, cache_dir, memory, inject_env = item
+    case, repeats, inject_ms, cache, memory, inject_env = item
     return measure_case(case, repeats=repeats, inject_ms=inject_ms,
-                        cache=cache_dir, memory=memory,
+                        cache=cache, memory=memory,
                         inject_envelope=inject_env)
 
 
@@ -301,9 +291,8 @@ def run_fleet(
 
     inject = inject or {}
     inject_envelope = inject_envelope or {}
-    cache_dir = cache if isinstance(cache, (str, type(None))) else str(cache)
     items = [
-        (case, repeats, float(inject.get(case.name, 0.0)), cache_dir, memory,
+        (case, repeats, float(inject.get(case.name, 0.0)), cache, memory,
          float(inject_envelope.get(case.name, 1.0)))
         for case in cases
     ]
@@ -397,7 +386,8 @@ class GateViolation:
 
     case: str
     engine: str
-    # "equivalence" | "counter" | "speedup" | "budget" | "memory" | "envelope"
+    # "equivalence" | "counter" | "speedup" | "overhead" | "budget" |
+    # "memory" | "envelope"
     kind: str
     message: str
     measured: object = None
@@ -411,24 +401,22 @@ class GateViolation:
 def gate_fleet(
     results: Sequence[CaseResult],
     previous_cases: Optional[Dict[str, Dict[str, object]]] = None,
-    threshold: float = 0.5,
+    threshold: Optional[float] = None,
     envelope_drift: float = 0.25,
 ) -> List[GateViolation]:
     """Gate fleet results against budgets and the previous history bucket.
 
     Absolute gates (no history needed): engine equivalence, per-case time
-    and memory budgets, and the analytical envelope — a benign case whose
-    measured counters exceed the Table 2 bounds
-    (``envelope_ok == False``) fails outright.  History gates
-    (``previous_cases`` is the previous bucket's case dict):
-    deterministic counters must match **exactly**, the speedup ratio must
-    stay above ``previous · (1 − threshold)``, and each
+    and memory budgets, the overhead ceiling of an overhead pair
+    (:data:`~repro.bench.matrix.OVERHEAD_BUDGETS` for its obs level),
+    and the analytical envelope — a benign case whose measured counters
+    exceed the Table 2 bounds (``envelope_ok == False``) fails outright.
+    History gates (``previous_cases`` is the previous bucket's case
+    dict): deterministic counters must match **exactly**, the speedup
+    ratio must stay above ``previous · (1 − threshold)``, and each
     measured/predicted envelope ratio must stay within
-    ``envelope_drift`` (relative) of the previous bucket's ratio.  The
-    default speedup threshold is deliberately loose (50%) — the fleet
-    runs small-n cases on shared CI runners, and its job is catching
-    cliffs, not 10% noise; the classic ``check_regression.py`` gate
-    keeps the tight 25% threshold on its big-n cases.
+    ``envelope_drift`` (relative) of the previous bucket's ratio.
+    ``threshold=None`` uses each case's own ``speedup_threshold``.
     """
     previous_cases = previous_cases or {}
     violations: List[GateViolation] = []
@@ -453,10 +441,22 @@ def gate_fleet(
             violations.append(GateViolation(
                 case=case.name, engine=case.engine, kind="equivalence",
                 message=(
-                    f"engine {case.engine!r} diverged from "
-                    f"{case.baseline_engine!r} (outputs/metrics/timeline)"
+                    f"{case.engine}/{case.obs} diverged from "
+                    f"{'/'.join(case.baseline)} (outputs/metrics"
+                    f"{'' if case.overhead_pair else '/timeline'})"
                 ),
                 measured=False, expected=True, metric="identical",
+            ))
+        overhead = stats.get("overhead")
+        budget = OVERHEAD_BUDGETS.get(case.obs)
+        if isinstance(overhead, (int, float)) and budget and overhead > budget:
+            violations.append(GateViolation(
+                case=case.name, engine=case.engine, kind="overhead",
+                message=(
+                    f"obs={case.obs!r} overhead {overhead:.2f}x blew the "
+                    f"{budget:.2f}x budget over {'/'.join(case.baseline)}"
+                ),
+                measured=overhead, expected=budget, metric="overhead",
             ))
         median = stats.get("median_ms")
         if isinstance(median, (int, float)) and median > case.budget_ms:
@@ -501,14 +501,16 @@ def gate_fleet(
             isinstance(prev_speedup, (int, float))
             and isinstance(speedup, (int, float))
         ):
-            floor = float(prev_speedup) * (1.0 - threshold)
+            allowed = (case.speedup_threshold if threshold is None
+                       else threshold)
+            floor = float(prev_speedup) * (1.0 - allowed)
             if speedup < floor:
                 violations.append(GateViolation(
                     case=case.name, engine=case.engine, kind="speedup",
                     message=(
                         f"speedup regressed: {speedup:.2f}x < floor "
                         f"{floor:.2f}x (last bucket {prev_speedup:.2f}x, "
-                        f"threshold {threshold:.0%})"
+                        f"threshold {allowed:.0%})"
                     ),
                     measured=speedup, expected=floor, metric="speedup",
                 ))

@@ -8,9 +8,10 @@ the same ``_percentile`` / ``_bar`` primitives the ``repro report``
 progress dashboard uses (:mod:`repro.obs.aggregate`), so the two
 dashboards read the same way.
 
-The tracked metric is ``speedup`` where the case records one (the
-machine-portable ratio) and ``median_ms`` otherwise (absolute-wall-clock
-cases: meaningful *within* one machine's history, labelled as such).
+The tracked metric is the machine-portable ratio where the case records
+one — ``speedup``, or ``overhead`` for an overhead pair — and
+``median_ms`` otherwise (absolute-wall-clock cases: meaningful *within*
+one machine's history, labelled as such).
 Cases that record analytical-envelope columns
 (:func:`repro.bench.runner.measure_case` on benign families) additionally
 show the latest measured/predicted token ratio and whether the case sat
@@ -46,17 +47,17 @@ def trend_series(
         for case, stats in bucket_cases.items():
             if not isinstance(stats, dict):
                 continue
-            value = stats.get("speedup")
-            metric = "speedup"
-            if not isinstance(value, (int, float)):
-                value, metric = stats.get("median_ms"), "median_ms"
+            metric = next((key for key in ("speedup", "overhead")
+                           if isinstance(stats.get(key), (int, float))),
+                          "median_ms")
+            value = stats.get(metric)
             if not isinstance(value, (int, float)):
                 continue
-            # a case that ever recorded a speedup is tracked by speedup
-            if metric_for.get(case) == "speedup" and metric != "speedup":
+            # a case that ever recorded a ratio is tracked by that ratio
+            if metric == "median_ms" and metric_for.get(case, metric) != metric:
                 continue
             if metric_for.get(case) != metric:
-                if metric == "speedup" and case in series:
+                if metric != "median_ms" and case in series:
                     series[case] = []  # upgrade: drop ms points
                 metric_for[case] = metric
             series.setdefault(case, []).append((label, float(value)))
@@ -69,7 +70,7 @@ def trend_series(
 
 
 def _fmt(metric: str, value: float) -> str:
-    return f"{value:.2f}x" if metric == "speedup" else f"{value:.1f}ms"
+    return f"{value:.1f}ms" if metric == "median_ms" else f"{value:.2f}x"
 
 
 def _latest_envelope(

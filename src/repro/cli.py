@@ -363,9 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--processes", type=int, default=1,
                     help="worker processes (default 1: paired timing wants "
                     "an otherwise-idle machine)")
-    bn.add_argument("--threshold", type=float, default=0.5,
+    bn.add_argument("--threshold", type=float, default=None,
                     help="allowed fractional speedup regression vs the "
-                    "previous bucket (default: 0.5)")
+                    "previous bucket (default: each case's own floor, 0.25 "
+                    "on the pinned instance and 0.5 elsewhere)")
     bn.add_argument("--commit", default=None, metavar="LABEL",
                     help="override the history bucket label (default: short "
                     "git commit, '-dirty'-suffixed on an unclean tree)")
@@ -1068,7 +1069,11 @@ def _cmd_bench(args):
 
     tier = "full" if args.full else "quick"
     matrix = expand(None)
-    cases = select(args.cases, matrix) if args.cases else expand(tier, matrix)
+    try:
+        cases = (select(args.cases, matrix) if args.cases
+                 else expand(tier, matrix))
+    except KeyError as exc:
+        raise SystemExit(exc.args[0]) from None
     path = Path(args.json) if args.json else default_bench_path()
 
     if args.list:
@@ -1146,8 +1151,10 @@ def _cmd_bench(args):
     violations = gate_fleet(results, prev_cases, threshold=args.threshold,
                             envelope_drift=args.envelope_drift)
     if not violations:
+        threshold = ("per-case thresholds" if args.threshold is None
+                     else f"threshold {args.threshold:.0%}")
         parts.append(f"OK: {len(results)} case(s) within budgets and "
-                     f"threshold {args.threshold:.0%}")
+                     f"{threshold}")
         return "\n".join(parts), 0
 
     parts.append("")

@@ -40,8 +40,9 @@ N-th round — the construction of the event dict itself is skipped on
 decimated rounds, so a million-node run can stream without perturbing
 the hot loop.  The final round is always published
 (:meth:`TelemetryBus.end_run` back-fills it), so consumers always see
-the closing state.  Overhead is gated in CI by the
-``stream_overhead_vs_off`` case of ``benchmarks/check_regression.py``.
+the closing state.  Overhead is gated per PR by the
+``algorithm1_benign_n100_fast_stream_pinned`` case of ``repro bench``
+(at most 1.15× the bus-free ``obs="timeline"`` run).
 """
 
 from __future__ import annotations

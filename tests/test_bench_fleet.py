@@ -1,14 +1,13 @@
 """Benchmark fleet: matrix, history series, trends, gating and bisection."""
 
-import importlib.util
-import json
-import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.bench import (
+    CaseResult,
     bisect_regression,
     default_matrix,
     expand,
@@ -21,22 +20,21 @@ from repro.bench import (
     run_fleet,
     select,
 )
-from repro.bench.history import current_commit, record_bench
-from repro.bench.matrix import TIERS, build_scenario
+from repro.bench import matrix
+from repro.bench.history import current_commit
+from repro.bench.matrix import OVERHEAD_BUDGETS, TIERS, build_scenario
 from repro.cli import main
+from repro.experiments.cache import ResultCache
 from repro.registry import get_spec
+from repro.sim.linkmodel import PinpointFault
 
 FAST_CASE = "algorithm1_benign_n48_fast_timeline"
 SIBLING_CASE = "algorithm2_benign_n48_fast_timeline"
-
-
-def _load_bench_json_shim():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "_bench_json.py"
-    spec = importlib.util.spec_from_file_location("_bench_json", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("_bench_json", module)
-    spec.loader.exec_module(module)
-    return module
+PINNED_CASE = "algorithm1_benign_n100_fast_timeline_pinned"
+OVERHEAD_CASES = {
+    obs: f"algorithm1_benign_n100_fast_{obs}_pinned"
+    for obs in ("trace", "record", "stream")
+}
 
 
 class TestMatrix:
@@ -63,6 +61,21 @@ class TestMatrix:
             expand("hourly")
         with pytest.raises(KeyError):
             select(["no_such_case"])
+
+    def test_pinned_cases_keep_their_bounds(self):
+        quick = {case.name: case for case in expand("quick")}
+        pinned = quick[PINNED_CASE]
+        assert pinned.baseline == ("reference", "timeline")
+        assert pinned.speedup_threshold == 0.25
+        assert quick[FAST_CASE].speedup_threshold == 0.5
+        assert OVERHEAD_BUDGETS == {"trace": 3.0, "record": 3.0,
+                                    "stream": 1.15}
+        assert quick[OVERHEAD_CASES["trace"]].baseline == ("fast", "off")
+        assert quick[OVERHEAD_CASES["record"]].baseline == ("fast", "off")
+        assert quick[OVERHEAD_CASES["stream"]].baseline == ("fast",
+                                                           "timeline")
+        scenario = build_scenario(pinned)
+        assert (scenario.n, scenario.k) == (pinned.n, pinned.k) == (100, 8)
 
     def test_scenarios_match_case_axes(self):
         for name in (FAST_CASE, "flood-all_adversarial_n48_fast_timeline",
@@ -120,24 +133,6 @@ class TestHistory:
         history_data = load_bench(path)["history"]
         assert history_data["abc1234"]["a"]["median_ms"] == 1.0
         assert history_data["abc1234-dirty"]["a"]["median_ms"] == 9.0
-
-    def test_record_bench_snapshots_latest_case(self, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        record_bench(path, "case", {"median_ms": 5.0})
-        data = load_bench(path)
-        assert data["cases"]["case"]["median_ms"] == 5.0
-        assert any("case" in cases for _, cases, _ in ordered_history(data))
-
-    def test_bench_json_shim_round_trip(self, tmp_path, monkeypatch):
-        shim = _load_bench_json_shim()
-        monkeypatch.setattr(shim, "BENCH_JSON", tmp_path / "BENCH_engine.json")
-        shim.record_bench("case", {"median_ms": 5.0})
-        shim.record_bench("case", {"speedup": 2.0})
-        data = json.loads((tmp_path / "BENCH_engine.json").read_text())
-        assert data["cases"]["case"] == {"speedup": 2.0}  # latest snapshot
-        merged = [bucket["case"] for label, bucket in data["history"].items()
-                  if "case" in bucket]
-        assert {"median_ms": 5.0, "speedup": 2.0} in merged
 
 
 def _synthetic_history(tmp_path) -> Path:
@@ -218,6 +213,100 @@ class TestFleetEndToEnd:
         assert "algorithm1_benign_n48_reference_timeline" in text
         # both runs landed as separate buckets
         assert set(load_bench(path)["history"]) == {"c1", "c2"}
+
+
+    def test_result_cache_entries_land_under_its_root(self, tmp_path,
+                                                      monkeypatch):
+        store = ResultCache(tmp_path / "store")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        run_fleet(select([FAST_CASE]), repeats=1, memory=False, cache=store)
+        assert len(store) > 0
+        assert list(cwd.iterdir()) == []
+
+
+def _bench(path: Path, label: str, *cases: str, extra=()) -> int:
+    return main(["bench", "--cases", *cases, "--repeats", "1", "--no-memory",
+                 "--commit", label, "--json", str(path), *extra])
+
+
+class TestPinnedGate:
+    """The pinned cases on the committed-baseline Algorithm-1 instance:
+    the fast⇄reference speedup floor and the overhead budgets."""
+
+    def test_pinned_case_passes_on_healthy_engine(self, tmp_path, capsys):
+        # lenient threshold: passes on any machine unless the fast tier
+        # genuinely stopped being faster than the reference engine
+        path = tmp_path / "BENCH_engine.json"
+        for label in ("c1", "c2"):
+            assert _bench(path, label, PINNED_CASE,
+                          extra=("--threshold", "0.9")) == 0
+        assert "gating against bucket 'c1'" in capsys.readouterr().out
+        stats = load_bench(path)["history"]["c2"][PINNED_CASE]
+        assert stats["identical"] is True
+        assert (stats["rounds"], stats["tokens_sent"]) == (126, 3498)
+
+    def test_pinned_case_fails_on_injected_slowdown(self, tmp_path, capsys):
+        path = tmp_path / "BENCH_engine.json"
+        assert _bench(path, "c1", PINNED_CASE) == 0
+        capsys.readouterr()
+        assert _bench(path, "c2", PINNED_CASE, extra=(
+            "--inject-slowdown", f"{PINNED_CASE}:300")) == 1
+        assert f"FAIL: [speedup] {PINNED_CASE}" in capsys.readouterr().out
+
+    def test_fails_on_unknown_case(self, tmp_path):
+        path = tmp_path / "BENCH_engine.json"
+        with pytest.raises(SystemExit, match="no-such-case"):
+            _bench(path, "c1", "no-such-case")
+        assert not path.exists()
+
+    def test_speedup_floor_is_per_case(self):
+        results = [CaseResult(case, {"speedup": 0.7})
+                   for case in select([PINNED_CASE, FAST_CASE])]
+        previous = {result.name: {"speedup": 1.0} for result in results}
+        violations = gate_fleet(results, previous)
+        assert [(v.case, v.kind) for v in violations] == [
+            (PINNED_CASE, "speedup")]
+        assert "threshold 25%" in violations[0].message
+        assert gate_fleet(results, previous, threshold=0.5) == []
+
+    @pytest.mark.parametrize("obs", sorted(OVERHEAD_CASES))
+    def test_overhead_case_within_budget(self, obs, tmp_path, monkeypatch):
+        # generous budget: passes anywhere unless the instrumentation
+        # became outright pathological relative to the plain run
+        monkeypatch.setitem(OVERHEAD_BUDGETS, obs, 20.0)
+        path = tmp_path / "BENCH_engine.json"
+        assert _bench(path, "c1", OVERHEAD_CASES[obs]) == 0
+        stats = load_bench(path)["history"]["c1"][OVERHEAD_CASES[obs]]
+        assert stats["identical"] is True
+        assert 0 < stats["overhead"] <= 20.0 and "speedup" not in stats
+        assert (stats["rounds"], stats["tokens_sent"]) == (126, 3498)
+
+    @pytest.mark.parametrize("obs", sorted(OVERHEAD_CASES))
+    def test_overhead_case_fails_on_injected_overhead(self, obs, tmp_path,
+                                                      capsys):
+        case = OVERHEAD_CASES[obs]
+        assert _bench(tmp_path / "BENCH_engine.json", "c1", case, extra=(
+            "--inject-slowdown", f"{case}:300")) == 1
+        assert f"FAIL: [overhead] {case}" in capsys.readouterr().out
+
+    def test_equivalence_failure_bisects_to_divergence(self, tmp_path,
+                                                       monkeypatch, capsys):
+        """A fault on the vectorised tiers only fails the pinned case's
+        equivalence gate, and the bisection report pinpoints it."""
+        fault = PinpointFault(3, 5, 0, tiers=("fast", "columnar"))
+        healthy = matrix.regression_gate_scenario()
+        monkeypatch.setattr(matrix, "regression_gate_scenario",
+                            lambda: replace(healthy, link=fault.spec()))
+        report = tmp_path / "bisect.txt"
+        assert _bench(tmp_path / "BENCH_engine.json", "c1", PINNED_CASE,
+                      extra=("--bisect", "--bisect-report", str(report))) == 1
+        assert f"FAIL: [equivalence] {PINNED_CASE}" in capsys.readouterr().out
+        text = report.read_text()
+        assert "DIVERGENCE" in text
+        assert "first diverging round: 3" in text
+        assert "node 5" in text
 
 
 class TestFleetHeartbeat:

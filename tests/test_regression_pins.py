@@ -12,11 +12,16 @@ streams, generator construction order, engine scheduling.
 
 import pytest
 
+from repro.bench.matrix import regression_gate_scenario
+from repro.core.algorithm1 import make_algorithm1_factory
 from repro.core.analysis import table3
-from repro.experiments.runner import run_algorithm1, run_klo_interval
+from repro.experiments.runner import execute, run_algorithm1, run_klo_interval
 from repro.experiments.scenarios import hinet_interval_scenario
 from repro.experiments.tables import simulated_table3
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
+from repro.graphs.generators.static import clustered_star_arrays
+from repro.sim.engine import SynchronousEngine
+from repro.sim.topology import CSRNetwork
 
 
 class TestAnalyticPins:
@@ -71,3 +76,24 @@ class TestSimulationPins:
         # shape pins with slack for rng-stream evolution
         assert hinet_T["measured_comm"] < 0.5 * klo_T["measured_comm"]
         assert hinet_1["measured_comm"] < klo_1["measured_comm"]
+
+
+class TestCommittedBaselinePins:
+    """Exact counters of the two committed engine baselines: the bench
+    fleet's pinned Algorithm-1 instance and the n=10⁴ clustered star."""
+
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    def test_pinned_fleet_instance(self, engine):
+        record = execute("algorithm1", regression_gate_scenario(),
+                         engine=engine, cache=False)
+        assert (record.rounds, record.tokens_sent) == (126, 3498)
+
+    @pytest.mark.parametrize("engine", ["fast", "columnar"])
+    def test_clustered_star_n10000(self, engine):
+        n, theta, k = 10_000, 300, 16
+        net = CSRNetwork(clustered_star_arrays(n, theta))
+        initial = {v: frozenset({v % k}) for v in range(n)}
+        result = SynchronousEngine(engine=engine).run(
+            net, make_algorithm1_factory(T=12, M=6), k, initial, 72
+        )
+        assert (result.metrics.rounds, result.metrics.tokens_sent) == (72, 31300)
