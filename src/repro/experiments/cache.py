@@ -5,10 +5,12 @@ Every :func:`repro.experiments.runner.execute` call can be keyed by what
 
 * the algorithm spec's name **and version** (bumped on any semantic
   change, so stale entries can never be replayed);
-* the **scenario content** — a SHA-256 over the canonical JSON encoding
-  of the trace, the initial token assignment and the scalar model
-  parameters, so any change to a builder's seed or parameters changes
-  the key without the cache having to know how the scenario was built;
+* the **scenario content** — a SHA-256 over the trace's per-round CSR
+  array bytes plus a small canonical-JSON header (the initial token
+  assignment, the scalar model parameters, family, link model and trace
+  shape), so any change to a builder's seed or parameters changes the
+  key without the cache having to know how the scenario was built (see
+  :func:`scenario_fingerprint`);
 * the execution ``engine`` string;
 * the resolved algorithm overrides (``RunPlan.key_params`` — budgets,
   flags, algorithm seeds) and the stop rule.
@@ -59,16 +61,12 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from ..io import (
-    run_record_from_dict,
-    run_record_to_dict,
-    scenario_to_dict,
-)
+from ..io import _scalar_params, run_record_from_dict, run_record_to_dict
 
 __all__ = ["ResultCache", "resolve_cache", "scenario_fingerprint"]
 
 _FORMAT = "repro-result-cache"
-_VERSION = 1
+_VERSION = 2
 
 #: Environment variable naming a default cache directory.
 ENV_VAR = "REPRO_RESULT_CACHE"
@@ -80,15 +78,67 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _round_digest(snap) -> bytes:
+    """SHA-256 over one snapshot's :class:`~repro.sim.topology.SnapshotArrays`.
+
+    The CSR ``indptr`` and ``indices`` are hashed as little-endian int64,
+    then each hierarchy array the snapshot carries behind its own tag:
+    ``roles`` as int8 :data:`~repro.sim.topology.ROLE_CODES` and
+    ``head_of`` as int64 with ``-1`` for "unaffiliated".  A flat
+    snapshot has neither tag.  ``head_adjacent`` is derived from the
+    rest and left out.  Snapshots are frozen, so the digest is memoized
+    next to the arrays themselves.
+    """
+    memo = snap._memo()
+    digest = memo.get("sha256")
+    if digest is None:
+        arrs = snap.arrays()
+        parts = [
+            arrs.indptr.astype("<i8", copy=False).tobytes(),
+            arrs.indices.astype("<i8", copy=False).tobytes(),
+        ]
+        if arrs.roles is not None:
+            parts += [b"roles", arrs.roles.astype("<i1", copy=False).tobytes()]
+        if arrs.head_of is not None:
+            parts += [b"head_of", arrs.head_of.astype("<i8", copy=False).tobytes()]
+        digest = hashlib.sha256(b"".join(parts)).digest()
+        memo["sha256"] = digest
+    return digest
+
+
 def scenario_fingerprint(scenario) -> str:
-    """SHA-256 over the scenario's canonical JSON encoding.
+    """SHA-256 over the scenario's header and its per-round array digests.
+
+    The header is canonical JSON of everything but the edges: name,
+    ``k``, the initial assignment, the scalar params, family, link model,
+    ``n``, the trace's ``extend`` policy and horizon.  Each round then
+    contributes the digest of its CSR arrays (:func:`_round_digest`),
+    memoized on the snapshot, so re-keying a scenario costs one small
+    hash however large its trace.
 
     Content-addressed: two scenarios with the same trace, initial
     assignment and scalar params fingerprint identically no matter how
-    they were constructed; any change to either changes the digest.
+    they were constructed (edge order, networkx, a JSON round trip);
+    any change to one of them changes the digest.
     """
-    blob = _canonical(scenario_to_dict(scenario))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    trace = scenario.trace
+    header = _canonical(
+        {
+            "name": scenario.name,
+            "k": scenario.k,
+            "initial": {
+                str(v): sorted(toks) for v, toks in scenario.initial.items()
+            },
+            "params": _scalar_params(scenario.params),
+            "family": scenario.family,
+            "link": scenario.link,
+            "n": trace.n,
+            "extend": trace.extend,
+            "horizon": trace.horizon,
+        }
+    )
+    rounds = b"".join(_round_digest(snap) for snap in trace)
+    return hashlib.sha256(header.encode("utf-8") + rounds).hexdigest()
 
 
 def _jsonable(value: Any) -> Any:
@@ -154,10 +204,13 @@ class ResultCache:
     def get(self, key: str):
         """The cached :class:`RunRecord` for ``key``, or ``None`` on a miss.
 
-        A corrupt entry is a miss, which the caller's recompute then
-        overwrites: text that is not JSON (e.g. a file truncated by a
-        crashed writer that predates the atomic-write path), JSON of the
-        wrong shape, or an entry without a decodable ``record``.
+        A corrupt or foreign entry is a miss, which the caller's
+        recompute then overwrites: text that is not JSON (e.g. a file
+        truncated by a crashed writer that predates the atomic-write
+        path), JSON of the wrong shape, an entry whose ``format``,
+        ``version`` or stored ``key`` is not this cache's and this key's
+        (a renamed file, an entry from an older cache version), or one
+        without a decodable ``record``.
         """
         path = self._path(key)
         try:
@@ -165,6 +218,10 @@ class ResultCache:
         except (OSError, ValueError):
             return None
         try:
+            if (data["format"], data["version"], data["key"]) != (
+                _FORMAT, _VERSION, key
+            ):
+                return None
             return run_record_from_dict(data["record"])
         except (AttributeError, KeyError, TypeError, ValueError):
             return None

@@ -30,11 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ...roles import Role
 from ...sim.rng import SeedLike, make_rng
 from ...sim.topology import Snapshot
 from ..trace import GraphTrace
-from .static import erdos_renyi
 
 __all__ = ["HiNetParams", "HiNetScenario", "generate_hinet"]
 
@@ -204,6 +205,9 @@ def generate_hinet(params: HiNetParams, seed: SeedLike = None) -> HiNetScenario:
     snaps: List[Snapshot] = []
     reaffiliations = 0
     member_rounds = 0
+    # vertex pairs u < v of the per-round G(n, churn_p) churn
+    churn = params.churn_p > 0 and n >= 2
+    rows, cols = np.triu_indices(n, k=1)
 
     for phase in range(params.phases):
         if phase > 0 and params.head_churn > 0:
@@ -280,8 +284,9 @@ def generate_hinet(params: HiNetParams, seed: SeedLike = None) -> HiNetScenario:
         member_count = sum(1 for r_ in roles if r_ is Role.MEMBER)
         for _ in range(params.T):
             edges = list(stable_edges)
-            if params.churn_p > 0:
-                edges += list(erdos_renyi(n, params.churn_p, seed=rng).edges())
+            if churn:
+                kept = rng.random(len(rows)) < params.churn_p
+                edges += zip(rows[kept].tolist(), cols[kept].tolist())
             snaps.append(
                 Snapshot.from_edges(n, edges, roles=roles, head_of=head_of)
             )

@@ -155,6 +155,16 @@ def load_trace(path: Union[str, Path]) -> GraphTrace:
     return trace_from_dict(json.loads(Path(path).read_text()))
 
 
+def _scalar_params(params: Dict[str, Any]) -> Dict[str, Any]:
+    """``params`` filtered to JSON-safe scalars (provenance objects such as
+    a generator handle are dropped)."""
+    return {
+        key: value
+        for key, value in params.items()
+        if isinstance(value, (int, float, str, bool)) or value is None
+    }
+
+
 def scenario_to_dict(scenario) -> Dict[str, Any]:
     """Encode an :class:`~repro.experiments.scenarios.Scenario` as JSON.
 
@@ -162,11 +172,6 @@ def scenario_to_dict(scenario) -> Dict[str, Any]:
     objects like the generator handle are dropped — the trace itself is
     the reproducible artifact).
     """
-    params = {
-        key: value
-        for key, value in scenario.params.items()
-        if isinstance(value, (int, float, str, bool)) or value is None
-    }
     out = {
         "format": "repro-scenario",
         "version": _VERSION,
@@ -174,11 +179,11 @@ def scenario_to_dict(scenario) -> Dict[str, Any]:
         "name": scenario.name,
         "k": scenario.k,
         "initial": {str(v): sorted(toks) for v, toks in scenario.initial.items()},
-        "params": params,
+        "params": _scalar_params(scenario.params),
         "trace": trace_to_dict(scenario.trace),
     }
     # family/link only when non-default: benign scenarios keep their
-    # pre-seam encoding (and cache fingerprints) byte-for-byte
+    # pre-seam on-disk encoding byte-for-byte
     family = getattr(scenario, "family", "benign")
     if family != "benign":
         out["family"] = family

@@ -283,8 +283,8 @@ class TestScenarioFamilies:
 
 class TestCodecsAndCacheKeys:
     def test_benign_encoding_unchanged(self):
-        """Benign scenarios keep their pre-seam JSON shape, so existing
-        cache fingerprints (and archived scenario files) stay valid."""
+        """Benign scenarios keep their pre-seam JSON shape, so archived
+        scenario files stay valid."""
         d = scenario_to_dict(_flat())
         assert "family" not in d
         assert "link" not in d

@@ -1,8 +1,17 @@
 """Tests for the algorithm registry, run serialization and the result cache."""
 
 import json
+import os
+import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import networkx as nx
 import pytest
+
+import repro.io
 
 from repro.experiments.cache import ResultCache, resolve_cache, scenario_fingerprint
 from repro.experiments.runner import execute
@@ -12,16 +21,21 @@ from repro.experiments.scenarios import (
     hinet_one_scenario,
 )
 from repro.experiments.sweeps import sweep_n
+from repro.graphs.trace import GraphTrace
 from repro.io import (
+    load_scenario,
     metrics_from_dict,
     metrics_to_dict,
     run_record_from_dict,
     run_record_to_dict,
     run_result_from_dict,
     run_result_to_dict,
+    save_scenario,
 )
 from repro.registry import all_specs, get_spec, spec_names
+from repro.roles import Role
 from repro.sim.engine import SynchronousEngine
+from repro.sim.topology import Snapshot
 
 #: The ten single-hop algorithms the run_* helpers historically covered.
 SINGLE_HOP = [
@@ -222,15 +236,24 @@ class TestResultCache:
         assert len(cache) == 0
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, interval_scenario):
-        """Truncated text, valid JSON of the wrong shape and an entry with
-        no record each count as one miss; the recompute rewrites the entry,
-        which parses again, and the next call is a hit."""
-        cache = _CountingCache(tmp_path)
+        """Truncated text, valid JSON of the wrong shape, an entry with no
+        record, another key's entry renamed onto this path and an entry of
+        the previous cache version each count as one miss; the recompute
+        rewrites the entry, which parses again, and the next call is a
+        hit."""
+        cache = _CountingCache(tmp_path / "cache")
         execute("algorithm1", interval_scenario, cache=cache)
         (path,) = cache.root.glob("*/*.json")
         stored = json.loads(path.read_text())
         no_record = json.dumps({k: v for k, v in stored.items() if k != "record"})
-        for corrupt in ("{ truncated", '{"record": 3}', no_record):
+        # another key's (decodable) entry renamed onto this key's path
+        other = ResultCache(tmp_path / "other")
+        execute("klo-interval", interval_scenario, cache=other)
+        (other_path,) = other.root.glob("*/*.json")
+        renamed = other_path.read_text()
+        v1_format = json.dumps({**stored, "version": 1})
+        for corrupt in ("{ truncated", '{"record": 3}', no_record, renamed,
+                        v1_format):
             path.write_text(corrupt)
             hits, misses = cache.hits, cache.misses
             record = execute("algorithm1", interval_scenario, cache=cache)
@@ -252,6 +275,129 @@ class TestResultCache:
     def test_cache_accepts_plain_path_argument(self, tmp_path, interval_scenario):
         execute("algorithm1", interval_scenario, cache=str(tmp_path))
         assert len(ResultCache(tmp_path)) == 1
+
+
+def _with_snapshots(scenario, snapshots):
+    """``scenario`` with its trace replaced by ``snapshots``."""
+    trace = GraphTrace(snapshots=list(snapshots), extend=scenario.trace.extend)
+    return replace(scenario, trace=trace)
+
+
+def _changed_round(snap, edges=None, roles=None, head_of=None):
+    """A copy of ``snap`` with its edges, roles or head map replaced."""
+    return Snapshot.from_edges(
+        snap.n,
+        snap.edges() if edges is None else edges,
+        roles=snap.roles if roles is None else roles,
+        head_of=snap.head_of if head_of is None else head_of,
+    )
+
+
+#: Rebuilds the ``interval_scenario`` fixture in a fresh interpreter.
+_FINGERPRINT_SCRIPT = """
+from repro.experiments.cache import scenario_fingerprint
+from repro.experiments.scenarios import hinet_interval_scenario
+print(scenario_fingerprint(
+    hinet_interval_scenario(n0=24, theta=7, k=3, alpha=3, L=2, seed=5)))
+"""
+
+
+class TestContentAddress:
+    """The scenario fingerprint addresses content, not construction."""
+
+    def test_same_trace_built_three_ways(self, tmp_path, interval_scenario):
+        rng = random.Random(11)
+        shuffled, via_nx = [], []
+        for snap in interval_scenario.trace:
+            edges = [(v, u) if rng.random() < 0.5 else (u, v)
+                     for u, v in snap.edges()]
+            rng.shuffle(edges)
+            shuffled.append(Snapshot.from_edges(
+                snap.n, edges, roles=snap.roles, head_of=snap.head_of))
+            graph = nx.Graph()
+            graph.add_nodes_from(reversed(range(snap.n)))
+            graph.add_edges_from(reversed(edges))
+            via_nx.append(Snapshot.from_networkx(
+                graph, roles=snap.roles, head_of=snap.head_of))
+        path = save_scenario(interval_scenario, tmp_path / "scenario.json")
+        prints = {
+            scenario_fingerprint(interval_scenario),
+            scenario_fingerprint(_with_snapshots(interval_scenario, shuffled)),
+            scenario_fingerprint(_with_snapshots(interval_scenario, via_nx)),
+            scenario_fingerprint(load_scenario(path)),
+        }
+        assert len(prints) == 1
+
+    def test_one_flip_changes_the_fingerprint(self, interval_scenario):
+        base = interval_scenario
+        snaps = list(base.trace)
+        r = len(snaps) // 2
+        snap = snaps[r]
+        edges = snap.edges()
+        u, v = next((u, v) for u in range(snap.n) for v in range(u + 1, snap.n)
+                    if v not in snap.adj[u])
+        member = next(w for w in range(snap.n) if snap.roles[w] is Role.MEMBER)
+        other_head = next(h for h in sorted(snap.heads())
+                          if h != snap.head_of[member])
+        roles = list(snap.roles)
+        roles[member] = Role.GATEWAY
+        head_of = list(snap.head_of)
+        head_of[member] = other_head
+
+        def at_r(changed):
+            return _with_snapshots(base, snaps[:r] + [changed] + snaps[r + 1:])
+
+        moved = dict(base.initial)
+        donor = next(w for w, toks in moved.items() if toks)
+        token = min(moved[donor])
+        receiver = next(w for w in range(base.n) if token not in moved.get(w, ()))
+        moved[donor] = moved[donor] - {token}
+        moved[receiver] = moved.get(receiver, frozenset()) | {token}
+
+        variants = {
+            "edge added": at_r(_changed_round(snap, edges=edges + [(u, v)])),
+            "edge removed": at_r(_changed_round(snap, edges=edges[1:])),
+            "role": at_r(_changed_round(snap, roles=roles)),
+            "head_of": at_r(_changed_round(snap, head_of=head_of)),
+            "extend": replace(base, trace=GraphTrace(snapshots=snaps,
+                                                     extend="cycle")),
+            "horizon": _with_snapshots(base, snaps + snaps[-1:]),
+            "k": replace(base, k=base.k + 1),
+            "initial": replace(base, initial=moved),
+            "link": replace(base, link={"kind": "iid-loss", "p": 0.1, "seed": 1}),
+            "family": replace(base, family="lossy"),
+        }
+        base_print = scenario_fingerprint(base)
+        prints = {name: scenario_fingerprint(s) for name, s in variants.items()}
+        for name, digest in prints.items():
+            assert digest != base_print, name
+        assert len(set(prints.values())) == len(prints)
+
+    def test_stable_across_hash_seeds(self, interval_scenario):
+        root = Path(__file__).resolve().parent.parent
+        expected = scenario_fingerprint(interval_scenario)
+        for hashseed in ("1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                       PYTHONPATH=str(root / "src"))
+            proc = subprocess.run(
+                [sys.executable, "-c", _FINGERPRINT_SCRIPT], cwd=root, env=env,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == expected
+
+    def test_warm_hit_encodes_no_json(self, tmp_path, interval_scenario,
+                                      monkeypatch):
+        cache = _CountingCache(tmp_path)
+        cold = execute("algorithm1", interval_scenario, cache=cache)
+        for name in ("scenario_to_dict", "trace_to_dict"):
+            monkeypatch.setattr(
+                repro.io, name,
+                lambda *a, _name=name, **k: pytest.fail(f"{_name} on a warm hit"),
+            )
+        replay = execute("algorithm1", interval_scenario, cache=cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert _canonical(replay) == _canonical(cold)
 
 
 class TestWarmSweep:

@@ -10,16 +10,20 @@ encode the current deterministic behaviour of the whole stack: rng
 streams, generator construction order, engine scheduling.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.bench.matrix import regression_gate_scenario
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.core.analysis import table3
 from repro.experiments.runner import execute, run_algorithm1, run_klo_interval
-from repro.experiments.scenarios import hinet_interval_scenario
+from repro.experiments.scenarios import hinet_interval_scenario, hinet_one_scenario
 from repro.experiments.tables import simulated_table3
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.static import clustered_star_arrays
+from repro.io import trace_to_dict
 from repro.sim.engine import SynchronousEngine
 from repro.sim.topology import CSRNetwork
 
@@ -97,3 +101,35 @@ class TestCommittedBaselinePins:
             net, make_algorithm1_factory(T=12, M=6), k, initial, 72
         )
         assert (result.metrics.rounds, result.metrics.tokens_sent) == (72, 31300)
+
+
+class TestGeneratorTracePins:
+    """sha256 of each trace's canonical JSON for fixed (builder, seed)
+    pairs: any change to a generator's rng consumption, edge set or
+    hierarchy shows up here, however the generator is implemented."""
+
+    @staticmethod
+    def _digest(scenario) -> str:
+        blob = json.dumps(
+            trace_to_dict(scenario.trace), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "355c500ab043b084b6f620f76063e0df4c26c555d8f2084d2639bc6d76f23e48"),
+        (47, "8d6dbb65710b132881758205afa7c434d2eb60ce3576c37250120f243baa6a93"),
+        (101, "24ea60060af4948a251c2216db2d1d841aab4f9036e4c5966381f0289a352268"),
+    ])
+    def test_hinet_interval_trace(self, seed, digest):
+        scenario = hinet_interval_scenario(n0=40, theta=12, k=6, alpha=3, L=2,
+                                           seed=seed)
+        assert self._digest(scenario) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "76cf25e6c80fd11f130d777a97deebe012e52c836bca00624bea06354747085a"),
+        (47, "c378128139b895474629d1ddc0ad7fdf50d66a3f064ff967141a185042f6a251"),
+        (101, "d2bddf10eaabe82a8c913fad7118b5f4e53ae784ed68ab2f0171783082f1f31a"),
+    ])
+    def test_hinet_one_trace(self, seed, digest):
+        scenario = hinet_one_scenario(n0=40, theta=12, k=6, L=3, seed=seed)
+        assert self._digest(scenario) == digest
