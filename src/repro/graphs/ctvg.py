@@ -17,13 +17,20 @@ the per-round head set :math:`V_h^i` and per-cluster member sets
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
+
+import numpy as np
 
 from ..roles import Role
+from ..sim.topology import ROLE_CODES
 from .trace import GraphTrace
 from .tvg import TVG
 
 __all__ = ["CTVG"]
+
+_HEAD, _GATEWAY, _MEMBER = (
+    ROLE_CODES[Role.HEAD], ROLE_CODES[Role.GATEWAY], ROLE_CODES[Role.MEMBER]
+)
 
 
 class CTVG(TVG):
@@ -67,21 +74,39 @@ class CTVG(TVG):
         """All clusters of round ``t`` as ``{head: member set}``."""
         return self.trace.snapshot(t).clusters()
 
+    def _with_role(self, t: int, code: int) -> FrozenSet[int]:
+        roles = self.trace.snapshot(t).arrays().roles
+        return frozenset(np.flatnonzero(roles == code).tolist())
+
     def gateways(self, t: int) -> FrozenSet[int]:
         """Nodes with gateway status in round ``t``."""
-        snap = self.trace.snapshot(t)
-        return frozenset(
-            v for v in range(snap.n) if snap.roles[v] is Role.GATEWAY
-        )
+        return self._with_role(t, _GATEWAY)
 
     def ordinary_members(self, t: int) -> FrozenSet[int]:
         """Nodes with plain member status (``m``) in round ``t``."""
-        snap = self.trace.snapshot(t)
-        return frozenset(
-            v for v in range(snap.n) if snap.roles[v] is Role.MEMBER
-        )
+        return self._with_role(t, _MEMBER)
 
     # -- hierarchy change tracking --------------------------------------------
+    #
+    # Whole-trace statistics run on (rounds, n) stacks of the per-round
+    # role-code and head-id arrays (-1 = unaffiliated).
+
+    def _stacks(self, stop: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """Role codes and head ids of rounds ``0 .. stop-1`` (default: the
+        recorded horizon), one row per round."""
+        stop = self.trace.horizon if stop is None else stop
+        arrs = [self.trace.snapshot(t).arrays() for t in range(stop)]
+        return (
+            np.stack([a.roles for a in arrs]),
+            np.stack([a.head_of for a in arrs]),
+        )
+
+    @staticmethod
+    def _joins(heads: np.ndarray) -> np.ndarray:
+        """Per node: rounds ``t >= 1`` whose head differs from round
+        ``t - 1``'s and is not "unaffiliated"."""
+        later = heads[1:]
+        return np.count_nonzero((later != heads[:-1]) & (later >= 0), axis=0)
 
     def head_changes(self, v: int, upto: Optional[int] = None) -> int:
         """Number of re-affiliations node ``v`` performs in the trace.
@@ -92,14 +117,10 @@ class CTVG(TVG):
         :math:`n_r`.
         """
         stop = self.trace.horizon if upto is None else upto
-        changes = 0
-        prev = self.I(v, 0)
-        for t in range(1, stop):
-            cur = self.I(v, t)
-            if cur is not None and cur != prev:
-                changes += 1
-            prev = cur
-        return changes
+        if stop < 2:
+            return 0
+        _, heads = self._stacks(stop)
+        return int(self._joins(heads[:, v:v + 1])[0])
 
     def mean_reaffiliations(self) -> float:
         """Average re-affiliation count over nodes that were ever plain members.
@@ -107,21 +128,19 @@ class CTVG(TVG):
         The paper's :math:`n_r` (Table 1: "the average number of
         re-affiliations a cluster member conducts").
         """
-        member_ever = set()
-        for t in range(self.trace.horizon):
-            member_ever |= self.ordinary_members(t)
-        if not member_ever:
+        roles, heads = self._stacks()
+        member_ever = (roles == _MEMBER).any(axis=0)
+        members = int(np.count_nonzero(member_ever))
+        if not members:
             return 0.0
-        return sum(self.head_changes(v) for v in member_ever) / len(member_ever)
+        return int(self._joins(heads)[member_ever].sum()) / members
 
     def mean_member_count(self) -> float:
         """Average number of plain-member nodes per round (the paper's :math:`n_m`)."""
-        h = self.trace.horizon
-        return sum(len(self.ordinary_members(t)) for t in range(h)) / h
+        roles, _ = self._stacks()
+        return int(np.count_nonzero(roles == _MEMBER)) / roles.shape[0]
 
     def distinct_heads(self) -> FrozenSet[int]:
         """All nodes that ever act as head — an empirical lower bound on θ."""
-        out: set = set()
-        for t in range(self.trace.horizon):
-            out |= self.head_set(t)
-        return frozenset(out)
+        roles, _ = self._stacks()
+        return frozenset(np.flatnonzero((roles == _HEAD).any(axis=0)).tolist())

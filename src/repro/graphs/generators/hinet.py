@@ -27,17 +27,22 @@ every round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ...roles import Role
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import Snapshot
+from ...sim.topology import ROLE_CODES, Snapshot, csr_rounds, head_adjacency
 from ..trace import GraphTrace
 
 __all__ = ["HiNetParams", "HiNetScenario", "generate_hinet"]
+
+_HEAD, _GATEWAY, _MEMBER = (
+    ROLE_CODES[Role.HEAD], ROLE_CODES[Role.GATEWAY], ROLE_CODES[Role.MEMBER]
+)
 
 
 @dataclass(frozen=True)
@@ -105,9 +110,11 @@ class HiNetParams:
         if self.L not in (1, 2, 3):
             raise ValueError(f"L must be 1, 2 or 3, got {self.L}")
         if not (0.0 <= self.reaffiliation_p <= 1.0):
-            raise ValueError(f"reaffiliation_p must be a probability")
+            raise ValueError(
+                f"reaffiliation_p must be a probability, got {self.reaffiliation_p}"
+            )
         if not (0.0 <= self.churn_p <= 1.0):
-            raise ValueError(f"churn_p must be a probability")
+            raise ValueError(f"churn_p must be a probability, got {self.churn_p}")
         if self.head_churn < 0:
             raise ValueError(f"head_churn must be >= 0, got {self.head_churn}")
         gateways_needed = (self.num_heads - 1) * (self.L - 1)
@@ -192,7 +199,10 @@ def generate_hinet(params: HiNetParams, seed: SeedLike = None) -> HiNetScenario:
     """Generate one verified (T, L)-HiNet trace; see the module docstring.
 
     Determinism: the same ``params`` and integer ``seed`` always produce
-    the identical trace.
+    the identical trace.  Rounds are emitted as CSR arrays straight from
+    the stable edges plus the numpy G(n, p) churn (:func:`csr_rounds`);
+    the rounds of one phase share its ``roles``/``head_of``/
+    ``head_adjacent`` arrays.
     """
     rng = make_rng(seed)
     n, L = params.n, params.L
@@ -202,12 +212,13 @@ def generate_hinet(params: HiNetParams, seed: SeedLike = None) -> HiNetScenario:
         int(v) for v in rng.choice(pool, size=params.num_heads, replace=False)
     )
     affiliation: Dict[int, int] = {}  # persists across phases for stickiness
-    snaps: List[Snapshot] = []
+    round_edges: List[np.ndarray] = []
+    round_hierarchy: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     reaffiliations = 0
     member_rounds = 0
     # vertex pairs u < v of the per-round G(n, churn_p) churn
     churn = params.churn_p > 0 and n >= 2
-    rows, cols = np.triu_indices(n, k=1)
+    pairs = np.column_stack(np.triu_indices(n, k=1))
 
     for phase in range(params.phases):
         if phase > 0 and params.head_churn > 0:
@@ -242,56 +253,57 @@ def generate_hinet(params: HiNetParams, seed: SeedLike = None) -> HiNetScenario:
         affiliation = {}
         for m in members:
             prev = prev_affiliation.get(m)
-            keep = prev in head_set and rng.random() >= params.reaffiliation_p
-            if keep:
+            if prev in head_set and rng.random() >= params.reaffiliation_p:
                 affiliation[m] = prev
+                continue
+            if len(active) > 1 and prev in head_set:
+                # uniform over the other active heads
+                i = int(rng.integers(0, len(active) - 1))
+                new_head = active[i + (i >= bisect_left(active, prev))]
             else:
-                choices = (
-                    [h for h in active if h != prev] if len(active) > 1 else active
-                )
-                new_head = int(choices[int(rng.integers(0, len(choices)))])
-                affiliation[m] = new_head
-                if prev is not None and new_head != prev:
-                    reaffiliations += 1
+                new_head = active[int(rng.integers(0, len(active)))]
+            affiliation[m] = new_head
+            if prev is not None and new_head != prev:
+                reaffiliations += 1
 
-        roles: List[Role] = [Role.MEMBER] * n
-        head_of: List[Optional[int]] = [None] * n
-        for h in active:
-            roles[h] = Role.HEAD
-            head_of[h] = h
-        for g, h in gw_head.items():
-            roles[g] = Role.GATEWAY
-            head_of[g] = h
-        for g in gateways:
-            if head_of[g] is None:  # gateway pool node unused by a short chain
-                roles[g] = Role.MEMBER
-        for m in members:
-            head_of[m] = affiliation[m]
+        roles = np.full(n, _MEMBER, dtype=np.int8)
+        head_of = np.full(n, -1, dtype=np.int64)
+        roles[active] = _HEAD
+        head_of[active] = active
+        roles[list(gw_head)] = _GATEWAY
+        head_of[list(gw_head)] = list(gw_head.values())
+        head_of[members] = [affiliation[m] for m in members]
         # any unused gateway-pool node without affiliation joins a random head
-        for v in range(n):
-            if head_of[v] is None:
-                h = int(active[int(rng.integers(0, len(active)))])
-                head_of[v] = h
+        for v in np.flatnonzero(head_of < 0).tolist():
+            head_of[v] = active[int(rng.integers(0, len(active)))]
 
-        stable_edges = list(backbone)
-        stable_edges += [(m, affiliation[m]) for m in members]
-        stable_edges += [
-            (v, head_of[v])
-            for v in range(n)
-            if roles[v] is Role.MEMBER and v not in affiliation and head_of[v] != v
-        ]
+        # stable edges: the backbone plus every plain member to its head
+        plain = np.flatnonzero(roles == _MEMBER)
+        stable_edges = np.concatenate([
+            np.array(backbone, dtype=np.int64).reshape(-1, 2),
+            np.column_stack((plain, head_of[plain])),
+        ])
+        hierarchy = (roles, head_of, head_adjacency(stable_edges, head_of))
+        for shared in hierarchy:  # every round of the phase holds them
+            shared.flags.writeable = False
 
-        member_count = sum(1 for r_ in roles if r_ is Role.MEMBER)
         for _ in range(params.T):
-            edges = list(stable_edges)
             if churn:
-                kept = rng.random(len(rows)) < params.churn_p
-                edges += zip(rows[kept].tolist(), cols[kept].tolist())
-            snaps.append(
-                Snapshot.from_edges(n, edges, roles=roles, head_of=head_of)
-            )
-            member_rounds += member_count
+                kept = np.flatnonzero(rng.random(len(pairs)) < params.churn_p)
+                round_edges.append(np.concatenate([stable_edges, pairs[kept]]))
+            else:
+                round_edges.append(stable_edges)
+            round_hierarchy.append(hierarchy)
+            member_rounds += len(plain)
 
+    snaps = [
+        Snapshot.from_arrays(
+            replace(arrs, roles=roles, head_of=head_of, head_adjacent=head_adjacent)
+        )
+        for arrs, (roles, head_of, head_adjacent) in zip(
+            csr_rounds(n, round_edges), round_hierarchy
+        )
+    ]
     trace = GraphTrace(snapshots=snaps, extend="hold")
     trace.validate_hierarchy()
     return HiNetScenario(

@@ -19,24 +19,26 @@ from __future__ import annotations
 
 from typing import List
 
-import networkx as nx
+import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import Snapshot
+from ...sim.topology import Snapshot, csr_rounds
 from ..trace import GraphTrace
-from .static import erdos_renyi, random_spanning_tree
+from .static import random_spanning_tree
 
 __all__ = ["t_interval_trace"]
 
 
-def _random_path(n: int, rng) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    order = rng.permutation(n)
-    g.add_edges_from(
-        (int(order[i]), int(order[i + 1])) for i in range(n - 1)
-    )
-    return g
+def _random_path(n: int, rng) -> np.ndarray:
+    """Edges of a random Hamiltonian path, as an ``(n - 1, 2)`` array."""
+    order = rng.permutation(n).astype(np.int64)
+    return np.column_stack((order[:-1], order[1:]))
+
+
+def _random_tree(n: int, rng) -> np.ndarray:
+    """Edges of :func:`random_spanning_tree`, as an ``(n - 1, 2)`` array."""
+    tree = random_spanning_tree(n, seed=rng)
+    return np.array(list(tree.edges()), dtype=np.int64).reshape(-1, 2)
 
 
 def t_interval_trace(
@@ -88,25 +90,23 @@ def t_interval_trace(
 
     rng = make_rng(seed)
     num_blocks = (rounds + T - 1) // T
-    make_spine = (
-        (lambda: random_spanning_tree(n, seed=rng))
-        if spine == "tree"
-        else (lambda: _random_path(n, rng))
-    )
-    trees: List[nx.Graph] = [make_spine() for _ in range(num_blocks)]
+    make_spine = _random_tree if spine == "tree" else _random_path
+    spines = [make_spine(n, rng) for _ in range(num_blocks)]
 
-    snaps: List[Snapshot] = []
+    # vertex pairs u < v of the per-round G(n, churn_p) churn
+    churn = churn_p > 0 and n >= 2
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    round_edges: List[np.ndarray] = []
     for r in range(rounds):
         block = r // T
         offset = r % T
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(trees[block].edges())
+        parts = [spines[block]]
         if sliding and block > 0 and offset < T - 1:
-            # keep the previous block's tree alive so windows straddling the
-            # boundary still contain a full stable connected subgraph
-            g.add_edges_from(trees[block - 1].edges())
-        if churn_p > 0:
-            g.add_edges_from(erdos_renyi(n, churn_p, seed=rng).edges())
-        snaps.append(Snapshot.from_networkx(g))
+            # keep the previous block's spine alive so windows straddling
+            # the boundary still contain a full stable connected subgraph
+            parts.append(spines[block - 1])
+        if churn:
+            parts.append(pairs[np.flatnonzero(rng.random(len(pairs)) < churn_p)])
+        round_edges.append(np.concatenate(parts))
+    snaps = [Snapshot.from_arrays(arrs) for arrs in csr_rounds(n, round_edges)]
     return GraphTrace(snapshots=snaps, extend="hold")

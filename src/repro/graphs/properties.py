@@ -93,7 +93,8 @@ def windows_of(horizon: int, T: int, windows: str = "blocks") -> Iterator[Tuple[
 def _hierarchy_key(snap: Snapshot) -> Tuple:
     """Comparable summary of a snapshot's hierarchy (roles + memberships)."""
     snap._require_clustered()
-    return (snap.roles, snap.head_of)
+    arrs = snap.arrays()
+    return (arrs.roles.tobytes(), arrs.head_of.tobytes())
 
 
 #: Instrumentation: number of per-round edge-set incorporations performed

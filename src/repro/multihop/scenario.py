@@ -57,9 +57,11 @@ class DHopParams:
         if self.L not in (1, 2, 3):
             raise ValueError(f"L must be 1, 2 or 3, got {self.L}")
         if not (0.0 <= self.reaffiliation_p <= 1.0):
-            raise ValueError("reaffiliation_p must be a probability")
+            raise ValueError(
+                f"reaffiliation_p must be a probability, got {self.reaffiliation_p}"
+            )
         if not (0.0 <= self.churn_p <= 1.0):
-            raise ValueError("churn_p must be a probability")
+            raise ValueError(f"churn_p must be a probability, got {self.churn_p}")
         gw = (self.num_heads - 1) * (self.L - 1)
         if self.num_heads + gw > self.n:
             raise ValueError(

@@ -19,7 +19,7 @@ from .messages import Delivery, Message, TokenDomain, TokenSet, initial_assignme
 from .metrics import Metrics, RoleCost
 from .node import AlgorithmFactory, NodeAlgorithm, RoundContext
 from .rng import SeedLike, derive_seed, make_rng, spawn
-from .topology import Snapshot, adjacency_from_edges
+from .topology import Snapshot
 
 __all__ = [
     "ActiveRun",
@@ -43,7 +43,6 @@ __all__ = [
     "SynchronousEngine",
     "TokenDomain",
     "TokenSet",
-    "adjacency_from_edges",
     "derive_seed",
     "initial_assignment",
     "link_from_spec",

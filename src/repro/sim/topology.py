@@ -6,11 +6,19 @@ head.  Dynamic-network objects in :mod:`repro.graphs` produce one snapshot
 per round; the engine never sees anything else, so any topology source
 (precomputed trace, adversary, mobility model, clustering pipeline) plugs
 in uniformly.
+
+The representation is :class:`SnapshotArrays`: sorted CSR adjacency plus
+role and head arrays.  Generators, the vectorised engine tiers, the
+property certifiers and the result-cache key all read it directly.  The
+per-node ``adj`` frozensets (and ``roles``/``head_of`` tuples) are a lazy,
+memoized view materialised on first access — by the reference engine and
+by code that asks set questions of one node.  :func:`csr_rounds` builds the
+CSR of many rounds in one pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +30,8 @@ __all__ = [
     "ROLE_CODES",
     "Snapshot",
     "SnapshotArrays",
-    "adjacency_from_edges",
+    "csr_rounds",
+    "head_adjacency",
 ]
 
 #: Stable integer codes for roles in :class:`SnapshotArrays` (``-1`` = flat).
@@ -31,16 +40,21 @@ ROLE_CODES: Dict[Role, int] = {Role.HEAD: 0, Role.GATEWAY: 1, Role.MEMBER: 2}
 #: Inverse of :data:`ROLE_CODES`, for materialising snapshots from arrays.
 _ROLE_BY_CODE: Dict[int, Role] = {code: role for role, code in ROLE_CODES.items()}
 
+_HEAD = ROLE_CODES[Role.HEAD]
+
 
 @dataclass(frozen=True)
 class SnapshotArrays:
-    """A snapshot's topology re-encoded as flat numpy arrays.
+    """A snapshot's topology as flat numpy arrays — its primary form.
 
-    The vectorised fast path (:mod:`repro.sim.fastpath`) consumes these
-    instead of per-node frozensets.  Built once per snapshot and memoized
-    (see :meth:`Snapshot.arrays`), so traces that repeat a snapshot — or
-    algorithms that run many rounds on the same topology — pay the
-    conversion cost a single time.
+    The vectorised tiers (:mod:`repro.sim.fastpath`,
+    :mod:`repro.sim.columnar`), the property certifiers and the result
+    cache consume these instead of per-node frozensets.  Array-first
+    generators build them directly (see :func:`csr_rounds`); a snapshot
+    built from frozenset adjacency converts once and memoizes (see
+    :meth:`Snapshot.arrays`).  Snapshots of one hierarchy phase may share
+    their ``roles``/``head_of``/``head_adjacent`` arrays; treat every
+    array as read-only.
 
     Attributes
     ----------
@@ -68,23 +82,101 @@ class SnapshotArrays:
     head_adjacent: Optional[np.ndarray]
 
 
-def adjacency_from_edges(
-    n: int, edges: Iterable[Tuple[int, int]]
-) -> Tuple[FrozenSet[int], ...]:
-    """Build an adjacency tuple (index = node id) from an undirected edge list.
+def _edge_array(edges) -> np.ndarray:
+    """``edges`` (pairs, or an ``(m, 2)`` array) as an ``(m, 2)`` int64 array."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
 
-    Self-loops are rejected; duplicate edges are harmless.  Node ids must
-    lie in ``0 .. n-1``.
+
+def _check_edges(n: int, edges: np.ndarray) -> None:
+    """Reject self-loops and node ids outside ``0 .. n-1``, naming the
+    first offending edge."""
+    u, v = edges[:, 0], edges[:, 1]
+    bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b = int(u[i]), int(v[i])
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        raise ValueError(f"edge ({a}, {b}) out of range for n={n}")
+
+
+def csr_rounds(n: int, rounds: Sequence[np.ndarray]) -> List[SnapshotArrays]:
+    """Flat :class:`SnapshotArrays` (sorted, deduplicated CSR) per round.
+
+    ``rounds`` holds one ``(m, 2)`` array of undirected edges per round,
+    in any orientation and with duplicates allowed.  All rounds are keyed
+    ``r·n² + u·n + v`` in both orientations and deduplicated by a single
+    sort; each round's arrays are read-only views into the shared result.
+    Self-loops and node ids outside ``0 .. n-1`` raise ``ValueError``.
     """
-    neigh: List[set] = [set() for _ in range(n)]
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        neigh[u].add(v)
-        neigh[v].add(u)
-    return tuple(frozenset(s) for s in neigh)
+    parts = [_edge_array(e) for e in rounds]
+    count = len(parts)
+    edges = np.concatenate(parts) if parts else np.empty((0, 2), dtype=np.int64)
+    _check_edges(n, edges)
+    offsets = np.repeat(
+        np.arange(count, dtype=np.int64) * n * n, [len(e) for e in parts]
+    )
+    u, v = edges[:, 0], edges[:, 1]
+    # np.unique by sort-and-mask: numpy's hash-based unique is several
+    # times slower on these key arrays
+    keys = np.sort(np.concatenate([offsets + u * n + v, offsets + v * n + u]))
+    fresh = np.empty(keys.shape[0], dtype=bool)
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    rows, indices = np.divmod(keys, max(n, 1))  # no keys at all when n == 0
+    degrees = np.bincount(rows, minlength=count * n).reshape(count, n)
+    indptr = np.zeros((count, n + 1), dtype=np.int64)
+    np.cumsum(degrees, axis=1, out=indptr[:, 1:])
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(indptr[:, -1], out=bounds[1:])
+    for shared in (indptr, indices, degrees):
+        shared.flags.writeable = False
+    return [
+        SnapshotArrays(
+            indptr=indptr[r],
+            indices=indices[bounds[r]:bounds[r + 1]],
+            degrees=degrees[r],
+            roles=None,
+            head_of=None,
+            head_adjacent=None,
+        )
+        for r in range(count)
+    ]
+
+
+def head_adjacency(edges: np.ndarray, head_of: np.ndarray) -> np.ndarray:
+    """Per node: whether one of ``edges`` joins it to its head.
+
+    ``edges`` is an ``(m, 2)`` array on nodes ``0 .. len(head_of)-1``; the
+    result is :attr:`SnapshotArrays.head_adjacent` for ``head_of``
+    (``-1``, unaffiliated, never matches).
+    """
+    u, v = edges[:, 0], edges[:, 1]
+    out = np.zeros(head_of.shape[0], dtype=bool)
+    out[u[head_of[u] == v]] = True
+    out[v[head_of[v] == u]] = True
+    return out
+
+
+def _adjacency(arrs: SnapshotArrays) -> Tuple[FrozenSet[int], ...]:
+    """Materialise per-node neighbour frozensets from CSR arrays.
+
+    The one place frozenset adjacency is built from arrays; array-first
+    paths (generators, vectorised tiers, certifiers, cache) never call it.
+    """
+    indices = arrs.indices.tolist()
+    bounds = arrs.indptr.tolist()
+    return tuple(
+        frozenset(indices[bounds[v]:bounds[v + 1]])
+        for v in range(len(bounds) - 1)
+    )
+
+
+#: Marks a :class:`Snapshot` view not yet materialised from its arrays.
+_LAZY = object()
 
 
 class CSRNetwork:
@@ -101,10 +193,11 @@ class CSRNetwork:
     links) with each node's neighbour segment sorted ascending — the same
     invariants :meth:`Snapshot.arrays` produces.
 
-    :meth:`snapshot` lazily materialises a full :class:`Snapshot`
-    (memoized per distinct arrays object), so the reference engine (and
-    runtime monitors) still run on the same network — the small-n
-    equivalence bridge the vectorised tests drive.
+    :meth:`snapshot` wraps the arrays in a :class:`Snapshot` view
+    (memoized per distinct arrays object) whose frozensets materialise
+    on first access, so the reference engine (and runtime monitors)
+    still run on the same network — the small-n equivalence bridge the
+    vectorised tests drive.
     """
 
     def __init__(self, arrays) -> None:
@@ -145,32 +238,26 @@ class CSRNetwork:
         return self._per_round[r]
 
     def snapshot(self, r: int) -> "Snapshot":
-        """Round ``r`` as a materialised :class:`Snapshot` (memoized)."""
+        """Round ``r`` as a :class:`Snapshot` view of its arrays (memoized
+        per arrays object, so a static network materialises once)."""
         arrs = self.snapshot_arrays(r)
         hit = self._snap_memo.get(id(arrs))
         if hit is not None and hit[0] is arrs:
             return hit[1]
-        indptr = arrs.indptr
-        adj = tuple(
-            frozenset(arrs.indices[indptr[v]:indptr[v + 1]].tolist())
-            for v in range(self._n)
-        )
-        roles = None
-        if arrs.roles is not None:
-            roles = tuple(_ROLE_BY_CODE[c] for c in arrs.roles.tolist())
-        head_of = None
-        if arrs.head_of is not None:
-            head_of = tuple(
-                None if h < 0 else h for h in arrs.head_of.tolist()
-            )
-        snap = Snapshot(adj=adj, roles=roles, head_of=head_of)
+        snap = Snapshot.from_arrays(arrs)
         self._snap_memo[id(arrs)] = (arrs, snap)
         return snap
 
 
-@dataclass(frozen=True)
 class Snapshot:
     """Topology (and optionally hierarchy) of one round.
+
+    The representation is :meth:`arrays` (:class:`SnapshotArrays`).  A
+    snapshot built from arrays (:meth:`from_arrays`, :meth:`from_edges`)
+    exposes ``adj``, ``roles`` and ``head_of`` as lazy views, materialised
+    on first access and memoized; one built from ``adj=`` converts to
+    arrays on first :meth:`arrays` call.  Either way the two forms agree,
+    and equality, hashing and pickling depend on the content only.
 
     Attributes
     ----------
@@ -186,26 +273,48 @@ class Snapshot:
         id.  ``None`` entries mean "currently unaffiliated".
     """
 
-    adj: Tuple[FrozenSet[int], ...]
-    roles: Optional[Tuple[Role, ...]] = None
-    head_of: Optional[Tuple[Optional[int], ...]] = None
+    def __init__(
+        self,
+        adj: Sequence[FrozenSet[int]],
+        roles: Optional[Sequence[Role]] = None,
+        head_of: Optional[Sequence[Optional[int]]] = None,
+    ) -> None:
+        d = self.__dict__
+        d["_n"] = len(adj)
+        d["_adj"] = adj
+        d["_roles"] = roles
+        d["_head_of"] = head_of
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     # -- memoization -----------------------------------------------------
     #
     # Snapshots are immutable, yet algorithms and checkers re-ask the same
     # derived questions (heads, edge set, clusters) every round.  Results
-    # are cached in a plain dict attached lazily via object.__setattr__
-    # (allowed on frozen dataclasses); the cache is not a dataclass field,
-    # so equality and hashing are unaffected.
+    # — the arrays included — are cached in a plain dict kept out of
+    # equality, hashing and pickling.
 
     def _memo(self) -> dict:
         cache = self.__dict__.get("_memo_cache")
         if cache is None:
-            cache = {}
-            object.__setattr__(self, "_memo_cache", cache)
+            cache = self.__dict__["_memo_cache"] = {}
         return cache
 
     # -- construction ----------------------------------------------------
+
+    @classmethod
+    def from_arrays(cls, arrays: SnapshotArrays) -> "Snapshot":
+        """A snapshot whose representation is ``arrays`` (not copied)."""
+        snap = cls.__new__(cls)
+        d = snap.__dict__
+        d["_n"] = int(arrays.degrees.shape[0])
+        d["_adj"] = d["_roles"] = d["_head_of"] = _LAZY
+        d["_memo_cache"] = {"arrays": arrays}
+        return snap
 
     @classmethod
     def from_edges(
@@ -215,12 +324,29 @@ class Snapshot:
         roles: Optional[Sequence[Role]] = None,
         head_of: Optional[Sequence[Optional[int]]] = None,
     ) -> "Snapshot":
-        """Build a snapshot from an edge list plus optional hierarchy maps."""
-        return cls(
-            adj=adjacency_from_edges(n, edges),
-            roles=tuple(roles) if roles is not None else None,
-            head_of=tuple(head_of) if head_of is not None else None,
-        )
+        """Build a snapshot from an undirected edge list (pairs or an
+        ``(m, 2)`` array) plus optional hierarchy maps.
+
+        Duplicate edges and both orientations are harmless; self-loops and
+        node ids outside ``0 .. n-1`` raise ``ValueError``.
+        """
+        edges = _edge_array(edges)
+        (arrays,) = csr_rounds(n, [edges])
+        role_codes = heads = head_adjacent = None
+        if roles is not None:
+            role_codes = np.array([ROLE_CODES[r] for r in roles], dtype=np.int8)
+        if head_of is not None:
+            heads = np.array(
+                [-1 if h is None else h for h in head_of], dtype=np.int64
+            )
+        for name, arr in (("roles", role_codes), ("head_of", heads)):
+            if arr is not None and arr.shape[0] != n:
+                raise ValueError(f"{name} has {arr.shape[0]} entries, expected n={n}")
+        if heads is not None:
+            head_adjacent = head_adjacency(edges, heads)
+        return cls.from_arrays(replace(
+            arrays, roles=role_codes, head_of=heads, head_adjacent=head_adjacent
+        ))
 
     @classmethod
     def from_networkx(cls, graph, roles=None, head_of=None) -> "Snapshot":
@@ -228,12 +354,82 @@ class Snapshot:
         n = graph.number_of_nodes()
         return cls.from_edges(n, graph.edges(), roles=roles, head_of=head_of)
 
+    # -- lazy views ------------------------------------------------------
+
+    @property
+    def adj(self) -> Sequence[FrozenSet[int]]:
+        """Per-node neighbour frozensets (materialised on first access)."""
+        adj = self.__dict__["_adj"]
+        if adj is _LAZY:
+            adj = self.__dict__["_adj"] = _adjacency(self.arrays())
+        return adj
+
+    @property
+    def roles(self) -> Optional[Sequence[Role]]:
+        """Per-node roles, or ``None`` for a flat snapshot."""
+        roles = self.__dict__["_roles"]
+        if roles is _LAZY:
+            codes = self.arrays().roles
+            roles = None if codes is None else tuple(
+                _ROLE_BY_CODE[c] for c in codes.tolist()
+            )
+            self.__dict__["_roles"] = roles
+        return roles
+
+    @property
+    def head_of(self) -> Optional[Sequence[Optional[int]]]:
+        """Per-node cluster head ids (``None`` = unaffiliated), or ``None``
+        for a flat snapshot."""
+        head_of = self.__dict__["_head_of"]
+        if head_of is _LAZY:
+            heads = self.arrays().head_of
+            head_of = None if heads is None else tuple(
+                None if h < 0 else h for h in heads.tolist()
+            )
+            self.__dict__["_head_of"] = head_of
+        return head_of
+
+    # -- value semantics -----------------------------------------------------
+
+    def _content(self) -> Tuple[Optional[bytes], ...]:
+        """CSR and hierarchy arrays as little-endian int64 bytes: what
+        equality, hashing and pickling depend on."""
+        arrs = self.arrays()
+        return tuple(
+            None if a is None else a.astype("<i8", copy=False).tobytes()
+            for a in (arrs.indptr, arrs.indices, arrs.roles, arrs.head_of)
+        )
+
+    def __eq__(self, other) -> bool:
+        if other is self:
+            return True
+        if not isinstance(other, Snapshot):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        cache = self._memo()
+        cached = cache.get("hash")
+        if cached is None:
+            cached = cache["hash"] = hash(self._content())
+        return cached
+
+    def __reduce__(self):
+        return (Snapshot.from_arrays, (self.arrays(),))
+
+    def __repr__(self) -> str:
+        arrs = self.arrays()
+        return (
+            f"Snapshot(n={self._n}, edges={int(arrs.indptr[-1]) // 2}, "
+            f"clustered={self.clustered})"
+        )
+
     # -- basic queries ---------------------------------------------------
 
     @property
     def n(self) -> int:
         """Number of nodes."""
-        return len(self.adj)
+        return self._n
 
     def neighbors(self, v: int) -> FrozenSet[int]:
         """Neighbours of ``v`` this round."""
@@ -241,16 +437,18 @@ class Snapshot:
 
     def degree(self, v: int) -> int:
         """Degree of ``v`` this round."""
-        return len(self.adj[v])
+        return int(self.arrays().degrees[v])
 
     def edges(self) -> List[Tuple[int, int]]:
-        """Undirected edge list with ``u < v`` (a fresh list per call)."""
+        """Undirected edge list with ``u < v``, ascending (a fresh list per
+        call)."""
         cache = self._memo()
         cached = cache.get("edges")
         if cached is None:
-            cached = tuple(
-                (u, v) for u in range(self.n) for v in self.adj[u] if u < v
-            )
+            arrs = self.arrays()
+            rows = np.repeat(np.arange(self._n, dtype=np.int64), arrs.degrees)
+            upper = rows < arrs.indices
+            cached = tuple(zip(rows[upper].tolist(), arrs.indices[upper].tolist()))
             cache["edges"] = cached
         return list(cached)
 
@@ -274,7 +472,11 @@ class Snapshot:
     @property
     def clustered(self) -> bool:
         """Whether this snapshot carries hierarchy information."""
-        return self.roles is not None and self.head_of is not None
+        roles, head_of = self.__dict__["_roles"], self.__dict__["_head_of"]
+        if roles is _LAZY or head_of is _LAZY:
+            arrs = self.arrays()
+            return arrs.roles is not None and arrs.head_of is not None
+        return roles is not None and head_of is not None
 
     # -- hierarchy queries -------------------------------------------------
 
@@ -284,9 +486,8 @@ class Snapshot:
         cache = self._memo()
         cached = cache.get("heads")
         if cached is None:
-            cached = frozenset(
-                v for v in range(self.n) if self.roles[v] is Role.HEAD
-            )
+            roles = self.arrays().roles
+            cached = frozenset(np.flatnonzero(roles == _HEAD).tolist())
             cache["heads"] = cached
         return cached
 
@@ -309,12 +510,11 @@ class Snapshot:
         cache = self._memo()
         cached = cache.get("clusters")
         if cached is None:
-            out: Dict[int, set] = {}
-            for v in range(self.n):
-                h = self.head_of[v]
-                if h is not None:
-                    out.setdefault(h, set()).add(v)
-            cached = {h: frozenset(s) for h, s in out.items()}
+            out: Dict[int, List[int]] = {}
+            for v, h in enumerate(self.arrays().head_of.tolist()):
+                if h >= 0:
+                    out.setdefault(h, []).append(v)
+            cached = {h: frozenset(vs) for h, vs in out.items()}
             cache["clusters"] = cached
         return dict(cached)
 
@@ -326,32 +526,33 @@ class Snapshot:
         cache = self._memo()
         cached = cache.get("arrays")
         if cached is None:
-            n = self.n
+            n = self._n
+            adj, roles_in, head_in = self._adj, self._roles, self._head_of
             degrees = np.fromiter(
-                (len(s) for s in self.adj), dtype=np.int64, count=n
+                (len(s) for s in adj), dtype=np.int64, count=n
             )
             indptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(degrees, out=indptr[1:])
             indices = np.fromiter(
-                (u for s in self.adj for u in sorted(s)),
+                (u for s in adj for u in sorted(s)),
                 dtype=np.int64,
                 count=int(indptr[-1]),
             )
             roles = head_of = head_adjacent = None
-            if self.roles is not None:
+            if roles_in is not None:
                 roles = np.fromiter(
-                    (ROLE_CODES[r] for r in self.roles), dtype=np.int8, count=n
+                    (ROLE_CODES[r] for r in roles_in), dtype=np.int8, count=n
                 )
-            if self.head_of is not None:
+            if head_in is not None:
                 head_of = np.fromiter(
-                    (-1 if h is None else h for h in self.head_of),
+                    (-1 if h is None else h for h in head_in),
                     dtype=np.int64,
                     count=n,
                 )
                 head_adjacent = np.fromiter(
                     (
-                        h is not None and h in self.adj[v]
-                        for v, h in enumerate(self.head_of)
+                        h is not None and h in adj[v]
+                        for v, h in enumerate(head_in)
                     ),
                     dtype=bool,
                     count=n,
@@ -379,21 +580,32 @@ class Snapshot:
           neighbour ("the members of a cluster are neighbors of the cluster
           head");
         * gateways are affiliated like any ordinary node.
+
+        The lowest-numbered offending node is reported.
         """
         self._require_clustered()
-        head_set = self.heads()
-        for v in range(self.n):
-            role, h = self.roles[v], self.head_of[v]
-            if role is Role.HEAD:
-                if h != v:
-                    raise ValueError(f"head {v} has cluster id {h}, expected itself")
-            elif h is not None:
-                if h not in head_set:
-                    raise ValueError(f"node {v} affiliated to non-head {h}")
-                if h not in self.adj[v]:
-                    raise ValueError(
-                        f"node {v} affiliated to head {h} but they are not adjacent"
-                    )
+        arrs = self.arrays()
+        head_of = arrs.head_of
+        is_head = arrs.roles == _HEAD
+        affiliated = ~is_head & (head_of >= 0)
+        known = affiliated & (head_of < self._n)
+        joins_head = np.zeros(self._n, dtype=bool)
+        joins_head[known] = is_head[head_of[known]]
+        bad = (is_head & (head_of != np.arange(self._n))) | (
+            affiliated & ~(joins_head & arrs.head_adjacent)
+        )
+        if not bad.any():
+            return
+        v = int(np.argmax(bad))
+        h = int(head_of[v])
+        if is_head[v]:
+            shown = None if h < 0 else h
+            raise ValueError(f"head {v} has cluster id {shown}, expected itself")
+        if not joins_head[v]:
+            raise ValueError(f"node {v} affiliated to non-head {h}")
+        raise ValueError(
+            f"node {v} affiliated to head {h} but they are not adjacent"
+        )
 
     def _require_clustered(self) -> None:
         if not self.clustered:

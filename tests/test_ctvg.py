@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.clustering.maintenance import maintain_clustering
 from repro.graphs.ctvg import CTVG
+from repro.graphs.generators.hinet import HiNetParams, generate_hinet
+from repro.graphs.generators.interval import t_interval_trace
 from repro.graphs.trace import GraphTrace
 from repro.roles import Role
 from repro.sim.topology import Snapshot
@@ -104,3 +107,61 @@ class TestChurnStatistics:
         assert small_hinet.empirical_nr() == pytest.approx(
             ctvg.mean_reaffiliations()
         )
+
+
+def _loop_head_changes(trace, v, stop):
+    changes, prev = 0, trace.snapshot(0).head(v)
+    for t in range(1, stop):
+        cur = trace.snapshot(t).head(v)
+        if cur is not None and cur != prev:
+            changes += 1
+        prev = cur
+    return changes
+
+
+def _loop_statistics(trace):
+    """Per-node loop reference for the array statistics:
+    (n_r, n_m, distinct heads, per-node head changes)."""
+    h, n = trace.horizon, trace.n
+    member_ever = {v for t in range(h) for v in range(n)
+                   if trace.snapshot(t).role(v) is Role.MEMBER}
+    changes = [_loop_head_changes(trace, v, h) for v in range(n)]
+    nr = (sum(changes[v] for v in member_ever) / len(member_ever)
+          if member_ever else 0.0)
+    nm = sum(1 for t in range(h) for v in range(n)
+             if trace.snapshot(t).role(v) is Role.MEMBER) / h
+    heads = frozenset(v for t in range(h) for v in range(n)
+                      if trace.snapshot(t).role(v) is Role.HEAD)
+    return nr, nm, heads, changes
+
+
+def _reference_traces():
+    yield _two_phase_trace()
+    for seed, T, head_churn in ((1, 1, 2), (2, 3, 1), (3, 5, 0)):
+        params = HiNetParams(n=24, theta=8, num_heads=5, T=T, phases=6, L=2,
+                             reaffiliation_p=0.4, head_churn=head_churn)
+        yield generate_hinet(params, seed=seed).trace
+    # frozenset-built snapshots from the maintenance pipeline
+    clustered, _ = maintain_clustering(t_interval_trace(18, 2, 10, seed=4))
+    yield clustered
+    # node 4 leaves its cluster for a round, then rejoins it
+    roles = [Role.HEAD, Role.GATEWAY, Role.MEMBER, Role.HEAD, Role.MEMBER]
+    edges = [(0, 1), (0, 2), (1, 3), (3, 4)]
+    yield GraphTrace([
+        _clustered([0, 0, 0, 3, h], roles, edges, 5) for h in (3, None, 3, 3)
+    ])
+
+
+class TestStatisticsMatchLoopReference:
+    @pytest.mark.parametrize("index", range(6))
+    def test_array_statistics_equal_loops(self, index):
+        trace = list(_reference_traces())[index]
+        ctvg = CTVG(trace, validate=False)
+        nr, nm, heads, changes = _loop_statistics(trace)
+        assert ctvg.mean_reaffiliations() == nr
+        assert ctvg.mean_member_count() == nm
+        assert ctvg.distinct_heads() == heads
+        assert [ctvg.head_changes(v) for v in range(trace.n)] == changes
+        for upto in (0, 1, 2, trace.horizon // 2):
+            for v in (1, 4):
+                assert ctvg.head_changes(v, upto=upto) == _loop_head_changes(trace, v, upto)

@@ -42,6 +42,18 @@ class TestParams:
         with pytest.raises(ValueError, match="too small"):
             HiNetParams(n=12, theta=5, num_heads=5, T=1, phases=1, L=3)
 
+    @pytest.mark.parametrize("knob", ["reaffiliation_p", "churn_p"])
+    def test_probability_error_names_value(self, knob):
+        with pytest.raises(ValueError, match=f"{knob} must be a probability, got 1.5"):
+            HiNetParams(n=10, theta=3, num_heads=3, T=1, phases=1, **{knob: 1.5})
+
+    @pytest.mark.parametrize("knob", ["reaffiliation_p", "churn_p"])
+    def test_dhop_probability_error_names_value(self, knob):
+        from repro.multihop.scenario import DHopParams
+
+        with pytest.raises(ValueError, match=f"{knob} must be a probability, got 1.5"):
+            DHopParams(n=10, num_heads=2, T=1, phases=1, **{knob: 1.5})
+
 
 class TestStructure:
     def test_output_is_hinet(self):

@@ -29,13 +29,13 @@ from repro.obs import (
 )
 from repro.registry import all_specs, get_spec
 from repro.roles import Role
-from repro.sim.topology import Snapshot, adjacency_from_edges
+from repro.sim.topology import Snapshot
 
 
 def _clustered_snap(n=3, edges=((0, 1), (1, 2), (0, 2)), head=0):
     roles = tuple(Role.HEAD if v == head else Role.MEMBER for v in range(n))
-    return Snapshot(adj=adjacency_from_edges(n, edges), roles=roles,
-                    head_of=tuple(head for _ in range(n)))
+    return Snapshot.from_edges(n, edges, roles=roles,
+                               head_of=tuple(head for _ in range(n)))
 
 
 def _view(r, snap, coverage=0, per_node=(), n=3, k=2, nodes_complete=0):
@@ -146,8 +146,8 @@ class TestStability:
 
     def test_fires_on_disconnected_backbone(self):
         # two isolated heads: no stable connected head backbone exists
-        snap = Snapshot(adj=adjacency_from_edges(2, ()),
-                        roles=(Role.HEAD, Role.HEAD), head_of=(0, 1))
+        snap = Snapshot.from_edges(2, (), roles=(Role.HEAD, Role.HEAD),
+                                   head_of=(0, 1))
         mon = StabilityMonitor(T=1, L=1)
         mon.observe(_view(0, snap, n=2))
         assert any("Definition 5" in v.message for v in mon.violations)

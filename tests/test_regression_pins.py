@@ -18,10 +18,16 @@ import pytest
 from repro.bench.matrix import regression_gate_scenario
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.core.analysis import table3
+from repro.experiments.cache import scenario_fingerprint
 from repro.experiments.runner import execute, run_algorithm1, run_klo_interval
-from repro.experiments.scenarios import hinet_interval_scenario, hinet_one_scenario
+from repro.experiments.scenarios import (
+    hinet_interval_scenario,
+    hinet_one_scenario,
+    klo_interval_scenario,
+)
 from repro.experiments.tables import simulated_table3
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
+from repro.graphs.generators.interval import t_interval_trace
 from repro.graphs.generators.static import clustered_star_arrays
 from repro.io import trace_to_dict
 from repro.sim.engine import SynchronousEngine
@@ -106,7 +112,9 @@ class TestCommittedBaselinePins:
 class TestGeneratorTracePins:
     """sha256 of each trace's canonical JSON for fixed (builder, seed)
     pairs: any change to a generator's rng consumption, edge set or
-    hierarchy shows up here, however the generator is implemented."""
+    hierarchy shows up here, however the generator is implemented.
+    Each round lists its edges ascending, as :meth:`Snapshot.edges`
+    returns them."""
 
     @staticmethod
     def _digest(scenario) -> str:
@@ -116,9 +124,9 @@ class TestGeneratorTracePins:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     @pytest.mark.parametrize("seed, digest", [
-        (3, "355c500ab043b084b6f620f76063e0df4c26c555d8f2084d2639bc6d76f23e48"),
-        (47, "8d6dbb65710b132881758205afa7c434d2eb60ce3576c37250120f243baa6a93"),
-        (101, "24ea60060af4948a251c2216db2d1d841aab4f9036e4c5966381f0289a352268"),
+        (3, "d014adb5c7095eaec0869ccd81e678a61e85f897ac04c1b6dbb471e4bcadd769"),
+        (47, "9bdb68d37d2a98f22e48198706f00fb1069b7561ca0af4d1060778d4ba2a8a21"),
+        (101, "52ab8629766ca87a8ffdcc9e01cc9d49838669e6170ad8cdfda6e73603bdef74"),
     ])
     def test_hinet_interval_trace(self, seed, digest):
         scenario = hinet_interval_scenario(n0=40, theta=12, k=6, alpha=3, L=2,
@@ -126,10 +134,82 @@ class TestGeneratorTracePins:
         assert self._digest(scenario) == digest
 
     @pytest.mark.parametrize("seed, digest", [
-        (3, "76cf25e6c80fd11f130d777a97deebe012e52c836bca00624bea06354747085a"),
-        (47, "c378128139b895474629d1ddc0ad7fdf50d66a3f064ff967141a185042f6a251"),
-        (101, "d2bddf10eaabe82a8c913fad7118b5f4e53ae784ed68ab2f0171783082f1f31a"),
+        (3, "09a6097ff45ab3be19cbe856a03026e7b39b1b5b677df64cea5d1454502481d1"),
+        (47, "ebf26fee0058a1d7de2f884a6166ba150f1c50df336893d5104c5e1d66eb24c4"),
+        (101, "54ae1003ea5cf16e08b6615bb1226e404deb10836b24b4f03273c7ca3aec66af"),
     ])
     def test_hinet_one_trace(self, seed, digest):
         scenario = hinet_one_scenario(n0=40, theta=12, k=6, L=3, seed=seed)
         assert self._digest(scenario) == digest
+
+
+class TestGeneratorContentPins:
+    """Order-independent pins of the same (builder, seed) pairs: the
+    content-addressed ``scenario_fingerprint`` plus the empirical n_r and
+    n_m, or sorted per-round edge sets for bare traces.  They hold
+    however a generator orders the edges it emits."""
+
+    @staticmethod
+    def _edge_digest(trace) -> str:
+        blob = json.dumps(
+            [sorted(snap.edge_set()) for snap in trace], separators=(",", ":")
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    @pytest.mark.parametrize("seed, fingerprint, nr", [
+        (3, "57dbfb60095e2931219851b7b7befe9a322e3408a11d2353bb5d3a16d35a1d36",
+         0.47058823529411764),
+        (47, "dc52f1d05449032adf5c2be07d732b5fa1d3a1099d7889c6e1fe7a06a77f0757",
+         0.7058823529411765),
+        (101, "c9fbc662cd03c11955b97fccb36c60d86f75d762ea2e8ecdcbd3853962d14356",
+         0.5882352941176471),
+    ])
+    def test_hinet_interval_content(self, seed, fingerprint, nr):
+        scenario = hinet_interval_scenario(n0=40, theta=12, k=6, alpha=3, L=2,
+                                           seed=seed)
+        assert scenario_fingerprint(scenario) == fingerprint
+        assert (scenario.params["nr"], scenario.params["nm"]) == (nr, 17.0)
+
+    @pytest.mark.parametrize("seed, fingerprint, nr", [
+        (3, "25443763462e988ef7bebc67b83fbcbfd529247e25bdd191f07dcaacf190caa4",
+         10.0),
+        (47, "956b5846c6d4a2e9cb4f65f116b4d0044cee84c419de0244ba7cf0fe4297c52b",
+         10.5),
+        (101, "3679171f634743bb17d17a97f874aca8f383ed99c4b6c274ded2eec1d52218ed",
+         9.833333333333334),
+    ])
+    def test_hinet_one_content(self, seed, fingerprint, nr):
+        scenario = hinet_one_scenario(n0=40, theta=12, k=6, L=3, seed=seed)
+        assert scenario_fingerprint(scenario) == fingerprint
+        assert (scenario.params["nr"], scenario.params["nm"]) == (nr, 6.0)
+
+    @pytest.mark.parametrize("seed, fingerprint", [
+        (3, "0e43c55bb9dad49e23e384130ed2b53b8b7db9a8c7bdf4da19a86792f6425404"),
+        (47, "9cd3f3febc641eee2ddbfda98c7c99028f27281bd3d9d0ddf0fe8094370df069"),
+        (101, "9a93ca0ad4a0fea17e1ee04f5a742c314da3653f77c4631565fb71da7ff82929"),
+    ])
+    def test_klo_interval_content(self, seed, fingerprint):
+        scenario = klo_interval_scenario(n0=40, k=6, alpha=3, L=2, seed=seed)
+        assert scenario_fingerprint(scenario) == fingerprint
+
+    @pytest.mark.parametrize("seed, spine, digest", [
+        (3, "tree", "aefa0c4b3b639cc0a2890266b6d799d0f48e360a0e4549999c515e147e7857ff"),
+        (3, "path", "39e65be7c7ad0c7d3a5ef123b1c74b13192d3aa4d3e1382d2b0bc335495bf543"),
+        (47, "tree", "44a25645104a15574aee3b2d101528ed7161399c29cd1d8b30426d33406dcb0a"),
+        (47, "path", "15d72320dd52c025b745a13b335130ce7061ba691a03c2fc66f14322f3fee2e9"),
+        (101, "tree", "6d3486aeb4827b823c071fc98f7f9fc8abbff3d78558f8f09dae300489dee6ea"),
+        (101, "path", "386179ff4d6b08edb67c1eadbf169cec72a13d3ae24da40ffb9bebe2f933baf4"),
+    ])
+    def test_t_interval_trace_content(self, seed, spine, digest):
+        trace = t_interval_trace(30, 3, 13, churn_p=0.1, seed=seed, spine=spine)
+        assert self._edge_digest(trace) == digest
+
+    def test_t_interval_trace_edge_cases(self):
+        one_node = t_interval_trace(1, 2, 3, churn_p=0.5, seed=3)
+        assert self._edge_digest(one_node) == (
+            "5ae1625b488b3935122d8dd627fe575b388a5aa360378fa4407aad08baaed1e2"
+        )
+        no_churn = t_interval_trace(12, 2, 5, churn_p=0.0, seed=3, sliding=False)
+        assert self._edge_digest(no_churn) == (
+            "ebedd007fd872e9b2f7e5760229215a02c70f4a15aa3c6bf8903d0b776473e66"
+        )
