@@ -17,11 +17,9 @@ that:
 
 * **Heartbeats** — :func:`parallel_map` accepts a ``heartbeat`` callback
   and forwards per-item ``task`` events (``start`` / ``done``, with pid
-  and wall milliseconds) from the workers over a multiprocessing queue;
-  :class:`ShardPool` carries an optional ``telemetry`` queue that shard
-  kernels write through :func:`emit_worker_event` and the parent drains
-  between rounds.  Both transports are non-blocking with drop counting —
-  a slow parent never stalls a worker.
+  and wall milliseconds) from the workers over a multiprocessing queue,
+  written through :func:`emit_worker_event`.  The transport is
+  non-blocking with drop counting — a slow parent never stalls a worker.
 * **Stall detection** — ``parallel_map(timeout_s=…)`` (default from the
   :data:`TIMEOUT_ENV_VAR` environment, off when unset/0) turns a hung
   worker into a diagnosed :class:`RuntimeError` naming the stuck item
@@ -53,7 +51,6 @@ from .replication import MetricSummary, summarize
 
 __all__ = [
     "TIMEOUT_ENV_VAR",
-    "ShardPool",
     "emit_worker_event",
     "parallel_map",
     "parallel_replicate",
@@ -301,74 +298,6 @@ def _instrumented_map(
         return results
     finally:
         pool.shutdown(wait=False)
-
-
-class ShardPool:
-    """A persistent worker pool for per-round sharded kernels.
-
-    :func:`parallel_map` spins a fresh :class:`ProcessPoolExecutor` per
-    call — fine for sweeps (one call, hundreds of cells), fatal for the
-    vectorised engine's sharded delivery, which maps a handful of shard
-    tasks *every round*.  This wrapper keeps the executor (and its warm
-    worker imports) alive across rounds; results come back in input
-    order, so sharded runs stay deterministic.
-
-    Same pickling contract as :func:`parallel_map`: module-level
-    functions and array/tuple arguments only.
-
-    ``telemetry`` (optional) is a ``multiprocessing.Queue`` installed in
-    every worker, where mapped functions may publish events through
-    :func:`emit_worker_event`; the parent collects them with
-    :meth:`drain` between rounds.  The vectorised tier uses this for its
-    per-worker profile sections and live per-shard kernel timings.
-    """
-
-    def __init__(
-        self, processes: Optional[int] = None, *, telemetry=None
-    ) -> None:
-        if processes is None:
-            processes = os.cpu_count() or 1
-        if processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
-        self.processes = processes
-        self.telemetry = telemetry
-        self._pool: Optional[ProcessPoolExecutor] = None
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``fn`` over ``items`` on the persistent workers, in order."""
-        if self._pool is None:
-            if self.telemetry is not None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.processes,
-                    initializer=_worker_init,
-                    initargs=(self.telemetry,),
-                )
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.processes)
-        return list(self._pool.map(fn, items))
-
-    def drain(self) -> List[Dict[str, Any]]:
-        """Pop every telemetry event currently queued (non-blocking)."""
-        events: List[Dict[str, Any]] = []
-        if self.telemetry is None:
-            return events
-        while True:
-            try:
-                events.append(self.telemetry.get_nowait())
-            except Exception:
-                return events
-
-    def close(self) -> None:
-        """Shut the workers down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def parallel_replicate(

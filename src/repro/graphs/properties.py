@@ -218,8 +218,8 @@ class _WindowGraphs:
         src = np.concatenate([w * n + u, w * n + v])
         dst = np.concatenate([w * n + v, w * n + u])
         self.indices = dst[np.argsort(src, kind="stable")]
-        self.degrees = np.bincount(src, minlength=windows * n)
-        self.starts = np.cumsum(self.degrees) - self.degrees
+        self.indptr = np.zeros(windows * n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=windows * n), out=self.indptr[1:])
 
     @classmethod
     def intersect(
@@ -244,7 +244,7 @@ class _WindowGraphs:
         """``state`` with every row's reach extended by one hop."""
         from ..sim.columnar import segment_or
 
-        return state | segment_or(self.starts, self.indices, self.degrees, state)
+        return state | segment_or(self.indptr, self.indices, state)
 
     def spanning(self) -> np.ndarray:
         """Per window: whether its graph connects all ``n`` nodes (a flood
@@ -597,12 +597,13 @@ def max_interval_connectivity(trace: GraphTrace, windows: str = "sliding") -> in
             else:
                 hi = mid - 1
         return lo
+    # Aligned blocks are not monotone in T: blocks of different lengths
+    # cut the trace at different rounds, so T may fail where a larger T
+    # holds.  Every T is checked.
     best = 1
     for T in range(2, trace.horizon + 1):
         if is_T_interval_connected(trace, T, windows):
             best = T
-        else:
-            break
     return best
 
 

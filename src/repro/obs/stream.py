@@ -30,9 +30,8 @@ encoding ``write_events`` uses), so streamed counters are bit-identical
 to the post-hoc timeline by construction and attaching a bus never
 changes a run's outputs, metrics, or timeline.  Supporting types:
 ``run`` (header), ``alert`` (a live monitor
-:class:`~repro.obs.monitors.Violation`), ``shard`` (a ShardPool
-worker's per-round kernel timing), ``task`` (a ``parallel_map`` worker
-heartbeat), ``case`` (bench-fleet per-case progress), and ``summary``
+:class:`~repro.obs.monitors.Violation`), ``task`` (a ``parallel_map``
+worker heartbeat), ``case`` (bench-fleet per-case progress), and ``summary``
 (footer; same layout as :func:`~repro.obs.timeline.write_events`).
 
 Round **decimation** (``TelemetryBus(decimate=N)``) publishes every
@@ -326,7 +325,7 @@ _METRIC_META = {
     "repro_tokens_total": ("Token cost accumulated.", "counter"),
     "repro_alerts_total": ("Monitor violations streamed.", "counter"),
     "repro_worker_events_total": (
-        "Worker heartbeats (shard timings + task events) streamed.",
+        "Worker heartbeats (task and case events) streamed.",
         "counter",
     ),
     "repro_run_complete": (
@@ -370,7 +369,7 @@ class MetricsExporter(TelemetrySink):
             values["repro_tokens_total"] += event["tokens"]
         elif kind == "alert":
             values["repro_alerts_total"] += 1
-        elif kind in ("shard", "task", "case"):
+        elif kind in ("task", "case"):
             values["repro_worker_events_total"] += 1
         elif kind == "summary":
             values["repro_run_complete"] = 1
@@ -433,8 +432,8 @@ class LiveDashboard(TelemetrySink):
     falls back to periodic plain text lines, at most one per
     ``interval`` seconds plus a final render at close.  Shows the
     coverage / nodes-complete progress bars, per-role message rates,
-    live monitor excursion alerts, and per-shard / per-worker lag from
-    the ``shard`` / ``task`` / ``case`` heartbeat events.
+    live monitor excursion alerts, and per-worker / per-case lag from
+    the ``task`` / ``case`` heartbeat events.
     """
 
     def __init__(
@@ -471,9 +470,6 @@ class LiveDashboard(TelemetrySink):
             self.round = event
         elif kind == "alert":
             self.alerts.append(event)
-        elif kind == "shard":
-            key = f"shard {event.get('shard', '?')}"
-            self.workers[key] = {**event, "at": self._clock()}
         elif kind == "task":
             key = f"worker pid {event.get('pid', '?')}"
             self.workers[key] = {**event, "at": self._clock()}

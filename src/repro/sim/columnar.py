@@ -29,17 +29,11 @@ deliveries produce the same :class:`RunResult` as the reference engine:
 outputs, metrics, timelines, recordings, causal traces and monitor
 violations (asserted registry-wide in ``tests/test_columnar.py``).
 
-**Sharding.**  For n ≥ 10⁵ the CSR delivery can be sharded into
-contiguous row blocks: each shard receives only the payload rows its
-adjacency segment references (the boundary exchange —
-``unique(indices[block])`` rows, remapped into a compact sub-matrix),
-reduces its block independently, and the per-round merge is a plain row
-concatenation.  Shards run serially in-process by default (deterministic,
-zero setup cost) or across the persistent process pool of
-:class:`repro.experiments.parallel.ShardPool`.  Configure via
-``run_columnar(shards=…, shard_processes=…)`` or the environment
-(:data:`SHARDS_ENV_VAR`, :data:`SHARD_PROCESSES_ENV_VAR`).  Sharded and
-unsharded runs are bit-identical (OR is associative).
+**Bounded gathers.**  :func:`segment_or` reduces in contiguous row
+blocks whose gathered ``(edges, W)`` slice stays under a fixed element
+budget, so one round's transient memory does not grow with ``n · deg · W``.
+Below the budget (every n·k this repo benchmarks) it is a single
+``reduceat``; the blocking is invisible in results (OR is associative).
 
 Networks may be array-native: when the network object exposes
 ``snapshot_arrays(r)`` (see :class:`~repro.sim.topology.CSRNetwork`), the
@@ -50,9 +44,7 @@ attached, whose round views carry a
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -74,8 +66,6 @@ from .metrics import Metrics
 from .topology import SnapshotArrays
 
 __all__ = [
-    "SHARDS_ENV_VAR",
-    "SHARD_PROCESSES_ENV_VAR",
     "pack_rows",
     "pack_single_tokens",
     "run_columnar",
@@ -83,15 +73,6 @@ __all__ = [
     "select_delivery",
     "unpack_rows",
 ]
-
-#: Shard the bit-matrix into this many contiguous row blocks (``0``/unset
-#: disables sharding).  Worth it from n ≈ 10⁵; see docs/performance.md.
-SHARDS_ENV_VAR = "REPRO_COLUMNAR_SHARDS"
-
-#: Worker processes for sharded delivery (``1``/unset reduces the shards
-#: serially in-process — deterministic and allocation-friendly; identical
-#: results either way).
-SHARD_PROCESSES_ENV_VAR = "REPRO_COLUMNAR_SHARD_PROCESSES"
 
 Flat = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -150,187 +131,61 @@ def select_delivery(latency: int, obs: str) -> str:
 # CSR segment-OR delivery
 # ---------------------------------------------------------------------------
 
+#: Most ``uint64`` words one :func:`segment_or` gather may hold (32 MiB):
+#: larger products are reduced in contiguous row blocks under it.
+_GATHER_BUDGET = 1 << 22
+
+
 def segment_or(
-    starts: np.ndarray,
+    indptr: np.ndarray,
     indices: np.ndarray,
-    degrees: np.ndarray,
     payload: np.ndarray,
     edge_keep: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """OR-reduce ``payload`` rows over CSR adjacency segments.
 
-    ``out[i] = OR(payload[indices[starts[i] : starts[i] + degrees[i]]])``
-    — one boolean spmm row block.  ``reduceat`` mis-handles empty segments
-    (it returns the element *at* the index instead of the OR-identity) so
+    ``out[i] = OR(payload[indices[indptr[i] : indptr[i + 1]]])`` — the
+    boolean spmm ``A · P``.  ``reduceat`` mis-handles empty segments (it
+    returns the element *at* the index instead of the OR-identity) so
     degree-0 rows are masked out and stay all-zero.
 
-    ``edge_keep`` (one bool per CSR edge of this block, or ``None`` for
-    all-kept) zeroes the gathered rows of suppressed edges before the
-    reduce — zero rows are OR-neutral, so a link-masked edge behaves
-    exactly like no delivery.
+    ``edge_keep`` (one bool per CSR edge, or ``None`` for all-kept)
+    zeroes the gathered rows of suppressed edges before the reduce —
+    zero rows are OR-neutral, so a link-masked edge behaves exactly like
+    no delivery.
+
+    Rows are reduced in contiguous blocks whose gathered slice holds at
+    most :data:`_GATHER_BUDGET` words; a row whose degree alone exceeds
+    it is a block of its own.  Below the budget this is one ``reduceat``.
     """
-    rows = degrees.shape[0]
+    rows = indptr.shape[0] - 1
     out = np.zeros((rows, payload.shape[1]), dtype=np.uint64)
     if indices.size == 0:
         return out
-    gathered = payload[indices]
-    if edge_keep is not None and not edge_keep.all():
-        gathered[~edge_keep] = 0
-    nonempty = degrees > 0
-    out[nonempty] = np.bitwise_or.reduceat(
-        gathered, np.asarray(starts[nonempty], dtype=np.intp), axis=0
-    )
-    return out
-
-
-def _shard_deliver(item: Tuple[int, int, Tuple]) -> np.ndarray:
-    """One shard's delivery: reduce a row block against its sub-payload.
-
-    Module-level (picklable) so :class:`ShardPool` workers can run it; the
-    sub-payload already contains only the boundary-exchanged rows this
-    block's adjacency references.  In a telemetry-wired pool it also
-    emits one ``shard`` event (round, shard index, kernel milliseconds) —
-    the source of the parent's per-worker profile sections and the
-    ``repro watch`` per-shard lag view.
-    """
-    from ..experiments.parallel import emit_worker_event  # avoids a cycle
-
-    r, shard_idx, (local_starts, seg_indices, degrees, payload_sub, edge_keep) = item
-    t0 = time.perf_counter()
-    out = segment_or(local_starts, seg_indices, degrees, payload_sub, edge_keep)
-    emit_worker_event({
-        "type": "shard",
-        "round": r,
-        "shard": shard_idx,
-        "status": "deliver",
-        "ms": round((time.perf_counter() - t0) * 1000.0, 3),
-    })
-    return out
-
-
-def _shard_plan(
-    arrs: SnapshotArrays, shards: int
-) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]]:
-    """Static per-topology shard layout: contiguous row blocks plus the
-    boundary-exchange index sets.
-
-    For each block ``[lo, hi)``: the block-local CSR starts, the segment
-    indices remapped into the compact ``needed`` row set (the only payload
-    rows the block must receive), the block degrees, ``needed`` itself,
-    and the block's CSR edge range.  Memoized per arrays object by the
-    caller — the layout depends only on topology, not on the round's
-    payloads.
-    """
-    n = arrs.degrees.shape[0]
-    indptr = arrs.indptr
-    plan = []
-    for i in range(shards):
-        lo = (i * n) // shards
-        hi = ((i + 1) * n) // shards
-        elo, ehi = int(indptr[lo]), int(indptr[hi])
-        seg = arrs.indices[elo:ehi]
-        needed = np.unique(seg)
-        remapped = np.searchsorted(needed, seg).astype(np.int64)
-        local_starts = (indptr[lo:hi] - indptr[lo]).astype(np.intp)
-        plan.append((local_starts, remapped, arrs.degrees[lo:hi], needed, elo, ehi))
-    return plan
-
-
-class _ShardedReduce:
-    """Sharded CSR segment-OR, serial or on a persistent :class:`ShardPool`.
-
-    With a profiler or a telemetry bus attached to a pooled run, workers
-    report per-shard kernel times, folded into ``worker<i>_deliver``
-    profile sections and published as ``shard`` events.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        processes: Optional[int],
-        prof: Optional[Profiler],
-        stream,
-    ) -> None:
-        self.shards = shards
-        self.prof = prof
-        self.stream = stream
-        self.pool = None
-        self.telemetry = None
-        self.worker_ids: Dict[int, int] = {}
-        self.plans: Dict[int, Tuple[SnapshotArrays, list]] = {}
-        if processes is not None and processes > 1:
-            from ..experiments.parallel import ShardPool  # lazy: avoids a cycle
-
-            if prof is not None or stream is not None:
-                import multiprocessing as mp
-
-                self.telemetry = mp.Queue()
-            self.pool = ShardPool(
-                processes=min(processes, shards), telemetry=self.telemetry
+    per_block = max(1, _GATHER_BUDGET // max(1, payload.shape[1]))
+    lo = 0
+    while lo < rows:
+        e0 = indptr[lo]
+        hi = rows
+        if indptr[hi] - e0 > per_block:
+            hi = int(np.searchsorted(indptr, e0 + per_block, side="right")) - 1
+            hi = max(hi, lo + 1)
+        e1 = indptr[hi]
+        if e1 > e0:
+            gathered = payload[indices[e0:e1]]
+            if edge_keep is not None:
+                keep = edge_keep[e0:e1]
+                if not keep.all():
+                    gathered[~keep] = 0
+            starts = indptr[lo:hi]
+            nonempty = indptr[lo + 1:hi + 1] > starts
+            out[lo:hi][nonempty] = np.bitwise_or.reduceat(
+                gathered, np.asarray(starts[nonempty] - e0, dtype=np.intp),
+                axis=0,
             )
-
-    def __call__(
-        self,
-        r: int,
-        arrs: SnapshotArrays,
-        bc_full: np.ndarray,
-        edge_keep: Optional[np.ndarray],
-    ) -> np.ndarray:
-        hit = self.plans.get(id(arrs))
-        if hit is None or hit[0] is not arrs:
-            hit = (arrs, _shard_plan(arrs, self.shards))
-            self.plans[id(arrs)] = hit
-        # boundary exchange: slice each shard's needed rows
-        items = [
-            (r, i, (
-                ls, seg, deg, bc_full[needed],
-                None if edge_keep is None else edge_keep[elo:ehi],
-            ))
-            for i, (ls, seg, deg, needed, elo, ehi) in enumerate(hit[1])
-        ]
-        if self.pool is None:
-            outs = [segment_or(*shard) for _, _, shard in items]
-        else:
-            try:
-                outs = self.pool.map(_shard_deliver, items)
-            except BrokenProcessPool as exc:
-                raise RuntimeError(
-                    f"sharded delivery failed in round {r}: a worker of the "
-                    f"{self.pool.processes}-process shard pool died while "
-                    f"reducing {self.shards} shards (killed, or out of "
-                    "memory?); rerun with fewer shard processes or "
-                    "shard_processes=1 to reduce in-process"
-                ) from exc
-            if self.telemetry is not None:
-                self._absorb_events()
-        return np.concatenate(outs, axis=0)
-
-    def _absorb_events(self) -> None:
-        """Fold drained worker ``shard`` events into the profiler and bus.
-
-        Worker pids are mapped to stable small indices in arrival order,
-        so a profiled sharded run grows ``worker0_deliver``,
-        ``worker1_deliver``, … sections holding each process's cumulative
-        kernel wall-clock.
-        """
-        for event in self.pool.drain():
-            pid = event.get("pid")
-            if pid is not None and pid not in self.worker_ids:
-                self.worker_ids[pid] = len(self.worker_ids)
-            ms = event.get("ms")
-            if self.prof is not None and isinstance(ms, (int, float)):
-                self.prof.add(
-                    f"worker{self.worker_ids.get(pid, 0)}_deliver", ms / 1000.0
-                )
-            if self.stream is not None:
-                self.stream.publish(event)
-
-    def close(self) -> None:
-        if self.pool is not None:
-            if self.telemetry is not None:
-                # catch straggler events still in the queue's feeder pipe
-                self._absorb_events()
-            self.pool.close()
+            del gathered  # free this block's slice before the next gather
+        lo = hi
+    return out
 
 
 def _link_transform(
@@ -471,17 +326,6 @@ def _landing(
 # the round loop
 # ---------------------------------------------------------------------------
 
-def _env_int(var: str) -> Optional[int]:
-    raw = os.environ.get(var, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{var} must be an integer, got {raw!r}") from exc
-    return value if value > 0 else None
-
-
 def _topology(network, r: int, n: int, need_snapshot: bool):
     """The round's CSR arrays, preferring array-native networks, plus a
     materialised :class:`Snapshot` only when ``need_snapshot``."""
@@ -525,8 +369,6 @@ def run_columnar(
     *,
     stop_when_complete: bool = False,
     stop_when_finished: bool = True,
-    shards: Optional[int] = None,
-    shard_processes: Optional[int] = None,
     materialize_outputs: bool = True,
     monitors=None,
 ) -> RunResult:
@@ -540,150 +382,128 @@ def run_columnar(
     million-node run never builds ``n`` frozensets (``RunResult.outputs``
     is then empty and ``complete`` comes from the coverage counter).
 
-    The delivery follows :func:`select_delivery`.  Under CSR delivery,
-    ``shards`` > 1 splits it into contiguous row blocks and
-    ``shard_processes`` > 1 reduces them on a persistent
-    :class:`~repro.experiments.parallel.ShardPool`; both default to the
-    :data:`SHARDS_ENV_VAR` / :data:`SHARD_PROCESSES_ENV_VAR` environment.
-    ``monitors`` receive one :class:`~repro.obs.RoundView` per round.
+    The delivery follows :func:`select_delivery`.  ``monitors`` receive
+    one :class:`~repro.obs.RoundView` per round.
     """
     n, W = TA.shape
     if kind not in _KERNELS:
         raise ValueError(f"unsupported kernel kind {kind!r}")
     kernel = _KERNELS[kind](n, k, W, TA, **params)
     scatter = select_delivery(engine.latency, engine.obs) == "scatter"
-    if shards is None:
-        shards = _env_int(SHARDS_ENV_VAR)
-    if shard_processes is None:
-        shard_processes = _env_int(SHARD_PROCESSES_ENV_VAR)
 
     metrics = Metrics()
     observer = RunObserver(
         engine.obs, n, k, TA, monitors=monitors, stream=engine.stream
     )
-    prof = observer.profiler
     link = engine.link_for(engine.engine_mode)
     alive: Optional[np.ndarray] = None
     if link is not None:
         alive = np.ones(n, dtype=bool)
     latency = engine.latency
     in_flight: Dict[int, List[Flat]] = {}
-    sharded = None
-    if not scatter and shards is not None and shards > 1:
-        sharded = _ShardedReduce(shards, shard_processes, prof, engine.stream)
-    lap = _lap_timer(prof)
+    lap = _lap_timer(observer.profiler)
 
-    try:
-        for r in range(max_rounds):
-            arrs, snap = _topology(network, r, n, observer.wants_views)
-            lap("topology")
-            metrics.begin_round()
-            observer.open_round(arrs)
+    for r in range(max_rounds):
+        arrs, snap = _topology(network, r, n, observer.wants_views)
+        lap("topology")
+        metrics.begin_round()
+        observer.open_round(arrs)
 
-            # --- crash stage (before sends: crashed nodes never act) -----
-            newly_crashed: Tuple[int, ...] = ()
-            crash_tokens = 0
-            if link is not None:
-                crashed = link.crashes(r, alive)
-                if len(crashed):
-                    newly_crashed = tuple(int(x) for x in crashed)
-                    alive[crashed] = False
-                    crash_tokens = int(np.bitwise_count(kernel.TA[crashed]).sum())
-                    kernel.TA[crashed] = 0
-                    metrics.record_crashes(len(newly_crashed))
+        # --- crash stage (before sends: crashed nodes never act) ---------
+        newly_crashed: Tuple[int, ...] = ()
+        crash_tokens = 0
+        if link is not None:
+            crashed = link.crashes(r, alive)
+            if len(crashed):
+                newly_crashed = tuple(int(x) for x in crashed)
+                alive[crashed] = False
+                crash_tokens = int(np.bitwise_count(kernel.TA[crashed]).sum())
+                kernel.TA[crashed] = 0
+                metrics.record_crashes(len(newly_crashed))
 
-            # --- send + link transform -----------------------------------
-            batch = kernel.send(r, arrs)
-            if batch is not None and alive is not None:
-                batch = _filter_batch_alive(batch, alive)
-            if batch is not None and not batch.messages:
-                batch = None
-            if batch is not None:
-                observer.sends(
-                    _account(metrics, batch, arrs),
-                    batch.log() if observer.wants_log else None,
-                )
-            edge_keep: Optional[np.ndarray] = None
-            if batch is not None and link is not None:
-                edge_keep, batch = _link_transform(
-                    r, n, batch, arrs, link, alive, metrics
-                )
-            if scatter and batch is not None:
-                flat = _deliveries(r, batch, arrs, link)
-                if flat is not None:
-                    in_flight.setdefault(r + latency - 1, []).append(flat)
-            lap("send")
-
-            # --- deliver: what each node heard, per the delivery ----------
-            heard = from_head = flat = None
-            hears_heads = kernel.hears_heads and arrs.roles is not None
-            if scatter:
-                flat = _landing(in_flight.pop(r, None), alive)
-                if flat is not None:
-                    heard = np.zeros_like(kernel.TA)
-                    np.bitwise_or.at(heard, flat[0], flat[2])
-                    if hears_heads:
-                        from_head = np.zeros_like(heard)
-                        _or_from_head(arrs, *flat, from_head)
-            elif batch is not None:
-                bc_full = np.zeros_like(kernel.TA)
-                bc_full[batch.bc_senders] = batch.bc_payload
-                if sharded is not None:
-                    heard = sharded(r, arrs, bc_full, edge_keep)
-                else:
-                    heard = segment_or(
-                        arrs.indptr[:-1], arrs.indices, arrs.degrees, bc_full,
-                        edge_keep,
-                    )
-                ok = np.flatnonzero(batch.uc_ok)
-                unicasts = (
-                    batch.uc_dests[ok], batch.uc_senders[ok], batch.uc_payload[ok]
-                )
-                np.bitwise_or.at(heard, unicasts[0], unicasts[2])
-                if hears_heads:
-                    from_head = _csr_from_head(r, arrs, bc_full, link)
-                    _or_from_head(arrs, *unicasts, from_head)
-            lap("deliver")
-
-            # --- receive -------------------------------------------------
-            if heard is not None:
-                kernel.absorb(arrs, heard, from_head)
-                if alive is not None and not alive.all():
-                    # dead receivers may have absorbed via the multi-input
-                    # gathers; OR-neutral re-zero restores crash-stop
-                    kernel.TA[~alive] = 0
-            lap("receive")
-
-            # --- bookkeeping -----------------------------------------------
-            if link is not None:
-                # pinpoint perturbations (PinpointFault): XOR always
-                # changes state, so divergence at exactly this round/node
-                for fv, ft in link.faults(r):
-                    if alive is None or alive[fv]:
-                        kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
-            per_node = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
-            coverage = int(per_node.sum())
-            nodes_complete = int((per_node == k).sum())
-            metrics.end_round(coverage)
-            observer.close_round(
-                r, coverage, nodes_complete, metrics,
-                state=kernel.TA,
-                deliveries=flat,
-                per_node=per_node.tolist() if observer.wants_views else None,
-                faults=None if link is None else (newly_crashed, crash_tokens),
-                snap=snap,
+        # --- send + link transform ---------------------------------------
+        batch = kernel.send(r, arrs)
+        if batch is not None and alive is not None:
+            batch = _filter_batch_alive(batch, alive)
+        if batch is not None and not batch.messages:
+            batch = None
+        if batch is not None:
+            observer.sends(
+                _account(metrics, batch, arrs),
+                batch.log() if observer.wants_log else None,
             )
-            lap("bookkeeping")
-            alive_n = n if alive is None else int(alive.sum())
-            if coverage == alive_n * k and (alive is None or alive_n > 0):
-                metrics.mark_complete()
-                if stop_when_complete:
-                    break
-            if stop_when_finished and not in_flight and kernel.finished(r):
+        edge_keep: Optional[np.ndarray] = None
+        if batch is not None and link is not None:
+            edge_keep, batch = _link_transform(
+                r, n, batch, arrs, link, alive, metrics
+            )
+        if scatter and batch is not None:
+            flat = _deliveries(r, batch, arrs, link)
+            if flat is not None:
+                in_flight.setdefault(r + latency - 1, []).append(flat)
+        lap("send")
+
+        # --- deliver: what each node heard, per the delivery --------------
+        heard = from_head = flat = None
+        hears_heads = kernel.hears_heads and arrs.roles is not None
+        if scatter:
+            flat = _landing(in_flight.pop(r, None), alive)
+            if flat is not None:
+                heard = np.zeros_like(kernel.TA)
+                np.bitwise_or.at(heard, flat[0], flat[2])
+                if hears_heads:
+                    from_head = np.zeros_like(heard)
+                    _or_from_head(arrs, *flat, from_head)
+        elif batch is not None:
+            bc_full = np.zeros_like(kernel.TA)
+            bc_full[batch.bc_senders] = batch.bc_payload
+            heard = segment_or(arrs.indptr, arrs.indices, bc_full, edge_keep)
+            ok = np.flatnonzero(batch.uc_ok)
+            unicasts = (
+                batch.uc_dests[ok], batch.uc_senders[ok], batch.uc_payload[ok]
+            )
+            np.bitwise_or.at(heard, unicasts[0], unicasts[2])
+            if hears_heads:
+                from_head = _csr_from_head(r, arrs, bc_full, link)
+                _or_from_head(arrs, *unicasts, from_head)
+        lap("deliver")
+
+        # --- receive -----------------------------------------------------
+        if heard is not None:
+            kernel.absorb(arrs, heard, from_head)
+            if alive is not None and not alive.all():
+                # dead receivers may have absorbed via the multi-input
+                # gathers; OR-neutral re-zero restores crash-stop
+                kernel.TA[~alive] = 0
+        lap("receive")
+
+        # --- bookkeeping ---------------------------------------------------
+        if link is not None:
+            # pinpoint perturbations (PinpointFault): XOR always
+            # changes state, so divergence at exactly this round/node
+            for fv, ft in link.faults(r):
+                if alive is None or alive[fv]:
+                    kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
+        per_node = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
+        coverage = int(per_node.sum())
+        nodes_complete = int((per_node == k).sum())
+        metrics.end_round(coverage)
+        observer.close_round(
+            r, coverage, nodes_complete, metrics,
+            state=kernel.TA,
+            deliveries=flat,
+            per_node=per_node.tolist() if observer.wants_views else None,
+            faults=None if link is None else (newly_crashed, crash_tokens),
+            snap=snap,
+        )
+        lap("bookkeeping")
+        alive_n = n if alive is None else int(alive.sum())
+        if coverage == alive_n * k and (alive is None or alive_n > 0):
+            metrics.mark_complete()
+            if stop_when_complete:
                 break
-    finally:
-        if sharded is not None:
-            sharded.close()
+        if stop_when_finished and not in_flight and kernel.finished(r):
+            break
 
     held = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
     survivors = held if alive is None else held[alive]

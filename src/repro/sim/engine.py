@@ -464,10 +464,9 @@ class SynchronousEngine:
         loop, :func:`repro.sim.columnar.run_columnar`, when the factory
         carries a kernel tag (:mod:`repro.sim.fastpath`); results are
         bit-identical (see docs/performance.md).  The loop picks its
-        delivery from the run's inputs: CSR segment-OR by default
-        (optionally sharded), flat scatter under ``latency > 1`` or
-        ``obs="trace"``.  Untagged factories and adaptive networks fall
-        back to the reference path.
+        delivery from the run's inputs: CSR segment-OR by default, flat
+        scatter under ``latency > 1`` or ``obs="trace"``.  Untagged
+        factories and adaptive networks fall back to the reference path.
         :meth:`start` always steps the reference engine — the vectorised
         tier has no per-round inspection surface.
     obs:

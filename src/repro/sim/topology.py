@@ -51,10 +51,9 @@ class SnapshotArrays:
     :mod:`repro.sim.columnar`), the property certifiers and the result
     cache consume these instead of per-node frozensets.  Array-first
     generators build them directly (see :func:`csr_rounds`); a snapshot
-    built from frozenset adjacency converts once and memoizes (see
-    :meth:`Snapshot.arrays`).  Snapshots of one hierarchy phase may share
-    their ``roles``/``head_of``/``head_adjacent`` arrays; treat every
-    array as read-only.
+    built from frozenset adjacency converts at construction.  Snapshots
+    of one hierarchy phase may share their ``roles``/``head_of``/
+    ``head_adjacent`` arrays; treat every array as read-only.
 
     Attributes
     ----------
@@ -255,9 +254,11 @@ class Snapshot:
     The representation is :meth:`arrays` (:class:`SnapshotArrays`).  A
     snapshot built from arrays (:meth:`from_arrays`, :meth:`from_edges`)
     exposes ``adj``, ``roles`` and ``head_of`` as lazy views, materialised
-    on first access and memoized; one built from ``adj=`` converts to
-    arrays on first :meth:`arrays` call.  Either way the two forms agree,
-    and equality, hashing and pickling depend on the content only.
+    on first access and memoized.  One built from ``adj=`` builds its
+    arrays at construction, with the checks of :meth:`from_edges` plus
+    symmetry, and keeps the given sequences as its views.  Either way the
+    two forms agree, and equality, hashing and pickling depend on the
+    content only.
 
     Attributes
     ----------
@@ -279,11 +280,33 @@ class Snapshot:
         roles: Optional[Sequence[Role]] = None,
         head_of: Optional[Sequence[Optional[int]]] = None,
     ) -> None:
+        n = len(adj)
+        pairs = np.fromiter(
+            (x for v, s in enumerate(adj) for u in s for x in (v, u)),
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        arrays = Snapshot.from_edges(
+            n, pairs, roles=roles, head_of=head_of
+        ).arrays()
+        if int(arrays.indptr[-1]) != pairs.shape[0]:
+            # the CSR holds each listed pair in both orientations, once: a
+            # count mismatch is a one-sided pair or a repeated neighbour
+            missing = ~np.isin(
+                pairs[:, 1] * n + pairs[:, 0], pairs[:, 0] * n + pairs[:, 1]
+            )
+            if not missing.any():
+                raise ValueError("adjacency lists a neighbour twice")
+            v, u = (int(x) for x in pairs[int(np.argmax(missing))])
+            raise ValueError(
+                f"adjacency is not symmetric: {u} in adj[{v}] but "
+                f"{v} not in adj[{u}]"
+            )
         d = self.__dict__
-        d["_n"] = len(adj)
+        d["_n"] = n
         d["_adj"] = adj
         d["_roles"] = roles
         d["_head_of"] = head_of
+        d["_memo_cache"] = {"arrays": arrays}
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -299,10 +322,7 @@ class Snapshot:
     # equality, hashing and pickling.
 
     def _memo(self) -> dict:
-        cache = self.__dict__.get("_memo_cache")
-        if cache is None:
-            cache = self.__dict__["_memo_cache"] = {}
-        return cache
+        return self.__dict__["_memo_cache"]
 
     # -- construction ----------------------------------------------------
 
@@ -472,11 +492,8 @@ class Snapshot:
     @property
     def clustered(self) -> bool:
         """Whether this snapshot carries hierarchy information."""
-        roles, head_of = self.__dict__["_roles"], self.__dict__["_head_of"]
-        if roles is _LAZY or head_of is _LAZY:
-            arrs = self.arrays()
-            return arrs.roles is not None and arrs.head_of is not None
-        return roles is not None and head_of is not None
+        arrs = self.arrays()
+        return arrs.roles is not None and arrs.head_of is not None
 
     # -- hierarchy queries -------------------------------------------------
 
@@ -521,52 +538,8 @@ class Snapshot:
     # -- numpy views -------------------------------------------------------
 
     def arrays(self) -> SnapshotArrays:
-        """This snapshot as flat numpy arrays (memoized; see
-        :class:`SnapshotArrays`)."""
-        cache = self._memo()
-        cached = cache.get("arrays")
-        if cached is None:
-            n = self._n
-            adj, roles_in, head_in = self._adj, self._roles, self._head_of
-            degrees = np.fromiter(
-                (len(s) for s in adj), dtype=np.int64, count=n
-            )
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(degrees, out=indptr[1:])
-            indices = np.fromiter(
-                (u for s in adj for u in sorted(s)),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
-            roles = head_of = head_adjacent = None
-            if roles_in is not None:
-                roles = np.fromiter(
-                    (ROLE_CODES[r] for r in roles_in), dtype=np.int8, count=n
-                )
-            if head_in is not None:
-                head_of = np.fromiter(
-                    (-1 if h is None else h for h in head_in),
-                    dtype=np.int64,
-                    count=n,
-                )
-                head_adjacent = np.fromiter(
-                    (
-                        h is not None and h in adj[v]
-                        for v, h in enumerate(head_in)
-                    ),
-                    dtype=bool,
-                    count=n,
-                )
-            cached = SnapshotArrays(
-                indptr=indptr,
-                indices=indices,
-                degrees=degrees,
-                roles=roles,
-                head_of=head_of,
-                head_adjacent=head_adjacent,
-            )
-            cache["arrays"] = cached
-        return cached
+        """This snapshot as flat numpy arrays (see :class:`SnapshotArrays`)."""
+        return self._memo()["arrays"]
 
     # -- validation --------------------------------------------------------
 

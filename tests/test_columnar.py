@@ -1,18 +1,14 @@
 """The vectorised round loop: ``engine="columnar"`` (an alias of
 ``engine="fast"``) must be bit-identical to the reference engine for
 every registered algorithm under each delivery the loop selects — CSR
-segment-OR by default, with monitors and sharded; flat scatter under
-``latency > 1`` and ``obs="trace"``.  Also covers the packed-bitset
-codecs, the array-native :class:`~repro.sim.topology.CSRNetwork`, and the
-array-native topology builders."""
+segment-OR by default, with monitors and with its gather split into row
+blocks; flat scatter under ``latency > 1`` and ``obs="trace"``.  Also
+covers the packed-bitset codecs, the bounded CSR gather, the array-native
+:class:`~repro.sim.topology.CSRNetwork`, and the array-native topology
+builders."""
 
 import argparse
 import os
-import re
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,14 +212,112 @@ class TestRegistryWideIdentity:
         assert rec_col.state_at(last) == col.result.outputs
 
 
-class TestSharded:
-    def test_serial_shards_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_SHARDS", "3")
-        for seed in SEEDS:
-            scenario = _hinet(seed)
-            assert_columnar_equivalent(
-                scenario, make_algorithm1_factory(T=12, M=5), 60
+def _naive_segment_or(indptr, indices, payload, edge_keep):
+    """Set oracle: each row is the union of the token sets of the payload
+    rows its kept edges point at."""
+    tokens = columnar.unpack_rows(payload)
+    unions = []
+    for row in range(len(indptr) - 1):
+        union = set()
+        for e in range(indptr[row], indptr[row + 1]):
+            if edge_keep is None or edge_keep[e]:
+                union.update(tokens[indices[e]])
+        unions.append(union)
+    return columnar.pack_rows(unions, 64 * payload.shape[1])
+
+
+#: Gather budgets (uint64 words) that split small runs into many row
+#: blocks, down to one edge per block.
+TINY_BUDGETS = (1, 3, 64)
+
+
+@st.composite
+def _csr_products(draw):
+    """A CSR matrix (degree-0 rows and one heavy row likely), a payload of
+    1–3 words per row, and an optional random edge mask."""
+    rows = draw(st.integers(min_value=1, max_value=12))
+    cols = draw(st.integers(min_value=1, max_value=10))
+    degrees = draw(st.lists(st.integers(0, 3), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        degrees[draw(st.integers(0, rows - 1))] = draw(st.integers(4, 24))
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    edges = int(indptr[-1])
+    indices = np.array(
+        draw(st.lists(st.integers(0, cols - 1), min_size=edges, max_size=edges)),
+        dtype=np.int64,
+    )
+    words = draw(st.integers(1, 3))
+    payload = np.array(
+        draw(st.lists(st.integers(0, 2**64 - 1), min_size=cols * words,
+                      max_size=cols * words)),
+        dtype=np.uint64,
+    ).reshape(cols, words)
+    edge_keep = None
+    if draw(st.booleans()):
+        edge_keep = np.array(
+            draw(st.lists(st.booleans(), min_size=edges, max_size=edges)),
+            dtype=bool,
+        )
+    return indptr, indices, payload, edge_keep
+
+
+class TestBoundedGather:
+    @given(
+        product=_csr_products(),
+        budget=st.sampled_from((1, 2, 7, 64, columnar._GATHER_BUDGET)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_segment_or_matches_set_oracle(self, product, budget):
+        indptr, indices, payload, edge_keep = product
+        expected = _naive_segment_or(indptr, indices, payload, edge_keep)
+        original = columnar._GATHER_BUDGET
+        columnar._GATHER_BUDGET = budget
+        try:
+            got = columnar.segment_or(indptr, indices, payload, edge_keep)
+        finally:
+            columnar._GATHER_BUDGET = original
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("link", [None, IidLoss(0.2, seed=3)],
+                             ids=["clean", "iid-loss"])
+    def test_registry_wide_identity_under_tiny_budget(
+        self, spec, link, monkeypatch
+    ):
+        """Every registered algorithm, vectorised⇄reference, with the CSR
+        gather split into blocks of three words."""
+        monkeypatch.setattr(columnar, "_GATHER_BUDGET", 3)
+        scenario = _auto_scenario(spec)
+        overrides = {"seed": 9} if spec.seeded else {}
+        plan = spec.plan(scenario, **overrides)
+        ref, vec = (
+            SynchronousEngine(engine=engine, obs="record", link=link).run(
+                scenario.trace, plan.factory, scenario.k, scenario.initial,
+                plan.max_rounds, stop_when_complete=plan.stop_when_complete,
             )
+            for engine in ("reference", "fast")
+        )
+        assert vec.outputs == ref.outputs
+        assert vec.metrics == ref.metrics
+        assert vec.timeline == ref.timeline
+        assert vec.recording == ref.recording
+
+
+class TestSharded:
+    """The CSR gather's row blocks: under a tiny budget every round is
+    reduced serially in many contiguous row shards, bit-identical to the
+    reference and to the single-block reduce."""
+
+    def test_serial_shards_identical(self, monkeypatch):
+        for budget in TINY_BUDGETS:
+            monkeypatch.setattr(columnar, "_GATHER_BUDGET", budget)
+            for seed in SEEDS:
+                scenario = _hinet(seed)
+                assert_columnar_equivalent(
+                    scenario, make_algorithm1_factory(T=12, M=5), 60
+                )
 
     def test_shard_count_does_not_change_results(self, monkeypatch):
         scenario = _flat(6)
@@ -234,71 +328,15 @@ class TestSharded:
                 scenario.trace, factory, scenario.k, scenario.initial, 30
             )
 
-        monkeypatch.delenv("REPRO_COLUMNAR_SHARDS", raising=False)
-        unsharded = go()
+        single = go()
         results = {}
-        for shards in (2, 4, 7):
-            monkeypatch.setenv("REPRO_COLUMNAR_SHARDS", str(shards))
-            results[shards] = go()
-        for shards, res in results.items():
-            assert res.outputs == unsharded.outputs, f"shards={shards}"
-            assert res.metrics == unsharded.metrics, f"shards={shards}"
-
-    def test_process_pool_shards_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COLUMNAR_SHARDS", "2")
-        monkeypatch.setenv("REPRO_COLUMNAR_SHARD_PROCESSES", "2")
-        scenario = _flat(3)
-        assert_columnar_equivalent(scenario, make_flood_new_factory(), 30)
-
-    def test_killed_shard_worker_fails_with_diagnosis(self):
-        """SIGKILL one shard-pool worker mid-run: the run must raise a
-        diagnosed error naming the round and shard count, promptly (run in
-        a fresh interpreter, so a hang fails on the timeout)."""
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        start = time.monotonic()
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILL_WORKER_SCRIPT], cwd=root, env=env,
-            capture_output=True, text=True, timeout=120,
-        )
-        assert time.monotonic() - start < 60
-        assert proc.returncode == 3, proc.stdout + proc.stderr
-        assert "2 shards" in proc.stdout
-        # the pool notices the death asynchronously: round 2 or a later one
-        died = re.search(r"failed in round (\d+)", proc.stdout)
-        assert died and int(died.group(1)) >= 2, proc.stdout
-
-
-#: Runs a 2-shard, 2-process flood whose topology SIGKILLs one pool
-#: worker at round 2; exits 3 after printing the diagnosed error.
-_KILL_WORKER_SCRIPT = """
-import multiprocessing, os, signal, sys, time
-import numpy as np
-from repro.graphs.generators.static import ring_lattice_arrays
-from repro.sim import columnar
-from repro.sim.engine import SynchronousEngine
-
-ARRAYS = ring_lattice_arrays(64, 4)
-
-class KillingNetwork:
-    n = 64
-
-    def snapshot_arrays(self, r):
-        if r == 2:
-            os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
-            time.sleep(0.5)  # let the pool see the death before round 2's map
-        return ARRAYS
-
-TA = columnar.pack_single_tokens(np.arange(64) % 4, 4)
-try:
-    columnar.run_columnar(
-        SynchronousEngine(engine="columnar"), KillingNetwork(), "flood_all",
-        {}, 4, TA, 200, shards=2, shard_processes=2,
-    )
-except RuntimeError as exc:
-    print(exc)
-    sys.exit(3)
-"""
+        for budget in TINY_BUDGETS:
+            monkeypatch.setattr(columnar, "_GATHER_BUDGET", budget)
+            results[budget] = go()
+        for budget, res in results.items():
+            assert res.outputs == single.outputs, f"budget={budget}"
+            assert res.metrics == single.metrics, f"budget={budget}"
+            assert res.timeline == single.timeline, f"budget={budget}"
 
 
 class TestDispatch:

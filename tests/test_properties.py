@@ -178,6 +178,17 @@ class TestIntervalConnectivity:
         trace = GraphTrace([Snapshot.from_edges(1, [])] * 3)
         assert is_T_interval_connected(trace, 3)
 
+    def test_blocks_maximum_scans_past_a_failing_T(self):
+        """Aligned blocks are not monotone in T: here T=1 and T=3 hold
+        but T=2 fails (block [2, 4) keeps only edge 01)."""
+        path = Snapshot.from_edges(3, [(0, 1), (1, 2)])
+        star = Snapshot.from_edges(3, [(0, 1), (0, 2)])
+        trace = GraphTrace([path] * 3 + [star] * 3)
+        held = [T for T in range(1, 7) if is_T_interval_connected(trace, T, "blocks")]
+        assert held == [1, 3]
+        assert max_interval_connectivity(trace, "blocks") == 3
+        assert max_interval_connectivity(trace, "sliding") == 1
+
 
 class TestLatticeOnGenerated:
     def test_hinet_satisfies_definition8(self, small_hinet):

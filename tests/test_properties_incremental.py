@@ -52,8 +52,6 @@ def naive_max_interval(trace, windows):
     for T in range(2, trace.horizon + 1):
         if naive_interval_connected(trace, T, windows):
             best = T
-        else:
-            break
     return best
 
 

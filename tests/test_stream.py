@@ -205,24 +205,6 @@ class TestEngineStreaming:
                 stream=TelemetryBus([replayed]))
         assert replayed.events == first.events
 
-    def test_sharded_columnar_streams_shard_timings(self, monkeypatch):
-        from repro.baselines.flooding import make_flood_new_factory
-        from repro.sim.engine import SynchronousEngine
-
-        monkeypatch.setenv("REPRO_COLUMNAR_SHARDS", "2")
-        monkeypatch.setenv("REPRO_COLUMNAR_SHARD_PROCESSES", "2")
-        scenario = one_interval_scenario(n0=16, k=3, seed=4, verify=False)
-        sink = BufferSink()
-        engine = SynchronousEngine(engine="columnar",
-                                   stream=TelemetryBus([sink]))
-        result = engine.run(scenario.trace, make_flood_new_factory(),
-                            scenario.k, scenario.initial, 20)
-        shard_events = sink.of_type("shard")
-        assert shard_events, "sharded run published no shard timings"
-        assert {e["shard"] for e in shard_events} == {0, 1}
-        assert all(e["ms"] >= 0 and "pid" in e for e in shard_events)
-        assert sink.of_type("round") == list(result.timeline.events())
-
 
 class TestJsonlStreamSink:
     def _stream_run(self, path):
@@ -284,7 +266,8 @@ class TestMetricsExporter:
                        "nodes_complete": 3, "messages": 6, "tokens": 11})
         exporter.emit({"type": "alert", "monitor": "m", "round": 1,
                        "message": "x"})
-        exporter.emit({"type": "shard", "shard": 0, "ms": 1.0})
+        exporter.emit({"type": "task", "pid": 7, "item": 0,
+                       "status": "start"})
 
     def test_accumulates_counters_and_labels(self):
         exporter = MetricsExporter()
@@ -384,11 +367,11 @@ class TestLiveDashboard:
     def test_worker_heartbeats_shown_with_lag(self):
         out = io.StringIO()
         dash = LiveDashboard(out=out, interval=0.0)
-        dash.emit({"type": "shard", "shard": 1, "status": "deliver",
+        dash.emit({"type": "case", "case": "c1", "status": "done",
                    "ms": 0.4})
         dash.emit({"type": "task", "pid": 4242, "item": 0,
                    "status": "start"})
         dash.close()
         text = out.getvalue()
-        assert "shard 1 deliver" in text
+        assert "case c1 done 0.4ms" in text
         assert "worker pid 4242 start" in text

@@ -47,6 +47,60 @@ class TestAdjacencyFromEdges:
             Snapshot.from_edges(2, [(0, 2)])
 
 
+class TestAdjacencyGiven:
+    """``Snapshot(adj=…)`` makes the checks :meth:`Snapshot.from_edges`
+    makes, plus symmetry, so no tier sees an adjacency the others read
+    differently."""
+
+    def test_asymmetric_rejected(self):
+        """Node 0 lists 1 but 1 does not list 0: the reference engine used
+        to flood 0 → 1 over ``adj`` while the vectorised loop read a CSR
+        without that edge.  The snapshot no longer exists, so the tiers
+        have nothing to disagree on; its symmetric closure runs alike."""
+        from repro.baselines.flooding import make_flood_all_factory
+        from repro.sim.engine import SynchronousEngine
+
+        with pytest.raises(ValueError, match=r"not symmetric: 1 in adj\[0\]"):
+            Snapshot(adj=(frozenset({1}), frozenset()))
+        trace = GraphTrace([Snapshot(adj=(frozenset({1}), frozenset({0})))] * 3)
+        initial = {0: frozenset({0}), 1: frozenset()}
+        ref, fast = (
+            SynchronousEngine(engine=engine).run(
+                trace, make_flood_all_factory(), 1, initial, 3
+            )
+            for engine in ("reference", "fast")
+        )
+        assert fast.algorithms is None and ref.algorithms is not None
+        assert ref.complete and fast.complete
+        assert fast.outputs == ref.outputs and fast.metrics == ref.metrics
+
+    def test_out_of_range_neighbour_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(1, 5\) out of range for n=2"):
+            Snapshot(adj=({1}, {0, 5}))
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match="self-loop at node 0"):
+            Snapshot(adj=({0, 1}, {0}))
+
+    def test_repeated_neighbour_rejected(self):
+        with pytest.raises(ValueError, match="lists a neighbour twice"):
+            Snapshot(adj=([1, 1], [0]))
+
+    def test_roles_length_checked(self):
+        adj = (frozenset({1}), frozenset({0}))
+        with pytest.raises(ValueError, match="roles has 3 entries, expected n=2"):
+            Snapshot(adj=adj, roles=(Role.HEAD, Role.MEMBER, Role.MEMBER))
+        with pytest.raises(ValueError, match="roles has 1 entries, expected n=2"):
+            Snapshot(adj=adj, roles=(Role.HEAD,))
+
+    def test_given_views_kept_and_arrays_built(self):
+        adj = (frozenset({1, 2}), frozenset({0}), frozenset({0}))
+        snap = Snapshot(adj=adj)
+        assert snap.adj is adj
+        assert snap.arrays().indices.tolist() == [1, 2, 0, 0]
+        assert snap == Snapshot.from_edges(3, [(0, 1), (0, 2)])
+
+
 class TestSnapshotBasics:
     def test_edges_normalised(self, triangle):
         assert triangle.edges() == [(0, 1), (0, 2), (1, 2)]
