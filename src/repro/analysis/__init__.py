@@ -21,7 +21,7 @@ observability stack so the core stays usable if sympy is absent.
 from .envelopes import ENVELOPES, CostEnvelope, envelope_for
 from .predict import Prediction, argmin_bound, evaluate, predict
 from .symbols import SYMBOL_TABLE, SYMBOLS, symbol
-from .validate import benign_scenario_for, failures, table_rows, validate_model
+from .validate import failures, table_rows, validate_model
 
 __all__ = [
     "CostEnvelope",
@@ -30,7 +30,6 @@ __all__ = [
     "SYMBOLS",
     "SYMBOL_TABLE",
     "argmin_bound",
-    "benign_scenario_for",
     "envelope_for",
     "evaluate",
     "failures",

@@ -1,9 +1,10 @@
 """Registry-wide measured-vs-predicted validation sweep.
 
 The harness behind ``repro validate-model``: for every registered
-algorithm, build the benign scenario family its model class assumes,
-predict the analytical envelope with :func:`repro.analysis.predict`, run
-the spec through :func:`repro.experiments.runner.execute` (cache-served
+algorithm, build the benign scenario family its model class assumes
+(:func:`repro.experiments.scenarios.default_kind`), predict the
+analytical envelope with :func:`repro.analysis.predict`, run the spec
+through :func:`repro.experiments.runner.execute` (cache-served
 where warm, ``obs="trace"`` so the causal trace's per-role breakdown
 rides along), and report the measured/predicted ratio per metric.  A
 benign-family case is **within** its envelope when every measured
@@ -23,38 +24,7 @@ from typing import Dict, List, Optional, Sequence
 from ..registry import AlgorithmSpec, all_specs, get_spec
 from .predict import Prediction, predict
 
-__all__ = ["benign_scenario_for", "failures", "table_rows", "validate_model"]
-
-
-def benign_scenario_for(spec: AlgorithmSpec, n0: int = 40, k: int = 5,
-                        seed: int = 2013):
-    """The benign scenario family a spec's model class assumes.
-
-    Mirrors the ``repro run`` default-scenario mapping: multihop specs
-    get a d-hop hierarchy, ``(T,L)``-hierarchy specs a stable-interval
-    hierarchy, ``(1,L)`` specs its 1-interval variant, the KLO
-    comparator a flat T-interval instance, everything else a flat
-    1-interval worst case.
-    """
-    from ..experiments.scenarios import (
-        dhop_scenario,
-        hinet_interval_scenario,
-        hinet_one_scenario,
-        klo_interval_scenario,
-        one_interval_scenario,
-    )
-
-    if spec.family == "multihop":
-        return dhop_scenario(n0=n0, k=k, L=2, seed=seed)
-    theta = max(n0 * 3 // 10, 3)
-    if spec.model_class.startswith("(T"):
-        return hinet_interval_scenario(
-            n0=n0, theta=theta, k=k, alpha=3, L=2, seed=seed)
-    if spec.model_class.startswith("(1"):
-        return hinet_one_scenario(n0=n0, theta=theta, k=k, L=2, seed=seed)
-    if spec.model_class.startswith("T-interval"):
-        return klo_interval_scenario(n0=n0, k=k, alpha=3, L=2, seed=seed)
-    return one_interval_scenario(n0=n0, k=k, seed=seed)
+__all__ = ["failures", "table_rows", "validate_model"]
 
 
 def _ratio(measured: int, bound: int) -> float:
@@ -137,7 +107,7 @@ def validate_model(
     envelope.  Warm caches serve repeated sweeps without re-simulating.
     """
     from ..experiments.runner import execute
-    from ..experiments.scenarios import haeupler_kuhn_scenario
+    from ..experiments.scenarios import default_kind, scenario_for
 
     specs = (
         [get_spec(name) for name in algorithms]
@@ -146,7 +116,7 @@ def validate_model(
     )
     rows: List[Dict[str, object]] = []
     for spec in specs:
-        scenario = benign_scenario_for(spec, n0=n0, k=k, seed=seed)
+        scenario = scenario_for(default_kind(spec), n0=n0, k=k, seed=seed)
         overrides = {"seed": seed} if spec.seeded else {}
         pred = predict(spec, scenario, **overrides)
         rec = execute(spec, scenario, engine=engine, cache=cache,
@@ -154,7 +124,7 @@ def validate_model(
         rows.append(_case_row(spec, scenario, pred, rec, benign=True))
 
     if include_adversarial:
-        adv = haeupler_kuhn_scenario(n0=max(8, n0 // 2), k=k, seed=seed)
+        adv = scenario_for("adversarial", n0=max(8, n0 // 2), k=k, seed=seed)
         for spec in specs:
             if not set(spec.required_params) <= set(adv.params):
                 continue

@@ -286,71 +286,37 @@ def case_rows(cases: Sequence[BenchCase]) -> List[Dict[str, object]]:
 
 # -- scenario construction ----------------------------------------------------
 
-def _base_kind(spec: AlgorithmSpec) -> str:
-    """The benign scenario family matching a spec's model class (the same
-    mapping the CLI's ``--scenario auto`` applies)."""
-    if spec.family == "multihop":
-        return "dhop"
-    if spec.model_class.startswith("(T"):
-        return "hinet-interval"
-    if spec.model_class.startswith("(1"):
-        return "hinet-one"
-    if spec.model_class.startswith("T-interval"):
-        return "klo-interval"
-    return "one-interval"
-
-
 @lru_cache(maxsize=64)
-def _benign_scenario(kind: str, n: int, k: int, seed: int):
-    """Deterministic benign base scenario for one matrix cell, memoized so
+def _base_scenario(kind: str, n: int, k: int, seed: int):
+    """Deterministic base scenario for one matrix cell, memoized so
     engine siblings of the same cell share one build per process.
 
     Builders run unverified (``verify=False``): the generators are
     property-tested, and a fleet re-verifying every cell would time the
     checkers, not the engines.
     """
-    from ..experiments import scenarios as sc
+    from ..experiments.scenarios import scenario_for
 
-    alpha, L = 3, 2
-    theta = max(n * 3 // 10, alpha)
-    if kind == "hinet-interval":
-        return sc.hinet_interval_scenario(n0=n, theta=theta, k=k, alpha=alpha,
-                                          L=L, seed=seed, verify=False)
-    if kind == "hinet-one":
-        return sc.hinet_one_scenario(n0=n, theta=theta, k=k, L=L, seed=seed,
-                                     verify=False)
-    if kind == "klo-interval":
-        return sc.klo_interval_scenario(n0=n, k=k, alpha=alpha, L=L,
-                                        seed=seed, verify=False)
-    if kind == "dhop":
-        return sc.dhop_scenario(n0=n, k=k, L=L, seed=seed)
-    return sc.one_interval_scenario(n0=n, k=k, seed=seed, verify=False)
-
-
-@lru_cache(maxsize=64)
-def _adversarial_scenario(n: int, k: int, seed: int):
-    from ..experiments.scenarios import haeupler_kuhn_scenario
-
-    # verify=False: certification is the scenario suite's job; the fleet
-    # times engines on the already-property-tested materialization
-    return haeupler_kuhn_scenario(n0=n, k=k, seed=seed, verify=False)
+    return scenario_for(kind, n0=n, k=k, seed=seed, verify=False)
 
 
 def build_scenario(case: BenchCase):
     """The scenario one case runs on — deterministic in the case alone."""
+    from ..experiments.scenarios import (
+        churn_scenario,
+        default_kind,
+        lossy_scenario,
+    )
+
     if PINNED in case.tags:
         return regression_gate_scenario()
-    spec = get_spec(case.algorithm)
     if case.family == "adversarial":
-        return _adversarial_scenario(case.n, case.k, case.seed)
-    base = _benign_scenario(_base_kind(spec), case.n, case.k, case.seed)
+        return _base_scenario("adversarial", case.n, case.k, case.seed)
+    base = _base_scenario(default_kind(get_spec(case.algorithm)),
+                          case.n, case.k, case.seed)
     if case.family == "lossy":
-        from ..experiments.scenarios import lossy_scenario
-
         return lossy_scenario(base, _LOSS_P, seed=_FAULT_SEED)
     if case.family == "churn":
-        from ..experiments.scenarios import churn_scenario
-
         return churn_scenario(base, _CHURN_RATE, seed=_FAULT_SEED)
     return base
 

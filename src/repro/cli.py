@@ -48,15 +48,18 @@ from .experiments.figures import (
     fig3_walkthrough,
 )
 from .experiments.report import format_records
+from .experiments.scenarios import (
+    SCENARIO_KINDS,
+    churn_scenario,
+    default_kind,
+    lossy_scenario,
+    scenario_for,
+)
 from .experiments.sweeps import sweep_alpha_L, sweep_k, sweep_n, sweep_reaffiliation
 from .experiments.tables import analytic_table2, analytic_table3, simulated_table3
 from .registry import AlgorithmSpec, all_specs, get_spec, spec_names
 
 __all__ = ["build_parser", "main"]
-
-#: Scenario builders ``repro run`` can pair with an algorithm.
-_SCENARIOS = ("auto", "hinet-interval", "hinet-one", "klo-interval",
-              "one-interval", "dhop", "adversarial")
 
 
 def _add_cache_flag(sub: argparse.ArgumentParser) -> None:
@@ -105,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_flag(vm)
 
     def _add_scenario_flags(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--scenario", choices=_SCENARIOS, default="auto",
+        cmd.add_argument("--scenario", choices=("auto", *SCENARIO_KINDS),
+                         default="auto",
                          help="scenario family; 'auto' picks the algorithm's "
                          "model class")
         cmd.add_argument("--n0", type=int, default=50, help="network size")
@@ -407,19 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_scenario(spec: AlgorithmSpec) -> str:
-    """Pick the scenario family matching a spec's model class."""
-    if spec.family == "multihop":
-        return "dhop"
-    if spec.model_class.startswith("(T"):
-        return "hinet-interval"
-    if spec.model_class.startswith("(1"):
-        return "hinet-one"
-    if spec.model_class.startswith("T-interval"):
-        return "klo-interval"
-    return "one-interval"
-
-
 def _resolve_spec(name: str) -> AlgorithmSpec:
     try:
         return get_spec(name)
@@ -429,89 +420,40 @@ def _resolve_spec(name: str) -> AlgorithmSpec:
         )
 
 
+def _scenario_kind(args, spec: AlgorithmSpec) -> str:
+    """The catalogue kind ``--scenario``/``--adversary`` select."""
+    if args.adversary:
+        return "adversarial"
+    return default_kind(spec) if args.scenario == "auto" else args.scenario
+
+
 def _build_scenario(args, spec: AlgorithmSpec, profiler=None):
     """Build the scenario ``repro run``/``repro profile`` execute on.
 
     With a :class:`~repro.obs.Profiler`, generation runs unverified under
-    a ``scenario_build`` section and the model-membership checkers run
+    a ``scenario_build`` section and the kind's certifier runs
     separately under ``property_checks`` — the split the profile report
     shows alongside the engine's own round-loop sections.
     """
     from contextlib import nullcontext
 
-    from .experiments.scenarios import (
-        churn_scenario,
-        dhop_scenario,
-        haeupler_kuhn_scenario,
-        hinet_interval_scenario,
-        hinet_one_scenario,
-        klo_interval_scenario,
-        lossy_scenario,
-        one_interval_scenario,
-    )
-
-    kind = _default_scenario(spec) if args.scenario == "auto" else args.scenario
-    if getattr(args, "adversary", False):
-        kind = "adversarial"
-    theta = max(args.n0 * 3 // 10, args.alpha) if args.theta is None else args.theta
+    kind = _scenario_kind(args, spec)
     profiled = profiler is not None
-    verify = not profiled  # profiled builds time the checkers separately
     build = profiler.section("scenario_build") if profiled else nullcontext()
     with build:
-        if kind == "hinet-interval":
-            scenario = hinet_interval_scenario(
-                n0=args.n0, theta=theta, k=args.k, alpha=args.alpha, L=args.L,
-                seed=args.seed, verify=verify,
-            )
-        elif kind == "hinet-one":
-            scenario = hinet_one_scenario(
-                n0=args.n0, theta=theta, k=args.k, L=args.L, seed=args.seed,
-                verify=verify,
-            )
-        elif kind == "klo-interval":
-            scenario = klo_interval_scenario(
-                n0=args.n0, k=args.k, alpha=args.alpha, L=args.L,
-                seed=args.seed, verify=verify,
-            )
-        elif kind == "dhop":
-            # the d-hop generator validates every phase internally
-            scenario = dhop_scenario(n0=args.n0, k=args.k, L=args.L,
-                                     seed=args.seed)
-        elif kind == "adversarial":
-            scenario = haeupler_kuhn_scenario(
-                n0=args.n0, k=args.k, rounds=args.rounds, seed=args.seed,
-                verify=verify,
-            )
-        else:
-            scenario = one_interval_scenario(n0=args.n0, k=args.k,
-                                             seed=args.seed, verify=verify)
-    if profiled and kind != "dhop":
-        from .graphs.properties import (
-            is_hinet,
-            is_T_interval_connected,
-            max_interval_connectivity,
+        scenario = scenario_for(
+            kind, n0=args.n0, k=args.k, seed=args.seed, theta=args.theta,
+            alpha=args.alpha, L=args.L, rounds=args.rounds,
+            verify=not profiled,  # profiled builds time the certifier apart
         )
-
-        T = int(scenario.params.get("T", 1))
+    certify = SCENARIO_KINDS[kind][2]
+    if profiled and certify is not None:
         with profiler.section("property_checks"):
-            if kind == "hinet-interval":
-                ok = is_hinet(scenario.trace, T, args.L)
-            elif kind == "hinet-one":
-                ok = is_hinet(scenario.trace, 1, args.L) and \
-                    is_T_interval_connected(scenario.trace, 1)
-            elif kind == "klo-interval":
-                ok = is_T_interval_connected(scenario.trace, T,
-                                             windows="blocks")
-            elif kind == "adversarial":
-                ok = max_interval_connectivity(scenario.trace) >= 1
-            else:
-                ok = is_T_interval_connected(scenario.trace, 1)
-        if not ok:
-            raise SystemExit(f"generated {kind} trace failed verification")
-    if getattr(args, "loss", None):
+            certify(scenario)
+    if args.loss:
         scenario = lossy_scenario(scenario, args.loss, seed=args.loss_seed,
                                   burst_len=args.burst)
-    if getattr(args, "churn", None):
+    if args.churn:
         scenario = churn_scenario(scenario, args.churn, seed=args.churn_seed)
     return scenario
 
@@ -730,47 +672,23 @@ def _cmd_explain(args) -> str:
     return "\n".join(parts)
 
 
-def _report_builder(kind: str, args):
-    """Scenario builder + kwargs for one ``repro report`` replication cell.
-
-    Builders are module-level functions and the kwargs are plain dicts,
-    so cells stay picklable for ``--processes N``.
-    """
-    from .experiments import scenarios as sc
-
-    theta = max(args.n0 * 3 // 10, args.alpha) if args.theta is None else args.theta
-    if kind == "hinet-interval":
-        return sc.hinet_interval_scenario, dict(
-            n0=args.n0, theta=theta, k=args.k, alpha=args.alpha, L=args.L,
-            verify=False)
-    if kind == "hinet-one":
-        return sc.hinet_one_scenario, dict(
-            n0=args.n0, theta=theta, k=args.k, L=args.L, verify=False)
-    if kind == "klo-interval":
-        return sc.klo_interval_scenario, dict(
-            n0=args.n0, k=args.k, alpha=args.alpha, L=args.L, verify=False)
-    if kind == "dhop":
-        return sc.dhop_scenario, dict(n0=args.n0, k=args.k, L=args.L)
-    return sc.one_interval_scenario, dict(n0=args.n0, k=args.k, verify=False)
-
-
 def _cmd_report(args) -> str:
     from .experiments.replication import replicate_records
     from .obs import merge_timelines, render_dashboard
 
     spec = _resolve_spec(args.algorithm)
-    if (getattr(args, "loss", None) or getattr(args, "churn", None)
-            or getattr(args, "adversary", False)
-            or args.scenario == "adversarial"):
+    kind = _scenario_kind(args, spec)
+    if args.loss or args.churn or kind == "adversarial":
         raise SystemExit(
             "repro report replicates benign scenarios only; fault flags "
             "(--loss/--churn/--adversary) are not supported here — use "
             "'repro run' per seed instead"
         )
-    kind = _default_scenario(spec) if args.scenario == "auto" else args.scenario
-    builder, kwargs = _report_builder(kind, args)
+    # module-level builder + plain kwargs: cells pickle for --processes N
+    kwargs = dict(kind=kind, n0=args.n0, k=args.k, theta=args.theta,
+                  alpha=args.alpha, L=args.L, verify=False)
     records = replicate_records(
-        spec.name, builder,
+        spec.name, scenario_for,
         replications=args.replications,
         base_seed=args.seed,
         processes=args.processes,
@@ -787,7 +705,7 @@ def _cmd_report(args) -> str:
     try:
         from .analysis import predict
 
-        pred = predict(spec, builder(seed=args.seed, **kwargs),
+        pred = predict(spec, scenario_for(seed=args.seed, **kwargs),
                        **_spec_overrides(args, spec))
         envelope = {"rounds": pred.rounds, "messages": pred.messages,
                     "tokens": pred.tokens}

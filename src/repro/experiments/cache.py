@@ -11,7 +11,9 @@ Every :func:`repro.experiments.runner.execute` call can be keyed by what
   shape), so any change to a builder's seed or parameters changes the
   key without the cache having to know how the scenario was built (see
   :func:`scenario_fingerprint`);
-* the execution ``engine`` string;
+* the execution ``engine`` (``"columnar"`` is keyed as ``"fast"``: the
+  two names run the one vectorised round loop, so each hits the other's
+  entries);
 * the resolved algorithm overrides (``RunPlan.key_params`` — budgets,
   flags, algorithm seeds) and the stop rule.
 
@@ -188,7 +190,7 @@ class ResultCache:
             "spec": spec.name,
             "spec_version": spec.version,
             "scenario": scenario_fingerprint(scenario),
-            "engine": engine,
+            "engine": "fast" if engine == "columnar" else engine,
             "params": {k: _jsonable(v) for k, v in sorted(key_params.items())},
             "stop_when_complete": bool(stop_when_complete),
             "max_rounds": int(max_rounds),

@@ -19,6 +19,15 @@ specs declare compatibility with (see
   layered on any base scenario via a link-model spec;
 * ``"churn"`` — :func:`churn_scenario`, crash-stop node departures.
 
+**The scenario catalogue.**  :data:`SCENARIO_KINDS` is the one place
+that pairs each scenario kind with its builder and the checker that
+certifies it (its model class: Theorem 1's (k+αL, L)-HiNets, Theorems
+2–4's (1, L)-HiNets, KLO's T-interval connectivity).
+:func:`default_kind` picks the kind a spec's ``model_class`` assumes
+and :func:`scenario_for` builds one kind from the CLI's size knobs; the
+CLI, the bench fleet, ``validate-model`` and the test suites all build
+through them.
+
 The fault families put a declarative link-model spec dict in
 ``Scenario.link`` (see :func:`repro.sim.linkmodel.link_from_spec`);
 the runner threads it to every engine tier, which apply it through the
@@ -51,8 +60,10 @@ from ..sim.messages import initial_assignment
 from ..sim.rng import SeedLike
 
 __all__ = [
+    "SCENARIO_KINDS",
     "Scenario",
     "churn_scenario",
+    "default_kind",
     "dhop_scenario",
     "haeupler_kuhn_scenario",
     "hinet_interval_scenario",
@@ -60,6 +71,7 @@ __all__ = [
     "klo_interval_scenario",
     "lossy_scenario",
     "one_interval_scenario",
+    "scenario_for",
 ]
 
 
@@ -141,9 +153,7 @@ def hinet_interval_scenario(
         churn_p=churn_p,
     )
     scen = generate_hinet(params, seed=seed)
-    if verify and not is_hinet(scen.trace, T, L):
-        raise AssertionError("generated trace failed (T, L)-HiNet verification")
-    return Scenario(
+    scenario = Scenario(
         name=f"({T},{L})-HiNet n={n0} theta={theta} k={k}",
         trace=scen.trace,
         k=k,
@@ -160,6 +170,9 @@ def hinet_interval_scenario(
             "generator": scen,
         },
     )
+    if verify:
+        _certify_hinet_interval(scenario)
+    return scenario
 
 
 def hinet_one_scenario(
@@ -200,12 +213,7 @@ def hinet_one_scenario(
         rotate_gateways=rotate_gateways,
     )
     scen = generate_hinet(params, seed=seed)
-    if verify:
-        if not is_hinet(scen.trace, 1, L):
-            raise AssertionError("generated trace failed (1, L)-HiNet verification")
-        if not is_T_interval_connected(scen.trace, 1):
-            raise AssertionError("generated trace is not 1-interval connected")
-    return Scenario(
+    scenario = Scenario(
         name=f"(1,{L})-HiNet n={n0} theta={theta} k={k}",
         trace=scen.trace,
         k=k,
@@ -221,6 +229,9 @@ def hinet_one_scenario(
             "generator": scen,
         },
     )
+    if verify:
+        _certify_hinet_one(scenario)
+    return scenario
 
 
 def dhop_scenario(
@@ -295,15 +306,16 @@ def klo_interval_scenario(
     T = required_T(k, alpha, L)
     M = klo_interval_phases(n0, alpha, L)
     trace = t_interval_trace(n0, T, rounds=T * M, churn_p=churn_p, seed=seed)
-    if verify and not is_T_interval_connected(trace, T, windows="blocks"):
-        raise AssertionError("generated trace failed T-interval verification")
-    return Scenario(
+    scenario = Scenario(
         name=f"{T}-interval connected n={n0} k={k}",
         trace=trace,
         k=k,
         initial=initial_assignment(k, n0, mode=assignment),
         params={"T": T, "L": L, "alpha": alpha, "phases": M},
     )
+    if verify:
+        _certify_klo_interval(scenario)
+    return scenario
 
 
 def one_interval_scenario(
@@ -318,15 +330,16 @@ def one_interval_scenario(
     each round) for the 1-interval KLO baseline and the flooding family."""
     M = algorithm2_rounds_1interval(n0) if rounds is None else rounds
     trace = shuffled_path_trace(n0, rounds=M, seed=seed)
-    if verify and not is_T_interval_connected(trace, 1):
-        raise AssertionError("generated trace is not 1-interval connected")
-    return Scenario(
+    scenario = Scenario(
         name=f"1-interval worst case n={n0} k={k}",
         trace=trace,
         k=k,
         initial=initial_assignment(k, n0, mode=assignment),
         params={"T": 1, "rounds": M},
     )
+    if verify:
+        _certify_one_interval(scenario)
+    return scenario
 
 
 def haeupler_kuhn_scenario(
@@ -355,22 +368,17 @@ def haeupler_kuhn_scenario(
     trace = materialize_lower_bound_trace(
         n0, initial, M, adversary=HaeuplerKuhnAdversary(n0, seed=seed)
     )
-    params: Dict[str, object] = {"T": 1, "alpha": 1, "L": 1, "rounds": M}
-    if verify:
-        certified = max_interval_connectivity(trace)
-        if certified < 1:
-            raise AssertionError(
-                "adversarial trace is not even 1-interval connected"
-            )
-        params["certified_T"] = certified
-    return Scenario(
+    scenario = Scenario(
         name=f"haeupler-kuhn adversary n={n0} k={k}",
         trace=trace,
         k=k,
         initial=initial,
-        params=params,
+        params={"T": 1, "alpha": 1, "L": 1, "rounds": M},
         family="adversarial",
     )
+    if verify:
+        _certify_adversarial(scenario)
+    return scenario
 
 
 def lossy_scenario(
@@ -418,3 +426,108 @@ def churn_scenario(
         family="churn",
         link=model.spec(),
     )
+
+
+# -- the scenario catalogue ---------------------------------------------------
+#
+# Certifiers take a built scenario and raise AssertionError when its trace
+# is outside the kind's model class.
+
+def _certify_hinet_interval(scenario: Scenario) -> None:
+    params = scenario.params
+    if not is_hinet(scenario.trace, params["T"], params["L"]):
+        raise AssertionError("generated trace failed (T, L)-HiNet verification")
+
+
+def _certify_hinet_one(scenario: Scenario) -> None:
+    if not is_hinet(scenario.trace, 1, scenario.params["L"]):
+        raise AssertionError("generated trace failed (1, L)-HiNet verification")
+    _certify_one_interval(scenario)
+
+
+def _certify_klo_interval(scenario: Scenario) -> None:
+    if not is_T_interval_connected(scenario.trace, scenario.params["T"],
+                                   windows="blocks"):
+        raise AssertionError("generated trace failed T-interval verification")
+
+
+def _certify_one_interval(scenario: Scenario) -> None:
+    if not is_T_interval_connected(scenario.trace, 1):
+        raise AssertionError("generated trace is not 1-interval connected")
+
+
+def _certify_adversarial(scenario: Scenario) -> None:
+    """Certify with the incremental checker and store ``certified_T``."""
+    certified = max_interval_connectivity(scenario.trace)
+    if certified < 1:
+        raise AssertionError("adversarial trace is not even 1-interval connected")
+    scenario.params["certified_T"] = certified
+
+
+#: kind → (builder, the :func:`scenario_for` keywords it takes besides
+#: ``n0``/``k``/``seed``, certifier), in the CLI's ``--scenario`` order.
+#: The d-hop generator validates every phase itself, so ``dhop`` has no
+#: separate certifier.
+SCENARIO_KINDS = {
+    "hinet-interval": (hinet_interval_scenario,
+                       ("theta", "alpha", "L", "verify"),
+                       _certify_hinet_interval),
+    "hinet-one": (hinet_one_scenario, ("theta", "L", "verify"),
+                  _certify_hinet_one),
+    "klo-interval": (klo_interval_scenario, ("alpha", "L", "verify"),
+                     _certify_klo_interval),
+    "one-interval": (one_interval_scenario, ("verify",),
+                     _certify_one_interval),
+    "dhop": (dhop_scenario, ("L",), None),
+    "adversarial": (haeupler_kuhn_scenario, ("rounds", "verify"),
+                    _certify_adversarial),
+}
+
+
+def default_kind(spec) -> str:
+    """The catalogue kind whose class a spec's ``model_class`` assumes.
+
+    Multihop specs get a d-hop hierarchy, ``(T,L)``-HiNet specs a
+    stable-interval hierarchy, ``(1,L)`` specs its 1-interval variant,
+    the KLO comparator a flat T-interval instance, and everything else a
+    flat 1-interval worst case.
+    """
+    if spec.family == "multihop":
+        return "dhop"
+    for prefix, kind in (("(T", "hinet-interval"), ("(1", "hinet-one"),
+                         ("T-interval", "klo-interval")):
+        if spec.model_class.startswith(prefix):
+            return kind
+    return "one-interval"
+
+
+def scenario_for(
+    kind: str,
+    *,
+    n0: int,
+    k: int,
+    seed: SeedLike,
+    theta: Optional[int] = None,
+    alpha: int = 3,
+    L: int = 2,
+    rounds: Optional[int] = None,
+    verify: bool = True,
+) -> Scenario:
+    """Build one :data:`SCENARIO_KINDS` kind from the CLI's size knobs.
+
+    Each builder receives only the keywords its catalogue entry names:
+    ``theta`` (default ``max(0.3·n0, alpha)``) reaches the HiNet builders,
+    ``rounds`` only the adversarial one, and ``verify=True`` runs the
+    kind's certifier.  Module-level and keyword-driven, so it pickles as
+    a replication cell's scenario builder.
+    """
+    builder, keywords, _certify = SCENARIO_KINDS[kind]
+    options = {
+        "theta": max(n0 * 3 // 10, alpha) if theta is None else theta,
+        "alpha": alpha,
+        "L": L,
+        "rounds": rounds,
+        "verify": verify,
+    }
+    return builder(n0=n0, k=k, seed=seed,
+                   **{key: options[key] for key in keywords})

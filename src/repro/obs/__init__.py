@@ -27,11 +27,11 @@ Layered by cost, selected with the engines' ``obs`` parameter
 * :mod:`repro.obs.aggregate` — cross-run percentile progress bands
   (:func:`merge_timelines`) behind the ``repro report`` dashboard;
 * :mod:`repro.obs.stream` — live streaming: an in-process pub/sub
-  :class:`TelemetryBus` fed per round by both engine tiers, with
-  drop-counting backpressure sinks (:class:`BufferSink`,
-  :class:`QueueSink`), incremental JSONL (:class:`JsonlStreamSink`),
-  the ``repro watch`` terminal view (:class:`LiveDashboard`), and a
-  Prometheus-textfile :class:`MetricsExporter`.
+  :class:`TelemetryBus` fed per round by both engine tiers, with a
+  drop-counting backpressure sink (:class:`BufferSink`), incremental
+  JSONL (:class:`JsonlStreamSink`), the ``repro watch`` terminal view
+  (:class:`LiveDashboard`), and a Prometheus-textfile
+  :class:`MetricsExporter`.
 """
 
 from .aggregate import ProgressBands, merge_timelines, render_dashboard
@@ -62,7 +62,6 @@ from .stream import (
     JsonlStreamSink,
     LiveDashboard,
     MetricsExporter,
-    QueueSink,
     TelemetryBus,
     TelemetrySink,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "NodeDivergence",
     "ProgressBands",
     "Profiler",
-    "QueueSink",
     "RoundDelta",
     "RoundView",
     "RunObserver",

@@ -18,10 +18,9 @@ it happens:
   progress lines otherwise;
 * :class:`MetricsExporter` — a Prometheus-textfile snapshot of the
   stream's counters for external scrapers;
-* :class:`BufferSink` / :class:`QueueSink` — bounded in-memory and
-  cross-process transports with drop-counting backpressure: a slow
-  consumer can never stall the hot loop, it just loses samples (and
-  knows how many).
+* :class:`BufferSink` — a bounded in-memory buffer with drop-counting
+  backpressure: a slow consumer can never stall the hot loop, it just
+  loses samples (and knows how many).
 
 Events are plain JSON-ready dicts tagged by ``type``: the per-round
 ``round`` events are *exactly* the dicts
@@ -53,14 +52,13 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, TextIO, Union
 
-from .timeline import EVENTS_SCHEMA_VERSION, RunTimeline
+from .timeline import EVENTS_SCHEMA_VERSION, RunTimeline, _summary_event
 
 __all__ = [
     "BufferSink",
     "JsonlStreamSink",
     "LiveDashboard",
     "MetricsExporter",
-    "QueueSink",
     "TelemetryBus",
     "TelemetrySink",
 ]
@@ -72,9 +70,9 @@ class TelemetrySink:
     """A consumer of telemetry events (the sink protocol).
 
     Subclasses override :meth:`emit`; :meth:`close` is called once when
-    the bus shuts down.  A sink that applies backpressure (bounded
-    buffer, bounded queue) exposes the number of events it shed as
-    ``drops`` — the bus aggregates them.
+    the bus shuts down.  A sink that applies backpressure (a bounded
+    buffer) exposes the number of events it shed as ``drops`` — the bus
+    aggregates them.
     """
 
     drops: int = 0
@@ -112,37 +110,6 @@ class BufferSink(TelemetrySink):
     def of_type(self, kind: str) -> List[Event]:
         """The retained events of one ``type`` (test convenience)."""
         return [e for e in self.events if e.get("type") == kind]
-
-
-class QueueSink(TelemetrySink):
-    """Non-blocking adapter onto a (bounded) queue.
-
-    Works with both ``queue.Queue`` and ``multiprocessing.Queue`` — the
-    cross-process transport: the producing side wraps the queue in a
-    :class:`QueueSink`, the consuming side drains it into its own bus.
-    A full queue sheds the event and counts it in :attr:`drops`; the
-    publisher never blocks on a slow consumer.
-    """
-
-    def __init__(self, queue) -> None:
-        self.queue = queue
-        self.drops = 0
-
-    def emit(self, event: Event) -> None:
-        try:
-            self.queue.put_nowait(event)
-        except Exception:
-            self.drops += 1
-
-    @staticmethod
-    def drain(queue) -> List[Event]:
-        """Pop everything currently queued without blocking."""
-        events: List[Event] = []
-        while True:
-            try:
-                events.append(queue.get_nowait())
-            except Exception:
-                return events
 
 
 class TelemetryBus:
@@ -238,23 +205,11 @@ class TelemetryBus:
         if causal is not None:
             for event in causal.events_jsonl():
                 self.publish(event)
-        footer: Event = {"type": "summary"}
-        if timeline is not None:
-            footer["rounds"] = timeline.rounds
-            footer["messages"] = sum(timeline.messages)
-            footer["tokens"] = sum(timeline.tokens)
         if summary is None:
             metrics = getattr(result, "metrics", None)
             if metrics is not None:
                 summary = metrics.summary()
-        if summary:
-            footer.update(summary)
-        if timeline is not None and timeline.profile:
-            footer["profile_ms"] = {
-                name: round(seconds * 1000.0, 3)
-                for name, seconds in sorted(timeline.profile.items())
-            }
-        self.publish(footer)
+        self.publish(_summary_event(timeline, summary))
 
     def close(self) -> None:
         """Close every sink (sink failures are contained here too)."""

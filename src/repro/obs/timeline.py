@@ -286,6 +286,33 @@ class RunTimeline:
         return rows
 
 
+def _summary_event(
+    timeline: Optional[RunTimeline],
+    summary: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
+    """The ``summary`` footer closing an event file or stream.
+
+    The timeline's totals (rounds, messages, tokens), then ``summary``
+    merged in, then the wall-clock ``profile_ms`` sections when the
+    timeline carries any.  Shared by :func:`write_events` and
+    :meth:`~repro.obs.stream.TelemetryBus.end_run`, so a streamed file
+    closes with the same footer as the post-hoc export.
+    """
+    footer: Dict[str, Any] = {"type": "summary"}
+    if timeline is not None:
+        footer["rounds"] = timeline.rounds
+        footer["messages"] = sum(timeline.messages)
+        footer["tokens"] = sum(timeline.tokens)
+    if summary:
+        footer.update(summary)
+    if timeline is not None and timeline.profile:
+        footer["profile_ms"] = {
+            name: round(seconds * 1000.0, 3)
+            for name, seconds in sorted(timeline.profile.items())
+        }
+    return footer
+
+
 def write_events(
     path: Union[str, Path],
     timeline: RunTimeline,
@@ -319,20 +346,7 @@ def write_events(
     if causal is not None:
         for event in causal.events_jsonl():
             lines.append(json.dumps(event, sort_keys=True))
-    footer: Dict[str, Any] = {
-        "type": "summary",
-        "rounds": timeline.rounds,
-        "messages": sum(timeline.messages),
-        "tokens": sum(timeline.tokens),
-    }
-    if summary:
-        footer.update(summary)
-    if timeline.profile:
-        footer["profile_ms"] = {
-            name: round(seconds * 1000.0, 3)
-            for name, seconds in sorted(timeline.profile.items())
-        }
-    lines.append(json.dumps(footer, sort_keys=True))
+    lines.append(json.dumps(_summary_event(timeline, summary), sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n")
     return len(lines)
 

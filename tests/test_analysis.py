@@ -15,7 +15,6 @@ from repro.analysis import (
     SYMBOL_TABLE,
     SYMBOLS,
     argmin_bound,
-    benign_scenario_for,
     envelope_for,
     evaluate,
     failures,
@@ -40,6 +39,7 @@ from repro.core.analysis import (
     table2,
     table3,
 )
+from repro.experiments.scenarios import default_kind, scenario_for
 from repro.registry import all_specs, get_spec
 
 
@@ -196,7 +196,7 @@ class TestEnvelopeRegistry:
 class TestPredict:
     def _pred(self, name, n0=24, k=3):
         spec = get_spec(name)
-        scenario = benign_scenario_for(spec, n0=n0, k=k, seed=2013)
+        scenario = scenario_for(default_kind(spec), n0=n0, k=k, seed=2013)
         overrides = {"seed": 2013} if spec.seeded else {}
         return spec, predict(spec, scenario, **overrides)
 
@@ -239,7 +239,7 @@ class TestPredict:
 
     def test_missing_envelope_raises_lookup_error(self):
         ghost = dc_replace(get_spec("algorithm1"), name="ghost-algorithm")
-        scenario = benign_scenario_for(ghost, n0=24, k=3, seed=2013)
+        scenario = scenario_for(default_kind(ghost), n0=24, k=3, seed=2013)
         with pytest.raises(LookupError, match="ghost-algorithm"):
             predict(ghost, scenario)
 

@@ -3,13 +3,13 @@ provenance chains and hop accounting, registry-wide fastpath⇄reference
 bit-identity of the recorded traces, serialization, and the
 `repro explain` CLI surface."""
 
-import argparse
 import json
 
 import pytest
 
 from repro import cli
 from repro.experiments.runner import execute
+from repro.experiments.scenarios import default_kind, scenario_for
 from repro.io import (
     causal_trace_from_dict,
     causal_trace_to_dict,
@@ -119,9 +119,7 @@ class TestAggregateViews:
 
 
 def _auto_scenario(spec, seed=5):
-    args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3, alpha=3,
-                              L=2, seed=seed)
-    return cli._build_scenario(args, spec)
+    return scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=seed)
 
 
 class TestRegistryWideCausalIdentity:

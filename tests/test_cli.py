@@ -363,20 +363,20 @@ class TestRecordReplayDiff:
                                                         tmp_path):
         from dataclasses import replace
 
-        from repro import cli
         from repro.experiments.runner import execute
+        from repro.experiments.scenarios import default_kind, scenario_for
         from repro.io import save_recording
+        from repro.registry import get_spec
         from repro.sim.linkmodel import PinpointFault
 
         a = self._record(tmp_path, "good.json")
         # the same run with a single-bit fault injected on the fast tier
-        args = build_parser().parse_args(
-            ["record", "algorithm1", "--n0", "24", "--theta", "7", "--k", "3",
-             "--out", str(a)]
-        )
-        spec = cli._resolve_spec(args.algorithm)
+        spec = get_spec("algorithm1")
         fault = PinpointFault(2, 1, 0, tiers=("fast", "columnar"))
-        scenario = replace(cli._build_scenario(args, spec), link=fault.spec())
+        scenario = replace(
+            scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=2013),
+            link=fault.spec(),
+        )
         b = tmp_path / "faulty.json"
         save_recording(
             execute(spec, scenario, obs="record", cache=False).result.recording, b

@@ -7,7 +7,6 @@ covers the packed-bitset codecs, the bounded CSR gather, the array-native
 :class:`~repro.sim.topology.CSRNetwork`, and the array-native topology
 builders."""
 
-import argparse
 import os
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import cli
 from repro.baselines.flooding import make_flood_all_factory, make_flood_new_factory
 from repro.baselines.gossip import make_gossip_factory
 from repro.baselines.klo import make_klo_interval_factory, make_klo_one_factory
@@ -24,9 +22,11 @@ from repro.core.algorithm1_stable import make_algorithm1_stable_factory
 from repro.core.algorithm2 import make_algorithm2_factory
 from repro.experiments.runner import execute
 from repro.experiments.scenarios import (
+    default_kind,
     hinet_interval_scenario,
     hinet_one_scenario,
     one_interval_scenario,
+    scenario_for,
 )
 from repro.graphs.generators.static import clustered_star_arrays, ring_lattice_arrays
 from repro.obs.monitors import default_monitors
@@ -130,9 +130,7 @@ class TestEquivalence:
 
 
 def _auto_scenario(spec):
-    args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3,
-                              alpha=3, L=2, seed=5)
-    return cli._build_scenario(args, spec)
+    return scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=5)
 
 
 #: Loss plus crash-stop churn: link decisions are pure hashes, so one

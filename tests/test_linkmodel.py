@@ -8,23 +8,23 @@ metrics, timelines *and* recordings), the three scenario families, the
 round-trips, family validation, and cache-fingerprint sensitivity.
 """
 
-import argparse
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import cli
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.experiments.cache import scenario_fingerprint
 from repro.experiments.runner import execute
 from repro.experiments.scenarios import (
     churn_scenario,
+    default_kind,
     haeupler_kuhn_scenario,
     hinet_interval_scenario,
     lossy_scenario,
     one_interval_scenario,
+    scenario_for,
 )
 from repro.io import scenario_from_dict, scenario_to_dict
 from repro.registry import AlgorithmSpec, all_specs, get_spec
@@ -56,9 +56,7 @@ def _hinet(seed=3, n0=30, theta=9, k=3):
 
 
 def _auto_scenario(spec, seed=5):
-    args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3, alpha=3,
-                              L=2, seed=seed)
-    return cli._build_scenario(args, spec)
+    return scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=seed)
 
 
 def _run(scenario, link, engine, factory=None, max_rounds=40, obs="timeline"):

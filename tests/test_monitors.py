@@ -3,7 +3,6 @@ synthetic rounds, default-monitor assembly, healthy runs staying clean,
 adversarial (T, L)-breaking scenarios triggering stability diagnostics,
 and fastpath⇄reference equivalence of the violation streams."""
 
-import argparse
 import os
 from dataclasses import replace
 
@@ -13,8 +12,10 @@ from repro import cli
 from repro.experiments.runner import execute
 from repro.experiments.scenarios import (
     Scenario,
+    default_kind,
     hinet_interval_scenario,
     one_interval_scenario,
+    scenario_for,
 )
 from repro.graphs.trace import GraphTrace
 from repro.obs import (
@@ -336,9 +337,7 @@ class TestMonitoredRuns:
 
 
 def _auto_scenario(spec, seed=5):
-    args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3, alpha=3,
-                              L=2, seed=seed)
-    return cli._build_scenario(args, spec)
+    return scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=seed)
 
 
 @pytest.mark.skipif(

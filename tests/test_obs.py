@@ -2,16 +2,19 @@
 registry-wide fastpath⇄reference timeline equivalence, serialization,
 and JSONL export."""
 
-import argparse
 import json
 
 import pytest
 
-from repro import cli
 from repro.baselines.flooding import make_flood_all_factory
 from repro.core.algorithm2 import make_algorithm2_factory
 from repro.experiments.runner import execute
-from repro.experiments.scenarios import hinet_one_scenario, one_interval_scenario
+from repro.experiments.scenarios import (
+    default_kind,
+    hinet_one_scenario,
+    one_interval_scenario,
+    scenario_for,
+)
 from repro.io import timeline_from_dict, timeline_to_dict
 from repro.obs import OBS_LEVELS, Profiler, RunTimeline, validate_obs, write_events
 from repro.registry import all_specs
@@ -215,9 +218,7 @@ class TestEngineIntegration:
 
 
 def _auto_scenario(spec, seed=5):
-    args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3, alpha=3,
-                              L=2, seed=seed)
-    return cli._build_scenario(args, spec)
+    return scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=seed)
 
 
 class TestRegistryWideTimelineEquivalence:

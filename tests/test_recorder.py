@@ -4,7 +4,6 @@ reference recording bit-identity, divergence bisection (incl. an
 injected ``PinpointFault``), Chrome trace export, serialization with
 schema versioning, and the result-cache ride."""
 
-import argparse
 import json
 from dataclasses import replace
 
@@ -12,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import cli
 from repro.baselines.flooding import make_flood_all_factory
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.core.algorithm2 import make_algorithm2_factory
 from repro.experiments.runner import execute
 from repro.experiments.scenarios import (
+    default_kind,
     hinet_interval_scenario,
     hinet_one_scenario,
     one_interval_scenario,
+    scenario_for,
 )
 from repro.io import (
     load_recording,
@@ -123,9 +123,7 @@ class TestRunRecording:
 
 
 def _auto_scenario(spec, seed=5):
-    args = argparse.Namespace(scenario="auto", n0=24, theta=7, k=3, alpha=3,
-                              L=2, seed=seed)
-    return cli._build_scenario(args, spec)
+    return scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=seed)
 
 
 class TestRegistryWideRecordingIdentity:

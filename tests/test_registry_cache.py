@@ -193,6 +193,22 @@ class TestResultCache:
         replay = execute("algorithm1", interval_scenario, cache=cache)
         assert replay.complete
 
+    def test_columnar_hits_the_fast_entry(self, tmp_path, interval_scenario,
+                                          monkeypatch):
+        """"fast" and "columnar" name one round loop, so they share entries."""
+        cache = ResultCache(tmp_path)
+        fast = execute("algorithm1", interval_scenario, engine="fast",
+                       cache=cache)
+        entries = sorted(tmp_path.rglob("*.json"))
+        monkeypatch.setattr(
+            SynchronousEngine, "run",
+            lambda *a, **k: pytest.fail("engine executed on a warm cache"),
+        )
+        columnar = execute("algorithm1", interval_scenario, engine="columnar",
+                           cache=cache)
+        assert sorted(tmp_path.rglob("*.json")) == entries
+        assert _canonical(columnar) == _canonical(fast)
+
     def test_key_changes_with_scenario_seed(self, tmp_path):
         cache = ResultCache(tmp_path)
         a = hinet_interval_scenario(n0=24, theta=7, k=3, alpha=3, L=2, seed=1)

@@ -213,3 +213,154 @@ class TestGeneratorContentPins:
         assert self._edge_digest(no_churn) == (
             "ebedd007fd872e9b2f7e5760229215a02c70f4a15aa3c6bf8903d0b776473e66"
         )
+
+
+class TestScenarioCatalogPins:
+    """``scenario_fingerprint`` and ``name`` of every scenario the CLI, the
+    bench fleet and ``validate-model`` build from a spec: the spec → kind
+    → builder decision must not move, whichever module makes it.
+
+    The CLI sets run ``repro run`` with the engine call stubbed out, so
+    they pin what the parser's defaults and ``--scenario`` build."""
+
+    class _Built(Exception):
+        pass
+
+    def _cli_scenario(self, monkeypatch, argv):
+        import repro.experiments.runner as runner
+        from repro import cli
+
+        def stop(spec, scenario, **kwargs):
+            raise self._Built(scenario)
+
+        monkeypatch.setattr(runner, "execute", stop)
+        with pytest.raises(self._Built) as built:
+            cli.main(argv)
+        return built.value.args[0]
+
+    _ONE_24 = ("1-interval worst case n=24 k=3",
+               "7fa78f1e77f32a297548f0a04f287be69c1577f0dad6cbc3263f1e8a6d1db9b4")
+    _HINET_24 = ("(9,2)-HiNet n=24 theta=7 k=3",
+                 "ee947eeb22db4a5c75d15afcec7066c71dd873942c583a113cf6a1380942e108")
+    _DHOP_24 = ("d-hop HiNet n=24 d=2 heads=5 k=3",
+                "142be201cc50427c01c7be3a2e921fdc6e00f5be84ced546aaf09b4b3caf311f")
+
+    @pytest.mark.parametrize("algorithm, name, fingerprint", [
+        ("flood-all", *_ONE_24),
+        ("flood-new", *_ONE_24),
+        ("gossip", *_ONE_24),
+        ("kactive", *_ONE_24),
+        ("klo-interval", "9-interval connected n=24 k=3",
+         "35378658661f6c77fca5e443fbd3fc5bbea3cb9893fc6eef7ebf9d5f1faff5a6"),
+        ("klo-one", *_ONE_24),
+        ("netcoding", *_ONE_24),
+        ("algorithm1", *_HINET_24),
+        ("algorithm1-stable", *_HINET_24),
+        ("algorithm2", "(1,2)-HiNet n=24 theta=7 k=3",
+         "c2bcc890d6990bee8fee447a5601ee73ff583385a3023246f022750ef81fda43"),
+        ("dhop-algorithm1", *_DHOP_24),
+        ("dhop-dissemination", *_DHOP_24),
+    ])
+    def test_auto_kind_per_spec(self, monkeypatch, algorithm, name,
+                                fingerprint):
+        scenario = self._cli_scenario(monkeypatch, [
+            "--seed", "5", "run", algorithm, "--n0", "24", "--theta", "7",
+            "--k", "3",
+        ])
+        assert (scenario.name, scenario_fingerprint(scenario)) == (
+            name, fingerprint)
+
+    @pytest.mark.parametrize("kind, name, fingerprint", [
+        ("hinet-interval", "(11,2)-HiNet n=50 theta=15 k=5",
+         "f95ced6df004faaba2b7bccf4398c4e13a37c7b0e834831b35ca22fadb40cba5"),
+        ("hinet-one", "(1,2)-HiNet n=50 theta=15 k=5",
+         "829ca8d824e702d18c2ab9766e4ff5675f7f29de725887d47e1796c60953d8b7"),
+        ("klo-interval", "11-interval connected n=50 k=5",
+         "5201f92a4bb7ba55759f1a8f2a5072e256af2f18ad4a0adf3f1a7c6e9c05b492"),
+        ("one-interval", "1-interval worst case n=50 k=5",
+         "67b7413279c4824ed87f9068a895985d4e0c7fe4a96518092ff893b695728f25"),
+        ("dhop", "d-hop HiNet n=50 d=2 heads=5 k=5",
+         "5e48eec23c2daa85043935241eeae1eb0c16c0371a11cc5c44ff39d1c0ad51e8"),
+        ("adversarial", "haeupler-kuhn adversary n=50 k=5",
+         "c1acb41c51b0bbc567251b2be86a1d74b4f14dbb8c3c5702fd7697d67f6ba657"),
+    ])
+    def test_explicit_kind_at_cli_defaults(self, monkeypatch, kind, name,
+                                           fingerprint):
+        scenario = self._cli_scenario(
+            monkeypatch, ["run", "flood-all", "--scenario", kind])
+        assert (scenario.name, scenario_fingerprint(scenario)) == (
+            name, fingerprint)
+
+    #: the 21 distinct scenarios behind the 50 default fleet cases
+    _FLEET = {
+        "f3ce0729aaea29676b5d6bb885dd60f992420789df5c47af9de4a9bfefee80fb": "(10,2)-HiNet n=48 theta=14 k=4",
+        "1042553d91f98251a7d9404cbd867b75b0dd8d3055bedc582c6046fe887ac763": "(10,2)-HiNet n=160 theta=48 k=4",
+        "e85dd56f4962ab90f2d8bcbef708c5cd143de90bf3432465bc563cd98df68133": "(10,2)-HiNet n=48 theta=14 k=4 + iid loss p=0.1",
+        "d88d63863b10128b83cb8235c22f2181480133c40ce06a97c35c59120d177ace": "(10,2)-HiNet n=160 theta=48 k=4 + iid loss p=0.1",
+        "6b31b8083171ea99a154af19f211bbe67c4769ac43030e1dde7c803503a0de6f": "(10,2)-HiNet n=48 theta=14 k=4 + churn rate=0.02",
+        "b9f85824031d95c60d0ffc2c8a0a3d0f727ec85d6bbeee7b7bbbc16aad465a4b": "(10,2)-HiNet n=160 theta=48 k=4 + churn rate=0.02",
+        "71b25b8575bc72875ce72dea24082235ab75016dccdf7a04837c322d892d69d0": "(1,2)-HiNet n=48 theta=14 k=4",
+        "130ea259ead6c4fa7ebd2316dd55aef61427025c73966682124fccb68906f963": "(1,2)-HiNet n=160 theta=48 k=4",
+        "8724e14ce502cd2bdbdad849cff6bf59c557207e7310770f73600ff7a3e8bbe9": "(1,2)-HiNet n=48 theta=14 k=4 + iid loss p=0.1",
+        "37bc41dca12671747f6694240badf7e8b48c7857f489d33883af180a1a55d611": "(1,2)-HiNet n=160 theta=48 k=4 + iid loss p=0.1",
+        "47b914cca42072798b91c62aa17b260b550aa6bfaef97c75db71a4414e32426a": "(1,2)-HiNet n=48 theta=14 k=4 + churn rate=0.02",
+        "0b8dadf3b0426b6bfd07c15cc42b1b393fc531705003c6e580b22558411254ba": "(1,2)-HiNet n=160 theta=48 k=4 + churn rate=0.02",
+        "77468672fc799b967ff32b08b2c99e550389fea5c8b55c9b6c322d7c34d30694": "1-interval worst case n=48 k=4",
+        "031a2c1ff8a30a1545a3cbff1fdd212215ffc25c1e1e3234f9147fc6bb513c1d": "1-interval worst case n=160 k=4",
+        "02b0de49bab7d5f4db65cee4f38beb169e5a57f4f36ca9adc7402ceebe0e0dd3": "haeupler-kuhn adversary n=48 k=4",
+        "46f993e24553b8510c881cc224ef9f7fbdc6beaf99e5746400e933a9477dacf2": "haeupler-kuhn adversary n=160 k=4",
+        "16478e5db14365d1815296bdf87db4023033ffdef3f662febb371c791f5cb833": "1-interval worst case n=48 k=4 + iid loss p=0.1",
+        "c2c1fb184c543f2823ba6c26b3b161dd61439bf2479b71601eac996ef5819512": "1-interval worst case n=160 k=4 + iid loss p=0.1",
+        "914f8247c37203038ab14f63e8f35af00730071718360a965bec967889c1b286": "1-interval worst case n=48 k=4 + churn rate=0.02",
+        "8fdcab6d2181f3b9a25c547d68177ab86f2d2451345eb099fd535564a02f82f6": "1-interval worst case n=160 k=4 + churn rate=0.02",
+        "9601fe619b5f89bf0d6c2ca4efcc159b1a8185a8bb1fa99cbcff59acb2c7c841": "(18,2)-HiNet n=100 theta=30 k=8",
+    }
+
+    def test_fleet_cases(self):
+        from repro.bench.matrix import build_scenario, default_matrix
+
+        cases = default_matrix()
+        built = {case.name: build_scenario(case) for case in cases}
+        fingerprints = {name: scenario_fingerprint(s)
+                        for name, s in built.items()}
+        assert len(cases) == 50
+        assert {fingerprints[name]: s.name for name, s in built.items()} == \
+            self._FLEET
+        # which case runs on which of the 21 scenarios
+        mapping = "\n".join(f"{case.name} {fingerprints[case.name]}"
+                            for case in cases)
+        assert hashlib.sha256(mapping.encode()).hexdigest() == (
+            "b33651d2af63f9cb2d56add22d78ab9504a6fc6b0971f6534ff0fdbc611ab498"
+        )
+
+    _ONE_VM = ("1-interval worst case n=24 k=3",
+               "0677b69ebed599de99173dbfb9a1fef52ee03de0257b5e5976f81300485e1406")
+    _HINET_VM = ("(9,2)-HiNet n=24 theta=7 k=3",
+                 "ca4cc15e451b772bb245d178f7abba32bd8dacbb873ef7185956d2215ee6d72c")
+    _DHOP_VM = ("d-hop HiNet n=24 d=2 heads=5 k=3",
+                "51f0a2b817c9ad7820b4ceec0b042870f9814670bfe3827d882788eb5116b7bb")
+
+    @pytest.mark.parametrize("algorithm, name, fingerprint", [
+        ("flood-all", *_ONE_VM),
+        ("flood-new", *_ONE_VM),
+        ("gossip", *_ONE_VM),
+        ("kactive", *_ONE_VM),
+        ("klo-interval", "9-interval connected n=24 k=3",
+         "8e1a774da459fa9e8c6723d274e52d8aaf72850332141d4bb266e762746b0baf"),
+        ("klo-one", *_ONE_VM),
+        ("netcoding", *_ONE_VM),
+        ("algorithm1", *_HINET_VM),
+        ("algorithm1-stable", *_HINET_VM),
+        ("algorithm2", "(1,2)-HiNet n=24 theta=7 k=3",
+         "1259d92ec6b62e491c77709c4e0d4c980f4d8076cdea3c2460e854e4fb3cc4fb"),
+        ("dhop-algorithm1", *_DHOP_VM),
+        ("dhop-dissemination", *_DHOP_VM),
+    ])
+    def test_validate_model_scenarios(self, algorithm, name, fingerprint):
+        from repro.experiments.scenarios import default_kind, scenario_for
+        from repro.registry import get_spec
+
+        scenario = scenario_for(default_kind(get_spec(algorithm)), n0=24,
+                                k=3, seed=2013)
+        assert (scenario.name, scenario_fingerprint(scenario)) == (
+            name, fingerprint)

@@ -6,7 +6,6 @@ the incremental JSONL writer, the metrics exporter, and the dashboard.
 
 import io
 import json
-import queue
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.obs import (
     JsonlStreamSink,
     LiveDashboard,
     MetricsExporter,
-    QueueSink,
     RunTimeline,
     TelemetryBus,
     TelemetrySink,
@@ -77,22 +75,6 @@ class TestBufferSink:
     def test_maxsize_validated(self):
         with pytest.raises(ValueError, match="maxsize"):
             BufferSink(maxsize=0)
-
-
-class TestQueueSink:
-    def test_full_queue_counts_drops_without_blocking(self):
-        q = queue.Queue(maxsize=2)
-        sink = QueueSink(q)
-        for i in range(5):
-            sink.emit({"round": i})
-        assert sink.drops == 3
-        assert [e["round"] for e in QueueSink.drain(q)] == [0, 1]
-
-    def test_drain_empties_queue(self):
-        q = queue.Queue()
-        QueueSink(q).emit({"x": 1})
-        assert QueueSink.drain(q) == [{"x": 1}]
-        assert QueueSink.drain(q) == []
 
 
 class TestTelemetryBus:
