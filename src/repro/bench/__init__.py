@@ -1,4 +1,4 @@
-"""Continuous benchmark fleet: matrixed measurement, history, trends, bisection.
+"""Continuous benchmark fleet: matrixed measurement, history, trends, gates.
 
 ``repro.bench`` is the repo's one benchmark gate: a declarative
 benchmark matrix over {algorithm spec × scenario family × n × engine
@@ -7,8 +7,10 @@ tier × obs level} (:mod:`~repro.bench.matrix`), executed through the one
 (:mod:`~repro.bench.runner`), persisted as an append-only commit-keyed
 time series in ``BENCH_engine.json`` (:mod:`~repro.bench.history`),
 rendered as cross-commit trend dashboards (:mod:`~repro.bench.trend`) and
-— when a gate trips — bisected to the offending (case, engine) pair with
-an attached engine-divergence report (:mod:`~repro.bench.bisect`).
+gated case by case (:func:`~repro.bench.runner.gate_fleet`): every
+``FAIL:`` line names the case and its engine, and an ``equivalence`` or
+``counter`` failure comes with the case's engine-divergence report
+(:func:`repro.obs.diff_engines`: first diverging round and node).
 
 The CLI front end is ``repro bench`` (``--quick`` per-PR tier, ``--full``
 nightly tier, ``--list`` to scope the matrix without running, ``--report``
@@ -18,7 +20,6 @@ instance: its fast⇄reference speedup floor and the ``trace``/``record``/
 ``stream`` overhead budgets.
 """
 
-from .bisect import BisectReport, bisect_regression
 from .history import (
     current_commit,
     default_bench_path,
@@ -42,10 +43,8 @@ from .trend import render_trend, trend_series
 
 __all__ = [
     "BenchCase",
-    "BisectReport",
     "CaseResult",
     "GateViolation",
-    "bisect_regression",
     "build_scenario",
     "current_commit",
     "default_bench_path",

@@ -339,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
     bn = sub.add_parser(
         "bench",
         help="continuous benchmark fleet: run the matrixed tier, append a "
-        "commit-keyed history bucket, gate vs the previous bucket, and "
-        "bisect regressions to the offending (case, engine) pair",
+        "commit-keyed history bucket, and gate vs the previous bucket "
+        "(an equivalence or counter failure prints the engine-divergence "
+        "report)",
     )
     tier = bn.add_mutually_exclusive_group()
     tier.add_argument("--quick", action="store_true",
@@ -384,18 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "measured/predicted envelope ratios by FACTOR "
                     "(repeatable; a factor pushing a ratio past 1.0 trips "
                     "the envelope gate)")
-    bn.add_argument("--envelope-drift", type=float, default=0.25,
-                    help="allowed relative drift of a measured/predicted "
-                    "envelope ratio vs the previous bucket (default: 0.25)")
     bn.add_argument("--no-gate", action="store_true",
                     help="record the bucket but skip gating (seeding a "
                     "fresh history)")
-    bn.add_argument("--bisect", action="store_true",
-                    help="on gate failure, re-measure engine siblings and "
-                    "name the offending (case, engine) pair")
-    bn.add_argument("--bisect-report", default=None, metavar="PATH",
-                    help="with --bisect: also write the bisection report "
-                    "(and any divergence report) here")
     bn.add_argument("--no-memory", action="store_true",
                     help="skip the tracemalloc peak-memory pass")
     bn.add_argument("--heartbeat", action="store_true",
@@ -530,7 +522,8 @@ def _cmd_watch(args) -> str:
     import json
     import time
 
-    from .obs import EVENTS_SCHEMA_VERSION, LiveDashboard, MetricsExporter
+    from .obs import LiveDashboard, MetricsExporter
+    from .obs.timeline import _check_events_header
 
     sinks = [LiveDashboard(out=sys.stdout, interval=args.interval)]
     if args.metrics_out:
@@ -564,16 +557,10 @@ def _cmd_watch(args) -> str:
                         continue
                     event = json.loads(line)
                     if seen == 0:
-                        if event.get("type") != "run":
-                            raise SystemExit(
-                                f"{args.events}: not an events file "
-                                "(first line must be a 'run' header)")
-                        version = event.get("schema_version")
-                        if version != EVENTS_SCHEMA_VERSION:
-                            raise SystemExit(
-                                f"{args.events}: schema_version {version!r} "
-                                f"(this build reads "
-                                f"{EVENTS_SCHEMA_VERSION})")
+                        try:
+                            _check_events_header(event, args.events)
+                        except ValueError as exc:
+                            raise SystemExit(str(exc)) from None
                     feed(event)
                     seen += 1
                     if event.get("type") == "summary":
@@ -970,7 +957,7 @@ def _cmd_bench(args):
     from pathlib import Path
 
     from .bench import (
-        bisect_regression,
+        build_scenario,
         current_commit,
         default_bench_path,
         expand,
@@ -1066,8 +1053,7 @@ def _cmd_bench(args):
     else:
         parts.append("\nno previous bucket — absolute gates only "
                      "(budgets, equivalence)")
-    violations = gate_fleet(results, prev_cases, threshold=args.threshold,
-                            envelope_drift=args.envelope_drift)
+    violations = gate_fleet(results, prev_cases, threshold=args.threshold)
     if not violations:
         threshold = ("per-case thresholds" if args.threshold is None
                      else f"threshold {args.threshold:.0%}")
@@ -1078,18 +1064,20 @@ def _cmd_bench(args):
     parts.append("")
     for violation in violations:
         parts.append(f"FAIL: {violation.format()}")
-    if args.bisect:
-        reports = bisect_regression(
-            violations, matrix, prev_cases,
-            repeats=max(args.repeats, 3), inject=inject,
-            threshold=args.threshold,
-        )
-        report_text = "\n\n".join(report.format() for report in reports)
-        parts += ["", report_text]
-        if args.bisect_report:
-            Path(args.bisect_report).write_text(report_text + "\n")
-            parts.append(f"\n(bisection report written to "
-                         f"{args.bisect_report})")
+    # outputs or counters moved: timing cannot explain that, so show
+    # where the engines part ways (first diverging round and node)
+    from .obs import diff_engines
+
+    diverged = {violation.case for violation in violations
+                if violation.kind in ("equivalence", "counter")}
+    for case in (result.case for result in results):
+        if case.name not in diverged:
+            continue
+        try:
+            report = diff_engines(case.algorithm, build_scenario(case)).format()
+        except Exception as exc:  # report the probe failure, don't mask it
+            report = f"(diff_engines probe failed: {exc})"
+        parts += ["", f"engine diff for {case.name}:", report]
     return "\n".join(parts), 1
 
 

@@ -13,7 +13,7 @@ from .cache import ResultCache, resolve_cache, scenario_fingerprint
 from .emdg_study import emdg_cluster_study
 from .figures import fig1_example_network, fig2_definition_lattice, fig3_walkthrough
 from .grid import grid_cells, grid_sweep
-from .parallel import parallel_map, parallel_replicate
+from .parallel import parallel_map
 from .pareto import dissemination_pareto, pareto_frontier
 from .replication import MetricSummary, replicate, replicate_algorithm, summarize
 from .report import format_records, format_table, records_to_markdown
@@ -70,7 +70,6 @@ __all__ = [
     "grid_cells",
     "grid_sweep",
     "parallel_map",
-    "parallel_replicate",
     "pareto_frontier",
     "replicate",
     "replicate_algorithm",

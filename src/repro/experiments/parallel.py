@@ -38,7 +38,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -46,14 +45,10 @@ from typing import (
     TypeVar,
 )
 
-from ..sim.rng import SeedLike, derive_seed
-from .replication import MetricSummary, summarize
-
 __all__ = [
     "TIMEOUT_ENV_VAR",
     "emit_worker_event",
     "parallel_map",
-    "parallel_replicate",
 ]
 
 T = TypeVar("T")
@@ -298,30 +293,3 @@ def _instrumented_map(
         return results
     finally:
         pool.shutdown(wait=False)
-
-
-def parallel_replicate(
-    experiment: Callable[[int], Mapping[str, float]],
-    replications: int = 10,
-    base_seed: SeedLike = 0,
-    processes: Optional[int] = None,
-) -> Dict[str, MetricSummary]:
-    """Multi-seed replication with worker processes.
-
-    The process-parallel sibling of
-    :func:`repro.experiments.replication.replicate`: ``experiment`` must
-    be a picklable (module-level) callable taking an integer seed.
-    Seeds derive deterministically from ``base_seed``, so serial and
-    parallel runs produce identical statistics.
-    """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    seeds = [derive_seed(base_seed, "rep", i) for i in range(replications)]
-    rows = parallel_map(experiment, seeds, processes=processes)
-    samples: Dict[str, List[float]] = {}
-    for row in rows:
-        for key, value in row.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            samples.setdefault(key, []).append(float(value))
-    return {key: summarize(vals) for key, vals in samples.items()}

@@ -15,6 +15,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..sim.rng import SeedLike, derive_seed
+from .parallel import parallel_map
 
 __all__ = [
     "MetricSummary",
@@ -98,9 +99,6 @@ def replicate(
         seeds = [derive_seed(base_seed, "rep", i) for i in range(replications)]
     if not seeds:
         raise ValueError("need at least one seed")
-    # local import: parallel.py imports summarize from this module
-    from .parallel import parallel_map
-
     rows = parallel_map(experiment, list(seeds), processes=processes)
     samples: Dict[str, List[float]] = {}
     for row in rows:
@@ -109,25 +107,6 @@ def replicate(
                 continue
             samples.setdefault(key, []).append(float(value))
     return {key: summarize(vals) for key, vals in samples.items()}
-
-
-def _algorithm_replication_cell(
-    algorithm: str,
-    scenario_builder: Callable[..., Any],
-    scenario_kwargs: Dict[str, Any],
-    cache: Any,
-    overrides: Dict[str, Any],
-    seed: SeedLike,
-) -> Dict[str, float]:
-    """Module-level (picklable) cell: fresh seeded scenario → one run row."""
-    from .runner import execute
-
-    scenario = scenario_builder(seed=seed, **scenario_kwargs)
-    record = execute(algorithm, scenario, cache=cache, **overrides)
-    row = dict(record.row())
-    # summarize() skips booleans; expose completion as a rate instead.
-    row["complete_rate"] = float(record.complete)
-    return row
 
 
 def _algorithm_record_cell(
@@ -143,6 +122,16 @@ def _algorithm_record_cell(
 
     scenario = scenario_builder(seed=seed, **scenario_kwargs)
     return execute(algorithm, scenario, cache=cache, **overrides)
+
+
+def _algorithm_replication_cell(*cell_args) -> Dict[str, float]:
+    """Module-level (picklable) cell: :func:`_algorithm_record_cell`'s
+    record (same arguments) folded to one run row."""
+    record = _algorithm_record_cell(*cell_args)
+    row = dict(record.row())
+    # summarize() skips booleans; expose completion as a rate instead.
+    row["complete_rate"] = float(record.complete)
+    return row
 
 
 def replicate_records(
@@ -173,9 +162,6 @@ def replicate_records(
         seeds = [derive_seed(base_seed, "rep", i) for i in range(replications)]
     if not seeds:
         raise ValueError("need at least one seed")
-    # local import: parallel.py imports summarize from this module
-    from .parallel import parallel_map
-
     cell = partial(
         _algorithm_record_cell,
         name,

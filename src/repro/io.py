@@ -32,7 +32,6 @@ from typing import Any, Dict, List, Union
 from .graphs.trace import GraphTrace
 from .obs import (
     CausalTrace,
-    MessageRecord,
     RoundDelta,
     RunRecording,
     RunTimeline,
@@ -363,21 +362,6 @@ def recording_to_dict(recording: RunRecording) -> Dict[str, Any]:
     serialize to byte-identical JSON.  ``meta`` is filtered to JSON-safe
     scalars.
     """
-    rounds: List[Dict[str, Any]] = []
-    for delta in recording.rounds:
-        entry: Dict[str, Any] = {
-            "gained": [[v, list(toks)] for v, toks in delta.gained],
-            "lost": [[v, list(toks)] for v, toks in delta.lost],
-            "messages": [
-                [m.sender, m.kind, m.dest, list(m.tokens), m.cost]
-                for m in delta.messages
-            ],
-        }
-        if delta.roles is not None:
-            entry["roles"] = delta.roles
-        if delta.head_of is not None:
-            entry["head_of"] = list(delta.head_of)
-        rounds.append(entry)
     return {
         "format": "repro-recording",
         "version": _VERSION,
@@ -392,43 +376,13 @@ def recording_to_dict(recording: RunRecording) -> Dict[str, Any]:
             for key, value in sorted(recording.meta.items())
             if isinstance(value, (int, float, str, bool)) or value is None
         },
-        "rounds": rounds,
+        "rounds": [delta.to_dict() for delta in recording.rounds],
     }
 
 
 def recording_from_dict(data: Dict[str, Any]) -> RunRecording:
     """Decode a recording written by :func:`recording_to_dict`."""
     _require_format(data, "repro-recording")
-    rounds = []
-    for entry in data["rounds"]:
-        rounds.append(
-            RoundDelta(
-                gained=tuple(
-                    (int(v), tuple(int(t) for t in toks))
-                    for v, toks in entry["gained"]
-                ),
-                lost=tuple(
-                    (int(v), tuple(int(t) for t in toks))
-                    for v, toks in entry["lost"]
-                ),
-                messages=tuple(
-                    MessageRecord(
-                        sender=int(sender),
-                        kind=str(kind),
-                        dest=int(dest),
-                        tokens=tuple(int(t) for t in toks),
-                        cost=int(cost),
-                    )
-                    for sender, kind, dest, toks, cost in entry["messages"]
-                ),
-                roles=entry.get("roles"),
-                head_of=(
-                    tuple(int(h) for h in entry["head_of"])
-                    if entry.get("head_of") is not None
-                    else None
-                ),
-            )
-        )
     return RunRecording(
         n=int(data["n"]),
         k=int(data["k"]),
@@ -436,7 +390,7 @@ def recording_from_dict(data: Dict[str, Any]) -> RunRecording:
             int(v): tuple(int(t) for t in toks)
             for v, toks in data["initial"].items()
         },
-        rounds=rounds,
+        rounds=[RoundDelta.from_dict(entry) for entry in data["rounds"]],
         meta=dict(data.get("meta", {})),
     )
 

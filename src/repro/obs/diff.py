@@ -13,9 +13,9 @@ was stamped with a ``phase_length`` (``RunPlan`` via
 :func:`repro.experiments.runner.execute`).
 
 ``diff_engines(spec, scenario)`` is the one-call wrapper behind
-``repro diff --engines`` and the divergence report ``repro bench
---bisect`` attaches to an equivalence failure: record the same scenario
-on both engines and diff the recordings.
+``repro diff --engines`` and the divergence report ``repro bench``
+prints under an equivalence or counter failure: record the same
+scenario on both engines and diff the recordings.
 """
 
 from __future__ import annotations

@@ -126,33 +126,54 @@ class RoundDelta:
     roles: Optional[str]
     head_of: Optional[Tuple[int, ...]]
 
+    def to_dict(self) -> Dict[str, Any]:
+        """The JSON-ready round entry of a recording file (and a spill line).
 
-# -- spill codec (deliberately local: repro.io imports this module) ---------
+        ``roles`` / ``head_of`` are omitted on flat scenarios.
+        """
+        entry: Dict[str, Any] = {
+            "gained": [[v, list(toks)] for v, toks in self.gained],
+            "lost": [[v, list(toks)] for v, toks in self.lost],
+            "messages": [
+                [m.sender, m.kind, m.dest, list(m.tokens), m.cost]
+                for m in self.messages
+            ],
+        }
+        if self.roles is not None:
+            entry["roles"] = self.roles
+        if self.head_of is not None:
+            entry["head_of"] = list(self.head_of)
+        return entry
 
-def _delta_to_jsonable(delta: RoundDelta) -> list:
-    return [
-        [[v, list(toks)] for v, toks in delta.gained],
-        [[v, list(toks)] for v, toks in delta.lost],
-        [[m.sender, m.kind, m.dest, list(m.tokens), m.cost]
-         for m in delta.messages],
-        delta.roles,
-        list(delta.head_of) if delta.head_of is not None else None,
-    ]
-
-
-def _delta_from_jsonable(row: list) -> RoundDelta:
-    gained, lost, messages, roles, head_of = row
-    return RoundDelta(
-        gained=tuple((v, tuple(toks)) for v, toks in gained),
-        lost=tuple((v, tuple(toks)) for v, toks in lost),
-        messages=tuple(
-            MessageRecord(sender=s, kind=kind, dest=d,
-                          tokens=tuple(toks), cost=c)
-            for s, kind, d, toks, c in messages
-        ),
-        roles=roles,
-        head_of=tuple(head_of) if head_of is not None else None,
-    )
+    @classmethod
+    def from_dict(cls, entry: Mapping[str, Any]) -> "RoundDelta":
+        """Decode an entry written by :meth:`to_dict`."""
+        return cls(
+            gained=tuple(
+                (int(v), tuple(int(t) for t in toks))
+                for v, toks in entry["gained"]
+            ),
+            lost=tuple(
+                (int(v), tuple(int(t) for t in toks))
+                for v, toks in entry["lost"]
+            ),
+            messages=tuple(
+                MessageRecord(
+                    sender=int(sender),
+                    kind=str(kind),
+                    dest=int(dest),
+                    tokens=tuple(int(t) for t in toks),
+                    cost=int(cost),
+                )
+                for sender, kind, dest, toks, cost in entry["messages"]
+            ),
+            roles=entry.get("roles"),
+            head_of=(
+                tuple(int(h) for h in entry["head_of"])
+                if entry.get("head_of") is not None
+                else None
+            ),
+        )
 
 
 class SpilledRounds:
@@ -185,7 +206,7 @@ class SpilledRounds:
         handle = self._handle
         handle.seek(0, os.SEEK_END)
         self._offsets.append(handle.tell())
-        json.dump(_delta_to_jsonable(delta), handle,
+        json.dump(delta.to_dict(), handle,
                   separators=(",", ":"))
         handle.write("\n")
         self._dirty = True
@@ -197,7 +218,7 @@ class SpilledRounds:
             self._handle.flush()
             self._dirty = False
         self._handle.seek(offset)
-        return _delta_from_jsonable(json.loads(self._handle.readline()))
+        return RoundDelta.from_dict(json.loads(self._handle.readline()))
 
     def __len__(self) -> int:
         return len(self._offsets)

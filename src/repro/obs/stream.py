@@ -227,9 +227,10 @@ class JsonlStreamSink(TelemetrySink):
     event is written *and flushed* as it arrives — at any instant the
     file on disk is a valid (possibly footer-less) events file that
     :func:`~repro.obs.timeline.read_events` parses, so an interrupted
-    run leaves its progress behind instead of nothing.  Line layout
-    matches :func:`~repro.obs.timeline.write_events`: header, ``round``
-    events, optional ``learn`` events, ``summary`` footer.
+    run leaves its progress behind instead of nothing.  Line layout:
+    header, ``round`` events, optional ``learn`` events, ``summary``
+    footer; :func:`~repro.obs.timeline.write_events` replays a finished
+    timeline through this sink, so both files share one writer.
     """
 
     def __init__(
@@ -246,11 +247,13 @@ class JsonlStreamSink(TelemetrySink):
         }
         if run_info:
             header.update(run_info)
+        # encode before opening: a bad header leaves no file behind
+        line = json.dumps(header, sort_keys=True)
         self._handle: Optional[TextIO] = open(self.path, "w")
-        self._write(header)
+        self._write_line(line)
 
-    def _write(self, event: Event) -> None:
-        self._handle.write(json.dumps(event, sort_keys=True) + "\n")
+    def _write_line(self, line: str) -> None:
+        self._handle.write(line + "\n")
         self._handle.flush()
         self.lines += 1
 
@@ -258,7 +261,7 @@ class JsonlStreamSink(TelemetrySink):
         if self._handle is None:
             self.drops += 1
             return
-        self._write(event)
+        self._write_line(json.dumps(event, sort_keys=True))
 
     def close(self) -> None:
         if self._handle is not None:

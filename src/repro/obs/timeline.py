@@ -332,36 +332,60 @@ def write_events(
     the per-round counters against the run's totals without
     re-aggregating.
     """
-    lines: List[str] = []
-    header: Dict[str, Any] = {
-        "type": "run",
-        "schema_version": EVENTS_SCHEMA_VERSION,
-        "rounds": timeline.rounds,
-    }
-    if run_info:
-        header.update(run_info)
-    lines.append(json.dumps(header, sort_keys=True))
-    for event in timeline.events():
-        lines.append(json.dumps(event, sort_keys=True))
-    if causal is not None:
-        for event in causal.events_jsonl():
-            lines.append(json.dumps(event, sort_keys=True))
-    lines.append(json.dumps(_summary_event(timeline, summary), sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n")
-    return len(lines)
+    # local import: the stream sinks build on this module
+    from types import SimpleNamespace
+
+    from .stream import JsonlStreamSink, TelemetryBus
+
+    sink = JsonlStreamSink(path, run_info={"rounds": timeline.rounds,
+                                           **(run_info or {})})
+    bus = TelemetryBus([sink])
+    try:
+        bus.replay(timeline)
+        bus.end_run(SimpleNamespace(timeline=timeline, causal_trace=causal),
+                    summary=summary)
+        bus.close()
+        if bus.sink_errors:  # the bus contains sink failures; an export
+            raise ValueError(f"events file {path}: {bus.sink_errors} "
+                             "event(s) could not be written")
+    except BaseException:
+        bus.close()
+        Path(path).unlink(missing_ok=True)  # a failed export leaves no file
+        raise
+    return sink.lines
+
+
+def _check_events_header(header: Any, path: Union[str, Path]) -> Dict[str, Any]:
+    """Validate an events file's first event; returns it unchanged.
+
+    It must be a ``type: "run"`` object whose ``schema_version`` this
+    reader understands.  Files written before versioning carry no
+    ``schema_version`` and are read as version 1 (the layout is
+    unchanged).  Anything else raises a :class:`ValueError` naming
+    ``path``.  Shared by :func:`read_events` and ``repro watch``.
+    """
+    if not isinstance(header, dict) or header.get("type") != "run":
+        raise ValueError(
+            f"events file {path} does not start with a 'run' header line"
+        )
+    version = header.get("schema_version", 1)
+    if version != EVENTS_SCHEMA_VERSION:
+        raise ValueError(
+            f"events file {path} has schema_version {version!r}; this "
+            f"reader understands version {EVENTS_SCHEMA_VERSION} — "
+            "re-export the run or upgrade repro"
+        )
+    return header
 
 
 def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
     """Parse a :func:`write_events` JSONL file back into event dicts.
 
-    Validates the header before yielding anything: the first line must be
-    a ``type: "run"`` object whose ``schema_version`` this reader
-    understands.  Files written before versioning carry no
-    ``schema_version`` and are read as version 1 (the layout is
-    unchanged); an unknown version raises a clear :class:`ValueError`
-    instead of silently misparsing.  A line that is not JSON — a file cut
-    mid-line by an interrupted writer — raises a :class:`ValueError`
-    naming the file and the line.
+    Validates the header before yielding anything
+    (:func:`_check_events_header`), so an unknown layout raises a clear
+    :class:`ValueError` instead of silently misparsing.  A line that is
+    not JSON — a file cut mid-line by an interrupted writer — raises a
+    :class:`ValueError` naming the file and the line.
     """
     text = Path(path).read_text()
     lines = [
@@ -381,16 +405,5 @@ def read_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
                 f"({exc}); was the file cut mid-line?"
             ) from None
 
-    header = parse(*lines[0])
-    if not isinstance(header, dict) or header.get("type") != "run":
-        raise ValueError(
-            f"events file {path} does not start with a 'run' header line"
-        )
-    version = header.get("schema_version", 1)
-    if version != EVENTS_SCHEMA_VERSION:
-        raise ValueError(
-            f"events file {path} has schema_version {version!r}; this "
-            f"reader understands version {EVENTS_SCHEMA_VERSION} — "
-            "re-export the run or upgrade repro"
-        )
+    header = _check_events_header(parse(*lines[0]), path)
     return [header] + [parse(*entry) for entry in lines[1:]]

@@ -1,5 +1,6 @@
-"""Benchmark fleet: matrix, history series, trends, gating and bisection."""
+"""Benchmark fleet: matrix, history series, trends and gating."""
 
+import json
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -8,7 +9,6 @@ import pytest
 
 from repro.bench import (
     CaseResult,
-    bisect_regression,
     default_matrix,
     expand,
     gate_fleet,
@@ -190,30 +190,22 @@ class TestFleetEndToEnd:
         out = capsys.readouterr().out
         assert "no previous bucket" in out and "OK" in out
 
-    def test_injected_slowdown_fails_gate_and_bisect_names_pair(
+    def test_injected_slowdown_fails_gate_naming_case_and_engine(
             self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"
         assert main(["bench", "--cases", FAST_CASE, SIBLING_CASE,
                      "--repeats", "1", "--no-memory",
                      "--commit", "c1", "--json", str(path)]) == 0
         capsys.readouterr()
-        report = tmp_path / "bisect.txt"
         rc = main(["bench", "--cases", FAST_CASE, SIBLING_CASE,
                    "--repeats", "1", "--no-memory",
                    "--commit", "c2", "--json", str(path),
-                   "--inject-slowdown", f"{FAST_CASE}:200",
-                   "--bisect", "--bisect-report", str(report)])
+                   "--inject-slowdown", f"{FAST_CASE}:200"])
         assert rc == 1
         out = capsys.readouterr().out
-        assert "FAIL: [speedup]" in out
-        assert f"offender: case={FAST_CASE} engine=fast" in out
-        text = report.read_text()
-        assert f"case={FAST_CASE} engine=fast" in text
-        # the clean engine sibling is exonerated in the evidence table
-        assert "algorithm1_benign_n48_reference_timeline" in text
+        assert f"FAIL: [speedup] {FAST_CASE} (engine=fast)" in out
         # both runs landed as separate buckets
         assert set(load_bench(path)["history"]) == {"c1", "c2"}
-
 
     def test_result_cache_entries_land_under_its_root(self, tmp_path,
                                                       monkeypatch):
@@ -291,22 +283,20 @@ class TestPinnedGate:
             "--inject-slowdown", f"{case}:300")) == 1
         assert f"FAIL: [overhead] {case}" in capsys.readouterr().out
 
-    def test_equivalence_failure_bisects_to_divergence(self, tmp_path,
-                                                       monkeypatch, capsys):
+    def test_equivalence_failure_prints_divergence_report(
+            self, tmp_path, monkeypatch, capsys):
         """A fault on the vectorised tiers only fails the pinned case's
-        equivalence gate, and the bisection report pinpoints it."""
+        equivalence gate, and the gate's report pinpoints it."""
         fault = PinpointFault(3, 5, 0, tiers=("fast", "columnar"))
         healthy = matrix.regression_gate_scenario()
         monkeypatch.setattr(matrix, "regression_gate_scenario",
                             lambda: replace(healthy, link=fault.spec()))
-        report = tmp_path / "bisect.txt"
-        assert _bench(tmp_path / "BENCH_engine.json", "c1", PINNED_CASE,
-                      extra=("--bisect", "--bisect-report", str(report))) == 1
-        assert f"FAIL: [equivalence] {PINNED_CASE}" in capsys.readouterr().out
-        text = report.read_text()
-        assert "DIVERGENCE" in text
-        assert "first diverging round: 3" in text
-        assert "node 5" in text
+        assert _bench(tmp_path / "BENCH_engine.json", "c1", PINNED_CASE) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL: [equivalence] {PINNED_CASE}" in out
+        assert "DIVERGENCE" in out
+        assert "first diverging round: 3" in out
+        assert "node 5" in out
 
 
 class TestFleetHeartbeat:
@@ -367,18 +357,25 @@ class TestFleetHeartbeat:
         err = capsys.readouterr().err
         assert f"[bench] case {FAST_CASE} stall STALL:" in err
 
-    def test_counter_drift_trips_gate_and_attaches_divergence(self, tmp_path):
+    def test_counter_drift_trips_gate_and_attaches_divergence(self, tmp_path,
+                                                              capsys):
         results = run_fleet(select([FAST_CASE]), repeats=1, memory=False)
         stats = dict(results[0].stats)
         previous = {FAST_CASE: dict(stats, tokens_sent=stats["tokens_sent"] + 1)}
-        violations = gate_fleet(results, previous)
-        assert [v.kind for v in violations] == ["counter"]
-        reports = bisect_regression(violations, default_matrix(), previous,
-                                    repeats=1)
-        assert reports[0].kind == "counter"
-        assert reports[0].divergence is not None
+        assert [v.kind for v in gate_fleet(results, previous)] == ["counter"]
+        # the CLI gate prints the engine diff for the drifted case
+        path = tmp_path / "BENCH_engine.json"
+        assert _bench(path, "c1", FAST_CASE) == 0
+        data = load_bench(path)
+        data["history"]["c1"][FAST_CASE]["tokens_sent"] += 1
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert _bench(path, "c2", FAST_CASE) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL: [counter] {FAST_CASE}" in out
         # engines actually agree here, and the probe says so
-        assert "identical" in reports[0].divergence
+        assert f"engine diff for {FAST_CASE}:" in out
+        assert "recordings identical" in out
 
     def test_gate_passes_against_own_history(self, tmp_path):
         cases = select([FAST_CASE])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import read_events
 
 
 class TestParser:
@@ -243,6 +244,20 @@ class TestRegistryCommands:
         assert main(["watch", str(truncated)]) == 0
         out = capsys.readouterr().out
         assert "(partial)" in out
+
+    def test_watch_reads_versionless_header(self, capsys, tmp_path):
+        # files written before schema versioning are read as version 1,
+        # exactly as read_events reads them
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"rounds": 1, "type": "run"}\n'
+            '{"coverage": 1, "messages": 0, "nodes_complete": 1, '
+            '"round": 0, "tokens": 0, "type": "round"}\n'
+            '{"messages": 0, "rounds": 1, "tokens": 0, "type": "summary"}\n'
+        )
+        assert len(read_events(path)) == 3
+        assert main(["watch", str(path)]) == 0
+        assert f"events from {path} (complete)" in capsys.readouterr().out
 
     def test_watch_missing_file_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):

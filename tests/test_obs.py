@@ -154,6 +154,20 @@ class TestWriteEvents:
         footer = json.loads(path.read_text().splitlines()[-1])
         assert footer["profile_ms"] == {"send": 500.0}
 
+    def test_unserialisable_summary_leaves_no_file(self, tmp_path):
+        tl = TestRunTimeline()._timeline()
+        path = tmp_path / "e.jsonl"
+        with pytest.raises(ValueError, match="could not be written"):
+            write_events(path, tl, summary={"bad": object()})
+        assert not path.exists()
+
+    def test_unserialisable_run_info_leaves_no_file(self, tmp_path):
+        tl = TestRunTimeline()._timeline()
+        path = tmp_path / "e.jsonl"
+        with pytest.raises(TypeError):
+            write_events(path, tl, run_info={"bad": object()})
+        assert not path.exists()
+
 
 def _run_both(scenario, factory, max_rounds, obs="timeline"):
     ref = SynchronousEngine(obs=obs).run(

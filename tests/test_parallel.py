@@ -8,11 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.parallel import (
-    TIMEOUT_ENV_VAR,
-    parallel_map,
-    parallel_replicate,
-)
+from repro.experiments.parallel import TIMEOUT_ENV_VAR, parallel_map
 from repro.experiments.replication import replicate
 
 # module-level functions: the picklability contract of ProcessPoolExecutor
@@ -164,18 +160,18 @@ class TestParallelReplicate:
     def test_matches_serial_replicate(self):
         """Same derived seeds -> identical statistics, any worker count."""
         serial = replicate(_tiny_experiment, replications=4, base_seed=7)
-        parallel = parallel_replicate(_tiny_experiment, replications=4,
-                                      base_seed=7, processes=2)
+        parallel = replicate(_tiny_experiment, replications=4,
+                             base_seed=7, processes=2)
         assert set(serial) == set(parallel)
         for key in serial:
             assert serial[key].mean == pytest.approx(parallel[key].mean)
             assert serial[key].std == pytest.approx(parallel[key].std)
 
     def test_real_experiment_in_workers(self):
-        out = parallel_replicate(_tiny_experiment, replications=3,
-                                 base_seed=1, processes=2)
+        out = replicate(_tiny_experiment, replications=3,
+                        base_seed=1, processes=2)
         assert out["ratio"].minimum > 1.0
 
     def test_replications_validated(self):
         with pytest.raises(ValueError):
-            parallel_replicate(_tiny_experiment, replications=0)
+            replicate(_tiny_experiment, replications=0, processes=2)
