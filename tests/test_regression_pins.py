@@ -28,8 +28,17 @@ from repro.experiments.scenarios import (
 from repro.experiments.tables import simulated_table3
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.interval import t_interval_trace
+from repro.graphs.generators.markovian import edge_markovian_trace
+from repro.graphs.generators.partitioned import partitioned_trace
 from repro.graphs.generators.static import clustered_star_arrays
+from repro.graphs.generators.worstcase import (
+    rotating_star_trace,
+    shuffled_path_trace,
+)
 from repro.io import trace_to_dict
+from repro.mobility.field import Field
+from repro.mobility.unitdisk import unit_disk_trace
+from repro.mobility.waypoint import RandomWaypoint
 from repro.sim.engine import SynchronousEngine
 from repro.sim.topology import CSRNetwork
 
@@ -213,6 +222,48 @@ class TestGeneratorContentPins:
         assert self._edge_digest(no_churn) == (
             "ebedd007fd872e9b2f7e5760229215a02c70f4a15aa3c6bf8903d0b776473e66"
         )
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "d8bcbd64fb56df3cc46bc2acc25b8b942a7171e646b07993f256aae856c96d6b"),
+        (47, "962f604ab1abaf6810d09a93605754109d92f5e7b3bdb4352f078c8ebdeaa1fb"),
+    ])
+    def test_edge_markovian_content(self, seed, digest):
+        trace = edge_markovian_trace(16, 8, p=0.1, q=0.4, seed=seed,
+                                     ensure_connected=True)
+        assert self._edge_digest(trace) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "43a06974869c9fc435f475f49f94eac8c00141e925a35251d32adfabcd546278"),
+        (47, "61184a744e5a9d75a86c8e204037ce0251eb7545c85d63d927cfa17f410753ca"),
+    ])
+    def test_shuffled_path_content(self, seed, digest):
+        assert self._edge_digest(shuffled_path_trace(12, 6, seed=seed)) == digest
+
+    @pytest.mark.parametrize("stride, digest", [
+        (1, "b635060864d588e042f94d256512dd613a8900d55dfb03b66effdaf5c194e2cd"),
+        (3, "6aaefe15788bae614e1d0bbca9073888727e1fdb304c454aa5d2689f7e594f41"),
+    ])
+    def test_rotating_star_content(self, stride, digest):
+        # deterministic generator: the stride stands in for the seed
+        assert self._edge_digest(rotating_star_trace(7, 9, stride=stride)) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "ed75fd738e6fb09f3ff9864454db2f55f9adb766aeaa038ab2d0cadfb5148648"),
+        (47, "f6334acc1bb31ef9c916122bb5075ec2036dd710b2d6bcb3a5f96feeb6d381ac"),
+    ])
+    def test_partitioned_content(self, seed, digest):
+        trace = partitioned_trace(18, 12, islands=3, meet_every=4, meet_for=2,
+                                  seed=seed)
+        assert self._edge_digest(trace) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "c6b91aa93c1fec503e6a496c19a108286eda03e9e688ccb34d223089a88b0171"),
+        (47, "1bd615f0b2e5a91d09b45f14f3e479fd5c5658d4941036b2a6bcfce6a44bd129"),
+    ])
+    def test_unit_disk_content(self, seed, digest):
+        positions = RandomWaypoint(16, Field(100.0, 100.0), seed=seed).run(8)
+        trace = unit_disk_trace(positions, 30.0, ensure_connected=True)
+        assert self._edge_digest(trace) == digest
 
 
 class TestScenarioCatalogPins:
