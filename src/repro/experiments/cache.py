@@ -80,43 +80,16 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _round_digest(snap) -> bytes:
-    """SHA-256 over one snapshot's :class:`~repro.sim.topology.SnapshotArrays`.
-
-    The CSR ``indptr`` and ``indices`` are hashed as little-endian int64,
-    then each hierarchy array the snapshot carries behind its own tag:
-    ``roles`` as int8 :data:`~repro.sim.topology.ROLE_CODES` and
-    ``head_of`` as int64 with ``-1`` for "unaffiliated".  A flat
-    snapshot has neither tag.  ``head_adjacent`` is derived from the
-    rest and left out.  Snapshots are frozen, so the digest is memoized
-    next to the arrays themselves.
-    """
-    memo = snap._memo()
-    digest = memo.get("sha256")
-    if digest is None:
-        arrs = snap.arrays()
-        parts = [
-            arrs.indptr.astype("<i8", copy=False).tobytes(),
-            arrs.indices.astype("<i8", copy=False).tobytes(),
-        ]
-        if arrs.roles is not None:
-            parts += [b"roles", arrs.roles.astype("<i1", copy=False).tobytes()]
-        if arrs.head_of is not None:
-            parts += [b"head_of", arrs.head_of.astype("<i8", copy=False).tobytes()]
-        digest = hashlib.sha256(b"".join(parts)).digest()
-        memo["sha256"] = digest
-    return digest
-
-
 def scenario_fingerprint(scenario) -> str:
     """SHA-256 over the scenario's header and its per-round array digests.
 
     The header is canonical JSON of everything but the edges: name,
     ``k``, the initial assignment, the scalar params, family, link model,
-    ``n``, the trace's ``extend`` policy and horizon.  Each round then
-    contributes the digest of its CSR arrays (:func:`_round_digest`),
-    memoized on the snapshot, so re-keying a scenario costs one small
-    hash however large its trace.
+    ``n``, the trace's ``extend`` policy and horizon.  The rounds then
+    contribute :meth:`GraphTrace.digest <repro.sim.topology.GraphTrace.digest>`,
+    one digest per round of its CSR and hierarchy arrays, memoized on the
+    trace, so re-keying a scenario costs one small hash however large its
+    trace.
 
     Content-addressed: two scenarios with the same trace, initial
     assignment and scalar params fingerprint identically no matter how
@@ -139,8 +112,7 @@ def scenario_fingerprint(scenario) -> str:
             "horizon": trace.horizon,
         }
     )
-    rounds = b"".join(_round_digest(snap) for snap in trace)
-    return hashlib.sha256(header.encode("utf-8") + rounds).hexdigest()
+    return hashlib.sha256(header.encode("utf-8") + trace.digest()).hexdigest()
 
 
 def _jsonable(value: Any) -> Any:

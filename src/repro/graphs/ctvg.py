@@ -17,7 +17,7 @@ the per-round head set :math:`V_h^i` and per-cluster member sets
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
@@ -88,18 +88,8 @@ class CTVG(TVG):
 
     # -- hierarchy change tracking --------------------------------------------
     #
-    # Whole-trace statistics run on (rounds, n) stacks of the per-round
-    # role-code and head-id arrays (-1 = unaffiliated).
-
-    def _stacks(self, stop: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
-        """Role codes and head ids of rounds ``0 .. stop-1`` (default: the
-        recorded horizon), one row per round."""
-        stop = self.trace.horizon if stop is None else stop
-        arrs = [self.trace.snapshot(t).arrays() for t in range(stop)]
-        return (
-            np.stack([a.roles for a in arrs]),
-            np.stack([a.head_of for a in arrs]),
-        )
+    # Whole-trace statistics run on the trace's (rounds, n) stacks of the
+    # per-round role-code and head-id arrays (-1 = unaffiliated).
 
     @staticmethod
     def _joins(heads: np.ndarray) -> np.ndarray:
@@ -119,7 +109,7 @@ class CTVG(TVG):
         stop = self.trace.horizon if upto is None else upto
         if stop < 2:
             return 0
-        _, heads = self._stacks(stop)
+        _, heads = self.trace.hierarchy_rows(stop)
         return int(self._joins(heads[:, v:v + 1])[0])
 
     def mean_reaffiliations(self) -> float:
@@ -128,7 +118,7 @@ class CTVG(TVG):
         The paper's :math:`n_r` (Table 1: "the average number of
         re-affiliations a cluster member conducts").
         """
-        roles, heads = self._stacks()
+        roles, heads = self.trace.hierarchy_rows()
         member_ever = (roles == _MEMBER).any(axis=0)
         members = int(np.count_nonzero(member_ever))
         if not members:
@@ -137,10 +127,10 @@ class CTVG(TVG):
 
     def mean_member_count(self) -> float:
         """Average number of plain-member nodes per round (the paper's :math:`n_m`)."""
-        roles, _ = self._stacks()
+        roles, _ = self.trace.hierarchy_rows()
         return int(np.count_nonzero(roles == _MEMBER)) / roles.shape[0]
 
     def distinct_heads(self) -> FrozenSet[int]:
         """All nodes that ever act as head — an empirical lower bound on θ."""
-        roles, _ = self._stacks()
+        roles, _ = self.trace.hierarchy_rows()
         return frozenset(np.flatnonzero((roles == _HEAD).any(axis=0)).tolist())

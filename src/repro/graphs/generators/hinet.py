@@ -296,15 +296,15 @@ def generate_hinet(params: HiNetParams, seed: SeedLike = None) -> HiNetScenario:
             round_hierarchy.append(hierarchy)
             member_rounds += len(plain)
 
-    snaps = [
-        Snapshot.from_arrays(
+    trace = GraphTrace(
+        [
             replace(arrs, roles=roles, head_of=head_of, head_adjacent=head_adjacent)
-        )
-        for arrs, (roles, head_of, head_adjacent) in zip(
-            csr_rounds(n, round_edges), round_hierarchy
-        )
-    ]
-    trace = GraphTrace(snapshots=snaps, extend="hold")
+            for arrs, (roles, head_of, head_adjacent) in zip(
+                csr_rounds(n, round_edges), round_hierarchy
+            )
+        ],
+        extend="hold",
+    )
     trace.validate_hierarchy()
     return HiNetScenario(
         trace=trace,

@@ -22,7 +22,7 @@ from typing import List
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import Snapshot, csr_rounds
+from ...sim.topology import csr_rounds
 from ..trace import GraphTrace
 from .static import random_spanning_tree
 
@@ -108,5 +108,4 @@ def t_interval_trace(
         if churn:
             parts.append(pairs[np.flatnonzero(rng.random(len(pairs)) < churn_p)])
         round_edges.append(np.concatenate(parts))
-    snaps = [Snapshot.from_arrays(arrs) for arrs in csr_rounds(n, round_edges)]
-    return GraphTrace(snapshots=snaps, extend="hold")
+    return GraphTrace(csr_rounds(n, round_edges), extend="hold")

@@ -24,7 +24,7 @@ import networkx as nx
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import Snapshot
+from ...sim.topology import csr_rounds
 from ..trace import GraphTrace
 from .static import random_spanning_tree
 
@@ -85,18 +85,19 @@ def edge_markovian_trace(
     m = len(iu)
     state = rng.random(m) < density
 
-    snaps: List[Snapshot] = []
+    round_edges: List[np.ndarray] = []
     for r in range(rounds):
         if r > 0:
             births = rng.random(m) < p
             deaths = rng.random(m) < q
             state = np.where(state, ~deaths, births)
-        edges = list(zip(iu[state].tolist(), ju[state].tolist()))
+        edges = np.column_stack((iu[state], ju[state]))
         if ensure_connected and n > 1:
             g = nx.Graph()
             g.add_nodes_from(range(n))
-            g.add_edges_from(edges)
+            g.add_edges_from(edges.tolist())
             if not nx.is_connected(g):
-                edges = edges + list(random_spanning_tree(n, seed=rng).edges())
-        snaps.append(Snapshot.from_edges(n, edges))
-    return GraphTrace(snapshots=snaps, extend="hold")
+                tree = list(random_spanning_tree(n, seed=rng).edges())
+                edges = np.concatenate([edges, np.array(tree).reshape(-1, 2)])
+        round_edges.append(edges)
+    return GraphTrace(csr_rounds(n, round_edges), extend="hold")

@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import List
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import Snapshot
+from ...sim.topology import csr_rounds
 from ..trace import GraphTrace
 from .static import random_connected_graph
 
@@ -76,7 +76,7 @@ def partitioned_trace(
         raise ValueError(f"islands={islands} too many for n={n}")
     pairs = list(combinations(range(islands), 2)) or [(0, 0)]
 
-    snaps: List[Snapshot] = []
+    round_edges: List[List[tuple]] = []
     meeting_idx = -1
     for r in range(rounds):
         edges: List[tuple] = []
@@ -91,5 +91,5 @@ def partitioned_trace(
             u = int(rng.choice(groups[i]))
             v = int(rng.choice(groups[j]))
             edges.append((u, v))
-        snaps.append(Snapshot.from_edges(n, edges))
-    return GraphTrace(snapshots=snaps, extend="hold")
+        round_edges.append(edges)
+    return GraphTrace(csr_rounds(n, round_edges), extend="hold")

@@ -106,7 +106,8 @@ def static_trace(graph: nx.Graph, rounds: int = 1, extend: str = "hold") -> Grap
 #
 # These construct SnapshotArrays directly with vectorised numpy — no
 # networkx Graph, no per-node frozensets — so million-node topologies for
-# the vectorised engine (via sim.topology.CSRNetwork) build in milliseconds.
+# the vectorised engine build in milliseconds.  Wrap one in a one-round
+# GraphTrace (a static network under "hold") or pass a per-round list.
 
 def ring_lattice_arrays(n: int, degree: int) -> SnapshotArrays:
     """A flat ring lattice as CSR arrays: each node links to the ``degree/2``

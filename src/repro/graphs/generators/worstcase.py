@@ -19,12 +19,10 @@ dissemination as much as a structure-oblivious adversary can.
 
 from __future__ import annotations
 
-from typing import List
-
-import networkx as nx
+import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import Snapshot
+from ...sim.topology import csr_rounds
 from ..trace import GraphTrace
 
 __all__ = ["bottleneck_trace", "rotating_star_trace", "shuffled_path_trace"]
@@ -37,12 +35,11 @@ def shuffled_path_trace(n: int, rounds: int, seed: SeedLike = None) -> GraphTrac
     if rounds < 1:
         raise ValueError(f"need at least one round, got {rounds}")
     rng = make_rng(seed)
-    snaps: List[Snapshot] = []
-    for _ in range(rounds):
-        order = rng.permutation(n)
-        edges = [(int(order[i]), int(order[i + 1])) for i in range(n - 1)]
-        snaps.append(Snapshot.from_edges(n, edges))
-    return GraphTrace(snapshots=snaps, extend="hold")
+    orders = [rng.permutation(n) for _ in range(rounds)]
+    return GraphTrace(
+        csr_rounds(n, [np.column_stack((o[:-1], o[1:])) for o in orders]),
+        extend="hold",
+    )
 
 
 def rotating_star_trace(n: int, rounds: int, stride: int = 1) -> GraphTrace:
@@ -53,12 +50,12 @@ def rotating_star_trace(n: int, rounds: int, stride: int = 1) -> GraphTrace:
         raise ValueError(f"need at least one round, got {rounds}")
     if stride < 0:
         raise ValueError(f"stride must be non-negative, got {stride}")
-    snaps: List[Snapshot] = []
+    nodes = np.arange(n)
+    stars = []
     for r in range(rounds):
         centre = (r * stride) % n
-        edges = [(centre, v) for v in range(n) if v != centre]
-        snaps.append(Snapshot.from_edges(n, edges))
-    return GraphTrace(snapshots=snaps, extend="hold")
+        stars.append(np.column_stack((np.full(n - 1, centre), nodes[nodes != centre])))
+    return GraphTrace(csr_rounds(n, stars), extend="hold")
 
 
 def bottleneck_trace(n: int, rounds: int, seed: SeedLike = None) -> GraphTrace:
@@ -74,21 +71,13 @@ def bottleneck_trace(n: int, rounds: int, seed: SeedLike = None) -> GraphTrace:
         raise ValueError(f"need at least one round, got {rounds}")
     rng = make_rng(seed)
     half = n // 2
-    left = list(range(half))
-    right = list(range(half, n))
-    base = nx.Graph()
-    base.add_nodes_from(range(n))
-    base.add_edges_from(nx.complete_graph(len(left)).edges())
-    base.add_edges_from(
-        (right[i], right[j])
-        for i in range(len(right))
-        for j in range(i + 1, len(right))
+    left, right = np.arange(half), np.arange(half, n)
+    cliques = np.concatenate([
+        np.column_stack(np.triu_indices(half, k=1)),
+        half + np.column_stack(np.triu_indices(n - half, k=1)),
+    ])
+    bridges = [(int(rng.choice(left)), int(rng.choice(right))) for _ in range(rounds)]
+    return GraphTrace(
+        csr_rounds(n, [np.vstack([cliques, [bridge]]) for bridge in bridges]),
+        extend="hold",
     )
-    snaps: List[Snapshot] = []
-    for _ in range(rounds):
-        g = base.copy()
-        u = int(rng.choice(left))
-        v = int(rng.choice(right))
-        g.add_edge(u, v)
-        snaps.append(Snapshot.from_networkx(g))
-    return GraphTrace(snapshots=snaps, extend="hold")

@@ -35,13 +35,13 @@ connected, so ``ℓ`` steps decide Definition 7 with hop bound ``ℓ``.
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
 
-from ..sim.topology import Snapshot
+from ..roles import Role
+from ..sim.topology import ROLE_CODES, Snapshot
 from .trace import GraphTrace
 
 __all__ = [
@@ -60,6 +60,8 @@ __all__ = [
     "realized_hop_bound",
     "windows_of",
 ]
+
+_HEAD = ROLE_CODES[Role.HEAD]
 
 
 # ---------------------------------------------------------------------------
@@ -367,45 +369,42 @@ def _hop_bounds(
         yield graphs.hop_bounds(heads, limit)
 
 
-def _change_prefix(trace: GraphTrace, key) -> List[int]:
-    """Prefix sums of hierarchy change points: ``S[r]`` counts the rounds
-    ``1..r`` whose ``key`` differs from the previous round's.
-
-    A window ``[start, stop)`` holds a constant key iff
-    ``S[stop-1] == S[start]`` (key equality is transitive), so any number
-    of windows — sliding ones overlap heavily — is checked after a single
-    O(horizon) pass over the trace.
-    """
-    prefix = [0] * trace.horizon
-    prev = key(trace.snapshot(0))
-    changes = 0
-    for r in range(1, trace.horizon):
-        cur = key(trace.snapshot(r))
-        if cur != prev:
-            changes += 1
-        prefix[r] = changes
-        prev = cur
-    return prefix
-
-
 # ---------------------------------------------------------------------------
 # Definitions 2-4: stability of the hierarchy
 # ---------------------------------------------------------------------------
 
+def _change_points(*rows: np.ndarray) -> np.ndarray:
+    """Per round ``r``: whether any of the stacked ``(horizon, n)`` ``rows``
+    differs from round ``r - 1`` (never at round 0)."""
+    changed = np.zeros(rows[0].shape[0], dtype=bool)
+    for row in rows:
+        changed[1:] |= (row[1:] != row[:-1]).any(axis=1)
+    return changed
+
+
 def _stable_in_all_windows(
-    trace: GraphTrace, T: int, windows: str, key
+    horizon: int, T: int, windows: str, changed: np.ndarray
 ) -> bool:
-    """Whether ``key`` is constant on every T-interval (via change points)."""
-    prefix = _change_prefix(trace, key)
-    for start, stop in windows_of(trace.horizon, T, windows):
-        if prefix[stop - 1] != prefix[start]:
-            return False
-    return True
+    """Whether no T-interval holds a change point after its first round.
+
+    With ``S`` the prefix count of ``changed``, window ``[start, stop)``
+    is stable iff ``S[stop-1] == S[start]``, so any number of windows —
+    sliding ones overlap heavily — is checked after one pass over the
+    trace.
+    """
+    prefix = np.cumsum(changed)
+    return all(
+        prefix[stop - 1] == prefix[start]
+        for start, stop in windows_of(horizon, T, windows)
+    )
 
 
 def head_set_stable(trace: GraphTrace, T: int, windows: str = "blocks") -> bool:
     """Definition 2 (:math:`T_s`): the head set is constant on every T-interval."""
-    return _stable_in_all_windows(trace, T, windows, lambda s: s.heads())
+    roles, _ = trace.hierarchy_rows()
+    return _stable_in_all_windows(
+        trace.horizon, T, windows, _change_points(roles == _HEAD)
+    )
 
 
 def cluster_stable(trace: GraphTrace, cluster: int, T: int, windows: str = "blocks") -> bool:
@@ -414,9 +413,9 @@ def cluster_stable(trace: GraphTrace, cluster: int, T: int, windows: str = "bloc
     A round in which the cluster does not exist contributes the empty set,
     so a cluster that disappears mid-interval is *not* stable.
     """
-    return _stable_in_all_windows(
-        trace, T, windows, lambda s: s.cluster_members(cluster)
-    )
+    _, heads = trace.hierarchy_rows()
+    members = (heads == cluster) & (cluster >= 0)
+    return _stable_in_all_windows(trace.horizon, T, windows, _change_points(members))
 
 
 def hierarchy_stable(trace: GraphTrace, T: int, windows: str = "blocks") -> bool:
@@ -425,7 +424,9 @@ def hierarchy_stable(trace: GraphTrace, T: int, windows: str = "blocks") -> bool
     Checked directly on the full (roles, membership) maps, which is
     equivalent to Definition 2 plus Definition 3 for all clusters.
     """
-    return _stable_in_all_windows(trace, T, windows, _hierarchy_key)
+    return _stable_in_all_windows(
+        trace.horizon, T, windows, _change_points(*trace.hierarchy_rows())
+    )
 
 
 def max_block_stable_hierarchy(trace: GraphTrace) -> int:
@@ -435,19 +436,10 @@ def max_block_stable_hierarchy(trace: GraphTrace) -> int:
     the answer is the gcd of all change rounds; a trace that never changes
     is stable for any ``T`` and we return its horizon.
     """
-    changes: List[int] = []
-    prev = _hierarchy_key(trace.snapshot(0))
-    for r in range(1, trace.horizon):
-        cur = _hierarchy_key(trace.snapshot(r))
-        if cur != prev:
-            changes.append(r)
-        prev = cur
-    if not changes:
+    changes = np.flatnonzero(_change_points(*trace.hierarchy_rows()))
+    if changes.size == 0:
         return trace.horizon
-    g = 0
-    for c in changes:
-        g = gcd(g, c)
-    return g
+    return int(np.gcd.reduce(changes))
 
 
 # ---------------------------------------------------------------------------
@@ -629,12 +621,13 @@ def definition_report(
     The lattice implications (HiNet ⇒ Th ∧ TdL; Th ⇒ Ts ∧ Tc;
     TdL ⇒ Td) hold by construction and are asserted in the tests.
     """
-    clusters_ever: set = set()
-    for r in range(trace.horizon):
-        clusters_ever |= set(trace.snapshot(r).clusters())
-    ts = head_set_stable(trace, T, windows)
-    tc = all(cluster_stable(trace, c, T, windows) for c in clusters_ever)
-    th = hierarchy_stable(trace, T, windows)
+    roles, heads = trace.hierarchy_rows()
+    horizon = trace.horizon
+    ts = _stable_in_all_windows(horizon, T, windows, _change_points(roles == _HEAD))
+    # every cluster ever observed keeps its members exactly when no node
+    # joins, leaves or switches a cluster
+    tc = _stable_in_all_windows(horizon, T, windows, _change_points(heads))
+    th = _stable_in_all_windows(horizon, T, windows, _change_points(roles, heads))
     bound = realized_hop_bound(trace, T, windows)
     td = bound is not None
     lhop = bound is not None and bound <= L

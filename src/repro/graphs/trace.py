@@ -1,133 +1,14 @@
 """Finite dynamic-graph traces.
 
-A :class:`GraphTrace` is the concrete representation of a dynamic network
-used throughout the library: an explicit sequence of per-round
-:class:`~repro.sim.topology.Snapshot` objects.  It implements the engine's
-``DynamicNetwork`` protocol (``.n`` + ``.snapshot(r)``) and is what every
-generator in :mod:`repro.graphs.generators` produces and every property
-checker in :mod:`repro.graphs.properties` consumes.
-
-Rounds beyond the recorded horizon are handled per the ``extend`` policy:
-
-* ``"hold"`` (default) — the last snapshot repeats forever (the network
-  "freezes"; safe for algorithms whose round bound slightly exceeds the
-  generated horizon).
-* ``"cycle"`` — the trace repeats periodically.
-* ``"strict"`` — an ``IndexError`` is raised (for tests that must not
-  silently run past the scenario).
+:class:`GraphTrace` — the library's one dynamic-network container, an
+explicit sequence of per-round
+:class:`~repro.sim.topology.SnapshotArrays` plus an ``extend`` policy for
+rounds past its horizon — lives in :mod:`repro.sim.topology`, next to the
+snapshots it sequences, and is re-exported here, where every generator in
+:mod:`repro.graphs.generators` and every property checker in
+:mod:`repro.graphs.properties` imports it from.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterable, List
-
-from ..sim.topology import Snapshot
+from ..sim.topology import GraphTrace
 
 __all__ = ["GraphTrace"]
-
-_EXTEND_MODES = ("hold", "cycle", "strict")
-
-
-@dataclass
-class GraphTrace:
-    """An explicit per-round sequence of snapshots.
-
-    Attributes
-    ----------
-    snapshots:
-        One :class:`Snapshot` per recorded round, all with the same node
-        count.
-    extend:
-        Behaviour for rounds past ``len(snapshots) - 1``; see module
-        docstring.
-    """
-
-    snapshots: List[Snapshot]
-    extend: str = "hold"
-
-    def __post_init__(self) -> None:
-        if not self.snapshots:
-            raise ValueError("a trace needs at least one snapshot")
-        if self.extend not in _EXTEND_MODES:
-            raise ValueError(
-                f"extend must be one of {_EXTEND_MODES}, got {self.extend!r}"
-            )
-        n = self.snapshots[0].n
-        for i, snap in enumerate(self.snapshots):
-            if snap.n != n:
-                raise ValueError(
-                    f"snapshot {i} has {snap.n} nodes, expected {n}"
-                )
-
-    # -- DynamicNetwork protocol ------------------------------------------
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self.snapshots[0].n
-
-    def snapshot(self, r: int) -> Snapshot:
-        """Snapshot of round ``r``, applying the extension policy."""
-        if r < 0:
-            raise IndexError(f"round index must be non-negative, got {r}")
-        h = len(self.snapshots)
-        if r < h:
-            return self.snapshots[r]
-        if self.extend == "hold":
-            return self.snapshots[-1]
-        if self.extend == "cycle":
-            return self.snapshots[r % h]
-        raise IndexError(f"round {r} beyond recorded horizon {h} (strict trace)")
-
-    # -- container conveniences ---------------------------------------------
-
-    @property
-    def horizon(self) -> int:
-        """Number of recorded rounds."""
-        return len(self.snapshots)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __iter__(self):
-        return iter(self.snapshots)
-
-    def __getitem__(self, r: int) -> Snapshot:
-        return self.snapshots[r]
-
-    # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def constant(cls, snapshot: Snapshot, rounds: int = 1, extend: str = "hold") -> "GraphTrace":
-        """A static network: the same snapshot for ``rounds`` rounds."""
-        if rounds < 1:
-            raise ValueError(f"need at least one round, got {rounds}")
-        return cls(snapshots=[snapshot] * rounds, extend=extend)
-
-    @classmethod
-    def from_networkx(cls, graphs: Iterable, extend: str = "hold") -> "GraphTrace":
-        """Build from an iterable of :class:`networkx.Graph` on nodes 0..n-1."""
-        snaps = [Snapshot.from_networkx(g) for g in graphs]
-        return cls(snapshots=snaps, extend=extend)
-
-    def sliced(self, start: int, stop: int) -> "GraphTrace":
-        """Sub-trace of rounds ``[start, stop)`` with the same policy."""
-        if not (0 <= start < stop <= self.horizon):
-            raise ValueError(
-                f"invalid slice [{start}, {stop}) for horizon {self.horizon}"
-            )
-        return GraphTrace(snapshots=self.snapshots[start:stop], extend=self.extend)
-
-    @property
-    def clustered(self) -> bool:
-        """Whether every snapshot carries hierarchy information."""
-        return all(s.clustered for s in self.snapshots)
-
-    def validate_hierarchy(self) -> None:
-        """Validate CTVG structural invariants on every recorded round."""
-        for r, snap in enumerate(self.snapshots):
-            try:
-                snap.validate_hierarchy()
-            except ValueError as exc:
-                raise ValueError(f"round {r}: {exc}") from exc

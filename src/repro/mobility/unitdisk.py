@@ -21,7 +21,7 @@ from typing import List
 import networkx as nx
 import numpy as np
 
-from ..sim.topology import Snapshot
+from ..sim.topology import Snapshot, csr_rounds
 from ..graphs.trace import GraphTrace
 
 try:  # scipy is an optional dependency throughout the library
@@ -108,10 +108,10 @@ def unit_disk_trace(
             f"positions must have shape (rounds, n, 2), got {traj.shape}"
         )
     rounds, n = traj.shape[0], traj.shape[1]
-    snaps = []
+    round_edges = []
     for r in range(rounds):
         edges = unit_disk_edges(traj[r], radius)
         if ensure_connected and n > 1:
             edges = _connect(n, edges)
-        snaps.append(Snapshot.from_edges(n, edges))
-    return GraphTrace(snapshots=snaps, extend="hold")
+        round_edges.append(edges)
+    return GraphTrace(csr_rounds(n, round_edges), extend="hold")

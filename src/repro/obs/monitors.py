@@ -41,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
 __all__ = [
     "BudgetMonitor",
     "CoverageMonotonicityMonitor",
@@ -344,9 +346,10 @@ class StabilityMonitor(Monitor):
 
     @staticmethod
     def _hierarchy_key(snap):
-        if not snap.clustered:
+        arrs = snap.arrays()
+        if arrs.roles is None or arrs.head_of is None:
             return None
-        return (tuple(snap.roles), tuple(snap.head_of))
+        return (arrs.roles.tobytes(), arrs.head_of.tobytes())
 
     def observe(self, view: RoundView) -> None:
         snap = view.snap
@@ -366,13 +369,13 @@ class StabilityMonitor(Monitor):
                 f"(T={self.T}-stability violated)",
                 phase=r // self.T, T=self.T,
             )
-        if snap.clustered and self.member_adjacency and not self._adjacency_broken:
-            bad = [
-                v for v in range(snap.n)
-                if snap.head_of[v] is not None
-                and snap.head_of[v] != v
-                and snap.head_of[v] not in snap.adj[v]
-            ]
+        if key is not None and self.member_adjacency and not self._adjacency_broken:
+            # the rule Snapshot.validate_hierarchy applies to members
+            arrs = snap.arrays()
+            head_of = arrs.head_of
+            bad = np.flatnonzero(
+                (head_of >= 0) & (head_of != np.arange(snap.n)) & ~arrs.head_adjacent
+            ).tolist()
             if bad:
                 self._adjacency_broken = True  # one diagnostic per block
                 self.emit(

@@ -35,11 +35,11 @@ budget, so one round's transient memory does not grow with ``n · deg · W``.
 Below the budget (every n·k this repo benchmarks) it is a single
 ``reduceat``; the blocking is invisible in results (OR is associative).
 
-Networks may be array-native: when the network object exposes
-``snapshot_arrays(r)`` (see :class:`~repro.sim.topology.CSRNetwork`), the
-loop never materialises per-node frozensets — unless runtime monitors are
-attached, whose round views carry a
-:class:`~repro.sim.topology.Snapshot`.
+Every :class:`~repro.sim.topology.GraphTrace` is array-native: the loop
+reads its ``snapshot_arrays(r)`` and never materialises per-node
+frozensets — unless runtime monitors are attached, whose round views
+carry a :class:`~repro.sim.topology.Snapshot`.  Other networks (adaptive
+adversaries, ad-hoc test doubles) are read through ``snapshot(r)``.
 """
 
 from __future__ import annotations

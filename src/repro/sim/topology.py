@@ -1,23 +1,27 @@
-"""Per-round topology snapshots consumed by the synchronous engine.
+"""Per-round topology snapshots and the traces that sequence them.
 
 A :class:`Snapshot` is the engine's view of one round: who is adjacent to
 whom, and — for clustered (CTVG) scenarios — each node's role and cluster
-head.  Dynamic-network objects in :mod:`repro.graphs` produce one snapshot
-per round; the engine never sees anything else, so any topology source
-(precomputed trace, adversary, mobility model, clustering pipeline) plugs
-in uniformly.
+head.  A :class:`GraphTrace` is a dynamic network: the per-round sequence
+of snapshots (the paper's CTVG, Definition 1) plus a policy for rounds
+past its horizon.  Engines only ask a network for ``.n`` and
+``.snapshot(r)`` (and ``.snapshot_arrays(r)`` where present), so any
+topology source (precomputed trace, adversary, mobility model, clustering
+pipeline) plugs in uniformly.
 
 The representation is :class:`SnapshotArrays`: sorted CSR adjacency plus
-role and head arrays.  Generators, the vectorised engine tiers, the
-property certifiers and the result-cache key all read it directly.  The
-per-node ``adj`` frozensets (and ``roles``/``head_of`` tuples) are a lazy,
-memoized view materialised on first access — by the reference engine and
-by code that asks set questions of one node.  :func:`csr_rounds` builds the
-CSR of many rounds in one pass.
+role and head arrays.  A trace stores one per round; generators, the
+vectorised engine tiers, the property certifiers and the result-cache key
+all read them directly.  A :class:`Snapshot` is a view of one round's
+arrays, and its per-node ``adj`` frozensets (and ``roles``/``head_of``
+tuples) materialise lazily on first access — by the reference engine and
+by code that asks set questions of one node.  :func:`csr_rounds` builds
+the CSR of many rounds in one pass.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import FrozenInstanceError, dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -26,7 +30,7 @@ import numpy as np
 from ..roles import Role
 
 __all__ = [
-    "CSRNetwork",
+    "GraphTrace",
     "ROLE_CODES",
     "Snapshot",
     "SnapshotArrays",
@@ -176,76 +180,6 @@ def _adjacency(arrs: SnapshotArrays) -> Tuple[FrozenSet[int], ...]:
 
 #: Marks a :class:`Snapshot` view not yet materialised from its arrays.
 _LAZY = object()
-
-
-class CSRNetwork:
-    """An array-native dynamic network: CSR topology, no frozensets.
-
-    The vectorised round loop (:mod:`repro.sim.columnar`) asks networks for
-    ``snapshot_arrays(r)`` and consumes :class:`SnapshotArrays` directly —
-    at n = 10⁶, materialising ``n`` adjacency frozensets per round would
-    dwarf the simulation itself.  This wrapper turns one
-    :class:`SnapshotArrays` (a static topology, repeated every round) or a
-    per-round sequence of them into such a network.
-
-    Adjacency must be symmetric (the engines model undirected radio
-    links) with each node's neighbour segment sorted ascending — the same
-    invariants :meth:`Snapshot.arrays` produces.
-
-    :meth:`snapshot` wraps the arrays in a :class:`Snapshot` view
-    (memoized per distinct arrays object) whose frozensets materialise
-    on first access, so the reference engine (and runtime monitors)
-    still run on the same network — the small-n equivalence bridge the
-    vectorised tests drive.
-    """
-
-    def __init__(self, arrays) -> None:
-        if isinstance(arrays, SnapshotArrays):
-            per_round: Tuple[SnapshotArrays, ...] = (arrays,)
-        else:
-            per_round = tuple(arrays)
-        if not per_round:
-            raise ValueError("CSRNetwork needs at least one SnapshotArrays")
-        n = per_round[0].degrees.shape[0]
-        for arrs in per_round:
-            if arrs.indptr.shape[0] != n + 1 or arrs.degrees.shape[0] != n:
-                raise ValueError(
-                    "every round of a CSRNetwork must cover the same node set"
-                )
-        self._per_round = per_round
-        self._n = n
-        self._snap_memo: Dict[int, Tuple[SnapshotArrays, "Snapshot"]] = {}
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self._n
-
-    @property
-    def horizon(self) -> Optional[int]:
-        """Rounds of explicit topology, or ``None`` for a static network."""
-        return None if len(self._per_round) == 1 else len(self._per_round)
-
-    def snapshot_arrays(self, r: int) -> SnapshotArrays:
-        """Round ``r``'s topology as arrays (static networks repeat)."""
-        if len(self._per_round) == 1:
-            return self._per_round[0]
-        if not 0 <= r < len(self._per_round):
-            raise ValueError(
-                f"round {r} outside this network's 0..{len(self._per_round) - 1}"
-            )
-        return self._per_round[r]
-
-    def snapshot(self, r: int) -> "Snapshot":
-        """Round ``r`` as a :class:`Snapshot` view of its arrays (memoized
-        per arrays object, so a static network materialises once)."""
-        arrs = self.snapshot_arrays(r)
-        hit = self._snap_memo.get(id(arrs))
-        if hit is not None and hit[0] is arrs:
-            return hit[1]
-        snap = Snapshot.from_arrays(arrs)
-        self._snap_memo[id(arrs)] = (arrs, snap)
-        return snap
 
 
 class Snapshot:
@@ -556,30 +490,255 @@ class Snapshot:
 
         The lowest-numbered offending node is reported.
         """
-        self._require_clustered()
-        arrs = self.arrays()
-        head_of = arrs.head_of
-        is_head = arrs.roles == _HEAD
-        affiliated = ~is_head & (head_of >= 0)
-        known = affiliated & (head_of < self._n)
-        joins_head = np.zeros(self._n, dtype=bool)
-        joins_head[known] = is_head[head_of[known]]
-        bad = (is_head & (head_of != np.arange(self._n))) | (
-            affiliated & ~(joins_head & arrs.head_adjacent)
-        )
-        if not bad.any():
-            return
-        v = int(np.argmax(bad))
-        h = int(head_of[v])
-        if is_head[v]:
-            shown = None if h < 0 else h
-            raise ValueError(f"head {v} has cluster id {shown}, expected itself")
-        if not joins_head[v]:
-            raise ValueError(f"node {v} affiliated to non-head {h}")
-        raise ValueError(
-            f"node {v} affiliated to head {h} but they are not adjacent"
-        )
+        _validate_hierarchy(self.arrays())
 
     def _require_clustered(self) -> None:
-        if not self.clustered:
-            raise ValueError("snapshot carries no hierarchy information")
+        _require_clustered(self.arrays())
+
+
+def _require_clustered(arrs: SnapshotArrays) -> None:
+    if arrs.roles is None or arrs.head_of is None:
+        raise ValueError("snapshot carries no hierarchy information")
+
+
+def _validate_hierarchy(arrs: SnapshotArrays) -> None:
+    """:meth:`Snapshot.validate_hierarchy` on one round's arrays."""
+    _require_clustered(arrs)
+    n = arrs.degrees.shape[0]
+    head_of = arrs.head_of
+    is_head = arrs.roles == _HEAD
+    affiliated = ~is_head & (head_of >= 0)
+    known = affiliated & (head_of < n)
+    joins_head = np.zeros(n, dtype=bool)
+    joins_head[known] = is_head[head_of[known]]
+    bad = (is_head & (head_of != np.arange(n))) | (
+        affiliated & ~(joins_head & arrs.head_adjacent)
+    )
+    if not bad.any():
+        return
+    v = int(np.argmax(bad))
+    h = int(head_of[v])
+    if is_head[v]:
+        shown = None if h < 0 else h
+        raise ValueError(f"head {v} has cluster id {shown}, expected itself")
+    if not joins_head[v]:
+        raise ValueError(f"node {v} affiliated to non-head {h}")
+    raise ValueError(
+        f"node {v} affiliated to head {h} but they are not adjacent"
+    )
+
+
+_EXTEND_MODES = ("hold", "cycle", "strict")
+
+
+class GraphTrace:
+    """A dynamic network: one :class:`SnapshotArrays` per recorded round.
+
+    The one container for a sequence of rounds.  Every generator in
+    :mod:`repro.graphs.generators` produces one, every property checker
+    in :mod:`repro.graphs.properties` consumes one, and the engines run
+    on it: the vectorised tiers read :meth:`snapshot_arrays`, the
+    reference engine :meth:`snapshot`.  ``GraphTrace(snapshots, extend)``
+    takes a sequence of :class:`Snapshot` or :class:`SnapshotArrays` (a
+    single :class:`SnapshotArrays` is a one-round trace), all on the
+    same node count.  Adjacency must be symmetric with each node's
+    neighbour segment sorted ascending — what :func:`csr_rounds` and
+    :meth:`Snapshot.arrays` produce.
+
+    Rounds past the horizon follow ``extend``:
+
+    * ``"hold"`` (default) — the last round repeats forever (the network
+      "freezes"; safe for algorithms whose round bound exceeds the
+      recorded horizon, and a one-round trace is a static network);
+    * ``"cycle"`` — the trace repeats periodically;
+    * ``"strict"`` — an ``IndexError`` is raised (for tests that must not
+      silently run past the scenario).
+
+    :meth:`snapshot` returns a lazy :class:`Snapshot` view of the round's
+    arrays, memoized per arrays object, so a round repeated by the policy
+    or shared between rounds materialises once; a trace built from
+    snapshots hands those same objects back.  Traces are immutable:
+    equality and pickling depend on the policy and the rounds' content
+    only (see :meth:`digest`).
+    """
+
+    __slots__ = ("_rounds", "extend", "_snap_memo", "_digest")
+
+    def __init__(self, snapshots, extend: str = "hold") -> None:
+        if isinstance(snapshots, SnapshotArrays):
+            snapshots = (snapshots,)
+        if extend not in _EXTEND_MODES:
+            raise ValueError(
+                f"extend must be one of {_EXTEND_MODES}, got {extend!r}"
+            )
+        memo: Dict[int, Tuple[SnapshotArrays, Snapshot]] = {}
+        rounds = []
+        for item in snapshots:
+            if isinstance(item, Snapshot):
+                arrs = item.arrays()
+                memo.setdefault(id(arrs), (arrs, item))
+                item = arrs
+            rounds.append(item)
+        if not rounds:
+            raise ValueError("a trace needs at least one snapshot")
+        n = rounds[0].degrees.shape[0]
+        for i, arrs in enumerate(rounds):
+            size = arrs.degrees.shape[0]
+            if size != n or arrs.indptr.shape[0] != n + 1:
+                raise ValueError(f"snapshot {i} has {size} nodes, expected {n}")
+        set_ = object.__setattr__
+        set_(self, "_rounds", tuple(rounds))
+        set_(self, "extend", extend)
+        # {id(arrays): (arrays, view)}; the trace holds every arrays object,
+        # so an id is never reused while its entry lives
+        set_(self, "_snap_memo", memo)
+        set_(self, "_digest", None)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    # -- DynamicNetwork protocol ------------------------------------------
+
+    @property
+    def n(self) -> int:
+        """Number of nodes."""
+        return int(self._rounds[0].degrees.shape[0])
+
+    def snapshot_arrays(self, r: int) -> SnapshotArrays:
+        """Round ``r``'s arrays, applying the extension policy."""
+        rounds = self._rounds
+        if 0 <= r < len(rounds):
+            return rounds[r]
+        if r < 0:
+            raise IndexError(f"round index must be non-negative, got {r}")
+        if self.extend == "hold":
+            return rounds[-1]
+        if self.extend == "cycle":
+            return rounds[r % len(rounds)]
+        raise IndexError(
+            f"round {r} beyond recorded horizon {len(rounds)} (strict trace)"
+        )
+
+    def snapshot(self, r: int) -> Snapshot:
+        """Round ``r`` as a :class:`Snapshot` view of its arrays."""
+        arrs = self.snapshot_arrays(r)
+        hit = self._snap_memo.get(id(arrs))
+        if hit is not None:
+            return hit[1]
+        snap = Snapshot.from_arrays(arrs)
+        self._snap_memo[id(arrs)] = (arrs, snap)
+        return snap
+
+    # -- container conveniences -------------------------------------------
+
+    @property
+    def horizon(self) -> int:
+        """Number of recorded rounds."""
+        return len(self._rounds)
+
+    @property
+    def snapshots(self) -> List[Snapshot]:
+        """The recorded rounds as :class:`Snapshot` views (a fresh list)."""
+        return [self.snapshot(r) for r in range(len(self._rounds))]
+
+    def __len__(self) -> int:
+        return len(self._rounds)
+
+    def __iter__(self):
+        return (self.snapshot(r) for r in range(len(self._rounds)))
+
+    def __getitem__(self, r: int) -> Snapshot:
+        return self.snapshot(range(len(self._rounds))[r])
+
+    @classmethod
+    def constant(cls, snapshot, rounds: int = 1, extend: str = "hold") -> "GraphTrace":
+        """A static network: the same snapshot for ``rounds`` rounds."""
+        if rounds < 1:
+            raise ValueError(f"need at least one round, got {rounds}")
+        return cls([snapshot] * rounds, extend=extend)
+
+    def sliced(self, start: int, stop: int) -> "GraphTrace":
+        """Sub-trace of rounds ``[start, stop)`` with the same policy."""
+        if not (0 <= start < stop <= self.horizon):
+            raise ValueError(
+                f"invalid slice [{start}, {stop}) for horizon {self.horizon}"
+            )
+        return GraphTrace(
+            [self.snapshot(r) for r in range(start, stop)], extend=self.extend
+        )
+
+    # -- hierarchy ----------------------------------------------------------
+
+    @property
+    def clustered(self) -> bool:
+        """Whether every round carries hierarchy information."""
+        return all(
+            arrs.roles is not None and arrs.head_of is not None for arrs in self._rounds
+        )
+
+    def hierarchy_rows(self, stop: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """Role codes and head ids of rounds ``0 .. stop-1`` (default: the
+        horizon), stacked one row per round; ``ValueError`` on a flat round."""
+        rounds = [
+            self.snapshot_arrays(r)
+            for r in range(self.horizon if stop is None else stop)
+        ]
+        for arrs in rounds:
+            _require_clustered(arrs)
+        return (
+            np.stack([arrs.roles for arrs in rounds]),
+            np.stack([arrs.head_of for arrs in rounds]),
+        )
+
+    def validate_hierarchy(self) -> None:
+        """Validate CTVG structural invariants on every recorded round."""
+        for r, arrs in enumerate(self._rounds):
+            try:
+                _validate_hierarchy(arrs)
+            except ValueError as exc:
+                raise ValueError(f"round {r}: {exc}") from exc
+
+    # -- value semantics ----------------------------------------------------
+
+    def digest(self) -> bytes:
+        """One SHA-256 per recorded round, concatenated (memoized).
+
+        A round's digest covers its CSR ``indptr`` and ``indices`` as
+        little-endian int64, then each hierarchy array it carries behind
+        its own tag: ``roles`` as int8 :data:`ROLE_CODES` and ``head_of``
+        as int64 with ``-1`` for "unaffiliated".  A flat round has
+        neither tag; ``head_adjacent`` is derived from the rest and left
+        out.  Rounds sharing one arrays object are hashed once.
+        """
+        digest = self._digest
+        if digest is None:
+            seen: Dict[int, bytes] = {}
+            for arrs in self._rounds:
+                if id(arrs) not in seen:
+                    parts = [
+                        arrs.indptr.astype("<i8", copy=False).tobytes(),
+                        arrs.indices.astype("<i8", copy=False).tobytes(),
+                    ]
+                    if arrs.roles is not None:
+                        parts += [b"roles", arrs.roles.astype("<i1", copy=False).tobytes()]
+                    if arrs.head_of is not None:
+                        parts += [b"head_of", arrs.head_of.astype("<i8", copy=False).tobytes()]
+                    seen[id(arrs)] = hashlib.sha256(b"".join(parts)).digest()
+            digest = b"".join(seen[id(arrs)] for arrs in self._rounds)
+            object.__setattr__(self, "_digest", digest)
+        return digest
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GraphTrace):
+            return NotImplemented
+        return self.extend == other.extend and self.digest() == other.digest()
+
+    def __reduce__(self):
+        return (GraphTrace, (self._rounds, self.extend))
+
+    def __repr__(self) -> str:
+        return f"GraphTrace(n={self.n}, horizon={self.horizon}, extend={self.extend!r})"
+
+
+#: The array-native name the vectorised benchmarks use for a trace.
+CSRNetwork = GraphTrace

@@ -463,10 +463,10 @@ class TestCSRNetwork:
 
     def test_sequence_of_snapshots_bounds_checked(self):
         arrs = [ring_lattice_arrays(10, 2), ring_lattice_arrays(10, 4)]
-        net = CSRNetwork(arrs)
+        net = CSRNetwork(arrs, extend="strict")
         assert net.horizon == 2
         net.snapshot_arrays(1)
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(IndexError, match="horizon"):
             net.snapshot_arrays(2)
 
     def test_single_arrays_repeat_forever(self):

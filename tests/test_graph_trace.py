@@ -1,11 +1,16 @@
 """Unit tests for repro.graphs.trace.GraphTrace."""
 
+import dataclasses
+import pickle
+
 import networkx as nx
 import pytest
 
+from repro.experiments.scenarios import hinet_interval_scenario
+from repro.experiments.cache import scenario_fingerprint
 from repro.graphs.trace import GraphTrace
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import CSRNetwork, Snapshot
 
 
 def _snap(edges, n=3):
@@ -26,7 +31,9 @@ class TestConstruction:
             GraphTrace(snapshots=[_snap([])], extend="forever")
 
     def test_from_networkx(self):
-        trace = GraphTrace.from_networkx([nx.path_graph(3), nx.cycle_graph(3)])
+        trace = GraphTrace(
+            [Snapshot.from_networkx(g) for g in (nx.path_graph(3), nx.cycle_graph(3))]
+        )
         assert trace.horizon == 2
         assert trace.snapshot(1).degree(0) == 2
 
@@ -98,3 +105,43 @@ class TestClusteredTrace:
         trace = GraphTrace([good, bad])
         with pytest.raises(ValueError, match="round 1"):
             trace.validate_hierarchy()
+
+
+class TestOneTraceType:
+    def test_csr_network_is_graph_trace(self):
+        assert CSRNetwork is GraphTrace
+
+    def test_extend_is_read_only(self):
+        # the trace memoizes its digest: a mutable policy would leave a
+        # stale cache key behind
+        trace = GraphTrace([_snap([(0, 1)])])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.extend = "cycle"
+        assert trace.extend == "hold"
+
+    def test_pickle_round_trip(self):
+        scenario = hinet_interval_scenario(n0=24, theta=6, k=4, alpha=2, L=2,
+                                           seed=5)
+        trace = scenario.trace
+        trace.snapshot(0).adj  # fill the memos the pickle must not carry
+        key = scenario_fingerprint(scenario)
+        blob = pickle.dumps(trace)
+        back = pickle.loads(blob)
+        assert back._snap_memo == {} and back._digest is None
+        assert back == trace
+        assert scenario_fingerprint(dataclasses.replace(scenario, trace=back)) == key
+        assert b"_snap_memo" not in blob and b"_digest" not in blob
+
+    @pytest.mark.parametrize("extend", ["hold", "cycle"])
+    def test_views_past_horizon_share_the_arrays(self, extend):
+        trace = GraphTrace([_snap([(0, 1)]), _snap([(1, 2)]), _snap([])],
+                           extend=extend)
+        for r in range(8):
+            assert trace.snapshot(r).arrays() is trace.snapshot_arrays(r)
+
+    def test_arrays_and_snapshots_build_equal_traces(self):
+        snaps = [_snap([(0, 1)]), _snap([(1, 2)])]
+        from_arrays = GraphTrace([s.arrays() for s in snaps])
+        assert from_arrays == GraphTrace(snaps)
+        assert from_arrays != GraphTrace(snaps, extend="cycle")
+        assert GraphTrace(snaps[0].arrays()).horizon == 1

@@ -32,6 +32,7 @@ from repro.graphs.generators.markovian import edge_markovian_trace
 from repro.graphs.generators.partitioned import partitioned_trace
 from repro.graphs.generators.static import clustered_star_arrays
 from repro.graphs.generators.worstcase import (
+    bottleneck_trace,
     rotating_star_trace,
     shuffled_path_trace,
 )
@@ -246,6 +247,13 @@ class TestGeneratorContentPins:
     def test_rotating_star_content(self, stride, digest):
         # deterministic generator: the stride stands in for the seed
         assert self._edge_digest(rotating_star_trace(7, 9, stride=stride)) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (3, "3860c4983bec2e74231baf4df50c7dd4846e6a956b46a604df2b4ae9b411fb53"),
+        (47, "ae8c3d2565b62f0e0abdcf5b937a4ca714b5c9cbbe1215cdff3de51056d08043"),
+    ])
+    def test_bottleneck_content(self, seed, digest):
+        assert self._edge_digest(bottleneck_trace(9, 6, seed=seed)) == digest
 
     @pytest.mark.parametrize("seed, digest", [
         (3, "ed75fd738e6fb09f3ff9864454db2f55f9adb766aeaa038ab2d0cadfb5148648"),
