@@ -98,6 +98,6 @@ def edge_markovian_trace(
             g.add_edges_from(edges.tolist())
             if not nx.is_connected(g):
                 tree = list(random_spanning_tree(n, seed=rng).edges())
-                edges = np.concatenate([edges, np.array(tree).reshape(-1, 2)])
+                edges = np.concatenate([edges, tree])
         round_edges.append(edges)
     return GraphTrace(csr_rounds(n, round_edges), extend="hold")

@@ -41,7 +41,7 @@ import networkx as nx
 import numpy as np
 
 from ..roles import Role
-from ..sim.topology import ROLE_CODES, Snapshot
+from ..sim.topology import ROLE_CODES, Snapshot, SnapshotArrays
 from .trace import GraphTrace
 
 __all__ = [
@@ -194,12 +194,12 @@ def _sliding_all_connected(trace: GraphTrace, T: int) -> bool:
 _BATCH_BUDGET = 1 << 22
 
 
-def _edge_keys(snap: Snapshot) -> np.ndarray:
-    """``u * n + v`` for every edge ``u < v`` of ``snap``, ascending."""
-    arrs = snap.arrays()
-    rows = np.repeat(np.arange(snap.n, dtype=np.int64), arrs.degrees)
+def _edge_keys(arrs: SnapshotArrays) -> np.ndarray:
+    """``u * n + v`` for every edge ``u < v`` of one round, ascending."""
+    n = arrs.degrees.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), arrs.degrees)
     upper = rows < arrs.indices
-    return rows[upper] * snap.n + arrs.indices[upper]
+    return rows[upper] * n + arrs.indices[upper]
 
 
 class _WindowGraphs:
@@ -347,7 +347,7 @@ def _window_graphs(
         for r in range(start, stop):
             keys = round_keys.get(r)
             if keys is None:
-                keys = round_keys[r] = _edge_keys(trace.snapshot(r))
+                keys = round_keys[r] = _edge_keys(trace.snapshot_arrays(r))
             size += keys.size
         if batch and cost + size > _BATCH_BUDGET:
             yield batch, _WindowGraphs.intersect(n, batch, round_keys)

@@ -346,9 +346,9 @@ class StabilityMonitor(Monitor):
 
     @staticmethod
     def _hierarchy_key(snap):
-        arrs = snap.arrays()
-        if arrs.roles is None or arrs.head_of is None:
+        if not snap.clustered:
             return None
+        arrs = snap.arrays()
         return (arrs.roles.tobytes(), arrs.head_of.tobytes())
 
     def observe(self, view: RoundView) -> None:
@@ -369,7 +369,7 @@ class StabilityMonitor(Monitor):
                 f"(T={self.T}-stability violated)",
                 phase=r // self.T, T=self.T,
             )
-        if key is not None and self.member_adjacency and not self._adjacency_broken:
+        if snap.clustered and self.member_adjacency and not self._adjacency_broken:
             # the rule Snapshot.validate_hierarchy applies to members
             arrs = snap.arrays()
             head_of = arrs.head_of
