@@ -6,8 +6,8 @@ import pickle
 import networkx as nx
 import pytest
 
-from repro.experiments.scenarios import hinet_interval_scenario
 from repro.experiments.cache import scenario_fingerprint
+from repro.experiments.scenarios import hinet_interval_scenario
 from repro.graphs.trace import GraphTrace
 from repro.roles import Role
 from repro.sim.topology import CSRNetwork, Snapshot
