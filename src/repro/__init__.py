@@ -29,21 +29,7 @@ Quickstart
 True
 """
 
-from . import (
-    aggregation,
-    baselines,
-    clustering,
-    core,
-    energy,
-    experiments,
-    graphs,
-    mobility,
-    multihop,
-    obs,
-    sim,
-)
-from .obs import Profiler, RunTimeline
-from .roles import Role
+from importlib import import_module
 
 __version__ = "1.0.0"
 
@@ -64,3 +50,23 @@ __all__ = [
     "obs",
     "sim",
 ]
+
+#: Top-level names that live in a submodule, not a subpackage of their own.
+_REEXPORTS = {"Profiler": ".obs", "RunTimeline": ".obs", "Role": ".roles"}
+
+
+def __getattr__(name):
+    # PEP 562: each subpackage, and numpy with it, loads on first access,
+    # so ``import repro`` costs only this module.
+    if name in _REEXPORTS:
+        value = getattr(import_module(_REEXPORTS[name], __name__), name)
+    elif name in __all__:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -13,17 +13,20 @@ broadcast like heads in Algorithms 1 and 2), not membership.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, FrozenSet, Optional, Tuple
 
 from ..sim.topology import Snapshot
 from .hierarchy import ClusterAssignment
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["select_gateways", "backbone_hop_bound"]
 
 
 def _graph_of(snapshot: Snapshot) -> nx.Graph:
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(snapshot.n))
     g.add_edges_from(snapshot.edges())
@@ -32,6 +35,8 @@ def _graph_of(snapshot: Snapshot) -> nx.Graph:
 
 def _head_mst(graph: nx.Graph, heads: FrozenSet[int]) -> Optional[nx.Graph]:
     """MST over heads under the shortest-path metric; None if disconnected."""
+    import networkx as nx
+
     aux = nx.Graph()
     aux.add_nodes_from(heads)
     for h in heads:
@@ -54,6 +59,8 @@ def select_gateways(
     the heads cannot be connected in this round's graph (a disconnected
     round — Definition 5 fails for it).
     """
+    import networkx as nx
+
     heads = assignment.heads
     if len(heads) <= 1:
         return assignment.with_gateways(frozenset()), 0

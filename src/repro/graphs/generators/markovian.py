@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import networkx as nx
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
@@ -93,6 +92,8 @@ def edge_markovian_trace(
             state = np.where(state, ~deaths, births)
         edges = np.column_stack((iu[state], ju[state]))
         if ensure_connected and n > 1:
+            import networkx as nx
+
             g = nx.Graph()
             g.add_nodes_from(range(n))
             g.add_edges_from(edges.tolist())

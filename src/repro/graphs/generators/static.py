@@ -8,12 +8,16 @@ unit tests.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
 from ...sim.topology import Snapshot, SnapshotArrays
 from ..trace import GraphTrace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "clustered_star_arrays",
@@ -31,6 +35,8 @@ __all__ = [
 
 def path_graph(n: int) -> nx.Graph:
     """A path 0–1–…–(n-1): diameter n-1, the slowest connected topology."""
+    import networkx as nx
+
     return nx.path_graph(n)
 
 
@@ -38,16 +44,22 @@ def ring_graph(n: int) -> nx.Graph:
     """A cycle on ``n`` nodes (n >= 3)."""
     if n < 3:
         raise ValueError(f"a ring needs at least 3 nodes, got {n}")
+    import networkx as nx
+
     return nx.cycle_graph(n)
 
 
 def complete_graph(n: int) -> nx.Graph:
     """The complete graph — one-round dissemination for any algorithm."""
+    import networkx as nx
+
     return nx.complete_graph(n)
 
 
 def grid_graph(rows: int, cols: int) -> nx.Graph:
     """A rows × cols grid relabelled onto ``0 .. rows*cols - 1`` (row-major)."""
+    import networkx as nx
+
     g = nx.grid_2d_graph(rows, cols)
     mapping = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
     return nx.relabel_nodes(g, mapping)
@@ -55,6 +67,8 @@ def grid_graph(rows: int, cols: int) -> nx.Graph:
 
 def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> nx.Graph:
     """G(n, p) with an explicit seed (may be disconnected)."""
+    import networkx as nx
+
     rng = make_rng(seed)
     g = nx.Graph()
     g.add_nodes_from(range(n))
@@ -68,6 +82,8 @@ def erdos_renyi(n: int, p: float, seed: SeedLike = None) -> nx.Graph:
 
 def random_spanning_tree(n: int, seed: SeedLike = None) -> nx.Graph:
     """A uniform-ish random labelled tree on ``n`` nodes (random Prüfer sequence)."""
+    import networkx as nx
+
     rng = make_rng(seed)
     if n <= 0:
         raise ValueError(f"need at least one node, got {n}")

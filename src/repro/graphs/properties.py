@@ -35,14 +35,18 @@ connected, so ``ℓ`` steps decide Definition 7 with hop bound ``ℓ``.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
-import networkx as nx
 import numpy as np
 
 from ..roles import Role
-from ..sim.topology import ROLE_CODES, Snapshot, SnapshotArrays
+from ..sim.topology import ROLE_CODES, SnapshotArrays
 from .trace import GraphTrace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "definition_report",
@@ -90,13 +94,6 @@ def windows_of(horizon: int, T: int, windows: str = "blocks") -> Iterator[Tuple[
                 yield (start, start + T)
     else:
         raise ValueError(f"windows must be 'blocks' or 'sliding', got {windows!r}")
-
-
-def _hierarchy_key(snap: Snapshot) -> Tuple:
-    """Comparable summary of a snapshot's hierarchy (roles + memberships)."""
-    snap._require_clustered()
-    arrs = snap.arrays()
-    return (arrs.roles.tobytes(), arrs.head_of.tobytes())
 
 
 #: Instrumentation: number of per-round edge-set incorporations performed
@@ -456,6 +453,8 @@ def head_connectivity_witness(
     contains all those heads (a maximal valid Υ), or ``None`` if no valid Υ
     exists.  An empty or singleton head set is trivially connected.
     """
+    import networkx as nx
+
     heads = trace.snapshot(start).heads()
     _, graphs = next(_window_graphs(trace, [(start, stop)]))
     u, v = np.divmod(graphs.keys, trace.n)

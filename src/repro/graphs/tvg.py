@@ -18,11 +18,12 @@ the next round), matching the paper's send/receive rounds.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from .trace import GraphTrace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["TVG"]
 
@@ -77,6 +78,8 @@ class TVG:
 
     def snapshot_graph(self, t: int) -> nx.Graph:
         """The round-``t`` topology as a :class:`networkx.Graph`."""
+        import networkx as nx
+
         g = nx.Graph()
         snap = self.trace.snapshot(t)
         g.add_nodes_from(range(snap.n))
@@ -85,6 +88,8 @@ class TVG:
 
     def footprint(self) -> nx.Graph:
         """The union graph: edges present in at least one recorded round."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         for snap in self.trace:
@@ -97,6 +102,8 @@ class TVG:
         This is the candidate universe for the stable witness subgraph Υ in
         the T-interval connectivity definitions.
         """
+        import networkx as nx
+
         if stop <= start:
             raise ValueError(f"empty window [{start}, {stop})")
         common: Optional[FrozenSet[Edge]] = None

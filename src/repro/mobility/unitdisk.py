@@ -18,16 +18,10 @@ from __future__ import annotations
 
 from typing import List
 
-import networkx as nx
 import numpy as np
 
 from ..sim.topology import Snapshot, csr_rounds
 from ..graphs.trace import GraphTrace
-
-try:  # scipy is an optional dependency throughout the library
-    from scipy.spatial import cKDTree as _KDTree
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _KDTree = None
 
 __all__ = ["unit_disk_edges", "unit_disk_snapshot", "unit_disk_trace"]
 
@@ -53,12 +47,16 @@ def unit_disk_edges(positions: np.ndarray, radius: float) -> List[tuple]:
     pts = np.asarray(positions, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {pts.shape}")
-    if _KDTree is not None and len(pts) >= 2:
-        pairs = _KDTree(pts).query_pairs(r=radius, output_type="ndarray")
-        pairs.sort(axis=1)  # guarantee u < v
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        return [(int(u), int(v)) for u, v in pairs[order]]
-    return _pairs_triangle(pts, radius)
+    if len(pts) < 2:
+        return []
+    try:  # scipy is an optional dependency throughout the library
+        from scipy.spatial import cKDTree
+    except ImportError:
+        return _pairs_triangle(pts, radius)
+    pairs = cKDTree(pts).query_pairs(r=radius, output_type="ndarray")
+    pairs.sort(axis=1)  # guarantee u < v
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return [(int(u), int(v)) for u, v in pairs[order]]
 
 
 def unit_disk_snapshot(positions: np.ndarray, radius: float) -> Snapshot:
@@ -72,6 +70,8 @@ def _connect(n: int, edges: List[tuple]) -> List[tuple]:
     Deterministic: components are joined through their lowest-id nodes, so
     the patch does not consume randomness and traces stay reproducible.
     """
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     g.add_edges_from(edges)

@@ -6,8 +6,8 @@ consumes, the model class its guarantee assumes, its theorem-derived
 round budget, and how to build the per-node factory.  The implementation
 packages register their specs *at import*: :mod:`repro.core.specs`,
 :mod:`repro.baselines.specs` and :mod:`repro.multihop.specs` each call
-:func:`register` when loaded, so ``import repro`` is enough to populate
-the registry.
+:func:`register` when loaded, and every lookup below imports them first,
+so the registry is populated whatever the caller imported.
 
 Consumers never hardcode algorithm lists again: the experiment layer
 resolves specs by name (``execute("algorithm1", scenario)``), the CLI

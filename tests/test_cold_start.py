@@ -1,0 +1,84 @@
+"""Cold start: each import path loads only the heavy packages it uses.
+
+Every command starts a fresh interpreter, so what ``import repro`` pulls in
+is paid on every sweep, replay and ``run``.  The package loads its
+subpackages on first access, and networkx, scipy and sympy are imported
+inside the functions that call them.  These tests import in a subprocess,
+because the test session itself has long since loaded everything.
+"""
+
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+HEAVY = ("numpy", "scipy", "networkx", "sympy")
+
+
+def _fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter and return its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def _loaded_after(statement: str) -> set:
+    out = _fresh(f"""
+        import sys
+        {statement}
+        print(" ".join(m for m in {HEAVY!r} if m in sys.modules))
+    """)
+    return set(out.split())
+
+
+def test_import_repro_loads_no_heavy_package():
+    assert _loaded_after("import repro") == set()
+
+
+@pytest.mark.parametrize("statement", [
+    # what ``python -m repro run --help`` loads
+    "import repro.cli",
+    # the sweep and cache-replay path
+    "import repro.experiments.runner, repro.experiments.scenarios, "
+    "repro.experiments.cache, repro.graphs.properties",
+])
+def test_command_paths_load_no_scipy_networkx_or_sympy(statement):
+    assert _loaded_after(statement) <= {"numpy"}
+
+
+def test_every_public_name_resolves_lazily():
+    out = _fresh("""
+        import repro
+        missing = [n for n in repro.__all__ if n not in dir(repro)]
+        assert not missing, missing
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None, name
+        namespace = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace), repro.__all__
+        try:
+            repro.no_such_name
+        except AttributeError:
+            print("ok")
+    """)
+    assert out.split() == ["ok"]
+
+
+def test_networkx_function_runs_in_a_fresh_interpreter():
+    out = _fresh("""
+        import sys
+        from repro.experiments import fig1_example_network
+        from repro.graphs.properties import head_connectivity_witness
+        from repro.graphs.trace import GraphTrace
+        snap, _ = fig1_example_network()
+        before = "networkx" in sys.modules
+        witness = head_connectivity_witness(GraphTrace.constant(snap, rounds=2), 0, 2)
+        print(before, "networkx" in sys.modules, sorted(witness.nodes))
+    """)
+    assert out.strip().split(maxsplit=2) == ["False", "True", str(list(range(11)))]

@@ -1,5 +1,7 @@
 """Tests for the mobility substrate: field, random waypoint, unit disk."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,12 @@ from hypothesis import strategies as st
 
 from repro.graphs.properties import is_T_interval_connected
 from repro.mobility.field import Field
-from repro.mobility.unitdisk import unit_disk_edges, unit_disk_snapshot, unit_disk_trace
+from repro.mobility.unitdisk import (
+    _pairs_triangle,
+    unit_disk_edges,
+    unit_disk_snapshot,
+    unit_disk_trace,
+)
 from repro.mobility.waypoint import RandomWaypoint
 
 
@@ -95,6 +102,21 @@ class TestUnitDisk:
             unit_disk_edges(np.zeros((3, 2)), radius=0)
         with pytest.raises(ValueError):
             unit_disk_edges(np.zeros((3, 3)), radius=1)
+
+    @pytest.mark.parametrize("scan", ["kdtree", "no-scipy"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 50])
+    @pytest.mark.parametrize("radius", [0.05, 0.2, 0.5, 1.5])
+    def test_neighbour_scans_agree(self, monkeypatch, scan, n, radius):
+        """The KD-tree scan and the upper-triangle fallback give one sorted
+        edge list; ``unit_disk_edges`` takes the fallback without scipy."""
+        pts = np.random.default_rng(100 + n).random((n, 2))
+        expected = _pairs_triangle(pts, radius)
+        assert expected == sorted(expected)
+        if scan == "kdtree":
+            pytest.importorskip("scipy.spatial")
+        else:
+            monkeypatch.setitem(sys.modules, "scipy.spatial", None)
+        assert unit_disk_edges(pts, radius) == expected
 
     def test_snapshot(self):
         pts = np.array([[0, 0], [1, 0]], dtype=float)
