@@ -39,25 +39,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .core.analysis import CostParams
-from .experiments.figures import (
-    fig1_example_network,
-    fig2_definition_lattice,
-    fig3_walkthrough,
-)
-from .experiments.report import format_records
-from .experiments.scenarios import (
-    SCENARIO_KINDS,
-    churn_scenario,
-    default_kind,
-    lossy_scenario,
-    scenario_for,
-)
-from .experiments.sweeps import sweep_alpha_L, sweep_k, sweep_n, sweep_reaffiliation
-from .experiments.tables import analytic_table2, analytic_table3, simulated_table3
-from .registry import AlgorithmSpec, all_specs, get_spec, spec_names
+if TYPE_CHECKING:
+    from .registry import AlgorithmSpec
 
 __all__ = ["build_parser", "main"]
 
@@ -72,6 +57,8 @@ def _add_cache_flag(sub: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser (exposed for testing and docs)."""
+    from .experiments.scenarios import SCENARIO_KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce tables/figures from 'Efficient Information "
@@ -404,6 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_spec(name: str) -> AlgorithmSpec:
+    from .registry import get_spec, spec_names
+
     try:
         return get_spec(name)
     except KeyError:
@@ -414,6 +403,8 @@ def _resolve_spec(name: str) -> AlgorithmSpec:
 
 def _scenario_kind(args, spec: AlgorithmSpec) -> str:
     """The catalogue kind ``--scenario``/``--adversary`` select."""
+    from .experiments.scenarios import default_kind
+
     if args.adversary:
         return "adversarial"
     return default_kind(spec) if args.scenario == "auto" else args.scenario
@@ -428,6 +419,13 @@ def _build_scenario(args, spec: AlgorithmSpec, profiler=None):
     shows alongside the engine's own round-loop sections.
     """
     from contextlib import nullcontext
+
+    from .experiments.scenarios import (
+        SCENARIO_KINDS,
+        churn_scenario,
+        lossy_scenario,
+        scenario_for,
+    )
 
     kind = _scenario_kind(args, spec)
     profiled = profiler is not None
@@ -460,6 +458,7 @@ def _spec_overrides(args, spec: AlgorithmSpec) -> dict:
 
 
 def _cmd_run(args) -> str:
+    from .experiments.report import format_records
     from .experiments.runner import execute
 
     spec = _resolve_spec(args.algorithm)
@@ -661,6 +660,7 @@ def _cmd_explain(args) -> str:
 
 def _cmd_report(args) -> str:
     from .experiments.replication import replicate_records
+    from .experiments.scenarios import scenario_for
     from .obs import merge_timelines, render_dashboard
 
     spec = _resolve_spec(args.algorithm)
@@ -703,6 +703,7 @@ def _cmd_report(args) -> str:
 
 
 def _cmd_profile(args) -> str:
+    from .experiments.report import format_records
     from .experiments.runner import execute
     from .obs import Profiler
 
@@ -784,6 +785,8 @@ def _cmd_record(args) -> str:
 
 
 def _cmd_replay(args) -> str:
+    from .experiments.report import format_records
+
     recording = _load_recording_or_exit(args.recording)
     last = recording.rounds_recorded - 1
     meta = recording.meta
@@ -903,6 +906,7 @@ def _cmd_validate_model(args):
     """Returns ``(text, exit_code)`` — 0 clean, 1 when any benign case
     escaped its analytical envelope."""
     from .analysis import failures, table_rows, validate_model
+    from .experiments.report import format_records
 
     try:
         specs = ([_resolve_spec(name).name for name in args.algorithms]
@@ -971,6 +975,7 @@ def _cmd_bench(args):
     )
     from .bench.matrix import case_rows
     from .bench.runner import fleet_rows
+    from .experiments.report import format_records
 
     tier = "full" if args.full else "quick"
     matrix = expand(None)
@@ -1085,6 +1090,7 @@ def _cmd_mobility(args) -> str:
     from .baselines.klo import make_klo_one_factory
     from .clustering import hierarchy_stats, maintain_clustering
     from .core.algorithm2 import make_algorithm2_factory
+    from .experiments.report import format_records
     from .mobility import Field, RandomWaypoint, unit_disk_trace
     from .sim import initial_assignment, run
 
@@ -1137,9 +1143,13 @@ def _cmd_count(args) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    from .experiments.report import format_records
+
     args = build_parser().parse_args(argv)
 
     if args.command == "list-algorithms":
+        from .registry import all_specs
+
         print(format_records([spec.row() for spec in all_specs()]))
     elif args.command == "validate-model":
         text, code = _cmd_validate_model(args)
@@ -1168,37 +1178,56 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(text)
         return code
     elif args.command == "table2":
+        from .core.analysis import CostParams
+        from .experiments.tables import analytic_table2
+
         params = CostParams(n0=args.n0, theta=args.theta, nm=args.nm,
                             nr=args.nr, k=args.k, alpha=args.alpha, L=args.L)
         print(format_records(analytic_table2(params)))
     elif args.command == "table3":
+        from .experiments.tables import analytic_table3, simulated_table3
+
         print(format_records(analytic_table3()))
         if args.simulate:
             print()
             print(format_records(simulated_table3(seed=args.seed, n0=args.n0,
                                                   cache=args.cache)))
     elif args.command == "fig1":
+        from .experiments.figures import fig1_example_network
+
         _, text = fig1_example_network()
         print(text)
     elif args.command == "fig2":
+        from .experiments.figures import fig2_definition_lattice
+
         _, text = fig2_definition_lattice(seed=args.seed)
         print(text)
     elif args.command == "fig3":
+        from .experiments.figures import fig3_walkthrough
+
         print(fig3_walkthrough(seed=args.seed))
     elif args.command == "sweep-n":
+        from .experiments.sweeps import sweep_n
+
         print(format_records(sweep_n(ns=args.sizes, k=args.k,
                                      alpha=args.alpha, seed=args.seed,
                                      cache=args.cache)))
     elif args.command == "sweep-k":
+        from .experiments.sweeps import sweep_k
+
         print(format_records(sweep_k(ks=args.ks, n0=args.n0,
                                      theta=args.theta, seed=args.seed,
                                      cache=args.cache)))
     elif args.command == "sweep-nr":
+        from .experiments.sweeps import sweep_reaffiliation
+
         print(format_records(sweep_reaffiliation(ps=args.ps, n0=args.n0,
                                                  theta=args.theta,
                                                  seed=args.seed,
                                                  cache=args.cache)))
     elif args.command == "ablation":
+        from .experiments.sweeps import sweep_alpha_L
+
         print(format_records(sweep_alpha_L(alphas=args.alphas, Ls=args.Ls,
                                            seed=args.seed, cache=args.cache)))
     elif args.command == "mobility":

@@ -25,10 +25,34 @@ replications skip already-computed cells entirely — an interrupted sweep
 resumes from where it stopped — and a cached replay is bit-identical to
 the fresh run (asserted in ``tests/test_registry_cache.py``).
 
+Entry layout (cache version 3)::
+
+    {"format": "repro-result-cache", "version": 3, "key": "<k>",
+     "record": {<run-record header>,
+                "columns": [["outputs.nodes", 120], ...],
+                "dtype": "<i4", "crc": <crc32>, "block": "<base64>"}}
+
+The record is :func:`repro.io.run_record_to_dict`'s columnar layout: a
+small canonical-JSON header (the scalars, the per-role totals, and any
+causal trace or recording) plus one packed block holding every integer
+series of the record (the outputs as per-node indices into their
+distinct token sets, stored once each as CSR; the per-round metrics;
+every timeline column), as base64 of little-endian ``<i4`` (``<i8``
+when a value needs it).  ``columns`` names each column and its length
+in block order, or the earlier column it repeats, and ``crc`` is the
+``zlib.crc32`` of the raw block, so a warm hit decodes with one base64
+decode, one checksum and one array conversion instead of parsing every
+number as JSON.  A block whose checksum, dtype or length disagrees with
+its header is a miss (see :meth:`ResultCache.get`).
+
 Cache location: pass an explicit directory (``cache="…"``), or set the
 ``REPRO_RESULT_CACHE`` environment variable to give every uncached
-``execute`` call a default. Invalidation is by construction (key
-changes); to reclaim disk space simply delete the directory.
+``execute`` call a default. Invalidation is by construction: any change
+to what a key covers, or to the entry layout, changes the key (the cache
+version is part of it).  Entries written by older versions (version 2
+stored the whole record as JSON numbers) are therefore never addressed
+again; they are not read or migrated, and they stay on disk until the
+directory is deleted — delete it to reclaim the space.
 
 Per-obs-level cache policy
 --------------------------
@@ -68,7 +92,7 @@ from ..io import _scalar_params, run_record_from_dict, run_record_to_dict
 __all__ = ["ResultCache", "resolve_cache", "scenario_fingerprint"]
 
 _FORMAT = "repro-result-cache"
-_VERSION = 2
+_VERSION = 3
 
 #: Environment variable naming a default cache directory.
 ENV_VAR = "REPRO_RESULT_CACHE"
@@ -172,8 +196,10 @@ class ResultCache:
 
     # -- storage ----------------------------------------------------------
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        # a plain string join: on a warm hit, building Path objects costs
+        # a measurable share of the lookup
+        return os.path.join(self.root, key[:2], key + ".json")
 
     def get(self, key: str):
         """The cached :class:`RunRecord` for ``key``, or ``None`` on a miss.
@@ -184,11 +210,14 @@ class ResultCache:
         path), JSON of the wrong shape, an entry whose ``format``,
         ``version`` or stored ``key`` is not this cache's and this key's
         (a renamed file, an entry from an older cache version), or one
-        without a decodable ``record``.
+        without a decodable ``record``: a column block that is not
+        base64, fails its checksum, has an unknown dtype or disagrees
+        with its column layout.
         """
-        path = self._path(key)
         try:
-            data = json.loads(path.read_text())
+            # unbuffered: the whole file is read in one call
+            with open(self._path(key), "rb", buffering=0) as handle:
+                data = json.loads(handle.read())
         except (OSError, ValueError):
             return None
         try:
@@ -197,13 +226,14 @@ class ResultCache:
             ):
                 return None
             return run_record_from_dict(data["record"])
-        except (AttributeError, KeyError, TypeError, ValueError):
+        except (AttributeError, LookupError, TypeError, ValueError):
             return None
 
     def put(self, key: str, record) -> Path:
         """Persist ``record`` under ``key`` atomically; returns the path."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
         blob = _canonical(
             {
                 "format": _FORMAT,
@@ -213,7 +243,7 @@ class ResultCache:
             }
         )
         fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
+            dir=parent, prefix=f".{key[:8]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w") as handle:
@@ -225,7 +255,7 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        return path
+        return Path(path)
 
     def __len__(self) -> int:
         """Number of cached entries (walks the directory)."""

@@ -21,13 +21,48 @@ Format (version 1)::
 
 Roles are packed as a string of the paper's ``h``/``g``/``m`` letters;
 ``head_of`` uses ``null`` for unaffiliated nodes.  Flat traces omit both.
+
+Run records (``repro-run-record`` version 2, the result cache's entry
+payload) are columnar, so a cached record decodes without parsing
+thousands of JSON numbers::
+
+    {
+      "format": "repro-run-record", "version": 2, "algorithm": ..., ...,
+      "result": {"n": 20, "k": 3, "complete": true,
+                 "metrics": {<totals and by_role>},
+                 "timeline": {"profile": {}}, "causal_trace": {...}},
+      "columns": [["outputs.nodes", 20], ["outputs.set", 20],
+                  ["outputs.lengths", 1], ["outputs.tokens", 3],
+                  ["metrics.per_round_tokens", 9], ...,
+                  ["timeline.tokens", "metrics.per_round_tokens"], ...],
+      "dtype": "<i4", "crc": <crc32>, "block": "<base64>"
+    }
+
+``block`` is base64 of every integer series concatenated in ``columns``
+order, as little-endian ``<i4`` (``<i8`` when a value needs it), and
+``crc`` is the ``zlib.crc32`` of the raw block.  A ``columns`` entry is
+``[name, length]``, or ``[name, earlier]`` for a column equal to the
+earlier column ``earlier``, which the block holds once.  The outputs
+are each node's index (``outputs.set``) into the distinct token sets,
+which are stored as CSR (per-set lengths, then the tokens), so equal
+sets decode to one shared ``frozenset``.  ``timeline`` and its columns
+are present only when the run kept one; a causal trace or recording
+rides in ``result`` through its own codec.  Decoding checks the dtype,
+the checksum and that the layout covers the block exactly, and raises
+``ValueError`` otherwise.  Version 1 stored every series as JSON
+numbers and is not read.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
+import zlib
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .graphs.trace import GraphTrace
 from .obs import (
@@ -37,7 +72,8 @@ from .obs import (
     RunTimeline,
 )
 from .roles import Role
-from .sim.metrics import Metrics
+from .sim.engine import RunResult
+from .sim.metrics import Metrics, RoleCost
 from .sim.topology import Snapshot
 
 __all__ = [
@@ -81,15 +117,16 @@ _VERSION = 1
 SCHEMA_VERSION = 1
 
 
-def _require_format(data: Dict[str, Any], fmt: str) -> None:
+def _require_format(data: Dict[str, Any], fmt: str,
+                    version: int = _VERSION) -> None:
     """Shared decode-time validation: format, version and schema_version."""
     if not isinstance(data, dict) or data.get("format") != fmt:
         got = data.get("format") if isinstance(data, dict) else type(data).__name__
         raise ValueError(f"not a {fmt} document: format={got!r}")
-    if data.get("version") != _VERSION:
+    if data.get("version") != version:
         raise ValueError(
             f"unsupported {fmt} version {data.get('version')!r} "
-            f"(supported: {_VERSION})"
+            f"(supported: {version})"
         )
     schema = data.get("schema_version", SCHEMA_VERSION)
     if schema != SCHEMA_VERSION:
@@ -248,8 +285,6 @@ def metrics_from_dict(data: Dict[str, Any]) -> Metrics:
     ``include_series=True``; without the series the per-round arrays come
     back empty (the headline counters are always faithful).
     """
-    from .sim.metrics import RoleCost
-
     metrics = Metrics(
         rounds=int(data["rounds"]),
         completion_round=(
@@ -442,8 +477,6 @@ def run_result_to_dict(result, include_series: bool = True) -> Dict[str, Any]:
 def run_result_from_dict(data: Dict[str, Any]):
     """Decode a result written by :func:`run_result_to_dict`."""
     _require_format(data, "repro-result")
-    from .sim.engine import RunResult
-
     return RunResult(
         n=int(data["n"]),
         k=int(data["k"]),
@@ -469,11 +502,129 @@ def run_result_from_dict(data: Dict[str, Any]):
     )
 
 
+#: Version of the ``repro-run-record`` layout: 2 is the columnar layout
+#: (see the module docstring); version-1 records are not read.
+_RECORD_VERSION = 2
+
+#: Little-endian integer dtypes a column block may use, narrowest first.
+_BLOCK_DTYPES = ("<i4", "<i8")
+_I4_MIN, _I4_MAX = -(2**31), 2**31 - 1
+
+#: Fixed timeline series, in block order; role-keyed columns follow as
+#: ``timeline.<family>.<role>``.
+_TIMELINE_SERIES = ("coverage", "nodes_complete", "tokens", "messages")
+_ROLE_FAMILIES = ("role_messages", "role_tokens", "populations")
+
+
+def _pack_columns(columns: List[Tuple[str, List[int]]]) -> Dict[str, Any]:
+    """Pack named integer columns into one base64 block plus its layout.
+
+    Each layout entry is ``[name, length]``, or ``[name, earlier]`` when
+    the column equals the earlier column named ``earlier``, whose values
+    the block then holds once (a timeline's ``tokens`` and the metrics'
+    ``per_round_tokens``, for instance).  The block is ``<i4`` unless a
+    value needs ``<i8``; ``crc`` is the ``zlib.crc32`` of its raw bytes.
+    """
+    layout: List[list] = []
+    packed: List[List[int]] = []
+    first: Dict[Tuple[int, ...], str] = {}
+    for name, column in columns:
+        earlier = first.setdefault(tuple(column), name)
+        if earlier == name:
+            layout.append([name, len(column)])
+            packed.append(column)
+        else:
+            layout.append([name, earlier])
+    values = np.fromiter(chain.from_iterable(packed), dtype=np.int64)
+    narrow = not values.size or (
+        _I4_MIN <= int(values.min()) and int(values.max()) <= _I4_MAX
+    )
+    dtype = _BLOCK_DTYPES[0] if narrow else _BLOCK_DTYPES[1]
+    raw = values.astype(dtype).tobytes()
+    return {
+        "columns": layout,
+        "dtype": dtype,
+        "crc": zlib.crc32(raw),
+        "block": binascii.b2a_base64(raw, newline=False).decode("ascii"),
+    }
+
+
+def _unpack_columns(data: Dict[str, Any]) -> Dict[str, List[int]]:
+    """Inverse of :func:`_pack_columns`: column name to list of ints.
+
+    Raises ``ValueError`` on an unknown dtype, a block whose checksum or
+    length disagrees with the layout, or bad base64, and ``KeyError`` on
+    a repeat of a column the layout has not named before it.
+    """
+    dtype = data["dtype"]
+    if dtype not in _BLOCK_DTYPES:
+        raise ValueError(f"unknown column dtype {dtype!r}")
+    raw = binascii.a2b_base64(data["block"])
+    if zlib.crc32(raw) != data["crc"]:
+        raise ValueError("column block fails its checksum")
+    values = np.frombuffer(raw, dtype=dtype).tolist()
+    out: Dict[str, List[int]] = {}
+    pos = 0
+    for name, length in data["columns"]:
+        if isinstance(length, str):
+            out[name] = list(out[length])
+            continue
+        if length < 0:
+            raise ValueError(f"column {name!r} has negative length {length}")
+        out[name] = values[pos:pos + length]
+        pos += length
+    if pos != len(values):
+        raise ValueError(
+            f"column layout covers {pos} values, the block holds {len(values)}"
+        )
+    return out
+
+
 def run_record_to_dict(record) -> Dict[str, Any]:
-    """Encode a :class:`~repro.experiments.runner.RunRecord` as JSON."""
+    """Encode a :class:`~repro.experiments.runner.RunRecord` as JSON.
+
+    Columnar layout (see the module docstring): the scalars, the role
+    breakdown, causal trace and recording form a JSON header, and every
+    integer series goes into one packed column block.  Deterministic, so
+    equal records encode to equal dicts.
+    """
+    result = record.result
+    metrics = result.metrics
+    outputs = result.outputs
+    nodes = sorted(outputs)
+    distinct: Dict[FrozenSet[int], int] = {}
+    set_of = [distinct.setdefault(outputs[v], len(distinct)) for v in nodes]
+    token_lists = [sorted(toks) for toks in distinct]
+    columns: List[Tuple[str, List[int]]] = [
+        ("outputs.nodes", nodes),
+        ("outputs.set", set_of),
+        ("outputs.lengths", [len(toks) for toks in token_lists]),
+        ("outputs.tokens", list(chain.from_iterable(token_lists))),
+        ("metrics.per_round_tokens", metrics.per_round_tokens),
+        ("metrics.per_round_coverage", metrics.per_round_coverage),
+    ]
+    header: Dict[str, Any] = {
+        "n": result.n,
+        "k": result.k,
+        "complete": bool(result.complete),
+        "metrics": metrics_to_dict(metrics),
+    }
+    timeline = result.timeline
+    if timeline is not None:
+        header["timeline"] = {"profile": dict(timeline.profile)}
+        for name in _TIMELINE_SERIES:
+            columns.append((f"timeline.{name}", getattr(timeline, name)))
+        for family in _ROLE_FAMILIES:
+            series = getattr(timeline, family)
+            for role in sorted(series):
+                columns.append((f"timeline.{family}.{role}", series[role]))
+    if result.causal_trace is not None:
+        header["causal_trace"] = causal_trace_to_dict(result.causal_trace)
+    if result.recording is not None:
+        header["recording"] = recording_to_dict(result.recording)
     return {
         "format": "repro-run-record",
-        "version": _VERSION,
+        "version": _RECORD_VERSION,
         "schema_version": SCHEMA_VERSION,
         "algorithm": record.algorithm,
         "scenario": record.scenario,
@@ -485,15 +636,68 @@ def run_record_to_dict(record) -> Dict[str, Any]:
         "tokens_sent": record.tokens_sent,
         "messages_sent": record.messages_sent,
         "complete": bool(record.complete),
-        "result": run_result_to_dict(record.result),
+        "result": header,
+        **_pack_columns(columns),
     }
 
 
+def _outputs_from_columns(
+    columns: Dict[str, List[int]],
+) -> Dict[int, FrozenSet[int]]:
+    """Rebuild ``RunResult.outputs``: each node's index into the distinct
+    token sets, which are stored once each as CSR (lengths, tokens), so
+    equal token sets come back as one shared ``frozenset``."""
+    nodes, set_of = columns["outputs.nodes"], columns["outputs.set"]
+    lengths, tokens = columns["outputs.lengths"], columns["outputs.tokens"]
+    bounds = list(accumulate(lengths, initial=0))
+    if len(nodes) != len(set_of) or bounds[-1] != len(tokens):
+        raise ValueError("outputs columns disagree in length")
+    sets = [frozenset(tokens[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return dict(zip(nodes, map(sets.__getitem__, set_of)))
+
+
 def run_record_from_dict(data: Dict[str, Any]):
-    """Decode a record written by :func:`run_record_to_dict`."""
-    _require_format(data, "repro-run-record")
+    """Decode a record written by :func:`run_record_to_dict`.
+
+    Raises ``ValueError`` on a wrong format or version, and on a column
+    block that fails its checksum or disagrees with its layout.
+    """
+    _require_format(data, "repro-run-record", version=_RECORD_VERSION)
     from .experiments.runner import RunRecord
 
+    columns = _unpack_columns(data)
+    header = data["result"]
+    metrics = metrics_from_dict(header["metrics"])
+    metrics.per_round_tokens = columns["metrics.per_round_tokens"]
+    metrics.per_round_coverage = columns["metrics.per_round_coverage"]
+    timeline = None
+    if "timeline" in header:
+        families: Dict[str, Dict[str, List[int]]] = {
+            family: {} for family in _ROLE_FAMILIES
+        }
+        for name, column in columns.items():
+            parts = name.split(".", 2)
+            if len(parts) == 3:
+                families[parts[1]][parts[2]] = column
+        timeline = RunTimeline(
+            **{name: columns[f"timeline.{name}"] for name in _TIMELINE_SERIES},
+            **families,
+            profile={
+                s: float(v) for s, v in header["timeline"]["profile"].items()
+            },
+        )
+    causal = header.get("causal_trace")
+    recording = header.get("recording")
+    result = RunResult(
+        n=int(header["n"]),
+        k=int(header["k"]),
+        metrics=metrics,
+        outputs=_outputs_from_columns(columns),
+        complete=bool(header["complete"]),
+        timeline=timeline,
+        causal_trace=None if causal is None else causal_trace_from_dict(causal),
+        recording=None if recording is None else recording_from_dict(recording),
+    )
     return RunRecord(
         algorithm=data["algorithm"],
         scenario=data["scenario"],
@@ -508,7 +712,7 @@ def run_record_from_dict(data: Dict[str, Any]):
         tokens_sent=int(data["tokens_sent"]),
         messages_sent=int(data["messages_sent"]),
         complete=bool(data["complete"]),
-        result=run_result_from_dict(data["result"]),
+        result=result,
     )
 
 

@@ -53,8 +53,8 @@ def unit_disk_edges(positions: np.ndarray, radius: float) -> List[tuple]:
         from scipy.spatial import cKDTree
     except ImportError:
         return _pairs_triangle(pts, radius)
+    # query_pairs yields each pair once with i < j
     pairs = cKDTree(pts).query_pairs(r=radius, output_type="ndarray")
-    pairs.sort(axis=1)  # guarantee u < v
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     return [(int(u), int(v)) for u, v in pairs[order]]
 

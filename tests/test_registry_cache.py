@@ -14,11 +14,13 @@ import pytest
 import repro.io
 
 from repro.experiments.cache import ResultCache, resolve_cache, scenario_fingerprint
-from repro.experiments.runner import execute
+from repro.experiments.runner import RunRecord, execute
 from repro.experiments.scenarios import (
+    default_kind,
     dhop_scenario,
     hinet_interval_scenario,
     hinet_one_scenario,
+    scenario_for,
 )
 from repro.experiments.sweeps import sweep_n
 from repro.graphs.trace import GraphTrace
@@ -32,9 +34,11 @@ from repro.io import (
     run_result_to_dict,
     save_scenario,
 )
+from repro.obs import RunTimeline
 from repro.registry import all_specs, get_spec, spec_names
 from repro.roles import Role
-from repro.sim.engine import SynchronousEngine
+from repro.sim.engine import RunResult, SynchronousEngine
+from repro.sim.metrics import Metrics, RoleCost
 from repro.sim.topology import Snapshot
 
 #: The ten single-hop algorithms the run_* helpers historically covered.
@@ -173,6 +177,57 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="repro-run-record"):
             run_record_from_dict({"format": "something-else"})
 
+    @pytest.mark.parametrize("shape", ["incomplete", "obs-off", "wide"])
+    def test_columnar_record_codec(self, shape):
+        """A synthetic record round-trips through the column block: an
+        incomplete run with unequal output sets, a run with every series
+        empty (``obs="off"``), and one whose counter needs ``<i8``."""
+        full = frozenset({0, 1, 2})
+        outputs = {3: full, 0: frozenset({1}), 1: frozenset(), 2: full}
+        metrics = Metrics(rounds=3, tokens_sent=9, messages_sent=5,
+                          broadcasts=5, per_round_tokens=[4, 3, 2],
+                          per_round_coverage=[5, 6, 7])
+        metrics.by_role["head"] = RoleCost(tokens=9, messages=5)
+        timeline = RunTimeline(
+            coverage=[5, 6, 7], nodes_complete=[0, 1, 2], tokens=[4, 3, 2],
+            messages=[2, 2, 1], role_messages={"head": [2, 2, 1]},
+            role_tokens={"head": [4, 3, 2]},
+            populations={"head": [1, 1, 1], "member": [3, 3, 3]},
+        )
+        if shape == "obs-off":
+            outputs, timeline = {}, None
+            metrics.per_round_tokens, metrics.per_round_coverage = [], []
+        if shape == "wide":
+            timeline.coverage[-1] = metrics.per_round_coverage[-1] = 2**31 + 7
+        result = RunResult(n=4, k=3, metrics=metrics, outputs=outputs,
+                           complete=False, timeline=timeline)
+        record = RunRecord(algorithm="synthetic", scenario="hand-built", n=4,
+                           k=3, bound_rounds=6, rounds=3, completion_round=None,
+                           tokens_sent=9, messages_sent=5, complete=False,
+                           result=result)
+        encoded = run_record_to_dict(record)
+        assert encoded["dtype"] == ("<i8" if shape == "wide" else "<i4")
+        if timeline is not None:
+            # role columns are written in name order, whatever the
+            # order the engine first saw the roles in
+            timeline.populations = dict(reversed(timeline.populations.items()))
+            assert run_record_to_dict(record) == encoded
+        back = run_record_from_dict(json.loads(json.dumps(encoded)))
+        assert run_record_to_dict(back) == encoded
+        assert back.row() == record.row()
+        assert back.result.outputs == outputs
+        assert back.result.metrics == metrics
+        assert back.result.timeline == timeline
+        if shape != "obs-off":
+            # equal token sets decode to one shared frozenset
+            assert back.result.outputs[2] is back.result.outputs[3]
+            # an equal column is stored once and decodes to its own list
+            assert ["timeline.tokens", "metrics.per_round_tokens"] in \
+                encoded["columns"]
+            assert back.result.timeline.tokens == metrics.per_round_tokens
+            assert back.result.timeline.tokens is not \
+                back.result.metrics.per_round_tokens
+
 
 class TestResultCache:
     def test_hit_is_bit_identical_to_recompute(self, tmp_path, interval_scenario):
@@ -253,12 +308,14 @@ class TestResultCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, interval_scenario):
         """Truncated text, valid JSON of the wrong shape, an entry with no
-        record, another key's entry renamed onto this path and an entry of
-        the previous cache version each count as one miss; the recompute
-        rewrites the entry, which parses again, and the next call is a
-        hit."""
+        record, another key's entry renamed onto this path, entries of
+        older cache versions (including version 2's all-JSON record), and
+        a column block that is damaged, cut short, shorter than its layout
+        claims, or of an unknown dtype each count as one miss;
+        the recompute rewrites the entry, which parses again, and the
+        next call is a hit."""
         cache = _CountingCache(tmp_path / "cache")
-        execute("algorithm1", interval_scenario, cache=cache)
+        fresh = execute("algorithm1", interval_scenario, cache=cache)
         (path,) = cache.root.glob("*/*.json")
         stored = json.loads(path.read_text())
         no_record = json.dumps({k: v for k, v in stored.items() if k != "record"})
@@ -268,8 +325,34 @@ class TestResultCache:
         (other_path,) = other.root.glob("*/*.json")
         renamed = other_path.read_text()
         v1_format = json.dumps({**stored, "version": 1})
+
+        def with_record(**changes):
+            return json.dumps({**stored, "record": {**stored["record"], **changes}})
+
+        block = stored["record"]["block"]
+        mid = len(block) // 2
+        flipped = block[:mid] + ("B" if block[mid] == "A" else "A") + block[mid + 1:]
+        # the last column stored in the block claims one value too many
+        layout = [list(column) for column in stored["record"]["columns"]]
+        last = max(i for i, (_, size) in enumerate(layout)
+                   if isinstance(size, int))
+        layout[last][1] += 1
+        # "<u4" has "<i4"'s width, so only the dtype check rejects it
+        unknown_dtype = with_record(dtype="<u4")
+        # version 2 stored the whole result as JSON numbers
+        v2_record = {
+            "format": "repro-run-record", "version": 1, "schema_version": 1,
+            **{name: stored["record"][name] for name in (
+                "algorithm", "scenario", "n", "k", "bound_rounds", "rounds",
+                "completion_round", "tokens_sent", "messages_sent", "complete",
+            )},
+            "result": run_result_to_dict(fresh.result),
+        }
+        v2_layout = json.dumps({**stored, "version": 2, "record": v2_record})
         for corrupt in ("{ truncated", '{"record": 3}', no_record, renamed,
-                        v1_format):
+                        v1_format, with_record(block=flipped),
+                        with_record(block=block[:mid // 4 * 4]),
+                        with_record(columns=layout), unknown_dtype, v2_layout):
             path.write_text(corrupt)
             hits, misses = cache.hits, cache.misses
             record = execute("algorithm1", interval_scenario, cache=cache)
@@ -279,6 +362,32 @@ class TestResultCache:
             replay = execute("algorithm1", interval_scenario, cache=cache)
             assert (cache.hits, cache.misses) == (hits + 1, misses + 1)
             assert _canonical(replay) == _canonical(record)
+
+    @pytest.mark.parametrize("obs", ["off", "timeline", "trace", "record"])
+    def test_every_spec_replays_identically(self, tmp_path, obs):
+        """Every registered spec, on its default scenario kind, replays
+        from the cache equal to its fresh run at each cacheable obs
+        level."""
+        cache = _CountingCache(tmp_path)
+        scenarios = {}
+        specs = all_specs()
+        for spec in specs:
+            kind = default_kind(spec)
+            if kind not in scenarios:
+                scenarios[kind] = scenario_for(kind, n0=24, theta=7, k=3,
+                                               seed=2013)
+            overrides = {"seed": 7} if spec.seeded else {}
+            fresh = execute(spec.name, scenarios[kind], cache=cache, obs=obs,
+                            **overrides)
+            replay = execute(spec.name, scenarios[kind], cache=cache, obs=obs,
+                             **overrides)
+            assert _canonical(replay) == _canonical(fresh), spec.name
+            assert replay.result.outputs == fresh.result.outputs, spec.name
+            assert replay.result.metrics == fresh.result.metrics, spec.name
+            assert replay.result.timeline == fresh.result.timeline, spec.name
+            assert replay.result.causal_trace == fresh.result.causal_trace
+            assert replay.result.recording == fresh.result.recording
+        assert (cache.hits, cache.misses) == (len(specs), len(specs))
 
     def test_resolve_cache_env_var(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
