@@ -24,12 +24,14 @@ tiers rests on one implementation each.
 State is exchanged as a packed ``(n, W)`` ``uint64`` bit-matrix — row
 ``v`` has bit ``t`` set iff node ``v`` holds token ``t`` — the
 vectorised tier's native layout; :func:`pack_rows` builds it from
-per-node token sets and :func:`rows_tokens` decodes it.
+per-node token sets, :func:`rows_tokens` decodes it to per-row lists and
+:func:`rows_frozensets` to per-row sets, one shared set per distinct row.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from itertools import chain
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +40,14 @@ from .recorder import RunRecorder, RunRecording
 from .timeline import Profiler, RunTimeline
 from .trace import CausalTrace, first_learns
 
-__all__ = ["ROLE_NAMES", "RunObserver", "pack_rows", "rows_tokens", "words_for"]
+__all__ = [
+    "ROLE_NAMES",
+    "RunObserver",
+    "pack_rows",
+    "rows_frozensets",
+    "rows_tokens",
+    "words_for",
+]
 
 #: Role names indexed by the role codes of
 #: :class:`~repro.sim.topology.SnapshotArrays` (``ROLE_CODES``).
@@ -73,15 +82,16 @@ def pack_rows(token_rows: Sequence[Iterable[int]], k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    lens = [len(toks) for toks in token_rows]
-    out = np.zeros((len(lens), words_for(k)), dtype=np.uint64)
+    m = len(token_rows)
+    lens = np.fromiter(map(len, token_rows), dtype=np.int64, count=m)
+    out = np.zeros((m, words_for(k)), dtype=np.uint64)
     flat = np.fromiter(
-        (t for toks in token_rows for t in toks), dtype=np.int64, count=sum(lens)
+        chain.from_iterable(token_rows), dtype=np.int64, count=int(lens.sum())
     )
     bad = np.flatnonzero((flat < 0) | (flat >= k))
     if bad.size:
         raise ValueError(f"token {int(flat[bad[0]])} outside 0..{k - 1}")
-    rows = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    rows = np.repeat(np.arange(m, dtype=np.int64), lens)
     np.bitwise_or.at(out, (rows, flat >> 6), _U1 << (flat & 63).astype(np.uint64))
     return out
 
@@ -89,19 +99,34 @@ def pack_rows(token_rows: Sequence[Iterable[int]], k: int) -> np.ndarray:
 def rows_tokens(rows: np.ndarray) -> List[List[int]]:
     """Decode an ``(m, W)`` uint64 bit-matrix to per-row sorted token lists.
 
-    One vectorised pass: one ``unpackbits`` plus one ``nonzero``.
+    One vectorised pass: one ``unpackbits`` plus one ``flatnonzero``;
+    each row's list is a slice of the one flat token list.
     """
-    m = rows.shape[0]
-    out: List[List[int]] = [[] for _ in range(m)]
+    if rows.shape[0] == 0:
+        return []
+    rows = np.ascontiguousarray(rows, dtype="<u8")
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+    # a bool view takes numpy's fast nonzero path (unpacked bits are 0/1)
+    tokens = (np.flatnonzero(bits.view(bool)) % bits.shape[1]).tolist()
+    ends = np.cumsum(np.bitwise_count(rows).sum(axis=1)).tolist()
+    return [tokens[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def rows_frozensets(rows: np.ndarray) -> List[FrozenSet[int]]:
+    """Decode an ``(m, W)`` uint64 bit-matrix to per-row frozensets.
+
+    Equal rows decode once and share one ``frozenset``: one ``np.unique``
+    over the rows as ``8·W``-byte keys, :func:`rows_tokens` on the
+    distinct rows only, and an index by the inverse.  A k-token run ends
+    with few distinct sets, so this costs per distinct set, not per node.
+    """
+    m, W = rows.shape
     if m == 0:
-        return out
-    bits = np.unpackbits(
-        np.ascontiguousarray(rows, dtype="<u8").view(np.uint8),
-        axis=1, bitorder="little",
-    )
-    for i, t in zip(*(ix.tolist() for ix in np.nonzero(bits))):
-        out[i].append(t)
-    return out
+        return []
+    keys = np.ascontiguousarray(rows, dtype="<u8").view(np.dtype((np.void, 8 * W)))
+    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+    sets = list(map(frozenset, rows_tokens(distinct.view("<u8").reshape(-1, W))))
+    return list(map(sets.__getitem__, inverse.tolist()))
 
 
 def _changed(rows: np.ndarray) -> List[Tuple[int, List[int]]]:
@@ -149,14 +174,13 @@ class RunObserver:
         self._pack_memo: Dict[int, Tuple[object, tuple]] = {}
         if obs in ("trace", "record"):
             self._prev = self._packed(initial).copy()
-            start = rows_tokens(self._prev)
             if self.causal is not None:
-                for node, toks in enumerate(start):
+                for node, toks in enumerate(rows_tokens(self._prev)):
                     for t in toks:
                         self.causal.record_origin(node, t)
             else:
                 self.recorder = RunRecorder(
-                    n, k, {v: frozenset(toks) for v, toks in enumerate(start)}
+                    n, k, dict(enumerate(rows_frozensets(self._prev)))
                 )
 
     @property

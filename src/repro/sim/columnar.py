@@ -50,7 +50,13 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..obs import Profiler
-from ..obs.observer import RunObserver, pack_rows, rows_tokens, words_for
+from ..obs.observer import (
+    RunObserver,
+    pack_rows,
+    rows_frozensets,
+    rows_tokens,
+    words_for,
+)
 from .engine import RunResult, SynchronousEngine
 from .fastpath import (
     _KERNELS,
@@ -58,7 +64,6 @@ from .fastpath import (
     _U1,
     _account,
     _filter_batch_alive,
-    _rows_to_frozensets,
     _SendBatch,
 )
 from .linkmodel import LinkModel
@@ -343,12 +348,12 @@ def _topology(network, r: int, n: int, need_snapshot: bool):
     return arrs, snap
 
 
-def _lap_timer(prof: Optional[Profiler]) -> Callable[[str], None]:
-    """``lap(section)`` books the time since the previous lap to
-    ``section``; a no-op without a profiler."""
+def _lap_timer(prof: Optional[Profiler], start: float) -> Callable[[str], None]:
+    """``lap(section)`` books the time since the previous lap (the first
+    time since ``start``) to ``section``; a no-op without a profiler."""
     if prof is None:
         return lambda section: None
-    last = [time.perf_counter()]
+    last = [start]
 
     def lap(section: str) -> None:
         now = time.perf_counter()
@@ -377,14 +382,21 @@ def run_columnar(
     ``TA`` is the ``(n, W)`` initial bit-matrix (see :func:`pack_rows` /
     :func:`pack_single_tokens`) and ``kind`` / ``params`` name a kernel
     (a ``factory.fastpath`` tag).  :func:`repro.sim.fastpath.try_run`
-    calls this with the engine's ``initial`` mapping packed; array-native
-    callers call it directly with ``materialize_outputs=False`` so a
-    million-node run never builds ``n`` frozensets (``RunResult.outputs``
-    is then empty and ``complete`` comes from the coverage counter).
+    calls this with the engine's ``initial`` mapping packed.  Outputs are
+    decoded by :func:`~repro.obs.observer.rows_frozensets`, once per
+    distinct final token set: nodes that end with equal sets share one
+    ``frozenset``.  ``materialize_outputs=False`` skips that decode and
+    the ``n``-entry dict (``RunResult.outputs`` is then empty and
+    ``complete`` comes from the coverage counter); the saving is the
+    dict and the distinct sets, not ``n`` frozensets.
+
+    At ``obs="profile"`` the set-up before round 0 and the decode after
+    the last round are booked to the ``bookkeeping`` stage.
 
     The delivery follows :func:`select_delivery`.  ``monitors`` receive
     one :class:`~repro.obs.RoundView` per round.
     """
+    started = time.perf_counter()
     n, W = TA.shape
     if kind not in _KERNELS:
         raise ValueError(f"unsupported kernel kind {kind!r}")
@@ -401,7 +413,10 @@ def run_columnar(
         alive = np.ones(n, dtype=bool)
     latency = engine.latency
     in_flight: Dict[int, List[Flat]] = {}
-    lap = _lap_timer(observer.profiler)
+    # set-up before the first round and the decode after the last are
+    # bookkeeping, like the per-round counters
+    lap = _lap_timer(observer.profiler, started)
+    lap("bookkeeping")
 
     for r in range(max_rounds):
         arrs, snap = _topology(network, r, n, observer.wants_views)
@@ -513,7 +528,8 @@ def run_columnar(
     )
     outputs: Dict[int, FrozenSet[int]] = {}
     if materialize_outputs:
-        outputs = dict(enumerate(_rows_to_frozensets(kernel.TA)))
+        outputs = dict(enumerate(rows_frozensets(kernel.TA)))
+    lap("bookkeeping")
     timeline, causal, recording, violations = observer.finish(
         metrics.rounds, complete
     )

@@ -75,13 +75,12 @@ def validate_run_args(
         raise ValueError(f"k must be non-negative, got {k}")
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-    assigned = set()
-    for node, toks in initial.items():
-        if not (0 <= node < n):
-            raise ValueError(
-                f"initial assignment names node {node} outside 0..{n-1}"
-            )
-        assigned |= set(toks)
+    if initial and (min(initial) < 0 or max(initial) >= n):
+        node = next(v for v in initial if not 0 <= v < n)
+        raise ValueError(
+            f"initial assignment names node {node} outside 0..{n-1}"
+        )
+    assigned = set().union(*initial.values())
     if assigned - set(range(k)):
         raise ValueError(f"initial assignment contains ids outside 0..{k-1}")
 

@@ -79,11 +79,17 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _mix_arr(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 arrays (wrapping arithmetic)."""
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+def _mix_arr(x: np.ndarray, tmp: np.ndarray) -> None:
+    """splitmix64 finalizer on a uint64 array, in place (wrapping
+    arithmetic); ``tmp`` is a scratch buffer of the same shape."""
+    np.right_shift(x, np.uint64(30), out=tmp)
+    x ^= tmp
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(x, np.uint64(27), out=tmp)
+    x ^= tmp
+    x *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(x, np.uint64(31), out=tmp)
+    x ^= tmp
 
 
 def _round_key(seed: int, r: int) -> int:
@@ -100,12 +106,22 @@ def uniform_one(seed: int, r: int, a: int, b: int) -> float:
 
 def uniforms(seed: int, r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Vectorised hash uniforms in [0, 1) for coordinate arrays ``a``, ``b``."""
-    h0 = np.uint64(_round_key(seed, r))
-    x = (np.asarray(a, dtype=np.int64).astype(np.uint64) + np.uint64(1)) * np.uint64(_KEY_A)
-    h = _mix_arr(h0 ^ x)
-    y = (np.asarray(b, dtype=np.int64).astype(np.uint64) + np.uint64(1)) * np.uint64(_KEY_B)
-    h = _mix_arr(h ^ y)
-    return (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    # two uint64 buffers for the whole hash: every step works in place
+    h = np.asarray(a, dtype=np.int64).astype(np.uint64)
+    h += np.uint64(1)
+    h *= np.uint64(_KEY_A)
+    h ^= np.uint64(_round_key(seed, r))
+    tmp = np.empty_like(h)
+    _mix_arr(h, tmp)
+    np.copyto(tmp, np.asarray(b, dtype=np.int64), casting="unsafe")
+    tmp += np.uint64(1)
+    tmp *= np.uint64(_KEY_B)
+    h ^= tmp
+    _mix_arr(h, tmp)
+    h >>= np.uint64(11)
+    out = h.astype(np.float64)
+    out *= _INV_2_53
+    return out
 
 
 def _resolve_seed(seed) -> int:

@@ -8,6 +8,7 @@ covers the packed-bitset codecs, the bounded CSR gather, the array-native
 builders."""
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from repro.experiments.scenarios import (
 )
 from repro.graphs.generators.static import clustered_star_arrays, ring_lattice_arrays
 from repro.obs.monitors import default_monitors
+from repro.obs.observer import rows_frozensets, rows_tokens
 from repro.registry import all_specs
 from repro.sim import columnar
 from repro.sim.engine import SynchronousEngine
@@ -440,6 +442,123 @@ class TestPackedCodecs:
     def test_words_for(self):
         assert [columnar.words_for(k) for k in (1, 64, 65, 128, 129)] == \
             [1, 1, 2, 2, 3]
+
+
+def _naive_row_sets(rows):
+    """Per-row oracle: test every bit of every row on its own."""
+    return [
+        frozenset(
+            t for t in range(64 * rows.shape[1])
+            if (int(row[t >> 6]) >> (t & 63)) & 1
+        )
+        for row in rows
+    ]
+
+
+def _distinct_objects_equal_distinct_sets(outputs):
+    return len({id(s) for s in outputs.values()}) == len(set(outputs.values()))
+
+
+#: (name, arrays, factory, k, rounds) of runs cut short of completion:
+#: many distinct sets remain, and nodes that hold nothing.
+PARTIAL_RUNS = [
+    ("flood-all-k16", ring_lattice_arrays(60, 2), make_flood_all_factory(), 16, 2),
+    ("flood-new-k130", ring_lattice_arrays(60, 2), make_flood_new_factory(), 130, 2),
+    ("alg1-k16", clustered_star_arrays(60, 12),
+     make_algorithm1_factory(T=4, M=3), 16, 2),
+    ("alg1-k130", clustered_star_arrays(60, 12),
+     make_algorithm1_factory(T=4, M=3), 130, 2),
+]
+
+
+class TestOutputDecode:
+    """The vectorised tier decodes its final bit-matrix once per distinct
+    token set; nodes that end with equal sets share one frozenset."""
+
+    @pytest.mark.parametrize("tier", ["fast", "columnar"])
+    @pytest.mark.parametrize("case", PARTIAL_RUNS, ids=_case_id)
+    def test_partial_runs_match_reference(self, case, tier):
+        name, arrays, factory, k, rounds = case
+        n = arrays.degrees.shape[0]
+        # every tenth node starts with one to three tokens spread over all
+        # W words; two rounds leave the nodes far from them empty
+        initial = {
+            v: frozenset(
+                sorted({v * 37 % k, (v * 11 + 5) % k, v * k // n})[: v // 10 % 3 + 1]
+            )
+            for v in range(5, n, 10)
+        }
+        results = {
+            engine: SynchronousEngine(engine=engine).run(
+                CSRNetwork(arrays), factory, k, initial, rounds
+            )
+            for engine in ("reference", tier)
+        }
+        ref, vec = results["reference"], results[tier]
+        assert vec.algorithms is None
+        assert not ref.complete
+        assert vec.outputs == ref.outputs
+        assert vec.metrics == ref.metrics
+        assert frozenset() in set(vec.outputs.values())
+        assert len(set(vec.outputs.values())) > 3
+        assert _distinct_objects_equal_distinct_sets(vec.outputs)
+
+    @pytest.mark.parametrize("W", [1, 3])
+    def test_all_distinct_rows_match_naive_oracle(self, W):
+        rng = np.random.default_rng(W)
+        rows = rng.integers(0, 2**63, size=(300, W), dtype=np.int64).astype(np.uint64)
+        rows[::7] <<= np.uint64(1)  # shifted rows can reach bit 63
+        rows[5] = 0
+        rows[-1] = np.uint64(2**64 - 1)
+        assert len({r.tobytes() for r in rows}) == len(rows)
+        sets = rows_frozensets(rows)
+        assert sets == _naive_row_sets(rows)
+        assert rows_tokens(rows) == [sorted(s) for s in sets]
+        assert len({id(s) for s in sets}) == len(rows)
+
+    def test_equal_rows_share_one_frozenset(self):
+        rows = np.array([[5], [0], [5], [2**64 - 1], [0], [5]], dtype=np.uint64)
+        sets = rows_frozensets(rows)
+        assert sets == _naive_row_sets(rows)
+        assert sets[0] is sets[2] is sets[5]
+        assert sets[1] is sets[4] and sets[1] == frozenset()
+        assert rows_frozensets(np.zeros((0, 2), dtype=np.uint64)) == []
+        assert rows_tokens(np.zeros((0, 2), dtype=np.uint64)) == []
+
+    def test_complete_run_holds_one_shared_set(self):
+        n, k = 200, 16
+        res = SynchronousEngine(engine="fast").run(
+            CSRNetwork(ring_lattice_arrays(n, 4)), make_flood_new_factory(), k,
+            {v: frozenset({v % k}) for v in range(n)}, 40,
+        )
+        assert res.complete
+        assert len({id(s) for s in res.outputs.values()}) == 1
+
+
+class TestProfileBookkeeping:
+    """At ``obs="profile"`` the vectorised tier books its pre-loop pack
+    and post-loop decode to the ``bookkeeping`` stage."""
+
+    @staticmethod
+    def _slowed(fn):
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return fn(*args, **kwargs)
+        return slow
+
+    @pytest.mark.parametrize("stage", ["rows_frozensets", "pack_rows"])
+    def test_pack_and_decode_are_bookkeeping(self, monkeypatch, stage):
+        monkeypatch.setattr(columnar, stage, self._slowed(getattr(columnar, stage)))
+        scenario = _flat(3)
+        res = SynchronousEngine(engine="fast", obs="profile").run(
+            scenario.trace, make_flood_all_factory(), scenario.k,
+            scenario.initial, 10,
+        )
+        assert res.algorithms is None
+        profile = res.timeline.profile
+        assert set(profile) == {
+            "topology", "send", "deliver", "receive", "bookkeeping"}
+        assert profile["bookkeeping"] >= 0.05
 
 
 class TestCSRNetwork:
