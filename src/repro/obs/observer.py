@@ -242,11 +242,10 @@ class RunObserver:
         if log is not None and self.recorder is not None:
             senders, dests, payload, costs = log
             keep = np.flatnonzero(costs != 0)
-            record = self.recorder.record_send
-            for i, toks in zip(keep.tolist(), rows_tokens(payload[keep])):
-                dest = int(dests[i])
-                record(int(senders[i]), "b" if dest < 0 else "u",
-                       None if dest < 0 else dest, toks, int(costs[i]))
+            self.recorder.record_sends(
+                senders[keep].tolist(), dests[keep].tolist(),
+                rows_tokens(payload[keep]), costs[keep].tolist(),
+            )
 
     def close_round(
         self,
@@ -260,6 +259,7 @@ class RunObserver:
         per_node: Optional[Sequence[int]] = None,
         faults: Optional[Tuple[Tuple[int, ...], int]] = None,
         snap=None,
+        unchanged: bool = False,
     ) -> None:
         """Close round ``r`` with its end-of-round state.
 
@@ -268,8 +268,14 @@ class RunObserver:
         :attr:`wants_deliveries`, and ``per_node`` / ``snap`` when
         :attr:`wants_views`; ``faults`` is ``(newly crashed ids, tokens
         they held)`` on runs with a link model, else ``None``.
+        ``unchanged`` promises that ``state`` equals the previous round's
+        (a round that started saturated): the state diff is skipped and
+        the round gains and loses nothing.
         """
-        if self._prev is not None:
+        if unchanged:
+            if self.recorder is not None:
+                self.recorder.end_round((), ())
+        elif self._prev is not None:
             bits = self._packed(state)
             new = bits & ~self._prev
             gained = _changed(new)
@@ -352,6 +358,6 @@ class RunObserver:
             roles = _ROLE_LETTERS[arrs.roles.astype(np.int64)].tobytes().decode("ascii")
         head_of = None
         if arrs.head_of is not None:
-            head_of = tuple(int(h) for h in arrs.head_of.tolist())
+            head_of = tuple(arrs.head_of.tolist())
         self._pack_memo[id(arrs)] = (arrs, (roles, head_of))
         return roles, head_of

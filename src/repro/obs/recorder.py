@@ -56,6 +56,7 @@ from typing import (
     Mapping,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Union,
 )
@@ -395,7 +396,7 @@ class RunRecorder:
 
     :class:`~repro.obs.observer.RunObserver` calls
     :meth:`begin_round_packed` with the round's packed hierarchy,
-    :meth:`record_send` for every non-empty transmission, and
+    :meth:`record_sends` with the round's non-empty transmissions, and
     :meth:`end_round` with the round's knowledge deltas; :meth:`finish`
     packages the :class:`RunRecording`.  All canonicalisation (sorting,
     tuple packing) happens here so the engines stay order-free.
@@ -450,25 +451,23 @@ class RunRecorder:
         self._roles = roles
         self._head_of = head_of
 
-    def record_send(
+    def record_sends(
         self,
-        sender: int,
-        kind: str,
-        dest: Optional[int],
-        tokens: Iterable[int],
-        cost: int,
+        senders: Sequence[int],
+        dests: Sequence[int],
+        tokens: Iterable[Sequence[int]],
+        costs: Sequence[int],
     ) -> None:
-        """Record one transmission (``kind`` ``"b"``/``"u"``; broadcast
-        ``dest`` is ``None``/-1)."""
-        self._messages.append(
-            MessageRecord(
-                sender=int(sender),
-                kind=kind,
-                dest=-1 if dest is None else int(dest),
-                tokens=tuple(sorted(tokens)),
-                cost=int(cost),
-            )
-        )
+        """Record transmissions given as parallel columns of ints: sender,
+        destination (``-1`` for a broadcast), sorted tokens and cost."""
+        self._messages.extend(map(
+            MessageRecord,
+            senders,
+            ["b" if dest < 0 else "u" for dest in dests],
+            dests,
+            map(tuple, tokens),
+            costs,
+        ))
 
     def end_round(
         self,

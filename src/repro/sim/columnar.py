@@ -24,6 +24,16 @@ by :func:`select_delivery` from the run's inputs alone:
   (``latency > 1``), and where causal attribution needs each delivery's
   sender (``obs="trace"``).
 
+**Saturated rounds.**  Once a round ends with every node holding all
+``k`` tokens, on a run with no link model and ``latency == 1``, no later
+round can change the state: nothing crashes a node or flips a bit, and
+every kernel's absorb only ORs into ``TA`` (the saturation contract of
+:meth:`~repro.sim.fastpath._Kernel.absorb`).  Those rounds still send and
+bill, but skip delivery, the absorb, the popcount (unless monitors need
+``per_node``) and the observer's state diff.  Algorithm 1 alone still
+absorbs ``from_head``, which grows the ``TR`` that steers its member
+unicasts.
+
 **Bit-identity.**  OR-accumulation is order-independent, so both
 deliveries produce the same :class:`RunResult` as the reference engine:
 outputs, metrics, timelines, recordings, causal traces and monitor
@@ -393,8 +403,9 @@ def run_columnar(
     At ``obs="profile"`` the set-up before round 0 and the decode after
     the last round are booked to the ``bookkeeping`` stage.
 
-    The delivery follows :func:`select_delivery`.  ``monitors`` receive
-    one :class:`~repro.obs.RoundView` per round.
+    The delivery follows :func:`select_delivery`; saturated rounds skip
+    it (see the module docstring).  ``monitors`` receive one
+    :class:`~repro.obs.RoundView` per round.
     """
     started = time.perf_counter()
     n, W = TA.shape
@@ -413,6 +424,11 @@ def run_columnar(
         alive = np.ones(n, dtype=bool)
     latency = engine.latency
     in_flight: Dict[int, List[Flat]] = {}
+    # once a round ends with every token everywhere, a run with no link
+    # model (nothing crashes a node or flips a bit) and nothing in flight
+    # can no longer change state: every absorb only ORs into TA
+    saturable = link is None and latency == 1
+    saturated = False
     # set-up before the first round and the decode after the last are
     # bookkeeping, like the per-round counters
     lap = _lap_timer(observer.profiler, started)
@@ -452,7 +468,7 @@ def run_columnar(
             edge_keep, batch = _link_transform(
                 r, n, batch, arrs, link, alive, metrics
             )
-        if scatter and batch is not None:
+        if scatter and batch is not None and not saturated:
             flat = _deliveries(r, batch, arrs, link)
             if flat is not None:
                 in_flight.setdefault(r + latency - 1, []).append(flat)
@@ -461,7 +477,7 @@ def run_columnar(
         # --- deliver: what each node heard, per the delivery --------------
         heard = from_head = flat = None
         hears_heads = kernel.hears_heads and arrs.roles is not None
-        if scatter:
+        if scatter and not saturated:
             flat = _landing(in_flight.pop(r, None), alive)
             if flat is not None:
                 heard = np.zeros_like(kernel.TA)
@@ -469,18 +485,25 @@ def run_columnar(
                 if hears_heads:
                     from_head = np.zeros_like(heard)
                     _or_from_head(arrs, *flat, from_head)
-        elif batch is not None:
+        elif batch is not None and (hears_heads or not saturated):
+            # CSR delivery; a saturated round builds only from_head
             bc_full = np.zeros_like(kernel.TA)
             bc_full[batch.bc_senders] = batch.bc_payload
-            heard = segment_or(arrs.indptr, arrs.indices, bc_full, edge_keep)
             ok = np.flatnonzero(batch.uc_ok)
             unicasts = (
                 batch.uc_dests[ok], batch.uc_senders[ok], batch.uc_payload[ok]
             )
-            np.bitwise_or.at(heard, unicasts[0], unicasts[2])
             if hears_heads:
                 from_head = _csr_from_head(r, arrs, bc_full, link)
                 _or_from_head(arrs, *unicasts, from_head)
+            if saturated:
+                # TA is all ones, so absorb can only grow Algorithm 1's TR
+                # from what members heard from their own head (see
+                # _Kernel.absorb)
+                heard = from_head
+            else:
+                heard = segment_or(arrs.indptr, arrs.indices, bc_full, edge_keep)
+                np.bitwise_or.at(heard, unicasts[0], unicasts[2])
         lap("deliver")
 
         # --- receive -----------------------------------------------------
@@ -499,19 +522,25 @@ def run_columnar(
             for fv, ft in link.faults(r):
                 if alive is None or alive[fv]:
                     kernel.TA[fv, ft >> 6] ^= _U1 << np.uint64(ft & 63)
-        per_node = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
-        coverage = int(per_node.sum())
-        nodes_complete = int((per_node == k).sum())
+        if saturated and not observer.wants_views:
+            coverage, nodes_complete, per_node = n * k, n, None
+        else:
+            counts = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
+            coverage = int(counts.sum())
+            nodes_complete = int((counts == k).sum())
+            per_node = counts.tolist() if observer.wants_views else None
         metrics.end_round(coverage)
         observer.close_round(
             r, coverage, nodes_complete, metrics,
             state=kernel.TA,
             deliveries=flat,
-            per_node=per_node.tolist() if observer.wants_views else None,
+            per_node=per_node,
             faults=None if link is None else (newly_crashed, crash_tokens),
             snap=snap,
+            unchanged=saturated,
         )
         lap("bookkeeping")
+        saturated = saturable and coverage == n * k
         alive_n = n if alive is None else int(alive.sum())
         if coverage == alive_n * k and (alive is None or alive_n > 0):
             metrics.mark_complete()

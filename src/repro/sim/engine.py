@@ -192,6 +192,7 @@ class ActiveRun:
         self.stop_when_complete = stop_when_complete
         self.stop_when_finished = stop_when_finished
 
+        started = time.perf_counter()
         self.algorithms: Dict[int, NodeAlgorithm] = {
             v: factory(v, k, frozenset(initial.get(v, frozenset())))
             for v in range(n)
@@ -201,6 +202,11 @@ class ActiveRun:
             engine.obs, n, k, [self.algorithms[v].TA for v in range(n)],
             monitors=monitors, stream=engine.stream,
         )
+        if self.observer.profiler is not None:
+            # set-up is bookkeeping, as on the vectorised tier
+            self.observer.profiler.add(
+                "bookkeeping", time.perf_counter() - started
+            )
         self.round = 0
         self.stopped = False
         self._adaptive = getattr(network, "adaptive_snapshot", None)
@@ -256,7 +262,11 @@ class ActiveRun:
                 f"snapshot for round {r} has {snap.n} nodes, expected {n}"
             )
         if prof is not None:
-            prof.add("topology", time.perf_counter() - t0)
+            # opening the round, the crash stage and the contexts are
+            # booked to send, as on the vectorised tier
+            now = time.perf_counter()
+            prof.add("topology", now - t0)
+            t0 = now
         self.metrics.begin_round()
         observer.open_round(snap.arrays())
 
@@ -288,8 +298,6 @@ class ActiveRun:
         ]
 
         # --- send phase ---------------------------------------------------
-        if prof is not None:
-            t0 = time.perf_counter()
         due = r + self.engine.latency - 1
         by_role: Dict[str, List[int]] = {}
         sent: Optional[List[Tuple[int, Message]]] = (
@@ -418,6 +426,7 @@ class ActiveRun:
 
     def finish(self) -> RunResult:
         """Package the current state as a :class:`RunResult`."""
+        started = time.perf_counter()
         outputs = {
             v: frozenset(self.algorithms[v].TA) for v in range(self.n)
         }
@@ -427,6 +436,10 @@ class ActiveRun:
             survivors = [v for v in range(self.n) if self._alive[v]]
             complete = bool(survivors) and all(
                 len(outputs[v]) == self.k for v in survivors
+            )
+        if self.observer.profiler is not None:
+            self.observer.profiler.add(
+                "bookkeeping", time.perf_counter() - started
             )
         timeline, causal, recording, violations = self.observer.finish(
             self.round, complete

@@ -181,6 +181,14 @@ class _Kernel:
         OR-neutral).  For kernels with :attr:`hears_heads` on clustered
         rounds, ``from_head`` is the OR of the payloads each *member*
         received from its own head (zero rows elsewhere); else ``None``.
+
+        **Saturation contract.**  When every row of ``TA`` holds all ``k``
+        tokens, ``absorb`` must leave ``TA`` and every other kernel array
+        unchanged, whatever ``heard`` and ``from_head`` hold — the one
+        exception is Algorithm 1's ``TR``, which gains ``from_head``.
+        :func:`~repro.sim.columnar.run_columnar` relies on it to skip the
+        delivery of saturated rounds; ``tests/test_columnar.py`` checks
+        every kind in ``_KERNELS``.
         """
         self.TA |= heard
 

@@ -9,6 +9,7 @@ builders."""
 
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from repro.experiments.scenarios import (
 from repro.graphs.generators.static import clustered_star_arrays, ring_lattice_arrays
 from repro.obs.monitors import default_monitors
 from repro.obs.observer import rows_frozensets, rows_tokens
-from repro.registry import all_specs
+from repro.registry import all_specs, get_spec
 from repro.sim import columnar
 from repro.sim.engine import SynchronousEngine
 from repro.sim.linkmodel import CrashChurn, IidLoss, LinkChain
@@ -76,19 +77,30 @@ CASES = [
 ]
 
 
-def assert_columnar_equivalent(scenario, factory, max_rounds, **engine_kwargs):
-    """Run the columnar and reference engines; compare every observable."""
-    col = SynchronousEngine(engine="columnar", **engine_kwargs).run(
-        scenario.trace, factory, scenario.k, scenario.initial, max_rounds
-    )
-    ref = SynchronousEngine(**engine_kwargs).run(
-        scenario.trace, factory, scenario.k, scenario.initial, max_rounds
+def assert_columnar_equivalent(scenario, factory, max_rounds, initial=None,
+                               monitors=None, **engine_kwargs):
+    """Run the columnar and reference engines; compare every observable.
+
+    ``initial`` replaces the scenario's assignment; ``monitors`` builds
+    a fresh monitor list for each run.
+    """
+    if initial is None:
+        initial = scenario.initial
+    col, ref = (
+        SynchronousEngine(engine=engine, **engine_kwargs).run(
+            scenario.trace, factory, scenario.k, initial, max_rounds,
+            monitors=monitors() if monitors else None,
+        )
+        for engine in ("columnar", "reference")
     )
     assert col.n == ref.n and col.k == ref.k
     assert col.outputs == ref.outputs
     assert col.complete == ref.complete
     assert col.metrics == ref.metrics
     assert col.timeline == ref.timeline
+    assert col.recording == ref.recording
+    assert col.causal_trace == ref.causal_trace
+    assert col.violations == ref.violations
     assert col.algorithms is None
     return col
 
@@ -559,6 +571,172 @@ class TestProfileBookkeeping:
         assert set(profile) == {
             "topology", "send", "deliver", "receive", "bookkeeping"}
         assert profile["bookkeeping"] >= 0.05
+
+
+#: The cacheable obs levels (``profile`` carries wall times).
+CACHEABLE_OBS = ("off", "timeline", "trace", "record")
+
+
+#: One parameter set per kernel kind, and strict Algorithm 1 besides.
+KERNEL_PARAMS = [
+    ("algorithm1", {"T": 3, "M": 4, "strict": False}),
+    ("algorithm1-strict", {"T": 3, "M": 4, "strict": True}),
+    ("algorithm1_stable", {"T": 3, "M": 4, "strict": False}),
+    ("algorithm2", {"M": 10}),
+    ("klo_interval", {"T": 3, "M": 4}),
+    ("klo_one", {"M": 10}),
+    ("flood_all", {}),
+    ("flood_new", {}),
+]
+
+
+class TestSaturatedRounds:
+    """Rounds after a run's coverage reaches n·k skip delivery, absorb,
+    the popcount and the state diff when the run has no link model and
+    ``latency == 1``; results stay identical to the reference tier."""
+
+    def test_every_kernel_kind_is_contract_checked(self):
+        assert {kind.split("-")[0] for kind, _ in KERNEL_PARAMS} == set(columnar._KERNELS)
+
+    @pytest.mark.parametrize("clustered", [True, False], ids=["clustered", "flat"])
+    @pytest.mark.parametrize("case", KERNEL_PARAMS, ids=_case_id)
+    def test_absorb_on_saturated_state_only_grows_tr(self, case, clustered):
+        """The saturation contract of ``_Kernel.absorb``: on an all-ones
+        ``TA`` every kernel array stays as it was, except Algorithm 1's
+        ``TR``, which gains ``from_head``."""
+        name, params = case
+        n, k = 40, 70  # two words, the second partly used
+        arrs = (clustered_star_arrays if clustered else ring_lattice_arrays)(n, 4)
+        rng = np.random.default_rng(7)
+        full = columnar.pack_rows([range(k)] * n, k)
+        kernel = columnar._KERNELS[name.split("-")[0]](
+            n, k, full.shape[1], full.copy(), **params
+        )
+        for r in range(2):  # let sends fill TS and friends
+            kernel.send(r, arrs)
+
+        def tokens():
+            return columnar.pack_rows(
+                [rng.choice(k, size=rng.integers(0, 6), replace=False)
+                 for _ in range(n)], k,
+            )
+
+        heard = tokens()
+        from_head = None
+        if kernel.hears_heads and arrs.roles is not None:
+            from_head = tokens()
+            from_head[arrs.roles != columnar._ROLE_MEMBER] = 0
+            assert from_head.any()
+        before = {
+            attr: value.copy() for attr, value in vars(kernel).items()
+            if isinstance(value, np.ndarray)
+        }
+        kernel.absorb(arrs, heard, from_head)
+        for attr, old in before.items():
+            expected = old
+            if attr == "TR" and from_head is not None:
+                expected = old | from_head
+            assert np.array_equal(getattr(kernel, attr), expected), attr
+        assert np.array_equal(kernel.TA, full)
+
+    @pytest.mark.parametrize("obs", CACHEABLE_OBS)
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_runs_that_start_saturated(self, case, obs):
+        name, scen_fn, fac_fn, max_rounds = case
+        scenario = scen_fn(1)
+        every = frozenset(range(scenario.k))
+        initial = {v: every for v in range(scenario.n)}
+        col = assert_columnar_equivalent(
+            scenario, fac_fn(scenario), max_rounds, initial=initial, obs=obs
+        )
+        assert col.metrics.completion_round == 1
+
+    @pytest.mark.parametrize("obs", CACHEABLE_OBS)
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_algorithm1_saturates_mid_phase(self, seed, strict, obs):
+        """Members keep unicasting after saturation, steered by the
+        ``TR`` their heads' later broadcasts fill."""
+        T, M = 12, 5
+        scenario = _hinet(seed, n0=40, theta=12, k=5)
+        col = assert_columnar_equivalent(
+            scenario, make_algorithm1_factory(T=T, M=M, strict=strict),
+            T * M, obs=obs,
+        )
+        done = col.metrics.completion_round
+        assert done is not None and done % T and done < T * (M - 1)
+        assert col.metrics.per_round_tokens[done:] != [0] * (T * M - done)
+
+    @pytest.mark.parametrize("obs", CACHEABLE_OBS)
+    @pytest.mark.parametrize("engine_kwargs", [
+        {"latency": 2}, {"link": IidLoss(0.0, seed=1)},
+    ], ids=["latency2", "iid-loss-0"])
+    @pytest.mark.parametrize("case", [
+        ("alg1", lambda: _hinet(1, n0=40, theta=12, k=5),
+         lambda s: make_algorithm1_factory(T=12, M=5), 60),
+        # full-set broadcasts every round: frames are in flight when the
+        # run saturates
+        ("klo-one", lambda: _flat(1), lambda s: make_klo_one_factory(M=s.n - 1), 29),
+    ], ids=_case_id)
+    def test_skip_off_paths(self, case, engine_kwargs, obs):
+        """In-flight frames (``latency > 1``) and link models keep the
+        full path.  The budget runs past the algorithm's own, so a run
+        that never drains its in-flight frames would run too long."""
+        _, scen_fn, fac_fn, budget = case
+        scenario = scen_fn()
+        col = assert_columnar_equivalent(
+            scenario, fac_fn(scenario), budget + 20, obs=obs, **engine_kwargs
+        )
+        assert col.complete and col.metrics.completion_round < budget
+        assert budget <= col.metrics.rounds < budget + 20
+
+    @pytest.mark.parametrize("obs", CACHEABLE_OBS)
+    @pytest.mark.parametrize("name", ["algorithm1", "klo-interval", "flood-all"])
+    def test_monitored_saturated_runs(self, name, obs):
+        spec = get_spec(name)
+        scenario = scenario_for(default_kind(spec), n0=40, theta=12, k=6, seed=3)
+        plan = spec.plan(scenario)
+        col = assert_columnar_equivalent(
+            scenario, plan.factory, plan.max_rounds,
+            monitors=lambda: default_monitors(spec=spec, plan=plan, scenario=scenario),
+            obs=obs,
+        )
+        assert col.violations is not None
+        assert col.metrics.completion_round < col.metrics.rounds
+
+    @pytest.mark.parametrize("engine_kwargs, skips", [
+        ({}, True),
+        ({"obs": "trace"}, True),
+        ({"obs": "record"}, True),
+        ({"latency": 2}, False),
+        ({"link": IidLoss(0.0, seed=1)}, False),
+    ], ids=["timeline", "trace", "record", "latency2", "iid-loss-0"])
+    def test_delivery_stops_after_saturation(self, engine_kwargs, skips, monkeypatch):
+        """Deliveries stop after the saturating round, except where
+        the rule keeps the full path."""
+        calls = Counter()
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn in ("segment_or", "_deliveries", "_landing"):
+            monkeypatch.setattr(columnar, fn, counted(getattr(columnar, fn)))
+        scenario = _flat(3)
+        res = SynchronousEngine(engine="fast", **engine_kwargs).run(
+            scenario.trace, make_flood_all_factory(), scenario.k,
+            scenario.initial, 35,
+        )
+        done = res.metrics.completion_round
+        assert done is not None and done < res.metrics.rounds == 35
+        # flood-all broadcasts every round: one delivery per round run
+        expected = done if skips else res.metrics.rounds
+        if engine_kwargs.get("obs") == "trace" or "latency" in engine_kwargs:
+            assert calls == {"_deliveries": expected, "_landing": expected}
+        else:
+            assert calls == {"segment_or": expected}
 
 
 class TestCSRNetwork:

@@ -1,9 +1,13 @@
 """Unit and behavioural tests for the synchronous engine."""
 
+import time
+
 import pytest
 
 from repro.baselines.flooding import make_flood_all_factory
 from repro.graphs.trace import GraphTrace
+from repro.obs.observer import RunObserver
+from repro.sim import engine as engine_module
 from repro.sim.engine import SynchronousEngine, run
 from repro.sim.messages import Message
 from repro.sim.node import NodeAlgorithm
@@ -218,3 +222,62 @@ class TestTraceRecording:
         hops = [(e.round, e.sender, e.node)
                 for e in res.causal_trace.provenance(2, 0)]
         assert hops == [(-1, -1, 0), (0, 0, 1), (1, 1, 2)]
+
+
+
+def _echo(v, k, init):
+    return Echo(v, k, init)
+
+
+class TestReferenceProfileBookkeeping:
+    """At ``obs="profile"`` the reference tier books every step of a run
+    to a stage, as the vectorised tier does: opening a round, the crash
+    stage and the round contexts to ``send``; building the algorithm
+    objects and the output sets to ``bookkeeping``."""
+
+    DELAY = 0.05
+
+    def _run(self, factory):
+        active = SynchronousEngine(obs="profile").start(
+            _line(6), factory, 2, {0: frozenset({0}), 5: frozenset({1})}, 4
+        )
+        active.run_to_completion()
+        return active
+
+    def test_open_round_is_send(self, monkeypatch):
+        open_round = RunObserver.open_round
+
+        def slow(observer, arrs):
+            time.sleep(self.DELAY)
+            return open_round(observer, arrs)
+
+        monkeypatch.setattr(RunObserver, "open_round", slow)
+        profile = self._run(_echo).finish().timeline.profile
+        assert profile["send"] >= 4 * self.DELAY
+        assert profile["topology"] < self.DELAY
+
+    def test_algorithm_objects_are_bookkeeping(self):
+        def slow_factory(v, k, init):
+            if v == 0:
+                time.sleep(self.DELAY)
+            return Echo(v, k, init)
+
+        profile = self._run(slow_factory).finish().timeline.profile
+        assert profile["bookkeeping"] >= self.DELAY
+        assert profile["send"] < self.DELAY
+
+    def test_output_sets_are_bookkeeping(self, monkeypatch):
+        active = self._run(_echo)
+        before = active.observer.profiler.seconds["bookkeeping"]
+        slept = []
+
+        def slow_frozenset(*args):
+            if not slept:
+                time.sleep(self.DELAY)
+                slept.append(True)
+            return frozenset(*args)
+
+        monkeypatch.setattr(engine_module, "frozenset", slow_frozenset, raising=False)
+        profile = active.finish().timeline.profile
+        assert slept
+        assert profile["bookkeeping"] - before >= self.DELAY
