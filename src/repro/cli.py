@@ -422,6 +422,7 @@ def _build_scenario(args, spec: AlgorithmSpec, profiler=None):
 
     from .experiments.scenarios import (
         SCENARIO_KINDS,
+        _certified,
         churn_scenario,
         lossy_scenario,
         scenario_for,
@@ -439,7 +440,7 @@ def _build_scenario(args, spec: AlgorithmSpec, profiler=None):
     certify = SCENARIO_KINDS[kind][2]
     if profiled and certify is not None:
         with profiler.section("property_checks"):
-            certify(scenario)
+            scenario = _certified(scenario, certify)
     if args.loss:
         scenario = lossy_scenario(scenario, args.loss, seed=args.loss_seed,
                                   burst_len=args.burst)

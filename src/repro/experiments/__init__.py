@@ -9,46 +9,34 @@ a ``cache`` (see :class:`~repro.experiments.cache.ResultCache`) that
 makes re-runs and interrupted sweeps resume from disk.
 """
 
-from .cache import ResultCache, resolve_cache, scenario_fingerprint
-from .emdg_study import emdg_cluster_study
-from .figures import fig1_example_network, fig2_definition_lattice, fig3_walkthrough
-from .grid import grid_cells, grid_sweep
-from .parallel import parallel_map
-from .pareto import dissemination_pareto, pareto_frontier
-from .replication import MetricSummary, replicate, replicate_algorithm, summarize
-from .report import format_records, format_table, records_to_markdown
-from .validation import (
-    Lemma2Record,
-    check_comm_budget,
-    check_lemma2,
-    check_theorem1,
-    check_theorem2,
-    check_theorem3,
-)
-from .runner import (
-    RunRecord,
-    execute,
-    run_algorithm1,
-    run_algorithm1_stable,
-    run_algorithm2,
-    run_flood_all,
-    run_flood_new,
-    run_gossip,
-    run_kactive,
-    run_klo_interval,
-    run_klo_one,
-    run_netcoding,
-)
-from .scenarios import (
-    Scenario,
-    dhop_scenario,
-    hinet_interval_scenario,
-    hinet_one_scenario,
-    klo_interval_scenario,
-    one_interval_scenario,
-)
-from .sweeps import sweep_alpha_L, sweep_k, sweep_n, sweep_reaffiliation
-from .tables import analytic_table2, analytic_table3, simulated_table3
+from importlib import import_module
+
+#: submodule -> the public names it exports here
+_EXPORTS = {
+    "cache": ("ResultCache", "resolve_cache", "scenario_fingerprint"),
+    "emdg_study": ("emdg_cluster_study",),
+    "figures": ("fig1_example_network", "fig2_definition_lattice",
+                "fig3_walkthrough"),
+    "grid": ("grid_cells", "grid_sweep"),
+    "parallel": ("parallel_map",),
+    "pareto": ("dissemination_pareto", "pareto_frontier"),
+    "replication": ("MetricSummary", "replicate", "replicate_algorithm",
+                    "summarize"),
+    "report": ("format_records", "format_table", "records_to_markdown"),
+    "validation": ("Lemma2Record", "check_comm_budget", "check_lemma2",
+                   "check_theorem1", "check_theorem2", "check_theorem3"),
+    "runner": ("RunRecord", "execute", "run_algorithm1",
+               "run_algorithm1_stable", "run_algorithm2", "run_flood_all",
+               "run_flood_new", "run_gossip", "run_kactive",
+               "run_klo_interval", "run_klo_one", "run_netcoding"),
+    "scenarios": ("Scenario", "dhop_scenario", "hinet_interval_scenario",
+                  "hinet_one_scenario", "klo_interval_scenario",
+                  "one_interval_scenario"),
+    "sweeps": ("sweep_alpha_L", "sweep_k", "sweep_n", "sweep_reaffiliation"),
+    "tables": ("analytic_table2", "analytic_table3", "simulated_table3"),
+}
+
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [
     "Lemma2Record",
@@ -102,3 +90,21 @@ __all__ = [
     "sweep_n",
     "sweep_reaffiliation",
 ]
+
+
+def __getattr__(name):
+    # PEP 562, as in ``repro/__init__``: each submodule loads on first
+    # access, so importing the cache and runner path skips the tables,
+    # figures and sweeps stack.
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

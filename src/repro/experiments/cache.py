@@ -45,6 +45,25 @@ decode, one checksum and one array conversion instead of parsing every
 number as JSON.  A block whose checksum, dtype or length disagrees with
 its header is a miss (see :meth:`ResultCache.get`).
 
+The scenario fingerprint is memoized on the scenario.  A
+:class:`~repro.experiments.scenarios.Scenario` is a frozen dataclass
+whose ``initial``, ``params`` and ``link`` are read-only copies, so
+nothing the fingerprint covers can change once the scenario is built.
+Each instance therefore keeps a private ``_memo`` dict, and
+:func:`scenario_fingerprint` stores its digest there on the first call.
+That helps when one Scenario instance is keyed more than once in one
+process (several specs, engines or budgets run on one scenario, or the
+same scenario objects re-queried): each later :meth:`ResultCache.key` re-encodes and
+hashes only its small payload, not the scenario header and round
+digests.  The memo is not a dataclass field: ``dataclasses.replace``
+and a pickle round trip (process-pool workers) start with an empty one,
+and it never leaves the process, so the stored digest is exactly the
+one a fresh computation gives.  A scenario built or loaded afresh (a
+new process, ``repro report``, a resumed sweep) pays one full
+fingerprint.  :class:`ResultCache` itself stays stateless and pickles
+as its root path.  Objects without a ``_memo`` are fingerprinted afresh
+on every call.
+
 Cache location: pass an explicit directory (``cache="…"``), or set the
 ``REPRO_RESULT_CACHE`` environment variable to give every uncached
 ``execute`` call a default. Invalidation is by construction: any change
@@ -112,14 +131,27 @@ def scenario_fingerprint(scenario) -> str:
     ``n``, the trace's ``extend`` policy and horizon.  The rounds then
     contribute :meth:`GraphTrace.digest <repro.sim.topology.GraphTrace.digest>`,
     one digest per round of its CSR and hierarchy arrays, memoized on the
-    trace, so re-keying a scenario costs one small hash however large its
-    trace.
+    trace.  The whole fingerprint is memoized on a frozen
+    :class:`~repro.experiments.scenarios.Scenario` (its ``_memo``), so
+    re-keying one costs a dict lookup; an object without that memo is
+    fingerprinted afresh on every call.
 
     Content-addressed: two scenarios with the same trace, initial
     assignment and scalar params fingerprint identically no matter how
     they were constructed (edge order, networkx, a JSON round trip);
     any change to one of them changes the digest.
     """
+    memo = getattr(scenario, "_memo", None)
+    if memo is None:
+        return _fingerprint(scenario)
+    try:
+        return memo["fingerprint"]
+    except KeyError:
+        digest = memo["fingerprint"] = _fingerprint(scenario)
+        return digest
+
+
+def _fingerprint(scenario) -> str:
     trace = scenario.trace
     header = _canonical(
         {

@@ -75,9 +75,69 @@ __all__ = [
 ]
 
 
-@dataclass
+class _ReadOnlyDict(dict):
+    """A ``dict`` that refuses every in-place change.
+
+    A ``dict`` subclass rather than :class:`types.MappingProxyType`:
+    it pickles (sweeps send scenarios to process-pool workers),
+    ``json.dumps`` encodes it, and it compares equal to a plain dict.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(
+            f"{type(self).__name__} is read-only: derive a new scenario "
+            "with dataclasses.replace"
+        )
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+class _ReadOnlyList(list):
+    """A ``list`` that refuses every in-place change (see :class:`_ReadOnlyDict`)."""
+
+    __slots__ = ()
+
+    _read_only = _ReadOnlyDict._read_only
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = clear = extend = insert = pop = remove = reverse = sort = _read_only
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def _frozen(value):
+    """``value`` with every nested dict and list made read-only (copied)."""
+    if isinstance(value, dict):
+        return _ReadOnlyDict((key, _frozen(item)) for key, item in value.items())
+    if isinstance(value, list):
+        return _ReadOnlyList(_frozen(item) for item in value)
+    return value
+
+
+@dataclass(frozen=True)
 class Scenario:
     """One runnable experiment instance.
+
+    Immutable once built: assigning an attribute raises
+    :class:`dataclasses.FrozenInstanceError`, and ``initial``, ``params``
+    and ``link`` are read-only copies of what the constructor was given
+    (a ``dict`` subclass whose mutators raise ``TypeError``; nested
+    dicts and lists in ``params`` and ``link`` likewise).  Derive a
+    variant with :func:`dataclasses.replace`, as :func:`lossy_scenario`
+    and :func:`churn_scenario` do.
+
+    Because a built scenario cannot change, values derived from its
+    content are computed once per instance: the result cache memoizes
+    the scenario's fingerprint in the private ``_memo`` dict (see
+    :mod:`repro.experiments.cache`).  The memo is not a field:
+    ``dataclasses.replace`` and a pickle round trip start with an empty
+    one, so a variant never inherits a stale value.
 
     Attributes
     ----------
@@ -90,7 +150,7 @@ class Scenario:
     k:
         Token count.
     initial:
-        Node → initially-known tokens.
+        Node → initially-known tokens (stored as frozensets).
     params:
         Model parameters: T, L, alpha, theta, and empirical n_m / n_r
         where available.  Consumed by the cost model and the runners.
@@ -108,9 +168,30 @@ class Scenario:
     trace: GraphTrace
     k: int
     initial: Mapping[int, FrozenSet[int]]
-    params: Dict[str, object] = field(default_factory=dict)
+    params: Mapping[str, object] = field(default_factory=dict)
     family: str = "benign"
-    link: Optional[Dict[str, object]] = None
+    link: Optional[Mapping[str, object]] = None
+
+    def __post_init__(self) -> None:
+        initial = self.initial
+        if not isinstance(initial, _ReadOnlyDict):  # replace() passes it on
+            initial = _ReadOnlyDict(
+                (v, frozenset(toks)) for v, toks in initial.items()
+            )
+        set_field = object.__setattr__  # the sanctioned frozen-init path
+        set_field(self, "initial", initial)
+        set_field(self, "params", _frozen(dict(self.params)))
+        if self.link is not None:
+            set_field(self, "link", _frozen(dict(self.link)))
+        set_field(self, "_memo", {})
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["_memo"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state, _memo={})
 
     @property
     def n(self) -> int:
@@ -361,7 +442,7 @@ def haeupler_kuhn_scenario(
     :func:`~repro.graphs.properties.max_interval_connectivity` checker
     (binary search over running window intersections — no O(T·R)
     sliding-window fallback) and stores the certified value in
-    ``params["certified_T"]``.
+    ``params["certified_T"]`` before the scenario is returned.
     """
     M = algorithm2_rounds_1interval(n0) if rounds is None else rounds
     initial = initial_assignment(k, n0, mode=assignment)
@@ -377,7 +458,7 @@ def haeupler_kuhn_scenario(
         family="adversarial",
     )
     if verify:
-        _certify_adversarial(scenario)
+        scenario = _certified(scenario, _certify_adversarial)
     return scenario
 
 
@@ -431,7 +512,22 @@ def churn_scenario(
 # -- the scenario catalogue ---------------------------------------------------
 #
 # Certifiers take a built scenario and raise AssertionError when its trace
-# is outside the kind's model class.
+# is outside the kind's model class.  They never write to the scenario:
+# ``_certify_adversarial`` returns the ``certified_T`` its certificate
+# adds, and :func:`_certified` derives the certified scenario.
+
+def _certified(scenario: Scenario, certify) -> Scenario:
+    """``scenario`` after ``certify``, with any params it certified added.
+
+    ``scenario_for(kind, verify=False)`` followed by ``_certified(scenario,
+    SCENARIO_KINDS[kind][2])`` ends with the same params, and so the same
+    cache fingerprint, as ``scenario_for(kind, verify=True)``.
+    """
+    extra = certify(scenario)
+    if not extra:
+        return scenario
+    return replace(scenario, params={**scenario.params, **extra})
+
 
 def _certify_hinet_interval(scenario: Scenario) -> None:
     params = scenario.params
@@ -456,12 +552,12 @@ def _certify_one_interval(scenario: Scenario) -> None:
         raise AssertionError("generated trace is not 1-interval connected")
 
 
-def _certify_adversarial(scenario: Scenario) -> None:
-    """Certify with the incremental checker and store ``certified_T``."""
-    certified = max_interval_connectivity(scenario.trace)
-    if certified < 1:
+def _certify_adversarial(scenario: Scenario) -> Dict[str, object]:
+    """Certify with the incremental checker; returns ``certified_T``."""
+    certified_T = max_interval_connectivity(scenario.trace)
+    if certified_T < 1:
         raise AssertionError("adversarial trace is not even 1-interval connected")
-    scenario.params["certified_T"] = certified
+    return {"certified_T": certified_T}
 
 
 #: kind → (builder, the :func:`scenario_for` keywords it takes besides

@@ -86,3 +86,42 @@ def test_networkx_function_runs_in_a_fresh_interpreter():
         print(before, "networkx" in sys.modules, sorted(witness.nodes))
     """)
     assert out.strip().split(maxsplit=2) == ["False", "True", str(list(range(11)))]
+
+
+#: ``repro.experiments`` submodules that only tables, figures and sweeps use
+SWEEP_STACK = ("tables", "figures", "sweeps", "pareto", "emdg_study",
+               "validation", "replication", "grid")
+
+
+def test_cache_and_runner_load_no_sweep_stack():
+    out = _fresh("""
+        import sys
+        import repro.experiments.cache, repro.experiments.runner
+        print(" ".join(m for m in sys.modules
+                       if m.startswith("repro.experiments.")))
+    """)
+    loaded = {name.rsplit(".", 1)[1] for name in out.split()}
+    assert {"cache", "runner", "scenarios"} <= loaded
+    assert not loaded & set(SWEEP_STACK), sorted(loaded)
+
+
+def test_every_experiments_name_resolves_lazily():
+    out = _fresh("""
+        import sys
+        import repro.experiments as experiments
+        assert "repro.experiments.tables" not in sys.modules
+        missing = [n for n in experiments.__all__ if n not in dir(experiments)]
+        assert not missing, missing
+        for name in experiments.__all__:
+            assert getattr(experiments, name) is not None, name
+        namespace = {}
+        exec("from repro.experiments import *", namespace)
+        assert set(experiments.__all__) <= set(namespace)
+        from repro.experiments import tables
+        assert experiments.tables is tables
+        try:
+            experiments.no_such_name
+        except AttributeError:
+            print("ok")
+    """)
+    assert out.split() == ["ok"]

@@ -245,6 +245,33 @@ class TestScenarioFamilies:
         assert max_interval_connectivity(scenario.trace) >= 1
         assert scenario.params["certified_T"] >= 1
 
+    def test_profiled_build_certifies_like_the_verified_build(self):
+        """``repro profile`` builds unverified and certifies apart; the
+        certifier only checks, and the scenario it ends with has the
+        verified build's params and fingerprint."""
+        from repro import cli
+        from repro.experiments.scenarios import SCENARIO_KINDS, _certified
+        from repro.obs import Profiler
+
+        argv = ["run", "flood-all", "--scenario", "adversarial", "--n0", "16",
+                "--k", "3"]
+        args = cli.build_parser().parse_args(argv)
+        spec = get_spec("flood-all")
+        verified = cli._build_scenario(args, spec)
+        profiled = cli._build_scenario(args, spec, profiler=Profiler())
+        assert profiled.params == verified.params
+        assert profiled.params["certified_T"] >= 1
+        assert scenario_fingerprint(profiled) == scenario_fingerprint(verified)
+
+        unverified = scenario_for("adversarial", n0=16, k=3, seed=args.seed,
+                                  verify=False)
+        assert "certified_T" not in unverified.params
+        certify = SCENARIO_KINDS["adversarial"][2]
+        assert certify(unverified) == {
+            "certified_T": verified.params["certified_T"]}
+        assert "certified_T" not in unverified.params  # never written
+        assert _certified(unverified, certify).params == verified.params
+
     def test_family_validation_rejects_unsupported(self):
         spec = get_spec("algorithm1")
         assert "adversarial" not in spec.families

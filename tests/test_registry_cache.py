@@ -586,3 +586,230 @@ class TestWrapperParity:
             _canonical(execute("algorithm1", interval_scenario))
         assert _canonical(run_gossip(one_scenario, seed=3)) == \
             _canonical(execute("gossip", one_scenario, seed=3))
+
+
+def _unmemoized(scenario):
+    """A plain stand-in with the scenario's content and no ``_memo``, so
+    the cache fingerprints it afresh on every call."""
+    from types import SimpleNamespace
+
+    return SimpleNamespace(
+        name=scenario.name, trace=scenario.trace, k=scenario.k,
+        initial=scenario.initial, params=scenario.params,
+        family=scenario.family, link=scenario.link,
+    )
+
+
+def _keys_of_every_spec(cache, build):
+    """Every spec's run key at four obs levels and two engines, on the
+    catalogue scenario its model class assumes (keyed as ``build`` wraps
+    it)."""
+    lines = []
+    for spec in all_specs():
+        scenario = scenario_for(default_kind(spec), n0=24, k=3, seed=5)
+        plan = spec.plan(scenario, **({"seed": 1} if spec.seeded else {}))
+        keyed = build(scenario)
+        for engine in ("fast", "reference"):
+            for obs in ("off", "timeline", "trace", "record"):
+                key = cache.key(spec, keyed, engine=engine,
+                                key_params=plan.key_params,
+                                stop_when_complete=plan.stop_when_complete,
+                                max_rounds=plan.max_rounds, obs=obs)
+                lines.append(f"{spec.name} {engine} {obs} {key}")
+    return lines
+
+
+class TestFingerprintMemo:
+    """A frozen scenario memoizes its fingerprint; every key built on the
+    memoized fingerprint is the one a fresh computation gives."""
+
+    def _key(self, cache, scenario, spec=None, **params):
+        return cache.key(spec or get_spec("algorithm1"), scenario,
+                         engine="fast", key_params=params,
+                         stop_when_complete=False, max_rounds=10)
+
+    def test_equal_but_differently_typed_params_key_apart(self, tmp_path):
+        # 1 == 1.0 == True, but their canonical JSON differs
+        scenario = hinet_interval_scenario(n0=24, theta=7, k=3, alpha=3, L=2,
+                                           seed=5)
+        cache = ResultCache(tmp_path)
+        keys = [self._key(cache, scenario, x=x) for x in (1, 1.0, True)]
+        assert len(set(keys)) == 3
+        fresh = _unmemoized(scenario)
+        assert keys == [self._key(cache, fresh, x=x) for x in (1, 1.0, True)]
+
+    def test_spec_version_changes_the_key_of_a_memoized_scenario(
+        self, tmp_path
+    ):
+        scenario = hinet_interval_scenario(n0=24, theta=7, k=3, alpha=3, L=2,
+                                           seed=5)
+        cache = ResultCache(tmp_path)
+        spec = get_spec("algorithm1")
+        base = self._key(cache, scenario, spec)
+        assert scenario._memo == {"fingerprint": scenario_fingerprint(
+            _unmemoized(scenario))}
+        bumped = self._key(cache, scenario, replace(spec, version=2))
+        assert bumped != base
+        assert bumped == self._key(cache, _unmemoized(scenario),
+                                   replace(spec, version=2))
+        assert self._key(cache, scenario, spec) == base
+
+    #: sha256 of :func:`_keys_of_every_spec`'s lines, computed before
+    #: scenarios were frozen: a cache filled then still replays
+    _EVERY_SPEC = "b5f4ab3f0878a85473a2d2c5ca9c0f999161d9fdbe24bdc507a176b12290c281"
+
+    def test_memoized_keys_equal_fresh_keys_for_every_spec(self, tmp_path):
+        import hashlib
+
+        cache = ResultCache(tmp_path)
+        fresh = _keys_of_every_spec(cache, _unmemoized)
+        memo = {}
+
+        def shared(scenario):  # one instance per catalogue build, reused
+            return memo.setdefault(scenario_fingerprint(scenario), scenario)
+
+        first = _keys_of_every_spec(cache, shared)
+        repeat = _keys_of_every_spec(cache, shared)
+        assert first == fresh == repeat
+        assert hashlib.sha256("\n".join(fresh).encode()).hexdigest() == \
+            self._EVERY_SPEC
+        assert all(s._memo for s in memo.values())
+
+
+def _fingerprint_and_key(scenario):
+    key = ResultCache("unused").key(
+        get_spec("flood-all"), scenario, engine="fast", key_params={},
+        stop_when_complete=True, max_rounds=5)
+    return scenario_fingerprint(scenario), key
+
+
+def _fingerprint_metric(scenario, seed):
+    return {"prefix": int(scenario_fingerprint(scenario)[:8], 16)}
+
+
+class TestFrozenScenario:
+    """A built scenario cannot change, so its memo never goes stale."""
+
+    @pytest.fixture
+    def lossy(self):
+        from repro.experiments.scenarios import lossy_scenario
+
+        base = hinet_one_scenario(n0=20, theta=6, k=3, L=2, seed=4)
+        return lossy_scenario(base, 0.1, seed=2)
+
+    @pytest.mark.parametrize("field", ["name", "k", "initial", "params",
+                                       "link", "family", "trace"])
+    def test_rejects_attribute_assignment(self, lossy, field):
+        from dataclasses import FrozenInstanceError
+
+        with pytest.raises(FrozenInstanceError):
+            setattr(lossy, field, getattr(lossy, field))
+
+    @pytest.mark.parametrize("field, key, value", [
+        ("initial", 0, frozenset({1})),
+        ("params", "T", 2),
+        ("link", "p", 0.5),
+    ])
+    def test_rejects_item_assignment(self, lossy, field, key, value):
+        mapping = getattr(lossy, field)
+        before = dict(mapping)
+        with pytest.raises(TypeError, match="read-only"):
+            mapping[key] = value
+        with pytest.raises(TypeError, match="read-only"):
+            del mapping[key]
+        for mutate in (lambda: mapping.update({key: value}),
+                       lambda: mapping.setdefault("new", value),
+                       lambda: mapping.pop(key), mapping.popitem,
+                       mapping.clear):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate()
+        with pytest.raises(TypeError, match="read-only"):
+            mapping |= {key: value}
+        assert dict(getattr(lossy, field)) == before
+
+    def test_nested_link_lists_are_read_only(self, lossy):
+        from repro.sim.linkmodel import PinpointFault
+
+        spec = PinpointFault(2, 1, 0, tiers=("fast",)).spec()
+        scenario = replace(lossy, link=spec)
+        spec["tiers"].append("reference")  # the caller's copy, not ours
+        assert scenario.link["tiers"] == ["fast"]
+        with pytest.raises(TypeError, match="read-only"):
+            scenario.link["tiers"].append("reference")
+        assert json.loads(json.dumps(scenario.link))["tiers"] == ["fast"]
+
+    def test_constructor_copies_what_it_is_given(self):
+        from repro.experiments.scenarios import Scenario
+
+        base = hinet_interval_scenario(n0=24, theta=7, k=3, alpha=3, L=2,
+                                       seed=5, verify=False)
+        params = dict(base.params)
+        initial = {v: set(t) for v, t in base.initial.items()}
+        scenario = Scenario(name=base.name, trace=base.trace, k=base.k,
+                            initial=initial, params=params)
+        before = scenario_fingerprint(scenario)
+        params["T"] = 99
+        initial[0].add(2)
+        assert scenario.params["T"] == base.params["T"]
+        assert all(type(t) is frozenset for t in scenario.initial.values())
+        assert scenario_fingerprint(scenario) == before == \
+            scenario_fingerprint(base)
+
+    def test_serialises(self, lossy):
+        from repro.io import scenario_from_dict, scenario_to_dict
+
+        text = json.dumps(scenario_to_dict(lossy))
+        back = scenario_from_dict(json.loads(text))
+        assert back.link == lossy.link == {"kind": "iid-loss", "p": 0.1,
+                                           "seed": 2}
+        assert back.params == {k: v for k, v in lossy.params.items()
+                               if k != "generator"}
+        assert scenario_fingerprint(back) == scenario_fingerprint(lossy)
+        assert json.loads(json.dumps(lossy.link)) == lossy.link
+
+    def test_pickle_round_trip_drops_the_memo(self, lossy):
+        import copy
+        import pickle
+
+        expected = _fingerprint_and_key(lossy)
+        assert lossy._memo
+        for back in (pickle.loads(pickle.dumps(lossy)), copy.copy(lossy),
+                     copy.deepcopy(lossy)):
+            assert back._memo == {}
+            assert back == lossy
+            assert type(back.params) is type(lossy.params)
+            with pytest.raises(TypeError, match="read-only"):
+                back.params["T"] = 2
+            assert _fingerprint_and_key(back) == expected
+
+    def test_survives_process_pool_workers(self, lossy):
+        from functools import partial
+
+        from repro.experiments.parallel import parallel_map
+        from repro.experiments.replication import replicate
+
+        one = hinet_interval_scenario(n0=24, theta=7, k=3, alpha=3, L=2,
+                                      seed=5)
+        scenarios = [lossy, one]
+        local = [_fingerprint_and_key(s) for s in scenarios]
+        assert parallel_map(_fingerprint_and_key, scenarios,
+                            processes=2) == local
+        summary = replicate(partial(_fingerprint_metric, lossy),
+                            seeds=[1, 2], processes=2)
+        assert summary["prefix"].mean == int(local[0][0][:8], 16)
+
+    @pytest.mark.parametrize("change", [
+        {"k": 2},
+        {"link": {"kind": "iid-loss", "p": 0.2, "seed": 2}},
+        {"link": None},
+        {"params": {"T": 1, "L": 2, "theta": 6, "rounds": 19}},
+        {"name": "renamed"},
+    ])
+    def test_replace_never_carries_a_stale_memo(self, lossy, change):
+        before = _fingerprint_and_key(lossy)
+        variant = replace(lossy, **change)
+        assert variant._memo == {}
+        after = _fingerprint_and_key(variant)
+        assert after == _fingerprint_and_key(_unmemoized(variant))
+        assert after[0] != before[0] and after[1] != before[1]
+        assert _fingerprint_and_key(lossy) == before
