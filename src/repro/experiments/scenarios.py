@@ -438,11 +438,11 @@ def haeupler_kuhn_scenario(
     against a flooding-knowledge oracle and the committed rounds become an
     oblivious 1-interval-connected path trace — worst-case-shaped for
     every one-token-per-round protocol, runnable on all three engine
-    tiers.  ``verify=True`` certifies the trace with the *incremental*
-    :func:`~repro.graphs.properties.max_interval_connectivity` checker
-    (binary search over running window intersections — no O(T·R)
-    sliding-window fallback) and stores the certified value in
-    ``params["certified_T"]`` before the scenario is returned.
+    tiers.  ``verify=True`` certifies the trace with
+    :func:`~repro.graphs.properties.max_interval_connectivity` (one
+    longest-window pass over the trace, whatever ``T``) and stores the
+    certified value in ``params["certified_T"]`` before the scenario is
+    returned.
     """
     M = algorithm2_rounds_1interval(n0) if rounds is None else rounds
     initial = initial_assignment(k, n0, mode=assignment)
@@ -553,7 +553,7 @@ def _certify_one_interval(scenario: Scenario) -> None:
 
 
 def _certify_adversarial(scenario: Scenario) -> Dict[str, object]:
-    """Certify with the incremental checker; returns ``certified_T``."""
+    """Certify with :func:`max_interval_connectivity`; returns ``certified_T``."""
     certified_T = max_interval_connectivity(scenario.trace)
     if certified_T < 1:
         raise AssertionError("adversarial trace is not even 1-interval connected")

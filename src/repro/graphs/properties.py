@@ -22,14 +22,19 @@ Sliding implies blocks for the same ``T``; the property tests assert this.
 
 The window kernel
 -----------------
-Definitions 5–7 and blocks T-interval connectivity are checked for every
-window of a trace at once (:class:`_WindowGraphs`): the windows'
-intersection graphs become one block-diagonal CSR, and reachability
-grows one hop per step on the engine's own segment-OR
+Definitions 5–7 and T-interval connectivity, in either reading, are
+checked for every window of a trace at once (:class:`_WindowGraphs`).
+Each edge of each round carries its *run*, the number of consecutive
+rounds from that one that hold it, so window ``[s, e)``'s intersection
+graph is the round-``s`` edges whose run is at least ``e − s``.  The
+windows' graphs become one block-diagonal CSR, and reachability grows
+one hop per step on the engine's own segment-OR
 (:func:`repro.sim.columnar.segment_or`).  By the bottleneck-spanning-tree
 property, a head set's Definition 6 bound is at most ``ℓ`` exactly when
 its ℓ-threshold head graph (heads joined when within ``ℓ`` hops) is
-connected, so ``ℓ`` steps decide Definition 7 with hop bound ``ℓ``.
+connected, so ``ℓ`` steps decide Definition 7 with hop bound ``ℓ``; with
+runs as edge widths, the same property gives every start round's longest
+connected window (:func:`max_interval_connectivity`).
 """
 
 from __future__ import annotations
@@ -96,96 +101,12 @@ def windows_of(horizon: int, T: int, windows: str = "blocks") -> Iterator[Tuple[
         raise ValueError(f"windows must be 'blocks' or 'sliding', got {windows!r}")
 
 
-#: Instrumentation: number of per-round edge-set incorporations performed
-#: by the intersection machinery (one per round added to or removed from a
-#: running window).  The tests use it to assert that the sliding checkers
-#: do O(horizon) round operations instead of the naive O(horizon · T).
-_intersection_round_ops = 0
-
-
-class _SlidingIntersection:
-    """Running edge-multiset of a sliding round window.
-
-    Adding/removing one round costs O(edges of that round); the current
-    window's intersection is exactly the edges whose count equals the
-    window width.  Sliding a T-window across an H-round trace therefore
-    touches each round's edge set twice (once in, once out) — O(H) round
-    operations total — where recomputing every window from scratch costs
-    O(H · T).
-    """
-
-    def __init__(self, trace: GraphTrace) -> None:
-        self.trace = trace
-        self.counts: Dict[Tuple[int, int], int] = {}
-        self.width = 0
-
-    def add_round(self, r: int) -> None:
-        global _intersection_round_ops
-        _intersection_round_ops += 1
-        counts = self.counts
-        for e in self.trace.snapshot(r).edge_set():
-            counts[e] = counts.get(e, 0) + 1
-        self.width += 1
-
-    def remove_round(self, r: int) -> None:
-        global _intersection_round_ops
-        _intersection_round_ops += 1
-        counts = self.counts
-        for e in self.trace.snapshot(r).edge_set():
-            c = counts[e] - 1
-            if c:
-                counts[e] = c
-            else:
-                del counts[e]
-        self.width -= 1
-
-    def spans_connected(self) -> bool:
-        """Whether the current intersection graph is connected on all n nodes."""
-        n = self.trace.n
-        if n <= 1:
-            return True
-        width = self.width
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        components = n
-        for (u, v), c in self.counts.items():
-            if c == width:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-                    components -= 1
-        return components == 1
-
-
-def _sliding_all_connected(trace: GraphTrace, T: int) -> bool:
-    """Sliding-window T-interval connectivity via one running intersection."""
-    horizon = trace.horizon
-    width = min(T, horizon)
-    window = _SlidingIntersection(trace)
-    for r in range(width):
-        window.add_round(r)
-    if not window.spans_connected():
-        return False
-    for start in range(1, horizon - width + 1):
-        window.remove_round(start - 1)
-        window.add_round(start + width - 1)
-        if not window.spans_connected():
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # the window kernel: every window of a trace in one batch
 # ---------------------------------------------------------------------------
 
 #: Elements one kernel batch may hold: windows are taken in consecutive
-#: runs whose (window, edge) keys and node rows stay under it, and head
+#: groups whose (window, edge) keys and node rows stay under it, and head
 #: graphs are closed in slices of at most this many head pairs, so long
 #: sliding traces are certified in bounded memory.
 _BATCH_BUDGET = 1 << 22
@@ -199,16 +120,57 @@ def _edge_keys(arrs: SnapshotArrays) -> np.ndarray:
     return rows[upper] * n + arrs.indices[upper]
 
 
+def _edge_runs(
+    trace: GraphTrace, lo: int, hi: int, runs: bool
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The edge keys of rounds ``[lo, hi)``, round after round, the offset
+    of each round's keys, and (with ``runs``) each edge's *run*: the
+    number of consecutive rounds in ``[its round, hi)`` that hold it.
+
+    A stable sort by key turns the round-major list key-major with rounds
+    ascending; a run continues while the key repeats in the next round.
+    """
+    parts = [_edge_keys(trace.snapshot_arrays(r)) for r in range(lo, hi)]
+    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    offsets = np.zeros(len(parts) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    keys = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    if not runs or keys.size == 0:
+        return keys, offsets, keys if runs else None
+    # least-significant-digit radix sort on 16-bit digits: numpy's stable
+    # argsort of 16-bit integers is a radix sort, several times faster
+    # than its timsort of the int64 keys
+    order = np.arange(keys.size)
+    top = int(keys.max())
+    shift = 0
+    while shift == 0 or top >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    key = keys[order]
+    rnd = np.repeat(np.arange(len(parts), dtype=np.int64), sizes)[order]
+    fresh = np.ones(key.size, dtype=bool)
+    fresh[1:] = (key[1:] != key[:-1]) | (rnd[1:] != rnd[:-1] + 1)
+    firsts = np.flatnonzero(fresh)
+    last = rnd[np.append(firsts[1:], key.size) - 1]
+    run = np.empty_like(keys)
+    run[order] = np.repeat(last, np.diff(np.append(firsts, key.size))) - rnd + 1
+    return keys, offsets, run
+
+
 class _WindowGraphs:
     """Graphs of a run of windows as one block-diagonal CSR over ``W * n`` rows.
 
     ``keys`` holds ``w * n² + u * n + v`` for each edge ``u < v`` of
     window ``w``'s graph; window ``w``'s node ``v`` is row ``w * n + v``.
     :meth:`step` grows packed per-row reach sets by one hop in every
-    window at once.
+    window at once.  ``runs``, when given, weighs each edge (in ``keys``
+    order) for :meth:`longest`.
     """
 
-    def __init__(self, n: int, windows: int, keys: np.ndarray) -> None:
+    def __init__(
+        self, n: int, windows: int, keys: np.ndarray, runs: Optional[np.ndarray] = None
+    ) -> None:
         self.n = n
         self.windows = windows
         self.keys = keys
@@ -216,28 +178,11 @@ class _WindowGraphs:
         u, v = np.divmod(rest, n)
         src = np.concatenate([w * n + u, w * n + v])
         dst = np.concatenate([w * n + v, w * n + u])
-        self.indices = dst[np.argsort(src, kind="stable")]
+        order = np.argsort(src, kind="stable")
+        self.indices = dst[order]
+        self.runs = None if runs is None else np.concatenate([runs, runs])[order]
         self.indptr = np.zeros(windows * n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=windows * n), out=self.indptr[1:])
-
-    @classmethod
-    def intersect(
-        cls, n: int, spans: Sequence[Tuple[int, int]], round_keys: Dict[int, np.ndarray]
-    ) -> "_WindowGraphs":
-        """The Υ universes of ``spans``: an edge of window ``w`` is kept
-        where its key occurs once per round of the window."""
-        nn = n * n
-        parts = [
-            round_keys[r] + w * nn
-            for w, (start, stop) in enumerate(spans)
-            for r in range(start, stop)
-        ]
-        keys, counts = np.unique(
-            np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64),
-            return_counts=True,
-        )
-        width = np.array([stop - start for start, stop in spans], dtype=np.int64)
-        return cls(n, len(spans), keys[counts == width[keys // nn]])
 
     def step(self, state: np.ndarray) -> np.ndarray:
         """``state`` with every row's reach extended by one hop."""
@@ -257,6 +202,26 @@ class _WindowGraphs:
                 break
             state = grown
         return state.reshape(self.windows, n).all(axis=1)
+
+    def longest(self, caps: np.ndarray) -> np.ndarray:
+        """Per window: the widest ``t ≤ caps[w]`` whose edges of run at
+        least ``t`` connect all ``n`` nodes, ``0`` if none does — the
+        narrowest row of a widest-path flood from node 0, seeded with
+        the cap, each row taking the best over its neighbours of the
+        narrower of their width and the edge's run."""
+        n = self.n
+        state = np.zeros(self.windows * n, dtype=np.int64)
+        state[::n] = caps
+        rows = np.flatnonzero(np.diff(self.indptr))
+        starts = self.indptr[rows]
+        while rows.size:
+            via = np.maximum.reduceat(np.minimum(state[self.indices], self.runs), starts)
+            grown = state.copy()
+            grown[rows] = np.maximum(state[rows], via)
+            if np.array_equal(grown, state):
+                break
+            state = grown
+        return state.reshape(self.windows, n).min(axis=1)
 
     def hop_bounds(
         self, heads: Sequence[Iterable[int]], limit: Optional[int] = None
@@ -331,28 +296,47 @@ def _heads_linked(
 
 
 def _window_graphs(
-    trace: GraphTrace, spans: Sequence[Tuple[int, int]]
+    trace: GraphTrace, spans: Sequence[Tuple[int, int]], weighted: bool = False
 ) -> Iterator[Tuple[Sequence[Tuple[int, int]], _WindowGraphs]]:
     """Intersection graphs of ``spans`` in consecutive batches under
-    :data:`_BATCH_BUDGET`, yielded with the spans each batch covers."""
-    n = trace.n
-    round_keys: Dict[int, np.ndarray] = {}
+    :data:`_BATCH_BUDGET`, yielded with the spans each batch covers.
+
+    Window ``[start, stop)``'s intersection graph is the edges of round
+    ``start`` whose run lasts ``stop - start`` rounds, so runs are taken
+    over the rounds the spans cover and only when a span is wider than
+    one round (or ``weighted`` asks for them as :attr:`_WindowGraphs.runs`).
+    """
+    n, nn = trace.n, trace.n * trace.n
+    lo = min(start for start, _ in spans)
+    hi = max(stop for _, stop in spans)
+    wide = weighted or any(stop - start > 1 for start, stop in spans)
+    keys, offsets, runs = _edge_runs(trace, lo, hi, wide)
+
+    def graphs(batch: Sequence[Tuple[int, int]]) -> _WindowGraphs:
+        first = np.array([start for start, _ in batch], dtype=np.int64) - lo
+        width = np.array([stop - start for start, stop in batch], dtype=np.int64)
+        sizes = offsets[first + 1] - offsets[first]
+        win = np.repeat(np.arange(len(batch), dtype=np.int64), sizes)
+        at = np.arange(win.size) + np.repeat(offsets[first] - (np.cumsum(sizes) - sizes), sizes)
+        picked = keys[at] + win * nn
+        if runs is None:  # one-round windows keep every edge
+            return _WindowGraphs(n, len(batch), picked)
+        kept = runs[at] >= width[win]
+        return _WindowGraphs(
+            n, len(batch), picked[kept], runs[at][kept] if weighted else None
+        )
+
     batch: List[Tuple[int, int]] = []
     cost = 0
     for start, stop in spans:
-        size = n
-        for r in range(start, stop):
-            keys = round_keys.get(r)
-            if keys is None:
-                keys = round_keys[r] = _edge_keys(trace.snapshot_arrays(r))
-            size += keys.size
+        size = n + int(offsets[start - lo + 1] - offsets[start - lo])
         if batch and cost + size > _BATCH_BUDGET:
-            yield batch, _WindowGraphs.intersect(n, batch, round_keys)
+            yield batch, graphs(batch)
             batch, cost = [], 0
         batch.append((start, stop))
         cost += size
     if batch:
-        yield batch, _WindowGraphs.intersect(n, batch, round_keys)
+        yield batch, graphs(batch)
 
 
 def _hop_bounds(
@@ -553,49 +537,53 @@ def is_T_interval_connected(trace: GraphTrace, T: int, windows: str = "sliding")
     """KLO's T-interval connectivity: every T-interval has a *stable*
     connected spanning subgraph (the intersection graph spans all nodes).
 
-    Defaults to sliding windows, KLO's original quantification.  Sliding
-    windows of two or more rounds overlap in all but one round, so they are
-    checked with a running intersection updated by one round per step
-    (O(horizon) round operations).  Aligned blocks — and sliding windows
-    that are the same windows, one round wide or one window long — are
-    checked all at once by the window kernel, as one flood per window.
+    Defaults to sliding windows, KLO's original quantification.  Either
+    reading is one flood from node 0 per window in the window kernel,
+    each window's graph being its first round's edges whose run of
+    presence covers the window.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
-    if windows == "sliding" and 1 < T < trace.horizon:
-        return _sliding_all_connected(trace, T)
-    # one-round windows, or a single window: sliding and blocks coincide
     spans = list(windows_of(trace.horizon, T, windows))
     return all(graphs.spanning().all() for _, graphs in _window_graphs(trace, spans))
 
 
+def _longest_windows(trace: GraphTrace) -> np.ndarray:
+    """Per start round ``i``: the longest connected window ``[i, i + T_i)``
+    within the trace, ``0`` where round ``i`` itself is disconnected."""
+    horizon = trace.horizon
+    spans = [(i, i + 1) for i in range(horizon)]
+    return np.concatenate([
+        graphs.longest(horizon - np.array([start for start, _ in batch]))
+        for batch, graphs in _window_graphs(trace, spans, weighted=True)
+    ])
+
+
 def max_interval_connectivity(trace: GraphTrace, windows: str = "sliding") -> int:
     """Largest ``T`` for which :func:`is_T_interval_connected` holds (0 if
-    even single rounds are disconnected)."""
-    if not is_T_interval_connected(trace, 1, windows):
-        return 0
+    even single rounds are disconnected).
+
+    Both readings follow from one vector, each start round's longest
+    connected window ``T_i`` (Casteigts, Klasing, Neggaz and Peters):
+    sliding ``T`` holds iff ``T_i ≥ T`` at every start ``i ≤ H − T``, and
+    blocks ``T`` iff every block start ``s`` has ``T_s ≥ min(T, H − s)``.
+    ``T_i`` is the bottleneck of round ``i``'s maximum spanning forest
+    with the edges' runs as widths, found for every round in one
+    widest-path flood of the window kernel.
+    """
+    if windows not in ("blocks", "sliding"):
+        raise ValueError(f"windows must be 'blocks' or 'sliding', got {windows!r}")
+    horizon = trace.horizon
+    longest = _longest_windows(trace)
+    Ts = np.arange(1, horizon + 1)
     if windows == "sliding":
-        # Sliding T-interval connectivity is monotone in T: every
-        # (T−1)-window is contained in some T-window, and a window's
-        # intersection only shrinks as the window grows — so if the larger
-        # window's intersection spans and connects all nodes, the smaller
-        # window's (a superset of edges) does too.  Binary search applies.
-        lo, hi = 1, trace.horizon
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if is_T_interval_connected(trace, mid, windows):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-    # Aligned blocks are not monotone in T: blocks of different lengths
-    # cut the trace at different rounds, so T may fail where a larger T
-    # holds.  Every T is checked.
-    best = 1
-    for T in range(2, trace.horizon + 1):
-        if is_T_interval_connected(trace, T, windows):
-            best = T
-    return best
+        held = np.minimum.accumulate(longest)[horizon - Ts] >= Ts
+    else:
+        held = np.array([
+            (longest[::T] >= np.minimum(T, horizon - np.arange(0, horizon, T))).all()
+            for T in Ts.tolist()
+        ])
+    return int(Ts[held].max(initial=0))
 
 
 # ---------------------------------------------------------------------------

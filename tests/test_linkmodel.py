@@ -245,6 +245,17 @@ class TestScenarioFamilies:
         assert max_interval_connectivity(scenario.trace) >= 1
         assert scenario.params["certified_T"] >= 1
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_adversarial_certificate_pinned(self, seed):
+        """Certified params, and so cache keys, of the adversarial family.
+        The Haeupler–Kuhn adversary breaks ties by node id and draws no
+        random number, so both seeds build one trace and fingerprint."""
+        scenario = scenario_for("adversarial", n0=40, k=6, seed=seed)
+        assert scenario.params["certified_T"] == 1
+        assert scenario_fingerprint(scenario) == (
+            "8acf4d956917392bca15a1e114ecb5dc407ef906946155988b56565738978101"
+        )
+
     def test_profiled_build_certifies_like_the_verified_build(self):
         """``repro profile`` builds unverified and certifies apart; the
         certifier only checks, and the scenario it ends with has the

@@ -1,21 +1,24 @@
-"""The incremental sliding-window property checkers must agree with the
-naive per-window loops they replaced, on arbitrary traces — checked as
-hypothesis properties — and must do O(horizon) round operations instead
-of the naive O(horizon · T)."""
+"""The sliding-window property checkers must agree with the naive
+per-window loops they replaced, on arbitrary traces — checked as
+hypothesis properties — and must read each round's edges once per check
+instead of once per window holding it, the naive O(horizon · T)."""
 
 import os
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.graphs.properties as properties
 from repro.graphs.properties import (
     cluster_stable,
+    head_connectivity_witness,
     head_set_stable,
     hierarchy_stable,
     is_T_interval_connected,
     max_interval_connectivity,
+    realized_hop_bound,
     windows_of,
 )
 from repro.graphs.trace import GraphTrace
@@ -178,7 +181,7 @@ class TestIncrementalAgreesWithNaive:
 
 
 # ---------------------------------------------------------------------------
-# the O(horizon) guarantee
+# one pass over the trace
 # ---------------------------------------------------------------------------
 
 def _static_path_trace(n, horizon):
@@ -188,36 +191,153 @@ def _static_path_trace(n, horizon):
     return GraphTrace(snapshots=[Snapshot(adj=adj)] * horizon)
 
 
-class TestOperationCounts:
-    def test_sliding_check_is_linear_in_horizon(self):
-        """200-round trace, T=20: every round enters and leaves the running
-        window exactly once — ≤ 2·horizon round operations, where the naive
-        loop would do (horizon − T + 1) · T ≈ 3600."""
-        trace = _static_path_trace(10, 200)
-        properties._intersection_round_ops = 0
-        assert is_T_interval_connected(trace, 20, "sliding")
-        ops = properties._intersection_round_ops
-        assert ops <= 2 * trace.horizon
-        naive_ops = (trace.horizon - 20 + 1) * 20
-        assert ops * 5 < naive_ops  # an order of magnitude better
+@pytest.fixture
+def rounds_read(monkeypatch):
+    """The rounds whose edge keys a check extracts, in call order: the
+    round of the last ``snapshot_arrays`` call before each ``_edge_keys``."""
+    last, seen = [None], []
+    arrays, keys = GraphTrace.snapshot_arrays, properties._edge_keys
 
-    def test_failing_window_stops_early(self):
-        # a disconnected round makes some window fail without a full slide
+    def snapshot_arrays(self, r):
+        last[0] = r
+        return arrays(self, r)
+
+    def edge_keys(arrs):
+        seen.append(last[0])
+        return keys(arrs)
+
+    monkeypatch.setattr(GraphTrace, "snapshot_arrays", snapshot_arrays)
+    monkeypatch.setattr(properties, "_edge_keys", edge_keys)
+    return seen
+
+
+class TestOnePass:
+    def test_sliding_check_reads_each_round_once(self, rounds_read):
+        """200-round trace, T=20: 200 key extractions, where a per-window
+        loop would do (horizon − T + 1) · T = 3620."""
+        trace = _static_path_trace(10, 200)
+        assert is_T_interval_connected(trace, 20, "sliding")
+        assert rounds_read == list(range(trace.horizon))
+
+    def test_failing_sliding_check_reads_each_round_once(self, rounds_read):
         n = 4
         connected = Snapshot.from_edges(n, [(0, 1), (1, 2), (2, 3)])
         broken = Snapshot.from_edges(n, [(0, 1)])
         trace = GraphTrace(snapshots=[connected] * 50 + [broken] + [connected] * 50)
-        properties._intersection_round_ops = 0
         assert not is_T_interval_connected(trace, 5, "sliding")
-        assert properties._intersection_round_ops <= 2 * trace.horizon
+        assert rounds_read == list(range(trace.horizon))
 
-    def test_max_interval_uses_binary_search(self):
-        """With sliding windows, max_interval_connectivity needs only
-        O(log horizon) full checks — O(horizon log horizon) round ops —
-        rather than the linear scan's O(horizon²)."""
+    @pytest.mark.parametrize("windows", ["sliding", "blocks"])
+    def test_max_interval_reads_each_round_once(self, rounds_read, windows):
+        """One longest-window pass answers every T, where a check per T
+        tried would read each round once per T."""
         trace = _static_path_trace(6, 256)
-        properties._intersection_round_ops = 0
-        assert max_interval_connectivity(trace, "sliding") == trace.horizon
-        ops = properties._intersection_round_ops
-        # 1 + ceil(log2(256)) = 9 checks, each <= 2*horizon ops
-        assert ops <= 2 * trace.horizon * 10
+        assert max_interval_connectivity(trace, windows) == trace.horizon
+        assert rounds_read == list(range(trace.horizon))
+
+    def test_witness_reads_only_its_window(self, rounds_read):
+        path = _clustered(5, [(0, 1), (1, 2), (2, 3), (3, 4)], {0, 4})
+        trace = GraphTrace([path] * 400)
+        witness = head_connectivity_witness(trace, 150, 157)
+        assert set(witness.nodes) == set(range(5))
+        assert rounds_read == list(range(150, 157))
+
+
+# ---------------------------------------------------------------------------
+# runs of presence end where an edge leaves
+# ---------------------------------------------------------------------------
+
+def _clustered(n, edges, heads):
+    roles = [Role.HEAD if v in heads else Role.MEMBER for v in range(n)]
+    head_of = [v if v in heads else min(heads) for v in range(n)]
+    return Snapshot.from_edges(n, edges, roles, head_of)
+
+
+def _gap_trace():
+    """Edge 1–2 is present in rounds 0–2, gone in round 3 and back in
+    rounds 4–5; edge 0–2 covers it from round 3 on, and 0–1 never
+    leaves.  Heads are 1 and 2."""
+    rounds = [
+        [(0, 1), (1, 2)],
+        [(0, 1), (1, 2)],
+        [(0, 1), (1, 2)],
+        [(0, 1), (0, 2)],
+        [(0, 1), (0, 2), (1, 2)],
+        [(0, 1), (0, 2), (1, 2)],
+    ]
+    return GraphTrace([_clustered(3, edges, {1, 2}) for edges in rounds])
+
+
+class TestRunBoundaries:
+    def test_window_straddling_the_gap_loses_the_edge(self):
+        trace = _gap_trace()
+        # blocks [0,3) and [3,6) each keep a spanning tree ...
+        assert is_T_interval_connected(trace, 3, "blocks")
+        # ... but sliding [1,4) and [2,5) keep only 0–1
+        assert not is_T_interval_connected(trace, 3, "sliding")
+        assert is_T_interval_connected(trace, 1, "sliding")
+        assert not is_T_interval_connected(trace, 2, "sliding")
+        assert max_interval_connectivity(trace, "sliding") == 1
+        assert max_interval_connectivity(trace, "blocks") == 3
+
+    def test_longest_windows(self):
+        assert properties._longest_windows(_gap_trace()).tolist() == [3, 2, 1, 3, 2, 1]
+
+    def test_witness_after_round_zero(self):
+        trace = _gap_trace()
+        assert head_connectivity_witness(trace, 1, 4) is None
+        assert head_connectivity_witness(trace, 2, 5) is None
+        late = head_connectivity_witness(trace, 3, 6)
+        assert {frozenset(e) for e in late.edges} == {frozenset((0, 1)), frozenset((0, 2))}
+        back = head_connectivity_witness(trace, 4, 6)
+        assert {frozenset(e) for e in back.edges} == {
+            frozenset((0, 1)), frozenset((0, 2)), frozenset((1, 2))
+        }
+
+    def test_realized_hop_bound(self):
+        trace = _gap_trace()
+        # blocks: heads adjacent in [0,3), two hops apart via 0 in [3,6)
+        assert realized_hop_bound(trace, 3, "blocks") == 2
+        assert realized_hop_bound(trace, 3, "sliding") is None
+        assert realized_hop_bound(trace, 2, "sliding") is None
+
+    def test_keys_past_sixteen_bits(self):
+        """At n=300, edge 0–150 (key 150) and edge 218–286 (key 65 686)
+        share their low 16 bits; each keeps its own run."""
+        both = [(0, 150), (218, 286)]
+        trace = GraphTrace([
+            Snapshot.from_edges(300, edges) for edges in (both, both, both[:1], both)
+        ])
+        keys, offsets, runs = properties._edge_runs(trace, 0, trace.horizon, True)
+        assert keys.tolist() == [150, 65686, 150, 65686, 150, 150, 65686]
+        assert offsets.tolist() == [0, 2, 4, 5, 7]
+        assert runs.tolist() == [4, 2, 3, 1, 2, 1, 1]
+
+    def test_sliding_and_blocks_differ_above_one(self):
+        """Path 0–1–2 for rounds 0–2, both paths in rounds 3–4 and path
+        0–2–1 for rounds 5–7: blocks of 4 or 5 never straddle both pure
+        stretches, sliding windows of 4 do."""
+        a, b = [(0, 1), (1, 2)], [(0, 2), (1, 2)]
+        trace = GraphTrace(
+            [Snapshot.from_edges(3, a)] * 3
+            + [Snapshot.from_edges(3, [(0, 1), (0, 2), (1, 2)])] * 2
+            + [Snapshot.from_edges(3, b)] * 3
+        )
+        assert max_interval_connectivity(trace, "sliding") == 3
+        assert max_interval_connectivity(trace, "blocks") == 5
+
+
+def naive_longest_windows(trace):
+    """Per start round ``i``: the longest ``t`` whose window ``[i, i+t)``
+    within the trace is connected, ``0`` if none is."""
+    return [
+        max((t for t in range(1, trace.horizon - i + 1) if naive_interval_connected(
+            GraphTrace(trace.snapshots[i:i + t]), t, "blocks")), default=0)
+        for i in range(trace.horizon)
+    ]
+
+
+@settings(max_examples=60 * _SCALE, deadline=None)
+@given(trace=flat_traces())
+def test_longest_windows_agree_with_a_per_start_scan(trace):
+    assert properties._longest_windows(trace).tolist() == naive_longest_windows(trace)
