@@ -120,6 +120,18 @@ def _edge_keys(arrs: SnapshotArrays) -> np.ndarray:
     return rows[upper] * n + arrs.indices[upper]
 
 
+def _round_keys(trace: GraphTrace, r: int) -> np.ndarray:
+    """Round ``r``'s :func:`_edge_keys`, memoized on the trace."""
+    memo = getattr(trace, "_key_memo", None)
+    if memo is None:
+        return _edge_keys(trace.snapshot_arrays(r))
+    keys = memo.get(r)
+    if keys is None:
+        keys = memo[r] = _edge_keys(trace.snapshot_arrays(r))
+        keys.flags.writeable = False  # shared by every later check
+    return keys
+
+
 def _edge_runs(
     trace: GraphTrace, lo: int, hi: int, runs: bool
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -127,10 +139,13 @@ def _edge_runs(
     of each round's keys, and (with ``runs``) each edge's *run*: the
     number of consecutive rounds in ``[its round, hi)`` that hold it.
 
-    A stable sort by key turns the round-major list key-major with rounds
-    ascending; a run continues while the key repeats in the next round.
+    Each round's keys are extracted once per trace and memoized on it,
+    as :meth:`~repro.sim.topology.GraphTrace.digest` is, so checks that
+    read the same rounds share one extraction.  A stable sort by key
+    turns the round-major list key-major with rounds ascending; a run
+    continues while the key repeats in the next round.
     """
-    parts = [_edge_keys(trace.snapshot_arrays(r)) for r in range(lo, hi)]
+    parts = [_round_keys(trace, r) for r in range(lo, hi)]
     sizes = np.fromiter(map(len, parts), np.int64, len(parts))
     offsets = np.zeros(len(parts) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])

@@ -2,24 +2,28 @@
 
 Both round loops — the reference :class:`~repro.sim.engine.ActiveRun`
 and the vectorised :func:`~repro.sim.columnar.run_columnar` — build one
-:class:`RunObserver` per run and call it three times per round:
+:class:`RunObserver` per run and feed it each round:
 
 1. :meth:`RunObserver.open_round` with the round's
-   :class:`~repro.sim.topology.SnapshotArrays`;
-2. :meth:`RunObserver.sends` with the round's per-role send counts and,
-   at ``obs="record"``, its packed message log;
+   :class:`~repro.sim.topology.SnapshotArrays`, which opens the round's
+   row of the run's :class:`SendTable`;
+2. the round's per-role send counts, written into that row
+   (:attr:`RunObserver.table`), and at ``obs="record"`` the packed
+   message log (:meth:`RunObserver.log_sends`);
 3. :meth:`RunObserver.close_round` with the end-of-round state.
 
 :meth:`RunObserver.finish` hands back the timeline, causal trace,
 recording and violations.  Every consumer is derived here, once, from
-those calls: the :class:`RunTimeline` (populations, per-role sends,
-coverage), the live :class:`~repro.obs.stream.TelemetryBus` (round
-events and monitor alerts), the :class:`CausalTrace` (first learns from
-the packed state diff plus the round's flat deliveries), the
+those calls: the :class:`RunTimeline` (built once, at the end of the
+run, from the send-count table and the per-round coverage), the live
+:class:`~repro.obs.stream.TelemetryBus` (round events read from the
+table row, and monitor alerts), the :class:`CausalTrace` (first learns
+from the packed state diff plus the round's flat deliveries), the
 :class:`RunRecorder` (hierarchy, message log, state diffs) and the
 runtime monitors (one :class:`RoundView` per round).  The engines hold
 no per-consumer code, so the bit-identity of every obs artifact across
-tiers rests on one implementation each.
+tiers rests on one implementation each.  The vectorised tier also takes
+its :class:`~repro.sim.metrics.Metrics` send counters from the table.
 
 State is exchanged as a packed ``(n, W)`` ``uint64`` bit-matrix — row
 ``v`` has bit ``t`` set iff node ``v`` holds token ``t`` — the
@@ -37,12 +41,13 @@ import numpy as np
 
 from .monitors import Monitor, RoundView, Violation
 from .recorder import RunRecorder, RunRecording
-from .timeline import Profiler, RunTimeline
+from .timeline import Profiler, RunTimeline, encode_round
 from .trace import CausalTrace, first_learns
 
 __all__ = [
     "ROLE_NAMES",
     "RunObserver",
+    "SendTable",
     "pack_rows",
     "rows_frozensets",
     "rows_tokens",
@@ -52,6 +57,22 @@ __all__ = [
 #: Role names indexed by the role codes of
 #: :class:`~repro.sim.topology.SnapshotArrays` (``ROLE_CODES``).
 ROLE_NAMES = ("head", "gateway", "member")
+
+#: Sender-role columns of a :class:`SendTable`: the role codes, then
+#: ``"flat"`` for rounds without roles.
+SEND_ROLES = ROLE_NAMES + ("flat",)
+
+_COLUMN = {role: j for j, role in enumerate(SEND_ROLES)}
+_FLAT = _COLUMN["flat"]
+#: Offset of a role's token column from its message column.
+_TOK = len(SEND_ROLES)
+
+#: ``(role, message column, token column)`` in role-name order, the
+#: order round events list roles in.
+_EVENT_COLUMNS = [(role, j, _TOK + j) for role, j in sorted(_COLUMN.items())]
+
+#: A round without roles, in a run that had some: every population is 0.
+_NO_POPULATIONS = sorted((role, 0) for role in ROLE_NAMES)
 
 #: Role code → the packed-recording role letter (codes index ``"hgm"``).
 _ROLE_LETTERS = np.frombuffer(b"hgm", dtype=np.uint8)
@@ -136,17 +157,168 @@ def _changed(rows: np.ndarray) -> List[Tuple[int, List[int]]]:
 
 
 # ---------------------------------------------------------------------------
+# the send-count table
+# ---------------------------------------------------------------------------
+
+class SendTable:
+    """Per-round messages and tokens by sender role, for one run.
+
+    Row ``r`` of :attr:`counts` is round ``r``: messages in columns
+    ``0..3`` and tokens in columns ``4..7``, one column per
+    :data:`SEND_ROLES` entry.  Rows are opened by :meth:`open` and grow
+    by doubling with the rounds a run executes, never with its budget.
+    The vectorised tier writes a round with :meth:`add_codes` or
+    :meth:`add_flat` and the run's :attr:`broadcasts`, :attr:`unicasts`
+    and :attr:`dropped_unicasts`; the reference engine writes its per-role
+    counts with :meth:`add` (its :class:`~repro.sim.metrics.Metrics`
+    counts the rest itself).
+
+    Hierarchy populations are counted once per distinct ``roles`` array
+    (rounds of one phase share it) and indexed per round, ``-1`` for a
+    round without roles.
+    """
+
+    __slots__ = (
+        "counts", "rounds", "broadcasts", "unicasts", "dropped_unicasts",
+        "_pop_of", "_pops", "_pop_events", "_pop", "_roles",
+    )
+
+    def __init__(self) -> None:
+        self.counts = np.zeros((64, 2 * _TOK), dtype=np.int64)
+        self.rounds = 0
+        self.broadcasts = self.unicasts = self.dropped_unicasts = 0
+        self._pop_of = np.full(64, -1, dtype=np.int64)
+        # per distinct roles array: node counts by role code, and as the
+        # (role, nodes) pairs of a round event
+        self._pops: List[List[int]] = []
+        self._pop_events: List[List[Tuple[str, int]]] = []
+        self._pop = -1  # the open round's index into them
+        self._roles: Optional[np.ndarray] = None
+
+    # -- per-round writes --------------------------------------------------
+
+    def open(self, roles: Optional[np.ndarray]) -> None:
+        """Open the next round's row; ``roles`` are its role codes."""
+        r = self.rounds
+        if r == self.counts.shape[0]:
+            self.counts = np.concatenate((self.counts, np.zeros_like(self.counts)))
+            self._pop_of = np.concatenate((self._pop_of, np.full(r, -1, np.int64)))
+        if roles is None:
+            self._pop = -1
+        else:
+            if roles is not self._roles:
+                self._roles = roles  # a strong reference: ids are not reused
+                pops = np.bincount(roles, minlength=len(ROLE_NAMES)).tolist()
+                self._pops.append(pops)
+                self._pop_events.append(sorted(zip(ROLE_NAMES, pops)))
+            self._pop = self._pop_of[r] = len(self._pops) - 1
+        self.rounds = r + 1
+
+    def add(self, role: str, messages: int, tokens: int) -> None:
+        """Add ``role``'s transmissions to the open round."""
+        j = _COLUMN[role]
+        row = self.counts[self.rounds - 1]
+        row[j] += messages
+        row[_TOK + j] += tokens
+
+    def add_flat(self, messages: int, tokens: int) -> None:
+        """The open round's transmissions, on a round without roles."""
+        row = self.counts[self.rounds - 1]
+        row[_FLAT] = messages
+        row[_TOK + _FLAT] = tokens
+
+    def add_codes(self, codes: np.ndarray, costs: np.ndarray) -> None:
+        """The open round's transmissions: one sender role code and one
+        cost per transmission."""
+        row = self.counts[self.rounds - 1]
+        row[:_FLAT] = np.bincount(codes, minlength=_FLAT)
+        row[_TOK:_TOK + _FLAT] = np.bincount(
+            codes, weights=costs, minlength=_FLAT
+        )
+
+    # -- reads -------------------------------------------------------------
+
+    def row_totals(self, r: int) -> Tuple[int, int]:
+        """``(messages, tokens)`` sent in round ``r``."""
+        row = self.counts[r].tolist()
+        return sum(row[:_TOK]), sum(row[_TOK:])
+
+    def round_event(self, r: int, coverage: int, nodes_complete: int) -> Dict:
+        """Round ``r``'s ``round`` event, while ``r`` is the last round
+        opened (populations are listed once a round had roles)."""
+        row = self.counts[r].tolist()
+        populations = None
+        if self._pops:
+            populations = (
+                self._pop_events[self._pop] if self._pop >= 0 else _NO_POPULATIONS
+            )
+        return encode_round(
+            r, coverage, nodes_complete, sum(row[:_TOK]), sum(row[_TOK:]),
+            [
+                (role, row[m], row[t]) for role, m, t in _EVENT_COLUMNS
+                if row[m] or row[t]
+            ],
+            populations,
+        )
+
+    def _order(self) -> List[int]:
+        """Columns of the roles that sent, by first round, then code."""
+        sent = self.counts[:self.rounds, :_TOK] > 0
+        present = np.flatnonzero(sent.any(axis=0)).tolist()
+        first = sent.argmax(axis=0).tolist() if present else []
+        return sorted(present, key=first.__getitem__)
+
+    def by_role(self) -> List[Tuple[str, int, int]]:
+        """``(role, messages, tokens)`` run totals of the roles that sent."""
+        totals = self.counts[:self.rounds].sum(axis=0).tolist()
+        return [
+            (SEND_ROLES[j], totals[j], totals[_TOK + j]) for j in self._order()
+        ]
+
+    def tokens(self) -> List[int]:
+        """Tokens sent per round."""
+        return self.counts[:self.rounds, _TOK:].sum(axis=1).tolist()
+
+    def timeline(
+        self, coverage: Sequence[int], nodes_complete: Sequence[int]
+    ) -> RunTimeline:
+        """The run's :class:`RunTimeline`, with the given per-round
+        coverage and complete-node counts."""
+        counts = self.counts[:self.rounds]
+        order = self._order()
+        populations: Dict[str, List[int]] = {}
+        if self._pops:
+            # index -1 (a round without roles) reads the appended zero row
+            pops = np.array(self._pops + [[0] * len(ROLE_NAMES)], dtype=np.int64)
+            per_round = pops[self._pop_of[:self.rounds]]
+            populations = {
+                name: per_round[:, c].tolist() for c, name in enumerate(ROLE_NAMES)
+            }
+        return RunTimeline(
+            coverage=list(coverage),
+            nodes_complete=list(nodes_complete),
+            tokens=self.tokens(),
+            messages=counts[:, :_TOK].sum(axis=1).tolist(),
+            role_messages={SEND_ROLES[j]: counts[:, j].tolist() for j in order},
+            role_tokens={
+                SEND_ROLES[j]: counts[:, _TOK + j].tolist() for j in order
+            },
+            populations=populations,
+        )
+
+
+# ---------------------------------------------------------------------------
 # the observer
 # ---------------------------------------------------------------------------
 
 class RunObserver:
-    """Every obs consumer of one run, fed by three calls per round.
+    """Every obs consumer of one run, fed once per round.
 
     ``obs`` is the engine's telemetry level; ``initial`` the state before
     round 0 (packed, or per-node token collections — packed here only at
     ``obs="trace"``/``"record"``, the levels that diff state).  The
     ``wants_*`` attributes tell the engine which optional inputs of
-    :meth:`sends` / :meth:`close_round` it must supply.
+    :meth:`log_sends` / :meth:`close_round` it must supply.
     """
 
     def __init__(
@@ -162,7 +334,7 @@ class RunObserver:
         self.k = k
         self.stream = stream
         self.monitors: List[Monitor] = list(monitors) if monitors else []
-        self.timeline = RunTimeline() if obs != "off" else None
+        self.table = SendTable()
         self.profiler = Profiler() if obs == "profile" else None
         self.causal = CausalTrace(n=n, k=k) if obs == "trace" else None
         self.recorder: Optional[RunRecorder] = None
@@ -170,6 +342,11 @@ class RunObserver:
         # token ever held (the causal trace's first-learn base)
         self._prev: Optional[np.ndarray] = None
         self._roles: Optional[np.ndarray] = None
+        # per-round coverage for the timeline (None at obs="off")
+        self._coverage: Optional[List[int]] = None if obs == "off" else []
+        self._complete: List[int] = []
+        # running send totals for the monitors' round views
+        self._messages = self._tokens = 0
         self._lost = 0
         self._pack_memo: Dict[int, Tuple[object, tuple]] = {}
         if obs in ("trace", "record"):
@@ -195,7 +372,7 @@ class RunObserver:
 
     @property
     def wants_log(self) -> bool:
-        """:meth:`sends` needs the packed message ``log``."""
+        """:meth:`log_sends` needs the round's packed message log."""
         return self.recorder is not None
 
     @property
@@ -208,44 +385,30 @@ class RunObserver:
             return state
         return pack_rows(state, self.k)
 
-    # -- the three per-round calls ----------------------------------------
+    # -- the per-round calls -----------------------------------------------
 
     def open_round(self, arrs) -> None:
-        """Open round counters: populations and the recorded hierarchy."""
+        """Open the round: its send-count row and the recorded hierarchy."""
         self._roles = arrs.roles
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.begin_round()
-            if arrs.roles is not None:
-                pops = np.bincount(arrs.roles, minlength=3)
-                timeline.record_populations({
-                    name: int(pops[code]) for code, name in enumerate(ROLE_NAMES)
-                })
+        self.table.open(arrs.roles)
         if self.recorder is not None:
             self.recorder.begin_round_packed(*self._hierarchy(arrs))
 
-    def sends(
-        self,
-        by_role: Iterable[Tuple[str, int, int]],
-        log: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
+    def log_sends(
+        self, log: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     ) -> None:
-        """Account the round's transmissions.
+        """Record the round's message log (when :attr:`wants_log`).
 
-        ``by_role`` holds ``(role, messages, tokens)`` rows; ``log`` (at
-        ``obs="record"``) is ``(senders, dests, payload, costs)`` with
-        ``dest == -1`` for a broadcast and packed payload rows.
-        Zero-cost transmissions are free and left out of the log.
+        ``log`` is ``(senders, dests, payload, costs)`` with ``dest ==
+        -1`` for a broadcast and packed payload rows.  Zero-cost
+        transmissions are free and left out of the log.
         """
-        if self.timeline is not None:
-            for role, messages, tokens in by_role:
-                self.timeline.record_sends(role, messages, tokens)
-        if log is not None and self.recorder is not None:
-            senders, dests, payload, costs = log
-            keep = np.flatnonzero(costs != 0)
-            self.recorder.record_sends(
-                senders[keep].tolist(), dests[keep].tolist(),
-                rows_tokens(payload[keep]), costs[keep].tolist(),
-            )
+        senders, dests, payload, costs = log
+        keep = np.flatnonzero(costs != 0)
+        self.recorder.record_sends(
+            senders[keep].tolist(), dests[keep].tolist(),
+            rows_tokens(payload[keep]), costs[keep].tolist(),
+        )
 
     def close_round(
         self,
@@ -267,7 +430,8 @@ class RunObserver:
         (every delivery that landed this round; ``None`` for none) when
         :attr:`wants_deliveries`, and ``per_node`` / ``snap`` when
         :attr:`wants_views`; ``faults`` is ``(newly crashed ids, tokens
-        they held)`` on runs with a link model, else ``None``.
+        they held)`` on runs with a link model, else ``None``;
+        ``metrics`` supplies the run's lost deliveries so far.
         ``unchanged`` promises that ``state`` equals the previous round's
         (a round that started saturated): the state diff is skipped and
         the round gains and loses nothing.
@@ -292,13 +456,19 @@ class RunObserver:
                 self.recorder.end_round(gained, _changed(self._prev & ~bits))
                 self._prev[...] = bits
         stream = self.stream
-        if self.timeline is not None:
-            self.timeline.end_round(coverage, nodes_complete)
-            if stream is not None:
-                stream.on_round(self.timeline)
+        if self._coverage is not None:
+            self._coverage.append(coverage)
+            self._complete.append(nodes_complete)
+            if stream is not None and stream.wants_round(r):
+                stream.on_round(
+                    self.table.round_event(r, coverage, nodes_complete)
+                )
         lost, self._lost = metrics.lost_deliveries - self._lost, metrics.lost_deliveries
         if not self.monitors:
             return
+        messages, tokens = self.table.row_totals(r)
+        self._messages += messages
+        self._tokens += tokens
         faults_info = None
         if faults is not None:
             crashed, crash_tokens = faults
@@ -314,8 +484,8 @@ class RunObserver:
             n=self.n,
             k=self.k,
             faults=faults_info,
-            tokens_sent=metrics.tokens_sent,
-            messages_sent=metrics.messages_sent,
+            tokens_sent=self._tokens,
+            messages_sent=self._messages,
         )
         for monitor in self.monitors:
             before = len(monitor.violations)
@@ -331,16 +501,20 @@ class RunObserver:
         Optional[RunRecording], Optional[List[Violation]],
     ]:
         """``(timeline, causal trace, recording, violations)`` of the run,
-        with the profile folded into the timeline."""
-        if self.timeline is not None and self.profiler is not None:
-            self.timeline.profile.update(self.profiler.seconds)
+        the timeline built from the send-count table with the profile
+        folded in."""
+        timeline = None
+        if self._coverage is not None:
+            timeline = self.table.timeline(self._coverage, self._complete)
+            if self.profiler is not None:
+                timeline.profile.update(self.profiler.seconds)
         violations = None
         if self.monitors:
             for monitor in self.monitors:
                 monitor.finish(rounds, complete)
             violations = [v for m in self.monitors for v in m.violations]
         recording = self.recorder.finish() if self.recorder is not None else None
-        return self.timeline, self.causal, recording, violations
+        return timeline, self.causal, recording, violations
 
     # -- helpers -----------------------------------------------------------
 

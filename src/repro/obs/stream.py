@@ -24,10 +24,11 @@ it happens:
 
 Events are plain JSON-ready dicts tagged by ``type``: the per-round
 ``round`` events are *exactly* the dicts
-:meth:`~repro.obs.timeline.RunTimeline.round_event` encodes (the same
-encoding ``write_events`` uses), so streamed counters are bit-identical
-to the post-hoc timeline by construction and attaching a bus never
-changes a run's outputs, metrics, or timeline.  Supporting types:
+:func:`~repro.obs.timeline.encode_round` encodes — live from the run's
+send-count table (:class:`~repro.obs.observer.SendTable`), post-hoc from
+the timeline (the encoding ``write_events`` uses) — so streamed counters
+are bit-identical to the post-hoc timeline by construction and attaching
+a bus never changes a run's outputs, metrics, or timeline.  Supporting types:
 ``run`` (header), ``alert`` (a live monitor
 :class:`~repro.obs.monitors.Violation`), ``task`` (a ``parallel_map``
 worker heartbeat), ``case`` (bench-fleet per-case progress), and ``summary``
@@ -115,13 +116,13 @@ class BufferSink(TelemetrySink):
 class TelemetryBus:
     """In-process pub/sub fan-out from one run to its attached sinks.
 
-    The engine-facing surface is three calls: :meth:`on_round` after
-    every ``timeline.end_round`` (decimation-aware — on skipped rounds
-    not even the event dict is built), :meth:`alert` per fresh monitor
-    violation, and :meth:`end_run` once, which back-fills the final
-    round if decimation skipped it, publishes any causal first-learn
-    events, and closes with a ``summary`` footer matching
-    :func:`~repro.obs.timeline.write_events`.  Sink exceptions are
+    The engine-facing surface is three calls: :meth:`on_round` with
+    every round's event (the observer asks :meth:`wants_round` first, so
+    on skipped rounds not even the event dict is built), :meth:`alert`
+    per fresh monitor violation, and :meth:`end_run` once, which
+    back-fills the final round if decimation skipped it, publishes any
+    causal first-learn events, and closes with a ``summary`` footer
+    matching :func:`~repro.obs.timeline.write_events`.  Sink exceptions are
     contained (counted in :attr:`sink_errors`) — telemetry must never
     take down a run.
     """
@@ -159,13 +160,10 @@ class TelemetryBus:
         """Whether round ``r`` survives decimation."""
         return r % self.decimate == 0
 
-    def on_round(self, timeline: RunTimeline) -> None:
-        """Publish the just-closed round (engines call this per round)."""
-        r = timeline.rounds - 1
-        if r < 0 or not self.wants_round(r):
-            return
-        self._last_round = r
-        self.publish(timeline.round_event(r))
+    def on_round(self, event: Event) -> None:
+        """Publish the just-closed round's ``round`` event."""
+        self._last_round = event["round"]
+        self.publish(event)
 
     def alert(self, violation) -> None:
         """Publish a live monitor :class:`~repro.obs.monitors.Violation`."""
@@ -180,8 +178,7 @@ class TelemetryBus:
         """Stream an already-recorded timeline (cache hits, ``watch``)."""
         for r in range(timeline.rounds):
             if self.wants_round(r):
-                self._last_round = r
-                self.publish(timeline.round_event(r))
+                self.on_round(timeline.round_event(r))
 
     def end_run(self, result=None, summary=None) -> None:
         """Close the stream: final round, causal events, summary footer.
@@ -199,8 +196,7 @@ class TelemetryBus:
         if timeline is not None:
             last = timeline.rounds - 1
             if last >= 0 and self._last_round != last:
-                self._last_round = last
-                self.publish(timeline.round_event(last))
+                self.on_round(timeline.round_event(last))
         causal = getattr(result, "causal_trace", None)
         if causal is not None:
             for event in causal.events_jsonl():

@@ -4,11 +4,13 @@ The paper's headline claims are *trajectories* — Algorithm 1 completes in
 ``⌈θ/α⌉ + 1`` phases of ``T = k + α·L`` rounds while KLO needs ``O(n·k)``
 rounds — but :class:`~repro.sim.metrics.Metrics` mostly records end-of-run
 totals.  This module is the always-on middle layer: a
-:class:`RunTimeline` of O(1)-per-round counters that both engines
-(:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`) feed identically
-through one :class:`~repro.obs.observer.RunObserver`, so dissemination-progress curves, per-role message breakdowns per phase,
-and hierarchy population dynamics are available on every run without
-re-execution.
+:class:`RunTimeline` of per-round counters, so dissemination-progress
+curves, per-role message breakdowns per phase, and hierarchy population
+dynamics are available on every run without re-execution.  Both engines
+(:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`) feed one
+:class:`~repro.obs.observer.RunObserver`, whose send-count table
+(:class:`~repro.obs.observer.SendTable`) takes one row per round; the
+timeline is built from it once, when the run ends.
 
 Observability levels (the engines' ``obs`` parameter):
 
@@ -16,8 +18,9 @@ Observability levels (the engines' ``obs`` parameter):
     Record nothing; ``RunResult.timeline`` is ``None``.  The escape hatch
     for micro-benchmarks that must not pay even cheap counters.
 ``"timeline"`` (default)
-    Record the counter timeline.  Cost is a handful of integer adds per
-    round — invisible next to the round loop itself.
+    Record the counter timeline.  A round costs one send-count row and
+    two list appends; the timeline is built once at the end — 1–4% of
+    engine time over ``"off"`` on the paper-sweep runs.
 ``"trace"``
     Timeline plus a :class:`~repro.obs.trace.CausalTrace`: one compact
     first-learn event per (node, token) pair, recorded by *both* engines
@@ -55,13 +58,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "EVENTS_SCHEMA_VERSION",
     "OBS_LEVELS",
     "Profiler",
     "RunTimeline",
+    "encode_round",
     "read_events",
     "validate_obs",
     "write_events",
@@ -112,14 +116,40 @@ class Profiler:
             self.add(name, time.perf_counter() - t0)
 
 
-def _bump(series: Dict[str, List[int]], key: str, value: int, rounds: int) -> None:
-    """Add ``value`` to ``key``'s current-round cell, backfilling zeros for
-    rounds before the key first appeared."""
-    column = series.get(key)
-    if column is None:
-        column = [0] * rounds
-        series[key] = column
-    column[-1] += value
+def encode_round(
+    r: int,
+    coverage: int,
+    nodes_complete: int,
+    messages: int,
+    tokens: int,
+    by_role: Iterable[Tuple[str, int, int]],
+    populations: Optional[Iterable[Tuple[str, int]]],
+) -> Dict[str, Any]:
+    """The JSON-ready ``round`` event of round ``r``.
+
+    ``by_role`` holds ``(role, messages, tokens)`` triples and
+    ``populations`` ``(role, nodes)`` pairs (``None`` omits the key),
+    both in role-name order.  The encoding is *prefix-stable* — it
+    depends only on rounds ≤ ``r``, never on roles that first send
+    later — which is why ``by_role`` lists only the roles that actually
+    sent in round ``r`` (a silent round omits the key entirely).
+    """
+    event: Dict[str, Any] = {
+        "type": "round",
+        "round": r,
+        "coverage": coverage,
+        "nodes_complete": nodes_complete,
+        "messages": messages,
+        "tokens": tokens,
+    }
+    sent = {
+        role: {"messages": m, "tokens": t} for role, m, t in by_role if m or t
+    }
+    if sent:
+        event["by_role"] = sent
+    if populations is not None:
+        event["populations"] = dict(populations)
+    return event
 
 
 @dataclass
@@ -128,9 +158,13 @@ class RunTimeline:
 
     Every list holds one entry per executed round; the role-keyed dicts
     hold equal-length columns (zero-backfilled from the round a role first
-    appears).  Both engines feed the same counters, so for supported
-    algorithms the fast path's timeline is identical to the reference
-    engine's — asserted by the equivalence suites.
+    appears).  Role columns are ordered by the first round the role sent,
+    then by role code (head, gateway, member); the three population
+    columns appear together from the first round with roles.  Both
+    engines build it once, at the end of the run, from the observer's
+    send-count table (:class:`~repro.obs.observer.SendTable`), so for
+    supported algorithms the fast path's timeline is identical to the
+    reference engine's — asserted by the equivalence suites.
 
     Attributes
     ----------
@@ -163,45 +197,10 @@ class RunTimeline:
     populations: Dict[str, List[int]] = field(default_factory=dict)
     profile: Dict[str, float] = field(default_factory=dict, compare=False)
 
-    # -- recording (engine-facing) ----------------------------------------
-
     @property
     def rounds(self) -> int:
-        """Rounds recorded so far."""
+        """Rounds recorded."""
         return len(self.coverage)
-
-    def begin_round(self) -> None:
-        """Open counters for a new round."""
-        self.tokens.append(0)
-        self.messages.append(0)
-        for column in self.role_messages.values():
-            column.append(0)
-        for column in self.role_tokens.values():
-            column.append(0)
-        for column in self.populations.values():
-            column.append(0)
-
-    def record_sends(self, role: str, messages: int, tokens: int) -> None:
-        """Account ``messages`` transmissions totalling ``tokens`` sent by
-        ``role`` this round (once per sending role per round)."""
-        if messages == 0:
-            return
-        self.messages[-1] += messages
-        self.tokens[-1] += tokens
-        open_rounds = len(self.tokens)
-        _bump(self.role_messages, role, messages, open_rounds)
-        _bump(self.role_tokens, role, tokens, open_rounds)
-
-    def record_populations(self, counts: Mapping[str, int]) -> None:
-        """Record this round's hierarchy population (role → node count)."""
-        open_rounds = len(self.tokens)
-        for role, count in counts.items():
-            _bump(self.populations, role, count, open_rounds)
-
-    def end_round(self, coverage: int, nodes_complete: int) -> None:
-        """Close the round with its end-of-round knowledge state."""
-        self.coverage.append(coverage)
-        self.nodes_complete.append(nodes_complete)
 
     # -- derived views ----------------------------------------------------
 
@@ -233,38 +232,22 @@ class RunTimeline:
     def round_event(self, r: int) -> Dict[str, Any]:
         """Encode round ``r`` as its JSON-ready ``round`` event dict.
 
-        The single encoding shared by post-hoc export (:meth:`events` /
-        :func:`write_events`) and live streaming
-        (:class:`~repro.obs.stream.TelemetryBus`), so streamed counters
-        are bit-identical to the written file by construction.  The
-        encoding is *prefix-stable* — it depends only on rounds ≤ ``r``,
-        never on roles that first appear later — which is why
-        ``by_role`` lists only the roles that actually sent in round
-        ``r`` (a silent round omits the key entirely).
+        Post-hoc export (:meth:`events` / :func:`write_events`) encodes
+        through :func:`encode_round`, as the live stream does from the
+        run's send-count table, so streamed counters are bit-identical to
+        the written file by construction.
         """
-        event: Dict[str, Any] = {
-            "type": "round",
-            "round": r,
-            "coverage": self.coverage[r],
-            "nodes_complete": self.nodes_complete[r],
-            "messages": self.messages[r],
-            "tokens": self.tokens[r],
-        }
-        by_role = {}
-        for role in sorted(self.role_messages):
-            messages = self.role_messages[role][r]
-            tokens_col = self.role_tokens.get(role)
-            tokens = tokens_col[r] if tokens_col is not None else 0
-            if messages or tokens:
-                by_role[role] = {"messages": messages, "tokens": tokens}
-        if by_role:
-            event["by_role"] = by_role
-        if self.populations:
-            event["populations"] = {
-                role: column[r]
-                for role, column in sorted(self.populations.items())
-            }
-        return event
+        return encode_round(
+            r, self.coverage[r], self.nodes_complete[r],
+            self.messages[r], self.tokens[r],
+            [
+                (role, column[r], self.role_tokens[role][r]
+                 if role in self.role_tokens else 0)
+                for role, column in sorted(self.role_messages.items())
+            ],
+            sorted((role, column[r]) for role, column in self.populations.items())
+            if self.populations else None,
+        )
 
     def events(self) -> Iterator[Dict[str, Any]]:
         """Yield one JSON-ready ``round`` event per recorded round."""

@@ -75,6 +75,7 @@ from .fastpath import (
     _account,
     _filter_batch_alive,
     _SendBatch,
+    _settle,
 )
 from .linkmodel import LinkModel
 from .metrics import Metrics
@@ -437,7 +438,6 @@ def run_columnar(
     for r in range(max_rounds):
         arrs, snap = _topology(network, r, n, observer.wants_views)
         lap("topology")
-        metrics.begin_round()
         observer.open_round(arrs)
 
         # --- crash stage (before sends: crashed nodes never act) ---------
@@ -459,10 +459,9 @@ def run_columnar(
         if batch is not None and not batch.messages:
             batch = None
         if batch is not None:
-            observer.sends(
-                _account(metrics, batch, arrs),
-                batch.log() if observer.wants_log else None,
-            )
+            _account(observer.table, batch, arrs)
+            if observer.wants_log:
+                observer.log_sends(batch.log())
         edge_keep: Optional[np.ndarray] = None
         if batch is not None and link is not None:
             edge_keep, batch = _link_transform(
@@ -546,7 +545,11 @@ def run_columnar(
             metrics.mark_complete()
             if stop_when_complete:
                 break
-        if stop_when_finished and not in_flight and kernel.finished(r):
+        # the reference asks every live node; once all have crashed the
+        # answer is vacuously yes
+        if stop_when_finished and not in_flight and (
+            alive_n == 0 or kernel.finished(r)
+        ):
             break
 
     held = np.bitwise_count(kernel.TA).sum(axis=1, dtype=np.int64)
@@ -558,6 +561,7 @@ def run_columnar(
     outputs: Dict[int, FrozenSet[int]] = {}
     if materialize_outputs:
         outputs = dict(enumerate(rows_frozensets(kernel.TA)))
+    _settle(metrics, observer.table)
     lap("bookkeeping")
     timeline, causal, recording, violations = observer.finish(
         metrics.rounds, complete

@@ -339,11 +339,11 @@ class ActiveRun:
                         self._in_flight.setdefault(due, []).append((msg.dest, msg))
                     elif alive[msg.dest] and self._link_delivers(r, v, msg.dest):
                         self._in_flight.setdefault(due, []).append((msg.dest, msg))
-        log = None
+        for role, (messages, tokens) in by_role.items():
+            observer.table.add(role, messages, tokens)
         if sent is not None:
             dests, senders, payload, costs = self._flat(sent)
-            log = (senders, dests, payload, costs)
-        observer.sends([(role, m, t) for role, (m, t) in by_role.items()], log)
+            observer.log_sends((senders, dests, payload, costs))
 
         # --- delivery of everything due this round --------------------------
         if prof is not None:

@@ -17,8 +17,10 @@ baselines, and the two flooding baselines) as vectorised kernels:
 Each kernel has one ``send`` and one receive rule, :meth:`_Kernel.absorb`,
 which sees a round's deliveries as dense ``(n, W)`` rows however the round
 loop in :mod:`repro.sim.columnar` delivered them.  This module also holds
-the send accounting and sender filtering both of that loop's deliveries
-share.
+the send accounting (one row of the run's
+:class:`~repro.obs.observer.SendTable` per round, settled into
+:class:`~repro.sim.metrics.Metrics` once, when the run ends) and the
+sender filtering both of that loop's deliveries share.
 
 **Bit-identical results.**  For supported algorithms the vectorised tier
 reproduces the reference engine exactly: outputs, metrics, timelines,
@@ -44,11 +46,11 @@ from __future__ import annotations
 
 import time
 from itertools import repeat
-from typing import FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
+from typing import FrozenSet, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..obs.observer import ROLE_NAMES
+from ..obs.observer import SendTable
 from .engine import RunResult, SynchronousEngine, validate_run_args
 from .metrics import Metrics, RoleCost
 from .topology import SnapshotArrays
@@ -440,42 +442,38 @@ _KERNELS = {
 # accounting and delivery
 # ---------------------------------------------------------------------------
 
-def _account(
-    metrics: Metrics, batch: _SendBatch, arrs: SnapshotArrays
-) -> List[Tuple[str, int, int]]:
-    """Record one round's transmissions exactly as the reference engine
-    does; returns the ``(role, messages, tokens)`` rows of senders."""
+def _account(table: SendTable, batch: _SendBatch, arrs: SnapshotArrays) -> None:
+    """Write one round's transmissions into the run's send-count table."""
     b = len(batch.bc_senders)
     u = len(batch.uc_senders)
-    if b + u == 0:
-        return []
-    tokens = int(batch.bc_costs.sum()) + int(batch.uc_costs.sum())
-    metrics.tokens_sent += tokens
-    metrics.messages_sent += b + u
-    metrics.broadcasts += b
-    metrics.unicasts += u
-    if metrics.per_round_tokens:
-        metrics.per_round_tokens[-1] += tokens
+    table.broadcasts += b
+    table.unicasts += u
     if u:
-        metrics.dropped_unicasts += int((~batch.uc_ok).sum())
+        table.dropped_unicasts += int((~batch.uc_ok).sum())
     if arrs.roles is None:
-        rows = [("flat", b + u, tokens)]
-    else:
-        senders = np.concatenate((batch.bc_senders, batch.uc_senders))
-        costs = np.concatenate((batch.bc_costs, batch.uc_costs))
-        codes = arrs.roles[senders]
-        msg_counts = np.bincount(codes, minlength=3)
-        tok_counts = np.bincount(codes, weights=costs, minlength=3)
-        rows = [
-            (name, int(msg_counts[code]), int(tok_counts[code]))
-            for code, name in enumerate(ROLE_NAMES)
-            if msg_counts[code]
-        ]
-    for name, messages, role_tokens in rows:
-        cost = metrics.by_role.setdefault(name, RoleCost())
-        cost.tokens += role_tokens
-        cost.messages += messages
-    return rows
+        table.add_flat(b + u, int(batch.bc_costs.sum()) + int(batch.uc_costs.sum()))
+        return
+    senders, costs = batch.bc_senders, batch.bc_costs
+    if u:
+        senders = np.concatenate((senders, batch.uc_senders))
+        costs = np.concatenate((costs, batch.uc_costs))
+    table.add_codes(arrs.roles[senders], costs)
+
+
+def _settle(metrics: Metrics, table: SendTable) -> None:
+    """Fill the run's send counters of ``metrics`` from ``table`` — the
+    totals the reference engine's :meth:`Metrics.record_send` sums."""
+    by_role = table.by_role()
+    metrics.by_role = {
+        role: RoleCost(tokens=tokens, messages=messages)
+        for role, messages, tokens in by_role
+    }
+    metrics.messages_sent = sum(messages for _, messages, _ in by_role)
+    metrics.tokens_sent = sum(tokens for _, _, tokens in by_role)
+    metrics.broadcasts = table.broadcasts
+    metrics.unicasts = table.unicasts
+    metrics.dropped_unicasts = table.dropped_unicasts
+    metrics.per_round_tokens = table.tokens()
 
 
 def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:

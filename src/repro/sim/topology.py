@@ -562,7 +562,7 @@ class GraphTrace:
     only (see :meth:`digest`).
     """
 
-    __slots__ = ("_rounds", "extend", "_snap_memo", "_digest")
+    __slots__ = ("_rounds", "extend", "_snap_memo", "_digest", "_key_memo")
 
     def __init__(self, snapshots, extend: str = "hold") -> None:
         if isinstance(snapshots, SnapshotArrays):
@@ -593,6 +593,8 @@ class GraphTrace:
         # so an id is never reused while its entry lives
         set_(self, "_snap_memo", memo)
         set_(self, "_digest", None)
+        # {round: its edge keys}, filled by repro.graphs.properties
+        set_(self, "_key_memo", {})
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

@@ -14,13 +14,15 @@ from repro.sim.rng import derive_seed
 
 
 def _timeline(coverages, complete=None, role="head", messages=2, tokens=3):
-    tl = RunTimeline()
-    complete = complete or [0] * len(coverages)
-    for cov, done in zip(coverages, complete):
-        tl.begin_round()
-        tl.record_sends(role, messages, tokens)
-        tl.end_round(coverage=cov, nodes_complete=done)
-    return tl
+    rounds = len(coverages)
+    return RunTimeline(
+        coverage=list(coverages),
+        nodes_complete=list(complete or [0] * rounds),
+        tokens=[tokens] * rounds,
+        messages=[messages] * rounds,
+        role_messages={role: [messages] * rounds},
+        role_tokens={role: [tokens] * rounds},
+    )
 
 
 class TestMergeTimelines:

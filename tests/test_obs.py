@@ -4,6 +4,7 @@ and JSONL export."""
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.baselines.flooding import make_flood_all_factory
@@ -17,6 +18,7 @@ from repro.experiments.scenarios import (
 )
 from repro.io import timeline_from_dict, timeline_to_dict
 from repro.obs import OBS_LEVELS, Profiler, RunTimeline, validate_obs, write_events
+from repro.obs.observer import SendTable
 from repro.registry import all_specs
 from repro.sim.engine import SynchronousEngine
 
@@ -53,15 +55,13 @@ class TestProfiler:
 
 class TestRunTimeline:
     def _timeline(self):
-        tl = RunTimeline()
-        tl.begin_round()
-        tl.record_sends("head", 2, 5)
-        tl.end_round(coverage=4, nodes_complete=0)
-        tl.begin_round()
-        tl.record_sends("head", 1, 3)
-        tl.record_sends("gateway", 4, 4)  # first appears in round 1
-        tl.end_round(coverage=9, nodes_complete=2)
-        return tl
+        table = SendTable()
+        table.open(None)
+        table.add("head", 2, 5)
+        table.open(None)
+        table.add("head", 1, 3)
+        table.add("gateway", 4, 4)  # first appears in round 1
+        return table.timeline(coverage=[4, 9], nodes_complete=[0, 2])
 
     def test_round_counters(self):
         tl = self._timeline()
@@ -77,21 +77,27 @@ class TestRunTimeline:
         assert tl.role_tokens == {"head": [5, 3], "gateway": [0, 4]}
 
     def test_zero_sends_are_not_recorded(self):
-        tl = RunTimeline()
-        tl.begin_round()
-        tl.record_sends("member", 0, 0)
-        tl.end_round(0, 0)
-        assert tl.role_messages == {}
+        table = SendTable()
+        table.open(None)
+        table.add("member", 0, 0)
+        tl = table.timeline([0], [0])
+        assert tl.role_messages == {} and tl.tokens == [0]
 
     def test_populations_backfilled_and_carried(self):
-        tl = RunTimeline()
-        tl.begin_round()
-        tl.record_populations({"head": 3})
-        tl.end_round(0, 0)
-        tl.begin_round()
-        tl.record_populations({"head": 3, "member": 7})
-        tl.end_round(0, 0)
-        assert tl.populations == {"head": [3, 3], "member": [0, 7]}
+        # all three columns appear at the first round with roles, zeros
+        # before it and on later rounds without roles
+        table = SendTable()
+        table.open(None)
+        roles = np.array([0, 0, 0, 2, 2, 2, 2, 2, 2, 2])
+        table.open(roles)
+        table.open(roles)
+        table.open(None)
+        tl = table.timeline([0] * 4, [0] * 4)
+        assert tl.populations == {
+            "head": [0, 3, 3, 0], "gateway": [0, 0, 0, 0],
+            "member": [0, 7, 7, 0],
+        }
+        assert list(tl.populations) == ["head", "gateway", "member"]
 
     def test_profile_excluded_from_equality(self):
         a, b = self._timeline(), self._timeline()
@@ -145,9 +151,8 @@ class TestWriteEvents:
         assert sum(r["tokens"] for r in rows if r["type"] == "round") == 12
 
     def test_profile_lands_in_footer(self, tmp_path):
-        tl = RunTimeline()
-        tl.begin_round()
-        tl.end_round(0, 0)
+        tl = RunTimeline(coverage=[0], nodes_complete=[0], tokens=[0],
+                         messages=[0])
         tl.profile["send"] = 0.5
         path = tmp_path / "e.jsonl"
         write_events(path, tl)

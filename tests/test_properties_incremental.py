@@ -16,11 +16,13 @@ from repro.graphs.properties import (
     head_connectivity_witness,
     head_set_stable,
     hierarchy_stable,
+    is_hinet,
     is_T_interval_connected,
     max_interval_connectivity,
     realized_hop_bound,
     windows_of,
 )
+from repro.experiments.scenarios import hinet_one_scenario
 from repro.graphs.trace import GraphTrace
 from repro.roles import Role
 from repro.sim.topology import Snapshot
@@ -234,6 +236,31 @@ class TestOnePass:
         trace = _static_path_trace(6, 256)
         assert max_interval_connectivity(trace, windows) == trace.horizon
         assert rounds_read == list(range(trace.horizon))
+
+    def test_checks_on_one_trace_share_one_extraction(self, rounds_read):
+        """A (1, L)-HiNet certificate, ``is_hinet(·, 1, L)`` then
+        ``is_T_interval_connected(·, 1)``, reads every round once; later
+        checks and witnesses on the same trace read nothing new."""
+        scenario = hinet_one_scenario(n0=40, theta=12, k=6, L=2, seed=3,
+                                      verify=False)
+        trace = scenario.trace
+        assert is_hinet(trace, 1, 2)
+        assert is_T_interval_connected(trace, 1)
+        assert rounds_read == list(range(trace.horizon))
+        assert max_interval_connectivity(trace, "sliding") >= 1
+        assert head_connectivity_witness(trace, 3, 4) is not None
+        assert rounds_read == list(range(trace.horizon))
+        # a fresh trace of the same rounds extracts them afresh
+        assert is_T_interval_connected(GraphTrace(trace.snapshots), 1)
+        assert rounds_read == 2 * list(range(trace.horizon))
+
+    def test_memoized_keys_are_read_only(self):
+        trace = _static_path_trace(5, 3)
+        assert is_T_interval_connected(trace, 2)
+        keys = properties._round_keys(trace, 1)
+        assert keys is properties._round_keys(trace, 1)
+        assert not keys.flags.writeable
+        assert keys.tolist() == [1, 7, 13, 19]
 
     def test_witness_reads_only_its_window(self, rounds_read):
         path = _clustered(5, [(0, 1), (1, 2), (2, 3), (3, 4)], {0, 4})

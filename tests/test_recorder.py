@@ -450,10 +450,10 @@ class TestChromeTrace:
         assert pairs == sorted(pairs)  # flooding never loses pairs
 
     def test_timeline_only_export(self):
-        tl = RunTimeline()
-        tl.begin_round()
-        tl.record_sends("head", 2, 5)
-        tl.end_round(coverage=4, nodes_complete=0)
+        tl = RunTimeline(
+            coverage=[4], nodes_complete=[0], tokens=[5], messages=[2],
+            role_messages={"head": [2]}, role_tokens={"head": [5]},
+        )
         trace = to_chrome_trace(timeline=tl)
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
@@ -514,10 +514,10 @@ class TestRecordingSerialization:
 
 class TestEventsSchemaVersion:
     def _events_path(self, tmp_path):
-        tl = RunTimeline()
-        tl.begin_round()
-        tl.record_sends("head", 2, 5)
-        tl.end_round(coverage=4, nodes_complete=0)
+        tl = RunTimeline(
+            coverage=[4], nodes_complete=[0], tokens=[5], messages=[2],
+            role_messages={"head": [2]}, role_tokens={"head": [5]},
+        )
         path = tmp_path / "events.jsonl"
         write_events(path, tl, run_info={"algorithm": "x"},
                      summary={"tokens_sent": 5})

@@ -1,5 +1,6 @@
 """Tests for the algorithm registry, run serialization and the result cache."""
 
+import hashlib
 import json
 import os
 import random
@@ -39,6 +40,7 @@ from repro.registry import all_specs, get_spec, spec_names
 from repro.roles import Role
 from repro.sim.engine import RunResult, SynchronousEngine
 from repro.sim.metrics import Metrics, RoleCost
+from repro.sim.rng import derive_seed
 from repro.sim.topology import Snapshot
 
 #: The ten single-hop algorithms the run_* helpers historically covered.
@@ -227,6 +229,50 @@ class TestJsonRoundTrip:
             assert back.result.timeline.tokens == metrics.per_round_tokens
             assert back.result.timeline.tokens is not \
                 back.result.metrics.per_round_tokens
+
+
+#: sha256 of the cache-entry bytes ``ResultCache.put`` writes for one
+#: paper-sweep cell (n0=40, θ=12, k=6, α=3, L=2, seed 7): Algorithm 1 and
+#: KLO-interval on its (T, L)-HiNet, Algorithm 2, KLO-one and flood-all on
+#: its (1, L)-HiNet.  Any change to a run's metrics, timeline, their
+#: column order or the record layout changes these bytes.
+ENTRY_SHA256 = {
+    ("algorithm1", "timeline"): "77c76f7219ed561d75aa6cf19c4c9c3b76202caf533701b2d8228b43ac2cc2c4",
+    ("algorithm1", "off"): "61d959897158c885dcade5407e38a1a2ba89ec02d0210ce64887b9be06f3e9ff",
+    ("klo-interval", "timeline"): "fdef5e403da2a6c62c26440900fa1921532b62e04fa912cfd79192b79f5939bc",
+    ("klo-interval", "off"): "236d09c55b54b2d6e6336c9628d5cd4371e76412319d7e80d8d8e977a14a9d2f",
+    ("algorithm2", "timeline"): "a5b24086a1f25fe1acfc53cb783a1392179eb7ff25bc2650dc345ca73d884d0d",
+    ("algorithm2", "off"): "779c01e2e2cbb7e409f56cf9008f94e5cb5ce1affcc1ad7eb83c765f1db4975b",
+    ("klo-one", "timeline"): "0482ba670a78046e538b38200f6fa42ba100581682cd9c8fed52e8d13d287ff5",
+    ("klo-one", "off"): "bb274c2b36dc6f7d145ee3c3b190761a1986c19181a5a65c3ebb07a2b37749bc",
+    ("flood-all", "timeline"): "e197dfa8007df1477a4df8d3112bb5ced6b622378534482f285870cb11d3bb5a",
+    ("flood-all", "off"): "c3ae2fb1744bfef48b42ff5a81eae0465e57ff3e4409fe5abf6a5071a236e47f",
+}
+
+
+@pytest.fixture(scope="module")
+def paper_cell():
+    n0 = 40
+    return {
+        "interval": hinet_interval_scenario(
+            n0=n0, theta=12, k=6, alpha=3, L=2,
+            seed=derive_seed(7, "interval", n0), verify=False,
+        ),
+        "one": hinet_one_scenario(
+            n0=n0, theta=12, k=6, L=2, seed=derive_seed(7, "one", n0),
+            verify=False,
+        ),
+    }
+
+
+class TestCacheEntryPin:
+    @pytest.mark.parametrize("name, obs", sorted(ENTRY_SHA256))
+    def test_entry_bytes_pinned(self, tmp_path, paper_cell, name, obs):
+        kind = "interval" if name in ("algorithm1", "klo-interval") else "one"
+        execute(name, paper_cell[kind], cache=ResultCache(tmp_path), obs=obs)
+        (entry,) = tmp_path.glob("*/*.json")
+        digest = hashlib.sha256(entry.read_bytes()).hexdigest()
+        assert digest == ENTRY_SHA256[name, obs]
 
 
 class TestResultCache:

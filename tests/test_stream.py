@@ -30,12 +30,16 @@ ENGINES = ("reference", "fast", "columnar")
 
 
 def _timeline(rounds=6):
-    tl = RunTimeline()
-    for r in range(rounds):
-        tl.begin_round()
-        tl.record_sends("head", r + 1, 2 * r + 1)
-        tl.end_round(coverage=3 * r, nodes_complete=r)
-    return tl
+    messages = [r + 1 for r in range(rounds)]
+    tokens = [2 * r + 1 for r in range(rounds)]
+    return RunTimeline(
+        coverage=[3 * r for r in range(rounds)],
+        nodes_complete=list(range(rounds)),
+        tokens=tokens,
+        messages=messages,
+        role_messages={"head": messages},
+        role_tokens={"head": tokens},
+    )
 
 
 class _FakeResult:
