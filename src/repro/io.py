@@ -92,16 +92,12 @@ __all__ = [
     "recording_to_dict",
     "run_record_from_dict",
     "run_record_to_dict",
-    "run_result_from_dict",
-    "run_result_to_dict",
     "save_ratio_table",
     "save_recording",
     "save_scenario",
     "save_trace",
     "scenario_from_dict",
     "scenario_to_dict",
-    "timeline_from_dict",
-    "timeline_to_dict",
     "trace_from_dict",
     "trace_to_dict",
 ]
@@ -261,29 +257,24 @@ def load_scenario(path: Union[str, Path]):
     return scenario_from_dict(json.loads(Path(path).read_text()))
 
 
-def metrics_to_dict(metrics: Metrics, include_series: bool = False) -> Dict[str, Any]:
-    """Encode run metrics for result archives.
+def metrics_to_dict(metrics: Metrics) -> Dict[str, Any]:
+    """Encode run metrics' totals and role breakdown.
 
-    ``include_series`` adds the per-round token/coverage arrays (larger,
-    but needed to re-plot progress curves).
+    The per-round series are not included: a run record carries them in
+    its column block (:func:`run_record_to_dict`).
     """
     out: Dict[str, Any] = dict(metrics.summary())
     out["by_role"] = {
         role: {"tokens": c.tokens, "messages": c.messages}
         for role, c in metrics.by_role.items()
     }
-    if include_series:
-        out["per_round_tokens"] = list(metrics.per_round_tokens)
-        out["per_round_coverage"] = list(metrics.per_round_coverage)
     return out
 
 
 def metrics_from_dict(data: Dict[str, Any]) -> Metrics:
     """Reconstruct :class:`Metrics` from :func:`metrics_to_dict` output.
 
-    Round-trips exactly when the dict was written with
-    ``include_series=True``; without the series the per-round arrays come
-    back empty (the headline counters are always faithful).
+    The per-round series come back empty.
     """
     metrics = Metrics(
         rounds=int(data["rounds"]),
@@ -298,56 +289,12 @@ def metrics_from_dict(data: Dict[str, Any]) -> Metrics:
         dropped_unicasts=int(data.get("dropped_unicasts", 0)),
         lost_deliveries=int(data.get("lost_deliveries", 0)),
         crashed_nodes=int(data.get("crashed_nodes", 0)),
-        per_round_tokens=[int(v) for v in data.get("per_round_tokens", [])],
-        per_round_coverage=[int(v) for v in data.get("per_round_coverage", [])],
     )
     for role, counts in data.get("by_role", {}).items():
         metrics.by_role[role] = RoleCost(
             tokens=int(counts["tokens"]), messages=int(counts["messages"])
         )
     return metrics
-
-
-def timeline_to_dict(timeline: RunTimeline) -> Dict[str, Any]:
-    """Encode a :class:`~repro.obs.RunTimeline` as a JSON-ready dict.
-
-    Everything round-trips, including the wall-clock ``profile`` sections
-    (which are informational only — they never join equality checks).
-    """
-    return {
-        "format": "repro-timeline",
-        "version": _VERSION,
-        "schema_version": SCHEMA_VERSION,
-        "coverage": list(timeline.coverage),
-        "nodes_complete": list(timeline.nodes_complete),
-        "tokens": list(timeline.tokens),
-        "messages": list(timeline.messages),
-        "role_messages": {r: list(c) for r, c in timeline.role_messages.items()},
-        "role_tokens": {r: list(c) for r, c in timeline.role_tokens.items()},
-        "populations": {r: list(c) for r, c in timeline.populations.items()},
-        "profile": dict(timeline.profile),
-    }
-
-
-def timeline_from_dict(data: Dict[str, Any]) -> RunTimeline:
-    """Decode a timeline written by :func:`timeline_to_dict`."""
-    _require_format(data, "repro-timeline")
-    return RunTimeline(
-        coverage=[int(v) for v in data["coverage"]],
-        nodes_complete=[int(v) for v in data["nodes_complete"]],
-        tokens=[int(v) for v in data["tokens"]],
-        messages=[int(v) for v in data["messages"]],
-        role_messages={
-            r: [int(v) for v in c] for r, c in data.get("role_messages", {}).items()
-        },
-        role_tokens={
-            r: [int(v) for v in c] for r, c in data.get("role_tokens", {}).items()
-        },
-        populations={
-            r: [int(v) for v in c] for r, c in data.get("populations", {}).items()
-        },
-        profile={s: float(v) for s, v in data.get("profile", {}).items()},
-    )
 
 
 def causal_trace_to_dict(causal: CausalTrace) -> Dict[str, Any]:
@@ -440,66 +387,6 @@ def save_recording(recording: RunRecording, path: Union[str, Path]) -> Path:
 def load_recording(path: Union[str, Path]) -> RunRecording:
     """Read a recording previously written by :func:`save_recording`."""
     return recording_from_dict(json.loads(Path(path).read_text()))
-
-
-def run_result_to_dict(result, include_series: bool = True) -> Dict[str, Any]:
-    """Encode a :class:`~repro.sim.engine.RunResult` as a JSON-ready dict.
-
-    The execution trace and the per-node algorithm objects are *not*
-    serialized (they hold arbitrary Python state); everything the result
-    tables and the cost analyses consume — including the telemetry
-    timeline and the causal trace, when recorded — round-trips exactly.
-    (Monitor violations are diagnostics of a *live* run and are not
-    archived; re-run with ``monitor=True`` to reproduce them.)
-    """
-    out = {
-        "format": "repro-result",
-        "version": _VERSION,
-        "schema_version": SCHEMA_VERSION,
-        "n": result.n,
-        "k": result.k,
-        "complete": bool(result.complete),
-        "outputs": {str(v): sorted(toks) for v, toks in result.outputs.items()},
-        "metrics": metrics_to_dict(result.metrics, include_series=include_series),
-    }
-    timeline = getattr(result, "timeline", None)
-    if timeline is not None:
-        out["timeline"] = timeline_to_dict(timeline)
-    causal = getattr(result, "causal_trace", None)
-    if causal is not None:
-        out["causal_trace"] = causal_trace_to_dict(causal)
-    recording = getattr(result, "recording", None)
-    if recording is not None:
-        out["recording"] = recording_to_dict(recording)
-    return out
-
-
-def run_result_from_dict(data: Dict[str, Any]):
-    """Decode a result written by :func:`run_result_to_dict`."""
-    _require_format(data, "repro-result")
-    return RunResult(
-        n=int(data["n"]),
-        k=int(data["k"]),
-        metrics=metrics_from_dict(data["metrics"]),
-        outputs={
-            int(v): frozenset(int(t) for t in toks)
-            for v, toks in data["outputs"].items()
-        },
-        complete=bool(data["complete"]),
-        timeline=(
-            timeline_from_dict(data["timeline"]) if "timeline" in data else None
-        ),
-        causal_trace=(
-            causal_trace_from_dict(data["causal_trace"])
-            if "causal_trace" in data
-            else None
-        ),
-        recording=(
-            recording_from_dict(data["recording"])
-            if "recording" in data
-            else None
-        ),
-    )
 
 
 #: Version of the ``repro-run-record`` layout: 2 is the columnar layout

@@ -7,23 +7,26 @@ and the vectorised :func:`~repro.sim.columnar.run_columnar` — build one
 1. :meth:`RunObserver.open_round` with the round's
    :class:`~repro.sim.topology.SnapshotArrays`, which opens the round's
    row of the run's :class:`SendTable`;
-2. the round's per-role send counts, written into that row
-   (:attr:`RunObserver.table`), and at ``obs="record"`` the packed
-   message log (:meth:`RunObserver.log_sends`);
+2. the round's transmissions, billed into that row with one
+   :meth:`SendTable.bill` call (:attr:`RunObserver.table`), and at
+   ``obs="record"`` the packed message log
+   (:meth:`RunObserver.log_sends`);
 3. :meth:`RunObserver.close_round` with the end-of-round state.
 
-:meth:`RunObserver.finish` hands back the timeline, causal trace,
-recording and violations.  Every consumer is derived here, once, from
-those calls: the :class:`RunTimeline` (built once, at the end of the
-run, from the send-count table and the per-round coverage), the live
+:meth:`RunObserver.finish` settles the run's
+:class:`~repro.sim.metrics.Metrics` send counters from the table and
+hands back the timeline, causal trace, recording and violations.  Every
+consumer is derived here, once, from those calls: the
+:class:`RunTimeline` (built once, at the end of the run, from the
+send-count table and the per-round coverage), the live
 :class:`~repro.obs.stream.TelemetryBus` (round events read from the
 table row, and monitor alerts), the :class:`CausalTrace` (first learns
 from the packed state diff plus the round's flat deliveries), the
 :class:`RunRecorder` (hierarchy, message log, state diffs) and the
 runtime monitors (one :class:`RoundView` per round).  The engines hold
 no per-consumer code, so the bit-identity of every obs artifact across
-tiers rests on one implementation each.  The vectorised tier also takes
-its :class:`~repro.sim.metrics.Metrics` send counters from the table.
+tiers rests on one implementation each — the send counters of both
+tiers' :class:`~repro.sim.metrics.Metrics` included.
 
 State is exchanged as a packed ``(n, W)`` ``uint64`` bit-matrix — row
 ``v`` has bit ``t`` set iff node ``v`` holds token ``t`` — the
@@ -167,11 +170,12 @@ class SendTable:
     ``0..3`` and tokens in columns ``4..7``, one column per
     :data:`SEND_ROLES` entry.  Rows are opened by :meth:`open` and grow
     by doubling with the rounds a run executes, never with its budget.
-    The vectorised tier writes a round with :meth:`add_codes` or
-    :meth:`add_flat` and the run's :attr:`broadcasts`, :attr:`unicasts`
-    and :attr:`dropped_unicasts`; the reference engine writes its per-role
-    counts with :meth:`add` (its :class:`~repro.sim.metrics.Metrics`
-    counts the rest itself).
+    This table is the run's only send ledger: both engine tiers write a
+    round with one :meth:`bill` call (its senders, costs, unicast and
+    dropped-unicast counts), which also adds to the run's
+    :attr:`broadcasts`, :attr:`unicasts` and :attr:`dropped_unicasts`,
+    and :meth:`settle` fills the send counters of the run's
+    :class:`~repro.sim.metrics.Metrics` from the rows.
 
     Hierarchy populations are counted once per distinct ``roles`` array
     (rounds of one phase share it) and indexed per round, ``-1`` for a
@@ -214,23 +218,27 @@ class SendTable:
             self._pop = self._pop_of[r] = len(self._pops) - 1
         self.rounds = r + 1
 
-    def add(self, role: str, messages: int, tokens: int) -> None:
-        """Add ``role``'s transmissions to the open round."""
-        j = _COLUMN[role]
-        row = self.counts[self.rounds - 1]
-        row[j] += messages
-        row[_TOK + j] += tokens
+    def bill(
+        self, senders: np.ndarray, costs: np.ndarray, unicasts: int, dropped: int
+    ) -> None:
+        """Bill the open round's transmissions — the one writer of sends
+        on either tier.
 
-    def add_flat(self, messages: int, tokens: int) -> None:
-        """The open round's transmissions, on a round without roles."""
+        ``senders`` and ``costs`` hold one entry per transmission;
+        ``unicasts`` of them were unicasts, ``dropped`` of those to a
+        destination that was not a neighbour (still billed: the radio
+        transmitted).  Senders are billed to their role in the open
+        round, or to ``"flat"`` on a round without roles.
+        """
+        self.broadcasts += len(senders) - unicasts
+        self.unicasts += unicasts
+        self.dropped_unicasts += dropped
         row = self.counts[self.rounds - 1]
-        row[_FLAT] = messages
-        row[_TOK + _FLAT] = tokens
-
-    def add_codes(self, codes: np.ndarray, costs: np.ndarray) -> None:
-        """The open round's transmissions: one sender role code and one
-        cost per transmission."""
-        row = self.counts[self.rounds - 1]
+        if self._pop < 0:
+            row[_FLAT] = len(senders)
+            row[_TOK + _FLAT] = int(costs.sum())
+            return
+        codes = self._roles[senders]
         row[:_FLAT] = np.bincount(codes, minlength=_FLAT)
         row[_TOK:_TOK + _FLAT] = np.bincount(
             codes, weights=costs, minlength=_FLAT
@@ -278,6 +286,24 @@ class SendTable:
     def tokens(self) -> List[int]:
         """Tokens sent per round."""
         return self.counts[:self.rounds, _TOK:].sum(axis=1).tolist()
+
+    def settle(self, metrics) -> None:
+        """Fill the send counters of ``metrics``
+        (a :class:`~repro.sim.metrics.Metrics`) from the rounds billed so
+        far — the one place either tier's metrics get them."""
+        from ..sim.metrics import RoleCost  # repro.sim imports this module
+
+        by_role = self.by_role()
+        metrics.by_role = {
+            role: RoleCost(tokens=tokens, messages=messages)
+            for role, messages, tokens in by_role
+        }
+        metrics.messages_sent = sum(messages for _, messages, _ in by_role)
+        metrics.tokens_sent = sum(tokens for _, _, tokens in by_role)
+        metrics.broadcasts = self.broadcasts
+        metrics.unicasts = self.unicasts
+        metrics.dropped_unicasts = self.dropped_unicasts
+        metrics.per_round_tokens = self.tokens()
 
     def timeline(
         self, coverage: Sequence[int], nodes_complete: Sequence[int]
@@ -495,14 +521,17 @@ class RunObserver:
                     stream.alert(violation)
 
     def finish(
-        self, rounds: int, complete: bool
+        self, metrics, complete: bool
     ) -> Tuple[
         Optional[RunTimeline], Optional[CausalTrace],
         Optional[RunRecording], Optional[List[Violation]],
     ]:
-        """``(timeline, causal trace, recording, violations)`` of the run,
-        the timeline built from the send-count table with the profile
-        folded in."""
+        """Settle ``metrics``' send counters from the send-count table and
+        return ``(timeline, causal trace, recording, violations)`` of the
+        run, the timeline built from the table with the profile folded
+        in."""
+        self.table.settle(metrics)
+        rounds = metrics.rounds
         timeline = None
         if self._coverage is not None:
             timeline = self.table.timeline(self._coverage, self._complete)

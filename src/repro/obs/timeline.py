@@ -42,10 +42,10 @@ Observability levels (the engines' ``obs`` parameter):
     cache; :attr:`RunTimeline.profile` is excluded from equality so the
     fastpath⇄reference timeline-equivalence guarantees still hold.
 
-Timelines serialize through :func:`repro.io.timeline_to_dict` (they ride
-along inside ``RunResult`` archives and the on-disk result cache) and
-export as JSONL structured events via :func:`write_events` — one JSON
-object per line: a ``run`` header, one ``round`` event per round,
+Timelines serialize as columns of a run record
+(:func:`repro.io.run_record_to_dict`, the result cache's entry payload)
+and export as JSONL structured events via :func:`write_events` — one
+JSON object per line: a ``run`` header, one ``round`` event per round,
 optionally one ``learn`` event per causal first-learn, and a closing
 ``summary`` carrying the run's metric totals (the CLI's
 ``repro run … --events out.jsonl``).
@@ -235,8 +235,14 @@ class RunTimeline:
         Post-hoc export (:meth:`events` / :func:`write_events`) encodes
         through :func:`encode_round`, as the live stream does from the
         run's send-count table, so streamed counters are bit-identical to
-        the written file by construction.
+        the written file by construction.  Like the live stream, it lists
+        ``populations`` from the first round with roles on — the first
+        whose populations are not all zero — and omits them before it.
         """
+        populations = sorted(self.populations.items())
+        clustered = bool(populations) and any(
+            column[j] for j in range(r + 1) for _, column in populations
+        )
         return encode_round(
             r, self.coverage[r], self.nodes_complete[r],
             self.messages[r], self.tokens[r],
@@ -245,8 +251,8 @@ class RunTimeline:
                  if role in self.role_tokens else 0)
                 for role, column in sorted(self.role_messages.items())
             ],
-            sorted((role, column[r]) for role, column in self.populations.items())
-            if self.populations else None,
+            [(role, column[r]) for role, column in populations]
+            if clustered else None,
         )
 
     def events(self) -> Iterator[Dict[str, Any]]:

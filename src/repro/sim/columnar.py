@@ -75,7 +75,6 @@ from .fastpath import (
     _account,
     _filter_batch_alive,
     _SendBatch,
-    _settle,
 )
 from .linkmodel import LinkModel
 from .metrics import Metrics
@@ -459,7 +458,7 @@ def run_columnar(
         if batch is not None and not batch.messages:
             batch = None
         if batch is not None:
-            _account(observer.table, batch, arrs)
+            _account(observer.table, batch)
             if observer.wants_log:
                 observer.log_sends(batch.log())
         edge_keep: Optional[np.ndarray] = None
@@ -561,11 +560,8 @@ def run_columnar(
     outputs: Dict[int, FrozenSet[int]] = {}
     if materialize_outputs:
         outputs = dict(enumerate(rows_frozensets(kernel.TA)))
-    _settle(metrics, observer.table)
     lap("bookkeeping")
-    timeline, causal, recording, violations = observer.finish(
-        metrics.rounds, complete
-    )
+    timeline, causal, recording, violations = observer.finish(metrics, complete)
     return RunResult(
         n=n,
         k=k,

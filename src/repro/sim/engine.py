@@ -159,8 +159,10 @@ class ActiveRun:
 
     Obtained from :meth:`SynchronousEngine.start`.  Between steps, the
     per-node algorithm objects (:attr:`algorithms`), accumulated
-    :attr:`metrics`, and the obs consumers of :attr:`observer` are all
-    inspectable — useful in notebooks and for custom stopping conditions:
+    :attr:`metrics` (send counters settled from the observer's send-count
+    table on each read), and the obs consumers of :attr:`observer` are
+    all inspectable — useful in notebooks and for custom stopping
+    conditions:
 
     >>> active = SynchronousEngine().start(net, factory, k, initial, 100)
     >>> while active.step():
@@ -197,7 +199,7 @@ class ActiveRun:
             v: factory(v, k, frozenset(initial.get(v, frozenset())))
             for v in range(n)
         }
-        self.metrics = Metrics()
+        self._metrics = Metrics()
         self.observer = RunObserver(
             engine.obs, n, k, [self.algorithms[v].TA for v in range(n)],
             monitors=monitors, stream=engine.stream,
@@ -217,13 +219,20 @@ class ActiveRun:
         if self._link is not None:
             self._alive = np.ones(n, dtype=bool)
 
+    @property
+    def metrics(self) -> Metrics:
+        """The run's :class:`Metrics` so far, its send counters settled
+        from the rounds billed to the observer's send-count table."""
+        self.observer.table.settle(self._metrics)
+        return self._metrics
+
     # -- internals ---------------------------------------------------------
 
     def _link_delivers(self, r: int, sender: int, receiver: int) -> bool:
         """Link transform for one candidate delivery (loss is billed)."""
         if self._link.delivers(r, sender, receiver):
             return True
-        self.metrics.record_loss()
+        self._metrics.record_loss()
         return False
 
     def _flat(self, messages: List[Tuple[int, Message]]):
@@ -267,7 +276,6 @@ class ActiveRun:
             now = time.perf_counter()
             prof.add("topology", now - t0)
             t0 = now
-        self.metrics.begin_round()
         observer.open_round(snap.arrays())
 
         # --- link transform, stage 1: crash-stop churn ---------------------
@@ -284,7 +292,7 @@ class ActiveRun:
                     ta = self.algorithms[cv].TA
                     crash_tokens += len(ta)
                     ta.clear()
-                self.metrics.record_crashes(len(newly_crashed))
+                self._metrics.record_crashes(len(newly_crashed))
 
         contexts = [
             RoundContext(
@@ -299,26 +307,24 @@ class ActiveRun:
 
         # --- send phase ---------------------------------------------------
         due = r + self.engine.latency - 1
-        by_role: Dict[str, List[int]] = {}
+        senders: List[int] = []
+        costs: List[int] = []
+        unicasts = dropped = 0
         sent: Optional[List[Tuple[int, Message]]] = (
             [] if observer.wants_log else None
         )
         for v in range(n):
             if alive is not None and not alive[v]:
                 continue
-            ctx = contexts[v]
-            role_name = ctx.role.name.lower() if ctx.role is not None else "flat"
-            for msg in self.algorithms[v].send(ctx):
+            for msg in self.algorithms[v].send(contexts[v]):
                 if msg.sender != v:
                     raise ValueError(
                         f"node {v} emitted a message claiming sender {msg.sender}"
                     )
                 if msg.cost == 0:
                     continue  # empty transmissions are skipped and free
-                self.metrics.record_send(msg, role=role_name)
-                counts = by_role.setdefault(role_name, [0, 0])
-                counts[0] += 1
-                counts[1] += msg.cost
+                senders.append(v)
+                costs.append(msg.cost)
                 if msg.delivery is Delivery.BROADCAST:
                     if sent is not None:
                         sent.append((-1, msg))
@@ -331,19 +337,22 @@ class ActiveRun:
                             if alive[u] and self._link_delivers(r, v, u):
                                 self._in_flight.setdefault(due, []).append((u, msg))
                 else:
+                    unicasts += 1
                     if sent is not None:
                         sent.append((msg.dest, msg))
                     if msg.dest not in snap.adj[v]:
-                        self.metrics.record_drop()
+                        dropped += 1
                     elif link is None:
                         self._in_flight.setdefault(due, []).append((msg.dest, msg))
                     elif alive[msg.dest] and self._link_delivers(r, v, msg.dest):
                         self._in_flight.setdefault(due, []).append((msg.dest, msg))
-        for role, (messages, tokens) in by_role.items():
-            observer.table.add(role, messages, tokens)
+        observer.table.bill(
+            np.array(senders, dtype=np.int64), np.array(costs, dtype=np.int64),
+            unicasts, dropped,
+        )
         if sent is not None:
-            dests, senders, payload, costs = self._flat(sent)
-            observer.log_sends((senders, dests, payload, costs))
+            dests, log_senders, payload, log_costs = self._flat(sent)
+            observer.log_sends((log_senders, dests, payload, log_costs))
 
         # --- delivery of everything due this round --------------------------
         if prof is not None:
@@ -377,7 +386,7 @@ class ActiveRun:
         per_node = [len(self.algorithms[v].TA) for v in range(n)]
         coverage = sum(per_node)
         nodes_complete = per_node.count(self.k)
-        self.metrics.end_round(coverage)
+        self._metrics.end_round(coverage)
         state = deliveries = None
         if observer.wants_state:
             state = [self.algorithms[v].TA for v in range(n)]
@@ -386,7 +395,7 @@ class ActiveRun:
             if landed:
                 deliveries = self._flat(landed)[:3]
         observer.close_round(
-            r, coverage, nodes_complete, self.metrics,
+            r, coverage, nodes_complete, self._metrics,
             state=state,
             deliveries=deliveries,
             per_node=per_node,
@@ -399,7 +408,7 @@ class ActiveRun:
         # node can never be re-supplied, so it does not gate the run
         alive_n = n if alive is None else int(alive.sum())
         if coverage == alive_n * self.k and (alive is None or alive_n > 0):
-            self.metrics.mark_complete()
+            self._metrics.mark_complete()
             if self.stop_when_complete:
                 self.stopped = True
         if (
@@ -442,12 +451,12 @@ class ActiveRun:
                 "bookkeeping", time.perf_counter() - started
             )
         timeline, causal, recording, violations = self.observer.finish(
-            self.round, complete
+            self._metrics, complete
         )
         return RunResult(
             n=self.n,
             k=self.k,
-            metrics=self.metrics,
+            metrics=self._metrics,
             outputs=outputs,
             complete=complete,
             timeline=timeline,

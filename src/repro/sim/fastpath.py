@@ -17,10 +17,10 @@ baselines, and the two flooding baselines) as vectorised kernels:
 Each kernel has one ``send`` and one receive rule, :meth:`_Kernel.absorb`,
 which sees a round's deliveries as dense ``(n, W)`` rows however the round
 loop in :mod:`repro.sim.columnar` delivered them.  This module also holds
-the send accounting (one row of the run's
-:class:`~repro.obs.observer.SendTable` per round, settled into
-:class:`~repro.sim.metrics.Metrics` once, when the run ends) and the
-sender filtering both of that loop's deliveries share.
+the send accounting (a round's batch billed into its row of the run's
+:class:`~repro.obs.observer.SendTable`, as the reference engine bills
+its sends) and the sender filtering both of that loop's deliveries
+share.
 
 **Bit-identical results.**  For supported algorithms the vectorised tier
 reproduces the reference engine exactly: outputs, metrics, timelines,
@@ -52,7 +52,6 @@ import numpy as np
 
 from ..obs.observer import SendTable
 from .engine import RunResult, SynchronousEngine, validate_run_args
-from .metrics import Metrics, RoleCost
 from .topology import SnapshotArrays
 
 __all__ = ["try_run"]
@@ -442,38 +441,15 @@ _KERNELS = {
 # accounting and delivery
 # ---------------------------------------------------------------------------
 
-def _account(table: SendTable, batch: _SendBatch, arrs: SnapshotArrays) -> None:
-    """Write one round's transmissions into the run's send-count table."""
-    b = len(batch.bc_senders)
-    u = len(batch.uc_senders)
-    table.broadcasts += b
-    table.unicasts += u
-    if u:
-        table.dropped_unicasts += int((~batch.uc_ok).sum())
-    if arrs.roles is None:
-        table.add_flat(b + u, int(batch.bc_costs.sum()) + int(batch.uc_costs.sum()))
-        return
+def _account(table: SendTable, batch: _SendBatch) -> None:
+    """Bill one round's transmissions to the run's send-count table."""
     senders, costs = batch.bc_senders, batch.bc_costs
-    if u:
+    unicasts, dropped = len(batch.uc_senders), 0
+    if unicasts:
         senders = np.concatenate((senders, batch.uc_senders))
         costs = np.concatenate((costs, batch.uc_costs))
-    table.add_codes(arrs.roles[senders], costs)
-
-
-def _settle(metrics: Metrics, table: SendTable) -> None:
-    """Fill the run's send counters of ``metrics`` from ``table`` — the
-    totals the reference engine's :meth:`Metrics.record_send` sums."""
-    by_role = table.by_role()
-    metrics.by_role = {
-        role: RoleCost(tokens=tokens, messages=messages)
-        for role, messages, tokens in by_role
-    }
-    metrics.messages_sent = sum(messages for _, messages, _ in by_role)
-    metrics.tokens_sent = sum(tokens for _, _, tokens in by_role)
-    metrics.broadcasts = table.broadcasts
-    metrics.unicasts = table.unicasts
-    metrics.dropped_unicasts = table.dropped_unicasts
-    metrics.per_round_tokens = table.tokens()
+        dropped = int((~batch.uc_ok).sum())
+    table.bill(senders, costs, unicasts, dropped)
 
 
 def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:

@@ -10,15 +10,17 @@ The paper evaluates algorithms on exactly two axes (Section V):
 
 :class:`Metrics` records those two plus enough auxiliary detail (per-role
 breakdown, per-round series, message counts) to support the extension
-benchmarks and ablations without re-running simulations.
+benchmarks and ablations without re-running simulations.  Neither engine
+tier bills a send here: both bill the run's send-count table
+(:meth:`~repro.obs.observer.SendTable.bill`), which settles the send
+counters of :class:`Metrics`; rounds, coverage, losses, crashes and
+completion are counted here directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
-
-from .messages import Delivery, Message
 
 __all__ = ["Metrics", "RoleCost"]
 
@@ -30,15 +32,15 @@ class RoleCost:
     tokens: int = 0
     messages: int = 0
 
-    def add(self, message: Message) -> None:
-        """Account one transmission."""
-        self.tokens += message.cost
-        self.messages += 1
-
 
 @dataclass
 class Metrics:
     """Aggregate cost record for one simulation run.
+
+    The send counters — ``tokens_sent``, ``messages_sent``,
+    ``broadcasts``, ``unicasts``, ``dropped_unicasts``, ``by_role`` and
+    ``per_round_tokens`` — are settled from the run's send-count table
+    (:meth:`~repro.obs.observer.SendTable.settle`) on both engine tiers.
 
     Attributes
     ----------
@@ -69,7 +71,8 @@ class Metrics:
     by_role:
         Token/message counters keyed by role name (``"head"``,
         ``"gateway"``, ``"member"``, or ``"flat"`` for role-less
-        algorithms).
+        algorithms), ordered by the first round the role sent, then by
+        role code — the order of the timeline's role columns.
     per_round_tokens:
         Tokens sent in each round, for time-series plots.
     per_round_coverage:
@@ -91,26 +94,6 @@ class Metrics:
     per_round_coverage: List[int] = field(default_factory=list)
 
     # -- recording -------------------------------------------------------
-
-    def begin_round(self) -> None:
-        """Open accounting for a new round."""
-        self.per_round_tokens.append(0)
-
-    def record_send(self, message: Message, role: str = "flat") -> None:
-        """Account one transmission sent in the current round."""
-        self.tokens_sent += message.cost
-        self.messages_sent += 1
-        if message.delivery is Delivery.BROADCAST:
-            self.broadcasts += 1
-        else:
-            self.unicasts += 1
-        self.by_role.setdefault(role, RoleCost()).add(message)
-        if self.per_round_tokens:
-            self.per_round_tokens[-1] += message.cost
-
-    def record_drop(self) -> None:
-        """Account a unicast whose destination was unreachable this round."""
-        self.dropped_unicasts += 1
 
     def record_loss(self, count: int = 1) -> None:
         """Account ``count`` deliveries suppressed by the link model."""

@@ -1,10 +1,11 @@
-"""Send accounting across tiers: the reference engine counts every
-transmission through ``Metrics.record_send``; the vectorised tier writes
-one row of the run's send-count table (``repro.obs.observer.SendTable``)
-per round and builds ``Metrics`` and ``RunTimeline`` from it when the run
-ends.  Both must agree field by field — ``by_role`` and the timeline's
-role and population columns in the same order — with and without a live
-stream and monitors, which read the table row by row."""
+"""Send accounting across tiers: both engine tiers bill each round's
+transmissions into one row of the run's send-count table
+(``repro.obs.observer.SendTable.bill``), and ``Metrics`` and
+``RunTimeline`` are built from it (``SendTable.settle``,
+``SendTable.timeline``).  The tiers must agree field by field —
+``by_role`` and the timeline's role and population columns in the same
+order — with and without a live stream and monitors, which read the table
+row by row, and the live stream must equal every post-hoc export."""
 
 import tracemalloc
 from dataclasses import fields
@@ -14,9 +15,16 @@ import pytest
 from repro.baselines.flooding import make_flood_all_factory
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.core.algorithm2 import make_algorithm2_factory
-from repro.experiments.scenarios import default_kind, one_interval_scenario, scenario_for
+from repro.experiments.cache import ResultCache
+from repro.experiments.runner import execute
+from repro.experiments.scenarios import (
+    Scenario,
+    default_kind,
+    one_interval_scenario,
+    scenario_for,
+)
 from repro.graphs.trace import GraphTrace
-from repro.obs import BufferSink, TelemetryBus
+from repro.obs import BufferSink, TelemetryBus, read_events, write_events
 from repro.obs.monitors import CoverageMonotonicityMonitor, EnvelopeMonitor, Monitor
 from repro.registry import all_specs
 from repro.roles import Role
@@ -115,6 +123,27 @@ class TestRegistryWideAccounting:
             for engine in ("reference", "fast")
         ])
 
+    @pytest.mark.parametrize("obs", ["off", "timeline"])
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("spec", VECTORISED, ids=lambda s: s.name)
+    def test_role_order_agrees_at_more_seeds(self, spec, obs, seed):
+        """At seeds 2 and 3 a gateway is the lowest-id sender of round 0
+        in the clustered scenarios, so a ledger that ordered roles by the
+        first node to send would put it before the heads."""
+        scenario = scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=seed)
+        plan = spec.plan(scenario)
+        runs = [
+            _run(engine, scenario.trace, plan.factory, scenario.k,
+                 scenario.initial, plan.max_rounds, obs=obs, live=False,
+                 stop_when_complete=plan.stop_when_complete)
+            for engine in ("reference", "fast")
+        ]
+        _assert_same_accounting(runs)
+        for result, _, _ in runs:
+            if result.timeline is not None:
+                assert list(result.metrics.by_role) == \
+                    list(result.timeline.role_messages)
+
 
 def _late_gateway_trace():
     """Rounds 0–1 are flat; rounds 2–3 have heads 0 and 1 and members
@@ -178,6 +207,42 @@ class TestLateRoles:
         assert tl.populations["head"] == [0, 0, 2, 2, 2, 2, 2, 2]
         assert tl.populations["gateway"] == [0, 0, 0, 0, 1, 1, 1, 1]
         assert tl.populations["member"] == [0, 0, 4, 4, 3, 3, 3, 3]
+
+    @pytest.mark.parametrize("name", ["flood-all", "algorithm2"])
+    def test_live_and_post_hoc_round_events_agree(self, tmp_path, name):
+        """The ``round`` and ``summary`` events of the live stream equal
+        those of ``write_events``, ``TelemetryBus.replay`` and a cache-hit
+        replay, on both tiers, for a run that starts flat and clusters
+        later (populations appear from round 2 in every one of them)."""
+        scenario = Scenario(name="late-gateway", trace=_late_gateway_trace(),
+                            k=3, initial=_LATE_INITIAL, params={})
+        cache = ResultCache(tmp_path / "cache")
+
+        def streamed(engine):
+            sink = BufferSink()
+            record = execute(name, scenario, engine=engine, cache=cache,
+                             stream=TelemetryBus([sink]))
+            return record, [e for e in sink.events
+                            if e["type"] in ("round", "summary")]
+
+        expected = None
+        for engine in ("reference", "fast"):
+            record, live = streamed(engine)  # a miss: the engine streams
+            _, hit = streamed(engine)  # a hit: the cache replays
+            result = record.result
+            path = tmp_path / f"{engine}.jsonl"
+            write_events(path, result.timeline,
+                         summary=result.metrics.summary())
+            written = [e for e in read_events(path)
+                       if e["type"] in ("round", "summary")]
+            sink = BufferSink()
+            TelemetryBus([sink]).replay(result.timeline)
+            assert hit == written == live
+            assert sink.events == live[:-1]
+            assert ["populations" in e for e in live[:-1]] == \
+                [False, False] + [True] * (len(live) - 3)
+            expected = expected or live
+            assert live == expected
 
     def test_streamed_populations_start_at_the_first_round_with_roles(self):
         _, events, _ = _run("fast", _late_gateway_trace(), make_flood_all_factory(),

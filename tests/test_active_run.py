@@ -71,6 +71,31 @@ class TestStepping:
         active.run_to_completion()
         assert active.finish().complete
 
+    def test_send_counters_current_between_steps(self):
+        """After every step, and on a mid-run finish, the send counters
+        equal the sum of the rounds executed so far."""
+        trace = static_trace(path_graph(6), rounds=20)
+        init = initial_assignment(2, 6, mode="spread")
+        engine = SynchronousEngine()
+        whole = engine.run(trace, make_flood_all_factory(), k=2,
+                           initial=init, max_rounds=20,
+                           stop_when_complete=True).metrics
+        assert whole.rounds > 2
+        active = engine.start(trace, make_flood_all_factory(), k=2,
+                              initial=init, max_rounds=20,
+                              stop_when_complete=True)
+        assert active.metrics.tokens_sent == 0
+        for r in range(1, whole.rounds + 1):
+            active.step()
+            metrics = active.metrics
+            assert metrics.per_round_tokens == whole.per_round_tokens[:r]
+            assert metrics.tokens_sent == sum(whole.per_round_tokens[:r])
+            if r == 2:
+                partial = active.finish().metrics
+                assert partial.tokens_sent == sum(whole.per_round_tokens[:2])
+        assert active.stopped
+        assert active.metrics == whole
+
     def test_custom_stop_condition(self):
         active = _start(n=10, rounds=50)
         while active.step():

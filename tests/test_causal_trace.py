@@ -13,8 +13,8 @@ from repro.experiments.scenarios import default_kind, scenario_for
 from repro.io import (
     causal_trace_from_dict,
     causal_trace_to_dict,
-    run_result_from_dict,
-    run_result_to_dict,
+    run_record_from_dict,
+    run_record_to_dict,
 )
 from repro.obs import ORIGIN_ROLE, CausalTrace
 from repro.registry import all_specs
@@ -196,9 +196,13 @@ class TestSerialization:
     def test_rides_run_result(self):
         spec = next(s for s in all_specs() if s.name == "algorithm2")
         scenario = _auto_scenario(spec)
-        result = execute(spec, scenario, obs="trace").result
-        back = run_result_from_dict(run_result_to_dict(result))
-        assert back.causal_trace == result.causal_trace
+        record = execute(spec, scenario, obs="trace")
+        back = run_record_from_dict(
+            json.loads(json.dumps(run_record_to_dict(record)))
+        ).result
+        assert back.causal_trace == record.result.causal_trace
+        assert back.causal_trace.phase_length == \
+            record.result.causal_trace.phase_length
 
 
 class TestExplainCli:

@@ -7,14 +7,17 @@ import pytest
 from repro.baselines.flooding import make_flood_all_factory
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.static import path_graph, static_trace
+from repro.experiments.runner import RunRecord
 from repro.io import (
     load_trace,
     metrics_to_dict,
+    run_record_from_dict,
+    run_record_to_dict,
     save_trace,
     trace_from_dict,
     trace_to_dict,
 )
-from repro.sim.engine import run
+from repro.sim.engine import RunResult, run
 from repro.sim.messages import initial_assignment
 from repro.sim.metrics import Metrics
 from repro.viz import render_adjacency, render_clusters, render_progress, sparkline
@@ -114,11 +117,21 @@ class TestMetricsDict:
         assert "flat" in d["by_role"]
         assert "per_round_tokens" not in d
 
-    def test_series_included_on_request(self):
-        m = Metrics()
-        m.begin_round(); m.end_round(3)
-        d = metrics_to_dict(m, include_series=True)
-        assert d["per_round_coverage"] == [3]
+    def test_series_ride_in_the_record_columns(self):
+        """The per-round series are archived as a run record's columns,
+        not in the metrics header."""
+        m = Metrics(per_round_tokens=[2])
+        m.end_round(3)
+        assert "per_round_coverage" not in metrics_to_dict(m)
+        record = RunRecord(
+            algorithm="synthetic", scenario="hand-built", n=1, k=1,
+            bound_rounds=1, rounds=1, completion_round=None, tokens_sent=2,
+            messages_sent=1, complete=False,
+            result=RunResult(n=1, k=1, metrics=m, outputs={}, complete=False),
+        )
+        back = run_record_from_dict(run_record_to_dict(record)).result.metrics
+        assert back.per_round_coverage == [3]
+        assert back.per_round_tokens == [2]
 
 
 class TestViz:

@@ -16,11 +16,13 @@ from repro.experiments.scenarios import (
     one_interval_scenario,
     scenario_for,
 )
-from repro.io import timeline_from_dict, timeline_to_dict
+from repro.experiments.runner import RunRecord
+from repro.io import run_record_from_dict, run_record_to_dict
 from repro.obs import OBS_LEVELS, Profiler, RunTimeline, validate_obs, write_events
 from repro.obs.observer import SendTable
 from repro.registry import all_specs
-from repro.sim.engine import SynchronousEngine
+from repro.sim.engine import RunResult, SynchronousEngine
+from repro.sim.metrics import Metrics
 
 
 class TestValidateObs:
@@ -55,12 +57,14 @@ class TestProfiler:
 
 class TestRunTimeline:
     def _timeline(self):
+        # node 0 heads, nodes 1-4 are gateways
+        roles = np.array([0, 1, 1, 1, 1])
         table = SendTable()
-        table.open(None)
-        table.add("head", 2, 5)
-        table.open(None)
-        table.add("head", 1, 3)
-        table.add("gateway", 4, 4)  # first appears in round 1
+        table.open(roles)
+        table.bill(np.array([0, 0]), np.array([2, 3]), 0, 0)
+        table.open(roles)
+        # gateways first send in round 1
+        table.bill(np.array([1, 0, 2, 3, 4]), np.array([1, 3, 1, 1, 1]), 0, 0)
         return table.timeline(coverage=[4, 9], nodes_complete=[0, 2])
 
     def test_round_counters(self):
@@ -79,7 +83,7 @@ class TestRunTimeline:
     def test_zero_sends_are_not_recorded(self):
         table = SendTable()
         table.open(None)
-        table.add("member", 0, 0)
+        table.bill(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0, 0)
         tl = table.timeline([0], [0])
         assert tl.role_messages == {} and tl.tokens == [0]
 
@@ -130,7 +134,7 @@ class TestRunTimeline:
         assert events[0]["by_role"] == {
             "head": {"messages": 2, "tokens": 5},
         }
-        assert "populations" not in events[0]
+        assert events[0]["populations"] == {"gateway": 4, "head": 1, "member": 0}
 
     def test_round_event_matches_events(self):
         tl = self._timeline()
@@ -255,17 +259,35 @@ class TestRegistryWideTimelineEquivalence:
         assert fast.result.metrics == ref.result.metrics
 
 
+def _record_of(timeline):
+    """A hand-built run record carrying ``timeline``."""
+    metrics = Metrics(rounds=timeline.rounds,
+                      per_round_tokens=list(timeline.tokens),
+                      per_round_coverage=list(timeline.coverage))
+    result = RunResult(n=5, k=3, metrics=metrics, outputs={}, complete=False,
+                       timeline=timeline)
+    return RunRecord(algorithm="synthetic", scenario="hand-built", n=5, k=3,
+                     bound_rounds=4, rounds=timeline.rounds,
+                     completion_round=None, tokens_sent=sum(timeline.tokens),
+                     messages_sent=sum(timeline.messages), complete=False,
+                     result=result)
+
+
 class TestTimelineSerialization:
     def test_roundtrip(self):
+        """A timeline rides the run-record codec: every column, and the
+        profile sections, which equality ignores."""
         tl = TestRunTimeline()._timeline()
         tl.profile["send"] = 0.125
-        back = timeline_from_dict(timeline_to_dict(tl))
+        encoded = json.loads(json.dumps(run_record_to_dict(_record_of(tl))))
+        back = run_record_from_dict(encoded).result.timeline
         assert back == tl
         assert back.profile == tl.profile  # == ignores profile; check it too
+        assert list(back.role_messages) == sorted(tl.role_messages)
 
     def test_rejects_foreign_payload(self):
         with pytest.raises(ValueError):
-            timeline_from_dict({"format": "something-else", "version": 1})
+            run_record_from_dict({"format": "repro-timeline", "version": 1})
 
     def test_rides_through_result_cache(self, tmp_path):
         from repro.experiments.cache import ResultCache

@@ -26,8 +26,8 @@ from repro.io import (
     load_recording,
     recording_from_dict,
     recording_to_dict,
-    run_result_from_dict,
-    run_result_to_dict,
+    run_record_from_dict,
+    run_record_to_dict,
     save_recording,
 )
 from repro.obs import (
@@ -492,9 +492,13 @@ class TestRecordingSerialization:
         assert recording_from_dict(data) == _toy_recording()
 
     def test_rides_through_run_result(self):
+        """A recording rides a run record's result through its codec."""
         spec = get_spec("algorithm2")
-        res = execute(spec, _auto_scenario(spec), obs="record").result
-        back = run_result_from_dict(run_result_to_dict(res))
+        record = execute(spec, _auto_scenario(spec), obs="record")
+        res = record.result
+        back = run_record_from_dict(
+            json.loads(json.dumps(run_record_to_dict(record)))
+        ).result
         assert back.recording == res.recording
         assert back.recording.meta == res.recording.meta
 

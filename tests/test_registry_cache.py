@@ -31,8 +31,6 @@ from repro.io import (
     metrics_to_dict,
     run_record_from_dict,
     run_record_to_dict,
-    run_result_from_dict,
-    run_result_to_dict,
     save_scenario,
 )
 from repro.obs import RunTimeline
@@ -158,22 +156,30 @@ class TestJsonRoundTrip:
         assert back.result.metrics.summary() == record.result.metrics.summary()
 
     def test_run_result_round_trips(self, one_scenario):
-        result = execute("klo-one", one_scenario).result
-        back = run_result_from_dict(
-            json.loads(json.dumps(run_result_to_dict(result)))
-        )
+        record = execute("klo-one", one_scenario)
+        result = record.result
+        back = run_record_from_dict(
+            json.loads(json.dumps(run_record_to_dict(record)))
+        ).result
         assert back.outputs == result.outputs
         assert back.complete == result.complete
-        assert metrics_to_dict(back.metrics, include_series=True) == \
-            metrics_to_dict(result.metrics, include_series=True)
+        assert back.metrics == result.metrics
+        assert list(back.metrics.by_role) == list(result.metrics.by_role)
 
     def test_metrics_series_round_trip(self, one_scenario):
-        metrics = execute("flood-all", one_scenario).result.metrics
-        encoded = metrics_to_dict(metrics, include_series=True)
-        back = metrics_from_dict(json.loads(json.dumps(encoded)))
+        record = execute("flood-all", one_scenario)
+        metrics = record.result.metrics
+        back = run_record_from_dict(
+            json.loads(json.dumps(run_record_to_dict(record)))
+        ).result.metrics
         assert back.per_round_tokens == metrics.per_round_tokens
         assert back.per_round_coverage == metrics.per_round_coverage
         assert dict(back.by_role) == dict(metrics.by_role)
+        # the metrics header alone carries the totals, not the series
+        header = metrics_from_dict(json.loads(json.dumps(metrics_to_dict(metrics))))
+        assert header.summary() == metrics.summary()
+        assert dict(header.by_role) == dict(metrics.by_role)
+        assert header.per_round_tokens == header.per_round_coverage == []
 
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError, match="repro-run-record"):
@@ -392,7 +398,14 @@ class TestResultCache:
                 "algorithm", "scenario", "n", "k", "bound_rounds", "rounds",
                 "completion_round", "tokens_sent", "messages_sent", "complete",
             )},
-            "result": run_result_to_dict(fresh.result),
+            "result": {
+                "format": "repro-result", "version": 1, "schema_version": 1,
+                "n": fresh.result.n, "k": fresh.result.k,
+                "complete": fresh.result.complete,
+                "outputs": {str(v): sorted(toks)
+                            for v, toks in fresh.result.outputs.items()},
+                "metrics": metrics_to_dict(fresh.result.metrics),
+            },
         }
         v2_layout = json.dumps({**stored, "version": 2, "record": v2_record})
         for corrupt in ("{ truncated", '{"record": 3}', no_record, renamed,
