@@ -799,18 +799,15 @@ def _cmd_replay(args) -> str:
         f"n={recording.n} k={recording.k} rounds={recording.rounds_recorded}",
     ]
     if args.at is None and args.node is None:
-        rows = []
-        for r, state in recording.states():
-            if r < 0:
-                continue
-            delta = recording.round_delta(r)
-            rows.append({
-                "round": r,
-                "messages": len(delta.messages),
-                "tokens_sent": sum(m.cost for m in delta.messages),
-                "nodes_gaining": len(delta.gained),
-                "coverage": sum(len(t) for t in state.values()),
-            })
+        states = recording.states()
+        next(states)  # the initial assignment
+        rows = [{
+            "round": r,
+            "messages": len(delta.messages),
+            "tokens_sent": sum(m.cost for m in delta.messages),
+            "nodes_gaining": len(delta.gained),
+            "coverage": sum(len(t) for t in state.values()),
+        } for (r, state), delta in zip(states, recording.rounds)]
         return "\n".join(head) + "\n\n" + format_records(rows)
 
     at = last if args.at is None else args.at

@@ -33,11 +33,11 @@ Entry layout (cache version 3)::
                 "dtype": "<i4", "crc": <crc32>, "block": "<base64>"}}
 
 The record is :func:`repro.io.run_record_to_dict`'s columnar layout: a
-small canonical-JSON header (the scalars, the per-role totals, and any
-causal trace or recording) plus one packed block holding every integer
-series of the record (the outputs as per-node indices into their
-distinct token sets, stored once each as CSR; the per-round metrics;
-every timeline column), as base64 of little-endian ``<i4`` (``<i8``
+small canonical-JSON header (the scalars and the per-role totals) plus
+one packed block holding every integer series of the record (the
+outputs as per-node indices into their distinct token sets, stored once
+each as CSR; the per-round metrics; every timeline, causal-trace and
+recording column), as base64 of little-endian ``<i4`` (``<i8``
 when a value needs it).  ``columns`` names each column and its length
 in block order, or the earlier column it repeats, and ``crc`` is the
 ``zlib.crc32`` of the raw block, so a warm hit decodes with one base64
@@ -71,7 +71,8 @@ to what a key covers, or to the entry layout, changes the key (the cache
 version is part of it).  Entries written by older versions (version 2
 stored the whole record as JSON numbers) are therefore never addressed
 again; they are not read or migrated, and they stay on disk until the
-directory is deleted — delete it to reclaim the space.
+directory is deleted — delete it to reclaim the space.  A ``trace`` or
+``record`` entry with its events or rounds as header JSON is a miss.
 
 Per-obs-level cache policy
 --------------------------

@@ -46,11 +46,14 @@ earlier column ``earlier``, which the block holds once.  The outputs
 are each node's index (``outputs.set``) into the distinct token sets,
 which are stored as CSR (per-set lengths, then the tokens), so equal
 sets decode to one shared ``frozenset``.  ``timeline`` and its columns
-are present only when the run kept one; a causal trace or recording
-rides in ``result`` through its own codec.  Decoding checks the dtype,
-the checksum and that the layout covers the block exactly, and raises
-``ValueError`` otherwise.  Version 1 stored every series as JSON
-numbers and is not read.
+are present only when the run kept one.  A causal trace keeps ``n``,
+``k`` and ``phase_length`` in ``result.causal_trace`` and its events in
+the ``causal.*`` columns; a recording keeps ``n``, ``k`` and ``meta`` in
+``result.recording`` and :meth:`~repro.obs.RunRecording.columns` in the
+block.  ``repro record --out`` files (``repro-recording`` version 2)
+hold that recording header and block on their own.  Decoding checks the
+dtype, the checksum and that the layout covers the block exactly, and
+raises ``ValueError`` otherwise.  Version 1 of either format is not read.
 """
 
 from __future__ import annotations
@@ -65,12 +68,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 import numpy as np
 
 from .graphs.trace import GraphTrace
-from .obs import (
-    CausalTrace,
-    RoundDelta,
-    RunRecording,
-    RunTimeline,
-)
+from .obs import ORIGIN_ROLE, CausalTrace, RunRecording, RunTimeline
 from .roles import Role
 from .sim.engine import RunResult
 from .sim.metrics import Metrics, RoleCost
@@ -78,8 +76,6 @@ from .sim.topology import Snapshot
 
 __all__ = [
     "SCHEMA_VERSION",
-    "causal_trace_from_dict",
-    "causal_trace_to_dict",
     "load_ratio_table",
     "load_recording",
     "load_scenario",
@@ -297,83 +293,40 @@ def metrics_from_dict(data: Dict[str, Any]) -> Metrics:
     return metrics
 
 
-def causal_trace_to_dict(causal: CausalTrace) -> Dict[str, Any]:
-    """Encode a :class:`~repro.obs.CausalTrace` as a JSON-ready dict.
+#: Version of the ``repro-recording`` file layout: 2 is the column layout
+#: (see the module docstring); version-1 files are not read.
+_RECORDING_VERSION = 2
 
-    Events are stored as sorted ``[node, token, round, sender, role]``
-    rows — deterministic output, so two bit-identical traces serialize to
-    byte-identical JSON (the property the result cache and the engine
-    equivalence suites rely on).
-    """
-    return {
-        "format": "repro-causal-trace",
-        "version": _VERSION,
-        "schema_version": SCHEMA_VERSION,
-        "n": causal.n,
-        "k": causal.k,
-        "phase_length": causal.phase_length,
-        "events": [
-            [node, token, r, sender, role]
-            for (node, token), (r, sender, role) in sorted(causal.events.items())
-        ],
-    }
+#: Causal-trace columns in the column block, and the sender roles by code.
+_CAUSAL = ("node", "token", "round", "sender", "role")
+_SENDER_ROLES = ("head", "gateway", "member", "flat", ORIGIN_ROLE)
 
 
-def causal_trace_from_dict(data: Dict[str, Any]) -> CausalTrace:
-    """Decode a causal trace written by :func:`causal_trace_to_dict`."""
-    _require_format(data, "repro-causal-trace")
-    return CausalTrace(
-        n=None if data.get("n") is None else int(data["n"]),
-        k=None if data.get("k") is None else int(data["k"]),
-        phase_length=(
-            None if data.get("phase_length") is None else int(data["phase_length"])
-        ),
-        events={
-            (int(node), int(token)): (int(r), int(sender), str(role))
-            for node, token, r, sender, role in data["events"]
-        },
-    )
+def _recording_header(recording: RunRecording) -> Dict[str, Any]:
+    """``n``, ``k`` and ``meta`` (JSON-safe scalars, sorted: a replay
+    decodes meta in codec order, a fresh run in stamp order)."""
+    meta = {key: value for key, value in sorted(recording.meta.items())
+            if isinstance(value, (int, float, str, bool)) or value is None}
+    return {"n": recording.n, "k": recording.k, "meta": meta}
 
 
 def recording_to_dict(recording: RunRecording) -> Dict[str, Any]:
-    """Encode a :class:`~repro.obs.RunRecording` as a JSON-ready dict.
-
-    Deterministic output: the recording's contents are already in
-    canonical order (the engines record through
-    :class:`~repro.obs.RunRecorder`), so two bit-identical recordings
-    serialize to byte-identical JSON.  ``meta`` is filtered to JSON-safe
-    scalars.
-    """
+    """Encode a :class:`~repro.obs.RunRecording` as JSON: scalars, column block.
+    Bit-identical recordings encode to byte-identical JSON."""
     return {
         "format": "repro-recording",
-        "version": _VERSION,
+        "version": _RECORDING_VERSION,
         "schema_version": SCHEMA_VERSION,
-        "n": recording.n,
-        "k": recording.k,
-        "initial": {str(v): list(toks) for v, toks in recording.initial.items()},
-        # sorted: meta arrives in stamp order on a fresh run but in codec
-        # order on a cache replay — sorting keeps serialization byte-stable
-        "meta": {
-            key: value
-            for key, value in sorted(recording.meta.items())
-            if isinstance(value, (int, float, str, bool)) or value is None
-        },
-        "rounds": [delta.to_dict() for delta in recording.rounds],
+        **_recording_header(recording),
+        **_pack_columns(recording.columns()),
     }
 
 
 def recording_from_dict(data: Dict[str, Any]) -> RunRecording:
     """Decode a recording written by :func:`recording_to_dict`."""
-    _require_format(data, "repro-recording")
-    return RunRecording(
-        n=int(data["n"]),
-        k=int(data["k"]),
-        initial={
-            int(v): tuple(int(t) for t in toks)
-            for v, toks in data["initial"].items()
-        },
-        rounds=[RoundDelta.from_dict(entry) for entry in data["rounds"]],
-        meta=dict(data.get("meta", {})),
+    _require_format(data, "repro-recording", version=_RECORDING_VERSION)
+    return RunRecording.from_columns(
+        int(data["n"]), int(data["k"]), _unpack_columns(data), data["meta"]
     )
 
 
@@ -403,7 +356,7 @@ _TIMELINE_SERIES = ("coverage", "nodes_complete", "tokens", "messages")
 _ROLE_FAMILIES = ("role_messages", "role_tokens", "populations")
 
 
-def _pack_columns(columns: List[Tuple[str, List[int]]]) -> Dict[str, Any]:
+def _pack_columns(columns: List[Tuple[str, Any]]) -> Dict[str, Any]:
     """Pack named integer columns into one base64 block plus its layout.
 
     Each layout entry is ``[name, length]``, or ``[name, earlier]`` when
@@ -413,16 +366,17 @@ def _pack_columns(columns: List[Tuple[str, List[int]]]) -> Dict[str, Any]:
     value needs ``<i8``; ``crc`` is the ``zlib.crc32`` of its raw bytes.
     """
     layout: List[list] = []
-    packed: List[List[int]] = []
-    first: Dict[Tuple[int, ...], str] = {}
+    packed: List[np.ndarray] = []
+    first: Dict[bytes, str] = {}
     for name, column in columns:
-        earlier = first.setdefault(tuple(column), name)
+        column = np.asarray(column, dtype=np.int64)
+        earlier = first.setdefault(column.tobytes(), name)
         if earlier == name:
             layout.append([name, len(column)])
             packed.append(column)
         else:
             layout.append([name, earlier])
-    values = np.fromiter(chain.from_iterable(packed), dtype=np.int64)
+    values = np.concatenate(packed) if packed else np.zeros(0, np.int64)
     narrow = not values.size or (
         _I4_MIN <= int(values.min()) and int(values.max()) <= _I4_MAX
     )
@@ -436,8 +390,9 @@ def _pack_columns(columns: List[Tuple[str, List[int]]]) -> Dict[str, Any]:
     }
 
 
-def _unpack_columns(data: Dict[str, Any]) -> Dict[str, List[int]]:
-    """Inverse of :func:`_pack_columns`: column name to list of ints.
+def _unpack_columns(data: Dict[str, Any]) -> Dict[str, np.ndarray]:
+    """Inverse of :func:`_pack_columns`: column name to a read-only view
+    of the one decoded block (a repeat shares its earlier column's view).
 
     Raises ``ValueError`` on an unknown dtype, a block whose checksum or
     length disagrees with the layout, or bad base64, and ``KeyError`` on
@@ -449,12 +404,12 @@ def _unpack_columns(data: Dict[str, Any]) -> Dict[str, List[int]]:
     raw = binascii.a2b_base64(data["block"])
     if zlib.crc32(raw) != data["crc"]:
         raise ValueError("column block fails its checksum")
-    values = np.frombuffer(raw, dtype=dtype).tolist()
-    out: Dict[str, List[int]] = {}
+    values = np.frombuffer(raw, dtype=dtype)
+    out: Dict[str, np.ndarray] = {}
     pos = 0
     for name, length in data["columns"]:
         if isinstance(length, str):
-            out[name] = list(out[length])
+            out[name] = out[length]
             continue
         if length < 0:
             raise ValueError(f"column {name!r} has negative length {length}")
@@ -470,10 +425,10 @@ def _unpack_columns(data: Dict[str, Any]) -> Dict[str, List[int]]:
 def run_record_to_dict(record) -> Dict[str, Any]:
     """Encode a :class:`~repro.experiments.runner.RunRecord` as JSON.
 
-    Columnar layout (see the module docstring): the scalars, the role
-    breakdown, causal trace and recording form a JSON header, and every
-    integer series goes into one packed column block.  Deterministic, so
-    equal records encode to equal dicts.
+    Columnar layout (see the module docstring): the scalars and the role
+    breakdown form a JSON header, and every integer series, a causal
+    trace's and a recording's columns included, goes into one packed
+    column block.  Deterministic, so equal records encode to equal dicts.
     """
     result = record.result
     metrics = result.metrics
@@ -505,10 +460,19 @@ def run_record_to_dict(record) -> Dict[str, Any]:
             series = getattr(timeline, family)
             for role in sorted(series):
                 columns.append((f"timeline.{family}.{role}", series[role]))
-    if result.causal_trace is not None:
-        header["causal_trace"] = causal_trace_to_dict(result.causal_trace)
+    causal = result.causal_trace
+    if causal is not None:
+        header["causal_trace"] = {
+            "n": causal.n, "k": causal.k, "phase_length": causal.phase_length,
+        }
+        code = {role: c for c, role in enumerate(_SENDER_ROLES)}
+        events = [(v, t, r, s, code[role])
+                  for (v, t), (r, s, role) in sorted(causal.events.items())]
+        columns += [(f"causal.{name}", [e[i] for e in events])
+                    for i, name in enumerate(_CAUSAL)]
     if result.recording is not None:
-        header["recording"] = recording_to_dict(result.recording)
+        header["recording"] = _recording_header(result.recording)
+        columns += result.recording.columns()
     return {
         "format": "repro-run-record",
         "version": _RECORD_VERSION,
@@ -529,13 +493,13 @@ def run_record_to_dict(record) -> Dict[str, Any]:
 
 
 def _outputs_from_columns(
-    columns: Dict[str, List[int]],
+    columns: Dict[str, np.ndarray],
 ) -> Dict[int, FrozenSet[int]]:
     """Rebuild ``RunResult.outputs``: each node's index into the distinct
     token sets, which are stored once each as CSR (lengths, tokens), so
     equal token sets come back as one shared ``frozenset``."""
-    nodes, set_of = columns["outputs.nodes"], columns["outputs.set"]
-    lengths, tokens = columns["outputs.lengths"], columns["outputs.tokens"]
+    nodes, set_of, lengths, tokens = (
+        columns[f"outputs.{c}"].tolist() for c in ("nodes", "set", "lengths", "tokens"))
     bounds = list(accumulate(lengths, initial=0))
     if len(nodes) != len(set_of) or bounds[-1] != len(tokens):
         raise ValueError("outputs columns disagree in length")
@@ -555,8 +519,8 @@ def run_record_from_dict(data: Dict[str, Any]):
     columns = _unpack_columns(data)
     header = data["result"]
     metrics = metrics_from_dict(header["metrics"])
-    metrics.per_round_tokens = columns["metrics.per_round_tokens"]
-    metrics.per_round_coverage = columns["metrics.per_round_coverage"]
+    metrics.per_round_tokens = columns["metrics.per_round_tokens"].tolist()
+    metrics.per_round_coverage = columns["metrics.per_round_coverage"].tolist()
     timeline = None
     if "timeline" in header:
         families: Dict[str, Dict[str, List[int]]] = {
@@ -564,17 +528,31 @@ def run_record_from_dict(data: Dict[str, Any]):
         }
         for name, column in columns.items():
             parts = name.split(".", 2)
-            if len(parts) == 3:
-                families[parts[1]][parts[2]] = column
+            if len(parts) == 3 and parts[0] == "timeline":
+                families[parts[1]][parts[2]] = column.tolist()
         timeline = RunTimeline(
-            **{name: columns[f"timeline.{name}"] for name in _TIMELINE_SERIES},
+            **{name: columns[f"timeline.{name}"].tolist() for name in _TIMELINE_SERIES},
             **families,
             profile={
                 s: float(v) for s, v in header["timeline"]["profile"].items()
             },
         )
     causal = header.get("causal_trace")
+    if causal is not None:
+        events = [columns[f"causal.{name}"].tolist() for name in _CAUSAL]
+        if len(set(map(len, events))) != 1 or min(events[-1], default=0) < 0:
+            raise ValueError("causal trace columns are malformed")
+        nodes, tokens, rounds, senders, roles = events
+        causal = CausalTrace(
+            n=causal["n"], k=causal["k"], phase_length=causal["phase_length"],
+            events=dict(zip(zip(nodes, tokens), zip(
+                rounds, senders, map(_SENDER_ROLES.__getitem__, roles)))),
+        )
     recording = header.get("recording")
+    if recording is not None:
+        recording = RunRecording.from_columns(
+            int(recording["n"]), int(recording["k"]), columns, recording["meta"]
+        )
     result = RunResult(
         n=int(header["n"]),
         k=int(header["k"]),
@@ -582,8 +560,8 @@ def run_record_from_dict(data: Dict[str, Any]):
         outputs=_outputs_from_columns(columns),
         complete=bool(header["complete"]),
         timeline=timeline,
-        causal_trace=None if causal is None else causal_trace_from_dict(causal),
-        recording=None if recording is None else recording_from_dict(recording),
+        causal_trace=causal,
+        recording=recording,
     )
     return RunRecord(
         algorithm=data["algorithm"],

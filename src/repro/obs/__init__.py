@@ -49,12 +49,10 @@ from .monitors import (
 )
 from .observer import RunObserver
 from .recorder import (
-    SPILL_ENV_VAR,
     MessageRecord,
     RoundDelta,
     RunRecorder,
     RunRecording,
-    SpilledRounds,
     to_chrome_trace,
 )
 from .stream import (
@@ -80,7 +78,6 @@ __all__ = [
     "EVENTS_SCHEMA_VERSION",
     "OBS_LEVELS",
     "ORIGIN_ROLE",
-    "SPILL_ENV_VAR",
     "BudgetMonitor",
     "BufferSink",
     "CausalTrace",
@@ -103,7 +100,6 @@ __all__ = [
     "RunRecorder",
     "RunRecording",
     "RunTimeline",
-    "SpilledRounds",
     "StabilityMonitor",
     "TelemetryBus",
     "TelemetrySink",

@@ -210,7 +210,7 @@ def diff_recordings(
     report.first_round = r
     report.phase, report.phase_length = _phase_of(a, r)
 
-    da, db = a.rounds[r], b.rounds[r]
+    da, db = a.round_delta(r), b.round_delta(r)
     reasons = []
     if da.gained != db.gained or da.lost != db.lost:
         reasons.append("state")

@@ -34,8 +34,8 @@ Queries
 origin — sender roles and phases per hop; :meth:`CausalTrace.hops` and
 :meth:`CausalTrace.critical_path` measure chain lengths against the
 α·L backbone-hop argument behind Theorem 1; the histogram views feed
-``repro explain``.  Serialization lives in :mod:`repro.io`
-(``causal_trace_to_dict``), so traces ride ``--events`` exports, result
+``repro explain``.  The result cache stores a trace's events as integer
+columns (:func:`repro.io.run_record_to_dict`), so traces ride result
 archives and the on-disk result cache.
 """
 

@@ -4,18 +4,14 @@ bit-identity of the recorded traces, serialization, and the
 `repro explain` CLI surface."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro import cli
 from repro.experiments.runner import execute
 from repro.experiments.scenarios import default_kind, scenario_for
-from repro.io import (
-    causal_trace_from_dict,
-    causal_trace_to_dict,
-    run_record_from_dict,
-    run_record_to_dict,
-)
+from repro.io import run_record_from_dict, run_record_to_dict
 from repro.obs import ORIGIN_ROLE, CausalTrace
 from repro.registry import all_specs
 
@@ -182,16 +178,43 @@ class TestExecuteIntegration:
         assert replay.result.causal_trace is not fresh.result.causal_trace
 
 
+def _through_record_codec(causal):
+    """``causal`` carried by a JSON round trip of a run record."""
+    spec = next(s for s in all_specs() if s.name == "algorithm2")
+    record = execute(spec, _auto_scenario(spec), obs="trace")
+    record = replace(record, result=replace(record.result, causal_trace=causal))
+    return run_record_from_dict(
+        json.loads(json.dumps(run_record_to_dict(record)))
+    ).result.causal_trace
+
+
 class TestSerialization:
     def test_roundtrip(self):
         c = _sample_trace()
-        back = causal_trace_from_dict(causal_trace_to_dict(c))
+        back = _through_record_codec(c)
         assert back == c
         assert back.phase_length == c.phase_length
 
     def test_rejects_foreign_payload(self):
-        with pytest.raises(ValueError):
-            causal_trace_from_dict({"format": "nope", "version": 1})
+        """A record whose causal columns are malformed or missing is
+        rejected."""
+        import repro.io
+
+        spec = next(s for s in all_specs() if s.name == "algorithm2")
+        data = run_record_to_dict(execute(spec, _auto_scenario(spec), obs="trace"))
+        columns = repro.io._unpack_columns(data)
+
+        def with_columns(cols):
+            return {**data, **repro.io._pack_columns(list(cols.items()))}
+
+        size = len(columns["causal.role"])
+        for name, values in (("causal.role", [-1] * size),
+                             ("causal.node", columns["causal.node"][:-1])):
+            with pytest.raises(ValueError):
+                run_record_from_dict(with_columns({**columns, name: values}))
+        del columns["causal.round"]
+        with pytest.raises(KeyError):
+            run_record_from_dict(with_columns(columns))
 
     def test_rides_run_result(self):
         spec = next(s for s in all_specs() if s.name == "algorithm2")

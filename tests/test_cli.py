@@ -356,6 +356,25 @@ class TestRecordReplayDiff:
         with pytest.raises(SystemExit, match="could not read recording"):
             main(["replay", str(bad)])
 
+    def test_old_layout_recording_exits_readably(self, tmp_path):
+        """A recording file in the version-1 layout (every round as JSON)
+        is refused by replay and diff with a message naming its version,
+        not a traceback."""
+        import json
+
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "format": "repro-recording", "version": 1, "schema_version": 1,
+            "n": 3, "k": 2, "initial": {"0": [0]}, "meta": {},
+            "rounds": [{"gained": [[1, [0]]], "lost": [],
+                        "messages": [[0, "b", -1, [0], 1]]}],
+        }))
+        with pytest.raises(SystemExit, match="repro-recording version 1"):
+            main(["replay", str(old)])
+        new = self._record(tmp_path)
+        with pytest.raises(SystemExit, match="repro-recording version 1"):
+            main(["diff", str(new), str(old)])
+
     def test_replay_at_out_of_range_exits(self, tmp_path):
         path = self._record(tmp_path)
         with pytest.raises(SystemExit, match="outside recorded range"):

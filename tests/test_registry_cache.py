@@ -240,8 +240,10 @@ class TestJsonRoundTrip:
 #: sha256 of the cache-entry bytes ``ResultCache.put`` writes for one
 #: paper-sweep cell (n0=40, θ=12, k=6, α=3, L=2, seed 7): Algorithm 1 and
 #: KLO-interval on its (T, L)-HiNet, Algorithm 2, KLO-one and flood-all on
-#: its (1, L)-HiNet.  Any change to a run's metrics, timeline, their
-#: column order or the record layout changes these bytes.
+#: its (1, L)-HiNet; Algorithm 1's ``record`` entry and Algorithm 2's
+#: ``trace`` entry pin the recording and causal-trace columns.  Any
+#: change to a run's metrics, timeline, their column order or the record
+#: layout changes these bytes.
 ENTRY_SHA256 = {
     ("algorithm1", "timeline"): "77c76f7219ed561d75aa6cf19c4c9c3b76202caf533701b2d8228b43ac2cc2c4",
     ("algorithm1", "off"): "61d959897158c885dcade5407e38a1a2ba89ec02d0210ce64887b9be06f3e9ff",
@@ -253,6 +255,8 @@ ENTRY_SHA256 = {
     ("klo-one", "off"): "bb274c2b36dc6f7d145ee3c3b190761a1986c19181a5a65c3ebb07a2b37749bc",
     ("flood-all", "timeline"): "e197dfa8007df1477a4df8d3112bb5ced6b622378534482f285870cb11d3bb5a",
     ("flood-all", "off"): "c3ae2fb1744bfef48b42ff5a81eae0465e57ff3e4409fe5abf6a5071a236e47f",
+    ("algorithm1", "record"): "0c35134e647dcc3f32dc3a87dafa2e8a278503cb4ef5e364994b36f35794a887",
+    ("algorithm2", "trace"): "a7dca5da873f7a5818ae0c76b12bc82d77e48c3007027a6930b030b056ce3b1a",
 }
 
 
@@ -421,6 +425,60 @@ class TestResultCache:
             replay = execute("algorithm1", interval_scenario, cache=cache)
             assert (cache.hits, cache.misses) == (hits + 1, misses + 1)
             assert _canonical(replay) == _canonical(record)
+
+    @pytest.mark.parametrize("obs", ["trace", "record"])
+    def test_parent_layout_trace_and_record_entries_are_misses(
+        self, tmp_path, interval_scenario, obs
+    ):
+        """A trace or record entry in the layout before the column
+        layout (the causal events or every recorded round as JSON in the
+        header, and no such columns in the block) is a miss, and the
+        recompute overwrites it with the column layout."""
+        cache = _CountingCache(tmp_path)
+        fresh = execute("algorithm1", interval_scenario, cache=cache, obs=obs)
+        (path,) = cache.root.glob("*/*.json")
+        stored = json.loads(path.read_text())
+        record = stored["record"]
+        columns = repro.io._unpack_columns(record)
+        kept = [(name, columns[name]) for name, _ in record["columns"]
+                if not name.startswith(("causal.", "recording."))]
+        header = dict(record["result"])
+        if obs == "trace":
+            causal = fresh.result.causal_trace
+            header["causal_trace"] = {
+                "format": "repro-causal-trace", "version": 1,
+                "schema_version": 1, "n": causal.n, "k": causal.k,
+                "phase_length": causal.phase_length,
+                "events": [[node, token, r, sender, role] for (node, token),
+                           (r, sender, role) in sorted(causal.events.items())],
+            }
+        else:
+            recording = fresh.result.recording
+            header["recording"] = {
+                "format": "repro-recording", "version": 1, "schema_version": 1,
+                "n": recording.n, "k": recording.k,
+                "initial": {str(v): list(toks)
+                            for v, toks in recording.initial.items()},
+                "meta": header["recording"]["meta"],
+                "rounds": [
+                    {
+                        "gained": [[v, list(toks)] for v, toks in d.gained],
+                        "lost": [[v, list(toks)] for v, toks in d.lost],
+                        "messages": [[m.sender, m.kind, m.dest, list(m.tokens),
+                                      m.cost] for m in d.messages],
+                        "roles": d.roles, "head_of": list(d.head_of),
+                    }
+                    for d in recording.rounds
+                ],
+            }
+        parent = {**record, "result": header, **repro.io._pack_columns(kept)}
+        path.write_text(json.dumps({**stored, "record": parent}))
+        again = execute("algorithm1", interval_scenario, cache=cache, obs=obs)
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert json.loads(path.read_text()) == stored
+        replay = execute("algorithm1", interval_scenario, cache=cache, obs=obs)
+        assert (cache.hits, cache.misses) == (1, 2)
+        assert _canonical(replay) == _canonical(again) == _canonical(fresh)
 
     @pytest.mark.parametrize("obs", ["off", "timeline", "trace", "record"])
     def test_every_spec_replays_identically(self, tmp_path, obs):
