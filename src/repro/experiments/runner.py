@@ -116,14 +116,15 @@ def execute(
     obs:
         Telemetry level (:mod:`repro.obs`): ``"timeline"`` (default)
         attaches a :class:`~repro.obs.RunTimeline` to the result and it
-        rides through the cache; ``"trace"`` additionally records the
+        rides through the cache; ``"trace"`` adds to the timeline the
         causal first-learn trace (deterministic, so it also rides the
-        cache, keyed separately by obs level); ``"record"`` additionally
-        records a replayable :class:`~repro.obs.RunRecording`
+        cache, keyed separately by obs level); ``"record"`` adds to the
+        timeline a replayable :class:`~repro.obs.RunRecording`
         (deterministic and engine-identical, so it also rides the
-        cache); ``"profile"`` adds wall-clock section timings and
-        bypasses the cache (timings are not deterministic); ``"off"``
-        records nothing.
+        cache) and no causal trace: the two levels are disjoint;
+        ``"profile"`` adds wall-clock section timings and bypasses the
+        cache (timings are not deterministic); ``"off"`` records
+        nothing.
     monitor:
         Attach the spec's default runtime invariant monitors
         (:func:`repro.obs.default_monitors`) and collect their

@@ -42,45 +42,59 @@ archives and the on-disk result cache.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from .recorder import token_csr
 
 __all__ = ["CausalTrace", "LearnEvent", "ORIGIN_ROLE", "first_learns"]
 
 #: Role string attributed to origin events (token held before round 0).
 ORIGIN_ROLE = "origin"
 
+#: No sender yet: above every node id.
+_NONE = np.iinfo(np.int64).max
+
 
 def first_learns(
-    gained: Iterable[Tuple[int, Iterable[int]]],
+    gained: np.ndarray,
     deliveries: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-) -> Iterator[Tuple[int, int, int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Attribute every token gained this round to its sender.
 
-    ``gained`` holds ``(node, sorted new tokens)`` pairs; ``deliveries``
-    is the round's flat ``(receiver, sender, payload)`` arrays, payload
-    as packed ``uint64`` token rows (``None`` when nothing landed).
-    Yields ``(node, token, sender)`` under the canonical rule of the
-    module docstring: the minimum sender whose delivered payload carried
-    the token, else the node's minimum deliverer, else −1.
+    ``gained`` is the round's ``(n, W)`` ``uint64`` bit-matrix of newly
+    held tokens; ``deliveries`` is the round's flat ``(receiver, sender,
+    payload)`` arrays, payload as packed ``uint64`` token rows (``None``
+    when nothing landed).  Returns ``(nodes, tokens, senders)`` arrays,
+    one entry per gained pair in node, then token order, under the
+    canonical rule of the module docstring: the minimum sender whose
+    delivered payload carried the token, else the node's minimum
+    deliverer, else −1.
+
+    One segment-min per round: each delivery's payload, masked by its
+    receiver's gains, is expanded into one (pair, sender) entry per
+    gained token it carried, and ``np.minimum.at`` keeps each pair's
+    least sender.
     """
-    if deliveries is None:
-        for node, toks in gained:
-            for t in toks:
-                yield node, t, -1
-        return
+    rows = np.flatnonzero(gained.any(axis=1))
+    lengths, tokens = token_csr(gained[rows])
+    nodes = np.repeat(rows, lengths)
+    if deliveries is None or not nodes.size:
+        return nodes, tokens, np.full(nodes.size, -1, dtype=np.int64)
     rec, snd, payload = deliveries
-    order = np.argsort(rec, kind="stable")
-    rec_sorted = rec[order]
-    for node, toks in gained:
-        lo, hi = np.searchsorted(rec_sorted, (node, node + 1))
-        senders, rows = snd[order[lo:hi]], payload[order[lo:hi]]
-        fallback = int(senders.min()) if senders.size else -1
-        for t in toks:
-            bit = np.uint64(1) << np.uint64(t & 63)
-            carrying = senders[(rows[:, t >> 6] & bit) != 0]
-            yield node, t, int(carrying.min()) if carrying.size else fallback
+    least = np.full(gained.shape[0], _NONE, dtype=np.int64)
+    np.minimum.at(least, rec, snd)
+    carried, carried_tokens = token_csr(payload & gained[rec])
+    # pairs are numbered in (node, token) order, so their keys ascend
+    width = 64 * gained.shape[1]
+    pair = np.searchsorted(
+        nodes * width + tokens, np.repeat(rec, carried) * width + carried_tokens
+    )
+    senders = np.full(nodes.size, _NONE, dtype=np.int64)
+    np.minimum.at(senders, pair, np.repeat(snd, carried))
+    senders = np.where(senders == _NONE, least[nodes], senders)
+    return nodes, tokens, np.where(senders == _NONE, -1, senders)
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,11 @@ class Metrics:
         """Account ``count`` nodes removed by crash-stop churn."""
         self.crashed_nodes += count
 
-    def end_round(self, coverage: int) -> None:
-        """Close the current round, recording global (node, token) coverage."""
-        self.rounds += 1
-        self.per_round_coverage.append(coverage)
+    def end_round(self, coverage: int, rounds: int = 1) -> None:
+        """Close the current round (or the next ``rounds``), recording
+        global (node, token) coverage at the end of each."""
+        self.rounds += rounds
+        self.per_round_coverage.extend([coverage] * rounds)
 
     def mark_complete(self) -> None:
         """Record that full dissemination was first observed this round."""

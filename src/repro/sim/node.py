@@ -101,11 +101,6 @@ class NodeAlgorithm(ABC):
         """The tokens collected so far (the algorithm's eventual output)."""
         return frozenset(self.TA)
 
-    @property
-    def done_collecting(self) -> bool:
-        """Whether this node already holds all ``k`` tokens."""
-        return len(self.TA) >= self.k
-
     def __repr__(self) -> str:
         return (
             f"{type(self).__name__}(node={self.node}, "

@@ -451,10 +451,6 @@ class Snapshot:
         self._require_clustered()
         return self.clusters().get(head, frozenset())
 
-    def head_members(self, head: int) -> FrozenSet[int]:
-        """Alias of :meth:`cluster_members` (the paper's :math:`M_k`)."""
-        return self.cluster_members(head)
-
     def clusters(self) -> Dict[int, FrozenSet[int]]:
         """All clusters as ``{head id: member set}`` (members include head)."""
         self._require_clustered()

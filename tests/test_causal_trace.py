@@ -6,6 +6,7 @@ bit-identity of the recorded traces, serialization, and the
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import cli
@@ -13,6 +14,8 @@ from repro.experiments.runner import execute
 from repro.experiments.scenarios import default_kind, scenario_for
 from repro.io import run_record_from_dict, run_record_to_dict
 from repro.obs import ORIGIN_ROLE, CausalTrace
+from repro.obs.observer import pack_rows, rows_tokens
+from repro.obs.trace import first_learns
 from repro.registry import all_specs
 
 
@@ -24,6 +27,49 @@ def _sample_trace():
     c.record_learn(2, 0, 2, sender=1, sender_role="gateway")
     c.record_learn(3, 0, 3, sender=1, sender_role="gateway")
     return c
+
+
+def _first_learns_loop(gained, deliveries):
+    """The canonical rule, one (node, token) pair at a time."""
+    out = []
+    for node, toks in enumerate(rows_tokens(gained)):
+        if deliveries is None:
+            out += [(node, t, -1) for t in toks]
+            continue
+        rec, snd, payload = deliveries
+        mine = rec == node
+        senders, rows = snd[mine], payload[mine]
+        fallback = int(senders.min()) if senders.size else -1
+        for t in toks:
+            carrying = senders[(rows[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1) != 0]
+            out.append((node, t, int(carrying.min()) if carrying.size else fallback))
+    return out
+
+
+class TestFirstLearns:
+    """The vectorised attribution equals the per-pair rule: the least
+    sender whose payload carried the token, else the node's least
+    deliverer, else -1."""
+
+    @pytest.mark.parametrize("k", [5, 70, 130])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_pair_rule(self, seed, k):
+        rng = np.random.default_rng(seed)
+        n, m = 12, int(rng.integers(0, 40))
+
+        def token_rows(count, density):
+            return pack_rows(
+                [np.flatnonzero(rng.random(k) < density) for _ in range(count)], k
+            )
+
+        gained = token_rows(n, 0.15)
+        deliveries = (
+            rng.integers(0, n, m), rng.integers(0, n, m), token_rows(m, 0.1),
+        )
+        for flat in (deliveries, None):
+            nodes, tokens, senders = first_learns(gained, flat)
+            got = list(zip(nodes.tolist(), tokens.tolist(), senders.tolist()))
+            assert got == _first_learns_loop(gained, flat)
 
 
 class TestRecording:
