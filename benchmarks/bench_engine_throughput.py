@@ -20,7 +20,7 @@ from repro.core.algorithm1 import make_algorithm1_factory
 from repro.experiments.scenarios import hinet_interval_scenario
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.static import clustered_star_arrays, ring_lattice_arrays
-from repro.sim import columnar
+from repro.sim import fastpath
 from repro.sim.engine import SynchronousEngine, run
 from repro.sim.messages import initial_assignment
 from repro.sim.topology import CSRNetwork
@@ -102,11 +102,11 @@ def test_columnar_flood_round_scale(benchmark):
     cases = {}
     for n in (100_000, 1_000_000):
         net = CSRNetwork(ring_lattice_arrays(n, 8))
-        TA0 = columnar.pack_single_tokens(np.arange(n) % 64, 64)
+        TA0 = fastpath.pack_single_tokens(np.arange(n) % 64, 64)
 
         def one_round(n=n, net=net, TA0=TA0):
-            return columnar.run_columnar(
-                SynchronousEngine(engine="columnar"), net, "flood_new", {},
+            return fastpath.run_columnar(
+                SynchronousEngine(engine="fast"), net, "flood_new", {},
                 64, TA0.copy(), 1, materialize_outputs=False,
             )
 
@@ -127,9 +127,9 @@ def test_columnar_flood_round_scale(benchmark):
     })
 
     small = CSRNetwork(ring_lattice_arrays(100_000, 8))
-    TA_small = columnar.pack_single_tokens(np.arange(100_000) % 64, 64)
-    benchmark(lambda: columnar.run_columnar(
-        SynchronousEngine(engine="columnar"), small, "flood_new", {},
+    TA_small = fastpath.pack_single_tokens(np.arange(100_000) % 64, 64)
+    benchmark(lambda: fastpath.run_columnar(
+        SynchronousEngine(engine="fast"), small, "flood_new", {},
         64, TA_small.copy(), 1, materialize_outputs=False,
     ))
 
@@ -138,11 +138,11 @@ def test_columnar_alg1_sweep_n10000(benchmark):
     """Full Algorithm-1 packed-state sweep at n=10⁴."""
     n, theta, k = 10_000, 300, 16
     net = CSRNetwork(clustered_star_arrays(n, theta))
-    TA0 = columnar.pack_single_tokens(np.arange(n) % k, k)
+    TA0 = fastpath.pack_single_tokens(np.arange(n) % k, k)
 
     def go():
-        return columnar.run_columnar(
-            SynchronousEngine(engine="columnar"), net, "algorithm1",
+        return fastpath.run_columnar(
+            SynchronousEngine(engine="fast"), net, "algorithm1",
             {"T": 12, "M": 6, "strict": False}, k, TA0.copy(), 72,
             materialize_outputs=False,
         )

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument("--n0", type=int, default=40, help="network size")
     vm.add_argument("--k", type=int, default=5, help="token count")
     vm.add_argument("--engine",
-                    choices=["columnar", "fast", "reference"],
+                    choices=["fast", "reference"],
                     default="fast")
     vm.add_argument("--algorithms", nargs="+", default=None, metavar="NAME",
                     help="restrict the sweep to these registry names")
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the round budget (where the spec "
                          "allows)")
         cmd.add_argument("--engine",
-                         choices=["columnar", "fast", "reference"],
+                         choices=["fast", "reference"],
                          default="fast")
         cmd.add_argument("--loss", type=float, default=None, metavar="P",
                          help="i.i.d. per-delivery loss probability "
@@ -128,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--adversary", action="store_true",
                          help="shorthand for --scenario adversarial: run on "
                          "a materialized Haeupler-Kuhn lower-bound trace")
+        cmd.set_defaults(usage_error=cmd.error)
 
     def _add_run_scenario_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("algorithm", metavar="ALGORITHM",
@@ -416,7 +417,9 @@ def _build_scenario(args, spec: AlgorithmSpec, profiler=None):
     With a :class:`~repro.obs.Profiler`, generation runs unverified under
     a ``scenario_build`` section and the kind's certifier runs
     separately under ``property_checks`` — the split the profile report
-    shows alongside the engine's own round-loop sections.
+    shows alongside the engine's own round-loop sections.  A scenario the
+    spec cannot run on (a missing model parameter, an unsupported family)
+    is the command's usage error (exit 2).
     """
     from contextlib import nullcontext
 
@@ -446,6 +449,10 @@ def _build_scenario(args, spec: AlgorithmSpec, profiler=None):
                                   burst_len=args.burst)
     if args.churn:
         scenario = churn_scenario(scenario, args.churn, seed=args.churn_seed)
+    try:
+        spec.validate_scenario(scenario)
+    except (KeyError, ValueError) as exc:
+        args.usage_error(exc.args[0])
     return scenario
 
 

@@ -22,6 +22,7 @@ from typing import Dict, Optional, Union
 
 from ..registry import AlgorithmSpec, get_spec
 from ..sim.engine import RunResult, SynchronousEngine
+from ..sim.linkmodel import ALL_TIERS, link_from_spec
 from ..sim.rng import SeedLike
 from .cache import CacheLike, resolve_cache
 from .scenarios import Scenario
@@ -102,8 +103,8 @@ def execute(
     engine:
         ``"fast"`` (default; the vectorised round loop where the factory
         advertises a kernel, bit-identical reference fallback
-        otherwise), ``"columnar"`` (an alias of ``"fast"``: the same
-        loop, the same results), or ``"reference"``.
+        otherwise) or ``"reference"``; any other name is a
+        ``ValueError``, raised before the cache is consulted.
     cache:
         ``None`` (consult the ``REPRO_RESULT_CACHE`` environment
         variable), a directory path, or a
@@ -143,6 +144,8 @@ def execute(
         ``seed=…`` …); anything the spec does not declare raises
         ``TypeError``.
     """
+    if engine not in ALL_TIERS:
+        raise ValueError(f"engine must be 'reference' or 'fast', got {engine!r}")
     spec = algorithm if isinstance(algorithm, AlgorithmSpec) else get_spec(algorithm)
     spec.validate_scenario(scenario)
 
@@ -237,8 +240,6 @@ def _execute(
     link = None
     link_spec = getattr(scenario, "link", None)
     if link_spec is not None:
-        from ..sim.linkmodel import link_from_spec
-
         link = link_from_spec(link_spec)
     sync = SynchronousEngine(
         engine=engine,

@@ -437,7 +437,7 @@ def haeupler_kuhn_scenario(
     (:class:`~repro.graphs.adversary.HaeuplerKuhnAdversary`) is played
     against a flooding-knowledge oracle and the committed rounds become an
     oblivious 1-interval-connected path trace — worst-case-shaped for
-    every one-token-per-round protocol, runnable on all three engine
+    every one-token-per-round protocol, runnable on both engine
     tiers.  ``verify=True`` certifies the trace with
     :func:`~repro.graphs.properties.max_interval_connectivity` (one
     longest-window pass over the trace, whatever ``T``) and stores the

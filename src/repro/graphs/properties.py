@@ -29,7 +29,7 @@ rounds from that one that hold it, so window ``[s, e)``'s intersection
 graph is the round-``s`` edges whose run is at least ``e − s``.  The
 windows' graphs become one block-diagonal CSR, and reachability grows
 one hop per step on the engine's own segment-OR
-(:func:`repro.sim.columnar.segment_or`).  By the bottleneck-spanning-tree
+(:func:`repro.sim.fastpath.segment_or`).  By the bottleneck-spanning-tree
 property, a head set's Definition 6 bound is at most ``ℓ`` exactly when
 its ℓ-threshold head graph (heads joined when within ``ℓ`` hops) is
 connected, so ``ℓ`` steps decide Definition 7 with hop bound ``ℓ``; with
@@ -201,7 +201,7 @@ class _WindowGraphs:
 
     def step(self, state: np.ndarray) -> np.ndarray:
         """``state`` with every row's reach extended by one hop."""
-        from ..sim.columnar import segment_or
+        from ..sim.fastpath import segment_or
 
         return state | segment_or(self.indptr, self.indices, state)
 
@@ -250,7 +250,7 @@ class _WindowGraphs:
         growing first); ``limit + 1`` where ``limit`` steps settled
         neither.  Zero or one head is bound 0.
         """
-        from ..sim.columnar import words_for
+        from ..obs.observer import words_for
 
         n, windows = self.n, self.windows
         ranked = [sorted(h) for h in heads]

@@ -1,7 +1,7 @@
 """One per-round feed from an engine's round loop into every obs consumer.
 
 Both round loops — the reference :class:`~repro.sim.engine.ActiveRun`
-and the vectorised :func:`~repro.sim.columnar.run_columnar` — build one
+and the vectorised :func:`~repro.sim.fastpath.run_columnar` — build one
 :class:`RunObserver` per run and feed it each round:
 
 1. :meth:`RunObserver.open_round` with the round's
@@ -36,8 +36,9 @@ tiers' :class:`~repro.sim.metrics.Metrics` included.
 State is exchanged as a packed ``(n, W)`` ``uint64`` bit-matrix — row
 ``v`` has bit ``t`` set iff node ``v`` holds token ``t`` — the
 vectorised tier's native layout; :func:`pack_rows` builds it from
-per-node token sets, :func:`rows_tokens` decodes it to per-row lists and
-:func:`rows_frozensets` to per-row sets, one shared set per distinct row.
+per-node token sets, :func:`~repro.obs.recorder.rows_tokens` decodes it
+to per-row lists and :func:`rows_frozensets` to per-row sets, one shared
+set per distinct row.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "WHOLE_SET",
     "pack_rows",
     "rows_frozensets",
-    "rows_tokens",
     "words_for",
 ]
 

@@ -22,7 +22,7 @@ and its bits: a token set as ``ceil(k/32)`` signed 32-bit words, bit
 :class:`MessageRecord` are the read view, built only when rounds are
 read.
 
-Both engines (:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`)
+Both engines (:mod:`repro.sim.engine` and :mod:`repro.sim.fastpath`)
 record through the same :class:`RunRecorder`, fed by one
 :class:`~repro.obs.observer.RunObserver`, which canonicalises everything
 order-dependent: token sets read back sorted, per-round messages are

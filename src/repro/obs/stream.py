@@ -4,10 +4,9 @@ Every other surface in :mod:`repro.obs` is *post-hoc* — nothing is
 visible until the engine returns, which at million-node scale (or across
 a whole bench-fleet run) means minutes of silence.  This module is the
 live layer: a :class:`TelemetryBus` that both engine tiers
-(:mod:`repro.sim.engine` and the vectorised loop of
-:mod:`repro.sim.columnar`) feed incrementally at round granularity, and
-a small family of :class:`TelemetrySink`\\ s that consume the stream as
-it happens:
+(:mod:`repro.sim.engine` and :mod:`repro.sim.fastpath`) feed
+incrementally at round granularity, and a small family of
+:class:`TelemetrySink`\\ s that consume the stream as it happens:
 
 * :class:`JsonlStreamSink` — incremental ``--events`` JSONL: the header
   is written at attach time and every event is flushed as it is

@@ -7,7 +7,7 @@ totals.  This module is the always-on middle layer: a
 :class:`RunTimeline` of per-round counters, so dissemination-progress
 curves, per-role message breakdowns per phase, and hierarchy population
 dynamics are available on every run without re-execution.  Both engines
-(:mod:`repro.sim.engine` and :mod:`repro.sim.columnar`) feed one
+(:mod:`repro.sim.engine` and :mod:`repro.sim.fastpath`) feed one
 :class:`~repro.obs.observer.RunObserver`, whose send-count table
 (:class:`~repro.obs.observer.SendTable`) takes one row per round; the
 timeline is built from it once, when the run ends.

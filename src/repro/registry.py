@@ -116,7 +116,7 @@ class AlgorithmSpec:
     fastpath:
         Whether the factory advertises a vectorised kernel
         (:mod:`repro.sim.fastpath`) via its ``fastpath`` tag, which the
-        vectorised tier (``engine="fast"`` / ``"columnar"``) runs.
+        vectorised tier (``engine="fast"``) runs.
     seeded:
         Whether the algorithm itself consumes randomness (gossip, RLNC);
         such specs accept a ``seed`` override that joins the cache key.

@@ -55,7 +55,7 @@ import numpy as np
 from ..obs import validate_obs
 from ..obs.monitors import Monitor, Violation
 from ..obs.observer import RunObserver, pack_rows
-from .linkmodel import LinkModel, effective_link
+from .linkmodel import ALL_TIERS, LinkModel, effective_link
 from .messages import Delivery, Message
 from .metrics import Metrics
 from .node import AlgorithmFactory, NodeAlgorithm, RoundContext
@@ -480,11 +480,10 @@ class SynchronousEngine:
         synchronous model used by the paper's analysis.
     engine:
         ``"reference"`` (default) executes per-node algorithm objects as
-        documented above.  ``"fast"`` and ``"columnar"`` (two names for
-        the same tier) route :meth:`run` through the one vectorised round
-        loop, :func:`repro.sim.columnar.run_columnar`, when the factory
-        carries a kernel tag (:mod:`repro.sim.fastpath`); results are
-        bit-identical (see docs/performance.md).  The loop picks its
+        documented above.  ``"fast"`` routes :meth:`run` through the
+        vectorised round loop, :func:`repro.sim.fastpath.run_columnar`,
+        when the factory carries a kernel tag; results are bit-identical
+        (see docs/performance.md).  The loop picks its
         delivery from the run's inputs: CSR segment-OR by default, flat
         scatter under ``latency > 1`` or ``obs="trace"``.  Untagged
         factories and adaptive networks fall back to the reference path.
@@ -533,9 +532,11 @@ class SynchronousEngine:
     ) -> None:
         if latency < 1:
             raise ValueError(f"latency must be >= 1 round, got {latency}")
-        if engine not in ("reference", "fast", "columnar"):
+        if engine == "columnar":  # legacy name; goes with ROADMAP "Benchmark fixes"
+            engine = "fast"
+        if engine not in ALL_TIERS:
             raise ValueError(
-                f"engine must be 'reference', 'fast' or 'columnar', got {engine!r}"
+                f"engine must be 'reference' or 'fast', got {engine!r}"
             )
         if link is not None and not isinstance(link, LinkModel):
             raise TypeError(f"link must be a LinkModel, got {type(link).__name__}")

@@ -59,7 +59,8 @@ __all__ = [
     "uniforms",
 ]
 
-ALL_TIERS = ("reference", "fast", "columnar")
+#: The engine tiers, by the names ``engine=`` takes.
+ALL_TIERS = ("reference", "fast")
 
 _M64 = (1 << 64) - 1
 # odd 64-bit keys separating the round / sender / receiver coordinates
@@ -134,11 +135,11 @@ class LinkModel:
 
     Subclasses override any of the three decision surfaces; every
     override must be a pure function of ``(seed, round, ids)`` so the
-    three engine tiers agree bit-for-bit (see the module docstring for
-    the counter-based discipline).  ``tiers`` names the engine tiers the
-    model applies to — the default is all three; a :class:`PinpointFault`
-    restricted to ``("fast", "columnar")`` gives ``diff --engines`` a
-    clean reference to diverge from.
+    two engine tiers agree bit-for-bit (see the module docstring for the
+    counter-based discipline).  ``tiers`` names the engine tiers the
+    model applies to — the default is both; a :class:`PinpointFault`
+    restricted to ``("fast",)`` gives ``diff --engines`` a clean
+    reference to diverge from.
     """
 
     kind = "identity"
@@ -297,8 +298,9 @@ class PinpointFault(LinkModel):
     """Deterministically flip one (node, token) bit after round ``round``.
 
     The divergence-bisection tests construct it directly; with
-    ``tiers=("fast", "columnar")`` the vectorised run diverges from the
-    reference at exactly this round and node.
+    ``tiers=("fast",)`` the vectorised run diverges from the reference at
+    exactly this round and node.  ``tiers`` takes only names in
+    :data:`ALL_TIERS`.
     """
 
     kind = "pinpoint-fault"
@@ -314,7 +316,10 @@ class PinpointFault(LinkModel):
             tiers = tuple(tiers)
             unknown = set(tiers) - set(ALL_TIERS)
             if unknown:
-                raise ValueError(f"unknown engine tier(s) {sorted(unknown)}")
+                raise ValueError(
+                    f"unknown engine tier(s) {sorted(unknown)}; the tiers "
+                    f"are {', '.join(map(repr, ALL_TIERS))}"
+                )
             self.tiers = tiers
 
     def spec(self) -> Dict[str, object]:

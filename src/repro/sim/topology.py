@@ -51,13 +51,13 @@ _HEAD = ROLE_CODES[Role.HEAD]
 class SnapshotArrays:
     """A snapshot's topology as flat numpy arrays — its primary form.
 
-    The vectorised tiers (:mod:`repro.sim.fastpath`,
-    :mod:`repro.sim.columnar`), the property certifiers and the result
-    cache consume these instead of per-node frozensets.  Array-first
-    generators build them directly (see :func:`csr_rounds`); a snapshot
-    built from frozenset adjacency converts at construction.  Snapshots
-    of one hierarchy phase may share their ``roles``/``head_of``/
-    ``head_adjacent`` arrays; treat every array as read-only.
+    The vectorised tier (:mod:`repro.sim.fastpath`), the property
+    certifiers and the result cache consume these instead of per-node
+    frozensets.  Array-first generators build them directly (see
+    :func:`csr_rounds`); a snapshot built from frozenset adjacency
+    converts at construction.  Snapshots of one hierarchy phase may
+    share their ``roles``/``head_of``/``head_adjacent`` arrays; treat
+    every array as read-only.
 
     Attributes
     ----------

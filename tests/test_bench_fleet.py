@@ -287,7 +287,7 @@ class TestPinnedGate:
             self, tmp_path, monkeypatch, capsys):
         """A fault on the vectorised tiers only fails the pinned case's
         equivalence gate, and the gate's report pinpoints it."""
-        fault = PinpointFault(3, 5, 0, tiers=("fast", "columnar"))
+        fault = PinpointFault(3, 5, 0, tiers=("fast",))
         healthy = matrix.regression_gate_scenario()
         monkeypatch.setattr(matrix, "regression_gate_scenario",
                             lambda: replace(healthy, link=fault.spec()))

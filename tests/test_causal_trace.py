@@ -14,7 +14,8 @@ from repro.experiments.runner import execute
 from repro.experiments.scenarios import default_kind, scenario_for
 from repro.io import run_record_from_dict, run_record_to_dict
 from repro.obs import ORIGIN_ROLE, CausalTrace
-from repro.obs.observer import pack_rows, rows_tokens
+from repro.obs.observer import pack_rows
+from repro.obs.recorder import rows_tokens
 from repro.obs.trace import first_learns
 from repro.registry import all_specs
 

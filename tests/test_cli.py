@@ -156,6 +156,27 @@ class TestRegistryCommands:
         with pytest.raises(SystemExit):
             main(["run", "bogus"])
 
+    def test_run_columnar_engine_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "flood-all", "--engine", "columnar"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'columnar'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "algorithm1", "--scenario", "one-interval", "--n0", "40",
+         "--theta", "12", "--k", "6"],
+        ["profile", "algorithm1", "--scenario", "one-interval", "--n0", "20"],
+        ["run", "algorithm1", "--adversary", "--n0", "16", "--k", "3"],
+    ], ids=["run-missing-params", "profile-missing-params", "run-family"])
+    def test_scenario_the_spec_cannot_run_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"repro {argv[0]}: error: scenario" in err
+        assert "'algorithm1'" in err
+
     def test_run_with_cache_replays(self, capsys, tmp_path):
         argv = ["run", "algorithm2", "--n0", "20", "--k", "3",
                 "--cache", str(tmp_path)]
@@ -406,7 +427,7 @@ class TestRecordReplayDiff:
         a = self._record(tmp_path, "good.json")
         # the same run with a single-bit fault injected on the fast tier
         spec = get_spec("algorithm1")
-        fault = PinpointFault(2, 1, 0, tiers=("fast", "columnar"))
+        fault = PinpointFault(2, 1, 0, tiers=("fast",))
         scenario = replace(
             scenario_for(default_kind(spec), n0=24, theta=7, k=3, seed=2013),
             link=fault.spec(),

@@ -1,11 +1,10 @@
-"""The vectorised round loop: ``engine="columnar"`` (an alias of
-``engine="fast"``) must be bit-identical to the reference engine for
-every registered algorithm under each delivery the loop selects — CSR
-segment-OR by default, with monitors and with its gather split into row
-blocks; flat scatter under ``latency > 1`` and ``obs="trace"``.  Also
-covers the packed-bitset codecs, the bounded CSR gather, the array-native
-:class:`~repro.sim.topology.CSRNetwork`, and the array-native topology
-builders."""
+"""The vectorised round loop: ``engine="fast"`` must be bit-identical to
+the reference engine for every registered algorithm under each delivery
+the loop selects — CSR segment-OR by default, with monitors and with its
+gather split into row blocks; flat scatter under ``latency > 1`` and
+``obs="trace"``.  Also covers the packed-bitset codecs, the bounded CSR
+gather, the array-native :class:`~repro.sim.topology.CSRNetwork`, and the
+array-native topology builders."""
 
 import os
 import time
@@ -33,13 +32,14 @@ from repro.experiments.scenarios import (
 from repro.graphs.generators.static import clustered_star_arrays, ring_lattice_arrays
 from repro.io import metrics_to_dict
 from repro.obs.monitors import default_monitors
-from repro.obs.observer import rows_frozensets, rows_tokens
+from repro.obs.observer import pack_rows, rows_frozensets, words_for
+from repro.obs.recorder import rows_tokens
 from repro.obs.stream import BufferSink, TelemetryBus
 from repro.registry import all_specs, get_spec
 from repro.roles import Role
-from repro.sim import columnar, fastpath
+from repro.sim import fastpath
 from repro.sim.engine import SynchronousEngine
-from repro.sim.linkmodel import CrashChurn, IidLoss, LinkChain
+from repro.sim.linkmodel import CrashChurn, IidLoss, LinkChain, PinpointFault
 from repro.sim.topology import CSRNetwork, GraphTrace, Snapshot
 
 
@@ -64,8 +64,8 @@ def _case_id(case):
 #: Nightly CI widens the seed sweep (REPRO_EQUIV_SEEDS=6); default 2.
 SEEDS = list(range(1, 1 + int(os.environ.get("REPRO_EQUIV_SEEDS", "2"))))
 
-# (name, scenario builder, factory builder, max_rounds) — mirrors
-# tests/test_fastpath.py so both engine names are pinned on the same grid.
+# (name, scenario builder, factory builder, max_rounds) — the grid of
+# tests/test_fastpath.py, compared here on every observable.
 CASES = [
     ("alg1", _hinet, lambda s: make_algorithm1_factory(T=12, M=5), 60),
     ("alg1-strict", _hinet, lambda s: make_algorithm1_factory(T=12, M=5, strict=True), 60),
@@ -80,32 +80,32 @@ CASES = [
 ]
 
 
-def assert_columnar_equivalent(scenario, factory, max_rounds, initial=None,
-                               monitors=None, **engine_kwargs):
-    """Run the columnar and reference engines; compare every observable.
+def assert_matches_reference(scenario, factory, max_rounds, initial=None,
+                             monitors=None, **engine_kwargs):
+    """Run the fast and reference engines; compare every observable.
 
     ``initial`` replaces the scenario's assignment; ``monitors`` builds
     a fresh monitor list for each run.
     """
     if initial is None:
         initial = scenario.initial
-    col, ref = (
+    vec, ref = (
         SynchronousEngine(engine=engine, **engine_kwargs).run(
             scenario.trace, factory, scenario.k, initial, max_rounds,
             monitors=monitors() if monitors else None,
         )
-        for engine in ("columnar", "reference")
+        for engine in ("fast", "reference")
     )
-    assert col.n == ref.n and col.k == ref.k
-    assert col.outputs == ref.outputs
-    assert col.complete == ref.complete
-    assert col.metrics == ref.metrics
-    assert col.timeline == ref.timeline
-    assert col.recording == ref.recording
-    assert col.causal_trace == ref.causal_trace
-    assert col.violations == ref.violations
-    assert col.algorithms is None
-    return col
+    assert vec.n == ref.n and vec.k == ref.k
+    assert vec.outputs == ref.outputs
+    assert vec.complete == ref.complete
+    assert vec.metrics == ref.metrics
+    assert vec.timeline == ref.timeline
+    assert vec.recording == ref.recording
+    assert vec.causal_trace == ref.causal_trace
+    assert vec.violations == ref.violations
+    assert vec.algorithms is None
+    return vec
 
 
 class TestEquivalence:
@@ -114,36 +114,42 @@ class TestEquivalence:
     def test_bit_identical(self, case, seed):
         name, scen_fn, fac_fn, max_rounds = case
         scenario = scen_fn(seed)
-        assert_columnar_equivalent(scenario, fac_fn(scenario), max_rounds)
+        assert_matches_reference(scenario, fac_fn(scenario), max_rounds)
 
     def test_stop_when_complete(self):
+        """The recording of a run stopped at completion ends where the
+        run does, alike on both tiers."""
         scenario = _flat(4)
-        factory = make_flood_all_factory()
-        fast = SynchronousEngine(engine="fast").run(
-            scenario.trace, factory, scenario.k, scenario.initial, 40,
-            stop_when_complete=True,
+        fast, ref = (
+            SynchronousEngine(engine=engine, obs="record").run(
+                scenario.trace, make_flood_all_factory(), scenario.k,
+                scenario.initial, 40, stop_when_complete=True,
+            )
+            for engine in ("fast", "reference")
         )
-        col = SynchronousEngine(engine="columnar").run(
-            scenario.trace, factory, scenario.k, scenario.initial, 40,
-            stop_when_complete=True,
-        )
-        assert col.metrics.rounds == fast.metrics.rounds
-        assert col.outputs == fast.outputs
+        assert fast.metrics.rounds == ref.metrics.rounds < 40
+        assert fast.recording.rounds_recorded == fast.metrics.rounds
+        assert fast.recording == ref.recording
+        assert fast.outputs == ref.outputs
 
     def test_wide_token_sets(self):
-        # k > 64 exercises multi-word bitset rows through the spmm kernel
+        # k > 64 exercises multi-word bitset rows through both deliveries:
+        # CSR segment-OR at obs="record", flat scatter at obs="trace"
         n, k = 20, 130
         scenario = _flat(8, n0=n, k=4)  # topology only; assignment built here
         initial = {v: frozenset(range(v * 7, min(v * 7 + 7, k))) for v in range(n)}
         factory = make_flood_all_factory()
-        fast = SynchronousEngine(engine="fast").run(
-            scenario.trace, factory, k, initial, 25
-        )
-        col = SynchronousEngine(engine="columnar").run(
-            scenario.trace, factory, k, initial, 25
-        )
-        assert col.outputs == fast.outputs
-        assert col.metrics == fast.metrics
+        for obs in ("record", "trace"):
+            fast, ref = (
+                SynchronousEngine(engine=engine, obs=obs).run(
+                    scenario.trace, factory, k, initial, 25
+                )
+                for engine in ("fast", "reference")
+            )
+            assert fast.outputs == ref.outputs
+            assert fast.metrics == ref.metrics
+            assert fast.recording == ref.recording
+            assert fast.causal_trace == ref.causal_trace
 
 
 def _auto_scenario(spec):
@@ -208,29 +214,35 @@ class TestRegistryWideIdentity:
 
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
     def test_columnar_matches_fast_per_spec(self, spec):
-        """The alias contract: ``engine="columnar"`` and ``"fast"`` run
-        the same loop, so every registered algorithm's metrics and full
-        RunRecording agree between the two names."""
+        """``SynchronousEngine(engine="columnar")``, the legacy name the
+        end-to-end benchmark still builds, runs the fast tier: a link
+        model aimed at ``"fast"`` applies to it, and every registered
+        algorithm's metrics and full RunRecording agree with ``"fast"``."""
         scenario = _auto_scenario(spec)
         overrides = {"seed": 9} if spec.seeded else {}
-        fast = execute(spec, scenario, engine="fast", obs="record",
-                       **overrides)
-        col = execute(spec, scenario, engine="columnar", obs="record",
-                      **overrides)
-        assert col.result.outputs == fast.result.outputs
-        assert col.result.metrics == fast.result.metrics
-        rec_fast, rec_col = fast.result.recording, col.result.recording
+        plan = spec.plan(scenario, **overrides)
+        fault = PinpointFault(1, 0, 0, tiers=("fast",))
+        fast, col = (
+            SynchronousEngine(engine=name, obs="record", link=fault).run(
+                scenario.trace, plan.factory, scenario.k, scenario.initial,
+                plan.max_rounds, stop_when_complete=plan.stop_when_complete,
+            )
+            for name in ("fast", "columnar")
+        )
+        assert col.outputs == fast.outputs
+        assert col.metrics == fast.metrics
+        rec_fast, rec_col = fast.recording, col.recording
         assert rec_fast is not None and rec_col is not None
         assert rec_col == rec_fast
         assert rec_col.fingerprint() == rec_fast.fingerprint()
         last = rec_col.rounds_recorded - 1
-        assert rec_col.state_at(last) == col.result.outputs
+        assert rec_col.state_at(last) == col.outputs
 
 
 def _naive_segment_or(indptr, indices, payload, edge_keep):
     """Set oracle: each row is the union of the token sets of the payload
     rows its kept edges point at."""
-    tokens = columnar.unpack_rows(payload)
+    tokens = fastpath.unpack_rows(payload)
     unions = []
     for row in range(len(indptr) - 1):
         union = set()
@@ -238,7 +250,7 @@ def _naive_segment_or(indptr, indices, payload, edge_keep):
             if edge_keep is None or edge_keep[e]:
                 union.update(tokens[indices[e]])
         unions.append(union)
-    return columnar.pack_rows(unions, 64 * payload.shape[1])
+    return pack_rows(unions, 64 * payload.shape[1])
 
 
 #: Gather budgets (uint64 words) that split small runs into many row
@@ -280,18 +292,18 @@ def _csr_products(draw):
 class TestBoundedGather:
     @given(
         product=_csr_products(),
-        budget=st.sampled_from((1, 2, 7, 64, columnar._GATHER_BUDGET)),
+        budget=st.sampled_from((1, 2, 7, 64, fastpath._GATHER_BUDGET)),
     )
     @settings(max_examples=150, deadline=None)
     def test_segment_or_matches_set_oracle(self, product, budget):
         indptr, indices, payload, edge_keep = product
         expected = _naive_segment_or(indptr, indices, payload, edge_keep)
-        original = columnar._GATHER_BUDGET
-        columnar._GATHER_BUDGET = budget
+        original = fastpath._GATHER_BUDGET
+        fastpath._GATHER_BUDGET = budget
         try:
-            got = columnar.segment_or(indptr, indices, payload, edge_keep)
+            got = fastpath.segment_or(indptr, indices, payload, edge_keep)
         finally:
-            columnar._GATHER_BUDGET = original
+            fastpath._GATHER_BUDGET = original
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
 
@@ -303,7 +315,7 @@ class TestBoundedGather:
     ):
         """Every registered algorithm, vectorised⇄reference, with the CSR
         gather split into blocks of three words."""
-        monkeypatch.setattr(columnar, "_GATHER_BUDGET", 3)
+        monkeypatch.setattr(fastpath, "_GATHER_BUDGET", 3)
         scenario = _auto_scenario(spec)
         overrides = {"seed": 9} if spec.seeded else {}
         plan = spec.plan(scenario, **overrides)
@@ -327,10 +339,10 @@ class TestSharded:
 
     def test_serial_shards_identical(self, monkeypatch):
         for budget in TINY_BUDGETS:
-            monkeypatch.setattr(columnar, "_GATHER_BUDGET", budget)
+            monkeypatch.setattr(fastpath, "_GATHER_BUDGET", budget)
             for seed in SEEDS:
                 scenario = _hinet(seed)
-                assert_columnar_equivalent(
+                assert_matches_reference(
                     scenario, make_algorithm1_factory(T=12, M=5), 60
                 )
 
@@ -339,14 +351,14 @@ class TestSharded:
         factory = make_flood_new_factory()
 
         def go():
-            return SynchronousEngine(engine="columnar").run(
+            return SynchronousEngine(engine="fast").run(
                 scenario.trace, factory, scenario.k, scenario.initial, 30
             )
 
         single = go()
         results = {}
         for budget in TINY_BUDGETS:
-            monkeypatch.setattr(columnar, "_GATHER_BUDGET", budget)
+            monkeypatch.setattr(fastpath, "_GATHER_BUDGET", budget)
             results[budget] = go()
         for budget, res in results.items():
             assert res.outputs == single.outputs, f"budget={budget}"
@@ -356,16 +368,16 @@ class TestSharded:
 
 class TestDispatch:
     def test_select_delivery(self):
-        assert columnar.select_delivery(1, "timeline") == "csr"
+        assert fastpath.select_delivery(1, "timeline") == "csr"
         for obs in ("off", "record", "profile"):
-            assert columnar.select_delivery(1, obs) == "csr"
-        assert columnar.select_delivery(2, "timeline") == "scatter"
-        assert columnar.select_delivery(5, "record") == "scatter"
-        assert columnar.select_delivery(1, "trace") == "scatter"
+            assert fastpath.select_delivery(1, obs) == "csr"
+        assert fastpath.select_delivery(2, "timeline") == "scatter"
+        assert fastpath.select_delivery(5, "record") == "scatter"
+        assert fastpath.select_delivery(1, "trace") == "scatter"
 
     def test_columnar_tier_actually_runs(self):
         scenario = _flat(3)
-        result = SynchronousEngine(engine="columnar", obs="profile").run(
+        result = SynchronousEngine(engine="fast", obs="profile").run(
             scenario.trace, make_flood_all_factory(), scenario.k,
             scenario.initial, 10
         )
@@ -377,7 +389,7 @@ class TestDispatch:
         scenario = _flat(3)
         factory = make_gossip_factory(seed=1)
         assert not hasattr(factory, "fastpath")
-        result = SynchronousEngine(engine="columnar").run(
+        result = SynchronousEngine(engine="fast").run(
             scenario.trace, factory, scenario.k, scenario.initial, 10
         )
         # reference path ran: per-node objects are present
@@ -386,40 +398,40 @@ class TestDispatch:
     def test_loss_runs_natively_and_matches_reference(self):
         # the LinkModel seam masks CSR edges inside the vectorised loop,
         # bit-identical to the reference
-        assert_columnar_equivalent(_flat(3), make_flood_all_factory(), 10,
+        assert_matches_reference(_flat(3), make_flood_all_factory(), 10,
                                    link=IidLoss(0.25, seed=11))
 
     def test_latency_runs_scatter_delivery(self):
-        col = assert_columnar_equivalent(
+        vec = assert_matches_reference(
             _hinet(3), make_algorithm1_factory(T=12, M=5), 60,
             latency=2, link=IidLoss(0.2, seed=4),
         )
-        assert col.metrics.lost_deliveries > 0
+        assert vec.metrics.lost_deliveries > 0
 
     def test_obs_trace_runs_scatter_delivery(self):
         scenario = _flat(3)
-        col = assert_columnar_equivalent(
+        vec = assert_matches_reference(
             scenario, make_flood_all_factory(), 10, obs="trace"
         )
         ref = SynchronousEngine(obs="trace").run(
             scenario.trace, make_flood_all_factory(), scenario.k,
             scenario.initial, 10
         )
-        assert col.causal_trace is not None
-        assert col.causal_trace == ref.causal_trace
+        assert vec.causal_trace is not None
+        assert vec.causal_trace == ref.causal_trace
 
     def test_monitors_run_csr_delivery(self):
         scenario = _flat(3)
         results = {}
-        for engine in ("reference", "columnar"):
+        for engine in ("reference", "fast"):
             results[engine] = SynchronousEngine(engine=engine).run(
                 scenario.trace, make_flood_all_factory(), scenario.k,
                 scenario.initial, 10, monitors=default_monitors(),
             )
-        assert results["columnar"].algorithms is None
-        assert results["columnar"].violations is not None
-        assert results["columnar"].violations == results["reference"].violations
-        assert results["columnar"].metrics == results["reference"].metrics
+        assert results["fast"].algorithms is None
+        assert results["fast"].violations is not None
+        assert results["fast"].violations == results["reference"].violations
+        assert results["fast"].metrics == results["reference"].metrics
 
     def test_invalid_engine_mode_rejected(self):
         with pytest.raises(ValueError, match="engine"):
@@ -437,25 +449,25 @@ class TestPackedCodecs:
     @settings(max_examples=40, deadline=None)
     def test_pack_unpack_round_trip(self, rows):
         k = 150
-        bits = columnar.pack_rows(rows, k)
-        assert bits.shape == (len(rows), columnar.words_for(k))
+        bits = pack_rows(rows, k)
+        assert bits.shape == (len(rows), words_for(k))
         assert bits.dtype == np.uint64
-        assert columnar.unpack_rows(bits) == [tuple(sorted(r)) for r in rows]
+        assert fastpath.unpack_rows(bits) == [tuple(sorted(r)) for r in rows]
 
     def test_pack_single_tokens_matches_pack_rows(self):
         tokens = np.array([0, 63, 64, 127, -1, 5])
         k = 128
-        single = columnar.pack_single_tokens(tokens, k)
+        single = fastpath.pack_single_tokens(tokens, k)
         rows = [frozenset() if t < 0 else frozenset({int(t)})
                 for t in tokens]
-        assert np.array_equal(single, columnar.pack_rows(rows, k))
+        assert np.array_equal(single, pack_rows(rows, k))
 
     def test_pack_single_tokens_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
-            columnar.pack_single_tokens(np.array([4]), 4)
+            fastpath.pack_single_tokens(np.array([4]), 4)
 
     def test_words_for(self):
-        assert [columnar.words_for(k) for k in (1, 64, 65, 128, 129)] == \
+        assert [words_for(k) for k in (1, 64, 65, 128, 129)] == \
             [1, 1, 2, 2, 3]
 
 
@@ -490,6 +502,8 @@ class TestOutputDecode:
     """The vectorised tier decodes its final bit-matrix once per distinct
     token set; nodes that end with equal sets share one frozenset."""
 
+    # "columnar": the legacy engine name the end-to-end benchmark builds on
+    # a CSRNetwork (see SynchronousEngine); it goes with that name
     @pytest.mark.parametrize("tier", ["fast", "columnar"])
     @pytest.mark.parametrize("case", PARTIAL_RUNS, ids=_case_id)
     def test_partial_runs_match_reference(self, case, tier):
@@ -564,7 +578,7 @@ class TestProfileBookkeeping:
 
     @pytest.mark.parametrize("stage", ["rows_frozensets", "pack_rows"])
     def test_pack_and_decode_are_bookkeeping(self, monkeypatch, stage):
-        monkeypatch.setattr(columnar, stage, self._slowed(getattr(columnar, stage)))
+        monkeypatch.setattr(fastpath, stage, self._slowed(getattr(fastpath, stage)))
         scenario = _flat(3)
         res = SynchronousEngine(engine="fast", obs="profile").run(
             scenario.trace, make_flood_all_factory(), scenario.k,
@@ -611,7 +625,7 @@ class TestSaturatedRounds:
     ``latency == 1``; results stay identical to the reference tier."""
 
     def test_every_kernel_kind_is_contract_checked(self):
-        assert {kind.split("-")[0] for kind, _ in KERNEL_PARAMS} == set(columnar._KERNELS)
+        assert {kind.split("-")[0] for kind, _ in KERNEL_PARAMS} == set(fastpath._KERNELS)
 
     @pytest.mark.parametrize("clustered", [True, False], ids=["clustered", "flat"])
     @pytest.mark.parametrize("case", KERNEL_PARAMS, ids=_case_id)
@@ -623,15 +637,15 @@ class TestSaturatedRounds:
         n, k = 40, 70  # two words, the second partly used
         arrs = (clustered_star_arrays if clustered else ring_lattice_arrays)(n, 4)
         rng = np.random.default_rng(7)
-        full = columnar.pack_rows([range(k)] * n, k)
-        kernel = columnar._KERNELS[name.split("-")[0]](
+        full = pack_rows([range(k)] * n, k)
+        kernel = fastpath._KERNELS[name.split("-")[0]](
             n, k, full.shape[1], full.copy(), **params
         )
         for r in range(2):  # let sends fill TS and friends
             kernel.send(r, arrs)
 
         def tokens():
-            return columnar.pack_rows(
+            return pack_rows(
                 [rng.choice(k, size=rng.integers(0, 6), replace=False)
                  for _ in range(n)], k,
             )
@@ -640,7 +654,7 @@ class TestSaturatedRounds:
         from_head = None
         if kernel.hears_heads and arrs.roles is not None:
             from_head = tokens()
-            from_head[arrs.roles != columnar._ROLE_MEMBER] = 0
+            from_head[arrs.roles != fastpath._ROLE_MEMBER] = 0
             assert from_head.any()
         before = {
             attr: value.copy() for attr, value in vars(kernel).items()
@@ -661,10 +675,10 @@ class TestSaturatedRounds:
         scenario = scen_fn(1)
         every = frozenset(range(scenario.k))
         initial = {v: every for v in range(scenario.n)}
-        col = assert_columnar_equivalent(
+        vec = assert_matches_reference(
             scenario, fac_fn(scenario), max_rounds, initial=initial, obs=obs
         )
-        assert col.metrics.completion_round == 1
+        assert vec.metrics.completion_round == 1
 
     @pytest.mark.parametrize("obs", CACHEABLE_OBS)
     @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
@@ -674,13 +688,13 @@ class TestSaturatedRounds:
         ``TR`` their heads' later broadcasts fill."""
         T, M = 12, 5
         scenario = _hinet(seed, n0=40, theta=12, k=5)
-        col = assert_columnar_equivalent(
+        vec = assert_matches_reference(
             scenario, make_algorithm1_factory(T=T, M=M, strict=strict),
             T * M, obs=obs,
         )
-        done = col.metrics.completion_round
+        done = vec.metrics.completion_round
         assert done is not None and done % T and done < T * (M - 1)
-        assert col.metrics.per_round_tokens[done:] != [0] * (T * M - done)
+        assert vec.metrics.per_round_tokens[done:] != [0] * (T * M - done)
 
     @pytest.mark.parametrize("obs", CACHEABLE_OBS)
     @pytest.mark.parametrize("engine_kwargs", [
@@ -699,11 +713,11 @@ class TestSaturatedRounds:
         that never drains its in-flight frames would run too long."""
         _, scen_fn, fac_fn, budget = case
         scenario = scen_fn()
-        col = assert_columnar_equivalent(
+        vec = assert_matches_reference(
             scenario, fac_fn(scenario), budget + 20, obs=obs, **engine_kwargs
         )
-        assert col.complete and col.metrics.completion_round < budget
-        assert budget <= col.metrics.rounds < budget + 20
+        assert vec.complete and vec.metrics.completion_round < budget
+        assert budget <= vec.metrics.rounds < budget + 20
 
     @pytest.mark.parametrize("obs", CACHEABLE_OBS)
     @pytest.mark.parametrize("name", ["algorithm1", "klo-interval", "flood-all"])
@@ -711,13 +725,13 @@ class TestSaturatedRounds:
         spec = get_spec(name)
         scenario = scenario_for(default_kind(spec), n0=40, theta=12, k=6, seed=3)
         plan = spec.plan(scenario)
-        col = assert_columnar_equivalent(
+        vec = assert_matches_reference(
             scenario, plan.factory, plan.max_rounds,
             monitors=lambda: default_monitors(spec=spec, plan=plan, scenario=scenario),
             obs=obs,
         )
-        assert col.violations is not None
-        assert col.metrics.completion_round < col.metrics.rounds
+        assert vec.violations is not None
+        assert vec.metrics.completion_round < vec.metrics.rounds
 
     @pytest.mark.parametrize("engine_kwargs, skips", [
         ({}, True),
@@ -738,7 +752,7 @@ class TestSaturatedRounds:
             return wrapper
 
         for fn in ("segment_or", "_deliveries", "_landing"):
-            monkeypatch.setattr(columnar, fn, counted(getattr(columnar, fn)))
+            monkeypatch.setattr(fastpath, fn, counted(getattr(fastpath, fn)))
         scenario = _flat(3)
         res = SynchronousEngine(engine="fast", **engine_kwargs).run(
             scenario.trace, make_flood_all_factory(), scenario.k,
@@ -930,12 +944,12 @@ class TestSaturatedTail:
 
         n, k = 20_000, 8
         net = CSRNetwork(clustered_star_arrays(n, 200))
-        TA = columnar.pack_single_tokens(np.arange(n) % k, k)
+        TA = fastpath.pack_single_tokens(np.arange(n) % k, k)
         peaks = []
         for rounds in (30, 3030):
             tracemalloc.start()
             try:
-                res = columnar.run_columnar(
+                res = fastpath.run_columnar(
                     SynchronousEngine(engine="fast"), net, "algorithm1",
                     {"T": 10, "M": rounds // 10, "strict": False},
                     k, TA.copy(), rounds, materialize_outputs=False,
@@ -979,6 +993,8 @@ class TestCSRNetwork:
         assert net.snapshot_arrays(0) is net.snapshot_arrays(999)
 
     def test_columnar_equals_fast_on_csr_network(self):
+        """The end-to-end benchmark's large-n shape: a CSRNetwork run on
+        an engine built with the legacy name ``"columnar"``."""
         n, k = 64, 8
         net = CSRNetwork(clustered_star_arrays(n, 8))
         initial = {v: frozenset({v % k}) for v in range(n)}
@@ -1010,17 +1026,17 @@ class TestArrayBuilders:
         materialisation, coverage tracked from popcounts."""
         n, k = 200, 16
         net = CSRNetwork(ring_lattice_arrays(n, 4))
-        TA0 = columnar.pack_single_tokens(np.arange(n) % k, k)
-        res = columnar.run_columnar(
-            SynchronousEngine(engine="columnar"), net, "flood_new", {},
+        TA0 = fastpath.pack_single_tokens(np.arange(n) % k, k)
+        res = fastpath.run_columnar(
+            SynchronousEngine(engine="fast"), net, "flood_new", {},
             k, TA0.copy(), 40, materialize_outputs=False,
         )
         assert res.outputs == {}
         assert res.complete
         assert res.metrics.rounds <= 40
 
-        full = columnar.run_columnar(
-            SynchronousEngine(engine="columnar"), net, "flood_new", {},
+        full = fastpath.run_columnar(
+            SynchronousEngine(engine="fast"), net, "flood_new", {},
             k, TA0.copy(), 40,
         )
         assert full.complete

@@ -399,7 +399,7 @@ class TestFastpathFaultHook:
         1 is pinpointed to exactly that round and node."""
         scenario = hinet_one_scenario(**self.SCENARIO)
         factory = make_algorithm2_factory(M=scenario.n - 1)
-        fault = PinpointFault(2, 1, 0, tiers=("fast", "columnar"))
+        fault = PinpointFault(2, 1, 0, tiers=("fast",))
         fast = SynchronousEngine(engine="fast", obs="record", link=fault).run(
             scenario.trace, factory, scenario.k, scenario.initial,
             scenario.n - 1,
@@ -418,7 +418,7 @@ class TestFastpathFaultHook:
 
     def test_diff_engines_catches_fault(self):
         spec = get_spec("algorithm2")
-        fault = PinpointFault(1, 0, 1, tiers=("fast", "columnar"))
+        fault = PinpointFault(1, 0, 1, tiers=("fast",))
         scenario = replace(_auto_scenario(spec), link=fault.spec())
         report = diff_engines(spec, scenario)
         assert not report.identical and report.first_round == 1

@@ -37,6 +37,7 @@ from repro.obs import RunTimeline
 from repro.registry import all_specs, get_spec, spec_names
 from repro.roles import Role
 from repro.sim.engine import RunResult, SynchronousEngine
+from repro.sim.linkmodel import PinpointFault
 from repro.sim.metrics import Metrics, RoleCost
 from repro.sim.rng import derive_seed
 from repro.sim.topology import Snapshot
@@ -304,21 +305,21 @@ class TestResultCache:
         replay = execute("algorithm1", interval_scenario, cache=cache)
         assert replay.complete
 
-    def test_columnar_hits_the_fast_entry(self, tmp_path, interval_scenario,
-                                          monkeypatch):
-        """"fast" and "columnar" name one round loop, so they share entries."""
-        cache = ResultCache(tmp_path)
-        fast = execute("algorithm1", interval_scenario, engine="fast",
-                       cache=cache)
-        entries = sorted(tmp_path.rglob("*.json"))
-        monkeypatch.setattr(
-            SynchronousEngine, "run",
-            lambda *a, **k: pytest.fail("engine executed on a warm cache"),
+    def test_columnar_engine_name_rejected(self, tmp_path):
+        """"fast" is the vectorised tier's one name.  A "columnar" query
+        raises before the cache is keyed, so it can neither replay the
+        "fast" entry (which a link model aimed at "fast" made differ from
+        an unfaulted run) nor write an entry of its own."""
+        scenario = replace(
+            scenario_for("hinet-interval", n0=40, k=4, seed=1),
+            link=PinpointFault(0, 0, 0, tiers=("fast",)).spec(),
         )
-        columnar = execute("algorithm1", interval_scenario, engine="columnar",
-                           cache=cache)
+        cache = ResultCache(tmp_path)
+        execute("flood-all", scenario, engine="fast", cache=cache)
+        entries = sorted(tmp_path.rglob("*.json"))
+        with pytest.raises(ValueError, match="'fast'"):
+            execute("flood-all", scenario, engine="columnar", cache=cache)
         assert sorted(tmp_path.rglob("*.json")) == entries
-        assert _canonical(columnar) == _canonical(fast)
 
     def test_key_changes_with_scenario_seed(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -845,8 +846,6 @@ class TestFrozenScenario:
         assert dict(getattr(lossy, field)) == before
 
     def test_nested_link_lists_are_read_only(self, lossy):
-        from repro.sim.linkmodel import PinpointFault
-
         spec = PinpointFault(2, 1, 0, tiers=("fast",)).spec()
         scenario = replace(lossy, link=spec)
         spec["tiers"].append("reference")  # the caller's copy, not ours

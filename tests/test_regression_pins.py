@@ -108,6 +108,8 @@ class TestCommittedBaselinePins:
                          engine=engine, cache=False)
         assert (record.rounds, record.tokens_sent) == (126, 3498)
 
+    # "columnar": the legacy engine name the end-to-end benchmark's large-n
+    # builds on this shape; it goes with that name
     @pytest.mark.parametrize("engine", ["fast", "columnar"])
     def test_clustered_star_n10000(self, engine):
         n, theta, k = 10_000, 300, 16

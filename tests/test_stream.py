@@ -1,6 +1,6 @@
 """Streaming telemetry bus (repro.obs.stream): sink backpressure and
 drop counting, round decimation, bit-identity of the live stream with
-the post-hoc timeline across all three engine tiers, cache-hit replay,
+the post-hoc timeline across both engine tiers, cache-hit replay,
 the incremental JSONL writer, the metrics exporter, and the dashboard.
 """
 
@@ -26,7 +26,7 @@ from repro.obs import (
     write_events,
 )
 
-ENGINES = ("reference", "fast", "columnar")
+ENGINES = ("reference", "fast")
 
 
 def _timeline(rounds=6):
