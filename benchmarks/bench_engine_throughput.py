@@ -22,7 +22,6 @@ from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.static import clustered_star_arrays, ring_lattice_arrays
 from repro.sim import fastpath
 from repro.sim.engine import SynchronousEngine, run
-from repro.sim.messages import initial_assignment
 from repro.sim.topology import CSRNetwork
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -51,7 +50,7 @@ def test_engine_round_throughput(benchmark):
 def test_engine_fast_vs_reference(benchmark):
     """The full-run case on both engines: identical results, ≥3× faster.
 
-    The equality assertion repeats what tests/test_fastpath.py proves so
+    The equality assertion repeats what tests/test_columnar.py proves so
     the recorded speedup can never silently come from diverging behaviour.
     """
     scenario = hinet_interval_scenario(

@@ -11,14 +11,9 @@ download waves.
 from __future__ import annotations
 
 from repro.experiments.report import format_records
-from repro.experiments.runner import (
-    run_algorithm1,
-    run_algorithm2,
-    run_klo_interval,
-    run_klo_one,
-)
+from repro.experiments.runner import execute
 from repro.experiments.scenarios import hinet_interval_scenario, hinet_one_scenario
-from repro.viz import render_progress, sparkline
+from repro.viz import sparkline
 
 
 def _curves(n0=60, seed=107):
@@ -29,10 +24,10 @@ def _curves(n0=60, seed=107):
     one = hinet_one_scenario(n0=n0, theta=theta, k=k, L=L, seed=seed)
 
     records = [
-        run_algorithm1(interval),
-        run_klo_interval(interval),
-        run_algorithm2(one),
-        run_klo_one(one),
+        execute("algorithm1", interval),
+        execute("klo-interval", interval),
+        execute("algorithm2", one),
+        execute("klo-one", one),
     ]
     curves = []
     for rec in records:

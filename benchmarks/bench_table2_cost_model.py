@@ -8,8 +8,6 @@ point where its premise (n_r ≪ n₀, θ < n₀) holds.
 
 from __future__ import annotations
 
-from math import ceil
-
 from repro.core.analysis import (
     CostParams,
     hinet_interval_comm,
@@ -21,7 +19,6 @@ from repro.core.analysis import (
     table2,
 )
 from repro.experiments.report import format_records
-from repro.experiments.tables import analytic_table2
 
 
 def _grid():
@@ -66,7 +63,7 @@ def test_table2_grid(benchmark, save_result):
 def test_table2_symbolic_rows(benchmark, save_result):
     """The four Table 2 rows rendered at the paper's Table 3 parameters."""
     p = CostParams(n0=100, theta=30, nm=40, nr=3, k=8, alpha=5, L=2)
-    rows = benchmark(analytic_table2, p)
+    rows = benchmark(table2, p)
     text = "Table 2 rows at the Table 3 operating point\n\n" + format_records(rows)
     save_result("table2_rows", text)
     print("\n" + text)

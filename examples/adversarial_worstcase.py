@@ -23,18 +23,14 @@ from repro.baselines import (
     make_kactive_factory,
 )
 from repro.experiments import (
+    execute,
     format_records,
     hinet_one_scenario,
     one_interval_scenario,
-    run_algorithm2,
-    run_flood_all,
-    run_flood_new,
-    run_kactive,
-    run_klo_one,
 )
 from repro.graphs.generators import rotating_star_trace
-from repro.graphs.trace import GraphTrace
 from repro.sim import Snapshot, run
+from repro.sim.topology import GraphTrace
 
 
 def family_on_shuffled_path() -> None:
@@ -43,11 +39,11 @@ def family_on_shuffled_path() -> None:
     clustered = hinet_one_scenario(n0=n, theta=12, k=k, L=2, seed=17)
 
     records = [
-        run_algorithm2(clustered),
-        run_klo_one(flat),
-        run_flood_all(flat, rounds=n - 1, stop_when_complete=False),
-        run_flood_new(flat),
-        run_kactive(flat, A=2),
+        execute("algorithm2", clustered),
+        execute("klo-one", flat),
+        execute("flood-all", flat, rounds=n - 1, stop_when_complete=False),
+        execute("flood-new", flat),
+        execute("kactive", flat, A=2),
     ]
     print("=== shuffled-path adversary (n=40, k=4) ===")
     print(format_records([

@@ -12,12 +12,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.analysis import CostParams, hinet_interval_comm, klo_interval_comm
-from repro.experiments import (
-    format_records,
-    hinet_interval_scenario,
-    run_algorithm1,
-    run_klo_interval,
-)
+from repro.experiments import execute, format_records, hinet_interval_scenario
 
 
 def main() -> None:
@@ -36,8 +31,8 @@ def main() -> None:
     print()
 
     # --- 2 & 3. run both algorithms on the same trace --------------------
-    ours = run_algorithm1(scenario)
-    theirs = run_klo_interval(scenario)
+    ours = execute("algorithm1", scenario)
+    theirs = execute("klo-interval", scenario)
 
     rows = [r.row() for r in (ours, theirs)]
     print(format_records(rows))

@@ -5,19 +5,14 @@ the published values and a simulated counterpart.
 Run:  python examples/reproduce_tables.py
 """
 
-from repro.core.analysis import CostParams
-from repro.experiments import (
-    analytic_table2,
-    analytic_table3,
-    format_records,
-    simulated_table3,
-)
+from repro.core.analysis import CostParams, table2
+from repro.experiments import analytic_table3, format_records, simulated_table3
 
 
 def main() -> None:
     print("Table 2 — closed forms at the paper's operating point")
     p = CostParams(n0=100, theta=30, nm=40, nr=3, k=8, alpha=5, L=2)
-    print(format_records(analytic_table2(p)))
+    print(format_records(table2(p)))
     print()
 
     print("Table 3 — analytic, with published values and deviations")

@@ -22,9 +22,10 @@ algorithms at similar-or-better round counts.  This library provides:
 
 Quickstart
 ----------
->>> from repro.experiments import hinet_interval_scenario, run_algorithm1, run_klo_interval
+>>> from repro.experiments import execute, hinet_interval_scenario
 >>> scenario = hinet_interval_scenario(n0=60, theta=18, k=4, alpha=3, L=2, seed=1)
->>> ours, theirs = run_algorithm1(scenario), run_klo_interval(scenario)
+>>> ours = execute("algorithm1", scenario)
+>>> theirs = execute("klo-interval", scenario)
 >>> ours.complete and ours.tokens_sent < theirs.tokens_sent
 True
 """

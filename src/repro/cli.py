@@ -1183,12 +1183,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(text)
         return code
     elif args.command == "table2":
-        from .core.analysis import CostParams
-        from .experiments.tables import analytic_table2
+        from .core.analysis import CostParams, table2
 
         params = CostParams(n0=args.n0, theta=args.theta, nm=args.nm,
                             nr=args.nr, k=args.k, alpha=args.alpha, L=args.L)
-        print(format_records(analytic_table2(params)))
+        print(format_records(table2(params)))
     elif args.command == "table3":
         from .experiments.tables import analytic_table3, simulated_table3
 

@@ -4,7 +4,7 @@ A :class:`ClusterAssignment` is the static outcome of clustering one
 graph: who heads a cluster, who belongs where, and which members act as
 gateways.  Clustering algorithms produce one per round; the maintenance
 pipeline stitches them into a clustered
-:class:`~repro.graphs.trace.GraphTrace` (i.e. a CTVG).
+:class:`~repro.sim.topology.GraphTrace` (i.e. a CTVG).
 """
 
 from __future__ import annotations

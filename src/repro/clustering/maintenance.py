@@ -2,7 +2,7 @@
 
 The paper assumes "the existence of such hierarchy" maintained by a
 clustering layer; this module is that layer.  Given a flat
-:class:`~repro.graphs.trace.GraphTrace` (e.g. from the mobility substrate)
+:class:`~repro.sim.topology.GraphTrace` (e.g. from the mobility substrate)
 it produces a clustered trace — an empirical CTVG — by
 
 1. clustering round 0 from scratch with any base algorithm
@@ -27,8 +27,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from ..sim.topology import Snapshot
-from ..graphs.trace import GraphTrace
+from ..sim.topology import GraphTrace, Snapshot
 from .gateways import select_gateways
 from .hierarchy import ClusterAssignment
 from .lowest_id import lowest_id_clustering

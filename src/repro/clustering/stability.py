@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..graphs.trace import GraphTrace
-from ..sim.topology import Snapshot
+from ..sim.topology import GraphTrace, Snapshot
 from .hierarchy import ClusterAssignment
 from .lowest_id import sweep_clustering
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 from ..graphs.ctvg import CTVG
 from ..graphs.properties import max_block_stable_hierarchy, realized_hop_bound
-from ..graphs.trace import GraphTrace
+from ..sim.topology import GraphTrace
 
 __all__ = ["HierarchyStats", "hierarchy_stats"]
 

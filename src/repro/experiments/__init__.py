@@ -17,23 +17,18 @@ _EXPORTS = {
     "emdg_study": ("emdg_cluster_study",),
     "figures": ("fig1_example_network", "fig2_definition_lattice",
                 "fig3_walkthrough"),
-    "grid": ("grid_cells", "grid_sweep"),
     "parallel": ("parallel_map",),
     "pareto": ("dissemination_pareto", "pareto_frontier"),
-    "replication": ("MetricSummary", "replicate", "replicate_algorithm",
-                    "summarize"),
+    "replication": ("MetricSummary", "replicate", "summarize"),
     "report": ("format_records", "format_table", "records_to_markdown"),
     "validation": ("Lemma2Record", "check_comm_budget", "check_lemma2",
                    "check_theorem1", "check_theorem2", "check_theorem3"),
-    "runner": ("RunRecord", "execute", "run_algorithm1",
-               "run_algorithm1_stable", "run_algorithm2", "run_flood_all",
-               "run_flood_new", "run_gossip", "run_kactive",
-               "run_klo_interval", "run_klo_one", "run_netcoding"),
+    "runner": ("RunRecord", "execute"),
     "scenarios": ("Scenario", "dhop_scenario", "hinet_interval_scenario",
                   "hinet_one_scenario", "klo_interval_scenario",
                   "one_interval_scenario"),
     "sweeps": ("sweep_alpha_L", "sweep_k", "sweep_n", "sweep_reaffiliation"),
-    "tables": ("analytic_table2", "analytic_table3", "simulated_table3"),
+    "tables": ("analytic_table3", "simulated_table3"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -44,7 +39,6 @@ __all__ = [
     "ResultCache",
     "RunRecord",
     "Scenario",
-    "analytic_table2",
     "analytic_table3",
     "check_comm_budget",
     "check_lemma2",
@@ -55,12 +49,9 @@ __all__ = [
     "dissemination_pareto",
     "emdg_cluster_study",
     "execute",
-    "grid_cells",
-    "grid_sweep",
     "parallel_map",
     "pareto_frontier",
     "replicate",
-    "replicate_algorithm",
     "resolve_cache",
     "scenario_fingerprint",
     "summarize",
@@ -74,16 +65,6 @@ __all__ = [
     "klo_interval_scenario",
     "one_interval_scenario",
     "records_to_markdown",
-    "run_algorithm1",
-    "run_algorithm1_stable",
-    "run_algorithm2",
-    "run_flood_all",
-    "run_flood_new",
-    "run_gossip",
-    "run_kactive",
-    "run_klo_interval",
-    "run_klo_one",
-    "run_netcoding",
     "simulated_table3",
     "sweep_alpha_L",
     "sweep_k",

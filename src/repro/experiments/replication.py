@@ -20,7 +20,6 @@ from .parallel import parallel_map
 __all__ = [
     "MetricSummary",
     "replicate",
-    "replicate_algorithm",
     "replicate_records",
     "summarize",
 ]
@@ -124,16 +123,6 @@ def _algorithm_record_cell(
     return execute(algorithm, scenario, cache=cache, **overrides)
 
 
-def _algorithm_replication_cell(*cell_args) -> Dict[str, float]:
-    """Module-level (picklable) cell: :func:`_algorithm_record_cell`'s
-    record (same arguments) folded to one run row."""
-    record = _algorithm_record_cell(*cell_args)
-    row = dict(record.row())
-    # summarize() skips booleans; expose completion as a rate instead.
-    row["complete_rate"] = float(record.complete)
-    return row
-
-
 def replicate_records(
     algorithm,
     scenario_builder: Callable[..., Any],
@@ -148,9 +137,10 @@ def replicate_records(
 ) -> List[Any]:
     """Replicate one registered algorithm, keeping the full records.
 
-    The telemetry-preserving sibling of :func:`replicate_algorithm`:
-    where that folds each run into scalar metric summaries, this returns
-    the :class:`~repro.experiments.runner.RunRecord` per seed, timelines
+    Each replication builds an independent scenario from
+    ``scenario_builder`` and runs it through
+    :func:`~repro.experiments.runner.execute`; this returns the
+    :class:`~repro.experiments.runner.RunRecord` per seed, timelines
     attached — the feed for cross-run aggregation
     (:func:`repro.obs.merge_timelines` and the ``repro report``
     dashboard).  Seeding, caching and parallelism behave exactly as in
@@ -171,52 +161,3 @@ def replicate_records(
         dict(overrides),
     )
     return parallel_map(cell, list(seeds), processes=processes)
-
-
-def replicate_algorithm(
-    algorithm,
-    scenario_builder: Callable[..., Any],
-    *,
-    replications: int = 10,
-    seeds: Optional[Sequence[SeedLike]] = None,
-    base_seed: SeedLike = 0,
-    processes: Optional[int] = 1,
-    cache=None,
-    scenario_kwargs: Optional[Mapping[str, Any]] = None,
-    **overrides,
-) -> Dict[str, MetricSummary]:
-    """Replicate one *registered* algorithm over fresh seeded scenarios.
-
-    The registry-driven sibling of :func:`replicate`: name an algorithm
-    (``"algorithm1"``, ``"klo-interval"``, … — anything in
-    ``repro list-algorithms``) and a scenario builder (any
-    ``seed``-accepting callable from
-    :mod:`repro.experiments.scenarios`), and each replication builds an
-    independent scenario, executes through the unified
-    :func:`~repro.experiments.runner.execute` path and feeds the record's
-    row into the metric summaries.  ``cache`` makes the whole replication
-    resumable; ``**overrides`` are the spec's declared knobs.
-
-    >>> from repro.experiments.scenarios import hinet_interval_scenario
-    >>> s = replicate_algorithm("algorithm1", hinet_interval_scenario,
-    ...                         replications=3,
-    ...                         scenario_kwargs={"n0": 30, "theta": 9, "k": 3})
-    >>> s["tokens_sent"].n
-    3
-    """
-    name = algorithm if isinstance(algorithm, str) else algorithm.name
-    experiment = partial(
-        _algorithm_replication_cell,
-        name,
-        scenario_builder,
-        dict(scenario_kwargs or {}),
-        cache,
-        dict(overrides),
-    )
-    return replicate(
-        experiment,
-        seeds=seeds,
-        replications=replications,
-        base_seed=base_seed,
-        processes=processes,
-    )

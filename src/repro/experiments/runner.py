@@ -3,9 +3,7 @@
 One function, :func:`execute`, runs *any* registered algorithm on a
 scenario for its theorem-derived round budget: the spec (resolved from
 :mod:`repro.registry` by name) validates the scenario's model parameters,
-plans the node factory and budget, and the engine does the rest.  The
-historical ``run_*`` helpers remain as one-line wrappers so existing
-call sites and notebooks keep working.
+plans the node factory and budget, and the engine does the rest.
 
 Runs are *data*: ``RunRecord`` round-trips through JSON
 (:func:`repro.io.run_record_to_dict`), and passing ``cache=`` (a
@@ -23,23 +21,12 @@ from typing import Dict, Optional, Union
 from ..registry import AlgorithmSpec, get_spec
 from ..sim.engine import RunResult, SynchronousEngine
 from ..sim.linkmodel import ALL_TIERS, link_from_spec
-from ..sim.rng import SeedLike
 from .cache import CacheLike, resolve_cache
 from .scenarios import Scenario
 
 __all__ = [
     "RunRecord",
     "execute",
-    "run_algorithm1",
-    "run_algorithm1_stable",
-    "run_algorithm2",
-    "run_flood_all",
-    "run_flood_new",
-    "run_gossip",
-    "run_kactive",
-    "run_klo_interval",
-    "run_klo_one",
-    "run_netcoding",
 ]
 
 
@@ -269,66 +256,3 @@ def _execute(
         complete=result.complete,
         result=result,
     )
-
-
-# --- backward-compatible wrappers over the unified path -----------------------
-#
-# Each delegates to ``execute`` with its spec's canonical name; budgets,
-# labels and stop rules all live on the registered spec now.
-
-def run_algorithm1(scenario: Scenario, strict: bool = False, **kw) -> RunRecord:
-    """Algorithm 1 for Theorem 1's budget: ``M = ⌈θ/α⌉ + 1`` phases of ``T``."""
-    return execute("algorithm1", scenario, strict=strict, **kw)
-
-
-def run_algorithm1_stable(scenario: Scenario, **kw) -> RunRecord:
-    """Remark-1 variant: ``M = ⌈|V_h|/α⌉ + 1`` phases (∞-stable head set)."""
-    return execute("algorithm1-stable", scenario, **kw)
-
-
-def run_algorithm2(scenario: Scenario, rounds: Optional[int] = None, **kw) -> RunRecord:
-    """Algorithm 2 for Theorem 2's budget (``n − 1`` rounds) by default."""
-    return execute("algorithm2", scenario, rounds=rounds, **kw)
-
-
-def run_klo_interval(scenario: Scenario, **kw) -> RunRecord:
-    """KLO under T-interval connectivity: ``⌈n₀/(αL)⌉`` phases of ``T``."""
-    return execute("klo-interval", scenario, **kw)
-
-
-def run_klo_one(scenario: Scenario, rounds: Optional[int] = None, **kw) -> RunRecord:
-    """KLO 1-interval full-broadcast for ``n − 1`` rounds."""
-    return execute("klo-one", scenario, rounds=rounds, **kw)
-
-
-def run_flood_all(scenario: Scenario, rounds: Optional[int] = None, **kw) -> RunRecord:
-    """Unconditional flooding, stopped at completion (measurement baseline)."""
-    return execute("flood-all", scenario, rounds=rounds, **kw)
-
-
-def run_flood_new(scenario: Scenario, rounds: Optional[int] = None, **kw) -> RunRecord:
-    """Epidemic flooding (no delivery guarantee on dynamic graphs)."""
-    return execute("flood-new", scenario, rounds=rounds, **kw)
-
-
-def run_kactive(scenario: Scenario, A: int = 3, rounds: Optional[int] = None, **kw) -> RunRecord:
-    """A-active parsimonious flooding."""
-    return execute("kactive", scenario, A=A, rounds=rounds, **kw)
-
-
-def run_gossip(
-    scenario: Scenario,
-    mode: str = "all",
-    rounds: Optional[int] = None,
-    seed: SeedLike = None,
-    **kw,
-) -> RunRecord:
-    """Random push gossip (probabilistic completion)."""
-    return execute("gossip", scenario, mode=mode, rounds=rounds, seed=seed, **kw)
-
-
-def run_netcoding(
-    scenario: Scenario, rounds: Optional[int] = None, seed: SeedLike = None, **kw
-) -> RunRecord:
-    """GF(2) random linear network coding (Haeupler–Karger style)."""
-    return execute("netcoding", scenario, rounds=rounds, seed=seed, **kw)

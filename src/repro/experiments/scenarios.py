@@ -54,7 +54,7 @@ from ..graphs.properties import (
     is_T_interval_connected,
     max_interval_connectivity,
 )
-from ..graphs.trace import GraphTrace
+from ..sim.topology import GraphTrace
 from ..sim.linkmodel import BurstyLoss, CrashChurn, IidLoss
 from ..sim.messages import initial_assignment
 from ..sim.rng import SeedLike

@@ -37,7 +37,6 @@ __all__ = [
     "sweep_k",
     "sweep_n",
     "sweep_reaffiliation",
-    "sweep_records",
 ]
 
 # Every sweep fans its cells out through ``parallel_map``: cells are
@@ -46,40 +45,6 @@ __all__ = [
 # so ``processes=1`` (the default) and ``processes=N`` give identical
 # rows.  Seeds are derived per cell *value*, never per worker.  The cache
 # handle (just a directory path) pickles into the workers with the job.
-
-
-def _grid_record_cell(args) -> object:
-    """Picklable: one grid cell → the full RunRecord (timeline attached)."""
-    algorithm, builder, kwargs, cache, overrides = args
-    scenario = builder(**kwargs)
-    return execute(algorithm, scenario, cache=cache, **overrides)
-
-
-def sweep_records(
-    algorithm,
-    scenario_builder,
-    grid: Sequence[Dict[str, object]],
-    *,
-    processes: Optional[int] = 1,
-    cache: CacheLike = None,
-    **overrides,
-) -> List[object]:
-    """Run one registered algorithm over a grid of scenario parameters,
-    returning the full :class:`~repro.experiments.runner.RunRecord` per
-    cell rather than a flattened metric row.
-
-    ``grid`` is a sequence of kwargs dicts, each passed verbatim to
-    ``scenario_builder`` (include a per-cell ``seed`` — derive with
-    :func:`~repro.sim.rng.derive_seed` for independence).  Records keep
-    their timelines, so a sweep's runs can feed the cross-run aggregator
-    (:func:`repro.obs.merge_timelines`) exactly like a replication.
-    """
-    name = algorithm if isinstance(algorithm, str) else algorithm.name
-    jobs = [
-        (name, scenario_builder, dict(cell), cache, dict(overrides))
-        for cell in grid
-    ]
-    return parallel_map(_grid_record_cell, jobs, processes=processes)
 
 
 def _interval_pair_row(

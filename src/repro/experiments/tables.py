@@ -2,8 +2,10 @@
 
 Two layers:
 
-* **Analytic** — evaluate the Table 2 closed forms (exact reproduction;
-  Tables 2 and 3 in the paper are analytical, not measured).
+* **Analytic** — evaluate the Table 2 closed forms
+  (:func:`repro.core.analysis.table2` at any parameters; exact
+  reproduction, since Tables 2 and 3 in the paper are analytical, not
+  measured).
 * **Simulated** — run the four algorithms on verified generated scenarios
   with the same parameters and report measured rounds / tokens next to
   the predictions.  The check is on *shape*: HiNet ≪ KLO in tokens at
@@ -14,13 +16,12 @@ Two layers:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.analysis import (
     TABLE3_PAPER,
     TABLE3_PARAMS,
     TABLE3_PARAMS_ONE,
-    CostParams,
     table2,
 )
 from ..sim.rng import SeedLike, derive_seed
@@ -29,17 +30,9 @@ from .runner import RunRecord, execute
 from .scenarios import hinet_interval_scenario, hinet_one_scenario
 
 __all__ = [
-    "analytic_table2",
     "analytic_table3",
     "simulated_table3",
 ]
-
-
-def analytic_table2(
-    params: CostParams, params_one: Optional[CostParams] = None
-) -> List[Dict[str, object]]:
-    """Table 2 evaluated at arbitrary parameters (thin re-export for the bench)."""
-    return table2(params, params_one)
 
 
 def analytic_table3() -> List[Dict[str, object]]:

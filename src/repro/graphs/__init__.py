@@ -1,6 +1,6 @@
 """Dynamic-graph models, traces, property checkers, and scenario generators.
 
-* :class:`~repro.graphs.trace.GraphTrace` — concrete per-round snapshots
+* :class:`~repro.sim.topology.GraphTrace` — concrete per-round snapshots
   (what the engine executes on).
 * :class:`~repro.graphs.tvg.TVG` / :class:`~repro.graphs.ctvg.CTVG` — the
   paper's formal models (Definition 1) as views over a trace.
@@ -28,12 +28,10 @@ from .properties import (
     realized_hop_bound,
     windows_of,
 )
-from .trace import GraphTrace
 from .tvg import TVG
 
 __all__ = [
     "CTVG",
-    "GraphTrace",
     "KnowledgeClusteringAdversary",
     "QuarantineAdversary",
     "TVG",

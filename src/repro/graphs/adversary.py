@@ -2,7 +2,7 @@
 
 The dynamic-network lower-bound literature (KLO §1.3 and follow-ups)
 distinguishes the *oblivious* adversary — the whole edge schedule fixed
-in advance, which every :class:`~repro.graphs.trace.GraphTrace` models —
+in advance, which every :class:`~repro.sim.topology.GraphTrace` models —
 from the *adaptive* adversary that inspects protocol state before
 committing to round r's graph.  Lower bounds for token dissemination are
 proved against the adaptive kind.
@@ -33,7 +33,7 @@ Three concrete adversaries:
   protocol.
 
 :func:`materialize_lower_bound_trace` freezes an adaptive adversary into
-an oblivious :class:`~repro.graphs.trace.GraphTrace` by playing it
+an oblivious :class:`~repro.sim.topology.GraphTrace` by playing it
 against a flooding-knowledge oracle (the fastest any absorb-only
 protocol could possibly learn) — the result is a static, certifiable
 scenario every engine tier can run.
@@ -44,8 +44,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from ..sim.rng import SeedLike, make_rng
-from ..sim.topology import Snapshot
-from .trace import GraphTrace
+from ..sim.topology import GraphTrace, Snapshot
 
 __all__ = [
     "HaeuplerKuhnAdversary",
@@ -169,7 +168,7 @@ def materialize_lower_bound_trace(
     neighbours' (the fastest any absorb-only protocol could learn), which
     is exactly the state the adaptive adversary would have reacted to in
     the worst case.  The committed snapshots form a static
-    :class:`~repro.graphs.trace.GraphTrace` that any engine tier can run
+    :class:`~repro.sim.topology.GraphTrace` that any engine tier can run
     and :func:`~repro.graphs.properties.max_interval_connectivity` can
     certify without the adaptive hook.
     """

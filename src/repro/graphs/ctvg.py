@@ -9,7 +9,7 @@ cluster hierarchy over time:
 * :math:`I : V \\times \\Gamma \\to N` — the id of the cluster the node
   belongs to (the head's node id serves as the cluster id).
 
-:class:`CTVG` wraps a clustered :class:`~repro.graphs.trace.GraphTrace`
+:class:`CTVG` wraps a clustered :class:`~repro.sim.topology.GraphTrace`
 and exposes these maps plus the derived sets used in Definitions 2–8:
 the per-round head set :math:`V_h^i` and per-cluster member sets
 :math:`M_k^i`.
@@ -22,8 +22,7 @@ from typing import Dict, FrozenSet, Optional
 import numpy as np
 
 from ..roles import Role
-from ..sim.topology import ROLE_CODES
-from .trace import GraphTrace
+from ..sim.topology import ROLE_CODES, GraphTrace
 from .tvg import TVG
 
 __all__ = ["CTVG"]

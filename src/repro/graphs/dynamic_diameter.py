@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .trace import GraphTrace
+from ..sim.topology import GraphTrace
 from .tvg import TVG
 
 __all__ = ["backbone_dynamic_diameter", "dynamic_diameter", "flood_times"]

@@ -1,6 +1,6 @@
 """Scenario generators: verified instances of each dynamic-network model class.
 
-Every generator returns a :class:`~repro.graphs.trace.GraphTrace` (or a
+Every generator returns a :class:`~repro.sim.topology.GraphTrace` (or a
 :class:`~repro.graphs.generators.hinet.HiNetScenario` wrapping one) whose
 claimed model membership — (T, L)-HiNet, T-interval connected,
 1-interval connected, edge-Markovian — is re-checkable with

@@ -35,8 +35,7 @@ import numpy as np
 
 from ...roles import Role
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import ROLE_CODES, Snapshot, csr_rounds, head_adjacency
-from ..trace import GraphTrace
+from ...sim.topology import ROLE_CODES, GraphTrace, Snapshot, csr_rounds, head_adjacency
 
 __all__ = ["HiNetParams", "HiNetScenario", "generate_hinet"]
 

@@ -22,8 +22,7 @@ from typing import List
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import csr_rounds
-from ..trace import GraphTrace
+from ...sim.topology import GraphTrace, csr_rounds
 from .static import random_spanning_tree
 
 __all__ = ["t_interval_trace"]

@@ -23,8 +23,7 @@ from typing import List, Optional
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import csr_rounds
-from ..trace import GraphTrace
+from ...sim.topology import GraphTrace, csr_rounds
 from .static import random_spanning_tree
 
 __all__ = ["edge_markovian_trace", "stationary_density"]

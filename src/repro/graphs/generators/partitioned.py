@@ -25,8 +25,7 @@ from itertools import combinations
 from typing import List
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import csr_rounds
-from ..trace import GraphTrace
+from ...sim.topology import GraphTrace, csr_rounds
 from .static import random_connected_graph
 
 __all__ = ["partitioned_trace"]

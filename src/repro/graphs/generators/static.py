@@ -13,8 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import Snapshot, SnapshotArrays
-from ..trace import GraphTrace
+from ...sim.topology import GraphTrace, Snapshot, SnapshotArrays
 
 if TYPE_CHECKING:
     import networkx as nx

@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...sim.rng import SeedLike, make_rng
-from ...sim.topology import csr_rounds
-from ..trace import GraphTrace
+from ...sim.topology import GraphTrace, csr_rounds
 
 __all__ = ["bottleneck_trace", "rotating_star_trace", "shuffled_path_trace"]
 

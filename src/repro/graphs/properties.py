@@ -47,8 +47,7 @@ from typing import (
 import numpy as np
 
 from ..roles import Role
-from ..sim.topology import ROLE_CODES, SnapshotArrays
-from .trace import GraphTrace
+from ..sim.topology import ROLE_CODES, GraphTrace, SnapshotArrays
 
 if TYPE_CHECKING:
     import networkx as nx

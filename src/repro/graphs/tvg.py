@@ -8,7 +8,7 @@ available at round ``t``, and a *latency* function :math:`\\zeta(e, t)`
 giving the time to cross it.
 
 This class is the formal façade over a concrete
-:class:`~repro.graphs.trace.GraphTrace`: it exposes ρ/ζ, the footprint
+:class:`~repro.sim.topology.GraphTrace`: it exposes ρ/ζ, the footprint
 (union) graph, per-round :mod:`networkx` views, and temporal reachability
 (journeys), which underpins the dynamic-diameter computation.  In our
 synchronous model latency is uniformly one round (a message sent over a
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
-from .trace import GraphTrace
+from ..sim.topology import GraphTrace
 
 if TYPE_CHECKING:
     import networkx as nx

@@ -67,12 +67,11 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .graphs.trace import GraphTrace
 from .obs import ORIGIN_ROLE, CausalTrace, RunRecording, RunTimeline
 from .roles import Role
 from .sim.engine import RunResult
 from .sim.metrics import Metrics, RoleCost
-from .sim.topology import Snapshot
+from .sim.topology import GraphTrace, Snapshot
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -20,8 +20,7 @@ from typing import List
 
 import numpy as np
 
-from ..sim.topology import Snapshot, csr_rounds
-from ..graphs.trace import GraphTrace
+from ..sim.topology import GraphTrace, Snapshot, csr_rounds
 
 __all__ = ["unit_disk_edges", "unit_disk_snapshot", "unit_disk_trace"]
 

@@ -19,10 +19,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..graphs.generators.hinet import _build_backbone
 from ..graphs.generators.static import erdos_renyi
-from ..graphs.trace import GraphTrace
 from ..roles import Role
 from ..sim.rng import SeedLike, make_rng
-from ..sim.topology import Snapshot
+from ..sim.topology import GraphTrace, Snapshot
 from .formation import DHopAssignment
 
 __all__ = ["DHopParams", "DHopScenario", "generate_dhop"]

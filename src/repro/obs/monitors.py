@@ -392,7 +392,7 @@ class StabilityMonitor(Monitor):
         if not first.clustered:
             return
         from ..graphs.properties import realized_hop_bound
-        from ..graphs.trace import GraphTrace
+        from ..sim.topology import GraphTrace
 
         phase = end_round // self.T
         window = GraphTrace(snapshots=list(self._window))

@@ -72,9 +72,9 @@ drop/loss accounting.  OR-accumulation is order-independent, and every
 :class:`~repro.sim.linkmodel.LinkModel` decision is a pure counter-based
 hash of ``(seed, round, edge)``, also under loss, churn, pinpoint faults
 and ``latency > 1``.  The equivalence suites in
-``tests/test_fastpath.py``, ``tests/test_columnar.py``,
-``tests/test_obs.py``, ``tests/test_causal_trace.py`` and
-``tests/test_linkmodel.py`` assert this.
+``tests/test_columnar.py``, ``tests/test_obs.py``,
+``tests/test_causal_trace.py`` and ``tests/test_linkmodel.py`` assert
+this.
 
 **Bounded gathers.**  :func:`segment_or` reduces in contiguous row
 blocks whose gathered ``(edges, W)`` slice stays under a fixed element
@@ -118,7 +118,6 @@ from ..obs.observer import (
     rows_frozensets,
     words_for,
 )
-from ..obs.recorder import rows_tokens
 from ..obs.timeline import Profiler
 from .engine import RunResult, SynchronousEngine, validate_run_args
 from .linkmodel import LinkModel
@@ -131,7 +130,6 @@ __all__ = [
     "segment_or",
     "select_delivery",
     "try_run",
-    "unpack_rows",
 ]
 
 _U1 = np.uint64(1)
@@ -682,15 +680,6 @@ def _filter_batch_alive(batch: _SendBatch, alive: np.ndarray) -> _SendBatch:
 # ---------------------------------------------------------------------------
 # packed bit-matrix helpers
 # ---------------------------------------------------------------------------
-
-def unpack_rows(bits: np.ndarray) -> List[Tuple[int, ...]]:
-    """Decode an ``(n, W)`` uint64 bit-matrix to per-row sorted token tuples.
-
-    Inverse of :func:`~repro.obs.observer.pack_rows`.
-    """
-    rows = np.ascontiguousarray(np.asarray(bits, dtype=np.uint64))
-    return [tuple(toks) for toks in rows_tokens(rows)]
-
 
 def pack_single_tokens(tokens: np.ndarray, k: int) -> np.ndarray:
     """Vectorised pack of one token per node (``-1`` = starts empty).

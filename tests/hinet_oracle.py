@@ -12,7 +12,7 @@ from typing import FrozenSet, Optional
 import networkx as nx
 
 from repro.graphs.properties import hierarchy_stable, windows_of
-from repro.graphs.trace import GraphTrace
+from repro.sim.topology import GraphTrace
 
 
 def intersection_graph(trace: GraphTrace, start: int, stop: int) -> nx.Graph:

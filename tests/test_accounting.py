@@ -23,7 +23,6 @@ from repro.experiments.scenarios import (
     one_interval_scenario,
     scenario_for,
 )
-from repro.graphs.trace import GraphTrace
 from repro.obs import BufferSink, TelemetryBus, read_events, write_events
 from repro.obs.monitors import CoverageMonotonicityMonitor, EnvelopeMonitor, Monitor
 from repro.registry import all_specs
@@ -31,7 +30,7 @@ from repro.roles import Role
 from repro.sim.engine import SynchronousEngine
 from repro.sim.linkmodel import CrashChurn, IidLoss
 from repro.sim.metrics import Metrics
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 VECTORISED = [spec for spec in all_specs() if spec.fastpath]
 

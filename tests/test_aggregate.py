@@ -1,16 +1,14 @@
 """Cross-run telemetry aggregation (repro.obs.aggregate): percentile
 bands, length padding, role totals, dashboard rendering, and the feeder
-helpers in experiments/replication.py and experiments/sweeps.py plus the
-`repro report` CLI surface."""
+helper in experiments/replication.py plus the `repro report` CLI
+surface."""
 
 import pytest
 
 from repro import cli
 from repro.experiments.replication import replicate_records
 from repro.experiments.scenarios import hinet_one_scenario
-from repro.experiments.sweeps import sweep_records
 from repro.obs import RunTimeline, merge_timelines, render_dashboard
-from repro.sim.rng import derive_seed
 
 
 def _timeline(coverages, complete=None, role="head", messages=2, tokens=3):
@@ -181,17 +179,6 @@ class TestFeeders:
                                 processes=2, **kw)
         assert [r.result.timeline for r in par] == \
             [r.result.timeline for r in serial]
-
-    def test_sweep_records_over_grid(self):
-        grid = [
-            {"n0": 12, "theta": 4, "k": 2, "verify": False,
-             "seed": derive_seed(3, "cell", i)}
-            for i in range(2)
-        ]
-        records = sweep_records("algorithm2", hinet_one_scenario, grid)
-        assert len(records) == 2
-        bands = merge_timelines([r.result.timeline for r in records])
-        assert bands.runs == 2 and bands.rounds > 0
 
     def test_report_cli(self, capsys):
         assert cli.main(["report", "algorithm2", "--n0", "16", "--theta", "5",

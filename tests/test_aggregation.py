@@ -113,8 +113,7 @@ class TestExtremum:
     def test_improvement_only_can_miss_on_dynamics(self):
         """The epidemic-style failure: min holder broadcasts once on an
         edge schedule that hides its eventual audience."""
-        from repro.graphs.trace import GraphTrace
-        from repro.sim.topology import Snapshot
+        from repro.sim.topology import GraphTrace, Snapshot
 
         rounds = [[(0, 1)], [(0, 1)], [(1, 2)]]
         trace = GraphTrace([Snapshot.from_edges(3, e) for e in rounds])

@@ -5,9 +5,8 @@ import pytest
 from repro.graphs.dynamic_diameter import backbone_dynamic_diameter
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.static import path_graph, static_trace
-from repro.graphs.trace import GraphTrace
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 def _chain(n_heads, L=2, rounds=4):

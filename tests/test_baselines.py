@@ -127,8 +127,7 @@ class TestFlooding:
         """Failure injection: the epidemic variant loses a token when the
         audience appears after its only broadcast — the structural reason
         dynamic networks need repetition."""
-        from repro.graphs.trace import GraphTrace
-        from repro.sim.topology import Snapshot
+        from repro.sim.topology import GraphTrace, Snapshot
 
         # round 0: 0-1 (token broadcast once); round 1+: 1 never re-sends to 2
         rounds = [
@@ -161,8 +160,7 @@ class TestKActive:
         assert node.send(_ctx(1)) == []
 
     def test_larger_A_bridges_what_A1_misses(self):
-        from repro.graphs.trace import GraphTrace
-        from repro.sim.topology import Snapshot
+        from repro.sim.topology import GraphTrace, Snapshot
 
         rounds = [
             [(0, 1)],

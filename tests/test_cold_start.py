@@ -79,7 +79,7 @@ def test_networkx_function_runs_in_a_fresh_interpreter():
         import sys
         from repro.experiments import fig1_example_network
         from repro.graphs.properties import head_connectivity_witness
-        from repro.graphs.trace import GraphTrace
+        from repro.sim.topology import GraphTrace
         snap, _ = fig1_example_network()
         before = "networkx" in sys.modules
         witness = head_connectivity_witness(GraphTrace.constant(snap, rounds=2), 0, 2)
@@ -90,7 +90,7 @@ def test_networkx_function_runs_in_a_fresh_interpreter():
 
 #: ``repro.experiments`` submodules that only tables, figures and sweeps use
 SWEEP_STACK = ("tables", "figures", "sweeps", "pareto", "emdg_study",
-               "validation", "replication", "grid")
+               "validation", "replication")
 
 
 def test_cache_and_runner_load_no_sweep_stack():

@@ -2,9 +2,13 @@
 the reference engine for every registered algorithm under each delivery
 the loop selects — CSR segment-OR by default, with monitors and with its
 gather split into row blocks; flat scatter under ``latency > 1`` and
-``obs="trace"``.  Also covers the packed-bitset codecs, the bounded CSR
-gather, the array-native :class:`~repro.sim.topology.CSRNetwork`, and the
-array-native topology builders."""
+``obs="trace"`` — and on one case grid of algorithms and scenario
+families, plain, under loss and under latency.  It must fall back to the
+reference path for untagged factories and adaptive networks.  Also covers
+dropped-unicast accounting, token order across bitset words, the
+packed-bitset codecs, the bounded CSR gather, the array-native
+:class:`~repro.sim.topology.CSRNetwork`, and the array-native topology
+builders."""
 
 import os
 import time
@@ -38,7 +42,7 @@ from repro.obs.stream import BufferSink, TelemetryBus
 from repro.registry import all_specs, get_spec
 from repro.roles import Role
 from repro.sim import fastpath
-from repro.sim.engine import SynchronousEngine
+from repro.sim.engine import SynchronousEngine, run
 from repro.sim.linkmodel import CrashChurn, IidLoss, LinkChain, PinpointFault
 from repro.sim.topology import CSRNetwork, GraphTrace, Snapshot
 
@@ -64,8 +68,7 @@ def _case_id(case):
 #: Nightly CI widens the seed sweep (REPRO_EQUIV_SEEDS=6); default 2.
 SEEDS = list(range(1, 1 + int(os.environ.get("REPRO_EQUIV_SEEDS", "2"))))
 
-# (name, scenario builder, factory builder, max_rounds) — the grid of
-# tests/test_fastpath.py, compared here on every observable.
+# (name, scenario builder, factory builder, max_rounds)
 CASES = [
     ("alg1", _hinet, lambda s: make_algorithm1_factory(T=12, M=5), 60),
     ("alg1-strict", _hinet, lambda s: make_algorithm1_factory(T=12, M=5, strict=True), 60),
@@ -116,6 +119,54 @@ class TestEquivalence:
         scenario = scen_fn(seed)
         assert_matches_reference(scenario, fac_fn(scenario), max_rounds)
 
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_bit_identical_under_loss(self, case):
+        name, scen_fn, fac_fn, max_rounds = case
+        scenario = scen_fn(7)
+        assert_matches_reference(
+            scenario, fac_fn(scenario), max_rounds, link=IidLoss(0.25, seed=11)
+        )
+
+    @pytest.mark.parametrize("case", CASES, ids=_case_id)
+    def test_bit_identical_under_latency(self, case):
+        name, scen_fn, fac_fn, max_rounds = case
+        scenario = scen_fn(5)
+        assert_matches_reference(scenario, fac_fn(scenario), max_rounds, latency=2)
+
+    def test_loss_and_latency_together(self):
+        assert_matches_reference(
+            _hinet(9), make_algorithm1_factory(T=12, M=5), 60,
+            latency=3, link=IidLoss(0.15, seed=3),
+        )
+
+    def test_module_level_run_accepts_engine(self):
+        scenario = _flat(6)
+        factory = make_klo_one_factory(M=scenario.n - 1)
+        ref = run(scenario.trace, factory, scenario.k, scenario.initial, 35)
+        fast = run(
+            scenario.trace, factory, scenario.k, scenario.initial, 35,
+            engine="fast",
+        )
+        assert fast.outputs == ref.outputs
+        assert fast.metrics == ref.metrics
+
+    def test_unreachable_head_unicast_is_dropped_identically(self):
+        # a hand-built trace whose member is affiliated to a non-adjacent
+        # head exercises the dropped-unicast accounting on both paths
+        snap = Snapshot(
+            adj=(frozenset({2}), frozenset(), frozenset({0})),
+            roles=(Role.HEAD, Role.MEMBER, Role.MEMBER),
+            head_of=(0, 0, 0),
+        )
+        trace = GraphTrace(snapshots=[snap] * 6)
+        factory = make_algorithm2_factory(M=4)
+        initial = {0: frozenset({0}), 1: frozenset({1}), 2: frozenset()}
+        ref = SynchronousEngine().run(trace, factory, 2, initial, 6)
+        fast = SynchronousEngine(engine="fast").run(trace, factory, 2, initial, 6)
+        assert ref.metrics.dropped_unicasts > 0
+        assert fast.metrics == ref.metrics
+        assert fast.outputs == ref.outputs
+
     def test_stop_when_complete(self):
         """The recording of a run stopped at completion ends where the
         run does, alike on both tiers."""
@@ -128,6 +179,7 @@ class TestEquivalence:
             for engine in ("fast", "reference")
         )
         assert fast.metrics.rounds == ref.metrics.rounds < 40
+        assert fast.metrics == ref.metrics
         assert fast.recording.rounds_recorded == fast.metrics.rounds
         assert fast.recording == ref.recording
         assert fast.outputs == ref.outputs
@@ -150,6 +202,19 @@ class TestEquivalence:
             assert fast.metrics == ref.metrics
             assert fast.recording == ref.recording
             assert fast.causal_trace == ref.causal_trace
+
+    def test_klo_token_order_across_words(self):
+        # min/max token selection must honour ids spanning word boundaries
+        n, k = 12, 96
+        scenario = _flat(2, n0=n, k=4)
+        initial = {v: frozenset({v, 95 - v, 63, 64}) for v in range(n)}
+        factory = make_klo_interval_factory(T=10, M=12)
+        ref = SynchronousEngine().run(scenario.trace, factory, k, initial, 120)
+        fast = SynchronousEngine(engine="fast").run(
+            scenario.trace, factory, k, initial, 120
+        )
+        assert fast.outputs == ref.outputs
+        assert fast.metrics == ref.metrics
 
 
 def _auto_scenario(spec):
@@ -242,7 +307,7 @@ class TestRegistryWideIdentity:
 def _naive_segment_or(indptr, indices, payload, edge_keep):
     """Set oracle: each row is the union of the token sets of the payload
     rows its kept edges point at."""
-    tokens = fastpath.unpack_rows(payload)
+    tokens = rows_tokens(payload)
     unions = []
     for row in range(len(indptr) - 1):
         union = set()
@@ -367,6 +432,13 @@ class TestSharded:
 
 
 class TestDispatch:
+    def test_factories_carry_fastpath_tags(self):
+        assert make_algorithm1_factory(T=3, M=2).fastpath == (
+            "algorithm1", {"T": 3, "M": 2, "strict": False},
+        )
+        assert make_klo_one_factory(M=9).fastpath == ("klo_one", {"M": 9})
+        assert make_flood_all_factory().fastpath == ("flood_all", {})
+
     def test_select_delivery(self):
         assert fastpath.select_delivery(1, "timeline") == "csr"
         for obs in ("off", "record", "profile"):
@@ -394,6 +466,35 @@ class TestDispatch:
         )
         # reference path ran: per-node objects are present
         assert result.algorithms is not None
+
+    def test_adaptive_network_falls_back(self):
+        scenario = _flat(3)
+
+        class Adaptive:
+            n = scenario.n
+
+            def snapshot(self, r):
+                return scenario.trace.snapshot(r)
+
+            def adaptive_snapshot(self, r, knowledge):
+                return scenario.trace.snapshot(r)
+
+        result = SynchronousEngine(engine="fast").run(
+            Adaptive(), make_flood_all_factory(), scenario.k, scenario.initial, 10
+        )
+        assert result.algorithms is not None
+
+    def test_fast_path_validates_inputs_like_reference(self):
+        scenario = _flat(3)
+        factory = make_flood_all_factory()
+        eng = SynchronousEngine(engine="fast")
+        with pytest.raises(ValueError, match="outside"):
+            eng.run(
+                scenario.trace, factory, scenario.k,
+                {scenario.n + 5: frozenset({0})}, 10,
+            )
+        with pytest.raises(ValueError, match="max_rounds"):
+            eng.run(scenario.trace, factory, scenario.k, scenario.initial, -1)
 
     def test_loss_runs_natively_and_matches_reference(self):
         # the LinkModel seam masks CSR edges inside the vectorised loop,
@@ -452,7 +553,7 @@ class TestPackedCodecs:
         bits = pack_rows(rows, k)
         assert bits.shape == (len(rows), words_for(k))
         assert bits.dtype == np.uint64
-        assert fastpath.unpack_rows(bits) == [tuple(sorted(r)) for r in rows]
+        assert rows_tokens(bits) == [sorted(r) for r in rows]
 
     def test_pack_single_tokens_matches_pack_rows(self):
         tokens = np.array([0, 63, 64, 127, -1, 5])

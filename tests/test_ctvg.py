@@ -6,9 +6,8 @@ from repro.clustering.maintenance import maintain_clustering
 from repro.graphs.ctvg import CTVG
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.interval import t_interval_trace
-from repro.graphs.trace import GraphTrace
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 def _clustered(head_of, roles, edges, n):

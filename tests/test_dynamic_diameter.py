@@ -5,8 +5,7 @@ import pytest
 from repro.graphs.dynamic_diameter import dynamic_diameter, flood_times
 from repro.graphs.generators.static import path_graph, static_trace
 from repro.graphs.generators.worstcase import rotating_star_trace
-from repro.graphs.trace import GraphTrace
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 class TestFloodTimes:

@@ -12,12 +12,11 @@ from repro.experiments.scenarios import hinet_interval_scenario
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.static import complete_graph, path_graph, static_trace
 from repro.graphs.properties import is_hinet
-from repro.graphs.trace import GraphTrace
 from repro.roles import Role
 from repro.sim.engine import SynchronousEngine, run
 from repro.sim.linkmodel import IidLoss
 from repro.sim.messages import Message, initial_assignment
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 class TestDegenerateInstances:

@@ -5,13 +5,12 @@ import time
 import pytest
 
 from repro.baselines.flooding import make_flood_all_factory
-from repro.graphs.trace import GraphTrace
 from repro.obs.observer import RunObserver
 from repro.sim import engine as engine_module
 from repro.sim.engine import SynchronousEngine, run
 from repro.sim.messages import Message
 from repro.sim.node import NodeAlgorithm
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 class Echo(NodeAlgorithm):

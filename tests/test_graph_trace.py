@@ -1,4 +1,4 @@
-"""Unit tests for repro.graphs.trace.GraphTrace."""
+"""Unit tests for repro.sim.topology.GraphTrace."""
 
 import dataclasses
 import pickle
@@ -8,9 +8,8 @@ import pytest
 
 from repro.experiments.cache import scenario_fingerprint
 from repro.experiments.scenarios import hinet_interval_scenario
-from repro.graphs.trace import GraphTrace
 from repro.roles import Role
-from repro.sim.topology import CSRNetwork, Snapshot
+from repro.sim.topology import CSRNetwork, GraphTrace, Snapshot
 
 
 def _snap(edges, n=3):

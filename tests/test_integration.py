@@ -9,7 +9,7 @@ from repro.clustering.maintenance import maintain_clustering
 from repro.clustering.stats import hierarchy_stats
 from repro.core.algorithm2 import make_algorithm2_factory
 from repro.core.analysis import CostParams, hinet_one_comm, klo_one_comm
-from repro.experiments.runner import run_algorithm1, run_klo_interval
+from repro.experiments.runner import execute
 from repro.experiments.scenarios import hinet_interval_scenario
 from repro.graphs.properties import is_T_interval_connected
 from repro.mobility.field import Field
@@ -76,8 +76,8 @@ class TestSharedScenarioComparison:
         scenario = hinet_interval_scenario(
             n0=100, theta=30, k=8, alpha=5, L=2, seed=99,
         )
-        ours = run_algorithm1(scenario)
-        theirs = run_klo_interval(scenario)
+        ours = execute("algorithm1", scenario)
+        theirs = execute("klo-interval", scenario)
         assert ours.complete and theirs.complete
         ratio = theirs.tokens_sent / ours.tokens_sent
         assert ratio >= 1.5, f"saving only {ratio:.2f}x"
@@ -86,8 +86,8 @@ class TestSharedScenarioComparison:
         scenario = hinet_interval_scenario(
             n0=100, theta=30, k=8, alpha=5, L=2, seed=99,
         )
-        ours = run_algorithm1(scenario)
-        theirs = run_klo_interval(scenario)
+        ours = execute("algorithm1", scenario)
+        theirs = execute("klo-interval", scenario)
         # Table 3: 126 vs 180 analytic; measured completion should not be
         # dramatically worse for HiNet (allow 2x slack for stochastics)
         assert ours.completion_round <= 2 * theirs.completion_round
@@ -96,8 +96,8 @@ class TestSharedScenarioComparison:
         scenario = hinet_interval_scenario(
             n0=50, theta=15, k=4, alpha=3, L=2, seed=21, churn_p=0.0,
         )
-        loose = run_algorithm1(scenario, strict=False)
-        strict = run_algorithm1(scenario, strict=True)
+        loose = execute("algorithm1", scenario, strict=False)
+        strict = execute("algorithm1", scenario, strict=True)
         assert loose.complete and strict.complete
         # identical sends in both modes (receiving more never adds sends
         # for heads... members may send fewer in loose mode), so:

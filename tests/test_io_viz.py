@@ -81,7 +81,7 @@ class TestTraceRoundtrip:
 
 class TestScenarioRoundtrip:
     def test_scenario_roundtrip_runs_identically(self, tmp_path):
-        from repro.experiments.runner import run_algorithm1
+        from repro.experiments.runner import execute
         from repro.experiments.scenarios import hinet_interval_scenario
         from repro.io import load_scenario, save_scenario
 
@@ -94,8 +94,8 @@ class TestScenarioRoundtrip:
         assert back.initial == dict(scenario.initial)
         assert back.params["T"] == scenario.params["T"]
         assert "generator" not in back.params  # provenance object dropped
-        a = run_algorithm1(scenario)
-        b = run_algorithm1(back)
+        a = execute("algorithm1", scenario)
+        b = execute("algorithm1", back)
         assert a.tokens_sent == b.tokens_sent
         assert a.completion_round == b.completion_round
 

@@ -18,8 +18,7 @@ from repro.graphs.generators.static import (
 from repro.graphs.generators.worstcase import shuffled_path_trace
 from repro.sim.engine import run
 from repro.sim.network import ShiftedNetwork
-from repro.sim.topology import Snapshot
-from repro.graphs.trace import GraphTrace
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 def _stage(trace, n, k):

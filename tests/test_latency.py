@@ -4,9 +4,8 @@ import pytest
 
 from repro.baselines.flooding import make_flood_all_factory
 from repro.graphs.generators.static import path_graph, static_trace
-from repro.graphs.trace import GraphTrace
 from repro.sim.engine import SynchronousEngine, run
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 class TestLatencyConfig:

@@ -9,11 +9,10 @@ from repro.graphs.generators.interval import t_interval_trace
 from repro.graphs.generators.static import path_graph, static_trace
 from repro.graphs.generators.worstcase import shuffled_path_trace
 from repro.graphs.properties import is_T_interval_connected
-from repro.graphs.trace import GraphTrace
 from repro.mobility.field import Field
 from repro.mobility.unitdisk import unit_disk_trace
 from repro.mobility.waypoint import RandomWaypoint
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 class TestMaintainClustering:

@@ -4,7 +4,7 @@ runner records, report formatting details."""
 import pytest
 
 from repro.experiments.report import records_to_markdown
-from repro.experiments.runner import run_algorithm1
+from repro.experiments.runner import execute
 from repro.experiments.scenarios import hinet_interval_scenario
 from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.io import trace_from_dict, trace_to_dict
@@ -38,7 +38,7 @@ class TestIoCorruption:
             roles=[Role.HEAD, Role.MEMBER],
             head_of=[0, None],
         )
-        from repro.graphs.trace import GraphTrace
+        from repro.sim.topology import GraphTrace
 
         back = trace_from_dict(trace_to_dict(GraphTrace([snap])))
         assert back.snapshot(0).head(1) is None
@@ -68,7 +68,7 @@ class TestRunnerRecord:
         scenario = hinet_interval_scenario(
             n0=20, theta=6, k=2, alpha=2, L=2, seed=41,
         )
-        rec = run_algorithm1(scenario)
+        rec = execute("algorithm1", scenario)
         md = records_to_markdown([rec.row()])
         assert "| algorithm |" in md
         assert str(rec.tokens_sent) in md
@@ -77,6 +77,6 @@ class TestRunnerRecord:
         scenario = hinet_interval_scenario(
             n0=20, theta=6, k=2, alpha=2, L=2, seed=41,
         )
-        rec = run_algorithm1(scenario)
+        rec = execute("algorithm1", scenario)
         assert rec.scenario == scenario.name
         assert rec.n == 20 and rec.k == 2

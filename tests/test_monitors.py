@@ -17,7 +17,6 @@ from repro.experiments.scenarios import (
     one_interval_scenario,
     scenario_for,
 )
-from repro.graphs.trace import GraphTrace
 from repro.obs import (
     BudgetMonitor,
     CoverageMonotonicityMonitor,
@@ -30,7 +29,7 @@ from repro.obs import (
 )
 from repro.registry import all_specs, get_spec
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 def _clustered_snap(n=3, edges=((0, 1), (1, 2), (0, 2)), head=0):

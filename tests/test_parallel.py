@@ -27,13 +27,13 @@ def _sleepy(x):
 
 def _tiny_experiment(seed):
     """A real (fast) experiment: one small verified scenario pair."""
-    from repro.experiments.runner import run_algorithm1, run_klo_interval
+    from repro.experiments.runner import execute
     from repro.experiments.scenarios import hinet_interval_scenario
 
     s = hinet_interval_scenario(n0=24, theta=8, k=3, alpha=2, L=2,
                                 seed=seed, verify=False)
-    ours = run_algorithm1(s)
-    theirs = run_klo_interval(s)
+    ours = execute("algorithm1", s)
+    theirs = execute("klo-interval", s)
     return {"ratio": theirs.tokens_sent / max(ours.tokens_sent, 1)}
 
 

@@ -23,9 +23,8 @@ from repro.graphs.properties import (
     realized_hop_bound,
     windows_of,
 )
-from repro.graphs.trace import GraphTrace
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 def _clustered(head_of, roles, edges, n):

@@ -23,9 +23,8 @@ from repro.graphs.properties import (
     windows_of,
 )
 from repro.experiments.scenarios import hinet_one_scenario
-from repro.graphs.trace import GraphTrace
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 #: Nightly CI deepens every sweep (REPRO_HYPOTHESIS_SCALE=8); default 1.
 _SCALE = int(os.environ.get("REPRO_HYPOTHESIS_SCALE", "1"))

@@ -23,10 +23,9 @@ from repro.graphs.properties import (
     realized_hop_bound,
     windows_of,
 )
-from repro.graphs.trace import GraphTrace
 from repro.obs.monitors import RoundView, StabilityMonitor
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 from . import hinet_oracle as oracle
 

@@ -24,7 +24,6 @@ from repro.experiments.scenarios import (
     scenario_for,
 )
 from repro.experiments.sweeps import sweep_n
-from repro.graphs.trace import GraphTrace
 from repro.io import (
     load_scenario,
     metrics_from_dict,
@@ -40,7 +39,7 @@ from repro.sim.engine import RunResult, SynchronousEngine
 from repro.sim.linkmodel import PinpointFault
 from repro.sim.metrics import Metrics, RoleCost
 from repro.sim.rng import derive_seed
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 #: The ten single-hop algorithms the run_* helpers historically covered.
 SINGLE_HOP = [
@@ -694,16 +693,6 @@ class TestDhopScenario:
             replay = execute(name, scenario, cache=cache)
             assert _canonical(replay) == _canonical(fresh)
         assert len(cache) == 2
-
-
-class TestWrapperParity:
-    def test_wrappers_match_execute(self, interval_scenario, one_scenario):
-        from repro.experiments.runner import run_algorithm1, run_gossip
-
-        assert _canonical(run_algorithm1(interval_scenario)) == \
-            _canonical(execute("algorithm1", interval_scenario))
-        assert _canonical(run_gossip(one_scenario, seed=3)) == \
-            _canonical(execute("gossip", one_scenario, seed=3))
 
 
 def _unmemoized(scenario):

@@ -19,7 +19,7 @@ from repro.bench.matrix import regression_gate_scenario
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.core.analysis import table3
 from repro.experiments.cache import scenario_fingerprint
-from repro.experiments.runner import execute, run_algorithm1, run_klo_interval
+from repro.experiments.runner import execute
 from repro.experiments.scenarios import (
     hinet_interval_scenario,
     hinet_one_scenario,
@@ -62,8 +62,8 @@ class TestSimulationPins:
         scenario = hinet_interval_scenario(
             n0=100, theta=30, k=8, alpha=5, L=2, seed=2013,
         )
-        ours = run_algorithm1(scenario)
-        theirs = run_klo_interval(scenario)
+        ours = execute("algorithm1", scenario)
+        theirs = execute("klo-interval", scenario)
         assert ours.complete and theirs.complete
         # the paper-scale headline, pinned exactly
         assert theirs.tokens_sent == 8000

@@ -68,14 +68,14 @@ class TestReplicate:
 
     def test_real_experiment_replication(self):
         """End-to-end: the HiNet/KLO comm ratio is stably > 1 across seeds."""
-        from repro.experiments.runner import run_algorithm1, run_klo_interval
+        from repro.experiments.runner import execute
         from repro.experiments.scenarios import hinet_interval_scenario
 
         def exp(seed):
             s = hinet_interval_scenario(n0=40, theta=12, k=3, alpha=3, L=2,
                                         seed=seed, verify=False)
-            ours = run_algorithm1(s)
-            theirs = run_klo_interval(s)
+            ours = execute("algorithm1", s)
+            theirs = execute("klo-interval", s)
             return {
                 "ratio": theirs.tokens_sent / max(ours.tokens_sent, 1),
                 "complete": ours.complete and theirs.complete,

@@ -2,17 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import (
-    run_algorithm1,
-    run_algorithm1_stable,
-    run_algorithm2,
-    run_flood_all,
-    run_gossip,
-    run_kactive,
-    run_klo_interval,
-    run_klo_one,
-    run_netcoding,
-)
+from repro.experiments.runner import execute
 from repro.experiments.scenarios import (
     hinet_interval_scenario,
     hinet_one_scenario,
@@ -63,7 +53,7 @@ class TestRunners:
         return hinet_one_scenario(n0=24, theta=6, k=3, L=2, seed=13)
 
     def test_algorithm1_record(self, interval):
-        rec = run_algorithm1(interval)
+        rec = execute("algorithm1", interval)
         assert rec.complete
         assert rec.bound_rounds == 5 * 8  # (ceil(8/2)+1) phases * T=8
         assert rec.tokens_sent > 0
@@ -71,36 +61,36 @@ class TestRunners:
         assert row["algorithm"].startswith("Algorithm 1")
 
     def test_algorithm1_stable_smaller_bound(self, interval):
-        rec = run_algorithm1_stable(interval)
+        rec = execute("algorithm1-stable", interval)
         assert rec.complete
-        assert rec.bound_rounds <= run_algorithm1(interval).bound_rounds
+        assert rec.bound_rounds <= execute("algorithm1", interval).bound_rounds
 
     def test_klo_interval_on_same_trace(self, interval):
-        rec = run_klo_interval(interval)
+        rec = execute("klo-interval", interval)
         assert rec.complete
 
     def test_hinet_beats_klo_in_tokens(self, interval):
-        ours = run_algorithm1(interval)
-        theirs = run_klo_interval(interval)
+        ours = execute("algorithm1", interval)
+        theirs = execute("klo-interval", interval)
         assert ours.tokens_sent < theirs.tokens_sent
 
     def test_algorithm2_and_klo_one(self, one):
-        a2 = run_algorithm2(one)
-        k1 = run_klo_one(one)
+        a2 = execute("algorithm2", one)
+        k1 = execute("klo-one", one)
         assert a2.complete and k1.complete
         assert a2.tokens_sent < k1.tokens_sent
 
     def test_flood_baselines_run(self, one):
-        assert run_flood_all(one).complete
-        rec = run_kactive(one, A=3)
+        assert execute("flood-all", one).complete
+        rec = execute("kactive", one, A=3)
         assert rec.rounds > 0
 
     def test_gossip_and_netcoding_run(self, one):
-        g = run_gossip(one, seed=1)
-        nc = run_netcoding(one, seed=1)
+        g = execute("gossip", one, seed=1)
+        nc = execute("netcoding", one, seed=1)
         assert g.rounds > 0 and nc.rounds > 0
 
     def test_missing_param_raises(self):
         s = one_interval_scenario(n0=10, k=2, seed=1)
         with pytest.raises(KeyError, match="theta"):
-            run_algorithm1(s)
+            execute("algorithm1", s)

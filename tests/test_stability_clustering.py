@@ -5,9 +5,8 @@ import pytest
 from repro.clustering.maintenance import maintain_clustering
 from repro.clustering.stability import neighbor_churn, stability_clustering
 from repro.graphs.generators.static import path_graph, static_trace
-from repro.graphs.trace import GraphTrace
 from repro.mobility import Field, RandomWaypoint, unit_disk_trace
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 def _churny_trace():

@@ -8,8 +8,8 @@ from repro.experiments.figures import (
     fig3_walkthrough,
 )
 from repro.experiments.report import format_records, format_table, records_to_markdown
-from repro.experiments.tables import analytic_table2, analytic_table3, simulated_table3
-from repro.core.analysis import CostParams
+from repro.experiments.tables import analytic_table3, simulated_table3
+from repro.core.analysis import CostParams, table2
 
 
 class TestReportFormatting:
@@ -47,7 +47,7 @@ class TestReportFormatting:
 class TestAnalyticTables:
     def test_table2_rows_in_paper_order(self):
         p = CostParams(n0=50, theta=10, nm=20, nr=2, k=4, alpha=2, L=2)
-        rows = analytic_table2(p)
+        rows = table2(p)
         assert [r["model"] for r in rows] == [
             "(k+a*L)-interval connected [7]",
             "(k+a*L, L)-HiNet",

@@ -16,10 +16,9 @@ from repro.experiments.cache import ResultCache
 from repro.experiments.runner import execute
 from repro.experiments.scenarios import hinet_interval_scenario, hinet_one_scenario
 from repro.graphs import properties
-from repro.graphs.trace import GraphTrace
 from repro.io import trace_to_dict
 from repro.roles import Role
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 #: Nightly CI deepens every sweep (REPRO_HYPOTHESIS_SCALE=8); default 1.
 _SCALE = int(os.environ.get("REPRO_HYPOTHESIS_SCALE", "1"))

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.graphs.trace import GraphTrace
 from repro.graphs.tvg import TVG
-from repro.sim.topology import Snapshot
+from repro.sim.topology import GraphTrace, Snapshot
 
 
 def _trace(edge_rounds, n=4):
