@@ -13,8 +13,6 @@ random geometric graph with radius 2 and rendering the relay forest.
 Run:  python examples/multihop_clusters.py
 """
 
-import numpy as np
-
 from repro.baselines.klo import make_klo_one_factory
 from repro.experiments.report import format_records
 from repro.mobility import Field, unit_disk_snapshot

@@ -36,7 +36,8 @@ tiers' :class:`~repro.sim.metrics.Metrics` included.
 State is exchanged as a packed ``(n, W)`` ``uint64`` bit-matrix — row
 ``v`` has bit ``t`` set iff node ``v`` holds token ``t`` — the
 vectorised tier's native layout; :func:`pack_rows` builds it from
-per-node token sets, :func:`~repro.obs.recorder.rows_tokens` decodes it
+per-node token sets (:func:`pack_tokens` from flat token arrays),
+:func:`~repro.obs.recorder.rows_tokens` decodes it
 to per-row lists and :func:`rows_frozensets` to per-row sets, one shared
 set per distinct row.
 """
@@ -64,6 +65,7 @@ __all__ = [
     "SendTable",
     "WHOLE_SET",
     "pack_rows",
+    "pack_tokens",
     "rows_frozensets",
     "words_for",
 ]
@@ -139,15 +141,30 @@ def pack_rows(token_rows: Sequence[Iterable[int]], k: int) -> np.ndarray:
         raise ValueError(f"k must be non-negative, got {k}")
     m = len(token_rows)
     lens = np.fromiter(map(len, token_rows), dtype=np.int64, count=m)
-    out = np.zeros((m, words_for(k)), dtype=np.uint64)
     flat = np.fromiter(
         chain.from_iterable(token_rows), dtype=np.int64, count=int(lens.sum())
     )
     bad = np.flatnonzero((flat < 0) | (flat >= k))
     if bad.size:
         raise ValueError(f"token {int(flat[bad[0]])} outside 0..{k - 1}")
-    rows = np.repeat(np.arange(m, dtype=np.int64), lens)
-    np.bitwise_or.at(out, (rows, flat >> 6), _U1 << (flat & 63).astype(np.uint64))
+    return pack_tokens(m, k, np.arange(m, dtype=np.int64), lens, flat)
+
+
+def pack_tokens(
+    m: int, k: int, rows: np.ndarray, counts: np.ndarray, tokens: np.ndarray
+) -> np.ndarray:
+    """Pack flat token arrays into an ``(m, W)`` uint64 bit-matrix.
+
+    Row ``rows[i]`` gets the next ``counts[i]`` entries of ``tokens``,
+    each in ``0..k-1`` (unchecked); rows not named stay empty.
+    """
+    W = words_for(k)
+    out = np.zeros((m, W), dtype=np.uint64)
+    np.bitwise_or.at(
+        out.reshape(-1),
+        np.repeat(rows * W, counts) + (tokens >> 6),
+        _U1 << (tokens & 63).astype(np.uint64),
+    )
     return out
 
 
@@ -155,16 +172,22 @@ def rows_frozensets(rows: np.ndarray) -> List[FrozenSet[int]]:
     """Decode an ``(m, W)`` uint64 bit-matrix to per-row frozensets.
 
     Equal rows decode once and share one ``frozenset``: one ``np.unique``
-    over the rows as ``8·W``-byte keys, :func:`rows_tokens` on the
-    distinct rows only, and an index by the inverse.  A k-token run ends
-    with few distinct sets, so this costs per distinct set, not per node.
+    over the rows as keys (the ``uint64`` word itself when ``W == 1``,
+    else ``8·W``-byte void keys), :func:`rows_tokens` on the distinct
+    rows only, and an index by the inverse.  A k-token run ends with few
+    distinct sets, so this costs per distinct set, not per node.
     """
     m, W = rows.shape
     if m == 0:
         return []
-    keys = np.ascontiguousarray(rows, dtype="<u8").view(np.dtype((np.void, 8 * W)))
-    distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
-    sets = list(map(frozenset, rows_tokens(distinct.view("<u8").reshape(-1, W))))
+    if W == 1:
+        distinct, inverse = np.unique(rows[:, 0], return_inverse=True)
+        distinct = distinct[:, None]
+    else:
+        keys = np.ascontiguousarray(rows, dtype="<u8").view(np.dtype((np.void, 8 * W)))
+        distinct, inverse = np.unique(keys.ravel(), return_inverse=True)
+        distinct = distinct.view("<u8").reshape(-1, W)
+    sets = list(map(frozenset, rows_tokens(distinct)))
     return list(map(sets.__getitem__, inverse.tolist()))
 
 

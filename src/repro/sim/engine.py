@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import index
 from typing import (
     TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Protocol, Tuple,
 )
@@ -69,20 +71,41 @@ __all__ = ["ActiveRun", "DynamicNetwork", "RunResult", "SynchronousEngine", "run
 
 def validate_run_args(
     n: int, k: int, initial: Mapping[int, FrozenSet[int]], max_rounds: int
-) -> None:
-    """Shared input validation for the reference and fast execution paths."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared input validation for the reference and fast execution paths.
+
+    Reads ``initial`` into arrays once, checks them, and returns them:
+    the nodes in iteration order, each node's token count, and every
+    token, node by node.  The vectorised tier packs its bit-matrix from
+    these.  Node ids and tokens must be integers (``operator.index``).
+    """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-    if initial and (min(initial) < 0 or max(initial) >= n):
+    m = len(initial)
+    try:
+        nodes = np.fromiter(map(index, initial), dtype=np.int64, count=m)
+        inside = not m or (nodes.min() >= 0 and nodes.max() < n)
+    except OverflowError:
+        inside = False
+    if not inside:
         node = next(v for v in initial if not 0 <= v < n)
         raise ValueError(
             f"initial assignment names node {node} outside 0..{n-1}"
         )
-    assigned = set().union(*initial.values())
-    if assigned - set(range(k)):
+    counts = np.fromiter(map(len, initial.values()), dtype=np.int64, count=m)
+    try:
+        tokens = np.fromiter(
+            map(index, chain.from_iterable(initial.values())),
+            dtype=np.int64, count=int(counts.sum()),
+        )
+        inside = not tokens.size or (tokens.min() >= 0 and tokens.max() < k)
+    except (OverflowError, TypeError):
+        inside = False
+    if not inside:
         raise ValueError(f"initial assignment contains ids outside 0..{k-1}")
+    return nodes, counts, tokens
 
 
 class DynamicNetwork(Protocol):

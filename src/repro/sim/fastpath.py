@@ -35,12 +35,22 @@ by :func:`select_delivery` from the run's inputs alone:
   ``np.bitwise_or.reduceat`` — the boolean spmm ``A · P``.  Link models
   become a boolean mask over the CSR edge array (suppressed gathered
   rows are zeroed, and zero rows are OR-neutral); crash-stop churn is
-  row wipes plus a post-absorb re-zero of dead rows.
+  row wipes plus a post-absorb re-zero of dead rows.  When every node
+  broadcasts and every node is alive, every edge is a candidate, so the
+  link model's mask over ``indices`` and the edge receivers is that
+  mask, with no candidate gathers; the receivers are built once per
+  distinct :class:`~repro.sim.topology.SnapshotArrays` of the run.
 * **Flat scatter**: expand each broadcast into one (receiver, sender,
   payload) triple per edge.  It is the only correct path where the
   audience is fixed at transmit time but the message lands rounds later
   (``latency > 1``), and where causal attribution needs each delivery's
   sender (``obs="trace"``).
+
+Both deliveries move one-word rows (``W == 1``, k ≤ 64) as 1-D lanes
+(:func:`_lanes`): the gathers, scatters, ``reduceat`` and
+``np.bitwise_or.at`` run on an ``(n,)`` view of the ``(n, 1)`` rows,
+which numpy gathers and scatters 2–3× faster, and the same code serves
+wider rows.
 
 **Saturated rounds.**  Once a round ends with every node holding all
 ``k`` tokens, on a run with no link model and ``latency == 1``, no later
@@ -60,10 +70,11 @@ boundary for Algorithm 1 and KLO, once nothing is fresh for
 :meth:`_Kernel.tail` describes every remaining round up to the stop
 round, one run of rounds per distinct hierarchy, and
 :meth:`~repro.obs.RunObserver.close_saturated` bills and closes them in
-one call.  A kernel that finds no closed form (Algorithm 1 when, say,
-``T < k`` or a phase holds two hierarchies; see its ``tail``) leaves the
-run per round.  Monitored runs stay per round: their monitors see every
-round.
+one call.  A kernel that finds no closed form leaves the run per round:
+Algorithm 1 for good when, say, ``T < k`` or a phase holds two
+hierarchies, and until its next phase boundary when a member that keeps
+its head still has a token to upload (see its ``tail``).  Monitored runs
+stay per round: their monitors see every round.
 
 **Bit-identical results.**  For supported algorithms the vectorised tier
 reproduces the reference engine exactly under either delivery: outputs,
@@ -101,7 +112,6 @@ per-node objects to hand back.
 from __future__ import annotations
 
 import time
-from itertools import repeat
 from typing import (
     Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -114,7 +124,7 @@ from ..obs.observer import (
     RunObserver,
     SendGroup,
     SendTable,
-    pack_rows,
+    pack_tokens,
     rows_frozensets,
     words_for,
 )
@@ -145,6 +155,13 @@ _ONCE = np.array([WHOLE_SET])
 # ---------------------------------------------------------------------------
 # bit tricks on (m, W) uint64 rows
 # ---------------------------------------------------------------------------
+
+def _lanes(rows: np.ndarray) -> np.ndarray:
+    """The ``(m, W)`` rows as numpy moves them fastest: a 1-D view of
+    the one word per row when ``W == 1``, else the rows themselves.
+    Gathers, scatters, ``reduceat`` and ``ufunc.at`` along axis 0 move
+    the same words on either shape, and writes reach ``rows``."""
+    return rows[:, 0] if rows.shape[1] == 1 else rows
 
 def _popcounts(rows: np.ndarray) -> np.ndarray:
     """Per-row popcount of (m, W) uint64 rows."""
@@ -325,8 +342,9 @@ class _Kernel:
         ``roles``, ``head_of`` and ``head_adjacent`` arrays.  Returns
         :class:`SendGroup`\\ s that send exactly what :meth:`send` would
         in each of those rounds, or ``None`` when these rounds have no
-        closed form (the run then stays per round).  Leaves the kernel
-        as it was.
+        closed form: the run then goes on per round, and the loop asks
+        again at the next round :meth:`tail_from` accepts.  Changes no
+        state that :meth:`send` or :meth:`absorb` read.
         """
         return None
 
@@ -364,6 +382,8 @@ class _Algorithm1Kernel(_Kernel):
         # previous phase's head per node; -1 encodes "None", matching the
         # reference's initial `_phase_head = None`
         self.phase_head = np.full(n, -1, dtype=np.int64)
+        # whether the saturated tail may still have a closed form (see tail)
+        self.tail_open = stable or T >= k
 
     def send(self, r: int, arrs: SnapshotArrays) -> Optional[_SendBatch]:
         if r // self.T >= self.M:
@@ -433,7 +453,7 @@ class _Algorithm1Kernel(_Kernel):
         self.TR |= from_head
 
     def tail_from(self, r: int) -> bool:
-        return r % self.T == 0 or r >= self.budget
+        return self.tail_open and (r % self.T == 0 or r >= self.budget)
 
     def tail(self, spans):
         """From a phase boundary, when each phase holds one hierarchy and
@@ -443,10 +463,12 @@ class _Algorithm1Kernel(_Kernel):
         head is adjacent (whose broadcasts fill ``TR`` from below), else
         for ``j < k`` (all dropped); either way ``TS | TR`` is full by
         the phase's end, so a member that keeps its head stays silent.
-        That last fact must already hold at the first boundary.  The
-        stable variant's members are silent after phase 0."""
-        if not (self.stable or self.T >= self.k):
-            return None
+        That last fact must already hold at the first boundary; when a
+        kept member still has a token to upload, the next boundary is
+        asked again.  A hierarchy change inside a phase or a member
+        headed by a member closes the tail for the run (so does
+        ``T < k``, from the start).  The stable variant's members are
+        silent after phase 0."""
         k, T = self.k, self.T
         first, end = spans[0][0], spans[-1][1]
         out = [SendGroup(first, _phase_tokens(first, end, T, k, self.budget), _NON_MEMBERS)]
@@ -455,7 +477,8 @@ class _Algorithm1Kernel(_Kernel):
             if start >= self.budget:
                 break
             if start % T:
-                return None  # a hierarchy change inside a phase
+                self.tail_open = False  # a hierarchy change inside a phase
+                return None
             member = self._member_mask(arrs)
             new_head = self._head_arr(arrs)
             if member is None or self.stable:
@@ -465,10 +488,11 @@ class _Algorithm1Kernel(_Kernel):
             if i == 0:
                 kept = affiliated & (new_head == head)
                 if (self.TA[kept] & ~(self.TS[kept] | self.TR[kept])).any():
-                    return None
+                    return None  # ask again at the next boundary
             fresh = np.flatnonzero(affiliated & (new_head != head))
             if (arrs.roles[new_head[fresh]] == _ROLE_MEMBER).any():
-                return None  # a member headed by a member
+                self.tail_open = False  # a member headed by a member
+                return None
             adjacent = arrs.head_adjacent[fresh]
             for ok, sends in ((True, (k + 1) // 2), (False, k)):
                 ids = fresh[adjacent == ok]
@@ -735,7 +759,9 @@ def segment_or(
     ``out[i] = OR(payload[indices[indptr[i] : indptr[i + 1]]])`` — the
     boolean spmm ``A · P``.  ``reduceat`` mis-handles empty segments (it
     returns the element *at* the index instead of the OR-identity) so
-    degree-0 rows are masked out and stay all-zero.
+    degree-0 rows are masked out and stay all-zero; a block without
+    them is reduced unmasked.  One-word rows are moved as 1-D lanes
+    (:func:`_lanes`).
 
     ``edge_keep`` (one bool per CSR edge, or ``None`` for all-kept)
     zeroes the gathered rows of suppressed edges before the reduce —
@@ -750,6 +776,7 @@ def segment_or(
     out = np.zeros((rows, payload.shape[1]), dtype=np.uint64)
     if indices.size == 0:
         return out
+    words, lanes = _lanes(out), _lanes(payload)
     per_block = max(1, _GATHER_BUDGET // max(1, payload.shape[1]))
     lo = 0
     while lo < rows:
@@ -760,17 +787,20 @@ def segment_or(
             hi = max(hi, lo + 1)
         e1 = indptr[hi]
         if e1 > e0:
-            gathered = payload[indices[e0:e1]]
+            gathered = lanes[indices[e0:e1]]
             if edge_keep is not None:
                 keep = edge_keep[e0:e1]
                 if not keep.all():
                     gathered[~keep] = 0
             starts = indptr[lo:hi]
+            offsets = np.asarray(starts - e0, dtype=np.intp)
             nonempty = indptr[lo + 1:hi + 1] > starts
-            out[lo:hi][nonempty] = np.bitwise_or.reduceat(
-                gathered, np.asarray(starts[nonempty] - e0, dtype=np.intp),
-                axis=0,
-            )
+            if nonempty.all():
+                words[lo:hi] = np.bitwise_or.reduceat(gathered, offsets, axis=0)
+            else:
+                words[lo:hi][nonempty] = np.bitwise_or.reduceat(
+                    gathered, offsets[nonempty], axis=0
+                )
             del gathered  # free this block's slice before the next gather
         lo = hi
     return out
@@ -784,6 +814,7 @@ def _link_transform(
     link: LinkModel,
     alive: np.ndarray,
     metrics: Metrics,
+    receivers: Callable[[SnapshotArrays], np.ndarray],
 ) -> Tuple[Optional[np.ndarray], _SendBatch]:
     """Per-edge link masks over the CSR columns, losses billed.
 
@@ -792,22 +823,32 @@ def _link_transform(
     dead-receiver unicasts masked out of ``uc_ok``.  Candidates are
     broadcast edges with a live receiver: the reference bills losses
     only on those, and dead receivers are silent (dropped at landing, or
-    re-zeroed after the absorb).  The counter-based link RNG keys every
-    decision by (round, edge), so masking the vectorised candidate set is
-    bit-identical to the reference engine's per-edge ``delivers`` calls.
+    re-zeroed after the absorb).  When every node broadcasts and every
+    node is alive, every CSR edge is a candidate and the link model's
+    mask over ``indices`` and ``receivers(arrs)`` is ``edge_keep``
+    itself.  The counter-based link RNG keys every decision by (round,
+    edge), so masking the vectorised candidate set is bit-identical to
+    the reference engine's per-edge ``delivers`` calls.
     """
     edge_keep: Optional[np.ndarray] = None
-    is_bc = np.zeros(n, dtype=bool)
-    is_bc[batch.bc_senders] = True
-    snd_e = arrs.indices
-    recv_e = np.repeat(np.arange(n, dtype=np.int64), arrs.degrees)
-    cidx = np.flatnonzero(is_bc[snd_e] & alive[recv_e])
-    if cidx.size:
-        m = link.deliver_mask(r, snd_e[cidx], recv_e[cidx])
+    snd_e, recv_e = arrs.indices, receivers(arrs)
+    if batch.bc_senders.size == n and alive.all():
+        cidx = None
+        cand_snd, cand_recv = snd_e, recv_e
+    else:
+        is_bc = np.zeros(n, dtype=bool)
+        is_bc[batch.bc_senders] = True
+        cidx = np.flatnonzero(is_bc[snd_e] & alive[recv_e])
+        cand_snd, cand_recv = snd_e[cidx], recv_e[cidx]
+    if cand_snd.size:
+        m = link.deliver_mask(r, cand_snd, cand_recv)
         if m is not None and not m.all():
             metrics.record_loss(int(m.size - int(m.sum())))
-            edge_keep = np.ones(snd_e.shape[0], dtype=bool)
-            edge_keep[cidx[~m]] = False
+            if cidx is None:
+                edge_keep = m
+            else:
+                edge_keep = np.ones(snd_e.shape[0], dtype=bool)
+                edge_keep[cidx[~m]] = False
     if batch.uc_senders.size:
         ok = batch.uc_ok
         delivered = ok & alive[batch.uc_dests]
@@ -819,6 +860,32 @@ def _link_transform(
                 delivered[uidx[~mu]] = False
         batch = batch._replace(uc_ok=delivered)
     return edge_keep, batch
+
+
+#: Most distinct snapshots whose edge receivers one run keeps at once.
+_RECEIVER_MEMO = 8
+
+
+def _receiver_memo(n: int) -> Callable[[SnapshotArrays], np.ndarray]:
+    """``receivers(arrs)``: each CSR edge's receiving node,
+    ``np.repeat(arange(n), degrees)``, built once per distinct
+    :class:`SnapshotArrays` of one run.  The memo holds the arrays it
+    keys (so ids are not reused) and the most recent
+    :data:`_RECEIVER_MEMO` of them, so it does not grow with the rounds
+    of a run whose every round has new arrays."""
+    memo: Dict[int, Tuple[SnapshotArrays, np.ndarray]] = {}
+
+    def receivers(arrs: SnapshotArrays) -> np.ndarray:
+        held = memo.get(id(arrs))
+        if held is None:
+            if len(memo) >= _RECEIVER_MEMO:
+                del memo[next(iter(memo))]
+            held = memo[id(arrs)] = (
+                arrs, np.repeat(np.arange(n, dtype=np.int64), arrs.degrees)
+            )
+        return held[1]
+
+    return receivers
 
 
 def _csr_from_head(
@@ -841,7 +908,7 @@ def _csr_from_head(
         m = link.deliver_mask(r, heads, ids)
         if m is not None:
             ids, heads = ids[m], heads[m]
-    out[ids] = bc_full[heads]
+    _lanes(out)[ids] = _lanes(bc_full)[heads]
     return out
 
 
@@ -857,7 +924,7 @@ def _or_from_head(
         return
     sel = (arrs.roles[rec] == _ROLE_MEMBER) & (arrs.head_of[rec] == snd)
     if sel.any():
-        np.bitwise_or.at(out, rec[sel], payload[sel])
+        np.bitwise_or.at(_lanes(out), rec[sel], _lanes(payload)[sel])
 
 
 # ---------------------------------------------------------------------------
@@ -1013,6 +1080,7 @@ def run_columnar(
     alive: Optional[np.ndarray] = None
     if link is not None:
         alive = np.ones(n, dtype=bool)
+        receivers = _receiver_memo(n)
     latency = engine.latency
     in_flight: Dict[int, List[Flat]] = {}
     # once a round ends with every token everywhere, a run with no link
@@ -1020,7 +1088,7 @@ def run_columnar(
     # can no longer change state: every absorb only ORs into TA
     saturable = link is None and latency == 1
     saturated = False
-    # whether the kernel may still be asked for the saturated tail
+    # whether the kernel may be asked for the saturated tail at all
     tail_open = saturable and k > 0 and not observer.wants_views
     # set-up before the first round and the decode after the last are
     # bookkeeping, like the per-round counters
@@ -1057,7 +1125,7 @@ def run_columnar(
         edge_keep: Optional[np.ndarray] = None
         if batch is not None and link is not None:
             edge_keep, batch = _link_transform(
-                r, n, batch, arrs, link, alive, metrics
+                r, n, batch, arrs, link, alive, metrics, receivers
             )
         if scatter and batch is not None and not saturated:
             flat = _deliveries(r, batch, arrs, link)
@@ -1072,14 +1140,14 @@ def run_columnar(
             flat = _landing(in_flight.pop(r, None), alive)
             if flat is not None:
                 heard = np.zeros_like(kernel.TA)
-                np.bitwise_or.at(heard, flat[0], flat[2])
+                np.bitwise_or.at(_lanes(heard), flat[0], _lanes(flat[2]))
                 if hears_heads:
                     from_head = np.zeros_like(heard)
                     _or_from_head(arrs, *flat, from_head)
         elif batch is not None and (hears_heads or not saturated):
             # CSR delivery; a saturated round builds only from_head
             bc_full = np.zeros_like(kernel.TA)
-            bc_full[batch.bc_senders] = batch.bc_payload
+            _lanes(bc_full)[batch.bc_senders] = _lanes(batch.bc_payload)
             ok = np.flatnonzero(batch.uc_ok)
             unicasts = (
                 batch.uc_dests[ok], batch.uc_senders[ok], batch.uc_payload[ok]
@@ -1094,7 +1162,7 @@ def run_columnar(
                 heard = from_head
             else:
                 heard = segment_or(arrs.indptr, arrs.indices, bc_full, edge_keep)
-                np.bitwise_or.at(heard, unicasts[0], unicasts[2])
+                np.bitwise_or.at(_lanes(heard), unicasts[0], _lanes(unicasts[2]))
         lap("deliver")
 
         # --- receive -----------------------------------------------------
@@ -1153,7 +1221,6 @@ def run_columnar(
                 observer.close_saturated(spans, groups, n * k, n, metrics)
                 lap("send")
                 break
-            tail_open = False
 
     held = _popcounts(kernel.TA)
     survivors = held if alive is None else held[alive]
@@ -1213,8 +1280,7 @@ def try_run(
 
     n = network.n
     t0 = time.perf_counter()
-    validate_run_args(n, k, initial, max_rounds)
-    TA = pack_rows(list(map(initial.get, range(n), repeat(()))), k)
+    TA = pack_tokens(n, k, *validate_run_args(n, k, initial, max_rounds))
     packed_s = time.perf_counter() - t0
     kind, params = spec
     result = run_columnar(

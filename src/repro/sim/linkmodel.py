@@ -105,15 +105,33 @@ def uniform_one(seed: int, r: int, a: int, b: int) -> float:
     return (h >> 11) * _INV_2_53
 
 
-def uniforms(seed: int, r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorised hash uniforms in [0, 1) for coordinate arrays ``a``, ``b``."""
-    # two uint64 buffers for the whole hash: every step works in place
-    h = np.asarray(a, dtype=np.int64).astype(np.uint64)
+def _first_stage(a: np.ndarray, key: np.uint64) -> np.ndarray:
+    """The hash of the ``a`` coordinates under a round key, as a new
+    uint64 array: ``_mix(key ^ ((a + 1) * _KEY_A))`` elementwise."""
+    h = a.astype(np.uint64)
     h += np.uint64(1)
     h *= np.uint64(_KEY_A)
-    h ^= np.uint64(_round_key(seed, r))
+    h ^= key
+    _mix_arr(h, np.empty_like(h))
+    return h
+
+
+def uniforms(seed: int, r: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Vectorised hash uniforms in [0, 1) for coordinate arrays ``a``, ``b``.
+
+    When the ``a`` ids repeat (at least twice each on average, as the
+    senders of CSR edges do), each id's first stage is hashed once and
+    gathered; the hash of every pair is the same either way.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    key = np.uint64(_round_key(seed, r))
+    top = int(a.max()) + 1 if a.size else 0
+    if 0 < 2 * top <= a.size and int(a.min()) >= 0:
+        h = _first_stage(np.arange(top, dtype=np.int64), key)[a]
+    else:
+        h = _first_stage(a, key)
+    # one more uint64 buffer for the second stage: every step works in place
     tmp = np.empty_like(h)
-    _mix_arr(h, tmp)
     np.copyto(tmp, np.asarray(b, dtype=np.int64), casting="unsafe")
     tmp += np.uint64(1)
     tmp *= np.uint64(_KEY_B)

@@ -7,13 +7,12 @@ invariants read the run's recorded message log and per-round roles
 (``obs="record"``).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm1 import make_algorithm1_factory
 from repro.core.algorithm2 import make_algorithm2_factory
-from repro.core.bounds import algorithm1_phases, required_T
+from repro.core.bounds import algorithm1_phases
 from repro.experiments.scenarios import hinet_interval_scenario, hinet_one_scenario
 from repro.roles import Role
 from repro.sim.engine import SynchronousEngine

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graphs.dynamic_diameter import backbone_dynamic_diameter
-from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.generators.static import path_graph, static_trace
 from repro.roles import Role
 from repro.sim.topology import GraphTrace, Snapshot

@@ -1,15 +1,8 @@
 """Tests for the KLO, flooding, k-active and gossip baselines."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.baselines.flooding import (
-    FloodAllNode,
-    FloodNewNode,
-    make_flood_all_factory,
-    make_flood_new_factory,
-)
+from repro.baselines.flooding import make_flood_all_factory, make_flood_new_factory
 from repro.baselines.gossip import GossipNode, make_gossip_factory
 from repro.baselines.kactive import KActiveFloodNode, make_kactive_factory
 from repro.baselines.klo import (
@@ -22,7 +15,6 @@ from repro.core.bounds import klo_interval_phases, required_T
 from repro.graphs.generators.interval import t_interval_trace
 from repro.graphs.generators.static import complete_graph, path_graph, static_trace
 from repro.graphs.generators.worstcase import shuffled_path_trace
-from repro.roles import Role
 from repro.sim.engine import run
 from repro.sim.messages import Message, initial_assignment
 from repro.sim.node import RoundContext

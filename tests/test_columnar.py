@@ -13,6 +13,7 @@ builders."""
 import os
 import time
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -372,6 +373,32 @@ class TestBoundedGather:
         assert got.dtype == np.uint64
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("masked", [False, True], ids=["all-kept", "edge-keep"])
+    @pytest.mark.parametrize("budget", TINY_BUDGETS + (fastpath._GATHER_BUDGET,))
+    @pytest.mark.parametrize("W", [1, 2])
+    def test_degree_zero_rows_and_edge_mask(self, W, budget, masked, monkeypatch):
+        """Degree-0 rows first, inside and last, so blocks with and
+        without them both reduce; one-word rows (moved as 1-D lanes) and
+        two-word rows, with and without an edge mask.  A two-word run's
+        first column equals the one-word run of that column."""
+        rng = np.random.default_rng(W + 2 * budget)
+        degrees = [0, 2, 1, 0, 0, 3, 5, 1, 0, 2, 1, 0]
+        indptr = np.concatenate(([0], np.cumsum(degrees))).astype(np.int64)
+        edges, cols = int(indptr[-1]), 7
+        indices = rng.integers(0, cols, size=edges).astype(np.int64)
+        payload = rng.integers(0, 2**64 - 1, size=(cols, W), dtype=np.uint64,
+                               endpoint=True)
+        payload[0] = np.uint64(2**64 - 1)
+        edge_keep = rng.random(edges) < 0.6 if masked else None
+        expected = _naive_segment_or(indptr, indices, payload, edge_keep)
+        monkeypatch.setattr(fastpath, "_GATHER_BUDGET", budget)
+        got = fastpath.segment_or(indptr, indices, payload, edge_keep)
+        assert got.shape == (len(degrees), W) and got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+        assert not got[np.array(degrees) == 0].any()
+        first = fastpath.segment_or(indptr, indices, payload[:, :1].copy(), edge_keep)
+        assert np.array_equal(first, got[:, :1])
+
     @pytest.mark.parametrize("spec", all_specs(), ids=lambda s: s.name)
     @pytest.mark.parametrize("link", [None, IidLoss(0.2, seed=3)],
                              ids=["clean", "iid-loss"])
@@ -395,6 +422,51 @@ class TestBoundedGather:
         assert vec.metrics == ref.metrics
         assert vec.timeline == ref.timeline
         assert vec.recording == ref.recording
+
+
+class TestAllSendersLink:
+    """When every node broadcasts and every node is alive, every CSR edge
+    is a link candidate: the link model's mask over ``indices`` and the
+    edge receivers is the broadcast edge mask, with no candidate gathers.
+    Crash churn leaves nodes dead and silent, which takes the gathered
+    candidates again; both stay bit-identical to the reference."""
+
+    @pytest.mark.parametrize("obs", ["timeline", "record", "trace"])
+    @pytest.mark.parametrize("churn", [False, True], ids=["loss", "loss+churn"])
+    def test_flood_all_on_a_lattice_cycle(self, churn, obs, monkeypatch):
+        n, k = 120, 8
+        lattices = [ring_lattice_arrays(n, d) for d in (2, 4, 6)]
+        net = CSRNetwork([lattices[r % 3] for r in range(12)])
+        link, first_crash = IidLoss(0.2, seed=5), 12
+        if churn:
+            crash = CrashChurn(0.01, seed=4)
+            link = LinkChain([link, crash])
+            # no node is dead before the first round with a crash
+            first_crash = next(
+                r for r in range(12) if len(crash.crashes(r, np.ones(n, dtype=bool)))
+            )
+            assert 0 < first_crash < 11
+        sizes = []
+        mask = link.deliver_mask
+
+        def spy(r, senders, receivers):
+            sizes.append((r, senders.size))
+            return mask(r, senders, receivers)
+
+        monkeypatch.setattr(link, "deliver_mask", spy)
+        scenario = SimpleNamespace(trace=net, k=k,
+                                   initial={v: frozenset({v % k}) for v in range(n)})
+        vec = assert_matches_reference(
+            scenario, make_flood_all_factory(), 12, link=link, obs=obs
+        )
+        assert vec.metrics.lost_deliveries > 0
+        assert (vec.metrics.crashed_nodes > 0) == churn
+        if obs != "trace":
+            # CSR delivery draws one candidate mask per round: over every
+            # edge until a node has crashed, over fewer after
+            assert [size == lattices[r % 3].indices.size for r, size in sizes] == [
+                r < first_crash for r in range(12)
+            ]
 
 
 class TestSharded:
@@ -646,6 +718,21 @@ class TestOutputDecode:
         assert rows_tokens(rows) == [sorted(s) for s in sets]
         assert len({id(s) for s in sets}) == len(rows)
 
+    def test_one_word_rows_decode_like_padded_rows(self):
+        """``W == 1`` decodes by the ``uint64`` word; the same rows padded
+        with a zero word (void keys) decode to equal sets, shared alike."""
+        rng = np.random.default_rng(5)
+        pool = rng.integers(0, 2**64 - 1, size=40, dtype=np.uint64, endpoint=True)
+        pool[:3] = (0, 2**63, 2**64 - 1)
+        rows = rng.choice(pool, size=(500, 1))
+        padded = np.hstack((rows, np.zeros_like(rows)))
+        one, two = rows_frozensets(rows), rows_frozensets(padded)
+        assert one == two == _naive_row_sets(rows)
+        shared = [[i for i, s in enumerate(one) if s is one[j]] for j in (0, 1, 2)]
+        assert shared == [[i for i, s in enumerate(two) if s is two[j]] for j in (0, 1, 2)]
+        assert len({id(s) for s in one}) == len({id(s) for s in two}) == len(
+            np.unique(rows))
+
     def test_equal_rows_share_one_frozenset(self):
         rows = np.array([[5], [0], [5], [2**64 - 1], [0], [5]], dtype=np.uint64)
         sets = rows_frozensets(rows)
@@ -677,7 +764,7 @@ class TestProfileBookkeeping:
             return fn(*args, **kwargs)
         return slow
 
-    @pytest.mark.parametrize("stage", ["rows_frozensets", "pack_rows"])
+    @pytest.mark.parametrize("stage", ["rows_frozensets", "pack_tokens"])
     def test_pack_and_decode_are_bookkeeping(self, monkeypatch, stage):
         monkeypatch.setattr(fastpath, stage, self._slowed(getattr(fastpath, stage)))
         scenario = _flat(3)
@@ -933,13 +1020,12 @@ TAIL_FACTORIES = [
 
 #: Runs that keep calling ``send`` every round: Algorithm 1 finds no
 #: closed form with a hierarchy change inside a phase, nor (except the
-#: stable variant, whose members fall silent) with T < k, a member that
-#: keeps its head with a token left to upload, or a member headed by a
-#: member.
+#: stable variant, whose members fall silent) with T < k or a member
+#: headed by a member.  (A member that keeps its head with a token left
+#: to upload only puts the tail off to the next phase boundary.)
 PER_ROUND = {
     ("change-in-phase", "alg1"), ("change-in-phase", "alg1-strict"),
     ("change-in-phase", "alg1-stable"), ("T<k", "alg1"), ("T<k", "alg1-strict"),
-    ("kept-unknown", "alg1"),
     ("member-headed", "alg1"), ("member-headed", "alg1-strict"),
 }
 
@@ -1018,6 +1104,28 @@ class TestSaturatedTail:
             assert calls["send"] == res.metrics.rounds
         else:
             assert calls["send"] < res.metrics.rounds
+
+    def test_kept_member_with_a_token_left_puts_the_tail_off(self, monkeypatch):
+        """Plain Algorithm 1 on ``kept-unknown`` saturates in phase 0 while
+        member 7, which keeps its head, still has a token to upload: the
+        tail is refused at round 4 and taken at the next boundary, so
+        ``send`` runs 8 of the 20 rounds, and every observable still
+        equals the reference tier's."""
+        calls = _count_sends(monkeypatch)
+        case = next(c for c in TAIL_CASES if c[0] == "kept-unknown")
+        trace, factory, k, initial, max_rounds, finish = _tail_run(case, "alg1")
+        fast, ref = (
+            SynchronousEngine(engine=engine, obs="record").run(
+                trace, factory, k, initial, max_rounds, stop_when_finished=finish
+            )
+            for engine in ("fast", "reference")
+        )
+        assert fast.metrics.rounds == 20
+        assert calls["send"] == 8
+        assert fast.outputs == ref.outputs
+        assert fast.metrics == ref.metrics
+        assert fast.timeline == ref.timeline
+        assert fast.recording == ref.recording
 
     @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitored"])
     @pytest.mark.parametrize("name, kind", [

@@ -1,7 +1,5 @@
 """Tests for dynamic diameter and flood-time computation."""
 
-import pytest
-
 from repro.graphs.dynamic_diameter import dynamic_diameter, flood_times
 from repro.graphs.generators.static import path_graph, static_trace
 from repro.graphs.generators.worstcase import rotating_star_trace

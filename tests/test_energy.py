@@ -10,7 +10,7 @@ from repro.energy.lifetime import run_with_budget
 from repro.experiments.scenarios import hinet_one_scenario
 from repro.graphs.generators.static import path_graph, static_trace
 from repro.sim.engine import run
-from repro.sim.messages import Message, initial_assignment
+from repro.sim.messages import Message
 from repro.sim.node import NodeAlgorithm, RoundContext
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graphs.ctvg import CTVG
-from repro.graphs.generators.hinet import HiNetParams, HiNetScenario, generate_hinet
+from repro.graphs.generators.hinet import HiNetParams, generate_hinet
 from repro.graphs.properties import (
     hierarchy_stable,
     is_hinet,

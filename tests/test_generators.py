@@ -1,7 +1,6 @@
 """Tests for static, interval, worst-case and Markovian generators."""
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

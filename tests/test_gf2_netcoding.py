@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.gf2 import Gf2Basis
 from repro.baselines.netcoding import NetworkCodingNode, make_netcoding_factory
-from repro.graphs.generators.static import complete_graph, path_graph, static_trace
+from repro.graphs.generators.static import complete_graph, static_trace
 from repro.graphs.generators.worstcase import shuffled_path_trace
 from repro.sim.engine import run
 from repro.sim.messages import Message, initial_assignment

@@ -26,6 +26,7 @@ from repro.experiments.scenarios import (
     one_interval_scenario,
     scenario_for,
 )
+from repro.graphs.generators.static import ring_lattice_arrays
 from repro.io import scenario_from_dict, scenario_to_dict
 from repro.registry import AlgorithmSpec, all_specs, get_spec
 from repro.sim.engine import SynchronousEngine
@@ -92,6 +93,36 @@ class TestHashDiscipline:
         one = uniform_one(seed, r, a, b)
         assert vec[0] == one
         assert 0.0 <= one < 1.0
+
+    @pytest.mark.parametrize("orient", ["senders", "receivers"])
+    def test_repeated_ids_equal_scalar_hashes(self, orient):
+        """CSR edge senders (each id ``degree`` times, unsorted) and
+        receivers (sorted runs) take the hash-each-id-once path; every
+        pair still equals :func:`uniform_one`."""
+        arrays = ring_lattice_arrays(40, 4)
+        senders = arrays.indices
+        receivers = np.repeat(np.arange(40, dtype=np.int64), arrays.degrees)
+        a, b = (senders, receivers) if orient == "senders" else (receivers, senders)
+        assert 2 * (int(a.max()) + 1) <= a.size
+        seed = 987654321
+        for r in (0, 5, 2**31):
+            vec = uniforms(seed, r, a, b)
+            assert vec.tolist() == [
+                uniform_one(seed, r, int(x), int(y)) for x, y in zip(a, b)
+            ]
+
+    @pytest.mark.parametrize("a", [
+        [], [7], [0, 0, 0, 1], [-1, -1, 3, 3, 3, 0], [2**40, 2**40, 5, 5, 5, 5],
+    ], ids=["empty", "single", "repeats", "negative", "wide"])
+    def test_small_and_edge_inputs_equal_scalar_hashes(self, a):
+        """Empty, single-element, repeated, negative and wide ids."""
+        a = np.array(a, dtype=np.int64)
+        b = np.arange(a.size, dtype=np.int64)[::-1].copy()
+        vec = uniforms(11, 3, a, b)
+        assert vec.shape == a.shape and vec.dtype == np.float64
+        assert vec.tolist() == [
+            uniform_one(11, 3, int(x), int(y)) for x, y in zip(a, b)
+        ]
 
     def test_order_independent(self):
         """Delivery fates depend on the (round, edge) key only — batching

@@ -6,13 +6,8 @@ from hypothesis import strategies as st
 
 from repro.multihop.dissemination import DHopDisseminationNode, make_dhop_factory
 from repro.multihop.formation import DHopAssignment, dhop_clustering
-from repro.multihop.scenario import DHopParams, DHopScenario, generate_dhop
-from repro.graphs.generators.static import (
-    erdos_renyi,
-    grid_graph,
-    path_graph,
-    random_connected_graph,
-)
+from repro.multihop.scenario import DHopParams, generate_dhop
+from repro.graphs.generators.static import erdos_renyi, grid_graph, path_graph
 from repro.roles import Role
 from repro.sim.engine import run
 from repro.sim.messages import Message, initial_assignment

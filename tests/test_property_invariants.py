@@ -8,7 +8,6 @@ identities.
 
 import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.replication import MetricSummary, replicate, summarize
+from repro.experiments.replication import replicate, summarize
 
 
 class TestSummarize:

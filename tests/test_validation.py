@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.scenarios import hinet_interval_scenario, hinet_one_scenario
 from repro.experiments.validation import (
-    Lemma2Record,
     check_comm_budget,
     check_lemma2,
     check_theorem1,
